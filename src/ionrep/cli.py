@@ -140,13 +140,19 @@ class CliError(Exception):
         self.binding = binding
 
 
+def _is_num(v) -> bool:
+    # json and argparse's float both accept NaN and infinities
+    return (isinstance(v, int) and not isinstance(v, bool)
+            or isinstance(v, float) and math.isfinite(v))
+
+
 def _check_value(path: str, value, kind: str, nullable: bool) -> None:
     if value is None:
         if nullable:
             return
         raise CliError(EXIT_CONFIG, f"config field {path} must not be null")
     if kind == "num":
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+        ok = _is_num(value)
     elif kind == "int":
         ok = isinstance(value, int) and not isinstance(value, bool)
     elif kind == "str":
@@ -154,15 +160,13 @@ def _check_value(path: str, value, kind: str, nullable: bool) -> None:
     elif kind == "fmt":
         ok = value in ("text", "json", "csv")
     elif kind == "numlist":
-        ok = (isinstance(value, list) and
-              all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                  for v in value))
+        ok = isinstance(value, list) and all(_is_num(v) for v in value)
     else:  # pragma: no cover
         raise AssertionError(kind)
     if not ok:
         raise CliError(EXIT_CONFIG,
                        f"config field {path} has invalid value {value!r} "
-                       f"(expected {kind})")
+                       f"(expected {'finite ' if kind.startswith('num') else ''}{kind})")
 
 
 def _check_config(user: dict) -> None:
@@ -210,6 +214,7 @@ def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
         for part in where[:-1]:
             node = node[part]
         node[where[-1]] = value
+    _check_config(cfg)  # flag values pass the same checks as file values
     return cfg
 
 
@@ -381,15 +386,9 @@ def emit(cfg: dict, command: str, payload: dict,
 
 
 def report_doc(report: RateReport) -> dict:
-    d = report.to_dict()
-    d["heralding_time_us"] = d.pop("heralding_time_s") / US
-    d["denominator_us"] = d.pop("denominator_s") / US
-    # stable key order: timings together, then success/noise/rate, then ions
-    order = ["regime", "p", "heralding_time_us", "j_steps", "k_steps",
-             "denominator_steps", "denominator_us", "block_success",
-             "ideal_rate", "f_end", "rci", "noisy_rate", "n_o", "n_m",
-             "n_m_is_upper_bound"]
-    return {k: d[k] for k in order}
+    """The report in RateReport field order, with its seconds as microseconds."""
+    return {(k[:-2] + "_us" if k.endswith("_s") else k): (v / US if k.endswith("_s") else v)
+            for k, v in report.to_dict().items()}
 
 
 # ---------------------------------------------------------------- commands
@@ -410,8 +409,8 @@ def cmd_classify(cfg: dict, l0_km: Optional[float]) -> int:
     if l0_km is None:
         layout = make_layout(cfg, need_m=False)
         l0_km = layout.link_length_km
-    if l0_km <= 0:
-        raise CliError(EXIT_CONFIG, f"l0_km must be positive, got {l0_km}")
+    if not 0 < l0_km < math.inf:
+        raise CliError(EXIT_CONFIG, f"l0_km must be positive and finite, got {l0_km}")
     t = heralding_time(l0_km, hw.optical.refractive_index)
     path = classification_path(hw.timing, t)
     emit(cfg, "classify", {

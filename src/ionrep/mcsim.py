@@ -39,14 +39,10 @@ from .model import (
     link_success_prob,
     swap_survival_factor,
 )
-from .rates import RateReport
+from .rates import RateReport, block_denominator, ceil_tol, formula_groups, ion_budgets
 
 CHUNK_BLOCKS = 8192
 _UNLIMITED = 1 << 30
-
-
-def _ceil_steps(v: float) -> int:
-    return int(math.ceil(v - 1e-9))
 
 
 @dataclass(frozen=True)
@@ -76,20 +72,23 @@ class SimConfig:
             raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
         if self.n_comm_ions < 0 or self.n_mem_ions < 0:
             raise ValueError("ion pools must be >= 0 (0 means unlimited)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+
+    def _formula_groups(self):
+        # the analytic regime tests, read at the quantized times k tau, j tau
+        return formula_groups(self.k_steps * self.tau_s, self.j_steps * self.tau_s,
+                              self.tau_o_s)
 
     @property
     def waits_for_herald(self) -> bool:
-        t_q = self.k_steps * self.tau_s
-        g_q = self.j_steps * self.tau_s
-        return t_q < self.tau_o_s and self.tau_o_s >= t_q + g_q
+        return bool(self._formula_groups()[0])
 
     @property
     def block_steps(self) -> int:
-        """Wall steps per block; equals the regime denominator at integer j, k."""
-        m, j, k = self.layout.time_mux, self.j_steps, self.k_steps
-        if self.waits_for_herald:
-            return m - 1 + k + 3 * j
-        return m - 1 + max(j, k) + 2 * j
+        """Wall steps per block: the regime denominator at the integer j, k."""
+        return int(block_denominator(*self._formula_groups(), self.k_steps,
+                                     self.layout.time_mux, self.j_steps))
 
     @classmethod
     def from_profile(cls, layout: ChainLayout, hw: HardwareProfile,
@@ -102,8 +101,8 @@ class SimConfig:
             if p_override is None else p_override
         return cls(
             layout=layout,
-            j_steps=_ceil_steps(timing.j_steps),
-            k_steps=_ceil_steps(timing.k_steps),
+            j_steps=int(ceil_tol(timing.j_steps)),
+            k_steps=int(ceil_tol(timing.k_steps)),
             tau_s=hw.timing.tau,
             tau_o_s=hw.timing.tau_o,
             p=p,
@@ -200,8 +199,8 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
             if count:
                 trace.append(f"{step},{node},{event},{int(count)}")
 
-    t_decide = (m - 1 + k + j) if wait else (m - 1 + max(j, k))
-    for t in range(t_decide + 1):
+    # the last herald decision lands 2j steps before the block ends
+    for t in range(config.block_steps - 2 * j + 1):
         freed_c = np.zeros_like(st.used_comm)
         freed_m = np.zeros_like(st.used_mem)
 
@@ -361,24 +360,20 @@ def validate_against_analytic(config: SimConfig, report: RateReport,
 
     lay = config.layout
     m, big_m, j, k = lay.time_mux, lay.spatial_mux, config.j_steps, config.k_steps
-    if config.waits_for_herald:
-        cap = 2 * (big_m * k + j)
-        delta = cap - report.n_o
-        comm_ok = stats.peak_comm_loaded <= cap
-        checks.append(f"comm peak {stats.peak_comm_loaded} <= 2(Mk+j) = {cap}: "
+    wait = config.waits_for_herald
+    n_o, n_m = (int(v) for v in ion_budgets(wait, k, j, big_m, m))
+    if wait:
+        comm_ok = stats.peak_comm_loaded <= n_o
+        checks.append(f"comm peak {stats.peak_comm_loaded} <= 2(Mk+j) = {n_o}: "
                       f"{'ok' if comm_ok else 'FAIL'}")
-        mem_ok = stats.peak_mem_loaded <= 2 * m
-        checks.append(f"mem peak {stats.peak_mem_loaded} <= 2m = {2 * m}: "
-                      f"{'ok' if mem_ok else 'FAIL'}")
     else:
         cap = 2 * big_m * min(j, m)
-        delta = 2 * big_m * j - report.n_o
         comm_ok = stats.peak_comm_loaded == cap
         checks.append(f"comm peak {stats.peak_comm_loaded} == 2M min(j, m) = {cap}: "
                       f"{'ok' if comm_ok else 'FAIL'}")
-        mem_ok = stats.peak_mem_loaded <= 2 * big_m * m
-        checks.append(f"mem peak {stats.peak_mem_loaded} <= 2Mm = {2 * big_m * m}: "
-                      f"{'ok' if mem_ok else 'FAIL'}")
+    mem_ok = stats.peak_mem_loaded <= n_m
+    checks.append(f"mem peak {stats.peak_mem_loaded} <= {'2m' if wait else '2Mm'} "
+                  f"= {n_m}: {'ok' if mem_ok else 'FAIL'}")
     her_ok = stats.peak_heralded <= 2 * m
     checks.append(f"heralded peak {stats.peak_heralded} <= 2m = {2 * m}: "
                   f"{'ok' if her_ok else 'FAIL'}")
@@ -394,7 +389,7 @@ def validate_against_analytic(config: SimConfig, report: RateReport,
         expected_block_success=expected,
         observed_block_success=stats.empirical_block_success,
         checks=checks,
-        quantization_delta_n_o=int(delta),
+        quantization_delta_n_o=n_o - report.n_o,
     )
 
 

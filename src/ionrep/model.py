@@ -4,13 +4,18 @@ Everything in this module is a pure function of its inputs: link success
 probabilities, signal travel times, Werner-state noise maps, and the reverse
 coherent information used to discount noisy rates. Units are kilometers and
 seconds throughout; dB enters only through the fiber attenuation coefficient.
+
+The per-link and per-chain formulas broadcast over numpy arrays, as do the
+n_repeaters and time_mux fields of ChainLayout; rates.rate_grid builds them
+into the one rate model the report, the optimizer and the simulator share.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 # Vacuum speed of light, km/s.
 C_VACUUM_KM_S = 299792.458
@@ -23,6 +28,12 @@ class ModelDomainWarning(UserWarning):
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise ValueError(msg)
+
+
+def _check(ok, name: str, rule: str, value) -> None:
+    # for array inputs: the message is formatted only on failure
+    if not (ok if isinstance(ok, bool) else ok.all()):
+        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -80,13 +91,13 @@ class NoiseParams:
 
 @dataclass(frozen=True)
 class WernerState:
-    """Bell-diagonal state with weights (F, (1-F)/3, (1-F)/3, (1-F)/3)."""
+    """Bell-diagonal state (F, (1-F)/3, (1-F)/3, (1-F)/3); F may be an array."""
 
     fidelity: float
 
     def validate(self) -> None:
-        _require(0.0 <= self.fidelity <= 1.0,
-                 f"fidelity must be in [0, 1], got {self.fidelity}")
+        f = self.fidelity
+        _check((f >= 0.0) & (f <= 1.0), "fidelity", "in [0, 1]", f)
 
 
 @dataclass(frozen=True)
@@ -103,6 +114,9 @@ class HardwareProfile:
         self.optical.validate()
         self.timing.validate()
         self.noise.validate()
+        if _survival_factor(self.noise) < 0.0:
+            raise ValueError(f"swap survival factor 1 - 2 eps_g - (4/3)(1 - f0) is below 0 "
+                             f"at eps_g={self.noise.eps_g}, f0={self.noise.f0}")
         _require(self.memory_margin >= 1.0,
                  f"memory_margin must be >= 1, got {self.memory_margin}")
 
@@ -132,6 +146,8 @@ class ChainLayout:
 
     spatial_mux (M) counts parallel fiber modes per link per clock cycle;
     time_mux (m) is the number of clock cycles pooled into one swap block.
+    n_repeaters and time_mux may be integer arrays that broadcast against
+    each other, which describes a grid of chains over the same distance.
     """
 
     total_distance_km: float
@@ -142,12 +158,11 @@ class ChainLayout:
     def validate(self) -> None:
         _require(self.total_distance_km > 0.0,
                  f"total_distance_km must be positive, got {self.total_distance_km}")
-        _require(int(self.n_repeaters) == self.n_repeaters and self.n_repeaters >= 0,
-                 f"n_repeaters must be a nonnegative integer, got {self.n_repeaters}")
-        _require(int(self.spatial_mux) == self.spatial_mux and self.spatial_mux >= 1,
-                 f"spatial_mux must be a positive integer, got {self.spatial_mux}")
-        _require(int(self.time_mux) == self.time_mux and self.time_mux >= 1,
-                 f"time_mux must be a positive integer, got {self.time_mux}")
+        for name, low, kind in (("n_repeaters", 0, "nonnegative"),
+                                ("spatial_mux", 1, "positive"),
+                                ("time_mux", 1, "positive")):
+            v = getattr(self, name)
+            _check((v % 1 == 0) & (v >= low), name, f"a {kind} integer", v)
 
     @property
     def n_links(self) -> int:
@@ -183,7 +198,7 @@ def link_success_prob(optical: OpticalParams, l0_km: float) -> float:
     hence the factor 1/2; both photons must be collected and detected.
     """
     optical.validate()
-    _require(l0_km >= 0.0, f"l0_km must be >= 0, got {l0_km}")
+    _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
     eta = fiber_transmissivity(optical.alpha_db_per_km, l0_km)
     return 0.5 * optical.eta_c ** 2 * optical.eta_d ** 2 * eta
 
@@ -195,7 +210,7 @@ def intra_node_success_prob(optical: OpticalParams) -> float:
 
 def heralding_time(l0_km: float, refractive_index: float) -> float:
     """One-way classical latency T = l0 / c_fiber in seconds."""
-    _require(l0_km >= 0.0, f"l0_km must be >= 0, got {l0_km}")
+    _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
     _require(refractive_index >= 1.0,
              f"refractive_index must be >= 1, got {refractive_index}")
     return l0_km * refractive_index / C_VACUUM_KM_S
@@ -229,14 +244,19 @@ def compose_gate_errors(eps_1: float, eps_2: float) -> float:
     return 1.0 - (1.0 - eps_1) * (1.0 - eps_2)
 
 
+def _survival_factor(noise: NoiseParams) -> float:
+    return 1.0 - 2.0 * noise.eps_g - (4.0 / 3.0) * (1.0 - noise.f0)
+
+
 def swap_survival_factor(noise: NoiseParams) -> float:
     """Per-swap survival factor x = 1 - 2 eps_g - (4/3)(1 - f0).
 
     The polarization (1 - 2Q) of the end-to-end error flag shrinks by x at
     every swap. x < 0 means the inputs are outside the Werner regime the
     closed form was derived for; the value is still returned, with a warning.
+    HardwareProfile.validate rejects such noise outright.
     """
-    x = 1.0 - 2.0 * noise.eps_g - (4.0 / 3.0) * (1.0 - noise.f0)
+    x = _survival_factor(noise)
     if x < 0.0:
         warnings.warn(
             f"swap survival factor x={x:.6g} < 0; noise model outside Werner regime",
@@ -248,7 +268,7 @@ def swap_survival_factor(noise: NoiseParams) -> float:
 
 def end_to_end_Q(n: int, noise: NoiseParams) -> float:
     """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain."""
-    _require(n >= 0, f"n must be >= 0, got {n}")
+    _check(n >= 0, "n", ">= 0", n)
     noise.validate()
     x = swap_survival_factor(noise)
     return 0.5 * (1.0 - x ** n)
@@ -268,9 +288,7 @@ def werner_rci(state: WernerState) -> float:
     """
     state.validate()
     f = state.fidelity
-    h = 0.0
-    if f > 0.0:
-        h -= f * math.log2(f)
-    if f < 1.0:
-        h -= (1.0 - f) * math.log2((1.0 - f) / 3.0)
-    return 1.0 - h
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = (-np.where(f > 0.0, f * np.log2(f), 0.0)
+             - (1.0 - f) * np.log2((1.0 - f) / 3.0))
+    return np.where(f >= 1.0, 1.0, 1.0 - h)[()]

@@ -5,6 +5,9 @@ so the search is an exhaustive scan over n x m, vectorized over the whole
 grid. Ties are broken toward smaller n, then smaller m, which a row-major
 argmax gives for free; that also makes the result independent of any
 parallel evaluation order.
+
+No formula lives here: rates.rate_grid evaluates the model over the grid,
+and this module adds the search bounds, the constraint masks and the argmax.
 """
 
 from __future__ import annotations
@@ -16,13 +19,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (
-    ChainLayout,
-    HardwareProfile,
-    fiber_transmissivity,
-    heralding_time,
-)
-from .rates import RateReport, evaluate_rate, plob_bound
+from .model import ChainLayout, HardwareProfile, fiber_transmissivity
+from .rates import RateReport, evaluate_rate, plob_bound, rate_grid
 
 
 class InfeasibleError(Exception):
@@ -87,15 +85,6 @@ def _candidate_ns(l_km: float, bounds: SearchBounds,
     return np.arange(0, bounds.n_max + 1, dtype=np.int64)
 
 
-def _rci_per_n(ns: np.ndarray, hw: HardwareProfile) -> np.ndarray:
-    x = 1.0 - 2.0 * hw.noise.eps_g - (4.0 / 3.0) * (1.0 - hw.noise.f0)
-    q = 0.5 * (1.0 - np.power(x, ns.astype(np.float64)))
-    f = 1.0 - 1.5 * q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = -f * np.log2(f) - (1.0 - f) * np.log2((1.0 - f) / 3.0)
-    return np.where(f >= 1.0, 1.0, 1.0 - h)
-
-
 def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
                   bounds: Optional[SearchBounds] = None,
                   constraints: Optional[Constraints] = None) -> OptimizationResult:
@@ -112,12 +101,9 @@ def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
     bounds.validate()
     constraints.validate()
     hw.validate()
-    if l_km <= 0:
-        raise ValueError(f"l_km must be positive, got {l_km}")
-    if spatial_mux < 1:
-        raise ValueError(f"spatial_mux must be >= 1, got {spatial_mux}")
+    if not 0.0 < l_km < math.inf:
+        raise ValueError(f"l_km must be positive and finite, got {l_km}")
 
-    binding: dict[str, int] = {}
     if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
         raise InfeasibleError(
             ["tau_min"],
@@ -125,54 +111,21 @@ def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
             f"{constraints.tau_min:.6g} s; no grid point is feasible",
         )
 
-    tm = hw.timing
     ns = _candidate_ns(l_km, bounds, constraints)
     ms = np.arange(1, bounds.m_max + 1, dtype=np.int64)
-    m_count = ms.size
-
-    l0 = l_km / (ns + 1.0)
-    t_herald = l0 * hw.optical.refractive_index / 299792.458
-    k = t_herald / tm.tau
-    j = tm.tau_g / tm.tau
-    # regime formula groups per n
-    is_a = (t_herald >= tm.tau_o) | (
-        (t_herald >= tm.tau_g) & (tm.tau_o < t_herald + tm.tau_g))
-    is_b2 = (t_herald < tm.tau_o) & (tm.tau_o >= t_herald + tm.tau_g)
-    # remaining rows are C1
-    den_base = np.where(is_a, k + 2.0 * j, np.where(is_b2, k + 3.0 * j, 3.0 * j))
-    den_steps = den_base[:, None] + ms[None, :] - 1.0
-
-    feasible = np.ones((ns.size, m_count), dtype=bool)
-    mem_ok = hw.memory_margin * den_steps * tm.tau <= tm.tau_m
-    if not mem_ok.all():
-        binding["tau_m"] = int((~mem_ok).sum())
-    feasible &= mem_ok
-
-    n_o = np.where(
-        is_b2,
-        np.ceil(2.0 * (spatial_mux * k + j) - 1e-9),
-        np.ceil(2.0 * spatial_mux * j - 1e-9),
-    ).astype(np.int64)
+    grid = rate_grid(ChainLayout(l_km, ns[:, None], spatial_mux, ms[None, :]), hw)
+    checks = {"tau_m": grid.mem_ok}
     if constraints.n_o_max is not None:
-        ok = n_o <= constraints.n_o_max
-        if not ok.all():
-            binding["n_o_max"] = int(((~ok)[:, None] * np.ones(m_count, bool)).sum())
-        feasible &= ok[:, None]
-    n_m_factor = np.where(is_b2, 2, 2 * spatial_mux)
-    n_m = n_m_factor[:, None] * ms[None, :]
+        checks["n_o_max"] = grid.n_o <= constraints.n_o_max
     if constraints.n_m_max is not None:
-        ok = n_m <= constraints.n_m_max
-        if not ok.all():
-            binding["n_m_max"] = int((~ok).sum())
+        checks["n_m_max"] = grid.n_m <= constraints.n_m_max
+    feasible = np.ones((ns.size, ms.size), dtype=bool)
+    binding: dict[str, int] = {}
+    for name, ok in checks.items():
+        removed = feasible.size - int(np.count_nonzero(np.broadcast_to(ok, feasible.shape)))
+        if removed:
+            binding[name] = removed
         feasible &= ok
-
-    p = (0.5 * hw.optical.eta_c ** 2 * hw.optical.eta_d ** 2
-         * 10.0 ** (-hw.optical.alpha_db_per_km * l0 / 10.0))
-    with np.errstate(divide="ignore"):
-        per_link = -np.expm1(spatial_mux * ms[None, :] * np.log1p(-p[:, None]))
-        block = np.exp((ns + 1.0)[:, None] * np.log(per_link))
-    rci = np.maximum(0.0, _rci_per_n(ns, hw))
-    rate = block / (den_steps * tm.tau) * rci[:, None]
 
     evaluations = int(feasible.sum())
     if evaluations == 0:
@@ -181,9 +134,10 @@ def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
                            for name in names)
         raise InfeasibleError(names, f"no feasible (n, m) grid point: {detail}")
 
-    rate = np.where(feasible, rate, -1.0)
+    rate = grid.rate  # this call's own array: mask it in place
+    np.copyto(rate, -1.0, where=~feasible)
     flat = int(np.argmax(rate))  # row-major: smallest n, then smallest m, on ties
-    ni, mi = divmod(flat, m_count)
+    ni, mi = divmod(flat, ms.size)
     n_opt = int(ns[ni])
     m_opt = int(ms[mi])
     report = evaluate_rate(

@@ -6,13 +6,22 @@ node ion budgets come out depends on the ordering of three time scales: the
 heralding latency T, the communication-ion lifetime tau_o, and the gate time
 tau_g. The five orderings are labeled A, B1, B2, C1, C2; B1 shares A's
 formulas and C2 shares B2's.
+
+Each formula is written once, here or in ionrep.model, and broadcasts over
+numpy arrays: the regime comparisons (_regime_tests, behind the decision walk
+and the formula_groups masks), block_denominator, ion_budgets and
+block_success_prob. rate_grid combines them over repeater counts x block
+lengths; evaluate_rate is its 1 x 1 call, optimize_rate argmaxes it, and
+mcsim.SimConfig reads formula_groups and block_denominator at integer steps.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .model import (
     ChainLayout,
@@ -49,57 +58,74 @@ class Regime(enum.Enum):
     @property
     def formula_group(self) -> "Regime":
         """Representative regime whose rate and ion formulas apply."""
-        if self is Regime.B1:
-            return Regime.A
-        if self is Regime.C2:
-            return Regime.B2
-        return self
+        return {Regime.B1: Regime.A, Regime.C2: Regime.B2}.get(self, self)
+
+
+def _regime_tests(t, tau_g: float, tau_o: float):
+    """The comparisons behind every regime label, in decision order."""
+    t = np.asarray(t)
+    return t >= tau_o, t >= tau_g, tau_o >= t + tau_g
+
+
+def formula_groups(t, tau_g: float, tau_o: float):
+    """Masks (waits, uses_k) of T in groups B2/C2 and A/B1; the rest is C1."""
+    past_o, past_g, fits = _regime_tests(t, tau_g, tau_o)
+    waits = ~past_o & fits
+    return waits, past_g & ~waits
+
+
+def _decision_walk(timing: TimingParams, t: float):
+    """The regime of t and the (label, lhs, rhs, outcome) branches taken."""
+    past_o, past_g, fits = _regime_tests(t, timing.tau_g, timing.tau_o)
+    steps = [("T >= tau_o", t, timing.tau_o, past_o)]
+    if past_o:
+        return Regime.A, steps
+    steps += [("T >= tau_g", t, timing.tau_g, past_g),
+              ("tau_o >= T + tau_g", timing.tau_o, t + timing.tau_g, fits)]
+    return Regime(("B" if past_g else "C") + ("2" if fits else "1")), steps
 
 
 def classify_regime(timing: TimingParams, heralding_time_s: float) -> Regime:
     timing.validate()
-    t = heralding_time_s
-    if t >= timing.tau_o:
-        return Regime.A
-    if t >= timing.tau_g:
-        return Regime.B2 if timing.tau_o >= t + timing.tau_g else Regime.B1
-    return Regime.C2 if timing.tau_o >= t + timing.tau_g else Regime.C1
+    return _decision_walk(timing, heralding_time_s)[0]
 
 
 def classification_path(timing: TimingParams, heralding_time_s: float) -> list[str]:
     """The branch conditions evaluated on the way to a regime label."""
-    t = heralding_time_s
-    path = []
-    cond = t >= timing.tau_o
-    path.append(f"T >= tau_o ({t:.9g} >= {timing.tau_o:.9g}): {'yes' if cond else 'no'}")
-    if cond:
-        path.append("regime A")
-        return path
-    cond = t >= timing.tau_g
-    path.append(f"T >= tau_g ({t:.9g} >= {timing.tau_g:.9g}): {'yes' if cond else 'no'}")
-    family = "B" if cond else "C"
-    cond = timing.tau_o >= t + timing.tau_g
-    path.append(
-        f"tau_o >= T + tau_g ({timing.tau_o:.9g} >= {t + timing.tau_g:.9g}): "
-        f"{'yes' if cond else 'no'}"
-    )
-    path.append(f"regime {family}{'2' if cond else '1'}")
-    return path
+    regime, steps = _decision_walk(timing, heralding_time_s)
+    return [f"{label} ({lhs:.9g} >= {rhs:.9g}): {'yes' if ok else 'no'}"
+            for label, lhs, rhs, ok in steps] + [f"regime {regime.value}"]
+
+
+def block_denominator(waits, uses_k, k_steps, m, j_steps):
+    """Block wall time in steps: k + 2j (A, B1), k + 3j (B2, C2) or 3j (C1), + m - 1."""
+    base = np.where(uses_k, k_steps + 2.0 * j_steps,
+                    np.where(waits, k_steps + 3.0 * j_steps, 3.0 * j_steps))
+    return base + m - 1.0
 
 
 def denominator_steps(regime: Regime, k_steps: float, m: int, j_steps: float) -> float:
     """Block wall time in units of tau for the given regime."""
-    group = regime.formula_group
-    if group is Regime.A:
-        return k_steps + m + 2.0 * j_steps - 1.0
-    if group is Regime.B2:
-        return k_steps + m + 3.0 * j_steps - 1.0
-    return m + 3.0 * j_steps - 1.0
+    return block_denominator(regime.waits_for_herald,
+                             regime.formula_group is Regime.A, k_steps, m, j_steps)
 
 
-def _ceil_tol(v: float, tol: float = 1e-9) -> int:
-    # guard against float noise pushing an exact integer up by one
-    return int(math.ceil(v - tol))
+def ceil_tol(v):
+    """Integer ceiling that ignores float noise pushing an exact integer up."""
+    return np.ceil(v - 1e-9).astype(np.int64)
+
+
+def ion_budgets(waits, k_steps, j_steps, spatial_mux, m):
+    """Per-node (n_o, n_m) ion budgets for the wait-for-herald mask.
+
+    Blind gating (A, B1, C1) cycles 2jM comm ions and may touch up to 2mM
+    memories, an upper bound on the occupancy. Waiting for the herald (B2,
+    C2) parks attempts for k steps, needing 2(Mk + j) comm ions, but loads
+    one memory pair per link per cycle, exactly 2m memories.
+    """
+    n_o = ceil_tol(np.where(waits, 2.0 * (spatial_mux * k_steps + j_steps),
+                              2.0 * spatial_mux * j_steps))
+    return n_o, np.where(waits, 2, 2 * spatial_mux) * m
 
 
 @dataclass(frozen=True)
@@ -111,33 +137,21 @@ class IonRequirements:
 
 def ion_requirements(layout: ChainLayout, timing: DerivedTiming,
                      regime: Regime) -> IonRequirements:
-    """Per-node ion budgets sufficient for the protocol in the given regime.
-
-    Blind-gating regimes (A, B1, C1) cycle 2jM communication ions and may
-    touch up to 2mM memories; the actual memory occupancy can be smaller, so
-    that figure is an upper bound. Wait-for-herald regimes (B2, C2) park
-    attempts for k steps, needing 2(Mk + j) comm ions, but load exactly one
-    memory pair per link per cycle, capping memories at 2m.
-    """
-    m = layout.time_mux
-    big_m = layout.spatial_mux
-    if regime.formula_group is Regime.B2:
-        n_o = _ceil_tol(2.0 * (big_m * timing.k_steps + timing.j_steps))
-        return IonRequirements(n_o=n_o, n_m=2 * m, n_m_is_upper_bound=False)
-    n_o = _ceil_tol(2.0 * big_m * timing.j_steps)
-    return IonRequirements(n_o=n_o, n_m=2 * big_m * m, n_m_is_upper_bound=True)
+    """Per-node ion budgets sufficient for the protocol in the given regime."""
+    waits = regime.waits_for_herald
+    n_o, n_m = ion_budgets(waits, timing.k_steps, timing.j_steps,
+                           layout.spatial_mux, layout.time_mux)
+    return IonRequirements(n_o=int(n_o), n_m=int(n_m), n_m_is_upper_bound=not waits)
 
 
-def block_success_prob(p: float, spatial_mux: int, time_mux: int, n_repeaters: int) -> float:
+def block_success_prob(p, spatial_mux, time_mux, n_repeaters):
     """Probability that all n+1 links herald at least one pair in one block."""
-    if not 0.0 <= p <= 1.0:
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if p == 0.0:
-        return 0.0
-    per_link = -math.expm1(spatial_mux * time_mux * math.log1p(-p)) if p < 1.0 else 1.0
-    if per_link <= 0.0:
-        return 0.0
-    return math.exp((n_repeaters + 1) * math.log(per_link))
+    # p = 0 and p = 1 come out exactly as 0 and 1 through the infinities
+    with np.errstate(divide="ignore"):
+        per_link = -np.expm1(spatial_mux * time_mux * np.log1p(-p))
+        return np.exp((n_repeaters + 1.0) * np.log(per_link))
 
 
 def plob_bound(eta: float, spatial_mux: int, tau_s: float) -> float:
@@ -155,8 +169,6 @@ def reference_rates(n: int, m: int, spatial_mux: int, p: float, q: float,
     R2 pools m cycles, and R combines both poolings. q is the memory-swap
     success probability per node (1 for deterministic ion-ion gates).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0, 1], got {p}")
     if not 0.0 <= q <= 1.0:
         raise ValueError(f"q must be in [0, 1], got {q}")
     qn = q ** n
@@ -186,65 +198,85 @@ class RateReport:
     n_m_is_upper_bound: bool
 
     def to_dict(self) -> dict:
-        return {
-            "regime": self.regime.value,
-            "p": self.p,
-            "heralding_time_s": self.timing.heralding_time_s,
-            "j_steps": self.timing.j_steps,
-            "k_steps": self.timing.k_steps,
-            "denominator_steps": self.denominator_steps,
-            "denominator_s": self.denominator_s,
-            "block_success": self.block_success,
-            "ideal_rate": self.ideal_rate,
-            "f_end": self.f_end,
-            "rci": self.rci,
-            "noisy_rate": self.noisy_rate,
-            "n_o": self.n_o,
-            "n_m": self.n_m,
-            "n_m_is_upper_bound": self.n_m_is_upper_bound,
-        }
+        """Flat field dict: the regime as its label, timing spliced in."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            out.update(vars(value) if f.name == "timing" else
+                       {f.name: value.value if f.name == "regime" else value})
+        return out
+
+
+@dataclass(frozen=True)
+class RateGrid:
+    """rate_grid's output; each field broadcasts to n_repeaters x time_mux."""
+
+    timing: DerivedTiming
+    waits: np.ndarray  # formula group B2/C2, the rest blind
+    den_steps: np.ndarray
+    mem_ok: np.ndarray  # tau_m covers memory_margin x the block duration
+    n_o: np.ndarray
+    n_m: np.ndarray
+    p: np.ndarray
+    block: np.ndarray
+    f_end: np.ndarray
+    rci: np.ndarray
+    rate: np.ndarray  # noisy rate: block / block duration x max(0, rci)
+
+
+def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
+    """The rate model over a layout with array n_repeaters (a column) and
+    time_mux (a row); blocks that outlive the memory are flagged in mem_ok."""
+    timing = derive_timing(layout, hw)
+    tm = hw.timing
+    k, j, m = timing.k_steps, timing.j_steps, layout.time_mux
+    waits, uses_k = formula_groups(timing.heralding_time_s, tm.tau_g, tm.tau_o)
+    den_steps = block_denominator(waits, uses_k, k, m, j)
+    n_o, n_m = ion_budgets(waits, k, j, layout.spatial_mux, m)
+    p = link_success_prob(hw.optical, layout.link_length_km)
+    block = block_success_prob(p, layout.spatial_mux, m, layout.n_repeaters)
+    f_end = end_to_end_fidelity(layout.n_repeaters, hw.noise)
+    rci = werner_rci(f_end)
+    return RateGrid(
+        timing=timing, waits=waits, den_steps=den_steps,
+        mem_ok=hw.memory_margin * den_steps * tm.tau <= tm.tau_m,
+        n_o=n_o, n_m=n_m, p=p, block=block, f_end=f_end.fidelity, rci=rci,
+        rate=block / (den_steps * tm.tau) * np.maximum(0.0, rci),
+    )
 
 
 def evaluate_rate(layout: ChainLayout, hw: HardwareProfile) -> RateReport:
-    """Rate and resource report for one fully specified operating point.
+    """Rate and resource report for one operating point, rate_grid's 1 x 1 call.
 
     Raises FeasibilityError when the memory lifetime cannot cover the block
     (tau_m must be at least memory_margin times the block duration).
     """
     layout.validate()
-    hw.validate()
-    timing = derive_timing(layout, hw)
-    regime = classify_regime(hw.timing, timing.heralding_time_s)
-    den_steps = denominator_steps(regime, timing.k_steps, layout.time_mux,
-                                  timing.j_steps)
-    den_s = den_steps * hw.timing.tau
-    required_tau_m = hw.memory_margin * den_s
-    if hw.timing.tau_m < required_tau_m:
+    grid = rate_grid(ChainLayout(layout.total_distance_km, np.array([layout.n_repeaters]),
+                                 layout.spatial_mux, np.array([layout.time_mux])), hw)
+    den_steps, block = grid.den_steps.item(), grid.block.item()
+    den_s = den_steps * hw.timing.tau  # the grid's rate is block / den_s x max(0, rci)
+    if not grid.mem_ok.item():
         raise FeasibilityError(
             "tau_m",
             f"memory lifetime tau_m={hw.timing.tau_m:.6g} s cannot cover the block: "
-            f"need at least {required_tau_m:.6g} s "
+            f"need at least {hw.memory_margin * den_s:.6g} s "
             f"({hw.memory_margin:g} x {den_s:.6g} s)",
         )
-    p = link_success_prob(hw.optical, layout.link_length_km)
-    blk = block_success_prob(p, layout.spatial_mux, layout.time_mux,
-                             layout.n_repeaters)
-    ideal = blk / den_s
-    f_end = end_to_end_fidelity(layout.n_repeaters, hw.noise)
-    rci = werner_rci(f_end)
-    ions = ion_requirements(layout, timing, regime)
+    t = grid.timing
+    timing = DerivedTiming(t.heralding_time_s.item(), t.j_steps, t.k_steps.item())
     return RateReport(
-        regime=regime,
-        p=p,
+        regime=classify_regime(hw.timing, timing.heralding_time_s),
+        p=grid.p.item(),
         timing=timing,
         denominator_steps=den_steps,
         denominator_s=den_s,
-        block_success=blk,
-        ideal_rate=ideal,
-        f_end=f_end.fidelity,
-        rci=rci,
-        noisy_rate=ideal * max(0.0, rci),
-        n_o=ions.n_o,
-        n_m=ions.n_m,
-        n_m_is_upper_bound=ions.n_m_is_upper_bound,
+        block_success=block,
+        ideal_rate=block / den_s,
+        f_end=grid.f_end.item(),
+        rci=grid.rci.item(),
+        noisy_rate=grid.rate.item(),
+        n_o=grid.n_o.item(),
+        n_m=grid.n_m.item(),
+        n_m_is_upper_bound=not grid.waits.item(),
     )

@@ -66,6 +66,18 @@ class TestRate:
         assert code == 2
         assert "eta_c" in err
 
+    @pytest.mark.parametrize("args, fields", [
+        # each field is in range, but the swap survival factor is negative
+        (("optimize", "--eps-g", "0.9", "--f0", "0.3"), ["eps_g", "f0"]),
+        # argparse's float accepts these
+        (("optimize", "--l-km", "nan"), ["layout.l_km"]),
+        (RATE_ARGS + ("--tau-us", "inf"), ["hardware.tau_us"]),
+    ])
+    def test_out_of_domain_flags_name_the_field(self, capsys, args, fields):
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert all(field in err for field in fields)
+
     def test_missing_layout_field(self, capsys):
         code, _, err = run(capsys, "rate", "--l-km", "150",
                            "--spatial-mux", "10", "--time-mux", "22")
@@ -94,6 +106,19 @@ class TestConfigFile:
         code, _, err = run(capsys, "optimize", "--config", str(path))
         assert code == 2
         assert "bounds.n_max" in err
+
+    @pytest.mark.parametrize("doc, field", [
+        # json accepts these non-finite literals
+        ('{"layout": {"l_km": Infinity}}', "layout.l_km"),
+        ('{"hardware": {"f0": NaN}}', "hardware.f0"),
+        ('{"sweep": {"l_list_km": [10, -Infinity]}}', "sweep.l_list_km"),
+    ])
+    def test_non_finite_numbers_rejected(self, capsys, tmp_path, doc, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        code, _, err = run(capsys, "optimize", "--config", str(path))
+        assert code == 2
+        assert field in err
 
     def test_flag_beats_file_beats_default(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -220,6 +245,11 @@ class TestSimulate:
                              "--format", "json", "--output", str(path))
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_negative_seed_names_field(self, capsys):
+        code, _, err = run(capsys, *self.SIM, "--seed", "-1")
+        assert code == 2
+        assert "seed must be >= 0" in err
 
     def test_seed_changes_outcome(self, capsys):
         _, one, _ = run(capsys, *self.SIM, "--seed", "11", "--format", "json")

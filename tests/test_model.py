@@ -135,6 +135,12 @@ class TestEndToEndNoise:
         assert abs(f - 0.9785588261910581) < 1e-12
         assert abs(f - 0.978559) < 1e-6
 
+    def test_negative_x_is_a_profile_error(self):
+        # the closed form only holds for x >= 0; a full profile rejects the
+        # noise outright, while the pointwise formulas above only warn
+        with pytest.raises(ValueError, match="eps_g=0.9, f0=0.3"):
+            HardwareProfile().updated(eps_g=0.9, f0=0.3).validate()
+
     def test_negative_x_warns_but_computes(self):
         bad = NoiseParams(f0=0.3, eps_g=0.2)
         with pytest.warns(ModelDomainWarning):

@@ -101,6 +101,11 @@ class TestConstraints:
         assert res.report.noisy_rate == pytest.approx(20824.483830572, rel=1e-9)
         assert res.report.n_o == 170
 
+    @pytest.mark.parametrize("l_km", [0.0, -5.0, math.nan, math.inf])
+    def test_distance_must_be_positive_and_finite(self, l_km):
+        with pytest.raises(ValueError, match="l_km"):
+            optimize_rate(l_km, 10, BASE)
+
     def test_fixed_n_and_fixed_l0_conflict(self):
         with pytest.raises(ValueError):
             Constraints(fixed_n=10, fixed_l0_km=15.0).validate()

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +25,7 @@ from ionrep.rates import (
     evaluate_rate,
     ion_requirements,
     plob_bound,
+    rate_grid,
     reference_rates,
 )
 
@@ -276,6 +278,24 @@ class TestEvaluateRate:
             lay, timing, Regime.C2)
         assert denominator_steps(Regime.B2, 2.0, 6, 3.0) == denominator_steps(
             Regime.C2, 2.0, 6, 3.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(l_km=st.floats(1.0, 800.0), spatial_mux=st.integers(1, 50),
+           eps=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
+           taus_us=st.sampled_from([(1.0, 50.0), (2.5, 50.0), (10.0, 12.0), (1.0, 500.0)]),
+           n=st.integers(0, 40), m=st.integers(1, 80))
+    def test_grid_cell_is_the_report(self, l_km, spatial_mux, eps, taus_us, n, m):
+        # evaluate_rate is the 1 x 1 call of the grid the optimizer scans, so
+        # the two agree bit for bit in every regime
+        hw = BASE.updated(eps_g=eps, f0=1.0 - eps, tau_g=taus_us[0] * US,
+                          tau_o=taus_us[1] * US)
+        grid = rate_grid(ChainLayout(l_km, np.arange(41)[:, None], spatial_mux,
+                                     np.arange(1, 81)[None, :]), hw)
+        rep = evaluate_rate(ChainLayout(l_km, n, spatial_mux, m), hw)
+        assert rep.noisy_rate == grid.rate[n, m - 1]
+        assert rep.n_o == grid.n_o[n, 0]
+        assert rep.n_m == grid.n_m[n, m - 1]
+        assert rep.denominator_steps == grid.den_steps[n, m - 1]
 
     @settings(max_examples=60)
     @given(m=st.integers(1, 100), bump=st.integers(1, 50))

@@ -7,6 +7,8 @@ success, occupancy ceilings) where the simulator must agree with arithmetic.
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionrep import (
     ChainLayout,
@@ -255,3 +257,20 @@ class TestWallClock:
                         tau_s=US, tau_o_s=tau_o_us * US, p=0.5,
                         num_blocks=10, seed=2)
         assert cfg.block_steps == steps
+
+    @settings(max_examples=80, deadline=None)
+    @given(j=st.integers(1, 12), k=st.integers(1, 300), extra=st.integers(0, 400),
+           m=st.integers(1, 60), n=st.integers(0, 4))
+    def test_integer_steps_match_the_rate_model(self, j, k, extra, m, n):
+        # tau_g and T are whole steps, so quantizing loses nothing and the
+        # simulator's regime and block length are the analytic ones; tau_o
+        # sits half a step off every boundary so float noise in T cannot tip
+        # a comparison
+        hw = HardwareProfile().updated(tau_g=j * US, tau_o=(j + extra + 0.5) * US)
+        l0_km = k * US * C_VACUUM_KM_S / hw.optical.refractive_index
+        layout = ChainLayout(l0_km * (n + 1), n, 2, m)
+        cfg = SimConfig.from_profile(layout, hw, num_blocks=1)
+        rep = evaluate_rate(layout, hw)
+        assert (cfg.j_steps, cfg.k_steps) == (j, k)
+        assert cfg.waits_for_herald == rep.regime.waits_for_herald
+        assert cfg.block_steps == pytest.approx(rep.denominator_steps, rel=1e-12)
