@@ -1,10 +1,11 @@
 """End-to-end command-line tests, run in-process through main()."""
+import argparse
 import json
 
 import pytest
 
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
-from ionrep.cli import main
+from ionrep.cli import DEFAULTS, build_parser, main
 from ionrep.figures import CSV_COLUMNS
 
 SWEEP_HEADER = ",".join(CSV_COLUMNS) + ",infeasible_reason"
@@ -317,3 +318,143 @@ class TestFigure:
         assert "fig9_Nomax125_M50_tau10us.csv" in names
         assert "fig9_Nmmax20_M5.csv" in names
         assert len(names) == 7
+
+
+# Every subcommand's flags in the order --help lists them, as flag=how it
+# parses: a type, the choices, or the metavar of a string or a list.
+FLAGS = {
+    "rate": (
+        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
+        "--threads=int --eta-c=float --eta-d=float "
+        "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
+        "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
+        "--eps-g=float --memory-margin=float --l-km=float --n=int "
+        "--spatial-mux=int --time-mux=int"
+    ),
+    "classify": (
+        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
+        "--threads=int --eta-c=float --eta-d=float "
+        "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
+        "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
+        "--eps-g=float --memory-margin=float --l-km=float --n=int "
+        "--spatial-mux=int --time-mux=int --l0-km=float"
+    ),
+    "optimize": (
+        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
+        "--threads=int --eta-c=float --eta-d=float "
+        "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
+        "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
+        "--eps-g=float --memory-margin=float --l-km=float --n=int "
+        "--spatial-mux=int --time-mux=int --n-max=int --m-max=int "
+        "--n-o-max=int --n-m-max=int --fixed-l0-km=float --fixed-n=int "
+        "--tau-min-us=float"
+    ),
+    "sweep": (
+        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
+        "--threads=int --eta-c=float --eta-d=float "
+        "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
+        "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
+        "--eps-g=float --memory-margin=float --l-km=float --n=int "
+        "--spatial-mux=int --time-mux=int --n-max=int --m-max=int "
+        "--n-o-max=int --n-m-max=int --fixed-l0-km=float --fixed-n=int "
+        "--tau-min-us=float --l-min-km=float --l-max-km=float "
+        "--l-step-km=float --l-list-km=KM[,KM...]"
+    ),
+    "figure": (
+        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
+        "--threads=int --eta-c=float --eta-d=float "
+        "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
+        "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
+        "--eps-g=float --memory-margin=float --n-max=int --m-max=int "
+        "--l-min-km=float --l-max-km=float --l-step-km=float "
+        "--l-list-km=KM[,KM...] --out-dir=DIR"
+    ),
+    "simulate": (
+        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
+        "--threads=int --eta-c=float --eta-d=float "
+        "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
+        "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
+        "--eps-g=float --memory-margin=float --l-km=float --n=int "
+        "--spatial-mux=int --time-mux=int --num-blocks=int "
+        "--n-comm-ions=int --n-mem-ions=int --p-override=float "
+        "--validate=switch --trace=FILE"
+    ),
+}
+
+DEFAULTS_JSON = (
+    '{"hardware": {"eta_c": 0.3, "eta_d": 0.8, "alpha_db_per_km": 0.2, '
+    '"refractive_index": 1.47, "tau_us": 1.0, "tau_g_us": 1.0, '
+    '"tau_o_us": 50.0, "tau_m_us": 60000000.0, "f0": 0.9999, "eps_g": '
+    '0.0001, "memory_margin": 10.0}, "layout": {"l_km": 150.0, "n": null,'
+    ' "spatial_mux": 10, "time_mux": null}, "sweep": {"l_min_km": 10.0, '
+    '"l_max_km": 500.0, "l_step_km": 10.0, "l_list_km": null}, "bounds": '
+    '{"n_max": 600, "m_max": 2000}, "constraints": {"n_o_max": null, '
+    '"n_m_max": null, "fixed_l0_km": null, "fixed_n": null, "tau_min_us":'
+    ' null}, "sim": {"num_blocks": 100000, "n_comm_ions": 0, '
+    '"n_mem_ions": 0, "p_override": null}, "output": {"format": "text", '
+    '"path": null, "dir": "."}, "seed": 0, "threads": null}'
+)
+
+
+def _flag_label(action: argparse.Action) -> str:
+    if action.nargs == 0:
+        return "switch"
+    if action.choices:
+        return "|".join(action.choices)
+    if action.type in (int, float):
+        return action.type.__name__
+    if action.type is not None:  # a comma-separated list of kilometres
+        assert action.type("1,2.5") == [1.0, 2.5]
+    return action.metavar
+
+
+class TestContract:
+    """The interface users and config files rely on: flags, defaults, errors."""
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flags_per_subcommand(self, command):
+        parser = build_parser()
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(FLAGS)
+        actions = [a for a in sub.choices[command]._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        got = " ".join(f"{a.option_strings[-1]}={_flag_label(a)}" for a in actions)
+        assert got == FLAGS[command]
+        for a in actions:
+            [flag] = a.option_strings
+            assert a.dest == ("trace_path" if flag == "--trace"
+                              else flag[2:].replace("-", "_"))
+
+    def test_defaults_are_frozen(self):
+        assert json.dumps(DEFAULTS) == DEFAULTS_JSON
+
+    @pytest.mark.parametrize("doc, args, field", [
+        ('{"output": {"format": "json"}, "hardware": {"bogus": 1}}', (),
+         "hardware.bogus"),                                     # the file
+        ('{"output": {"format": "json"}}', ("--l-km", "nan"), "layout.l_km"),
+        ('{"output": {"format": "json"}}', (), "layout.n"),     # the command
+    ])
+    def test_file_format_renders_errors(self, capsys, tmp_path, doc, args, field):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        code, out, err = run(capsys, "rate", "--config", str(path), *args)
+        assert code == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["kind"] == "config"
+        assert field in error["message"]
+        # the flag wins over the file
+        code, out, err = run(capsys, "rate", "--config", str(path), *args,
+                             "--format", "text")
+        assert code == 2
+        assert out == ""
+        assert field in err
+
+    def test_non_object_root_errors_as_text(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('[{"output": {"format": "json"}}]')
+        code, out, err = run(capsys, "rate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "ionrep rate: error: config root must be a JSON object\n"
