@@ -17,7 +17,7 @@ import json
 import math
 import os
 import sys
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .figures import CSV_COLUMNS, FIGURES, curve_rows, reduce_row
 from .mcsim import SimConfig, run_protocol_sim, validate_against_analytic
@@ -47,90 +47,71 @@ EXIT_VALIDATION = 4
 
 US = 1e-6
 
-DEFAULTS: dict = {
-    "hardware": {
-        "eta_c": 0.3,
-        "eta_d": 0.8,
-        "alpha_db_per_km": 0.2,
-        "refractive_index": 1.47,
-        "tau_us": 1.0,
-        "tau_g_us": 1.0,
-        "tau_o_us": 50.0,
-        "tau_m_us": 6e7,
-        "f0": 0.9999,
-        "eps_g": 1e-4,
-        "memory_margin": 10.0,
-    },
-    "layout": {"l_km": 150.0, "n": None, "spatial_mux": 10, "time_mux": None},
-    "sweep": {"l_min_km": 10.0, "l_max_km": 500.0, "l_step_km": 10.0,
-              "l_list_km": None},
-    "bounds": {"n_max": 600, "m_max": 2000},
-    "constraints": {"n_o_max": None, "n_m_max": None, "fixed_l0_km": None,
-                    "fixed_n": None, "tau_min_us": None},
-    "sim": {"num_blocks": 100000, "n_comm_ions": 0, "n_mem_ions": 0,
-            "p_override": None},
-    "output": {"format": "text", "path": None, "dir": "."},
-    "seed": 0,
-    "threads": None,
-}
+FORMATS = ("text", "json", "csv")
 
-# field -> (kind, nullable); kind: num, int, str, fmt, numlist
-_SCHEMA: dict = {
-    "hardware": {k: ("num", False) for k in DEFAULTS["hardware"]},
-    "layout": {"l_km": ("num", False), "n": ("int", True),
-               "spatial_mux": ("int", False), "time_mux": ("int", True)},
-    "sweep": {"l_min_km": ("num", False), "l_max_km": ("num", False),
-              "l_step_km": ("num", False), "l_list_km": ("numlist", True)},
-    "bounds": {"n_max": ("int", False), "m_max": ("int", False)},
-    "constraints": {"n_o_max": ("int", True), "n_m_max": ("int", True),
-                    "fixed_l0_km": ("num", True), "fixed_n": ("int", True),
-                    "tau_min_us": ("num", True)},
-    "sim": {"num_blocks": ("int", False), "n_comm_ions": ("int", False),
-            "n_mem_ions": ("int", False), "p_override": ("num", True)},
-    "output": {"format": ("fmt", False), "path": ("str", True),
-               "dir": ("str", False)},
-    "seed": ("int", False),
-    "threads": ("int", True),
-}
 
-# argparse dest -> config path
-_FLAG_MAP: dict = {
-    "eta_c": ("hardware", "eta_c"),
-    "eta_d": ("hardware", "eta_d"),
-    "alpha_db_per_km": ("hardware", "alpha_db_per_km"),
-    "refractive_index": ("hardware", "refractive_index"),
-    "tau_us": ("hardware", "tau_us"),
-    "tau_g_us": ("hardware", "tau_g_us"),
-    "tau_o_us": ("hardware", "tau_o_us"),
-    "tau_m_us": ("hardware", "tau_m_us"),
-    "f0": ("hardware", "f0"),
-    "eps_g": ("hardware", "eps_g"),
-    "memory_margin": ("hardware", "memory_margin"),
-    "l_km": ("layout", "l_km"),
-    "n": ("layout", "n"),
-    "spatial_mux": ("layout", "spatial_mux"),
-    "time_mux": ("layout", "time_mux"),
-    "l_min_km": ("sweep", "l_min_km"),
-    "l_max_km": ("sweep", "l_max_km"),
-    "l_step_km": ("sweep", "l_step_km"),
-    "l_list_km": ("sweep", "l_list_km"),
-    "n_max": ("bounds", "n_max"),
-    "m_max": ("bounds", "m_max"),
-    "n_o_max": ("constraints", "n_o_max"),
-    "n_m_max": ("constraints", "n_m_max"),
-    "fixed_l0_km": ("constraints", "fixed_l0_km"),
-    "fixed_n": ("constraints", "fixed_n"),
-    "tau_min_us": ("constraints", "tau_min_us"),
-    "num_blocks": ("sim", "num_blocks"),
-    "n_comm_ions": ("sim", "n_comm_ions"),
-    "n_mem_ions": ("sim", "n_mem_ions"),
-    "p_override": ("sim", "p_override"),
-    "format": ("output", "format"),
-    "output": ("output", "path"),
-    "out_dir": ("output", "dir"),
-    "seed": ("seed",),
-    "threads": ("threads",),
-}
+class _Field(NamedTuple):
+    path: str          # "section.key", or "key" at the top level
+    default: object
+    kind: str          # num, int, str, fmt, numlist
+    nullable: bool
+    group: str         # flag group: which subcommands take the flag
+    dest: str = ""     # the flag's dest, when it is not the path's key
+
+    @property
+    def flag(self) -> str:
+        return self.dest or self.path.rpartition(".")[2]
+
+
+# Every config field once, in DEFAULTS order.
+_FIELDS = (
+    _Field("hardware.eta_c", 0.3, "num", False, "hw"),
+    _Field("hardware.eta_d", 0.8, "num", False, "hw"),
+    _Field("hardware.alpha_db_per_km", 0.2, "num", False, "hw"),
+    _Field("hardware.refractive_index", 1.47, "num", False, "hw"),
+    _Field("hardware.tau_us", 1.0, "num", False, "hw"),
+    _Field("hardware.tau_g_us", 1.0, "num", False, "hw"),
+    _Field("hardware.tau_o_us", 50.0, "num", False, "hw"),
+    _Field("hardware.tau_m_us", 6e7, "num", False, "hw"),
+    _Field("hardware.f0", 0.9999, "num", False, "hw"),
+    _Field("hardware.eps_g", 1e-4, "num", False, "hw"),
+    _Field("hardware.memory_margin", 10.0, "num", False, "hw"),
+    _Field("layout.l_km", 150.0, "num", False, "layout"),
+    _Field("layout.n", None, "int", True, "layout"),
+    _Field("layout.spatial_mux", 10, "int", False, "layout"),
+    _Field("layout.time_mux", None, "int", True, "layout"),
+    _Field("sweep.l_min_km", 10.0, "num", False, "sweep"),
+    _Field("sweep.l_max_km", 500.0, "num", False, "sweep"),
+    _Field("sweep.l_step_km", 10.0, "num", False, "sweep"),
+    _Field("sweep.l_list_km", None, "numlist", True, "sweep"),
+    _Field("bounds.n_max", 600, "int", False, "bounds"),
+    _Field("bounds.m_max", 2000, "int", False, "bounds"),
+    _Field("constraints.n_o_max", None, "int", True, "cons"),
+    _Field("constraints.n_m_max", None, "int", True, "cons"),
+    _Field("constraints.fixed_l0_km", None, "num", True, "cons"),
+    _Field("constraints.fixed_n", None, "int", True, "cons"),
+    _Field("constraints.tau_min_us", None, "num", True, "cons"),
+    _Field("sim.num_blocks", 100000, "int", False, "sim"),
+    _Field("sim.n_comm_ions", 0, "int", False, "sim"),
+    _Field("sim.n_mem_ions", 0, "int", False, "sim"),
+    _Field("sim.p_override", None, "num", True, "sim"),
+    _Field("output.format", "text", "fmt", False, "io"),
+    _Field("output.path", None, "str", True, "io", dest="output"),
+    _Field("output.dir", ".", "str", False, "out_dir", dest="out_dir"),
+    _Field("seed", 0, "int", False, "io"),
+    _Field("threads", None, "int", True, "io"),
+)
+_BY_PATH = {f.path: f for f in _FIELDS}
+
+
+def _put(doc: dict, path: str, value) -> None:
+    section, _, key = path.rpartition(".")
+    (doc.setdefault(section, {}) if section else doc)[key] = value
+
+
+DEFAULTS: dict = {}
+for _f in _FIELDS:
+    _put(DEFAULTS, _f.path, _f.default)
 
 
 class CliError(Exception):
@@ -138,6 +119,7 @@ class CliError(Exception):
         super().__init__(message)
         self.code = code
         self.binding = binding
+        self.style: Optional[str] = None  # the format to render it in, if known
 
 
 def _is_num(v) -> bool:
@@ -146,52 +128,50 @@ def _is_num(v) -> bool:
             or isinstance(v, float) and math.isfinite(v))
 
 
-def _check_value(path: str, value, kind: str, nullable: bool) -> None:
+_VALID = {  # kind -> test of a file or flag value
+    "num": _is_num,
+    "int": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "fmt": lambda v: v in FORMATS,
+    "numlist": lambda v: isinstance(v, list) and all(_is_num(x) for x in v),
+}
+
+
+def _check_value(field: _Field, value) -> None:
     if value is None:
-        if nullable:
+        if field.nullable:
             return
-        raise CliError(EXIT_CONFIG, f"config field {path} must not be null")
-    if kind == "num":
-        ok = _is_num(value)
-    elif kind == "int":
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif kind == "str":
-        ok = isinstance(value, str)
-    elif kind == "fmt":
-        ok = value in ("text", "json", "csv")
-    elif kind == "numlist":
-        ok = isinstance(value, list) and all(_is_num(v) for v in value)
-    else:  # pragma: no cover
-        raise AssertionError(kind)
-    if not ok:
+        raise CliError(EXIT_CONFIG, f"config field {field.path} must not be null")
+    if not _VALID[field.kind](value):
         raise CliError(EXIT_CONFIG,
-                       f"config field {path} has invalid value {value!r} "
-                       f"(expected {'finite ' if kind.startswith('num') else ''}{kind})")
+                       f"config field {field.path} has invalid value {value!r} (expected "
+                       f"{'finite ' if field.kind.startswith('num') else ''}{field.kind})")
 
 
-def _check_config(user: dict) -> None:
+def _merge_file(cfg: dict, user) -> None:
+    """Check each field of a parsed config file and write it into cfg."""
     if not isinstance(user, dict):
         raise CliError(EXIT_CONFIG, "config root must be a JSON object")
     for key, value in user.items():
-        if key not in _SCHEMA:
+        if key not in DEFAULTS:
             raise CliError(EXIT_CONFIG, f"unknown config key: {key}")
-        spec = _SCHEMA[key]
-        if isinstance(spec, dict):
-            if not isinstance(value, dict):
-                raise CliError(EXIT_CONFIG, f"config section {key} must be an object")
-            for field, fval in value.items():
-                if field not in spec:
-                    raise CliError(EXIT_CONFIG, f"unknown config key: {key}.{field}")
-                kind, nullable = spec[field]
-                _check_value(f"{key}.{field}", fval, kind, nullable)
+        if not isinstance(DEFAULTS[key], dict):
+            fields = {key: value}
+        elif isinstance(value, dict):
+            fields = {f"{key}.{field}": fval for field, fval in value.items()}
         else:
-            kind, nullable = spec
-            _check_value(key, value, kind, nullable)
+            raise CliError(EXIT_CONFIG, f"config section {key} must be an object")
+        for path, fval in fields.items():
+            if path not in _BY_PATH:
+                raise CliError(EXIT_CONFIG, f"unknown config key: {path}")
+            _check_value(_BY_PATH[path], fval)
+            _put(cfg, path, fval)
 
 
 def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
     """defaults <- config file <- command-line flags."""
     cfg = copy.deepcopy(DEFAULTS)
+    user: object = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
@@ -200,21 +180,17 @@ def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
             raise CliError(EXIT_CONFIG, f"cannot read config: {err}")
         except json.JSONDecodeError as err:
             raise CliError(EXIT_CONFIG, f"config is not valid JSON: {err}")
-        _check_config(user)
-        for key, value in user.items():
-            if isinstance(value, dict):
-                cfg[key].update(value)
-            else:
-                cfg[key] = value
-    for dest, where in _FLAG_MAP.items():
-        value = getattr(flags, dest, None)
-        if value is None:
-            continue
-        node = cfg
-        for part in where[:-1]:
-            node = node[part]
-        node[where[-1]] = value
-    _check_config(cfg)  # flag values pass the same checks as file values
+    try:
+        _merge_file(cfg, user)
+        for field in _FIELDS:
+            value = getattr(flags, field.flag, None)
+            if value is not None:
+                _check_value(field, value)  # the same checks as file values
+                _put(cfg, field.path, value)
+    except CliError as err:  # main renders it as --format, else the file, asks
+        out = user.get("output") if isinstance(user, dict) else None
+        err.style = flags.format or (out.get("format") if isinstance(out, dict) else None)
+        raise
     return cfg
 
 
@@ -275,7 +251,11 @@ def make_constraints(cfg: dict) -> Optional[Constraints]:
 def make_l_grid(cfg: dict) -> list[float]:
     sw = cfg["sweep"]
     if sw["l_list_km"] is not None:
-        return [float(v) for v in sw["l_list_km"]]
+        grid = [float(v) for v in sw["l_list_km"]]
+        if not all(a < b for a, b in zip([0.0] + grid, grid)):
+            raise CliError(EXIT_CONFIG, "config field sweep.l_list_km must be positive "
+                                        f"and strictly increasing, got {sw['l_list_km']}")
+        return grid
     lo, hi, step = sw["l_min_km"], sw["l_max_km"], sw["l_step_km"]
     if step <= 0 or lo <= 0 or hi < lo:
         raise CliError(EXIT_CONFIG,
@@ -344,9 +324,9 @@ def _text_lines(doc, prefix: str = "") -> list[str]:
     return lines
 
 
-def _csv_text(header: list[str], rows: list[list]) -> str:
+def _csv_text(header: list[str], rows: list[dict]) -> str:
     out = [",".join(header)]
-    out.extend(",".join(fmt_value(v) for v in row) for row in rows)
+    out.extend(",".join(fmt_value(row[c]) for c in header) for row in rows)
     return "\n".join(out) + "\n"
 
 
@@ -362,8 +342,17 @@ def _flat_row(doc: dict, prefix: str = "") -> dict:
     return row
 
 
+def _write(path: str, text: str, field: str) -> None:
+    """Write a file; failing is a config error that names the field."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise CliError(EXIT_CONFIG, f"cannot write {field}: {err}")
+
+
 def emit(cfg: dict, command: str, payload: dict,
-         csv_table: Optional[tuple[list[str], list[list]]] = None) -> None:
+         csv_table: Optional[tuple[list[str], list[dict]]] = None) -> None:
     """Render payload in the configured format to stdout or output.path."""
     style = cfg["output"]["format"]
     if style == "json":
@@ -373,7 +362,7 @@ def emit(cfg: dict, command: str, payload: dict,
     elif style == "csv":
         if csv_table is None:
             flat = _flat_row(payload)
-            csv_table = (list(flat), [list(flat.values())])
+            csv_table = (list(flat), [flat])
         text = _csv_text(*csv_table)
     else:
         text = "\n".join(_text_lines(payload)) + "\n"
@@ -381,8 +370,7 @@ def emit(cfg: dict, command: str, payload: dict,
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        _write(path, text, "output.path")
 
 
 def report_doc(report: RateReport) -> dict:
@@ -441,11 +429,6 @@ def cmd_optimize(cfg: dict) -> int:
     return EXIT_OK
 
 
-def _sweep_table(rows: list[dict]) -> tuple[list[str], list[list]]:
-    header = list(CSV_COLUMNS) + ["infeasible_reason"]
-    return header, [[row[c] for c in header] for row in rows]
-
-
 def cmd_sweep(cfg: dict) -> int:
     hw = make_hardware(cfg)
     raw = sweep_distance(make_l_grid(cfg), cfg["layout"]["spatial_mux"], hw,
@@ -457,14 +440,12 @@ def cmd_sweep(cfg: dict) -> int:
         row = reduce_row(r, "noisy_rate")
         row["infeasible_reason"] = r.infeasible_reason or ""
         rows.append(row)
-    emit(cfg, "sweep", {"rows": rows}, csv_table=_sweep_table(rows))
+    emit(cfg, "sweep", {"rows": rows},
+         csv_table=(list(CSV_COLUMNS) + ["infeasible_reason"], rows))
     return EXIT_OK
 
 
 def cmd_figure(cfg: dict, fig_id: str) -> int:
-    if fig_id not in FIGURES:
-        raise CliError(EXIT_CONFIG,
-                       f"unknown figure id {fig_id!r}; valid: {sorted(FIGURES)}")
     if cfg["output"]["format"] == "csv":
         raise CliError(EXIT_CONFIG,
                        "figure writes CSV files itself; use --format text or json")
@@ -473,15 +454,16 @@ def cmd_figure(cfg: dict, fig_id: str) -> int:
     bounds = make_bounds(cfg)
     threads = resolve_threads(cfg)
     out_dir = cfg["output"]["dir"]
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:
+        raise CliError(EXIT_CONFIG, f"cannot write output.dir: {err}")
     description, curves = FIGURES[fig_id]
     files = []
     for curve in curves:
         rows = curve_rows(curve, grid, hw, bounds, threads)
         path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
-        header = list(CSV_COLUMNS)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(_csv_text(header, [[row[c] for c in header] for row in rows]))
+        _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
         files.append(path)
     emit(cfg, "figure", {"figure": fig_id, "description": description,
                          "files": files})
@@ -518,8 +500,7 @@ def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
         "dropped_mem": stats.dropped_mem,
     }}
     if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(stats.trace) + "\n")
+        _write(trace_path, "\n".join(stats.trace) + "\n", "--trace")
         payload["trace_path"] = trace_path
     code = EXIT_OK
     if validate:
@@ -544,34 +525,11 @@ def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
 
 # ---------------------------------------------------------------- parser
 
-def _add_flags(parser: argparse.ArgumentParser, dests: list[str]) -> None:
-    int_dests = {"n", "spatial_mux", "time_mux", "n_max", "m_max", "n_o_max",
-                 "n_m_max", "fixed_n", "num_blocks", "n_comm_ions",
-                 "n_mem_ions", "seed", "threads"}
-    for dest in dests:
-        flag = "--" + dest.replace("_", "-")
-        if dest == "format":
-            parser.add_argument(flag, choices=("text", "json", "csv"))
-        elif dest == "output":
-            parser.add_argument(flag, metavar="PATH")
-        elif dest == "out_dir":
-            parser.add_argument(flag, metavar="DIR")
-        elif dest == "l_list_km":
-            parser.add_argument(flag, metavar="KM[,KM...]",
-                                type=lambda s: [float(v) for v in s.split(",")])
-        elif dest in int_dests:
-            parser.add_argument(flag, type=int)
-        else:
-            parser.add_argument(flag, type=float)
-
-
-_HW = list(DEFAULTS["hardware"])
-_IO = ["format", "output", "seed", "threads"]
-_LAYOUT = ["l_km", "n", "spatial_mux", "time_mux"]
-_BOUNDS = ["n_max", "m_max"]
-_CONS = ["n_o_max", "n_m_max", "fixed_l0_km", "fixed_n", "tau_min_us"]
-_SWEEP = ["l_min_km", "l_max_km", "l_step_km", "l_list_km"]
-_SIM = ["num_blocks", "n_comm_ions", "n_mem_ions", "p_override"]
+# kind -> its flag's argparse arguments; a str flag's metavar is its key
+_FLAG_ARGS = {"num": {"type": float}, "int": {"type": int},
+              "fmt": {"choices": FORMATS},
+              "numlist": {"metavar": "KM[,KM...]",
+                          "type": lambda s: [float(v) for v in s.split(",")]}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -581,27 +539,32 @@ def build_parser() -> argparse.ArgumentParser:
                     "multiplexed trapped-ion repeater chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, groups: list[list[str]]):
+    def add(name: str, help_text: str, groups: list[str]):
+        """A subcommand with its groups' flags, group by group, in table order."""
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", metavar="FILE", help="JSON config document")
         for group in groups:
-            _add_flags(p, group)
+            for field in _FIELDS:
+                if field.group == group:
+                    kwargs = (_FLAG_ARGS.get(field.kind)
+                              or {"metavar": field.path.rpartition(".")[2].upper()})
+                    p.add_argument("--" + field.flag.replace("_", "-"), **kwargs)
         return p
 
-    add("rate", "evaluate one chain configuration", [_IO, _HW, _LAYOUT])
-    p = add("classify", "walk the timing-regime decision tree", [_IO, _HW, _LAYOUT])
+    add("rate", "evaluate one chain configuration", ["io", "hw", "layout"])
+    p = add("classify", "walk the timing-regime decision tree", ["io", "hw", "layout"])
     p.add_argument("--l0-km", type=float, dest="l0_km",
                    help="classify a link of this length directly")
     add("optimize", "grid-search repeater count and time multiplexing",
-        [_IO, _HW, _LAYOUT, _BOUNDS, _CONS])
-    add("sweep", "optimize across a distance grid", [_IO, _HW, _LAYOUT,
-                                                     _BOUNDS, _CONS, _SWEEP])
+        ["io", "hw", "layout", "bounds", "cons"])
+    add("sweep", "optimize across a distance grid",
+        ["io", "hw", "layout", "bounds", "cons", "sweep"])
     p = add("figure", "reproduce a canned sweep family as CSV files",
-            [_IO, _HW, _BOUNDS, _SWEEP, ["out_dir"]])
+            ["io", "hw", "bounds", "sweep", "out_dir"])
     p.add_argument("figure_id", choices=sorted(FIGURES),
                    help="which sweep family to generate")
     p = add("simulate", "run the discrete-event protocol simulator",
-            [_IO, _HW, _LAYOUT, _SIM])
+            ["io", "hw", "layout", "sim"])
     p.add_argument("--validate", action="store_true",
                    help="compare against the analytic model; exit 4 on mismatch")
     p.add_argument("--trace", metavar="FILE", dest="trace_path",
@@ -611,8 +574,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    style = args.format or "text"  # until the config has been read
     try:
         cfg = load_config(args.config, args)
+        style = cfg["output"]["format"]
         if args.command == "rate":
             return cmd_rate(cfg)
         if args.command == "classify":
@@ -627,30 +592,13 @@ def main(argv: Optional[list[str]] = None) -> int:
             return cmd_simulate(cfg, args.validate, args.trace_path)
         raise AssertionError(args.command)  # pragma: no cover
     except CliError as err:
-        _emit_error(cfg_format(args), args.command, err)
-        return err.code
+        error = err
     except InfeasibleError as err:
-        cli_err = CliError(EXIT_INFEASIBLE, str(err), binding=list(err.binding))
-        _emit_error(cfg_format(args), args.command, cli_err)
-        return EXIT_INFEASIBLE
+        error = CliError(EXIT_INFEASIBLE, str(err), binding=list(err.binding))
     except ValueError as err:
-        _emit_error(cfg_format(args), args.command,
-                    CliError(EXIT_CONFIG, str(err)))
-        return EXIT_CONFIG
-
-
-def cfg_format(args: argparse.Namespace) -> str:
-    """Best-effort output format for error rendering."""
-    if getattr(args, "format", None) is not None:
-        return args.format
-    path = getattr(args, "config", None)
-    if path is not None:
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return json.load(fh).get("output", {}).get("format", "text")
-        except Exception:
-            return "text"
-    return "text"
+        error = CliError(EXIT_CONFIG, str(err))
+    _emit_error(error.style or style, args.command, error)
+    return error.code
 
 
 def _emit_error(style: str, command: str, err: CliError) -> None:

@@ -121,6 +121,18 @@ class TestConfigFile:
         assert code == 2
         assert field in err
 
+    @pytest.mark.parametrize("doc, key", [
+        ('{"bogus": 1}', "bogus"),
+        ('{"hardware.eta_c": 0.5}', "hardware.eta_c"),  # not a section
+        ('{"layout": {"eta_c": 0.5}}', "layout.eta_c"),
+    ])
+    def test_keys_outside_the_schema_rejected(self, capsys, tmp_path, doc, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(doc)
+        code, _, err = run(capsys, "rate", "--config", str(path))
+        assert code == 2
+        assert f"unknown config key: {key}\n" in err
+
     def test_flag_beats_file_beats_default(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
@@ -189,6 +201,13 @@ class TestSweep:
             cells = line.split(",")
             assert cells[1] == "nan"
             assert "n_o_max" in cells[-1]
+
+    @pytest.mark.parametrize("grid", ["0,10", "50,10"])
+    def test_bad_distance_list_names_the_field(self, capsys, grid):
+        code, _, err = run(capsys, "sweep", "--l-list-km", grid)
+        assert code == 2
+        assert "config field sweep.l_list_km must be positive and strictly " \
+               "increasing" in err
 
     def test_env_var_threads_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("IONREP_THREADS", "2")
@@ -458,3 +477,23 @@ class TestContract:
         assert code == 2
         assert out == ""
         assert err == "ionrep rate: error: config root must be a JSON object\n"
+
+
+class TestWriteErrors:
+    # a path under a regular file fails with NotADirectoryError
+    @pytest.mark.parametrize("args, field", [
+        (RATE_ARGS + ("--output", "{file}/out.json"), "output.path"),
+        (("figure", "fig7", "--l-list-km", "50", "--out-dir", "{file}/figs"),
+         "output.dir"),
+        (TestSimulate.SIM + ("--num-blocks", "5", "--trace", "{file}/trace.csv"),
+         "--trace"),
+    ])
+    def test_failed_write_is_a_config_error(self, capsys, tmp_path, args, field):
+        file = tmp_path / "file"
+        file.write_text("")
+        code, out, err = run(capsys, *(a.format(file=file) for a in args))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"ionrep {args[0]}: error: cannot write {field}: ")
+        assert "Not a directory" in err
+        assert err.count("\n") == 1
