@@ -2,9 +2,8 @@
 """Generate every figure CSV through the CLI.
 
 Each figure id expands to one CSV per curve, written to --out-dir with
-deterministic bytes. fig2 alone covers 9 full grid sweeps, so a complete run
-takes a few minutes single-threaded; pass --threads to parallelize the sweep
-points.
+deterministic bytes. fig2 alone covers 9 full grid sweeps; the sweep points
+run on one thread per core this process may use, so `taskset` limits them.
 """
 import argparse
 import sys
@@ -18,7 +17,6 @@ def main():
     ap.add_argument("figures", nargs="*", default=[],
                     metavar="FIG", help="figure ids (default: all)")
     ap.add_argument("--out-dir", default="figures")
-    ap.add_argument("--threads", type=int, default=None)
     args = ap.parse_args()
 
     wanted = args.figures or sorted(FIGURES)
@@ -29,10 +27,7 @@ def main():
     for fig_id in wanted:
         desc, curves = FIGURES[fig_id]
         print(f"{fig_id}: {desc} ({len(curves)} curves)", flush=True)
-        argv = ["figure", fig_id, "--out-dir", args.out_dir]
-        if args.threads is not None:
-            argv += ["--threads", str(args.threads)]
-        rc = cli_main(argv)
+        rc = cli_main(["figure", fig_id, "--out-dir", args.out_dir])
         if rc != 0:
             print(f"{fig_id} failed with exit code {rc}", file=sys.stderr)
             return rc

@@ -98,8 +98,7 @@ _FIELDS = (
     _Field("output.format", "text", "fmt", False, "io"),
     _Field("output.path", None, "str", True, "io", dest="output"),
     _Field("output.dir", ".", "str", False, "out_dir", dest="out_dir"),
-    _Field("seed", 0, "int", False, "io"),
-    _Field("threads", None, "int", True, "io"),
+    _Field("seed", 0, "int", False, "sim"),
 )
 _BY_PATH = {f.path: f for f in _FIELDS}
 
@@ -178,6 +177,8 @@ def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
                 user = json.load(fh)
         except OSError as err:
             raise CliError(EXIT_CONFIG, f"cannot read config: {err}")
+        except UnicodeDecodeError as err:
+            raise CliError(EXIT_CONFIG, f"config is not valid UTF-8: {err}")
         except json.JSONDecodeError as err:
             raise CliError(EXIT_CONFIG, f"config is not valid JSON: {err}")
     try:
@@ -252,7 +253,7 @@ def make_l_grid(cfg: dict) -> list[float]:
     sw = cfg["sweep"]
     if sw["l_list_km"] is not None:
         grid = [float(v) for v in sw["l_list_km"]]
-        if not all(a < b for a, b in zip([0.0] + grid, grid)):
+        if not grid or not all(a < b for a, b in zip([0.0] + grid, grid)):
             raise CliError(EXIT_CONFIG, "config field sweep.l_list_km must be positive "
                                         f"and strictly increasing, got {sw['l_list_km']}")
         return grid
@@ -269,18 +270,6 @@ def make_l_grid(cfg: dict) -> list[float]:
             return out
         out.append(l)
         i += 1
-
-
-def resolve_threads(cfg: dict) -> Optional[int]:
-    if cfg["threads"] is not None:
-        return cfg["threads"]
-    env = os.environ.get("IONREP_THREADS")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise CliError(EXIT_CONFIG, f"IONREP_THREADS must be an integer, got {env!r}")
-    return os.cpu_count()
 
 
 # ---------------------------------------------------------------- rendering
@@ -433,8 +422,7 @@ def cmd_sweep(cfg: dict) -> int:
     hw = make_hardware(cfg)
     raw = sweep_distance(make_l_grid(cfg), cfg["layout"]["spatial_mux"], hw,
                          bounds=make_bounds(cfg),
-                         constraints=make_constraints(cfg),
-                         threads=resolve_threads(cfg))
+                         constraints=make_constraints(cfg))
     rows = []
     for r in raw:
         row = reduce_row(r, "noisy_rate")
@@ -452,7 +440,6 @@ def cmd_figure(cfg: dict, fig_id: str) -> int:
     hw = make_hardware(cfg)
     grid = make_l_grid(cfg)
     bounds = make_bounds(cfg)
-    threads = resolve_threads(cfg)
     out_dir = cfg["output"]["dir"]
     try:
         os.makedirs(out_dir, exist_ok=True)
@@ -461,7 +448,7 @@ def cmd_figure(cfg: dict, fig_id: str) -> int:
     description, curves = FIGURES[fig_id]
     files = []
     for curve in curves:
-        rows = curve_rows(curve, grid, hw, bounds, threads)
+        rows = curve_rows(curve, grid, hw, bounds)
         path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
         _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
         files.append(path)

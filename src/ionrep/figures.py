@@ -87,11 +87,10 @@ FIGURES = _figures()
 
 
 def curve_rows(curve: Curve, l_list: list[float], hw: HardwareProfile,
-               bounds: Optional[SearchBounds], threads: Optional[int]) -> list[dict]:
+               bounds: Optional[SearchBounds]) -> list[dict]:
     """Sweep one curve and reduce each row to the shared CSV columns."""
     hw_c = hw.updated(**curve.hw_overrides) if curve.hw_overrides else hw
-    rows = sweep_distance(l_list, curve.spatial_mux, hw_c, bounds,
-                          curve.constraints, threads=threads)
+    rows = sweep_distance(l_list, curve.spatial_mux, hw_c, bounds, curve.constraints)
     return [reduce_row(row, curve.value_field) for row in rows]
 
 

@@ -19,6 +19,8 @@ import numpy as np
 
 # Vacuum speed of light, km/s.
 C_VACUUM_KM_S = 299792.458
+# Largest repeater count, mode count or block length: 2 M m stays in int64.
+MAX_COUNT = 2 ** 30
 
 
 class ModelDomainWarning(UserWarning):
@@ -162,7 +164,8 @@ class ChainLayout:
                                 ("spatial_mux", 1, "positive"),
                                 ("time_mux", 1, "positive")):
             v = getattr(self, name)
-            _check((v % 1 == 0) & (v >= low), name, f"a {kind} integer", v)
+            _check((v % 1 == 0) & (v >= low) & (v <= MAX_COUNT), name,
+                   f"a {kind} integer <= {MAX_COUNT}", v)
 
     @property
     def n_links(self) -> int:

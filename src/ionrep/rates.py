@@ -101,7 +101,7 @@ def block_denominator(waits, uses_k, k_steps, m, j_steps):
     """Block wall time in steps: k + 2j (A, B1), k + 3j (B2, C2) or 3j (C1), + m - 1."""
     base = np.where(uses_k, k_steps + 2.0 * j_steps,
                     np.where(waits, k_steps + 3.0 * j_steps, 3.0 * j_steps))
-    return base + m - 1.0
+    return base + (m - 1.0)  # exact for m = 1, where base may be below one ulp of m
 
 
 def denominator_steps(regime: Regime, k_steps: float, m: int, j_steps: float) -> float:

@@ -1,11 +1,14 @@
 """End-to-end command-line tests, run in-process through main()."""
 import argparse
 import json
+import math
+import warnings
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
-from ionrep.cli import DEFAULTS, build_parser, main
+from ionrep.cli import _FIELDS, DEFAULTS, FORMATS, build_parser, main
 from ionrep.figures import CSV_COLUMNS
 
 SWEEP_HEADER = ",".join(CSV_COLUMNS) + ",infeasible_reason"
@@ -125,6 +128,7 @@ class TestConfigFile:
         ('{"bogus": 1}', "bogus"),
         ('{"hardware.eta_c": 0.5}', "hardware.eta_c"),  # not a section
         ('{"layout": {"eta_c": 0.5}}', "layout.eta_c"),
+        ('{"threads": 2}', "threads"),  # removed: sweeps size their own pool
     ])
     def test_keys_outside_the_schema_rejected(self, capsys, tmp_path, doc, key):
         path = tmp_path / "cfg.json"
@@ -132,6 +136,21 @@ class TestConfigFile:
         code, _, err = run(capsys, "rate", "--config", str(path))
         assert code == 2
         assert f"unknown config key: {key}\n" in err
+
+    def test_non_utf8_file_blames_the_config(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xff\xfe{}")
+        code, out, err = run(capsys, "rate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ionrep rate: error: config is not valid UTF-8: ")
+        assert err.count("\n") == 1
+        code, out, err = run(capsys, "rate", "--config", str(path), "--format", "json")
+        assert code == 2
+        assert err == ""
+        error = json.loads(out)["error"]
+        assert error["kind"] == "config"
+        assert error["message"].startswith("config is not valid UTF-8: ")
 
     def test_flag_beats_file_beats_default(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
@@ -209,25 +228,15 @@ class TestSweep:
         assert "config field sweep.l_list_km must be positive and strictly " \
                "increasing" in err
 
-    def test_env_var_threads_fallback(self, capsys, monkeypatch):
-        monkeypatch.setenv("IONREP_THREADS", "2")
-        code, out, _ = run(capsys, "sweep", "--l-list-km", "50,100",
-                           "--format", "csv")
-        assert code == 0
-        assert len(out.strip().split("\n")) == 3
-
-    def test_env_var_must_be_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("IONREP_THREADS", "bogus")
-        code, _, err = run(capsys, "sweep", "--l-list-km", "50,100")
+    # only a config file can give an empty list; figure fails before writing
+    @pytest.mark.parametrize("args", [("sweep",), ("figure", "fig7")])
+    def test_empty_distance_list_names_the_field(self, capsys, tmp_path, args):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"sweep": {"l_list_km": []}}')
+        code, _, err = run(capsys, *args, "--config", str(path))
         assert code == 2
-        assert "IONREP_THREADS" in err
-
-    def test_threads_do_not_change_bytes(self, capsys):
-        _, one, _ = run(capsys, "sweep", "--l-list-km", "50,100,150",
-                        "--threads", "1", "--format", "csv")
-        _, four, _ = run(capsys, "sweep", "--l-list-km", "50,100,150",
-                        "--threads", "4", "--format", "csv")
-        assert one == four
+        assert err == (f"ionrep {args[0]}: error: config field sweep.l_list_km must "
+                       "be positive and strictly increasing, got []\n")
 
 
 class TestClassify:
@@ -343,24 +352,24 @@ class TestFigure:
 # parses: a type, the choices, or the metavar of a string or a list.
 FLAGS = {
     "rate": (
-        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
-        "--threads=int --eta-c=float --eta-d=float "
+        "--config=FILE --format=text|json|csv --output=PATH "
+        "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
         "--eps-g=float --memory-margin=float --l-km=float --n=int "
         "--spatial-mux=int --time-mux=int"
     ),
     "classify": (
-        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
-        "--threads=int --eta-c=float --eta-d=float "
+        "--config=FILE --format=text|json|csv --output=PATH "
+        "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
         "--eps-g=float --memory-margin=float --l-km=float --n=int "
         "--spatial-mux=int --time-mux=int --l0-km=float"
     ),
     "optimize": (
-        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
-        "--threads=int --eta-c=float --eta-d=float "
+        "--config=FILE --format=text|json|csv --output=PATH "
+        "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
         "--eps-g=float --memory-margin=float --l-km=float --n=int "
@@ -369,8 +378,8 @@ FLAGS = {
         "--tau-min-us=float"
     ),
     "sweep": (
-        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
-        "--threads=int --eta-c=float --eta-d=float "
+        "--config=FILE --format=text|json|csv --output=PATH "
+        "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
         "--eps-g=float --memory-margin=float --l-km=float --n=int "
@@ -380,8 +389,8 @@ FLAGS = {
         "--l-step-km=float --l-list-km=KM[,KM...]"
     ),
     "figure": (
-        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
-        "--threads=int --eta-c=float --eta-d=float "
+        "--config=FILE --format=text|json|csv --output=PATH "
+        "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
         "--eps-g=float --memory-margin=float --n-max=int --m-max=int "
@@ -389,14 +398,14 @@ FLAGS = {
         "--l-list-km=KM[,KM...] --out-dir=DIR"
     ),
     "simulate": (
-        "--config=FILE --format=text|json|csv --output=PATH --seed=int "
-        "--threads=int --eta-c=float --eta-d=float "
+        "--config=FILE --format=text|json|csv --output=PATH "
+        "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
         "--eps-g=float --memory-margin=float --l-km=float --n=int "
         "--spatial-mux=int --time-mux=int --num-blocks=int "
         "--n-comm-ions=int --n-mem-ions=int --p-override=float "
-        "--validate=switch --trace=FILE"
+        "--seed=int --validate=switch --trace=FILE"
     ),
 }
 
@@ -411,7 +420,7 @@ DEFAULTS_JSON = (
     '"n_m_max": null, "fixed_l0_km": null, "fixed_n": null, "tau_min_us":'
     ' null}, "sim": {"num_blocks": 100000, "n_comm_ions": 0, '
     '"n_mem_ions": 0, "p_override": null}, "output": {"format": "text", '
-    '"path": null, "dir": "."}, "seed": 0, "threads": null}'
+    '"path": null, "dir": "."}, "seed": 0}'
 )
 
 
@@ -444,6 +453,18 @@ class TestContract:
             [flag] = a.option_strings
             assert a.dest == ("trace_path" if flag == "--trace"
                               else flag[2:].replace("-", "_"))
+
+    @pytest.mark.parametrize("command", list(FLAGS))
+    def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, command):
+        args = [command] + (["fig7"] if command == "figure" else [])
+        for flag, taken in (("--threads", False), ("--seed", command == "simulate")):
+            if taken:
+                assert build_parser().parse_args(args + [flag, "2"]).seed == 2
+                continue
+            with pytest.raises(SystemExit) as exit_:
+                build_parser().parse_args(args + [flag, "2"])
+            assert exit_.value.code == 2
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
     def test_defaults_are_frozen(self):
         assert json.dumps(DEFAULTS) == DEFAULTS_JSON
@@ -497,3 +518,107 @@ class TestWriteErrors:
         assert err.startswith(f"ionrep {args[0]}: error: cannot write {field}: ")
         assert "Not a directory" in err
         assert err.count("\n") == 1
+
+
+# Config documents and flags drawn from the field table. A field is absent,
+# near its default, any value of its kind, or broken: a wrong type, null or a
+# non-finite number. Now and then the document has an unknown key.
+_SMALL = st.integers(min_value=-2, max_value=50)  # bounds stay <= 50 x 50
+_NUMS = (st.floats(allow_nan=False, allow_infinity=False)
+         | st.sampled_from([0.0, 1e-300, 1e300, -1.0]))
+_ANY = {
+    "num": _NUMS,
+    "int": st.integers() | st.sampled_from([2 ** 30, 2 ** 30 + 1, 2 ** 63, 2 ** 64]),
+    "str": st.text(max_size=5),
+    "fmt": st.sampled_from(FORMATS),
+    "numlist": st.lists(_NUMS, max_size=4),
+}
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+_BROKEN = (st.none() | _NON_FINITE | st.booleans() | st.text(max_size=3)
+           | st.lists(st.integers(), max_size=2)
+           | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+def _near_default(field):
+    d = field.default
+    if field.kind == "num":
+        if d is None:
+            return st.floats(0.01, 200)
+        return st.sampled_from([1, 1, 1, 0.5, 2, 10]).map(lambda f: d * f)
+    if field.kind == "int":
+        return st.integers(0, 100 if d is None else 2 * d + 2)
+    if field.kind == "numlist":
+        return st.lists(st.floats(1, 500), max_size=4)
+    return st.just(d) if field.kind == "str" else _ANY[field.kind]
+
+
+def _value(field, pick: int):
+    if field.path.startswith("bounds."):
+        return _SMALL
+    if field.path == "output.path":
+        return st.none()  # a string would write a file
+    if pick == 0:
+        return _BROKEN
+    return _ANY[field.kind] if pick < 3 else _near_default(field)
+
+
+@st.composite
+def _config_docs(draw):
+    doc: dict = {}
+    for field in _FIELDS:
+        if draw(st.integers(0, 2)) == 0:
+            section, _, key = field.path.rpartition(".")
+            value = draw(_value(field, draw(st.integers(0, 29))))
+            (doc.setdefault(section, {}) if section else doc)[key] = value
+    if draw(st.integers(0, 19)) == 0:
+        doc[draw(st.text(max_size=4))] = 1
+    if "hardware" in doc and draw(st.integers(0, 19)) == 0:
+        doc["hardware"][draw(st.text(max_size=4))] = 1
+    return doc
+
+
+_SUBPARSERS = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)).choices
+_FUZZ_FLAGS = {  # command -> the fields it has a flag for, but none for a path
+    command: [f for f in _FIELDS if f.kind != "str" and "--" + f.flag.replace("_", "-")
+              in _SUBPARSERS[command]._option_string_actions]
+    for command in ("rate", "classify", "optimize")
+}
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    args = [command]
+    for field in _FUZZ_FLAGS[command]:
+        if draw(st.integers(0, 3)):
+            continue
+        flag = "--" + field.flag.replace("_", "-")
+        pick = draw(st.integers(1, 19))
+        value = draw(_NON_FINITE if pick == 1 and field.kind == "num"
+                     else _value(field, pick))  # argparse's float reads nan and inf
+        args.append(f"{flag}={value!r}" if field.kind == "num" else f"{flag}={value}")
+    return args, draw(_config_docs())
+
+
+class TestFuzz:
+    # derandomized: the same 300 examples on every run, so a failure is no flake
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(_invocations())
+    # inputs that once ended in a traceback or a numpy warning
+    @example((["rate", "--n=18446744073709551616", "--time-mux=5"], {}))
+    @example((["optimize", "--spatial-mux=4611686018427387904", "--m-max=3"], {}))
+    @example((["optimize", "--fixed-l0-km=1e-300", "--m-max=3"], {}))
+    @example((["optimize", "--tau-us=1e+300", "--n-max=0", "--m-max=3"], {}))
+    def test_every_input_ends_in_an_answer_or_one_line(self, capsys, tmp_path, case):
+        args, doc = case
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # the command line would print them
+            code, out, err = run(capsys, *args, "--config", str(path))
+        assert code in (0, 2, 3), (code, out, err)
+        assert err.count("\n") <= 1
+        assert "Traceback" not in out + err
+        assert [str(w.message) for w in caught] == []

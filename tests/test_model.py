@@ -216,6 +216,10 @@ class TestValidation:
     def test_layout_ranges(self):
         with pytest.raises(ValueError, match="n_repeaters"):
             ChainLayout(total_distance_km=10.0, n_repeaters=-1).validate()
+        # 2 M m ion budgets of larger counts overflow int64
+        for name in ("n_repeaters", "spatial_mux", "time_mux"):
+            with pytest.raises(ValueError, match=f"{name} must be .* <= 1073741824"):
+                ChainLayout(10.0, **{"n_repeaters": 1, name: 2 ** 30 + 1}).validate()
         assert ChainLayout(150.0, 87).n_links == 88
         assert ChainLayout(150.0, 87).link_length_km == pytest.approx(150.0 / 88)
 

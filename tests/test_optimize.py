@@ -5,10 +5,12 @@ the closed-form rate at the reported argmax, so the grid search is being
 tested against the formulas rather than against its own output.
 """
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ionrep.optimize as optimize_module
 from ionrep import (
     ChainLayout,
     Constraints,
@@ -17,7 +19,9 @@ from ionrep import (
     SearchBounds,
     crossover_distance,
     evaluate_rate,
+    fiber_transmissivity,
     optimize_rate,
+    plob_bound,
     sweep_distance,
 )
 
@@ -109,6 +113,15 @@ class TestConstraints:
     def test_fixed_n_and_fixed_l0_conflict(self):
         with pytest.raises(ValueError):
             Constraints(fixed_n=10, fixed_l0_km=15.0).validate()
+
+    @pytest.mark.parametrize("cons, match", [
+        (Constraints(fixed_n=2 ** 30 + 1), "fixed_n must be in"),
+        (Constraints(fixed_l0_km=1e-300), "gives 1.5e\\+302 links"),
+        (Constraints(fixed_l0_km=5e-324), "gives inf links"),
+    ])
+    def test_pinned_repeater_count_is_bounded(self, cons, match):
+        with pytest.raises(ValueError, match=match):
+            optimize_rate(150.0, 10, BASE, constraints=cons)
 
     def test_comm_ion_cap_moves_the_optimum(self):
         res = optimize_rate(150.0, 10, BASE, constraints=Constraints(n_o_max=125))
@@ -210,14 +223,31 @@ class TestSweep:
         assert rows[2].result.report.noisy_rate == pytest.approx(
             20824.552019187, rel=1e-9)
 
-    def test_threading_is_invisible(self):
-        seq = sweep_distance([50.0, 100.0, 150.0], 10, BASE)
-        par = sweep_distance([50.0, 100.0, 150.0], 10, BASE, threads=4)
-        for a, b in zip(seq, par):
-            assert a.l_km == b.l_km
-            assert a.plob == b.plob
-            assert (a.result.n_opt, a.result.m_opt) == (b.result.n_opt, b.result.m_opt)
-            assert a.result.report.noisy_rate == b.result.report.noisy_rate
+    # usable cores -> pool widths: capped at the five points; one core
+    # runs them on the calling thread
+    @pytest.mark.parametrize("cores, widths", [(4, [4]), (8, [5]), (1, [])],
+                             ids=["4-cores", "8-cores", "1-core"])
+    def test_pool_rows_equal_direct_calls(self, monkeypatch, cores, widths):
+        monkeypatch.setattr(optimize_module.os, "sched_getaffinity",
+                            lambda pid: set(range(cores)), raising=False)
+        made = []
+
+        class Pool(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                made.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(optimize_module, "ThreadPoolExecutor", Pool)
+        ls = [50.0, 100.0, 150.0, 200.0, 250.0]
+        rows = sweep_distance(ls, 10, BASE)
+        assert made == widths
+        for l_km, row in zip(ls, rows):
+            res = optimize_rate(l_km, 10, BASE)
+            assert row.l_km == l_km
+            assert (row.result.n_opt, row.result.m_opt) == (res.n_opt, res.m_opt)
+            assert row.result.report.noisy_rate == res.report.noisy_rate
+            eta = fiber_transmissivity(BASE.optical.alpha_db_per_km, l_km)
+            assert row.plob == plob_bound(eta, 10, BASE.timing.tau)
 
     def test_infeasible_points_become_flagged_rows(self):
         rows = sweep_distance([100.0, 150.0], 10, BASE,
