@@ -7,6 +7,7 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ionrep.optimize as optimize_module
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
 from ionrep.cli import _FIELDS, DEFAULTS, FORMATS, build_parser, main
 from ionrep.figures import CSV_COLUMNS
@@ -220,6 +221,17 @@ class TestSweep:
             cells = line.split(",")
             assert cells[1] == "nan"
             assert "n_o_max" in cells[-1]
+
+    # the pool is sized from the usable cores; its width must not show
+    def test_threads_do_not_change_bytes(self, capsys, monkeypatch):
+        outs = []
+        for cores in (1, 4):
+            monkeypatch.setattr(optimize_module.os, "sched_getaffinity",
+                                lambda pid: set(range(cores)), raising=False)
+            _, out, _ = run(capsys, "sweep", "--l-list-km", "50,100,150",
+                            "--format", "csv")
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("grid", ["0,10", "50,10"])
     def test_bad_distance_list_names_the_field(self, capsys, grid):

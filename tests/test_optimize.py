@@ -223,6 +223,18 @@ class TestSweep:
         assert rows[2].result.report.noisy_rate == pytest.approx(
             20824.552019187, rel=1e-9)
 
+    def test_threading_is_invisible(self, monkeypatch):
+        rows = []
+        for cores in (1, 4):
+            monkeypatch.setattr(optimize_module.os, "sched_getaffinity",
+                                lambda pid: set(range(cores)), raising=False)
+            rows.append(sweep_distance([50.0, 100.0, 150.0], 10, BASE))
+        for a, b in zip(*rows):
+            assert a.l_km == b.l_km
+            assert a.plob == b.plob
+            assert (a.result.n_opt, a.result.m_opt) == (b.result.n_opt, b.result.m_opt)
+            assert a.result.report.noisy_rate == b.result.report.noisy_rate
+
     # usable cores -> pool widths: capped at the five points; one core
     # runs them on the calling thread
     @pytest.mark.parametrize("cores, widths", [(4, [4]), (8, [5]), (1, [])],
