@@ -346,6 +346,26 @@ class TestFigure:
         two = (tmp_path / "two" / "fig7_M10.csv").read_bytes()
         assert one == two
 
+    # the stdout document is a contract; files are paths under --out-dir
+    @pytest.mark.parametrize("ids, style, doc", [
+        (("fig7",), "json",
+         '{\n  "spec_version": "1",\n  "command": "figure",\n'
+         '  "figure": "fig7",\n'
+         '  "description": "rate vs distance with 10x slower gates",\n'
+         '  "files": [\n    "figs/fig7_M1.csv",\n    "figs/fig7_M5.csv",\n'
+         '    "figs/fig7_M10.csv"\n  ]\n}\n'),
+        (("fig7",), "text",
+         "figure: fig7\ndescription: rate vs distance with 10x slower gates\n"
+         "files: figs/fig7_M1.csv\nfiles: figs/fig7_M5.csv\n"
+         "files: figs/fig7_M10.csv\n"),
+    ])
+    def test_stdout_document_is_pinned(self, capsys, tmp_path, monkeypatch,
+                                       ids, style, doc):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "figure", *ids, "--l-list-km", "50",
+                             "--out-dir", "figs", "--format", style)
+        assert (code, out, err) == (0, doc, "")
+
     def test_unknown_id_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
