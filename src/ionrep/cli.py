@@ -49,6 +49,8 @@ US = 1e-6
 
 FORMATS = ("text", "json", "csv")
 
+MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
+
 
 class _Field(NamedTuple):
     path: str          # "section.key", or "key" at the top level
@@ -262,14 +264,14 @@ def make_l_grid(cfg: dict) -> list[float]:
         raise CliError(EXIT_CONFIG,
                        "sweep grid needs l_min_km > 0, l_step_km > 0, "
                        "l_max_km >= l_min_km")
-    out = []
-    i = 0
-    while True:
-        l = lo + i * step
+    out: list[float] = []
+    while len(out) <= MAX_L_POINTS:
+        l = lo + len(out) * step
         if l > hi * (1 + 1e-12):
             return out
         out.append(l)
-        i += 1
+    raise CliError(EXIT_CONFIG, f"config field sweep.l_step_km={step:g} is too small: "
+                                f"the grid would have more than {MAX_L_POINTS} distances")
 
 
 # ---------------------------------------------------------------- rendering
@@ -433,7 +435,7 @@ def cmd_sweep(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_figure(cfg: dict, fig_id: str) -> int:
+def cmd_figure(cfg: dict, fig_ids: list[str]) -> int:
     if cfg["output"]["format"] == "csv":
         raise CliError(EXIT_CONFIG,
                        "figure writes CSV files itself; use --format text or json")
@@ -445,14 +447,18 @@ def cmd_figure(cfg: dict, fig_id: str) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise CliError(EXIT_CONFIG, f"cannot write output.dir: {err}")
-    description, curves = FIGURES[fig_id]
+    ids = list(dict.fromkeys(i for arg in fig_ids
+                             for i in (sorted(FIGURES) if arg == "all" else [arg])))
+    sweeps: dict = {}  # this call's sweeps, shared by curves with the same key
     files = []
-    for curve in curves:
-        rows = curve_rows(curve, grid, hw, bounds)
-        path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
-        _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
-        files.append(path)
-    emit(cfg, "figure", {"figure": fig_id, "description": description,
+    for fig_id in ids:
+        for curve in FIGURES[fig_id][1]:
+            rows = curve_rows(curve, grid, hw, bounds, sweeps)
+            path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
+            _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
+            files.append(path)
+    emit(cfg, "figure", {"figure": " ".join(ids),
+                         "description": "; ".join(FIGURES[i][0] for i in ids),
                          "files": files})
     return EXIT_OK
 
@@ -546,10 +552,12 @@ def build_parser() -> argparse.ArgumentParser:
         ["io", "hw", "layout", "bounds", "cons"])
     add("sweep", "optimize across a distance grid",
         ["io", "hw", "layout", "bounds", "cons", "sweep"])
-    p = add("figure", "reproduce a canned sweep family as CSV files",
+    p = add("figure", "reproduce canned sweep families as CSV files",
             ["io", "hw", "bounds", "sweep", "out_dir"])
-    p.add_argument("figure_id", choices=sorted(FIGURES),
-                   help="which sweep family to generate")
+    p.add_argument("figure_ids", nargs="+", metavar="FIG",
+                   choices=sorted(FIGURES) + ["all"],
+                   help=f"{', '.join(sorted(FIGURES))}, or all; curves that share "
+                        "M, hardware and constraints are swept once")
     p = add("simulate", "run the discrete-event protocol simulator",
             ["io", "hw", "layout", "sim"])
     p.add_argument("--validate", action="store_true",
@@ -574,7 +582,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg)
         if args.command == "figure":
-            return cmd_figure(cfg, args.figure_id)
+            return cmd_figure(cfg, args.figure_ids)
         if args.command == "simulate":
             return cmd_simulate(cfg, args.validate, args.trace_path)
         raise AssertionError(args.command)  # pragma: no cover

@@ -3,6 +3,9 @@
 Each figure id maps to a fixed set of curves. A curve is a distance sweep of
 the optimizer under specific hardware overrides and constraints, reduced to
 one value column; the CSV layout is shared with the plain sweep subcommand.
+Curves with the same spatial_mux, hardware and constraints differ only in
+that column, so one figure call sweeps each such group once: fig2-fig9 are
+59 curves over 23 distinct sweeps.
 """
 from __future__ import annotations
 
@@ -87,11 +90,20 @@ FIGURES = _figures()
 
 
 def curve_rows(curve: Curve, l_list: list[float], hw: HardwareProfile,
-               bounds: Optional[SearchBounds]) -> list[dict]:
-    """Sweep one curve and reduce each row to the shared CSV columns."""
+               bounds: Optional[SearchBounds], sweeps: Optional[dict] = None) -> list[dict]:
+    """Sweep one curve and reduce each row to the shared CSV columns.
+
+    `sweeps` holds the sweeps already run on this l_list and bounds, keyed by
+    (spatial_mux, hardware, constraints); a curve whose key is there reuses
+    its rows, and a new key's sweep is added for the curves after it.
+    """
     hw_c = hw.updated(**curve.hw_overrides) if curve.hw_overrides else hw
-    rows = sweep_distance(l_list, curve.spatial_mux, hw_c, bounds, curve.constraints)
-    return [reduce_row(row, curve.value_field) for row in rows]
+    sweeps = {} if sweeps is None else sweeps
+    key = (curve.spatial_mux, hw_c, curve.constraints)
+    if key not in sweeps:
+        sweeps[key] = sweep_distance(l_list, curve.spatial_mux, hw_c, bounds,
+                                     curve.constraints)
+    return [reduce_row(row, curve.value_field) for row in sweeps[key]]
 
 
 def reduce_row(row: SweepRow, value_field: str) -> dict:

@@ -160,8 +160,7 @@ class _ChunkState:
         self.heralded = np.zeros((cb, n_nodes), dtype=np.int32)
         # per-slot history needed when the freeing step comes due
         self.att = np.zeros((cb, m + 1, n_nodes - 1), dtype=np.int32)
-        self.granted_left = np.zeros((cb, m + 1, n_nodes), dtype=np.int32)
-        self.granted_right = np.zeros((cb, m + 1, n_nodes), dtype=np.int32)
+        self.loaded = np.zeros((cb, m + 1, n_nodes), dtype=np.int32)
         self.eff = np.zeros((cb, m + 1, n_nodes - 1), dtype=np.int32)
         self.cand = np.zeros((cb, m + 1, n_nodes - 1), dtype=np.int32)
         self.link_ok = np.zeros((cb, n_nodes - 1), dtype=bool)
@@ -235,11 +234,10 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
                 freed_c += _pad_left(att) + _pad_right(att)
                 g_left, g_right = _grant(_pad_left(att), _pad_right(att),
                                          st.used_mem, pool_m)
-                st.granted_left[:, s] = g_left
-                st.granted_right[:, s] = g_right
                 st.eff[:, s] = np.minimum(
                     att, np.minimum(g_right[:, :-1], g_left[:, 1:]))
                 load = g_left + g_right
+                st.loaded[:, s] = load
                 st.used_mem += load
                 st.dropped_mem += int((_pad_left(att) + _pad_right(att) - load).sum())
                 note(t, load, "load_mem")
@@ -251,7 +249,7 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
                 surv = (fsi[:, :, s] < st.eff[:, s]).astype(np.int32)
                 st.link_ok |= surv.astype(bool)
                 kept = _pad_left(surv) + _pad_right(surv)
-                freed_m += (st.granted_left[:, s] + st.granted_right[:, s]) - kept
+                freed_m += st.loaded[:, s] - kept
                 st.heralded += kept
                 note(t, kept, "herald")
 

@@ -1,5 +1,6 @@
 """End-to-end command-line tests, run in-process through main()."""
 import argparse
+import copy
 import json
 import math
 import warnings
@@ -7,9 +8,11 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ionrep.figures as figures_module
 import ionrep.optimize as optimize_module
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
-from ionrep.cli import _FIELDS, DEFAULTS, FORMATS, build_parser, main
+from ionrep.cli import (
+    _FIELDS, DEFAULTS, FORMATS, MAX_L_POINTS, CliError, build_parser, main, make_l_grid)
 from ionrep.figures import CSV_COLUMNS
 
 SWEEP_HEADER = ",".join(CSV_COLUMNS) + ",infeasible_reason"
@@ -250,6 +253,35 @@ class TestSweep:
         assert err == (f"ionrep {args[0]}: error: config field sweep.l_list_km must "
                        "be positive and strictly increasing, got []\n")
 
+    # 10 + i * 1e-300 == 10 never passes l_max_km; 1e-6 is ~5e8 distances
+    @pytest.mark.parametrize("args", [("sweep", "--l-step-km", "1e-300"),
+                                      ("figure", "fig7", "--l-step-km", "1e-6",
+                                       "--out-dir", "figs")])
+    def test_grid_too_fine_names_the_field(self, capsys, tmp_path, monkeypatch, args):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"ionrep {args[0]}: error: config field "
+                              "sweep.l_step_km=")
+        assert err.endswith(f"the grid would have more than {MAX_L_POINTS} "
+                            "distances\n")
+        assert err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []  # figure failed before writing
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert (code, err) == (2, "")
+        error = json.loads(out)["error"]
+        assert error["kind"] == "config"
+        assert "sweep.l_step_km" in error["message"]
+
+    def test_grid_cap_is_exact(self):
+        cfg = copy.deepcopy(DEFAULTS)
+        assert make_l_grid(cfg) == [10.0 + i * 10.0 for i in range(50)]
+        cfg["sweep"].update(l_min_km=1.0, l_max_km=float(MAX_L_POINTS), l_step_km=1.0)
+        assert make_l_grid(cfg) == [1.0 + i for i in range(MAX_L_POINTS)]
+        cfg["sweep"]["l_max_km"] += 1.0
+        with pytest.raises(CliError, match="sweep.l_step_km"):
+            make_l_grid(cfg)
+
 
 class TestClassify:
     @pytest.mark.parametrize("l0_km, regime", [
@@ -347,28 +379,99 @@ class TestFigure:
         assert one == two
 
     # the stdout document is a contract; files are paths under --out-dir
-    @pytest.mark.parametrize("ids, style, doc", [
-        (("fig7",), "json",
+    @pytest.mark.parametrize("fig_ids, style, doc", [
+        pytest.param(("fig7",), "json",
          '{\n  "spec_version": "1",\n  "command": "figure",\n'
          '  "figure": "fig7",\n'
          '  "description": "rate vs distance with 10x slower gates",\n'
          '  "files": [\n    "figs/fig7_M1.csv",\n    "figs/fig7_M5.csv",\n'
-         '    "figs/fig7_M10.csv"\n  ]\n}\n'),
-        (("fig7",), "text",
+         '    "figs/fig7_M10.csv"\n  ]\n}\n', id="fig7-json"),
+        pytest.param(("fig7",), "text",
          "figure: fig7\ndescription: rate vs distance with 10x slower gates\n"
          "files: figs/fig7_M1.csv\nfiles: figs/fig7_M5.csv\n"
-         "files: figs/fig7_M10.csv\n"),
+         "files: figs/fig7_M10.csv\n", id="fig7-text"),
+        pytest.param(("fig8", "fig7"), "json",
+         '{\n  "spec_version": "1",\n  "command": "figure",\n'
+         '  "figure": "fig8 fig7",\n'
+         '  "description": "rate vs distance at fixed repeater spacing; '
+         'rate vs distance with 10x slower gates",\n'
+         '  "files": [\n    "figs/fig8_L0_2km.csv",\n    "figs/fig8_L0_5km.csv",\n'
+         '    "figs/fig8_L0_10km.csv",\n    "figs/fig8_L0_20km.csv",\n'
+         '    "figs/fig7_M1.csv",\n    "figs/fig7_M5.csv",\n'
+         '    "figs/fig7_M10.csv"\n  ]\n}\n', id="fig8-fig7-json"),
     ])
     def test_stdout_document_is_pinned(self, capsys, tmp_path, monkeypatch,
-                                       ids, style, doc):
+                                       fig_ids, style, doc):
         monkeypatch.chdir(tmp_path)
-        code, out, err = run(capsys, "figure", *ids, "--l-list-km", "50",
+        code, out, err = run(capsys, "figure", *fig_ids, "--l-list-km", "50",
                              "--out-dir", "figs", "--format", style)
         assert (code, out, err) == (0, doc, "")
 
     def test_unknown_id_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
+
+    @pytest.mark.parametrize("fig_ids", [("fig2", "fig99"), ("all", "fig99"), ()])
+    def test_every_id_is_checked(self, capsys, fig_ids):
+        with pytest.raises(SystemExit) as exit_:
+            main(["figure", *fig_ids])
+        assert exit_.value.code == 2
+
+    # a small grid keeps the 59 curves cheap; the sharing does not depend on it
+    FAST = ("--l-list-km", "50,150", "--n-max", "60", "--m-max", "200")
+
+    @staticmethod
+    def count_sweeps(monkeypatch) -> list:
+        calls = []
+        real = figures_module.sweep_distance
+
+        def counting(*args, **kwargs):
+            calls.append(args[1:])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(figures_module, "sweep_distance", counting)
+        return calls
+
+    def test_all_matches_one_call_per_id(self, capsys, tmp_path, monkeypatch):
+        calls = self.count_sweeps(monkeypatch)
+        code, out, _ = run(capsys, "figure", "all", *self.FAST,
+                           "--out-dir", str(tmp_path / "all"), "--format", "json")
+        assert code == 0
+        assert len(calls) == 23
+        assert json.loads(out)["figure"] == "fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9"
+        for fig_id in sorted(figures_module.FIGURES):
+            assert run(capsys, "figure", fig_id, *self.FAST,
+                       "--out-dir", str(tmp_path / "each"))[0] == 0
+        assert len(calls) == 23 + 59
+        names = sorted(p.name for p in (tmp_path / "all").iterdir())
+        assert len(names) == 59
+        assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
+        for name in names:
+            assert ((tmp_path / "all" / name).read_bytes()
+                    == (tmp_path / "each" / name).read_bytes()), name
+
+    def test_each_call_sweeps_its_own_curves(self, capsys, tmp_path, monkeypatch):
+        calls = self.count_sweeps(monkeypatch)
+        assert run(capsys, "figure", "fig2", "fig3", *self.FAST,
+                   "--out-dir", str(tmp_path))[0] == 0
+        assert len(calls) == 9
+        assert len(set(map(repr, calls))) == 9
+        # no sweep outlives its call
+        for expected in (18, 27):
+            assert run(capsys, "figure", "fig2", *self.FAST,
+                       "--out-dir", str(tmp_path))[0] == 0
+            assert len(calls) == expected
+
+    def test_repeated_id_runs_once(self, capsys, tmp_path, monkeypatch):
+        calls = self.count_sweeps(monkeypatch)
+        code, out, _ = run(capsys, "figure", "fig7", "fig7", *self.FAST,
+                           "--out-dir", str(tmp_path), "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["figure"] == "fig7"
+        assert [f.rsplit("/", 1)[-1] for f in doc["files"]] == [
+            "fig7_M1.csv", "fig7_M5.csv", "fig7_M10.csv"]
+        assert len(calls) == 3
 
     def test_curve_inventory(self, capsys, tmp_path):
         code, out, _ = run(capsys, "figure", "fig9", "--l-list-km", "100",
