@@ -90,7 +90,7 @@ FIGURES = _figures()
 
 
 def curve_rows(curve: Curve, l_list: list[float], hw: HardwareProfile,
-               bounds: Optional[SearchBounds], sweeps: Optional[dict] = None) -> list[dict]:
+               bounds: Optional[SearchBounds], sweeps: dict) -> list[dict]:
     """Sweep one curve and reduce each row to the shared CSV columns.
 
     `sweeps` holds the sweeps already run on this l_list and bounds, keyed by
@@ -98,7 +98,6 @@ def curve_rows(curve: Curve, l_list: list[float], hw: HardwareProfile,
     its rows, and a new key's sweep is added for the curves after it.
     """
     hw_c = hw.updated(**curve.hw_overrides) if curve.hw_overrides else hw
-    sweeps = {} if sweeps is None else sweeps
     key = (curve.spatial_mux, hw_c, curve.constraints)
     if key not in sweeps:
         sweeps[key] = sweep_distance(l_list, curve.spatial_mux, hw_c, bounds,
