@@ -16,6 +16,7 @@ from ionrep import (
     ModelDomainWarning,
     NoiseParams,
     SimConfig,
+    SimStats,
     derive_timing,
     end_to_end_Q,
     evaluate_rate,
@@ -166,6 +167,68 @@ class TestIonPools:
         stats = run_protocol_sim(blind_config(n_comm_ions=5))
         assert stats.peak_comm_loaded <= 5
         assert stats.dropped_comm > 0
+
+
+# block 0 of the pinned wait-regime run with a 3-ion memory pool, one step a line
+WAIT_MEM_TRACE = ["step,node,event,count"] + """
+0,0,init,2 0,1,init,4 0,2,init,4 0,3,init,2 0,0,comm_loaded,2 0,1,comm_loaded,4
+0,2,comm_loaded,4 0,3,comm_loaded,2
+1,0,free_comm,2 1,1,free_comm,4 1,2,free_comm,4 1,3,free_comm,2 1,0,init,2 1,1,init,4
+1,2,init,4 1,3,init,2 1,0,comm_loaded,2 1,1,comm_loaded,4 1,2,comm_loaded,4
+1,3,comm_loaded,2
+2,0,free_comm,2 2,1,free_comm,3 2,2,free_comm,2 2,3,free_comm,1 2,0,init,2 2,1,init,4
+2,2,init,4 2,3,init,2 2,0,comm_loaded,2 2,1,comm_loaded,5 2,2,comm_loaded,6
+2,3,comm_loaded,3
+3,1,load_mem,1 3,2,load_mem,2 3,3,load_mem,1 3,1,herald,1 3,2,herald,2 3,3,herald,1
+3,0,free_comm,1 3,1,free_comm,4 3,2,free_comm,5 3,3,free_comm,2 3,0,comm_loaded,1
+3,1,comm_loaded,1 3,2,comm_loaded,1 3,3,comm_loaded,1 3,1,mem_loaded,1
+3,2,mem_loaded,2 3,3,mem_loaded,1 3,1,heralded,1 3,2,heralded,2 3,3,heralded,1
+4,0,load_mem,1 4,1,load_mem,1 4,2,load_mem,1 4,3,load_mem,1 4,0,herald,1 4,1,herald,1
+4,2,herald,1 4,3,herald,1 4,0,free_comm,1 4,1,free_comm,1 4,2,free_comm,1
+4,3,free_comm,1 4,0,mem_loaded,1 4,1,mem_loaded,2 4,2,mem_loaded,3 4,3,mem_loaded,2
+4,0,heralded,1 4,1,heralded,2 4,2,heralded,3 4,3,heralded,2
+""".split()
+
+
+class TestSeededPins:
+    """Whole SimStats of seeded runs with binding pools, compared with ==."""
+
+    @pytest.mark.parametrize("cfg, expected", [
+        pytest.param(
+            oracle_config(num_blocks=400, n_mem_ions=3, trace=True),
+            SimStats(block_steps=6, blocks_run=400, successes=255,
+                     empirical_block_success=0.6375,
+                     empirical_rate=106250.00000000001, peak_comm_loaded=6,
+                     peak_mem_loaded=3, peak_heralded=3, dropped_comm=0,
+                     dropped_mem=380, trace=WAIT_MEM_TRACE),
+            id="wait-mem-capped"),
+        pytest.param(
+            blind_config(p=0.6, n_mem_ions=10, num_blocks=400),
+            SimStats(block_steps=13, blocks_run=400, successes=390,
+                     empirical_block_success=0.975, empirical_rate=75000.0,
+                     peak_comm_loaded=6, peak_mem_loaded=10, peak_heralded=4,
+                     dropped_comm=0, dropped_mem=7200),
+            id="blind-k-over-j-mem-capped"),
+        pytest.param(
+            SimConfig(ChainLayout(20.0, 1, 2, 4), j_steps=6, k_steps=2, tau_s=US,
+                      tau_o_s=5 * US, p=0.2, n_mem_ions=6, num_blocks=400, seed=2),
+            SimStats(block_steps=21, blocks_run=400, successes=275,
+                     empirical_block_success=0.6875,
+                     empirical_rate=32738.09523809524, peak_comm_loaded=16,
+                     peak_mem_loaded=6, peak_heralded=6, dropped_comm=0,
+                     dropped_mem=282),
+            id="blind-j-over-k"),
+        pytest.param(
+            blind_config(n_comm_ions=6, p=0.2, num_blocks=400),
+            SimStats(block_steps=13, blocks_run=400, successes=335,
+                     empirical_block_success=0.8375,
+                     empirical_rate=64423.07692307693, peak_comm_loaded=6,
+                     peak_mem_loaded=24, peak_heralded=8, dropped_comm=0,
+                     dropped_mem=0),
+            id="blind-comm-pool-2M"),
+    ])
+    def test_stats_are_pinned(self, cfg, expected):
+        assert run_protocol_sim(cfg) == expected
 
 
 class TestValidationVerdict:
