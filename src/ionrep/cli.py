@@ -30,6 +30,7 @@ from .model import (
     heralding_time,
 )
 from .optimize import (
+    MAX_L_POINTS,
     Constraints,
     InfeasibleError,
     SearchBounds,
@@ -48,8 +49,6 @@ EXIT_VALIDATION = 4
 US = 1e-6
 
 FORMATS = ("text", "json", "csv")
-
-MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 
 
 class _Field(NamedTuple):
@@ -477,21 +476,9 @@ def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
         raise CliError(EXIT_CONFIG, f"invalid sim config: {err}")
     stats = run_protocol_sim(config)
     payload: dict = {"result": {
-        "waits_for_herald": config.waits_for_herald,
-        "j_steps": config.j_steps,
-        "k_steps": config.k_steps,
-        "p": config.p,
-        "block_steps": stats.block_steps,
-        "blocks_run": stats.blocks_run,
-        "successes": stats.successes,
-        "empirical_block_success": stats.empirical_block_success,
-        "empirical_rate": stats.empirical_rate,
-        "peak_comm_loaded": stats.peak_comm_loaded,
-        "peak_mem_loaded": stats.peak_mem_loaded,
-        "peak_heralded": stats.peak_heralded,
-        "dropped_comm": stats.dropped_comm,
-        "dropped_mem": stats.dropped_mem,
-    }}
+        "waits_for_herald": config.waits_for_herald, "j_steps": config.j_steps,
+        "k_steps": config.k_steps, "p": config.p,
+        **{k: v for k, v in vars(stats).items() if k != "trace"}}}
     if trace_path is not None:
         _write(trace_path, "\n".join(stats.trace) + "\n", "--trace")
         payload["trace_path"] = trace_path
@@ -502,14 +489,7 @@ def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
         except FeasibilityError as err:
             raise CliError(EXIT_INFEASIBLE, str(err), binding=[err.constraint])
         verdict = validate_against_analytic(config, report)
-        payload["validation"] = {
-            "passed": verdict.passed,
-            "z_score": verdict.z_score,
-            "expected_block_success": verdict.expected_block_success,
-            "observed_block_success": verdict.observed_block_success,
-            "quantization_delta_n_o": verdict.quantization_delta_n_o,
-            "checks": list(verdict.checks),
-        }
+        payload["validation"] = dict(vars(verdict))
         if not verdict.passed:
             code = EXIT_VALIDATION
     emit(cfg, "simulate", payload)

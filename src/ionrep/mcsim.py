@@ -17,6 +17,10 @@ which is what lets a fixed pool of 2jM (blind) or 2(Mk+j) (wait) comm ions
 cycle forever. Blocks do not pipeline: a block's wall time in steps equals
 its rate denominator and every block starts from empty traps.
 
+Pool rule, for comm and memory ions alike: a node serves its left fiber side
+first, an end node's whole pool serves its one side, and a link gets the
+smaller of its two ends' grants.
+
 Determinism: blocks are simulated in fixed-size chunks; chunk c draws all of
 its randomness up front from numpy's default generator seeded with
 (seed, c). Merging chunk counters is order-independent, so results are
@@ -116,63 +120,47 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SimStats:
+    block_steps: int
+    blocks_run: int
+    successes: int
     empirical_block_success: float
     empirical_rate: float
     peak_comm_loaded: int
     peak_mem_loaded: int
     peak_heralded: int
-    blocks_run: int
-    successes: int
     dropped_comm: int
     dropped_mem: int
-    block_steps: int
     trace: Optional[list[str]] = None
 
 
-def _pad_left(link_arr: np.ndarray) -> np.ndarray:
-    """Per-node view of a per-link quantity through each node's left side."""
-    cb = link_arr.shape[0]
-    z = np.zeros((cb, 1), dtype=link_arr.dtype)
-    return np.concatenate([z, link_arr], axis=1)
+def _sides(link_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A per-link array per node, (left side, right side); link i is node i's right."""
+    z = np.zeros((len(link_arr), 1), dtype=link_arr.dtype)
+    return np.concatenate([z, link_arr], axis=1), np.concatenate([link_arr, z], axis=1)
 
 
-def _pad_right(link_arr: np.ndarray) -> np.ndarray:
-    cb = link_arr.shape[0]
-    z = np.zeros((cb, 1), dtype=link_arr.dtype)
-    return np.concatenate([link_arr, z], axis=1)
+def _per_node(link_arr: np.ndarray) -> np.ndarray:
+    """What a per-link count ties up at each node: its two sides' total."""
+    left, right = _sides(link_arr)
+    return left + right
 
 
-def _grant(want_left: np.ndarray, want_right: np.ndarray, used: np.ndarray,
-           pool: int) -> tuple[np.ndarray, np.ndarray]:
-    # per node, the left fiber side is served before the right one
+def _grant(want: np.ndarray, used: np.ndarray, pool: int) -> tuple[np.ndarray, ...]:
+    """(g_left, g_right, per_link): a per-link want granted by the pool rule.
+
+    No grant exceeds its want.
+    """
+    want_left, want_right = _sides(want)
     budget = np.maximum(pool - used, 0)
     g_left = np.minimum(want_left, budget)
     g_right = np.minimum(want_right, budget - g_left)
-    return g_left, g_right
-
-
-class _ChunkState:
-    """Mutable occupancy ledgers for one chunk of concurrently simulated blocks."""
-
-    def __init__(self, cb: int, n_nodes: int, m: int):
-        self.used_comm = np.zeros((cb, n_nodes), dtype=np.int32)
-        self.used_mem = np.zeros((cb, n_nodes), dtype=np.int32)
-        self.heralded = np.zeros((cb, n_nodes), dtype=np.int32)
-        # per-slot history needed when the freeing step comes due
-        self.att = np.zeros((cb, m + 1, n_nodes - 1), dtype=np.int32)
-        self.loaded = np.zeros((cb, m + 1, n_nodes), dtype=np.int32)
-        self.eff = np.zeros((cb, m + 1, n_nodes - 1), dtype=np.int32)
-        self.cand = np.zeros((cb, m + 1, n_nodes - 1), dtype=np.int32)
-        self.link_ok = np.zeros((cb, n_nodes - 1), dtype=bool)
-        self.dropped_comm = 0
-        self.dropped_mem = 0
+    return g_left, g_right, np.minimum(g_right[:, :-1], g_left[:, 1:])
 
 
 def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
                collect_trace: bool):
     lay = config.layout
     n_links = lay.n_links
-    n_nodes = n_links + 1
     m, big_m = lay.time_mux, lay.spatial_mux
     j, k = config.j_steps, config.k_steps
     wait = config.waits_for_herald
@@ -187,7 +175,17 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     fsi = np.where(any_succ, first_idx, big_m).astype(np.int32)
     del draws
 
-    st = _ChunkState(cb, n_nodes, m)
+    used_comm = np.zeros((cb, n_links + 1), dtype=np.int32)
+    used_mem = np.zeros_like(used_comm)
+    heralded = np.zeros_like(used_comm)
+    # per-slot history read when the slot's freeing step comes due: attempts
+    # per link, the pair per link that may still succeed, and blind loads
+    att = np.zeros((cb, m, n_links), dtype=np.int32)
+    kept = np.zeros_like(att)
+    loaded = np.zeros((cb, m, n_links + 1), dtype=np.int32)
+    link_ok = np.zeros((cb, n_links), dtype=bool)
+    want_init = np.full((cb, n_links), big_m, dtype=np.int32)
+    dropped_comm = dropped_mem = 0
     peaks = np.zeros(3, dtype=np.int64)
     trace: list[str] = []
 
@@ -200,84 +198,71 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
 
     # the last herald decision lands 2j steps before the block ends
     for t in range(config.block_steps - 2 * j + 1):
-        freed_c = np.zeros_like(st.used_comm)
-        freed_m = np.zeros_like(st.used_mem)
+        freed_c = np.zeros_like(used_comm)
+        freed_m = np.zeros_like(used_mem)
 
         if wait:
             s = t - k
             if 0 <= s < m:
                 # heralds arrive: free every mode except the one kept for gating
-                cand = (fsi[:, :, s] < st.att[:, s]).astype(np.int32)
-                st.cand[:, s] = cand
-                loser = st.att[:, s] - cand
-                freed_c += _pad_left(loser) + _pad_right(loser)
+                kept[:, s] = fsi[:, :, s] < att[:, s]
+                freed_c += _per_node(att[:, s] - kept[:, s])
             s = t - k - j
             if 0 <= s < m:
                 # gate done on the kept mode: comm ion retires, memory loads
-                cand = st.cand[:, s]
-                freed_c += _pad_left(cand) + _pad_right(cand)
-                g_left, g_right = _grant(_pad_left(cand), _pad_right(cand),
-                                         st.used_mem, pool_m)
-                pair_ok = cand & np.minimum(g_right[:, :-1], g_left[:, 1:])
-                load = _pad_left(pair_ok) + _pad_right(pair_ok)
-                st.used_mem += load
-                st.heralded += load
-                st.link_ok |= pair_ok.astype(bool)
-                st.dropped_mem += int((cand - pair_ok).sum())
+                freed_c += _per_node(kept[:, s])
+                _, _, pair_ok = _grant(kept[:, s], used_mem, pool_m)
+                load = _per_node(pair_ok)
+                used_mem += load
+                heralded += load
+                link_ok |= pair_ok > 0
+                dropped_mem += int((kept[:, s] - pair_ok).sum())
                 note(t, load, "load_mem")
                 note(t, load, "herald")
         else:
             s = t - j
             if 0 <= s < m:
                 # blind gates complete: comm ions retire, all attempts load
-                att = st.att[:, s]
-                freed_c += _pad_left(att) + _pad_right(att)
-                g_left, g_right = _grant(_pad_left(att), _pad_right(att),
-                                         st.used_mem, pool_m)
-                st.eff[:, s] = np.minimum(
-                    att, np.minimum(g_right[:, :-1], g_left[:, 1:]))
-                load = g_left + g_right
-                st.loaded[:, s] = load
-                st.used_mem += load
-                st.dropped_mem += int((_pad_left(att) + _pad_right(att) - load).sum())
+                freed_c += _per_node(att[:, s])
+                g_left, g_right, kept[:, s] = _grant(att[:, s], used_mem, pool_m)
+                loaded[:, s] = load = g_left + g_right
+                used_mem += load
+                dropped_mem += int(2 * att[:, s].sum() - load.sum())
                 note(t, load, "load_mem")
             # keeps run after loads: with k <= j both land on the same step
             # and the heralds are already in hand when the gate finishes
             s = t - max(j, k)
             if 0 <= s < m:
                 # keep one surviving pair per link, free the rest of the loads
-                surv = (fsi[:, :, s] < st.eff[:, s]).astype(np.int32)
-                st.link_ok |= surv.astype(bool)
-                kept = _pad_left(surv) + _pad_right(surv)
-                freed_m += st.loaded[:, s] - kept
-                st.heralded += kept
-                note(t, kept, "herald")
+                surv = fsi[:, :, s] < kept[:, s]
+                link_ok |= surv
+                held = _per_node(surv.astype(np.int32))
+                freed_m += loaded[:, s] - held
+                heralded += held
+                note(t, held, "herald")
 
-        st.used_comm -= freed_c
-        st.used_mem -= freed_m
+        used_comm -= freed_c
+        used_mem -= freed_m
         note(t, freed_c, "free_comm")
         note(t, freed_m, "free_mem")
 
         if t < m:
-            want = np.full((cb, n_nodes), big_m, dtype=np.int32)
-            g_left, g_right = _grant(want, want, st.used_comm, pool_c)
-            att = np.minimum(g_right[:, :-1], g_left[:, 1:])
-            st.att[:, t] = att
-            init = _pad_left(att) + _pad_right(att)
-            st.used_comm += init
-            st.dropped_comm += int((big_m - att).sum())
+            _, _, att[:, t] = _grant(want_init, used_comm, pool_c)
+            init = _per_node(att[:, t])
+            used_comm += init
+            dropped_comm += int((big_m - att[:, t]).sum())
             note(t, init, "init")
 
-        peaks[0] = max(peaks[0], int(st.used_comm.max()))
-        peaks[1] = max(peaks[1], int(st.used_mem.max()))
-        peaks[2] = max(peaks[2], int(st.heralded.max()))
+        peaks[0] = max(peaks[0], int(used_comm.max()))
+        peaks[1] = max(peaks[1], int(used_mem.max()))
+        peaks[2] = max(peaks[2], int(heralded.max()))
         if collect_trace:
-            note(t, st.used_comm, "comm_loaded")
-            note(t, st.used_mem, "mem_loaded")
-            note(t, st.heralded, "heralded")
+            note(t, used_comm, "comm_loaded")
+            note(t, used_mem, "mem_loaded")
+            note(t, heralded, "heralded")
 
-    successes = int(st.link_ok.all(axis=1).sum())
-    return successes, peaks, st.dropped_comm, st.dropped_mem, trace
+    successes = int(link_ok.all(axis=1).sum())
+    return successes, peaks, dropped_comm, dropped_mem, trace
 
 
 def run_protocol_sim(config: SimConfig) -> SimStats:
@@ -314,16 +299,16 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
 
     steps = config.block_steps
     return SimStats(
+        block_steps=steps,
+        blocks_run=total,
+        successes=successes,
         empirical_block_success=successes / total,
         empirical_rate=successes / (total * steps * config.tau_s),
         peak_comm_loaded=int(peaks[0]),
         peak_mem_loaded=int(peaks[1]),
         peak_heralded=int(peaks[2]),
-        blocks_run=total,
-        successes=successes,
         dropped_comm=dropped_c,
         dropped_mem=dropped_m,
-        block_steps=steps,
         trace=trace,
     )
 
@@ -334,8 +319,8 @@ class ValidationVerdict:
     z_score: float
     expected_block_success: float
     observed_block_success: float
-    checks: list[str]
     quantization_delta_n_o: int
+    checks: list[str]
 
 
 def validate_against_analytic(config: SimConfig, report: RateReport,
@@ -386,8 +371,8 @@ def validate_against_analytic(config: SimConfig, report: RateReport,
         z_score=z,
         expected_block_success=expected,
         observed_block_success=stats.empirical_block_success,
-        checks=checks,
         quantization_delta_n_o=n_o - report.n_o,
+        checks=checks,
     )
 
 

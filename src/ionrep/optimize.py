@@ -23,6 +23,8 @@ import numpy as np
 from .model import MAX_COUNT, ChainLayout, HardwareProfile, fiber_transmissivity
 from .rates import RateReport, evaluate_rate, plob_bound, rate_grid
 
+MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
+
 
 class InfeasibleError(Exception):
     """No grid point satisfies the constraint set."""
@@ -212,7 +214,18 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
     the grid suffices; the step below the reported distance is re-checked to
     guard against a non-monotone edge. Returns None when no grid point wins.
     """
-    grid = np.arange(l_min_km, l_max_km + 0.5 * l_step_km, l_step_km)
+    for name, v in (("l_min_km", l_min_km), ("l_max_km", l_max_km),
+                    ("l_step_km", l_step_km)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+    if l_max_km < l_min_km:
+        raise ValueError(f"l_max_km must be >= l_min_km, got {l_max_km} < {l_min_km}")
+    stop = l_max_km + 0.5 * l_step_km
+    # np.arange makes ceil((stop - start) / step) points
+    if (stop - l_min_km) / l_step_km > MAX_L_POINTS:
+        raise ValueError(f"l_step_km={l_step_km:g} is too small: the grid would have "
+                         f"more than {MAX_L_POINTS} distances")
+    grid = np.arange(l_min_km, stop, l_step_km)
 
     def beats(l_km: float) -> bool:
         row = _sweep_point(float(l_km), spatial_mux, hw, bounds, None)

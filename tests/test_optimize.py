@@ -292,3 +292,26 @@ class TestCrossover:
 
     def test_hopeless_hardware_never_crosses(self):
         assert crossover_distance(10, BASE.updated(eps_g=0.2)) is None
+
+    @pytest.mark.parametrize("grid", [
+        "l_step_km=0", "l_step_km=-1", "l_step_km=nan", "l_step_km=inf",
+        "l_min_km=0", "l_min_km=-5", "l_min_km=nan",
+        "l_max_km=inf", "l_max_km=-inf", "l_max_km=5",
+        "l_step_km=1e-6",
+        "l_step_km=1e-300,l_min_km=1e-300,l_max_km=1e308",
+    ])
+    def test_bad_grid_names_the_parameter(self, grid):
+        # the first parameter listed is the one the error must name
+        kw = {k: float(v) for k, v in (p.split("=") for p in grid.split(","))}
+        with pytest.raises(ValueError, match=f"^{next(iter(kw))}"):
+            crossover_distance(10, BASE, **kw)
+
+    def test_grid_cap_is_exact(self):
+        # the last distance is checked first, and hopeless hardware never wins
+        hopeless = BASE.updated(eps_g=0.2)
+        cap = optimize_module.MAX_L_POINTS
+        assert crossover_distance(10, hopeless, l_min_km=1.0, l_max_km=float(cap),
+                                  l_step_km=1.0) is None
+        with pytest.raises(ValueError, match="^l_step_km=1 is too small"):
+            crossover_distance(10, hopeless, l_min_km=1.0, l_max_km=cap + 1.0,
+                               l_step_km=1.0)

@@ -168,8 +168,19 @@ class TestIonPools:
         assert stats.peak_comm_loaded <= 5
         assert stats.dropped_comm > 0
 
+    def test_end_node_pool_serves_its_one_side(self):
+        # an end node has one fiber, so M comm ions are all it needs
+        stats = run_protocol_sim(SimConfig(
+            ChainLayout(20.0, 0, 3, 4), j_steps=1, k_steps=8, tau_s=US,
+            tau_o_s=5 * US, p=1.0, n_comm_ions=3, num_blocks=10, seed=7))
+        assert stats.successes == 10
+        assert stats.dropped_comm == 0
+        assert stats.peak_comm_loaded == 3
+        # only the repeater, with its two sides, is short of ions here
+        assert run_protocol_sim(blind_config(n_comm_ions=5)).dropped_comm == 40
 
-# block 0 of the pinned wait-regime run with a 3-ion memory pool, one step a line
+
+# block 0 of the pinned wait-regime run with a 3-ion memory pool, grouped by step
 WAIT_MEM_TRACE = ["step,node,event,count"] + """
 0,0,init,2 0,1,init,4 0,2,init,4 0,3,init,2 0,0,comm_loaded,2 0,1,comm_loaded,4
 0,2,comm_loaded,4 0,3,comm_loaded,2
