@@ -330,7 +330,8 @@ def validate_against_analytic(config: SimConfig, report: RateReport,
     Block success must sit within sigma binomial standard deviations of the
     analytic value; occupancy peaks must respect the ion requirements, with
     equality demanded where the requirement is exact (blind-regime comm ions
-    once m >= j, so the pipeline saturates).
+    once m >= j, so the pipeline saturates, or the n_comm_ions pool when it
+    is smaller).
     """
     stats = run_protocol_sim(config)
     expected = report.block_success
@@ -350,9 +351,11 @@ def validate_against_analytic(config: SimConfig, report: RateReport,
         checks.append(f"comm peak {stats.peak_comm_loaded} <= 2(Mk+j) = {n_o}: "
                       f"{'ok' if comm_ok else 'FAIL'}")
     else:
-        cap = 2 * big_m * min(j, m)
+        cap, bound = 2 * big_m * min(j, m), "2M min(j, m)"
+        if config.n_comm_ions:
+            cap, bound = min(cap, config.n_comm_ions), f"min({bound}, n_comm_ions)"
         comm_ok = stats.peak_comm_loaded == cap
-        checks.append(f"comm peak {stats.peak_comm_loaded} == 2M min(j, m) = {cap}: "
+        checks.append(f"comm peak {stats.peak_comm_loaded} == {bound} = {cap}: "
                       f"{'ok' if comm_ok else 'FAIL'}")
     mem_ok = stats.peak_mem_loaded <= n_m
     checks.append(f"mem peak {stats.peak_mem_loaded} <= {'2m' if wait else '2Mm'} "

@@ -224,6 +224,11 @@ class RateGrid:
     rate: np.ndarray  # noisy rate: block / block duration x max(0, rci)
 
 
+def memory_covers(hw: HardwareProfile, den_steps):
+    """True where tau_m covers memory_margin x a block of den_steps clock cycles."""
+    return hw.memory_margin * den_steps * hw.timing.tau <= hw.timing.tau_m
+
+
 def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     """The rate model over a layout with array n_repeaters (a column) and
     time_mux (a row); blocks that outlive the memory are flagged in mem_ok."""
@@ -239,7 +244,7 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     rci = werner_rci(f_end)
     return RateGrid(
         timing=timing, waits=waits, den_steps=den_steps,
-        mem_ok=hw.memory_margin * den_steps * tm.tau <= tm.tau_m,
+        mem_ok=memory_covers(hw, den_steps),
         n_o=n_o, n_m=n_m, p=p, block=block, f_end=f_end.fidelity, rci=rci,
         rate=block / (den_steps * tm.tau) * np.maximum(0.0, rci),
     )

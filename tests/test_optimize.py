@@ -2,13 +2,15 @@
 
 Frozen rates below were cross-checked against a 40-digit mpmath evaluation of
 the closed-form rate at the reported argmax, so the grid search is being
-tested against the formulas rather than against its own output.
+tested against the formulas rather than against its own output. The per-row
+search is also checked against an exhaustive scan of the whole grid.
 """
 import math
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ionrep.optimize as optimize_module
 from ionrep import (
@@ -24,8 +26,71 @@ from ionrep import (
     plob_bound,
     sweep_distance,
 )
+from ionrep.rates import rate_grid
 
 BASE = HardwareProfile()
+
+
+def scan_optimum(l_km, spatial_mux, hw, bounds, constraints):
+    """The exhaustive scan the per-row search replaced: the whole (n, m)
+    grid, the same constraint masks, non-finite rates masked, and a
+    row-major argmax (smaller n, then smaller m, on ties).
+
+    Returns (n_opt, m_opt, noisy_rate, evaluations, boundary_hit_n,
+    boundary_hit_m), or raises what optimize_rate raises.
+    """
+    bounds.validate()
+    constraints.validate()
+    hw.validate()
+    if not 0.0 < l_km < math.inf:
+        raise ValueError(f"l_km must be positive and finite, got {l_km}")
+    if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
+        raise InfeasibleError(
+            ["tau_min"],
+            f"clock cycle {hw.timing.tau:.6g} s is below tau_min "
+            f"{constraints.tau_min:.6g} s; no grid point is feasible")
+    ns = optimize_module._candidate_ns(l_km, bounds, constraints)
+    ms = np.arange(1, bounds.m_max + 1, dtype=np.int64)
+    grid = rate_grid(ChainLayout(l_km, ns[:, None], spatial_mux, ms[None, :]), hw)
+    checks = {"tau_m": grid.mem_ok}
+    if constraints.n_o_max is not None:
+        checks["n_o_max"] = grid.n_o <= constraints.n_o_max
+    if constraints.n_m_max is not None:
+        checks["n_m_max"] = grid.n_m <= constraints.n_m_max
+    feasible = np.ones((ns.size, ms.size), dtype=bool)
+    binding = {}
+    for name, ok in checks.items():
+        removed = feasible.size - int(np.count_nonzero(np.broadcast_to(ok, feasible.shape)))
+        if removed:
+            binding[name] = removed
+        feasible &= ok
+    evaluations = int(feasible.sum())
+    if evaluations == 0:
+        names = sorted(binding) or ["(empty grid)"]
+        detail = ", ".join(f"{name} removed {binding.get(name, 0)} points"
+                           for name in names)
+        raise InfeasibleError(names, f"no feasible (n, m) grid point: {detail}")
+    rate = np.where(feasible & np.isfinite(grid.rate), grid.rate, -1.0)
+    ni, mi = divmod(int(np.argmax(rate)), ms.size)
+    n_opt, m_opt = int(ns[ni]), int(ms[mi])
+    noisy = evaluate_rate(ChainLayout(l_km, n_opt, spatial_mux, m_opt), hw).noisy_rate
+    pinned = constraints.fixed_n is not None or constraints.fixed_l0_km is not None
+    return (n_opt, m_opt, noisy, evaluations,
+            (not pinned) and n_opt == bounds.n_max, m_opt == bounds.m_max)
+
+
+def outcome(fn, *args):
+    """fn's answer, or the type, binding and text of what it raised."""
+    try:
+        res = fn(*args)
+    except InfeasibleError as err:
+        return "infeasible", err.binding, str(err)
+    except ValueError as err:
+        return "value", str(err)
+    if isinstance(res, tuple):
+        return res
+    return (res.n_opt, res.m_opt, res.report.noisy_rate, res.evaluations,
+            res.boundary_hit_n, res.boundary_hit_m)
 
 
 class TestHeadlineOptimum:
@@ -189,6 +254,92 @@ class TestBoundaryFlags:
         assert not res.boundary_hit_n
 
 
+@st.composite
+def _problems(draw):
+    """Hardware, distance, modes, bounds and constraints for the scan oracle.
+
+    Gates shorter than a third of the clock cycle (tau_g < tau / 3) over
+    short links give rows whose block base is under one step (c < 0); tau_m
+    and the ion caps bind on some draws, and some constraint sets leave
+    nothing feasible.
+    """
+    tau = 10 ** draw(st.floats(-7.0, -4.0))
+    tau_g = tau * 10 ** draw(st.floats(-1.5, 1.0))
+    hw = BASE.updated(
+        tau=tau, tau_g=tau_g, tau_o=tau_g * 10 ** draw(st.floats(0.005, 3.0)),
+        tau_m=tau * 10 ** draw(st.floats(1.5, 8.0)),
+        memory_margin=10 ** draw(st.floats(0.0, 1.5)),
+        eps_g=draw(st.sampled_from([0.0, 1e-4, 1e-3, 0.05, 0.2])),
+        f0=1.0 - 10 ** draw(st.floats(-6.0, -2.0)),
+        eta_c=draw(st.floats(0.01, 1.0)))
+    l_km = 10 ** draw(st.floats(-2.0, 2.5))
+    spatial_mux = draw(st.integers(1, 50) | st.sampled_from([1000, 10 ** 6]))
+    bounds = SearchBounds(draw(st.integers(0, 40)), draw(st.integers(1, 300)))
+    cons = draw(st.sampled_from(["none", "n_o", "n_m", "both", "n", "l0", "tau_min"]))
+    constraints = Constraints(
+        n_o_max=draw(st.integers(1, 10000)) if cons in ("n_o", "both") else None,
+        n_m_max=draw(st.integers(1, 30000)) if cons in ("n_m", "both") else None,
+        fixed_n=draw(st.integers(0, 60)) if cons == "n" else None,
+        fixed_l0_km=10 ** draw(st.floats(-1.0, 3.0)) if cons == "l0" else None,
+        tau_min=tau * 10 ** draw(st.floats(-1.0, 1.0)) if cons == "tau_min" else None)
+    return l_km, spatial_mux, hw, bounds, constraints
+
+
+# a row whose base is under one step: the rate falls from m = 1, then rises
+# to an interior peak (see test_row_below_one_step_falls_then_peaks)
+DIP = (0.2, 5, BASE.updated(tau=10e-6), SearchBounds(60, 300), Constraints(fixed_n=1))
+
+
+class TestScanOracle:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_problems())
+    @example(DIP)
+    @example((150.0, 10, BASE, SearchBounds(600, 2000), Constraints()))
+    @example((150.0, 50, BASE.updated(tau=10e-6), SearchBounds(40, 300),
+              Constraints(n_o_max=125)))
+    @example((150.0, 10, BASE, SearchBounds(5, 1), Constraints()))
+    @example((150.0, 10, BASE, SearchBounds(2, 3), Constraints(n_o_max=5, n_m_max=1)))
+    def test_matches_the_exhaustive_scan(self, problem):
+        assert outcome(optimize_rate, *problem) == outcome(scan_optimum, *problem)
+
+    def test_row_below_one_step_falls_then_peaks(self):
+        l_km, mux, hw, bounds, cons = DIP
+        ms = np.arange(1, bounds.m_max + 1)
+        grid = rate_grid(ChainLayout(l_km, np.array([[1]]), mux, ms[None, :]), hw)
+        assert grid.den_steps[0, 0] < 1.0  # c = den_steps(m=1) - 1 < 0
+        rate = grid.rate[0]
+        assert rate[1] < rate[0] < rate.max()
+        res = optimize_rate(*DIP)
+        assert res.m_opt == int(np.argmax(rate)) + 1 == 8
+
+    def test_non_finite_rates_are_never_chosen(self, monkeypatch):
+        def nan_at_88(layout, hw):
+            grid = rate_grid(layout, hw)
+            grid.rate[np.broadcast_to(layout.n_repeaters == 88, grid.rate.shape)] = np.nan
+            return grid
+
+        monkeypatch.setattr(optimize_module, "rate_grid", nan_at_88)
+        res = optimize_rate(150.0, 10, BASE)
+        assert (res.n_opt, res.m_opt) == (87, 25)
+        assert math.isfinite(res.report.noisy_rate)
+        with pytest.raises(InfeasibleError, match="finite rate") as err:
+            optimize_rate(150.0, 10, BASE, constraints=Constraints(fixed_n=88))
+        assert err.value.binding == ["rate"]
+
+    def test_huge_bounds_stay_small(self):
+        # 100,001 x 10**6 = 1e11 cells: the scan could not allocate them
+        tracemalloc.start()
+        try:
+            res = optimize_rate(150.0, 10, BASE, SearchBounds(100_000, 1_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (res.n_opt, res.m_opt) == (88, 25)
+        # tau_m covers every block up to m = 10**6 on every row
+        assert res.evaluations == 100_001 * 1_000_000
+        assert peak < 128 * 2 ** 20
+
+
 class TestTimeRescaling:
     @pytest.mark.parametrize("c", [3.0, 10.0])
     def test_argmax_invariant_and_rate_scales(self, c):
@@ -223,36 +374,9 @@ class TestSweep:
         assert rows[2].result.report.noisy_rate == pytest.approx(
             20824.552019187, rel=1e-9)
 
-    def test_threading_is_invisible(self, monkeypatch):
-        rows = []
-        for cores in (1, 4):
-            monkeypatch.setattr(optimize_module.os, "sched_getaffinity",
-                                lambda pid: set(range(cores)), raising=False)
-            rows.append(sweep_distance([50.0, 100.0, 150.0], 10, BASE))
-        for a, b in zip(*rows):
-            assert a.l_km == b.l_km
-            assert a.plob == b.plob
-            assert (a.result.n_opt, a.result.m_opt) == (b.result.n_opt, b.result.m_opt)
-            assert a.result.report.noisy_rate == b.result.report.noisy_rate
-
-    # usable cores -> pool widths: capped at the five points; one core
-    # runs them on the calling thread
-    @pytest.mark.parametrize("cores, widths", [(4, [4]), (8, [5]), (1, [])],
-                             ids=["4-cores", "8-cores", "1-core"])
-    def test_pool_rows_equal_direct_calls(self, monkeypatch, cores, widths):
-        monkeypatch.setattr(optimize_module.os, "sched_getaffinity",
-                            lambda pid: set(range(cores)), raising=False)
-        made = []
-
-        class Pool(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                made.append(max_workers)
-                super().__init__(max_workers)
-
-        monkeypatch.setattr(optimize_module, "ThreadPoolExecutor", Pool)
+    def test_rows_equal_direct_calls(self):
         ls = [50.0, 100.0, 150.0, 200.0, 250.0]
         rows = sweep_distance(ls, 10, BASE)
-        assert made == widths
         for l_km, row in zip(ls, rows):
             res = optimize_rate(l_km, 10, BASE)
             assert row.l_km == l_km

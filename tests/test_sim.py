@@ -259,6 +259,15 @@ class TestValidationVerdict:
         assert len(verdict.checks) == 4
         assert not any("FAIL" in line for line in verdict.checks)
 
+    def test_capped_comm_pool_is_the_expected_peak(self):
+        # blind regime: 2M min(j, m) = 6 comm ions wanted, 5 in the pool
+        layout = ChainLayout(8.0, 1, 3, 4)
+        hw = HardwareProfile().updated(tau_o=5 * US)
+        cfg = SimConfig.from_profile(layout, hw, num_blocks=500, n_comm_ions=5)
+        verdict = validate_against_analytic(cfg, evaluate_rate(layout, hw))
+        assert verdict.checks[1] == "comm peak 5 == min(2M min(j, m), n_comm_ions) = 5: ok"
+        assert verdict.passed
+
     def test_wrong_physics_fails(self):
         layout, hw = self._layout_and_hw()
         cfg = SimConfig.from_profile(layout, hw, num_blocks=50_000, seed=3,
