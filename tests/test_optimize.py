@@ -7,6 +7,7 @@ search is also checked against an exhaustive scan of the whole grid.
 """
 import math
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -361,6 +362,17 @@ class TestTimeRescaling:
             r1.report.noisy_rate / c, rel=1e-9)
 
 
+def assert_rows_equal_direct_calls(ls, rows):
+    assert len(rows) == len(ls)
+    for l_km, row in zip(ls, rows):
+        res = optimize_rate(l_km, 10, BASE)
+        assert row.l_km == l_km
+        assert (row.result.n_opt, row.result.m_opt) == (res.n_opt, res.m_opt)
+        assert row.result.report.noisy_rate == res.report.noisy_rate
+        eta = fiber_transmissivity(BASE.optical.alpha_db_per_km, l_km)
+        assert row.plob == plob_bound(eta, 10, BASE.timing.tau)
+
+
 class TestSweep:
     def test_rows_and_plob_column(self):
         rows = sweep_distance([50.0, 100.0, 150.0], 10, BASE)
@@ -376,14 +388,29 @@ class TestSweep:
 
     def test_rows_equal_direct_calls(self):
         ls = [50.0, 100.0, 150.0, 200.0, 250.0]
-        rows = sweep_distance(ls, 10, BASE)
-        for l_km, row in zip(ls, rows):
-            res = optimize_rate(l_km, 10, BASE)
-            assert row.l_km == l_km
-            assert (row.result.n_opt, row.result.m_opt) == (res.n_opt, res.m_opt)
-            assert row.result.report.noisy_rate == res.report.noisy_rate
-            eta = fiber_transmissivity(BASE.optical.alpha_db_per_km, l_km)
-            assert row.plob == plob_bound(eta, 10, BASE.timing.tau)
+        assert_rows_equal_direct_calls(ls, sweep_distance(ls, 10, BASE))
+
+    # sweeps run on the calling thread and share no state, so a caller's
+    # own threads must not show in the rows
+    def test_threading_is_invisible(self):
+        ls = [50.0, 100.0, 150.0]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(lambda _: sweep_distance(ls, 10, BASE), range(4)))
+        for rows in runs + [sweep_distance(ls, 10, BASE)]:
+            for a, b in zip(rows, runs[0]):
+                assert a.l_km == b.l_km
+                assert a.plob == b.plob
+                assert (a.result.n_opt, a.result.m_opt) == (b.result.n_opt, b.result.m_opt)
+                assert a.result.report.noisy_rate == b.result.report.noisy_rate
+
+    # one point per task on a caller's pool of one thread per core
+    @pytest.mark.parametrize("cores", [4, 8, 1], ids=["4-cores", "8-cores", "1-core"])
+    def test_pool_rows_equal_direct_calls(self, cores):
+        ls = [50.0, 100.0, 150.0, 200.0, 250.0]
+        with ThreadPoolExecutor(max_workers=cores) as pool:
+            rows = [row for rs in pool.map(lambda l: sweep_distance([l], 10, BASE), ls)
+                    for row in rs]
+        assert_rows_equal_direct_calls(ls, rows)
 
     def test_infeasible_points_become_flagged_rows(self):
         rows = sweep_distance([100.0, 150.0], 10, BASE,
