@@ -26,6 +26,7 @@ from .model import (
     HardwareProfile,
     NoiseParams,
     OpticalParams,
+    StepCountError,
     TimingParams,
     heralding_time,
 )
@@ -570,6 +571,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         error = err
     except InfeasibleError as err:
         error = CliError(EXIT_INFEASIBLE, str(err), binding=list(err.binding))
+    except StepCountError as err:
+        error = CliError(EXIT_CONFIG, f"config field hardware.tau_us: {err}")
     except ValueError as err:
         error = CliError(EXIT_CONFIG, str(err))
     _emit_error(error.style or style, args.command, error)

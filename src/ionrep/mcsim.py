@@ -25,6 +25,15 @@ Determinism: blocks are simulated in fixed-size chunks; chunk c draws all of
 its randomness up front from numpy's default generator seeded with
 (seed, c). Merging chunk counters is order-independent, so results are
 bit-identical for a given (config, seed) no matter how chunks are scheduled.
+
+Memory: a chunk's uniforms, one per (block, link, slot, mode) in C order,
+are drawn a slice of rows at a time into one reused float64 buffer of
+max(DRAW_BYTES, 8M) bytes, whatever the block count or chain length; each
+slice is reduced at once to the first successful mode per (block, link,
+slot). Drawing random(a) then random(b) yields the same stream as
+random(a + b), so the slicing changes no result. What grows with the chunk
+is the per-step state: four int32 arrays of (chunk blocks) x links x m,
+about 18 MB each at n = 88, m = 25 and 2048 blocks.
 """
 
 from __future__ import annotations
@@ -46,6 +55,7 @@ from .model import (
 from .rates import RateReport, block_denominator, ceil_tol, formula_groups, ion_budgets
 
 CHUNK_BLOCKS = 8192
+DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
 _UNLIMITED = 1 << 30
 
 
@@ -148,13 +158,37 @@ def _per_node(link_arr: np.ndarray) -> np.ndarray:
 def _grant(want: np.ndarray, used: np.ndarray, pool: int) -> tuple[np.ndarray, ...]:
     """(g_left, g_right, per_link): a per-link want granted by the pool rule.
 
-    No grant exceeds its want.
+    No grant exceeds its want, and an unlimited pool grants every want.
     """
     want_left, want_right = _sides(want)
+    if pool >= _UNLIMITED:
+        return want_left, want_right, want
     budget = np.maximum(pool - used, 0)
     g_left = np.minimum(want_left, budget)
     g_right = np.minimum(want_right, budget - g_left)
     return g_left, g_right, np.minimum(g_right[:, :-1], g_left[:, 1:])
+
+
+def _first_successes(rng: np.random.Generator, p: float, rows: int,
+                     big_m: int) -> np.ndarray:
+    """Per row of M mode draws, the first mode below p; M when none is.
+
+    The rows are filled in order, a slice at a time, into one buffer of
+    DRAW_BYTES (at least one row), so the generator is consumed exactly as
+    by one rng.random((rows, M)).
+    """
+    fsi = np.empty(rows, dtype=np.int32)
+    per = max(1, DRAW_BYTES // (8 * big_m))
+    buf = np.empty((min(per, rows), big_m))
+    hit = np.empty(buf.shape, dtype=bool)
+    for lo in range(0, rows, per):
+        n = min(per, rows - lo)
+        rng.random(out=buf[:n])
+        np.less(buf[:n], p, out=hit[:n])
+        first = np.argmax(hit[:n], axis=1)
+        # argmax reads 0 both for a hit at mode 0 and for no hit at all
+        fsi[lo:lo + n] = np.where((first == 0) & ~hit[:n, 0], big_m, first)
+    return fsi
 
 
 def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
@@ -168,12 +202,7 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     pool_m = config.n_mem_ions or _UNLIMITED
 
     rng = np.random.default_rng([config.seed, chunk_index])
-    draws = rng.random((cb, n_links, m, big_m)) < config.p
-    any_succ = draws.any(axis=3)
-    first_idx = np.argmax(draws, axis=3)
-    # first successful mode per (block, link, slot); M when none succeeded
-    fsi = np.where(any_succ, first_idx, big_m).astype(np.int32)
-    del draws
+    fsi = _first_successes(rng, config.p, cb * n_links * m, big_m).reshape(cb, n_links, m)
 
     used_comm = np.zeros((cb, n_links + 1), dtype=np.int32)
     used_mem = np.zeros_like(used_comm)

@@ -12,6 +12,7 @@ into the one rate model the report, the optimizer and the simulator share.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -25,6 +26,10 @@ MAX_COUNT = 2 ** 30
 
 class ModelDomainWarning(UserWarning):
     """Inputs left the regime where the closed-form noise model is meaningful."""
+
+
+class StepCountError(ValueError):
+    """The clock cycle tau is too short for finite step counts tau_g/tau, T/tau."""
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -223,11 +228,16 @@ def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
     layout.validate()
     hw.validate()
     t = heralding_time(layout.link_length_km, hw.optical.refractive_index)
-    return DerivedTiming(
-        heralding_time_s=t,
-        j_steps=hw.timing.tau_g / hw.timing.tau,
-        k_steps=t / hw.timing.tau,
-    )
+    tau = hw.timing.tau
+    j_steps = hw.timing.tau_g / tau
+    # no link's T exceeds the whole chain's, so one scalar bounds every T/tau;
+    # a T that overflows by itself is the layout's doing, not the clock's
+    t_chain = layout.total_distance_km * hw.optical.refractive_index / C_VACUUM_KM_S
+    if not math.isfinite(j_steps) or (math.isfinite(t_chain)
+                                      and not math.isfinite(t_chain / tau)):
+        raise StepCountError(f"tau={tau:.6g} s is too short: the step counts "
+                             "tau_g/tau and T/tau must be finite")
+    return DerivedTiming(heralding_time_s=t, j_steps=j_steps, k_steps=t / tau)
 
 
 def apply_swap_gate_noise(state: WernerState, eps_g: float) -> WernerState:

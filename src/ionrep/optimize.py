@@ -49,6 +49,7 @@ from .rates import RateReport, evaluate_rate, memory_covers, plob_bound, rate_gr
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 SEARCH_CELLS = 512  # cells per round of the per-row search
+MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 
 
 class InfeasibleError(Exception):
@@ -65,9 +66,11 @@ class SearchBounds:
     m_max: int = 2000
 
     def validate(self) -> None:
-        if self.n_max < 0 or self.m_max < 1:
+        if not 0 <= self.n_max <= MAX_SEARCH_N:
             raise ValueError(
-                f"bounds must allow n >= 0 and m >= 1, got {self}")
+                f"bounds.n_max must be in [0, {MAX_SEARCH_N}], got {self.n_max}")
+        if self.m_max < 1:
+            raise ValueError(f"bounds.m_max must be >= 1, got {self.m_max}")
 
 
 @dataclass(frozen=True)

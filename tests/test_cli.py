@@ -79,6 +79,13 @@ class TestRate:
         # argparse's float accepts these
         (("optimize", "--l-km", "nan"), ["layout.l_km"]),
         (RATE_ARGS + ("--tau-us", "inf"), ["hardware.tau_us"]),
+        # finite clocks too short for finite step counts tau_g/tau and T/tau
+        (("optimize", "--tau-us", "5e-318", "--n-max", "3", "--m-max", "3"),
+         ["hardware.tau_us"]),
+        (("simulate", "--tau-us", "5e-318", "--tau-g-us", "5e-318", "--n", "3",
+          "--time-mux", "3"), ["hardware.tau_us"]),
+        # an n_max cap keeps the candidate rows from asking for gigabytes
+        (("optimize", "--n-max", "1073741824", "--m-max", "1"), ["bounds.n_max"]),
     ])
     def test_out_of_domain_flags_name_the_field(self, capsys, args, fields):
         code, _, err = run(capsys, *args)
@@ -734,6 +741,7 @@ class TestFuzz:
     @example((["optimize", "--spatial-mux=4611686018427387904", "--m-max=3"], {}))
     @example((["optimize", "--fixed-l0-km=1e-300", "--m-max=3"], {}))
     @example((["optimize", "--tau-us=1e+300", "--n-max=0", "--m-max=3"], {}))
+    @example((["optimize", "--tau-us=5e-318", "--n-max=3", "--m-max=3"], {}))
     def test_every_input_ends_in_an_answer_or_one_line(self, capsys, tmp_path, case):
         args, doc = case
         path = tmp_path / "cfg.json"

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from ionrep.model import (
     ModelDomainWarning,
     NoiseParams,
     OpticalParams,
+    StepCountError,
     TimingParams,
     WernerState,
     apply_swap_gate_noise,
@@ -84,6 +86,16 @@ class TestHeraldingTime:
         assert abs(t.k_steps - 8.358054885362787) < 1e-9
         assert t.j_steps == 1.0
         assert abs(t.heralding_time_s - t.k_steps * hw.timing.tau) < 1e-18
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("timing", [
+        dict(tau=5e-324),  # tau_g/tau overflows
+        dict(tau=5e-324, tau_g=5e-324, tau_o=1e-300),  # only T/tau overflows
+    ])
+    def test_too_short_clock_is_an_error(self, timing):
+        layout = ChainLayout(150.0, np.array([[0], [3]]), 10, 1)
+        with pytest.raises(StepCountError, match="tau=4.94066e-324 s is too short"):
+            derive_timing(layout, HardwareProfile().updated(**timing))
 
 
 class TestSwapGateNoise:

@@ -328,7 +328,8 @@ class TestScanOracle:
         assert err.value.binding == ["rate"]
 
     def test_huge_bounds_stay_small(self):
-        # 100,001 x 10**6 = 1e11 cells: the scan could not allocate them
+        # 100,001 x 10**6 = 1e11 cells: the scan could not allocate them;
+        # n_max = 100,000 is also the largest that SearchBounds accepts
         tracemalloc.start()
         try:
             res = optimize_rate(150.0, 10, BASE, SearchBounds(100_000, 1_000_000))

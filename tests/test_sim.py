@@ -5,6 +5,7 @@ Correctness is carried by the exact cases (p=1 saturation, closed-form block
 success, occupancy ceilings) where the simulator must agree with arithmetic.
 """
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from ionrep import (
     sample_end_to_end_Q,
     validate_against_analytic,
 )
+from ionrep import mcsim
 from ionrep.model import C_VACUUM_KM_S
 
 US = 1e-6
@@ -240,6 +242,44 @@ class TestSeededPins:
     ])
     def test_stats_are_pinned(self, cfg, expected):
         assert run_protocol_sim(cfg) == expected
+
+
+class TestDrawSlices:
+    """The draw buffer's size must not change a single draw."""
+
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(oracle_config(num_blocks=300, trace=True), id="wait"),
+        pytest.param(blind_config(p=0.6, num_blocks=300, trace=True), id="blind-k-over-j"),
+        pytest.param(blind_config(p=0.4, n_comm_ions=5, n_mem_ions=10, num_blocks=300),
+                     id="comm-and-mem-capped"),
+        pytest.param(SimConfig(ChainLayout(20.0, 1, 3, 2), j_steps=1, k_steps=2, tau_s=US,
+                               tau_o_s=50 * US, p=0.3, num_blocks=mcsim.CHUNK_BLOCKS + 37,
+                               seed=5, trace=True),
+                     id="two-chunks"),
+    ])
+    def test_slicing_keeps_the_stream(self, monkeypatch, cfg):
+        big_m = cfg.layout.spatial_mux
+        runs = []
+        # one row per slice, 7 rows per slice (a budget no row size divides),
+        # and a whole chunk in one slice, as a single draw
+        for budget in (1, 8 * big_m * 7 + 3, 1 << 40):
+            monkeypatch.setattr(mcsim, "DRAW_BYTES", budget)
+            runs.append(run_protocol_sim(cfg))
+        assert runs[0] == runs[1] == runs[2]
+
+
+class TestDrawMemory:
+    def test_headline_run_stays_under_128_mib(self):
+        # n = 88, M = 10, m = 25: one draw of the whole chunk would take 391 MiB
+        cfg = SimConfig.from_profile(ChainLayout(150, 88, 10, 25), HardwareProfile(),
+                                     num_blocks=2048)
+        tracemalloc.start()
+        try:
+            run_protocol_sim(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * 2 ** 20
 
 
 class TestValidationVerdict:
