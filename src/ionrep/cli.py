@@ -572,11 +572,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InfeasibleError as err:
         error = CliError(EXIT_INFEASIBLE, str(err), binding=list(err.binding))
     except StepCountError as err:
-        error = CliError(EXIT_CONFIG, f"config field hardware.tau_us: {err}")
+        error = CliError(EXIT_CONFIG,
+                         f"config field {_step_fields(cfg, args.command, err)}: {err}")
     except ValueError as err:
         error = CliError(EXIT_CONFIG, str(err))
     _emit_error(error.style or style, args.command, error)
     return error.code
+
+
+def _step_fields(cfg: dict, command: str, err: StepCountError) -> str:
+    """The config fields behind a step count past the cap."""
+    distance = ("layout.l_km" if command not in ("sweep", "figure") else
+                "sweep.l_list_km" if cfg["sweep"]["l_list_km"] is not None else
+                "sweep.l_max_km")
+    return " or ".join("hardware.tau_us" if f == "tau" else distance for f in err.fields)
 
 
 def _emit_error(style: str, command: str, err: CliError) -> None:

@@ -22,6 +22,8 @@ import numpy as np
 C_VACUUM_KM_S = 299792.458
 # Largest repeater count, mode count or block length: 2 M m stays in int64.
 MAX_COUNT = 2 ** 30
+# Largest step count tau_g/tau or T/tau: 2 (M k + j) stays in int64 for M <= MAX_COUNT.
+MAX_STEPS = 2 ** 31
 
 
 class ModelDomainWarning(UserWarning):
@@ -29,16 +31,21 @@ class ModelDomainWarning(UserWarning):
 
 
 class StepCountError(ValueError):
-    """The clock cycle tau is too short for finite step counts tau_g/tau, T/tau."""
+    """A step count tau_g/tau or T/tau is past MAX_STEPS.
 
+    fields names the inputs to blame: ("tau",) for tau_g/tau,
+    ("total_distance_km",) when the chain's heralding time T is not finite
+    by itself, and both for T/tau.
+    """
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
+    def __init__(self, fields: tuple, message: str):
+        super().__init__(message)
+        self.fields = fields
 
 
 def _check(ok, name: str, rule: str, value) -> None:
-    # for array inputs: the message is formatted only on failure
+    # the message is formatted only on failure: validation runs on every
+    # rate_grid call, and an array value would print whole
     if not (ok if isinstance(ok, bool) else ok.all()):
         raise ValueError(f"{name} must be {rule}, got {value}")
 
@@ -53,12 +60,11 @@ class OpticalParams:
     refractive_index: float = 1.47
 
     def validate(self) -> None:
-        _require(0.0 < self.eta_c <= 1.0, f"eta_c must be in (0, 1], got {self.eta_c}")
-        _require(0.0 < self.eta_d <= 1.0, f"eta_d must be in (0, 1], got {self.eta_d}")
-        _require(self.alpha_db_per_km >= 0.0,
-                 f"alpha_db_per_km must be >= 0, got {self.alpha_db_per_km}")
-        _require(self.refractive_index >= 1.0,
-                 f"refractive_index must be >= 1, got {self.refractive_index}")
+        _check(0.0 < self.eta_c <= 1.0, "eta_c", "in (0, 1]", self.eta_c)
+        _check(0.0 < self.eta_d <= 1.0, "eta_d", "in (0, 1]", self.eta_d)
+        _check(self.alpha_db_per_km >= 0.0, "alpha_db_per_km", ">= 0", self.alpha_db_per_km)
+        _check(self.refractive_index >= 1.0, "refractive_index", ">= 1",
+               self.refractive_index)
 
 
 @dataclass(frozen=True)
@@ -78,10 +84,10 @@ class TimingParams:
 
     def validate(self) -> None:
         for name in ("tau", "tau_g", "tau_o", "tau_m"):
-            _require(getattr(self, name) > 0.0,
-                     f"{name} must be positive, got {getattr(self, name)}")
-        _require(self.tau_o > self.tau_g,
-                 f"tau_o must exceed tau_g, got tau_o={self.tau_o}, tau_g={self.tau_g}")
+            _check(getattr(self, name) > 0.0, name, "positive", getattr(self, name))
+        if not self.tau_o > self.tau_g:
+            raise ValueError(f"tau_o must exceed tau_g, got tau_o={self.tau_o}, "
+                             f"tau_g={self.tau_g}")
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,8 @@ class NoiseParams:
     eps_g: float = 1e-4
 
     def validate(self) -> None:
-        _require(0.25 <= self.f0 <= 1.0, f"f0 must be in [0.25, 1], got {self.f0}")
-        _require(0.0 <= self.eps_g <= 1.0, f"eps_g must be in [0, 1], got {self.eps_g}")
+        _check(0.25 <= self.f0 <= 1.0, "f0", "in [0.25, 1]", self.f0)
+        _check(0.0 <= self.eps_g <= 1.0, "eps_g", "in [0, 1]", self.eps_g)
 
 
 @dataclass(frozen=True)
@@ -124,8 +130,7 @@ class HardwareProfile:
         if _survival_factor(self.noise) < 0.0:
             raise ValueError(f"swap survival factor 1 - 2 eps_g - (4/3)(1 - f0) is below 0 "
                              f"at eps_g={self.noise.eps_g}, f0={self.noise.f0}")
-        _require(self.memory_margin >= 1.0,
-                 f"memory_margin must be >= 1, got {self.memory_margin}")
+        _check(self.memory_margin >= 1.0, "memory_margin", ">= 1", self.memory_margin)
 
     def updated(self, **kwargs: float) -> "HardwareProfile":
         """Return a copy with flat field overrides routed to the right group.
@@ -153,8 +158,9 @@ class ChainLayout:
 
     spatial_mux (M) counts parallel fiber modes per link per clock cycle;
     time_mux (m) is the number of clock cycles pooled into one swap block.
-    n_repeaters and time_mux may be integer arrays that broadcast against
-    each other, which describes a grid of chains over the same distance.
+    total_distance_km may be a float column, n_repeaters an integer column
+    and time_mux an integer row or column; they broadcast against each
+    other, which describes a grid of chains, one distance per row.
     """
 
     total_distance_km: float
@@ -163,8 +169,8 @@ class ChainLayout:
     time_mux: int = 1
 
     def validate(self) -> None:
-        _require(self.total_distance_km > 0.0,
-                 f"total_distance_km must be positive, got {self.total_distance_km}")
+        _check(self.total_distance_km > 0.0, "total_distance_km", "positive",
+               self.total_distance_km)
         for name, low, kind in (("n_repeaters", 0, "nonnegative"),
                                 ("spatial_mux", 1, "positive"),
                                 ("time_mux", 1, "positive")):
@@ -219,24 +225,38 @@ def intra_node_success_prob(optical: OpticalParams) -> float:
 def heralding_time(l0_km: float, refractive_index: float) -> float:
     """One-way classical latency T = l0 / c_fiber in seconds."""
     _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
-    _require(refractive_index >= 1.0,
-             f"refractive_index must be >= 1, got {refractive_index}")
+    _check(refractive_index >= 1.0, "refractive_index", ">= 1", refractive_index)
     return l0_km * refractive_index / C_VACUUM_KM_S
 
 
 def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
     layout.validate()
     hw.validate()
-    t = heralding_time(layout.link_length_km, hw.optical.refractive_index)
     tau = hw.timing.tau
     j_steps = hw.timing.tau_g / tau
-    # no link's T exceeds the whole chain's, so one scalar bounds every T/tau;
-    # a T that overflows by itself is the layout's doing, not the clock's
-    t_chain = layout.total_distance_km * hw.optical.refractive_index / C_VACUUM_KM_S
-    if not math.isfinite(j_steps) or (math.isfinite(t_chain)
-                                      and not math.isfinite(t_chain / tau)):
-        raise StepCountError(f"tau={tau:.6g} s is too short: the step counts "
-                             "tau_g/tau and T/tau must be finite")
+    if not j_steps <= MAX_STEPS:
+        raise StepCountError(("tau",), f"tau={tau:.6g} s is too short: the step count "
+                                       f"tau_g/tau={j_steps:.6g} must be at most 2**31")
+
+    def chain_t(l_km: float) -> float:  # Python floats: an overflow is inf, unwarned
+        return l_km * hw.optical.refractive_index / C_VACUUM_KM_S
+
+    # no link's T exceeds its chain's, so the longest chain bounds every
+    # T/tau; past the bound, the error names the shortest chain beyond it
+    l_km = layout.total_distance_km
+    l_max = float(l_km.max()) if isinstance(l_km, np.ndarray) else l_km
+    if not chain_t(l_max) / tau <= MAX_STEPS:
+        l_bad = min(l for l in np.ravel(l_km).tolist()
+                    if not chain_t(l) / tau <= MAX_STEPS)
+        if not math.isfinite(chain_t(l_bad)):  # the layout's doing, not the clock's
+            raise StepCountError(("total_distance_km",),
+                                 f"total_distance_km={l_bad:.6g} km is too long: its "
+                                 "heralding time T is not finite")
+        raise StepCountError(("total_distance_km", "tau"),
+                             f"tau={tau:.6g} s is too short for total_distance_km="
+                             f"{l_bad:.6g} km: the step count T/tau="
+                             f"{chain_t(l_bad) / tau:.6g} must be at most 2**31")
+    t = heralding_time(layout.link_length_km, hw.optical.refractive_index)
     return DerivedTiming(heralding_time_s=t, j_steps=j_steps, k_steps=t / tau)
 
 
@@ -248,7 +268,7 @@ def apply_swap_gate_noise(state: WernerState, eps_g: float) -> WernerState:
     map is affine: F -> (1 - eps_g) F + eps_g/4.
     """
     state.validate()
-    _require(0.0 <= eps_g <= 1.0, f"eps_g must be in [0, 1], got {eps_g}")
+    _check(0.0 <= eps_g <= 1.0, "eps_g", "in [0, 1]", eps_g)
     return WernerState((1.0 - eps_g) * state.fidelity + eps_g / 4.0)
 
 
@@ -284,7 +304,10 @@ def end_to_end_Q(n: int, noise: NoiseParams) -> float:
     _check(n >= 0, "n", ">= 0", n)
     noise.validate()
     x = swap_survival_factor(noise)
-    return 0.5 * (1.0 - x ** n)
+    # a float exponent: numpy computes x ** 2 as x * x for a size-1 integer
+    # array of two or more dimensions only, so an optimizer row's rate would
+    # depend on how many rows its pass holds
+    return 0.5 * (1.0 - x ** (n * 1.0))
 
 
 def end_to_end_fidelity(n: int, noise: NoiseParams) -> WernerState:

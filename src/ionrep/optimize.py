@@ -24,16 +24,25 @@ integers m >= 1. Let lo be the last m in [1, cap] where P holds, cap being
 the row's largest feasible m. The row's integer argmax is then one of 1, lo
 and lo + 1: where the rate still rises at cap, lo is cap.
 
+A row is a (distance, n) pair: a sweep solves its distances together, a
+pass of rows at a time, and optimize_rate is the same search at one
+distance. Rows are independent, so a row's answer does not depend on the
+rows beside it.
+
 Feasibility keeps a prefix of each row. n_o does not depend on m, so n_o_max
 removes whole rows; n_m is n_m(1) m, so n_m_max caps m by an integer
 division; the block grows with m, so tau_m caps m where
 rates.memory_covers stops holding. The rate is computed only by
-rates.rate_grid, called twice per search: at m = 1 for the row quantities,
-and at the candidate columns, where its own mem_ok must agree with the
-memory cap. Cells broadcast elementwise, so a candidate's rate is the bits of
-its cell in the full grid. Infeasible and non-finite cells count as -1, and a
-row-major argmax over each row's sorted candidates breaks ties toward smaller
-n, then smaller m, as a scan of the whole grid would. Memory is O(n_max).
+rates.rate_grid, called three times per pass: at m = 1 for the row
+quantities, at the candidate columns, where its own mem_ok must agree with
+the memory cap, and at each distance's optimum for its report. Cells
+broadcast elementwise, so a candidate's rate is the bits of its cell in the
+full grid. Infeasible and non-finite cells count as -1, and per distance a
+row-major argmax over its rows' sorted candidates breaks ties toward smaller
+n, then smaller m, as a scan of that distance's whole grid would. A pass
+holds at most PASS_ROWS rows, or one distance where its n_max + 1 rows are
+more; n_max is at most MAX_SEARCH_N, so memory stays bounded whatever the
+number of distances.
 """
 
 from __future__ import annotations
@@ -45,11 +54,16 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import MAX_COUNT, ChainLayout, HardwareProfile, fiber_transmissivity
-from .rates import RateReport, evaluate_rate, memory_covers, plob_bound, rate_grid
+from .rates import RateReport, grid_reports, memory_covers, plob_bound, rate_grid
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 SEARCH_CELLS = 512  # cells per round of the per-row search
 MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
+# (distance, n) rows per pass, or one distance's rows where they are more.
+# At n_max = 600 that is three distances: fig2-fig9 ran 1.7x faster than with
+# one distance per pass; ten per pass ran 2.3x faster but added ~3 MB to a
+# ~42 MB peak RSS.
+PASS_ROWS = 2048
 
 
 class InfeasibleError(Exception):
@@ -95,6 +109,11 @@ class Constraints:
         if self.tau_min is not None and self.tau_min <= 0:
             raise ValueError(f"tau_min must be positive, got {self.tau_min}")
 
+    @property
+    def pinned(self) -> bool:
+        """True when fixed_n or fixed_l0_km pins the repeater count."""
+        return self.fixed_n is not None or self.fixed_l0_km is not None
+
 
 @dataclass(frozen=True)
 class OptimizationResult:
@@ -124,49 +143,31 @@ def _last_true(pred, hi: np.ndarray) -> np.ndarray:
     holds nowhere; pred must hold on a prefix of the integers m >= 1.
 
     Each round tests up to SEARCH_CELLS cells, split evenly over the rows:
-    a single row (a pinned n) takes one or two rounds, and hundreds of rows
-    take a bisection's.
+    a single row (a pinned n at one distance) takes one or two rounds, and
+    hundreds of rows take a bisection's.
     """
     top = (hi >= 1) & pred(hi)
     lo, up = np.where(top, hi, 0), np.where(top, hi + 1, hi)
     ks = np.arange(1, max(1, SEARCH_CELLS // hi.shape[0]) + 1)
-    while np.any(up - lo > 1):
-        step = -(-(up - lo) // (ks.size + 1))
+    gap = up - lo
+    while (gap > 1).any():
+        step = -(-gap // (ks.size + 1))
         m = np.minimum(lo + step * ks, up - 1)
         ok = pred(m)
-        lo = np.max(np.where(ok, m, lo), axis=1, keepdims=True)
-        up = np.min(np.where(ok, up, m), axis=1, keepdims=True)
+        lo = np.where(ok, m, lo).max(axis=1, keepdims=True)
+        up = np.where(ok, up, m).min(axis=1, keepdims=True)
+        gap = up - lo
     return lo
 
 
-def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
-                  bounds: Optional[SearchBounds] = None,
-                  constraints: Optional[Constraints] = None) -> OptimizationResult:
-    """Exact argmax of the noisy rate over the (n, m) grid, row by row.
-
-    Constraint handling: n_o_max and n_m_max compare against the regime's
-    ion requirements at each grid point, tau_min requires the clock to be at
-    least that long, fixed_l0_km / fixed_n pin the repeater count, and the
-    memory-lifetime check prunes blocks that outlive tau_m. Cells with a
-    non-finite rate are never chosen. An empty feasible set raises
-    InfeasibleError naming the constraints that removed points.
-    """
-    bounds = bounds or SearchBounds()
-    constraints = constraints or Constraints()
-    bounds.validate()
-    constraints.validate()
-    hw.validate()
-    if not 0.0 < l_km < math.inf:
-        raise ValueError(f"l_km must be positive and finite, got {l_km}")
-
-    if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
-        raise InfeasibleError(
-            ["tau_min"],
-            f"clock cycle {hw.timing.tau:.6g} s is below tau_min "
-            f"{constraints.tau_min:.6g} s; no grid point is feasible",
-        )
-
-    ns = _candidate_ns(l_km, bounds, constraints)[:, None]  # one row per n
+def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwareProfile,
+                bounds: SearchBounds, constraints: Constraints) -> list:
+    """The optimum at each distance ls[i] over its candidate repeater counts
+    ns[i], or the InfeasibleError that distance raises; one row per
+    (distance, n) pair."""
+    d, r = ns.shape
+    ns = ns.reshape(-1, 1)
+    l_km = np.repeat(ls, r)[:, None]
     m_max = np.full_like(ns, bounds.m_max)
     first = rate_grid(ChainLayout(l_km, ns, spatial_mux, np.ones_like(ns)), hw)
     den1 = first.den_steps  # den_steps(m) = den1 + (m - 1.0), as rate_grid rounds it
@@ -182,26 +183,22 @@ def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
         removed["n_m_max"] = m_max - n_m_cap
         cap = np.minimum(cap, n_m_cap)
 
-    evaluations = int(cap.sum())
-    if evaluations == 0:
-        binding = {name: int(r.sum()) for name, r in removed.items() if r.any()}
-        names = sorted(binding) or ["(empty grid)"]
-        detail = ", ".join(f"{name} removed {binding.get(name, 0)} points"
-                           for name in names)
-        raise InfeasibleError(names, f"no feasible (n, m) grid point: {detail}")
-
     # P(m) of the module docstring, with e = expm1(x): h > 1 is
     # (c + m) a lam > e, and u > 0 is e (1 - x - c lam) > x + c lam, tested
     # only where c < 0 (it is false for c >= 0, where rounding near x = 0
-    # could make it true)
+    # could make it true), and not at all in a pass without such rows
     c = den1 - 1.0
     lam = -spatial_mux * np.log1p(-first.p)
     a_lam, c_lam, neg = (ns + 1.0) * lam, c * lam, c < 0.0
+    some_neg = bool(neg.any())
 
     def rising(m):
         x = lam * m
         e = np.expm1(x)
-        return ((c + m) * a_lam > e) | (neg & (e * (1.0 - x - c_lam) > x + c_lam))
+        out = (c + m) * a_lam > e
+        if some_neg:
+            out |= neg & (e * (1.0 - x - c_lam) > x + c_lam)
+        return out
 
     with np.errstate(all="ignore"):
         lo = _last_true(rising, cap)
@@ -212,24 +209,105 @@ def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
     assert np.array_equal(grid.mem_ok, cols <= mem_cap), \
         "the memory cap disagrees with rate_grid's mem_ok"
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
-    best = int(np.argmax(rate))  # row-major over sorted columns: smallest n, then m
-    if rate.flat[best] < 0.0:
-        raise InfeasibleError(["rate"], "no feasible (n, m) grid point has a finite rate")
-    ni, ci = divmod(best, cols.shape[1])
-    n_opt = int(ns[ni, 0])
-    m_opt = int(cols[ni, ci])
-    report = evaluate_rate(
-        ChainLayout(total_distance_km=l_km, n_repeaters=n_opt,
-                    spatial_mux=spatial_mux, time_mux=m_opt), hw)
-    pinned = constraints.fixed_n is not None or constraints.fixed_l0_km is not None
-    return OptimizationResult(
-        n_opt=n_opt,
-        m_opt=m_opt,
-        report=report,
-        boundary_hit_n=(not pinned) and n_opt == bounds.n_max,
-        boundary_hit_m=m_opt == bounds.m_max,
-        evaluations=evaluations,
-    )
+    # per distance, the flat index of the row-major argmax over its rows'
+    # sorted columns: smallest n, then m
+    best = rate.reshape(d, -1).argmax(axis=1) + np.arange(0, rate.size, rate.size // d)
+    n_opt, m_opt = ns[best // cols.shape[1], 0], cols.flat[best]
+    found = rate.flat[best] >= 0.0  # a distance with no feasible cell has only -1
+    evaluations = cap.reshape(d, r).sum(axis=1)
+    # one more rate_grid call reports every distance's optimum
+    reports = iter(grid_reports(rate_grid(
+        ChainLayout(ls[found], n_opt[found], spatial_mux, m_opt[found]), hw), hw)
+        if found.any() else [])
+    out: list = []
+    for i, (n, m, evals) in enumerate(zip(n_opt.tolist(), m_opt.tolist(),
+                                          evaluations.tolist())):
+        if not found[i]:
+            out.append(_infeasible({name: rm[i * r:(i + 1) * r]
+                                    for name, rm in removed.items()}, evals))
+            continue
+        out.append(OptimizationResult(
+            n_opt=n,
+            m_opt=m,
+            report=next(reports),
+            boundary_hit_n=(not constraints.pinned) and n == bounds.n_max,
+            boundary_hit_m=m == bounds.m_max,
+            evaluations=evals,
+        ))
+    return out
+
+
+def _infeasible(removed: dict, evaluations: int) -> InfeasibleError:
+    """What one distance raises: the points each constraint removed from its
+    rows, or, when some remain, that none has a finite rate."""
+    if evaluations:
+        return InfeasibleError(["rate"],
+                               "no feasible (n, m) grid point has a finite rate")
+    binding = {name: int(r.sum()) for name, r in removed.items() if r.any()}
+    names = sorted(binding) or ["(empty grid)"]
+    detail = ", ".join(f"{name} removed {binding.get(name, 0)} points" for name in names)
+    return InfeasibleError(names, f"no feasible (n, m) grid point: {detail}")
+
+
+def _solve(ls: Sequence[float], spatial_mux: int, hw: HardwareProfile,
+           bounds: SearchBounds, constraints: Constraints) -> list:
+    """Each distance's OptimizationResult, or the InfeasibleError it raises.
+
+    Distances are solved in passes of at most PASS_ROWS rows (at least one
+    distance), so memory stays bounded whatever the number of distances. A
+    ValueError is raised as a loop of one-distance calls would raise it: the
+    first distance's, after the distances before it have been solved.
+    """
+    bounds.validate()
+    constraints.validate()
+    hw.validate()
+    tau_min_error = None
+    if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
+        tau_min_error = InfeasibleError(
+            ["tau_min"],
+            f"clock cycle {hw.timing.tau:.6g} s is below tau_min "
+            f"{constraints.tau_min:.6g} s; no grid point is feasible",
+        )
+    per_pass = max(1, PASS_ROWS // (1 if constraints.pinned else bounds.n_max + 1))
+    out: list = []
+    for start in range(0, len(ls), per_pass):
+        rows, error = [], None
+        for l_km in ls[start:start + per_pass]:
+            try:
+                if not 0.0 < l_km < math.inf:
+                    raise ValueError(f"l_km must be positive and finite, got {l_km}")
+                # a clock below tau_min rules out every point before any is evaluated
+                rows.append(tau_min_error or _candidate_ns(l_km, bounds, constraints))
+            except ValueError as err:
+                error = err
+                break
+        if tau_min_error is not None:
+            out += rows
+        elif rows:
+            out += _solve_pass(np.array(ls[start:start + len(rows)], dtype=float),
+                               np.array(rows), spatial_mux, hw, bounds, constraints)
+        if error is not None:
+            raise error
+    return out
+
+
+def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
+                  bounds: Optional[SearchBounds] = None,
+                  constraints: Optional[Constraints] = None) -> OptimizationResult:
+    """Exact argmax of the noisy rate over the (n, m) grid, row by row.
+
+    Constraint handling: n_o_max and n_m_max compare against the regime's
+    ion requirements at each grid point, tau_min requires the clock to be at
+    least that long, fixed_l0_km / fixed_n pin the repeater count, and the
+    memory-lifetime check prunes blocks that outlive tau_m. Cells with a
+    non-finite rate are never chosen. An empty feasible set raises
+    InfeasibleError naming the constraints that removed points.
+    """
+    res, = _solve([l_km], spatial_mux, hw, bounds or SearchBounds(),
+                  constraints or Constraints())
+    if isinstance(res, InfeasibleError):
+        raise res
+    return res
 
 
 @dataclass(frozen=True)
@@ -240,17 +318,11 @@ class SweepRow:
     infeasible_reason: Optional[str] = None
 
 
-def _sweep_point(l_km: float, spatial_mux: int, hw: HardwareProfile,
-                 bounds: Optional[SearchBounds],
-                 constraints: Optional[Constraints]) -> SweepRow:
+def _plob(l_km: float, spatial_mux: int, hw: HardwareProfile) -> float:
     eta = fiber_transmissivity(hw.optical.alpha_db_per_km, l_km)
-    plob = plob_bound(eta, spatial_mux, hw.timing.tau) if eta < 1.0 else math.inf
-    try:
-        res = optimize_rate(l_km, spatial_mux, hw, bounds, constraints)
-    except InfeasibleError as err:
-        return SweepRow(l_km=l_km, result=None, plob=plob,
-                        infeasible_reason=str(err))
-    return SweepRow(l_km=l_km, result=res, plob=plob)
+    if eta == 0.0:  # past ~16,000 km at 0.2 dB/km the transmissivity underflows
+        return 0.0  # the bound's limit as eta -> 0
+    return plob_bound(eta, spatial_mux, hw.timing.tau) if eta < 1.0 else math.inf
 
 
 def sweep_distance(l_list: Sequence[float], spatial_mux: int, hw: HardwareProfile,
@@ -262,7 +334,14 @@ def sweep_distance(l_list: Sequence[float], spatial_mux: int, hw: HardwareProfil
         raise ValueError("l_list must be nonempty")
     if any(b <= a for a, b in zip(ls, ls[1:])):
         raise ValueError("l_list must be strictly increasing")
-    return [_sweep_point(l, spatial_mux, hw, bounds, constraints) for l in ls]
+    rows = []
+    for l_km, res in zip(ls, _solve(ls, spatial_mux, hw, bounds or SearchBounds(),
+                                    constraints or Constraints())):
+        failed = isinstance(res, InfeasibleError)
+        rows.append(SweepRow(l_km=l_km, result=None if failed else res,
+                             plob=_plob(l_km, spatial_mux, hw),
+                             infeasible_reason=str(res) if failed else None))
+    return rows
 
 
 def crossover_distance(spatial_mux: int, hw: HardwareProfile,
@@ -289,8 +368,11 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
     grid = np.arange(l_min_km, stop, l_step_km)
 
     def beats(l_km: float) -> bool:
-        row = _sweep_point(float(l_km), spatial_mux, hw, bounds, None)
-        return row.result is not None and row.result.report.noisy_rate > row.plob
+        try:
+            res = optimize_rate(float(l_km), spatial_mux, hw, bounds)
+        except InfeasibleError:
+            return False
+        return res.report.noisy_rate > _plob(float(l_km), spatial_mux, hw)
 
     lo, hi = 0, grid.size - 1
     if not beats(grid[hi]):

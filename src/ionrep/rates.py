@@ -10,8 +10,9 @@ formulas and C2 shares B2's.
 Each formula is written once, here or in ionrep.model, and broadcasts over
 numpy arrays: the regime comparisons (_regime_tests, behind the decision walk
 and the formula_groups masks), block_denominator, ion_budgets and
-block_success_prob. rate_grid combines them over repeater counts x block
-lengths; evaluate_rate is its 1 x 1 call, optimize_rate argmaxes it, and
+block_success_prob. rate_grid combines them over distances, repeater counts
+and block lengths. evaluate_rate reports its 1 x 1 call through
+grid_reports; the optimizer argmaxes it and reports its optima the same way;
 mcsim.SimConfig reads formula_groups and block_denominator at integer steps.
 """
 
@@ -230,8 +231,9 @@ def memory_covers(hw: HardwareProfile, den_steps):
 
 
 def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
-    """The rate model over a layout with array n_repeaters (a column) and
-    time_mux (a row); blocks that outlive the memory are flagged in mem_ok."""
+    """The rate model over a layout with array n_repeaters (a column),
+    time_mux (a row or column) and, optionally, total_distance_km (a
+    column); blocks that outlive the memory are flagged in mem_ok."""
     timing = derive_timing(layout, hw)
     tm = hw.timing
     k, j, m = timing.k_steps, timing.j_steps, layout.time_mux
@@ -250,38 +252,50 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     )
 
 
+def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
+    """One report per cell of a rate_grid whose fields all have the cells'
+    shape: evaluate_rate's 1 x 1, or the optimizer's column of optima.
+
+    Raises FeasibilityError at the first cell whose block outlives the
+    memory (tau_m must be at least memory_margin times the block duration).
+    """
+    t = grid.timing
+    reports = []
+    for i in range(grid.rate.size):
+        den_steps, block = grid.den_steps.item(i), grid.block.item(i)
+        den_s = den_steps * hw.timing.tau  # the grid's rate is block / den_s x max(0, rci)
+        if not grid.mem_ok.item(i):
+            raise FeasibilityError(
+                "tau_m",
+                f"memory lifetime tau_m={hw.timing.tau_m:.6g} s cannot cover the block: "
+                f"need at least {hw.memory_margin * den_s:.6g} s "
+                f"({hw.memory_margin:g} x {den_s:.6g} s)",
+            )
+        timing = DerivedTiming(t.heralding_time_s.item(i), t.j_steps, t.k_steps.item(i))
+        reports.append(RateReport(
+            regime=classify_regime(hw.timing, timing.heralding_time_s),
+            p=grid.p.item(i),
+            timing=timing,
+            denominator_steps=den_steps,
+            denominator_s=den_s,
+            block_success=block,
+            ideal_rate=block / den_s,
+            f_end=grid.f_end.item(i),
+            rci=grid.rci.item(i),
+            noisy_rate=grid.rate.item(i),
+            n_o=grid.n_o.item(i),
+            n_m=grid.n_m.item(i),
+            n_m_is_upper_bound=not grid.waits.item(i),
+        ))
+    return reports
+
+
 def evaluate_rate(layout: ChainLayout, hw: HardwareProfile) -> RateReport:
     """Rate and resource report for one operating point, rate_grid's 1 x 1 call.
 
-    Raises FeasibilityError when the memory lifetime cannot cover the block
-    (tau_m must be at least memory_margin times the block duration).
+    Raises FeasibilityError when the memory lifetime cannot cover the block.
     """
     layout.validate()
     grid = rate_grid(ChainLayout(layout.total_distance_km, np.array([layout.n_repeaters]),
                                  layout.spatial_mux, np.array([layout.time_mux])), hw)
-    den_steps, block = grid.den_steps.item(), grid.block.item()
-    den_s = den_steps * hw.timing.tau  # the grid's rate is block / den_s x max(0, rci)
-    if not grid.mem_ok.item():
-        raise FeasibilityError(
-            "tau_m",
-            f"memory lifetime tau_m={hw.timing.tau_m:.6g} s cannot cover the block: "
-            f"need at least {hw.memory_margin * den_s:.6g} s "
-            f"({hw.memory_margin:g} x {den_s:.6g} s)",
-        )
-    t = grid.timing
-    timing = DerivedTiming(t.heralding_time_s.item(), t.j_steps, t.k_steps.item())
-    return RateReport(
-        regime=classify_regime(hw.timing, timing.heralding_time_s),
-        p=grid.p.item(),
-        timing=timing,
-        denominator_steps=den_steps,
-        denominator_s=den_s,
-        block_success=block,
-        ideal_rate=block / den_s,
-        f_end=grid.f_end.item(),
-        rci=grid.rci.item(),
-        noisy_rate=grid.rate.item(),
-        n_o=grid.n_o.item(),
-        n_m=grid.n_m.item(),
-        n_m_is_upper_bound=not grid.waits.item(),
-    )
+    return grid_reports(grid, hw)[0]

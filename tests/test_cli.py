@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in-process through main()."""
 import argparse
 import copy
+import hashlib
 import json
 import math
 import warnings
@@ -86,6 +87,11 @@ class TestRate:
           "--time-mux", "3"), ["hardware.tau_us"]),
         # an n_max cap keeps the candidate rows from asking for gigabytes
         (("optimize", "--n-max", "1073741824", "--m-max", "1"), ["bounds.n_max"]),
+        # finite step counts past 2**31 would wrap the int64 ion budgets
+        (("optimize", "--tau-us", "1e-300", "--n-max", "3", "--m-max", "3"),
+         ["hardware.tau_us"]),
+        # a chain whose heralding time T overflows by itself
+        (("rate", "--l-km", "1.7e308", "--n", "0", "--time-mux", "1"), ["layout.l_km"]),
     ])
     def test_out_of_domain_flags_name_the_field(self, capsys, args, fields):
         code, _, err = run(capsys, *args)
@@ -230,6 +236,18 @@ class TestSweep:
             cells = line.split(",")
             assert cells[1] == "nan"
             assert "n_o_max" in cells[-1]
+
+    def test_plob_underflow_is_its_limit(self, capsys):
+        # past ~16,200 km the transmissivity underflows to 0.0: PLOB is 0
+        code, out, err = run(capsys, "sweep", "--l-list-km", "100,17000",
+                             "--format", "csv")
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().split("\n")[1:]]
+        assert [row[0] for row in rows] == ["100", "17000"]
+        assert float(rows[0][7]) > 0.0
+        assert rows[1][7] == "0"
+        assert rows[1][-1] == ""  # feasible: the chain still has a rate
+        assert float(rows[1][1]) > 0.0
 
     @pytest.mark.parametrize("grid", ["0,10", "50,10"])
     def test_bad_distance_list_names_the_field(self, capsys, grid):
@@ -444,6 +462,24 @@ class TestFigure:
         for name in names:
             assert ((tmp_path / "all" / name).read_bytes()
                     == (tmp_path / "each" / name).read_bytes()), name
+
+    # sha256 over the sorted (name, bytes) of the 59 CSVs on the benchmark's
+    # grid, recorded before sweeps solved their distances in one pass
+    GOLDEN = "e43e3e19c38fb83313f49c3acd797964026c031c4b25e7f350fd96b1161051f8"
+
+    def test_all_bytes_are_golden(self, capsys, tmp_path):
+        code, _, _ = run(capsys, "figure", "all", "--l-min-km", "10",
+                         "--l-max-km", "500", "--l-step-km", "50",
+                         "--out-dir", str(tmp_path))
+        assert code == 0
+        digest = hashlib.sha256()
+        paths = sorted(tmp_path.iterdir())
+        assert len(paths) == 59
+        for path in paths:
+            data = path.read_bytes()
+            digest.update(f"{path.name}\0{len(data)}\0".encode())
+            digest.update(data)
+        assert digest.hexdigest() == self.GOLDEN
 
     def test_each_call_sweeps_its_own_curves(self, capsys, tmp_path, monkeypatch):
         calls = self.count_sweeps(monkeypatch)
@@ -742,6 +778,8 @@ class TestFuzz:
     @example((["optimize", "--fixed-l0-km=1e-300", "--m-max=3"], {}))
     @example((["optimize", "--tau-us=1e+300", "--n-max=0", "--m-max=3"], {}))
     @example((["optimize", "--tau-us=5e-318", "--n-max=3", "--m-max=3"], {}))
+    @example((["optimize", "--tau-us=1e-300", "--n-max=3", "--m-max=3"], {}))
+    @example((["rate", "--l-km=1.7e308", "--n=0", "--time-mux=1"], {}))
     def test_every_input_ends_in_an_answer_or_one_line(self, capsys, tmp_path, case):
         args, doc = case
         path = tmp_path / "cfg.json"

@@ -97,6 +97,26 @@ class TestHeraldingTime:
         with pytest.raises(StepCountError, match="tau=4.94066e-324 s is too short"):
             derive_timing(layout, HardwareProfile().updated(**timing))
 
+    # a distance column: the error names the shortest chain past the bound,
+    # even where a longer one overflows T by itself
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("l_max", [1e300, 1.7e308])
+    def test_step_bound_names_the_first_chain_past_it(self, l_max):
+        layout = ChainLayout(np.array([[10.0], [1e299], [l_max]]),
+                             np.array([[0], [3], [5]]), 10, 1)
+        with pytest.raises(StepCountError, match="for total_distance_km=1e\\+299 km: the "
+                                                 "step count T/tau=4.90339e\\+299") as err:
+            derive_timing(layout, HardwareProfile())
+        assert err.value.fields == ("total_distance_km", "tau")
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_heralding_time_blames_the_distance(self):
+        layout = ChainLayout(1.7e308, 0, 1, 1)
+        with pytest.raises(StepCountError, match="total_distance_km=1.7e\\+308 km is "
+                                                 "too long") as err:
+            derive_timing(layout, HardwareProfile())
+        assert err.value.fields == ("total_distance_km",)
+
 
 class TestSwapGateNoise:
     def test_identity_gate(self):

@@ -342,6 +342,99 @@ class TestScanOracle:
         assert peak < 128 * 2 ** 20
 
 
+@st.composite
+def _sweeps(draw):
+    """A _problems() draw with a short increasing distance list for its
+    distance, and the rows one pass may hold (None: the module's own).
+
+    Now and then the list ends in distances that raise: 1e300 km, whose
+    T/tau is past the step bound (or whose pinned link count is past
+    MAX_COUNT), and inf.
+    """
+    _, spatial_mux, hw, bounds, constraints = draw(_problems())
+    ls = sorted(set(draw(st.lists(st.floats(-2.0, 2.5).map(lambda e: 10 ** e),
+                                  min_size=2, max_size=6))))
+    ls += draw(st.sampled_from([[]] * 7 + [[1e300], [math.inf], [1e300, math.inf]]))
+    pass_rows = draw(st.none() | st.integers(1, 3 * (bounds.n_max + 1)))
+    return ls, spatial_mux, hw, bounds, constraints, pass_rows
+
+
+def scan_sweep(ls, spatial_mux, hw, bounds, constraints):
+    """scan_optimum at each distance, as sweep_outcome reports a sweep: the
+    first ValueError ends it, infeasible distances are their text."""
+    rows = []
+    for l_km in ls:
+        out = outcome(scan_optimum, l_km, spatial_mux, hw, bounds, constraints)
+        if out[0] == "value":
+            return out
+        rows.append((l_km,) + (("infeasible", out[2]) if out[0] == "infeasible" else out))
+    return rows
+
+
+def sweep_outcome(ls, spatial_mux, hw, bounds, constraints):
+    try:
+        rows = sweep_distance(ls, spatial_mux, hw, bounds, constraints)
+    except ValueError as err:
+        return "value", str(err)
+    return [(row.l_km,) + (("infeasible", row.infeasible_reason) if row.result is None
+                           else outcome(lambda: row.result)) for row in rows]
+
+
+class TestSweepOracle:
+    # rows are (distance, n) pairs solved a pass at a time; each row of the
+    # sweep must be the exhaustive scan's answer at its distance
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_sweeps())
+    # tau_m rules out the two longest distances only
+    @example(([1.0, 30.0, 100.0, 300.0], 5, BASE.updated(tau_m=1e-3),
+              SearchBounds(2, 50), Constraints(), 3))
+    @example(([1.0, 30.0, 100.0, 300.0], 10, BASE, SearchBounds(20, 100),
+              Constraints(fixed_l0_km=30.0), 1))
+    @example(([1.0, 150.0, 1e300, math.inf], 10, BASE, SearchBounds(20, 100),
+              Constraints(tau_min=2e-6), None))
+    @example(([1.0, 150.0, 1e299, 1e300], 10, BASE, SearchBounds(20, 100),
+              Constraints(), 21))
+    @example(([1.0, 150.0, 1e300, math.inf], 10, BASE, SearchBounds(20, 100),
+              Constraints(fixed_l0_km=5.0), 1))
+    # a row below one step whose m = 2 beats m = 1 only through u > 0
+    @example(([1.0, 4.9952945060859575, 20.0], 10,
+              BASE.updated(tau=1.9518353259398698e-05, tau_g=2.507745852277375e-07,
+                           tau_o=2.8710873227992232e-05, eta_c=0.5376950446174826,
+                           eps_g=0.0, f0=1.0),
+              SearchBounds(2, 300), Constraints(fixed_n=3), None))
+    def test_rows_match_the_scan_at_each_distance(self, case):
+        *problem, pass_rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            if pass_rows is not None:
+                mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
+            assert sweep_outcome(*problem) == scan_sweep(*problem)
+
+    def test_passes_stay_small(self, monkeypatch):
+        # three distances at the largest n_max: a pass each
+        rows = []
+
+        def counting(layout, hw):
+            rows.append(len(layout.n_repeaters))
+            return rate_grid(layout, hw)
+
+        monkeypatch.setattr(optimize_module, "rate_grid", counting)
+        tracemalloc.start()
+        try:
+            sweep = sweep_distance([100.0, 150.0, 200.0], 10, BASE,
+                                   SearchBounds(100_000, 1_000_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(rows) == optimize_module.MAX_SEARCH_N + 1
+        assert (sweep[1].result.n_opt, sweep[1].result.m_opt) == (88, 25)
+        assert all(row.result.evaluations == 100_001 * 1_000_000 for row in sweep)
+        assert peak < 128 * 2 ** 20
+        # 601 rows a distance: three distances to a pass
+        rows.clear()
+        sweep_distance([10.0 + 50 * i for i in range(10)], 10, BASE)
+        assert max(rows) == 3 * 601 <= optimize_module.PASS_ROWS
+
+
 class TestTimeRescaling:
     @pytest.mark.parametrize("c", [3.0, 10.0])
     def test_argmax_invariant_and_rate_scales(self, c):
