@@ -665,6 +665,71 @@ class TestContract:
         assert out == ""
         assert err == "ionrep rate: error: config root must be a JSON object\n"
 
+    # two bad fields: the error names the one checked first, in both formats
+    @pytest.mark.parametrize("args, message", [
+        (("rate", "--n", "-1", "--time-mux", "22", "--eta-c", "1.5"),
+         "invalid layout config: n_repeaters must be a nonnegative integer <= 1073741824, "
+         "got -1"),
+        (("rate", "--l-km", "-5", "--n", "87", "--time-mux", "22", "--tau-o-us", "0.5"),
+         "invalid layout config: total_distance_km must be positive, got -5.0"),
+        (("rate", "--n", "3", "--time-mux", "3", "--eta-c", "1.5", "--tau-o-us", "0.5"),
+         "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
+        (("rate", "--n", "3", "--time-mux", "3", "--tau-o-us", "0.5", "--f0", "0.1"),
+         "invalid hardware config: tau_o must exceed tau_g, got tau_o=5e-07, tau_g=1e-06"),
+        (("rate", "--n", "3", "--time-mux", "3", "--eps-g", "0.9", "--f0", "0.3",
+          "--memory-margin", "0.5"),
+         "invalid hardware config: swap survival factor 1 - 2 eps_g - (4/3)(1 - f0) is "
+         "below 0 at eps_g=0.9, f0=0.3"),
+        (("classify", "--n", "-1", "--eta-c", "1.5"),
+         "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
+        (("optimize", "--eta-c", "1.5", "--n-o-max", "0"),
+         "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
+        (("optimize", "--n-o-max", "0", "--n-max", "-1"),
+         "invalid constraints config: n_o_max must be positive, got 0"),
+        (("optimize", "--fixed-n", "-3", "--m-max", "0"),
+         "invalid constraints config: fixed_n must be in [0, 1073741824], got -3"),
+        (("optimize", "--n-max", "-1", "--m-max", "0"),
+         "bounds.n_max must be in [0, 100000], got -1"),
+        (("optimize", "--l-km", "-5", "--m-max", "0"), "bounds.m_max must be >= 1, got 0"),
+        (("sweep", "--l-list-km", "50,100", "--n-o-max", "0", "--m-max", "0"),
+         "invalid constraints config: n_o_max must be positive, got 0"),
+        (("sweep", "--l-list-km", "50,100", "--fixed-n", "-3", "--n-max", "-1"),
+         "invalid constraints config: fixed_n must be in [0, 1073741824], got -3"),
+        (("sweep", "--l-list-km", "0,10", "--n-max", "-1"),
+         "config field sweep.l_list_km must be positive and strictly increasing, "
+         "got [0.0, 10.0]"),
+        (("simulate", "--n", "-1", "--time-mux", "3", "--p-override", "1.5"),
+         "invalid layout config: n_repeaters must be a nonnegative integer <= 1073741824, "
+         "got -1"),
+        (("simulate", "--n", "3", "--time-mux", "3", "--p-override", "1.5"),
+         "invalid sim config: p must be in [0, 1], got 1.5"),
+        (("simulate", "--n", "3", "--time-mux", "3", "--num-blocks", "0",
+          "--p-override", "1.5"),
+         "invalid sim config: p must be in [0, 1], got 1.5"),
+        (("simulate", "--n", "3", "--time-mux", "3", "--p-override", "1.5",
+          "--tau-us", "1e-9"),
+         "config field layout.l_km or hardware.tau_us: tau=1e-15 s is too short for "
+         "total_distance_km=150 km: the step count T/tau=7.35509e+11 must be at most 2**31"),
+        (("simulate", "--n", "3", "--time-mux", "3", "--p-override", "1.5",
+          "--tau-us", "1e-300"),
+         "config field hardware.tau_us: tau=1e-306 s is too short: the step count "
+         "tau_g/tau=1e+300 must be at most 2**31"),
+        (("figure", "fig2", "--n-max", "-1"), "bounds.n_max must be in [0, 100000], got -1"),
+        (("figure", "fig2", "--eta-c", "1.5", "--n-max", "-1"),
+         "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
+        (("figure", "fig2", "--l-step-km", "0", "--n-max", "-1"),
+         "sweep grid needs l_min_km > 0, l_step_km > 0, l_max_km >= l_min_km"),
+    ])
+    def test_first_bad_field_wins(self, capsys, tmp_path, args, message):
+        if args[0] == "figure":
+            args += ("--out-dir", str(tmp_path / "figs"))
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (2, "", f"ionrep {args[0]}: error: {message}\n")
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert (code, err) == (2, "")
+        assert json.loads(out) == {"spec_version": "1", "command": args[0],
+                                   "error": {"kind": "config", "message": message}}
+
 
 class TestWriteErrors:
     # a path under a regular file fails with NotADirectoryError
