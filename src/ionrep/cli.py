@@ -199,20 +199,18 @@ def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
 
 def make_hardware(cfg: dict) -> HardwareProfile:
     h = cfg["hardware"]
-    hw = HardwareProfile(
-        optical=OpticalParams(eta_c=h["eta_c"], eta_d=h["eta_d"],
-                              alpha_db_per_km=h["alpha_db_per_km"],
-                              refractive_index=h["refractive_index"]),
-        timing=TimingParams(tau=h["tau_us"] * US, tau_g=h["tau_g_us"] * US,
-                            tau_o=h["tau_o_us"] * US, tau_m=h["tau_m_us"] * US),
-        noise=NoiseParams(f0=h["f0"], eps_g=h["eps_g"]),
-        memory_margin=h["memory_margin"],
-    )
     try:
-        hw.validate()
+        return HardwareProfile(
+            optical=OpticalParams(eta_c=h["eta_c"], eta_d=h["eta_d"],
+                                  alpha_db_per_km=h["alpha_db_per_km"],
+                                  refractive_index=h["refractive_index"]),
+            timing=TimingParams(tau=h["tau_us"] * US, tau_g=h["tau_g_us"] * US,
+                                tau_o=h["tau_o_us"] * US, tau_m=h["tau_m_us"] * US),
+            noise=NoiseParams(f0=h["f0"], eps_g=h["eps_g"]),
+            memory_margin=h["memory_margin"],
+        )
     except ValueError as err:
         raise CliError(EXIT_CONFIG, f"invalid hardware config: {err}")
-    return hw
 
 
 def make_layout(cfg: dict, need_n: bool = True, need_m: bool = True) -> ChainLayout:
@@ -221,18 +219,17 @@ def make_layout(cfg: dict, need_n: bool = True, need_m: bool = True) -> ChainLay
         raise CliError(EXIT_CONFIG, "config field layout.n is required here")
     if need_m and lay["time_mux"] is None:
         raise CliError(EXIT_CONFIG, "config field layout.time_mux is required here")
-    layout = ChainLayout(total_distance_km=lay["l_km"],
-                         n_repeaters=lay["n"] if lay["n"] is not None else 0,
-                         spatial_mux=lay["spatial_mux"],
-                         time_mux=lay["time_mux"] if lay["time_mux"] is not None else 1)
     try:
-        layout.validate()
+        return ChainLayout(total_distance_km=lay["l_km"],
+                           n_repeaters=lay["n"] if lay["n"] is not None else 0,
+                           spatial_mux=lay["spatial_mux"],
+                           time_mux=lay["time_mux"] if lay["time_mux"] is not None else 1)
     except ValueError as err:
         raise CliError(EXIT_CONFIG, f"invalid layout config: {err}")
-    return layout
 
 
 def make_bounds(cfg: dict) -> SearchBounds:
+    # no prefix: SearchBounds' messages already name bounds.n_max and bounds.m_max
     return SearchBounds(n_max=cfg["bounds"]["n_max"], m_max=cfg["bounds"]["m_max"])
 
 
@@ -240,15 +237,13 @@ def make_constraints(cfg: dict) -> Optional[Constraints]:
     c = cfg["constraints"]
     if all(v is None for v in c.values()):
         return None
-    cons = Constraints(
-        n_o_max=c["n_o_max"], n_m_max=c["n_m_max"],
-        fixed_l0_km=c["fixed_l0_km"], fixed_n=c["fixed_n"],
-        tau_min=None if c["tau_min_us"] is None else c["tau_min_us"] * US)
     try:
-        cons.validate()
+        return Constraints(
+            n_o_max=c["n_o_max"], n_m_max=c["n_m_max"],
+            fixed_l0_km=c["fixed_l0_km"], fixed_n=c["fixed_n"],
+            tau_min=None if c["tau_min_us"] is None else c["tau_min_us"] * US)
     except ValueError as err:
         raise CliError(EXIT_CONFIG, f"invalid constraints config: {err}")
-    return cons
 
 
 def make_l_grid(cfg: dict) -> list[float]:
@@ -385,12 +380,17 @@ def cmd_rate(cfg: dict) -> int:
 
 def cmd_classify(cfg: dict, l0_km: Optional[float]) -> int:
     hw = make_hardware(cfg)
+    blame = ""
     if l0_km is None:
         layout = make_layout(cfg, need_m=False)
-        l0_km = layout.link_length_km
+        l0_km, blame = layout.link_length_km, "config field layout.l_km: "
     if not 0 < l0_km < math.inf:
         raise CliError(EXIT_CONFIG, f"l0_km must be positive and finite, got {l0_km}")
     t = heralding_time(l0_km, hw.optical.refractive_index)
+    # classification counts no steps, so only the reported T must be finite
+    if not math.isfinite(t / US):
+        raise CliError(EXIT_CONFIG, f"{blame}l0_km={l0_km:.6g} km is too long: "
+                                    "its heralding time overflows")
     path = classification_path(hw.timing, t)
     emit(cfg, "classify", {
         "l0_km": l0_km,
@@ -403,8 +403,9 @@ def cmd_classify(cfg: dict, l0_km: Optional[float]) -> int:
 
 def cmd_optimize(cfg: dict) -> int:
     hw = make_hardware(cfg)
+    constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
     res = optimize_rate(cfg["layout"]["l_km"], cfg["layout"]["spatial_mux"], hw,
-                        bounds=make_bounds(cfg), constraints=make_constraints(cfg))
+                        bounds=make_bounds(cfg), constraints=constraints)
     payload = {
         "result": {
             "n_opt": res.n_opt,
@@ -422,9 +423,10 @@ def cmd_optimize(cfg: dict) -> int:
 
 def cmd_sweep(cfg: dict) -> int:
     hw = make_hardware(cfg)
-    raw = sweep_distance(make_l_grid(cfg), cfg["layout"]["spatial_mux"], hw,
-                         bounds=make_bounds(cfg),
-                         constraints=make_constraints(cfg))
+    grid = make_l_grid(cfg)
+    constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
+    raw = sweep_distance(grid, cfg["layout"]["spatial_mux"], hw,
+                         bounds=make_bounds(cfg), constraints=constraints)
     rows = []
     for r in raw:
         row = reduce_row(r, "noisy_rate")
@@ -467,12 +469,13 @@ def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
     layout = make_layout(cfg)
     hw = make_hardware(cfg)
     sim = cfg["sim"]
-    config = SimConfig.from_profile(
-        layout, hw, num_blocks=sim["num_blocks"], seed=cfg["seed"],
-        p_override=sim["p_override"], n_comm_ions=sim["n_comm_ions"],
-        n_mem_ions=sim["n_mem_ions"], trace=trace_path is not None)
     try:
-        config.validate()
+        config = SimConfig.from_profile(
+            layout, hw, num_blocks=sim["num_blocks"], seed=cfg["seed"],
+            p_override=sim["p_override"], n_comm_ions=sim["n_comm_ions"],
+            n_mem_ions=sim["n_mem_ions"], trace=trace_path is not None)
+    except StepCountError:
+        raise  # main names the fields behind the step count
     except ValueError as err:
         raise CliError(EXIT_CONFIG, f"invalid sim config: {err}")
     stats = run_protocol_sim(config)

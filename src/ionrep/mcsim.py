@@ -73,8 +73,7 @@ class SimConfig:
     seed: int = 0
     trace: bool = False
 
-    def validate(self) -> None:
-        self.layout.validate()
+    def __post_init__(self) -> None:
         if self.j_steps < 1 or self.k_steps < 1:
             raise ValueError(
                 f"j_steps and k_steps must be >= 1, got {self.j_steps}, {self.k_steps}")
@@ -303,7 +302,6 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     the per-step gauge events comm_loaded / mem_loaded / heralded, which are
     emitted whenever nonzero).
     """
-    config.validate()
     total = config.num_blocks
     successes = 0
     dropped_c = 0

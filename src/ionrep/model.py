@@ -8,6 +8,9 @@ seconds throughout; dB enters only through the fiber attenuation coefficient.
 The per-link and per-chain formulas broadcast over numpy arrays, as do the
 n_repeaters and time_mux fields of ChainLayout; rates.rate_grid builds them
 into the one rate model the report, the optimizer and the simulator share.
+Each parameter dataclass checks its fields when it is built (dataclasses.replace
+and HardwareProfile.updated included), so the formulas check only their plain
+arguments.
 """
 
 from __future__ import annotations
@@ -44,8 +47,8 @@ class StepCountError(ValueError):
 
 
 def _check(ok, name: str, rule: str, value) -> None:
-    # the message is formatted only on failure: validation runs on every
-    # rate_grid call, and an array value would print whole
+    # the message is formatted only on failure: every layout the optimizer
+    # builds is checked, and an array value would print whole
     if not (ok if isinstance(ok, bool) else ok.all()):
         raise ValueError(f"{name} must be {rule}, got {value}")
 
@@ -59,7 +62,7 @@ class OpticalParams:
     alpha_db_per_km: float = 0.2
     refractive_index: float = 1.47
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(0.0 < self.eta_c <= 1.0, "eta_c", "in (0, 1]", self.eta_c)
         _check(0.0 < self.eta_d <= 1.0, "eta_d", "in (0, 1]", self.eta_d)
         _check(self.alpha_db_per_km >= 0.0, "alpha_db_per_km", ">= 0", self.alpha_db_per_km)
@@ -82,7 +85,7 @@ class TimingParams:
     tau_o: float = 50e-6
     tau_m: float = 60.0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("tau", "tau_g", "tau_o", "tau_m"):
             _check(getattr(self, name) > 0.0, name, "positive", getattr(self, name))
         if not self.tau_o > self.tau_g:
@@ -97,7 +100,7 @@ class NoiseParams:
     f0: float = 0.9999
     eps_g: float = 1e-4
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(0.25 <= self.f0 <= 1.0, "f0", "in [0.25, 1]", self.f0)
         _check(0.0 <= self.eps_g <= 1.0, "eps_g", "in [0, 1]", self.eps_g)
 
@@ -108,7 +111,7 @@ class WernerState:
 
     fidelity: float
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         f = self.fidelity
         _check((f >= 0.0) & (f <= 1.0), "fidelity", "in [0, 1]", f)
 
@@ -123,10 +126,7 @@ class HardwareProfile:
     # Memory feasibility demands tau_m >= memory_margin * block duration.
     memory_margin: float = 10.0
 
-    def validate(self) -> None:
-        self.optical.validate()
-        self.timing.validate()
-        self.noise.validate()
+    def __post_init__(self) -> None:
         if _survival_factor(self.noise) < 0.0:
             raise ValueError(f"swap survival factor 1 - 2 eps_g - (4/3)(1 - f0) is below 0 "
                              f"at eps_g={self.noise.eps_g}, f0={self.noise.f0}")
@@ -168,7 +168,7 @@ class ChainLayout:
     spatial_mux: int = 1
     time_mux: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         _check(self.total_distance_km > 0.0, "total_distance_km", "positive",
                self.total_distance_km)
         for name, low, kind in (("n_repeaters", 0, "nonnegative"),
@@ -211,7 +211,6 @@ def link_success_prob(optical: OpticalParams, l0_km: float) -> float:
     One of the two photonic Bell states is distinguishable in linear optics,
     hence the factor 1/2; both photons must be collected and detected.
     """
-    optical.validate()
     _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
     eta = fiber_transmissivity(optical.alpha_db_per_km, l0_km)
     return 0.5 * optical.eta_c ** 2 * optical.eta_d ** 2 * eta
@@ -230,8 +229,6 @@ def heralding_time(l0_km: float, refractive_index: float) -> float:
 
 
 def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
-    layout.validate()
-    hw.validate()
     tau = hw.timing.tau
     j_steps = hw.timing.tau_g / tau
     if not j_steps <= MAX_STEPS:
@@ -267,7 +264,6 @@ def apply_swap_gate_noise(state: WernerState, eps_g: float) -> WernerState:
     replaces it with the maximally mixed state otherwise, so the fidelity
     map is affine: F -> (1 - eps_g) F + eps_g/4.
     """
-    state.validate()
     _check(0.0 <= eps_g <= 1.0, "eps_g", "in [0, 1]", eps_g)
     return WernerState((1.0 - eps_g) * state.fidelity + eps_g / 4.0)
 
@@ -287,7 +283,7 @@ def swap_survival_factor(noise: NoiseParams) -> float:
     The polarization (1 - 2Q) of the end-to-end error flag shrinks by x at
     every swap. x < 0 means the inputs are outside the Werner regime the
     closed form was derived for; the value is still returned, with a warning.
-    HardwareProfile.validate rejects such noise outright.
+    A HardwareProfile with such noise cannot be built.
     """
     x = _survival_factor(noise)
     if x < 0.0:
@@ -302,7 +298,6 @@ def swap_survival_factor(noise: NoiseParams) -> float:
 def end_to_end_Q(n: int, noise: NoiseParams) -> float:
     """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain."""
     _check(n >= 0, "n", ">= 0", n)
-    noise.validate()
     x = swap_survival_factor(noise)
     # a float exponent: numpy computes x ** 2 as x * x for a size-1 integer
     # array of two or more dimensions only, so an optimizer row's rate would
@@ -322,7 +317,6 @@ def werner_rci(state: WernerState) -> float:
     0 log 0 = 0. Negative values are meaningful (no distillable entanglement
     is certified); clamping is left to the caller.
     """
-    state.validate()
     f = state.fidelity
     with np.errstate(divide="ignore", invalid="ignore"):
         h = (-np.where(f > 0.0, f * np.log2(f), 0.0)

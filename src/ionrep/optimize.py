@@ -79,7 +79,7 @@ class SearchBounds:
     n_max: int = 600
     m_max: int = 2000
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 <= self.n_max <= MAX_SEARCH_N:
             raise ValueError(
                 f"bounds.n_max must be in [0, {MAX_SEARCH_N}], got {self.n_max}")
@@ -95,7 +95,7 @@ class Constraints:
     fixed_n: Optional[int] = None
     tau_min: Optional[float] = None
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.fixed_l0_km is not None and self.fixed_n is not None:
             raise ValueError("at most one of fixed_l0_km and fixed_n may be set")
         for name in ("n_o_max", "n_m_max"):
@@ -258,9 +258,6 @@ def _solve(ls: Sequence[float], spatial_mux: int, hw: HardwareProfile,
     ValueError is raised as a loop of one-distance calls would raise it: the
     first distance's, after the distances before it have been solved.
     """
-    bounds.validate()
-    constraints.validate()
-    hw.validate()
     tau_min_error = None
     if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
         tau_min_error = InfeasibleError(

@@ -87,7 +87,6 @@ def _decision_walk(timing: TimingParams, t: float):
 
 
 def classify_regime(timing: TimingParams, heralding_time_s: float) -> Regime:
-    timing.validate()
     return _decision_walk(timing, heralding_time_s)[0]
 
 
@@ -295,7 +294,6 @@ def evaluate_rate(layout: ChainLayout, hw: HardwareProfile) -> RateReport:
 
     Raises FeasibilityError when the memory lifetime cannot cover the block.
     """
-    layout.validate()
     grid = rate_grid(ChainLayout(layout.total_distance_km, np.array([layout.n_repeaters]),
                                  layout.spatial_mux, np.array([layout.time_mux])), hw)
     return grid_reports(grid, hw)[0]

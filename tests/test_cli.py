@@ -92,6 +92,9 @@ class TestRate:
          ["hardware.tau_us"]),
         # a chain whose heralding time T overflows by itself
         (("rate", "--l-km", "1.7e308", "--n", "0", "--time-mux", "1"), ["layout.l_km"]),
+        # a link whose heralding time overflows, though classify counts no steps
+        (("classify", "--l-km", "1.7e308", "--n", "0"), ["layout.l_km"]),
+        (("classify", "--l0-km", "1.7e308"), ["l0_km"]),
     ])
     def test_out_of_domain_flags_name_the_field(self, capsys, args, fields):
         code, _, err = run(capsys, *args)
@@ -845,6 +848,8 @@ class TestFuzz:
     @example((["optimize", "--tau-us=5e-318", "--n-max=3", "--m-max=3"], {}))
     @example((["optimize", "--tau-us=1e-300", "--n-max=3", "--m-max=3"], {}))
     @example((["rate", "--l-km=1.7e308", "--n=0", "--time-mux=1"], {}))
+    @example((["classify", "--l-km=1.7e308", "--n=0"], {}))
+    @example((["classify", "--l0-km=1.7e308"], {}))
     def test_every_input_ends_in_an_answer_or_one_line(self, capsys, tmp_path, case):
         args, doc = case
         path = tmp_path / "cfg.json"

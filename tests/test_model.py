@@ -171,7 +171,7 @@ class TestEndToEndNoise:
         # the closed form only holds for x >= 0; a full profile rejects the
         # noise outright, while the pointwise formulas above only warn
         with pytest.raises(ValueError, match="eps_g=0.9, f0=0.3"):
-            HardwareProfile().updated(eps_g=0.9, f0=0.3).validate()
+            HardwareProfile().updated(eps_g=0.9, f0=0.3)
 
     def test_negative_x_warns_but_computes(self):
         bad = NoiseParams(f0=0.3, eps_g=0.2)
@@ -239,19 +239,19 @@ class TestRCI:
 class TestValidation:
     def test_timing_ordering_enforced(self):
         with pytest.raises(ValueError, match="tau_o"):
-            TimingParams(tau_o=1e-6, tau_g=2e-6).validate()
+            TimingParams(tau_o=1e-6, tau_g=2e-6)
 
     def test_noise_ranges(self):
         with pytest.raises(ValueError, match="f0"):
-            NoiseParams(f0=0.1).validate()
+            NoiseParams(f0=0.1)
 
     def test_layout_ranges(self):
         with pytest.raises(ValueError, match="n_repeaters"):
-            ChainLayout(total_distance_km=10.0, n_repeaters=-1).validate()
+            ChainLayout(total_distance_km=10.0, n_repeaters=-1)
         # 2 M m ion budgets of larger counts overflow int64
         for name in ("n_repeaters", "spatial_mux", "time_mux"):
             with pytest.raises(ValueError, match=f"{name} must be .* <= 1073741824"):
-                ChainLayout(10.0, **{"n_repeaters": 1, name: 2 ** 30 + 1}).validate()
+                ChainLayout(10.0, **{"n_repeaters": 1, name: 2 ** 30 + 1})
         assert ChainLayout(150.0, 87).n_links == 88
         assert ChainLayout(150.0, 87).link_length_km == pytest.approx(150.0 / 88)
 

@@ -40,9 +40,6 @@ def scan_optimum(l_km, spatial_mux, hw, bounds, constraints):
     Returns (n_opt, m_opt, noisy_rate, evaluations, boundary_hit_n,
     boundary_hit_m), or raises what optimize_rate raises.
     """
-    bounds.validate()
-    constraints.validate()
-    hw.validate()
     if not 0.0 < l_km < math.inf:
         raise ValueError(f"l_km must be positive and finite, got {l_km}")
     if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
@@ -178,16 +175,16 @@ class TestConstraints:
 
     def test_fixed_n_and_fixed_l0_conflict(self):
         with pytest.raises(ValueError):
-            Constraints(fixed_n=10, fixed_l0_km=15.0).validate()
+            Constraints(fixed_n=10, fixed_l0_km=15.0)
 
     @pytest.mark.parametrize("cons, match", [
-        (Constraints(fixed_n=2 ** 30 + 1), "fixed_n must be in"),
-        (Constraints(fixed_l0_km=1e-300), "gives 1.5e\\+302 links"),
-        (Constraints(fixed_l0_km=5e-324), "gives inf links"),
+        (dict(fixed_n=2 ** 30 + 1), "fixed_n must be in"),
+        (dict(fixed_l0_km=1e-300), "gives 1.5e\\+302 links"),
+        (dict(fixed_l0_km=5e-324), "gives inf links"),
     ])
     def test_pinned_repeater_count_is_bounded(self, cons, match):
         with pytest.raises(ValueError, match=match):
-            optimize_rate(150.0, 10, BASE, constraints=cons)
+            optimize_rate(150.0, 10, BASE, constraints=Constraints(**cons))
 
     def test_comm_ion_cap_moves_the_optimum(self):
         res = optimize_rate(150.0, 10, BASE, constraints=Constraints(n_o_max=125))
@@ -537,6 +534,23 @@ class TestCrossover:
 
     def test_hopeless_hardware_never_crosses(self):
         assert crossover_distance(10, BASE.updated(eps_g=0.2)) is None
+
+    # the bisection's answer is the first win of a scan of its whole grid,
+    # and the wins are a suffix of that grid
+    @pytest.mark.parametrize("spatial_mux, hw, bounds", [
+        (1, BASE, SearchBounds()),
+        (5, BASE, SearchBounds()),
+        (10, BASE.updated(tau_g=10e-6), SearchBounds()),
+        (10, BASE.updated(eps_g=1e-3, f0=0.999), SearchBounds(200, 500)),
+    ], ids=["M=1", "M=5", "slow-gates", "noisy-gates"])
+    def test_bisection_is_the_first_win_of_a_scan(self, spatial_mux, hw, bounds):
+        grid = np.arange(10.0, 500.0 + 0.5 * 5.0, 5.0)
+        wins = [row.result is not None and row.result.report.noisy_rate > row.plob
+                for row in sweep_distance(grid.tolist(), spatial_mux, hw, bounds)]
+        assert True in wins
+        first = wins.index(True)
+        assert all(wins[first:])
+        assert crossover_distance(spatial_mux, hw, bounds, 10.0, 500.0, 5.0) == grid[first]
 
     @pytest.mark.parametrize("grid", [
         "l_step_km=0", "l_step_km=-1", "l_step_km=nan", "l_step_km=inf",

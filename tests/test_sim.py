@@ -73,19 +73,19 @@ class TestTrivialChain:
 class TestConfigValidation:
     def test_rejects_zero_steps(self):
         with pytest.raises(ValueError, match="j_steps"):
-            oracle_config(j_steps=0).validate()
+            oracle_config(j_steps=0)
 
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError, match="p must be"):
-            oracle_config(p=1.5).validate()
+            oracle_config(p=1.5)
 
     def test_rejects_zero_blocks(self):
         with pytest.raises(ValueError, match="num_blocks"):
-            oracle_config(num_blocks=0).validate()
+            oracle_config(num_blocks=0)
 
     def test_rejects_negative_pool(self):
         with pytest.raises(ValueError, match="pools"):
-            oracle_config(n_comm_ions=-1).validate()
+            oracle_config(n_comm_ions=-1)
 
 
 class TestClosedFormAgreement:
