@@ -4,6 +4,8 @@ The frozen empirical numbers are outputs of seeded runs; they pin determinism.
 Correctness is carried by the exact cases (p=1 saturation, closed-form block
 success, occupancy ceilings) where the simulator must agree with arithmetic.
 """
+import dataclasses
+import hashlib
 import math
 import tracemalloc
 
@@ -181,6 +183,12 @@ class TestIonPools:
         # only the repeater, with its two sides, is short of ions here
         assert run_protocol_sim(blind_config(n_comm_ions=5)).dropped_comm == 40
 
+    def test_huge_pool_is_unlimited(self):
+        # a pool past what any int32 counter can hold binds nowhere
+        for cfg in (oracle_config(num_blocks=50), blind_config(p=0.6, num_blocks=50)):
+            huge = dataclasses.replace(cfg, n_comm_ions=2 ** 32, n_mem_ions=2 ** 32)
+            assert run_protocol_sim(huge) == run_protocol_sim(cfg)
+
 
 # block 0 of the pinned wait-regime run with a 3-ion memory pool, grouped by step
 WAIT_MEM_TRACE = ["step,node,event,count"] + """
@@ -242,6 +250,20 @@ class TestSeededPins:
     ])
     def test_stats_are_pinned(self, cfg, expected):
         assert run_protocol_sim(cfg) == expected
+
+    def test_blind_two_repeaters_both_pools_capped(self):
+        # block 0's 143 trace lines are pinned by their sha256
+        stats = run_protocol_sim(SimConfig(
+            ChainLayout(30.0, 2, 3, 4), j_steps=1, k_steps=8, tau_s=US,
+            tau_o_s=5 * US, p=0.6, n_comm_ions=5, n_mem_ions=10, num_blocks=200,
+            seed=3, trace=True))
+        digest = hashlib.sha256("\n".join(stats.trace).encode()).hexdigest()
+        assert dataclasses.replace(stats, trace=digest) == SimStats(
+            block_steps=13, blocks_run=200, successes=187,
+            empirical_block_success=0.935, empirical_rate=71923.07692307692,
+            peak_comm_loaded=5, peak_mem_loaded=10, peak_heralded=4,
+            dropped_comm=1600, dropped_mem=3600,
+            trace="4df532b0bc7d30d98e8934a1d1c05f46b372cd39b70af721d0317a9cbb34ccf6")
 
 
 class TestDrawSlices:
