@@ -35,6 +35,7 @@ from .optimize import (
     Constraints,
     InfeasibleError,
     SearchBounds,
+    distance_grid,
     optimize_rate,
     sweep_distance,
 )
@@ -259,14 +260,10 @@ def make_l_grid(cfg: dict) -> list[float]:
         raise CliError(EXIT_CONFIG,
                        "sweep grid needs l_min_km > 0, l_step_km > 0, "
                        "l_max_km >= l_min_km")
-    out: list[float] = []
-    while len(out) <= MAX_L_POINTS:
-        l = lo + len(out) * step
-        if l > hi * (1 + 1e-12):
-            return out
-        out.append(l)
-    raise CliError(EXIT_CONFIG, f"config field sweep.l_step_km={step:g} is too small: "
-                                f"the grid would have more than {MAX_L_POINTS} distances")
+    try:
+        return distance_grid(lo, hi, step)
+    except ValueError as err:  # past the checks above, only the MAX_L_POINTS cap
+        raise CliError(EXIT_CONFIG, f"config field sweep.{err}")
 
 
 # ---------------------------------------------------------------- rendering

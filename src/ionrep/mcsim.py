@@ -32,8 +32,10 @@ max(DRAW_BYTES, 8M) bytes, whatever the block count or chain length; each
 slice is reduced at once to the first successful mode per (block, link,
 slot). Drawing random(a) then random(b) yields the same stream as
 random(a + b), so the slicing changes no result. What grows with the chunk
-is the per-step state: four int32 arrays of (chunk blocks) x links x m,
-about 18 MB each at n = 88, m = 25 and 2048 blocks.
+is the state, kept node-major with blocks last: the first successes, read as
+an m x links x blocks view of their block-major order, and three int32
+histories of m x (links or nodes) x blocks, about 18 MB each at n = 88,
+m = 25 and 2048 blocks; the per-node counters are nodes x blocks.
 """
 
 from __future__ import annotations
@@ -142,30 +144,26 @@ class SimStats:
     trace: Optional[list[str]] = None
 
 
-def _sides(link_arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A per-link array per node, (left side, right side); link i is node i's right."""
-    z = np.zeros((len(link_arr), 1), dtype=link_arr.dtype)
-    return np.concatenate([z, link_arr], axis=1), np.concatenate([link_arr, z], axis=1)
-
-
-def _per_node(link_arr: np.ndarray) -> np.ndarray:
-    """What a per-link count ties up at each node: its two sides' total."""
-    left, right = _sides(link_arr)
-    return left + right
+def _fold(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Per-node totals of per-link sides: link i is node i + 1's left, node i's right."""
+    out = np.zeros((len(left) + 1, left.shape[1]), dtype=np.int32)
+    out[1:] = left
+    out[:-1] += right
+    return out
 
 
 def _grant(want: np.ndarray, used: np.ndarray, pool: int) -> tuple[np.ndarray, ...]:
-    """(g_left, g_right, per_link): a per-link want granted by the pool rule.
+    """(at_left, at_right, per_link): a per-link want granted by the pool rule.
 
-    No grant exceeds its want, and an unlimited pool grants every want.
+    at_left[i] is the grant of link i's right end, which serves it as its
+    left side, and at_right[i] that of its left end. No grant exceeds its
+    want; a pool of _UNLIMITED grants every want, as no count comes near it.
     """
-    want_left, want_right = _sides(want)
-    if pool >= _UNLIMITED:
-        return want_left, want_right, want
     budget = np.maximum(pool - used, 0)
-    g_left = np.minimum(want_left, budget)
-    g_right = np.minimum(want_right, budget - g_left)
-    return g_left, g_right, np.minimum(g_right[:, :-1], g_left[:, 1:])
+    at_left = np.minimum(want, budget[1:])
+    budget[1:-1] -= at_left[:-1]
+    at_right = np.minimum(want, budget[:-1])
+    return at_left, at_right, np.minimum(at_left, at_right)
 
 
 def _first_successes(rng: np.random.Generator, p: float, rows: int,
@@ -197,22 +195,23 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     m, big_m = lay.time_mux, lay.spatial_mux
     j, k = config.j_steps, config.k_steps
     wait = config.waits_for_herald
-    pool_c = config.n_comm_ions or _UNLIMITED
-    pool_m = config.n_mem_ions or _UNLIMITED
+    # a pool past 2**30 binds nowhere, and the clamp keeps its budget int32
+    pool_c = min(config.n_comm_ions or _UNLIMITED, _UNLIMITED)
+    pool_m = min(config.n_mem_ions or _UNLIMITED, _UNLIMITED)
 
     rng = np.random.default_rng([config.seed, chunk_index])
-    fsi = _first_successes(rng, config.p, cb * n_links * m, big_m).reshape(cb, n_links, m)
+    fsi = _first_successes(rng, config.p, cb * n_links * m, big_m).reshape(cb, n_links, m).T
 
-    used_comm = np.zeros((cb, n_links + 1), dtype=np.int32)
+    used_comm = np.zeros((n_links + 1, cb), dtype=np.int32)
     used_mem = np.zeros_like(used_comm)
     heralded = np.zeros_like(used_comm)
     # per-slot history read when the slot's freeing step comes due: attempts
     # per link, the pair per link that may still succeed, and blind loads
-    att = np.zeros((cb, m, n_links), dtype=np.int32)
+    att = np.zeros((m, n_links, cb), dtype=np.int32)
     kept = np.zeros_like(att)
-    loaded = np.zeros((cb, m, n_links + 1), dtype=np.int32)
-    link_ok = np.zeros((cb, n_links), dtype=bool)
-    want_init = np.full((cb, n_links), big_m, dtype=np.int32)
+    loaded = np.zeros((m, n_links + 1, cb), dtype=np.int32)
+    link_ok = np.zeros((n_links, cb), dtype=bool)
+    want_init = np.full((n_links, cb), big_m, dtype=np.int32)
     dropped_comm = dropped_mem = 0
     peaks = np.zeros(3, dtype=np.int64)
     trace: list[str] = []
@@ -220,7 +219,7 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     def note(step: int, node_vals: np.ndarray, event: str) -> None:
         if not collect_trace:
             return
-        for node, count in enumerate(node_vals[0]):
+        for node, count in enumerate(node_vals[:, 0]):
             if count:
                 trace.append(f"{step},{node},{event},{int(count)}")
 
@@ -233,39 +232,40 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
             s = t - k
             if 0 <= s < m:
                 # heralds arrive: free every mode except the one kept for gating
-                kept[:, s] = fsi[:, :, s] < att[:, s]
-                freed_c += _per_node(att[:, s] - kept[:, s])
+                kept[s] = fsi[s] < att[s]
+                idle = att[s] - kept[s]
+                freed_c += _fold(idle, idle)
             s = t - k - j
             if 0 <= s < m:
                 # gate done on the kept mode: comm ion retires, memory loads
-                freed_c += _per_node(kept[:, s])
-                _, _, pair_ok = _grant(kept[:, s], used_mem, pool_m)
-                load = _per_node(pair_ok)
+                freed_c += _fold(kept[s], kept[s])
+                _, _, pair_ok = _grant(kept[s], used_mem, pool_m)
+                load = _fold(pair_ok, pair_ok)
                 used_mem += load
                 heralded += load
                 link_ok |= pair_ok > 0
-                dropped_mem += int((kept[:, s] - pair_ok).sum())
+                dropped_mem += int((kept[s] - pair_ok).sum())
                 note(t, load, "load_mem")
                 note(t, load, "herald")
         else:
             s = t - j
             if 0 <= s < m:
                 # blind gates complete: comm ions retire, all attempts load
-                freed_c += _per_node(att[:, s])
-                g_left, g_right, kept[:, s] = _grant(att[:, s], used_mem, pool_m)
-                loaded[:, s] = load = g_left + g_right
+                freed_c += _fold(att[s], att[s])
+                at_left, at_right, kept[s] = _grant(att[s], used_mem, pool_m)
+                loaded[s] = load = _fold(at_left, at_right)
                 used_mem += load
-                dropped_mem += int(2 * att[:, s].sum() - load.sum())
+                dropped_mem += int(2 * att[s].sum() - load.sum())
                 note(t, load, "load_mem")
             # keeps run after loads: with k <= j both land on the same step
             # and the heralds are already in hand when the gate finishes
             s = t - max(j, k)
             if 0 <= s < m:
                 # keep one surviving pair per link, free the rest of the loads
-                surv = fsi[:, :, s] < kept[:, s]
+                surv = fsi[s] < kept[s]
                 link_ok |= surv
-                held = _per_node(surv.astype(np.int32))
-                freed_m += loaded[:, s] - held
+                held = _fold(surv, surv)
+                freed_m += loaded[s] - held
                 heralded += held
                 note(t, held, "herald")
 
@@ -275,10 +275,10 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
         note(t, freed_m, "free_mem")
 
         if t < m:
-            _, _, att[:, t] = _grant(want_init, used_comm, pool_c)
-            init = _per_node(att[:, t])
+            _, _, att[t] = _grant(want_init, used_comm, pool_c)
+            init = _fold(att[t], att[t])
             used_comm += init
-            dropped_comm += int((big_m - att[:, t]).sum())
+            dropped_comm += int((big_m - att[t]).sum())
             note(t, init, "init")
 
         peaks[0] = max(peaks[0], int(used_comm.max()))
@@ -289,7 +289,7 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
             note(t, used_mem, "mem_loaded")
             note(t, heralded, "heralded")
 
-    successes = int(link_ok.all(axis=1).sum())
+    successes = int(link_ok.all(axis=0).sum())
     return successes, peaks, dropped_comm, dropped_mem, trace
 
 

@@ -341,6 +341,28 @@ def sweep_distance(l_list: Sequence[float], spatial_mux: int, hw: HardwareProfil
     return rows
 
 
+def distance_grid(l_min_km: float, l_max_km: float, l_step_km: float) -> list[float]:
+    """l_min_km + i * l_step_km for i = 0, 1, ... while within l_max_km (to 1e-12).
+
+    Raises ValueError naming the parameter at fault, l_step_km when the grid
+    would have more than MAX_L_POINTS distances.
+    """
+    for name, v in (("l_min_km", l_min_km), ("l_max_km", l_max_km),
+                    ("l_step_km", l_step_km)):
+        if not 0.0 < v < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {v}")
+    if l_max_km < l_min_km:
+        raise ValueError(f"l_max_km must be >= l_min_km, got {l_max_km} < {l_min_km}")
+    grid: list[float] = []
+    while len(grid) <= MAX_L_POINTS:
+        l_km = l_min_km + len(grid) * l_step_km
+        if l_km > l_max_km * (1 + 1e-12):
+            return grid
+        grid.append(l_km)
+    raise ValueError(f"l_step_km={l_step_km:g} is too small: the grid would have "
+                     f"more than {MAX_L_POINTS} distances")
+
+
 def crossover_distance(spatial_mux: int, hw: HardwareProfile,
                        bounds: Optional[SearchBounds] = None,
                        l_min_km: float = 10.0, l_max_km: float = 500.0,
@@ -351,18 +373,7 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
     the grid suffices; the step below the reported distance is re-checked to
     guard against a non-monotone edge. Returns None when no grid point wins.
     """
-    for name, v in (("l_min_km", l_min_km), ("l_max_km", l_max_km),
-                    ("l_step_km", l_step_km)):
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
-    if l_max_km < l_min_km:
-        raise ValueError(f"l_max_km must be >= l_min_km, got {l_max_km} < {l_min_km}")
-    stop = l_max_km + 0.5 * l_step_km
-    # np.arange makes ceil((stop - start) / step) points
-    if (stop - l_min_km) / l_step_km > MAX_L_POINTS:
-        raise ValueError(f"l_step_km={l_step_km:g} is too small: the grid would have "
-                         f"more than {MAX_L_POINTS} distances")
-    grid = np.arange(l_min_km, stop, l_step_km)
+    grid = distance_grid(l_min_km, l_max_km, l_step_km)
 
     def beats(l_km: float) -> bool:
         try:
@@ -371,7 +382,7 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
             return False
         return res.report.noisy_rate > _plob(float(l_km), spatial_mux, hw)
 
-    lo, hi = 0, grid.size - 1
+    lo, hi = 0, len(grid) - 1
     if not beats(grid[hi]):
         return None
     while lo < hi:

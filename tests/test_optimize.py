@@ -552,6 +552,10 @@ class TestCrossover:
         assert all(wins[first:])
         assert crossover_distance(spatial_mux, hw, bounds, 10.0, 500.0, 5.0) == grid[first]
 
+    def test_answer_stays_within_l_max(self):
+        # the grid is 10, 15, ..., 140 km; 145 km would pass l_max_km
+        assert crossover_distance(10, BASE, SearchBounds(), 10.0, 143.0, 5.0) is None
+
     @pytest.mark.parametrize("grid", [
         "l_step_km=0", "l_step_km=-1", "l_step_km=nan", "l_step_km=inf",
         "l_min_km=0", "l_min_km=-5", "l_min_km=nan",
