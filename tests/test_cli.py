@@ -733,6 +733,33 @@ class TestContract:
         assert json.loads(out) == {"spec_version": "1", "command": args[0],
                                    "error": {"kind": "config", "message": message}}
 
+    # a block that outlives the memory is infeasible, exit 3, binding tau_m
+    @pytest.mark.parametrize("args, message", [
+        (("rate", "--l-km", "150", "--n", "87", "--time-mux", "22", "--tau-m-us", "100"),
+         "memory lifetime tau_m=0.0001 s cannot cover the block: need at least "
+         "0.000323581 s (10 x 3.23581e-05 s)"),
+        (("simulate", "--l-km", "20", "--n", "1", "--time-mux", "6",
+          "--num-blocks", "100", "--validate", "--tau-m-us", "10"),
+         "memory lifetime tau_m=1e-05 s cannot cover the block: need at least "
+         "0.000560339 s (10 x 5.60339e-05 s)"),
+    ])
+    def test_block_past_tau_m_is_infeasible(self, capsys, args, message):
+        code, out, err = run(capsys, *args)
+        assert (code, out, err) == (3, "", f"ionrep {args[0]}: error: {message}\n")
+        code, out, err = run(capsys, *args, "--format", "json")
+        assert (code, err) == (3, "")
+        assert out == json.dumps(
+            {"spec_version": "1", "command": args[0],
+             "error": {"kind": "infeasible", "message": message, "binding": ["tau_m"]}},
+            indent=2) + "\n"
+
+    def test_figure_refuses_csv_before_writing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "figure", "fig2", "--format", "csv")
+        assert (code, out, err) == (2, "", "ionrep figure: error: figure writes CSV "
+                                           "files itself; use --format text or json\n")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestWriteErrors:
     # a path under a regular file fails with NotADirectoryError
