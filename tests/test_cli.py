@@ -171,6 +171,20 @@ class TestConfigFile:
         assert error["kind"] == "config"
         assert error["message"].startswith("config is not valid UTF-8: ")
 
+    def test_section_that_is_not_an_object(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"hardware": 5}')
+        code, out, err = run(capsys, "rate", "--config", str(path))
+        assert (code, out, err) == (
+            2, "", "ionrep rate: error: config section hardware must be an object\n")
+
+    def test_unreadable_config_path(self, capsys, tmp_path):
+        path = tmp_path / "missing.json"
+        code, out, err = run(capsys, "rate", "--config", str(path))
+        assert (code, out, err) == (
+            2, "", "ionrep rate: error: cannot read config: [Errno 2] No such file "
+                   f"or directory: {str(path)!r}\n")
+
     def test_flag_beats_file_beats_default(self, capsys, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(
@@ -316,6 +330,13 @@ class TestClassify:
         assert doc["regime"] == "B2"
         assert doc["path"][-1] == "regime B2"
         assert len(doc["path"]) == 4
+
+    @pytest.mark.parametrize("l0_km", ["-1", "0", "inf", "nan"])
+    def test_link_length_must_be_positive_and_finite(self, capsys, l0_km):
+        code, out, err = run(capsys, "classify", "--l0-km", l0_km)
+        assert (code, out, err) == (
+            2, "", "ionrep classify: error: l0_km must be positive and finite, "
+                   f"got {float(l0_km)}\n")
 
     def test_layout_fallback(self, capsys):
         # 150 km over 88 links is the 1.7-km headline spacing

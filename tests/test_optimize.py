@@ -6,6 +6,7 @@ tested against the formulas rather than against its own output. The per-row
 search is also checked against an exhaustive scan of the whole grid.
 """
 import math
+import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -176,6 +177,16 @@ class TestConstraints:
     def test_fixed_n_and_fixed_l0_conflict(self):
         with pytest.raises(ValueError):
             Constraints(fixed_n=10, fixed_l0_km=15.0)
+
+    @pytest.mark.parametrize("cons, match", [
+        (dict(fixed_l0_km=0.0), "fixed_l0_km must be positive, got 0.0"),
+        (dict(fixed_l0_km=-20.0), "fixed_l0_km must be positive, got -20.0"),
+        (dict(tau_min=0.0), "tau_min must be positive, got 0.0"),
+        (dict(tau_min=-1e-6), "tau_min must be positive, got -1e-06"),
+    ])
+    def test_non_positive_spacing_or_clock_floor_rejected(self, cons, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            Constraints(**cons)
 
     @pytest.mark.parametrize("cons, match", [
         (dict(fixed_n=2 ** 30 + 1), "fixed_n must be in"),

@@ -146,6 +146,11 @@ class TestBlockSuccess:
         assert block_success_prob(0.0, 5, 5, 2) == 0.0
         assert block_success_prob(1.0, 1, 1, 3) == 1.0
 
+    @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+    def test_rejects_p_outside_unit_interval(self, p):
+        with pytest.raises(ValueError, match="p must be in \\[0, 1\\]"):
+            block_success_prob(p, 2, 3, 2)
+
     @given(p=st.floats(1e-6, 1.0), m_s=st.integers(1, 20), m_t=st.integers(1, 20),
            n=st.integers(0, 20))
     def test_monotone_in_mux_and_p(self, p, m_s, m_t, n):
@@ -193,6 +198,11 @@ class TestReferenceRates:
     def test_spatial_only(self):
         _, r1, _, _ = reference_rates(0, 1, 2, 0.5, 1.0, 1.0)
         assert r1 == pytest.approx(0.75, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [-0.5, 1.01])
+    def test_rejects_q_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match=f"q must be in \\[0, 1\\], got {q}"):
+            reference_rates(2, 3, 2, 0.3, q, US)
 
     def test_deterministic_links(self):
         _, _, _, r = reference_rates(3, 7, 4, 1.0, 1.0, US)

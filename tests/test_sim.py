@@ -89,6 +89,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="pools"):
             oracle_config(n_comm_ions=-1)
 
+    @pytest.mark.parametrize("times", [dict(tau_s=0.0), dict(tau_s=-US),
+                                       dict(tau_o_s=0.0), dict(tau_o_s=-US)])
+    def test_rejects_non_positive_times(self, times):
+        with pytest.raises(ValueError, match="tau_s and tau_o_s must be positive"):
+            oracle_config(**times)
+
 
 class TestClosedFormAgreement:
     def test_oracle_chain_within_three_sigma(self):
@@ -330,6 +336,21 @@ class TestValidationVerdict:
         assert verdict.checks[1] == "comm peak 5 == min(2M min(j, m), n_comm_ions) = 5: ok"
         assert verdict.passed
 
+    def test_memory_peak_past_the_pool_fails(self, monkeypatch):
+        # the simulator never loads past its pool, so hand the verdict an
+        # unpooled run and a pool one ion below that run's memory peak
+        layout, hw = self._layout_and_hw()
+        cfg = SimConfig.from_profile(layout, hw, num_blocks=2000, seed=3)
+        stats = run_protocol_sim(cfg)
+        monkeypatch.setattr(mcsim, "run_protocol_sim", lambda config: stats)
+        report = evaluate_rate(layout, hw)
+        for pool, passed in ((stats.peak_mem_loaded, True),
+                             (stats.peak_mem_loaded - 1, False)):
+            verdict = validate_against_analytic(
+                dataclasses.replace(cfg, n_mem_ions=pool), report)
+            assert not any("FAIL" in line for line in verdict.checks)
+            assert verdict.passed is passed
+
     def test_wrong_physics_fails(self):
         layout, hw = self._layout_and_hw()
         cfg = SimConfig.from_profile(layout, hw, num_blocks=50_000, seed=3,
@@ -355,6 +376,12 @@ class TestFlipSampler:
         exact = end_to_end_Q(10, noise)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(q - exact) < 3 * sigma
+
+    @pytest.mark.parametrize("n, trials, match", [(3, 0, "trials must be >= 1, got 0"),
+                                                  (-1, 100, "n must be >= 0, got -1")])
+    def test_rejects_bad_counts(self, n, trials, match):
+        with pytest.raises(ValueError, match=match):
+            sample_end_to_end_Q(n, NoiseParams(f0=0.999, eps_g=1e-3), trials)
 
     def test_rejects_unphysical_noise(self):
         with pytest.warns(ModelDomainWarning):
