@@ -23,21 +23,18 @@ from .model import (
     werner_rci,
 )
 from .rates import (
-    FeasibilityError,
+    InfeasibleError,
     RateReport,
     Regime,
     block_success_prob,
     classify_regime,
     classification_path,
-    denominator_steps,
     evaluate_rate,
-    ion_requirements,
     plob_bound,
     reference_rates,
 )
 from .optimize import (
     Constraints,
-    InfeasibleError,
     OptimizationResult,
     SearchBounds,
     SweepRow,

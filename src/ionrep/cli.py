@@ -33,13 +33,12 @@ from .model import (
 from .optimize import (
     MAX_L_POINTS,
     Constraints,
-    InfeasibleError,
     SearchBounds,
     distance_grid,
     optimize_rate,
     sweep_distance,
 )
-from .rates import FeasibilityError, RateReport, classification_path, evaluate_rate
+from .rates import InfeasibleError, RateReport, classification_path, evaluate_rate
 
 SPEC_VERSION = "1"
 
@@ -365,12 +364,7 @@ def report_doc(report: RateReport) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_rate(cfg: dict) -> int:
-    layout = make_layout(cfg)
-    hw = make_hardware(cfg)
-    try:
-        report = evaluate_rate(layout, hw)
-    except FeasibilityError as err:
-        raise CliError(EXIT_INFEASIBLE, str(err), binding=[err.constraint])
+    report = evaluate_rate(make_layout(cfg), make_hardware(cfg))
     emit(cfg, "rate", {"result": report_doc(report)})
     return EXIT_OK
 
@@ -485,11 +479,7 @@ def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
         payload["trace_path"] = trace_path
     code = EXIT_OK
     if validate:
-        try:
-            report = evaluate_rate(layout, hw)
-        except FeasibilityError as err:
-            raise CliError(EXIT_INFEASIBLE, str(err), binding=[err.constraint])
-        verdict = validate_against_analytic(config, report)
+        verdict = validate_against_analytic(config, evaluate_rate(layout, hw))
         payload["validation"] = dict(vars(verdict))
         if not verdict.passed:
             code = EXIT_VALIDATION

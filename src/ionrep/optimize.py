@@ -54,7 +54,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import MAX_COUNT, ChainLayout, HardwareProfile, fiber_transmissivity
-from .rates import RateReport, grid_reports, memory_covers, plob_bound, rate_grid
+from .rates import (InfeasibleError, RateReport, grid_reports, memory_covers,
+                    plob_bound, rate_grid)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 SEARCH_CELLS = 512  # cells per round of the per-row search
@@ -64,14 +65,6 @@ MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # one distance per pass; ten per pass ran 2.3x faster but added ~3 MB to a
 # ~42 MB peak RSS.
 PASS_ROWS = 2048
-
-
-class InfeasibleError(Exception):
-    """No grid point satisfies the constraint set."""
-
-    def __init__(self, binding: list[str], message: str):
-        super().__init__(message)
-        self.binding = binding
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ formulas and C2 shares B2's.
 Each formula is written once, here or in ionrep.model, and broadcasts over
 numpy arrays: the regime comparisons (_regime_tests, behind the decision walk
 and the formula_groups masks), block_denominator, ion_budgets and
-block_success_prob. rate_grid combines them over distances, repeater counts
+block_success_prob. Regimes reach the formulas only as formula_groups' masks;
+a Regime label is for reports. rate_grid combines them over distances, repeater counts
 and block lengths. evaluate_rate reports its 1 x 1 call through
 grid_reports; the optimizer argmaxes it and reports its optima the same way;
 mcsim.SimConfig reads formula_groups and block_denominator at integer steps.
@@ -36,12 +37,12 @@ from .model import (
 )
 
 
-class FeasibilityError(Exception):
-    """A timing or resource constraint rules out the requested operating point."""
+class InfeasibleError(Exception):
+    """No operating point satisfies the constraints; binding names them."""
 
-    def __init__(self, constraint: str, message: str):
+    def __init__(self, binding: list[str], message: str):
         super().__init__(message)
-        self.constraint = constraint
+        self.binding = binding
 
 
 class Regime(enum.Enum):
@@ -50,16 +51,6 @@ class Regime(enum.Enum):
     B2 = "B2"
     C1 = "C1"
     C2 = "C2"
-
-    @property
-    def waits_for_herald(self) -> bool:
-        """True when comm ions live long enough to gate only heralded modes."""
-        return self in (Regime.B2, Regime.C2)
-
-    @property
-    def formula_group(self) -> "Regime":
-        """Representative regime whose rate and ion formulas apply."""
-        return {Regime.B1: Regime.A, Regime.C2: Regime.B2}.get(self, self)
 
 
 def _regime_tests(t, tau_g: float, tau_o: float):
@@ -104,12 +95,6 @@ def block_denominator(waits, uses_k, k_steps, m, j_steps):
     return base + (m - 1.0)  # exact for m = 1, where base may be below one ulp of m
 
 
-def denominator_steps(regime: Regime, k_steps: float, m: int, j_steps: float) -> float:
-    """Block wall time in units of tau for the given regime."""
-    return block_denominator(regime.waits_for_herald,
-                             regime.formula_group is Regime.A, k_steps, m, j_steps)
-
-
 def ceil_tol(v):
     """Integer ceiling that ignores float noise pushing an exact integer up."""
     return np.ceil(v - 1e-9).astype(np.int64)
@@ -126,22 +111,6 @@ def ion_budgets(waits, k_steps, j_steps, spatial_mux, m):
     n_o = ceil_tol(np.where(waits, 2.0 * (spatial_mux * k_steps + j_steps),
                               2.0 * spatial_mux * j_steps))
     return n_o, np.where(waits, 2, 2 * spatial_mux) * m
-
-
-@dataclass(frozen=True)
-class IonRequirements:
-    n_o: int
-    n_m: int
-    n_m_is_upper_bound: bool
-
-
-def ion_requirements(layout: ChainLayout, timing: DerivedTiming,
-                     regime: Regime) -> IonRequirements:
-    """Per-node ion budgets sufficient for the protocol in the given regime."""
-    waits = regime.waits_for_herald
-    n_o, n_m = ion_budgets(waits, timing.k_steps, timing.j_steps,
-                           layout.spatial_mux, layout.time_mux)
-    return IonRequirements(n_o=int(n_o), n_m=int(n_m), n_m_is_upper_bound=not waits)
 
 
 def block_success_prob(p, spatial_mux, time_mux, n_repeaters):
@@ -255,8 +224,9 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
     """One report per cell of a rate_grid whose fields all have the cells'
     shape: evaluate_rate's 1 x 1, or the optimizer's column of optima.
 
-    Raises FeasibilityError at the first cell whose block outlives the
-    memory (tau_m must be at least memory_margin times the block duration).
+    Raises InfeasibleError, binding ["tau_m"], at the first cell whose block
+    outlives the memory (tau_m must be at least memory_margin times the
+    block duration).
     """
     t = grid.timing
     reports = []
@@ -264,8 +234,8 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
         den_steps, block = grid.den_steps.item(i), grid.block.item(i)
         den_s = den_steps * hw.timing.tau  # the grid's rate is block / den_s x max(0, rci)
         if not grid.mem_ok.item(i):
-            raise FeasibilityError(
-                "tau_m",
+            raise InfeasibleError(
+                ["tau_m"],
                 f"memory lifetime tau_m={hw.timing.tau_m:.6g} s cannot cover the block: "
                 f"need at least {hw.memory_margin * den_s:.6g} s "
                 f"({hw.memory_margin:g} x {den_s:.6g} s)",
@@ -292,7 +262,8 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
 def evaluate_rate(layout: ChainLayout, hw: HardwareProfile) -> RateReport:
     """Rate and resource report for one operating point, rate_grid's 1 x 1 call.
 
-    Raises FeasibilityError when the memory lifetime cannot cover the block.
+    Raises InfeasibleError, binding ["tau_m"], when the memory lifetime
+    cannot cover the block.
     """
     grid = rate_grid(ChainLayout(layout.total_distance_km, np.array([layout.n_repeaters]),
                                  layout.spatial_mux, np.array([layout.time_mux])), hw)

@@ -16,14 +16,15 @@ from ionrep.model import (
     fiber_transmissivity,
 )
 from ionrep.rates import (
-    FeasibilityError,
+    InfeasibleError,
     Regime,
+    block_denominator,
     block_success_prob,
     classify_regime,
     classification_path,
-    denominator_steps,
     evaluate_rate,
-    ion_requirements,
+    formula_groups,
+    ion_budgets,
     plob_bound,
     rate_grid,
     reference_rates,
@@ -41,6 +42,29 @@ def layout_for(l_km=150.0, n=87, m_spatial=10, m_time=22):
 def l_km_for_herald_steps(k: float, n_ref=1.47, tau=US) -> float:
     """Link length whose one-way heralding latency is k clock steps."""
     return k * tau * C_VACUUM_KM_S / n_ref
+
+
+# each regime's formula group as formula_groups' masks (waits, uses_k): B1
+# shares A's formulas and C2 shares B2's
+GROUPS = {Regime.A: (False, True), Regime.B1: (False, True), Regime.B2: (True, False),
+          Regime.C2: (True, False), Regime.C1: (False, False)}
+
+# (tau_g, tau_o, T) in microseconds, with T inside each regime's window
+WINDOWS = {Regime.A: (1.0, 50.0, 80.0), Regime.B1: (1.0, 50.0, 49.5),
+           Regime.B2: (1.0, 50.0, 8.36), Regime.C2: (1.0, 50.0, 0.5),
+           Regime.C1: (2.0, 2.5, 1.0)}
+
+
+def denominator_steps(regime: Regime, k_steps: float, m: int, j_steps: float) -> float:
+    return float(block_denominator(*GROUPS[regime], k_steps, m, j_steps))
+
+
+def ion_requirements(layout: ChainLayout, timing: DerivedTiming, regime: Regime):
+    """(n_o, n_m, n_m_is_upper_bound) of ion_budgets in the regime's group."""
+    waits = GROUPS[regime][0]
+    n_o, n_m = ion_budgets(waits, timing.k_steps, timing.j_steps,
+                           layout.spatial_mux, layout.time_mux)
+    return int(n_o), int(n_m), not waits
 
 
 class TestClassification:
@@ -73,6 +97,13 @@ class TestClassification:
         for herald_us in (0.01, 0.5, 0.999, 1.0, 2.0, 48.9, 49.0, 49.5, 50.0, 80.0):
             classify_regime(t, herald_us * US)
 
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_group_table_matches_formula_groups(self, regime):
+        tau_g, tau_o, t = (v * US for v in WINDOWS[regime])
+        assert classify_regime(TimingParams(tau_g=tau_g, tau_o=tau_o), t) is regime
+        waits, uses_k = formula_groups(t, tau_g, tau_o)
+        assert (bool(waits), bool(uses_k)) == GROUPS[regime]
+
     def test_path_narrates_branches(self):
         t = TimingParams(tau_o=50 * US, tau_g=1 * US)
         path = classification_path(t, 8.36 * US)
@@ -101,38 +132,39 @@ class TestDenominators:
 class TestIonRequirements:
     def test_blind_regime(self):
         timing = DerivedTiming(heralding_time_s=1e-4, j_steps=1.0, k_steps=100.0)
-        req = ion_requirements(layout_for(m_time=7), timing, Regime.A)
-        assert req.n_o == 20
-        assert req.n_m == 2 * 10 * 7
-        assert req.n_m_is_upper_bound
+        n_o, n_m, upper = ion_requirements(layout_for(m_time=7), timing, Regime.A)
+        assert n_o == 20
+        assert n_m == 2 * 10 * 7
+        assert upper
 
     def test_wait_regime_headline(self):
         layout = layout_for()
         hw = BASE
         from ionrep.model import derive_timing
         timing = derive_timing(layout, hw)
-        req = ion_requirements(layout, timing, Regime.B2)
-        assert req.n_o == 170  # ceil(2 * (10 * 8.358 + 1)) = ceil(169.16)
-        assert req.n_m == 44
-        assert not req.n_m_is_upper_bound
+        n_o, n_m, upper = ion_requirements(layout, timing, Regime.B2)
+        assert n_o == 170  # ceil(2 * (10 * 8.358 + 1)) = ceil(169.16)
+        assert n_m == 44
+        assert not upper
 
     def test_wait_regime_small(self):
         timing = DerivedTiming(heralding_time_s=1e-6, j_steps=1.0, k_steps=1.0)
-        req = ion_requirements(layout_for(m_spatial=1, m_time=5), timing, Regime.C2)
-        assert req.n_o == 4
-        assert req.n_m == 10
+        n_o, n_m, _ = ion_requirements(layout_for(m_spatial=1, m_time=5), timing,
+                                       Regime.C2)
+        assert n_o == 4
+        assert n_m == 10
 
     def test_fractional_j_rounds_up(self):
         timing = DerivedTiming(heralding_time_s=0.0, j_steps=0.1, k_steps=0.01)
-        req = ion_requirements(layout_for(m_spatial=50), timing, Regime.C1)
-        assert req.n_o == 10  # 2 * 50 * 0.1
+        n_o, _, _ = ion_requirements(layout_for(m_spatial=50), timing, Regime.C1)
+        assert n_o == 10  # 2 * 50 * 0.1
 
     def test_exact_integer_not_bumped(self):
         # j from a ratio of floats can sit a few ulp above the integer
         timing = DerivedTiming(heralding_time_s=0.0, j_steps=10e-6 / 1e-6,
                                k_steps=1.0)
-        req = ion_requirements(layout_for(m_spatial=10), timing, Regime.A)
-        assert req.n_o == 200
+        n_o, _, _ = ion_requirements(layout_for(m_spatial=10), timing, Regime.A)
+        assert n_o == 200
 
 
 class TestBlockSuccess:
@@ -261,9 +293,9 @@ class TestEvaluateRate:
 
     def test_memory_feasibility_error(self):
         hw = BASE.updated(tau_m=1e-5)
-        with pytest.raises(FeasibilityError, match="tau_m") as err:
+        with pytest.raises(InfeasibleError, match="tau_m") as err:
             evaluate_rate(layout_for(), hw)
-        assert err.value.constraint == "tau_m"
+        assert err.value.binding == ["tau_m"]
 
     def test_regime_twins_share_formulas(self):
         # A vs B1: only tau_o differs between the profiles, and tau_o enters
@@ -281,7 +313,7 @@ class TestEvaluateRate:
 
     def test_wait_twins_share_formulas(self):
         for reg in (Regime.B2, Regime.C2):
-            assert reg.formula_group is Regime.B2
+            assert GROUPS[reg] == GROUPS[Regime.B2]
         timing = DerivedTiming(heralding_time_s=2e-6, j_steps=3.0, k_steps=2.0)
         lay = layout_for(m_time=6, m_spatial=2)
         assert ion_requirements(lay, timing, Regime.B2) == ion_requirements(

@@ -18,6 +18,7 @@ from ionrep import (
     HardwareProfile,
     ModelDomainWarning,
     NoiseParams,
+    Regime,
     SimConfig,
     SimStats,
     derive_timing,
@@ -444,5 +445,5 @@ class TestWallClock:
         cfg = SimConfig.from_profile(layout, hw, num_blocks=1)
         rep = evaluate_rate(layout, hw)
         assert (cfg.j_steps, cfg.k_steps) == (j, k)
-        assert cfg.waits_for_herald == rep.regime.waits_for_herald
+        assert cfg.waits_for_herald == (rep.regime in (Regime.B2, Regime.C2))
         assert cfg.block_steps == pytest.approx(rep.denominator_steps, rel=1e-12)
