@@ -223,8 +223,14 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
             if count:
                 trace.append(f"{step},{node},{event},{int(count)}")
 
-    # the last herald decision lands 2j steps before the block ends
-    for t in range(config.block_steps - 2 * j + 1):
+    # the last herald decision lands 2j steps before the block ends. Only a
+    # step where a slot starts or one of its two later events comes due
+    # changes any state, so without a trace only those steps run: at most 3m
+    last = config.block_steps - 2 * j
+    steps = range(last + 1) if collect_trace else sorted(
+        {t for due in (0, *((k, k + j) if wait else (j, max(j, k))))
+         for t in range(due, min(due + m, last + 1))})
+    for t in steps:
         freed_c = np.zeros_like(used_comm)
         freed_m = np.zeros_like(used_mem)
 

@@ -297,6 +297,37 @@ class TestDrawSlices:
         assert runs[0] == runs[1] == runs[2]
 
 
+class TestEventSteps:
+    """Untraced chunks run only the steps where an event comes due."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 3), big_m=st.integers(1, 3), m=st.integers(1, 8),
+           j=st.integers(1, 8), k=st.integers(1, 40), tau_o_us=st.floats(0.5, 80.0),
+           p=st.sampled_from([0.0, 0.2, 0.6, 1.0]), pool_c=st.integers(0, 12),
+           pool_m=st.integers(0, 12), blocks=st.integers(1, 40), seed=st.integers(0, 99))
+    def test_trace_changes_no_stats(self, n, big_m, m, j, k, tau_o_us, p, pool_c, pool_m,
+                                    blocks, seed):
+        # the traced chunk walks every step, so quiet steps must change nothing
+        cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
+                        tau_o_s=tau_o_us * US, p=p, n_comm_ions=pool_c,
+                        n_mem_ions=pool_m, num_blocks=blocks, seed=seed)
+        traced = run_protocol_sim(dataclasses.replace(cfg, trace=True))
+        assert dataclasses.replace(traced, trace=None) == run_protocol_sim(cfg)
+
+    def test_long_clock_runs_only_its_events(self):
+        # 18.6 million steps a block, of which 9 can change a count
+        cfg = SimConfig.from_profile(ChainLayout(150, 3, 10, 3),
+                                     HardwareProfile().updated(tau=1e-11),
+                                     num_blocks=50, seed=5, p_override=0.1)
+        assert (cfg.j_steps, cfg.k_steps, cfg.waits_for_herald) == (100_000, 18_387_721,
+                                                                     False)
+        assert run_protocol_sim(cfg) == SimStats(
+            block_steps=18_587_723, blocks_run=50, successes=45,
+            empirical_block_success=0.9, empirical_rate=4841.905595429844,
+            peak_comm_loaded=60, peak_mem_loaded=60, peak_heralded=6, dropped_comm=0,
+            dropped_mem=0)
+
+
 class TestDrawMemory:
     def test_headline_run_stays_under_128_mib(self):
         # n = 88, M = 10, m = 25: one draw of the whole chunk would take 391 MiB
