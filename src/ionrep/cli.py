@@ -31,7 +31,6 @@ from .model import (
     heralding_time,
 )
 from .optimize import (
-    MAX_L_POINTS,
     Constraints,
     SearchBounds,
     distance_grid,
@@ -254,14 +253,9 @@ def make_l_grid(cfg: dict) -> list[float]:
             raise CliError(EXIT_CONFIG, "config field sweep.l_list_km must be positive "
                                         f"and strictly increasing, got {sw['l_list_km']}")
         return grid
-    lo, hi, step = sw["l_min_km"], sw["l_max_km"], sw["l_step_km"]
-    if step <= 0 or lo <= 0 or hi < lo:
-        raise CliError(EXIT_CONFIG,
-                       "sweep grid needs l_min_km > 0, l_step_km > 0, "
-                       "l_max_km >= l_min_km")
     try:
-        return distance_grid(lo, hi, step)
-    except ValueError as err:  # past the checks above, only the MAX_L_POINTS cap
+        return distance_grid(sw["l_min_km"], sw["l_max_km"], sw["l_step_km"])
+    except ValueError as err:  # each message starts with the field at fault
         raise CliError(EXIT_CONFIG, f"config field sweep.{err}")
 
 

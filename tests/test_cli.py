@@ -12,8 +12,9 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import ionrep.figures as figures_module
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
 from ionrep.cli import (
-    _FIELDS, DEFAULTS, FORMATS, MAX_L_POINTS, CliError, build_parser, main, make_l_grid)
+    _FIELDS, DEFAULTS, FORMATS, CliError, build_parser, main, make_l_grid)
 from ionrep.figures import CSV_COLUMNS
+from ionrep.optimize import MAX_L_POINTS
 
 SWEEP_HEADER = ",".join(CSV_COLUMNS) + ",infeasible_reason"
 
@@ -742,7 +743,7 @@ class TestContract:
         (("figure", "fig2", "--eta-c", "1.5", "--n-max", "-1"),
          "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
         (("figure", "fig2", "--l-step-km", "0", "--n-max", "-1"),
-         "sweep grid needs l_min_km > 0, l_step_km > 0, l_max_km >= l_min_km"),
+         "config field sweep.l_step_km must be positive and finite, got 0.0"),
     ])
     def test_first_bad_field_wins(self, capsys, tmp_path, args, message):
         if args[0] == "figure":
