@@ -10,11 +10,12 @@ formulas and C2 shares B2's.
 Each formula is written once, here or in ionrep.model, and broadcasts over
 numpy arrays: the regime comparisons (_regime_tests, behind the decision walk
 and the formula_groups masks), block_denominator, ion_budgets and
-block_success_prob. Regimes reach the formulas only as formula_groups' masks;
-a Regime label is for reports. rate_grid combines them over distances, repeater counts
-and block lengths. evaluate_rate reports its 1 x 1 call through
-grid_reports; the optimizer argmaxes it and reports its optima the same way;
-mcsim.SimConfig reads formula_groups and block_denominator at integer steps.
+block_success_prob. A regime reaches the formulas only through the
+formula_groups masks; its label is for reports. rate_grid combines them over
+distances, repeater counts and block lengths. evaluate_rate reports its
+1 x 1 call through grid_reports; the optimizer argmaxes it and reports its
+optima the same way; mcsim.SimConfig reads formula_groups and
+block_denominator at integer steps.
 """
 
 from __future__ import annotations
