@@ -539,6 +539,74 @@ class TestFigure:
         assert len(names) == 7
 
 
+SIM_VALIDATE = ("simulate", "--l-km", "20", "--n", "1", "--time-mux", "6",
+                "--num-blocks", "2000", "--validate")
+SIM_RESULT = ("result.waits_for_herald: false\nresult.j_steps: 1\nresult.k_steps: 50\n"
+              "result.p: 0.0181715715\nresult.block_steps: 57\nresult.blocks_run: 2000\n"
+              "result.successes: 894\nresult.empirical_block_success: 0.447\n"
+              "result.empirical_rate: 7842.10526\nresult.peak_comm_loaded: 20\n"
+              "result.peak_mem_loaded: 120\nresult.peak_heralded: 7\n"
+              "result.dropped_comm: 0\nresult.dropped_mem: 0\n")
+
+
+class TestListPayloads:
+    """Text repeats a list's label per item; CSV drops what sits under a list."""
+
+    def test_classify_text_repeats_path(self, capsys):
+        assert run(capsys, "classify", "--l0-km", "1.7") == (0, (
+            "l0_km: 1.7\nheralding_time_us: 8.33576674\n"
+            "path: T >= tau_o (8.33576674e-06 >= 5e-05): no\n"
+            "path: T >= tau_g (8.33576674e-06 >= 1e-06): yes\n"
+            "path: tau_o >= T + tau_g (5e-05 >= 9.33576674e-06): yes\n"
+            "path: regime B2\nregime: B2\n"), "")
+
+    def test_sweep_text_numbers_its_rows(self, capsys):
+        rows = (("10", "36838.9273", "B2", 25, 18, 40, 36, "14381405.2"),
+                ("200", "10941.9893", "B1", 19, 31, 20, 620, "1442.76718"),
+                ("1000", "8284.90044", "B1", 99, 40, 20, 800, "1.44269504e-13"))
+        labels = ("L_km", "value", "regime", "n_opt", "m_opt", "N_o", "N_m", "plob",
+                  "infeasible_reason")
+        text = "".join(f"rows.{i}.{label}: {value}\n" for i, row in enumerate(rows)
+                       for label, value in zip(labels, row + ("",)))
+        assert run(capsys, "sweep", "--l-list-km", "10,200,1000", "--n-o-max", "40") == (
+            0, text, "")
+
+    def test_simulate_text_lists_the_checks(self, capsys):
+        assert run(capsys, *SIM_VALIDATE) == (0, SIM_RESULT + (
+            "validation.passed: true\nvalidation.z_score: 0.161607828\n"
+            "validation.expected_block_success: 0.445204053\n"
+            "validation.observed_block_success: 0.447\n"
+            "validation.quantization_delta_n_o: 0\n"
+            "validation.checks: block success: observed 0.447 vs analytic 0.445204, "
+            "z = 0.162\n"
+            "validation.checks: comm peak 20 == 2M min(j, m) = 20: ok\n"
+            "validation.checks: mem peak 120 <= 2Mm = 120: ok\n"
+            "validation.checks: heralded peak 7 <= 2m = 12: ok\n"), "")
+
+    def test_simulate_csv_drops_the_checks(self, capsys):
+        lines = SIM_RESULT.splitlines() + [
+            "validation.passed: true", "validation.z_score: 0.161607828",
+            "validation.expected_block_success: 0.445204053",
+            "validation.observed_block_success: 0.447", "validation.quantization_delta_n_o: 0"]
+        header, row = zip(*(line.split(": ") for line in lines))
+        assert run(capsys, *SIM_VALIDATE, "--format", "csv") == (
+            0, ",".join(header) + "\n" + ",".join(row) + "\n", "")
+
+    def test_optimize_csv_flattens_the_report(self, capsys):
+        assert run(capsys, "optimize", "--format", "csv") == (0, (
+            "result.n_opt,result.m_opt,result.l0_km,result.evaluations,"
+            "result.boundary_hit_n,result.boundary_hit_m,result.report.regime,"
+            "result.report.p,result.report.heralding_time_us,result.report.j_steps,"
+            "result.report.k_steps,result.report.denominator_steps,"
+            "result.report.denominator_us,result.report.block_success,"
+            "result.report.ideal_rate,result.report.f_end,result.report.rci,"
+            "result.report.noisy_rate,result.report.n_o,result.report.n_m,"
+            "result.report.n_m_is_upper_bound\n"
+            "88,25,1.68539326,1202000,false,false,B2,0.0266492274,8.26414416,1,"
+            "8.26414416,35.2641442,35.2641442,0.901235042,25556.6968,0.978315973,"
+            "0.814837385,20824.552,168,50,false\n"), "")
+
+
 # Every subcommand's flags in the order --help lists them, as flag=how it
 # parses: a type, the choices, or the metavar of a string or a list.
 FLAGS = {
