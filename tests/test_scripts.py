@@ -17,3 +17,19 @@ def test_reproduce_headline_prints_the_crossovers(capsys):
     lines = capsys.readouterr().out.split("\n")
     assert "  M=1: chain first beats PLOB at 133 km" in lines
     assert "  M=10: chain first beats PLOB at 142 km" in lines
+
+
+def test_output_digest_prints_one_line_per_call(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # the script sets it for argparse
+    digest = _load("output_digest")
+    digest.main()
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) >= 150
+    calls = [line.split(" ", 2) for line in lines]
+    assert all(len(sha) == 64 for sha, _, _ in calls)
+    assert {code for _, code, _ in calls} == {"0", "2", "3", "4"}
+    assert {argv.split()[0] for _, _, argv in calls} == {
+        "--help", "rate", "classify", "optimize", "sweep", "figure", "simulate"}
+    # two runs of one call hash alike
+    assert digest.call(["rate", "--n", "3", "--time-mux", "4"]) == \
+        digest.call(["rate", "--n", "3", "--time-mux", "4"])
