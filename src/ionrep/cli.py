@@ -1,11 +1,12 @@
 """Command-line front end.
 
 One JSON config document drives every subcommand; flags override file values,
-which override baseline defaults. All numeric output passes through a single
-9-significant-digit formatter so text, JSON, and CSV renderings of the same
-result carry identical values, and a fixed seed reproduces identical bytes.
-Times cross this interface in microseconds and are converted to seconds
-internally. NaN is spelled "nan" in every format (JSON has no NaN literal).
+which override baseline defaults. Each config section reaches the library by
+field name; times cross this interface in microseconds, and _seconds is the one
+place they become the library's seconds. All numeric output passes through a
+single 9-significant-digit formatter so text, JSON, and CSV renderings of the
+same result carry identical values, and a fixed seed reproduces identical
+bytes. NaN is spelled "nan" in every format (JSON has no NaN literal).
 
 Exit codes: 0 success, 2 config error, 3 infeasible, 4 validation failure.
 """
@@ -21,15 +22,7 @@ from typing import NamedTuple, Optional
 
 from .figures import CSV_COLUMNS, FIGURES, curve_rows, reduce_row
 from .mcsim import SimConfig, run_protocol_sim, validate_against_analytic
-from .model import (
-    ChainLayout,
-    HardwareProfile,
-    NoiseParams,
-    OpticalParams,
-    StepCountError,
-    TimingParams,
-    heralding_time,
-)
+from .model import ChainLayout, HardwareProfile, StepCountError, heralding_time
 from .optimize import (
     Constraints,
     SearchBounds,
@@ -196,18 +189,19 @@ def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
     return cfg
 
 
+def _seconds(section: dict) -> dict:
+    """A config section under the library's names: each *_us field in seconds."""
+    out = {}
+    for key, value in section.items():
+        if key.endswith("_us"):
+            key, value = key[:-3], None if value is None else value * US
+        out[key] = value
+    return out
+
+
 def make_hardware(cfg: dict) -> HardwareProfile:
-    h = cfg["hardware"]
-    try:
-        return HardwareProfile(
-            optical=OpticalParams(eta_c=h["eta_c"], eta_d=h["eta_d"],
-                                  alpha_db_per_km=h["alpha_db_per_km"],
-                                  refractive_index=h["refractive_index"]),
-            timing=TimingParams(tau=h["tau_us"] * US, tau_g=h["tau_g_us"] * US,
-                                tau_o=h["tau_o_us"] * US, tau_m=h["tau_m_us"] * US),
-            noise=NoiseParams(f0=h["f0"], eps_g=h["eps_g"]),
-            memory_margin=h["memory_margin"],
-        )
+    try:  # updated checks the optical, timing and noise groups in that order
+        return HardwareProfile().updated(**_seconds(cfg["hardware"]))
     except ValueError as err:
         raise CliError(EXIT_CONFIG, f"invalid hardware config: {err}")
 
@@ -229,7 +223,7 @@ def make_layout(cfg: dict, need_n: bool = True, need_m: bool = True) -> ChainLay
 
 def make_bounds(cfg: dict) -> SearchBounds:
     # no prefix: SearchBounds' messages already name bounds.n_max and bounds.m_max
-    return SearchBounds(n_max=cfg["bounds"]["n_max"], m_max=cfg["bounds"]["m_max"])
+    return SearchBounds(**cfg["bounds"])
 
 
 def make_constraints(cfg: dict) -> Optional[Constraints]:
@@ -237,10 +231,7 @@ def make_constraints(cfg: dict) -> Optional[Constraints]:
     if all(v is None for v in c.values()):
         return None
     try:
-        return Constraints(
-            n_o_max=c["n_o_max"], n_m_max=c["n_m_max"],
-            fixed_l0_km=c["fixed_l0_km"], fixed_n=c["fixed_n"],
-            tau_min=None if c["tau_min_us"] is None else c["tau_min_us"] * US)
+        return Constraints(**_seconds(c))
     except ValueError as err:
         raise CliError(EXIT_CONFIG, f"invalid constraints config: {err}")
 
@@ -282,40 +273,22 @@ def _json_safe(v):
     return v
 
 
-def _text_lines(doc, prefix: str = "") -> list[str]:
-    lines = []
-    if isinstance(doc, dict):
-        for key, value in doc.items():
-            if isinstance(value, (dict, list)):
-                lines.extend(_text_lines(value, f"{prefix}{key}."))
-            else:
-                lines.append(f"{prefix}{key}: {fmt_value(value)}")
-    elif isinstance(doc, list):
-        label = prefix[:-1] if prefix.endswith(".") else prefix
-        for i, value in enumerate(doc):
-            if isinstance(value, (dict, list)):
-                lines.extend(_text_lines(value, f"{prefix}{i}."))
-            else:
-                lines.append(f"{label}: {fmt_value(value)}")
-    return lines
+def _leaves(doc, prefix: str = "", under_a_list: bool = False):
+    """(label, value, under_a_list) per scalar of a payload, in document order;
+    a list's scalars take the list's label, its dicts add their index to it."""
+    in_list = isinstance(doc, list)
+    for key, value in enumerate(doc) if in_list else doc.items():
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, f"{prefix}{key}.",
+                               under_a_list or isinstance(value, list))
+        else:
+            yield prefix[:-1] if in_list else f"{prefix}{key}", value, under_a_list
 
 
 def _csv_text(header: list[str], rows: list[dict]) -> str:
     out = [",".join(header)]
     out.extend(",".join(fmt_value(row[c]) for c in header) for row in rows)
     return "\n".join(out) + "\n"
-
-
-def _flat_row(doc: dict, prefix: str = "") -> dict:
-    row: dict = {}
-    for key, value in doc.items():
-        if isinstance(value, dict):
-            row.update(_flat_row(value, f"{prefix}{key}."))
-        elif isinstance(value, list):
-            continue  # path lists and check lists have no tabular shape
-        else:
-            row[f"{prefix}{key}"] = value
-    return row
 
 
 def _write(path: str, text: str, field: str) -> None:
@@ -336,12 +309,13 @@ def emit(cfg: dict, command: str, payload: dict,
         doc.update(_json_safe(payload))
         text = json.dumps(doc, indent=2) + "\n"
     elif style == "csv":
-        if csv_table is None:
-            flat = _flat_row(payload)
-            csv_table = (list(flat), [flat])
+        if csv_table is None:  # one row; lists have no tabular shape
+            row = {label: v for label, v, listed in _leaves(payload) if not listed}
+            csv_table = (list(row), [row])
         text = _csv_text(*csv_table)
     else:
-        text = "\n".join(_text_lines(payload)) + "\n"
+        lines = (f"{label}: {fmt_value(v)}" for label, v, _ in _leaves(payload))
+        text = "\n".join(lines) + "\n"
     path = cfg["output"]["path"]
     if path is None:
         sys.stdout.write(text)
@@ -357,15 +331,15 @@ def report_doc(report: RateReport) -> dict:
 
 # ---------------------------------------------------------------- commands
 
-def cmd_rate(cfg: dict) -> int:
+def cmd_rate(cfg: dict, args: argparse.Namespace) -> int:
     report = evaluate_rate(make_layout(cfg), make_hardware(cfg))
     emit(cfg, "rate", {"result": report_doc(report)})
     return EXIT_OK
 
 
-def cmd_classify(cfg: dict, l0_km: Optional[float]) -> int:
+def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
     hw = make_hardware(cfg)
-    blame = ""
+    l0_km, blame = args.l0_km, ""
     if l0_km is None:
         layout = make_layout(cfg, need_m=False)
         l0_km, blame = layout.link_length_km, "config field layout.l_km: "
@@ -386,27 +360,24 @@ def cmd_classify(cfg: dict, l0_km: Optional[float]) -> int:
     return EXIT_OK
 
 
-def cmd_optimize(cfg: dict) -> int:
+def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
     hw = make_hardware(cfg)
     constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
     res = optimize_rate(cfg["layout"]["l_km"], cfg["layout"]["spatial_mux"], hw,
                         bounds=make_bounds(cfg), constraints=constraints)
-    payload = {
-        "result": {
-            "n_opt": res.n_opt,
-            "m_opt": res.m_opt,
-            "l0_km": cfg["layout"]["l_km"] / (res.n_opt + 1),
-            "evaluations": res.evaluations,
-            "boundary_hit_n": res.boundary_hit_n,
-            "boundary_hit_m": res.boundary_hit_m,
-            "report": report_doc(res.report),
-        }
-    }
-    emit(cfg, "optimize", payload)
+    emit(cfg, "optimize", {"result": {
+        "n_opt": res.n_opt,
+        "m_opt": res.m_opt,
+        "l0_km": cfg["layout"]["l_km"] / (res.n_opt + 1),
+        "evaluations": res.evaluations,
+        "boundary_hit_n": res.boundary_hit_n,
+        "boundary_hit_m": res.boundary_hit_m,
+        "report": report_doc(res.report),
+    }})
     return EXIT_OK
 
 
-def cmd_sweep(cfg: dict) -> int:
+def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     hw = make_hardware(cfg)
     grid = make_l_grid(cfg)
     constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
@@ -422,7 +393,7 @@ def cmd_sweep(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_figure(cfg: dict, fig_ids: list[str]) -> int:
+def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     if cfg["output"]["format"] == "csv":
         raise CliError(EXIT_CONFIG,
                        "figure writes CSV files itself; use --format text or json")
@@ -434,7 +405,7 @@ def cmd_figure(cfg: dict, fig_ids: list[str]) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as err:
         raise CliError(EXIT_CONFIG, f"cannot write output.dir: {err}")
-    ids = list(dict.fromkeys(i for arg in fig_ids
+    ids = list(dict.fromkeys(i for arg in args.figure_ids
                              for i in (sorted(FIGURES) if arg == "all" else [arg])))
     sweeps: dict = {}  # this call's sweeps, shared by curves with the same key
     files = []
@@ -450,15 +421,12 @@ def cmd_figure(cfg: dict, fig_ids: list[str]) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
+def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     layout = make_layout(cfg)
     hw = make_hardware(cfg)
-    sim = cfg["sim"]
     try:
-        config = SimConfig.from_profile(
-            layout, hw, num_blocks=sim["num_blocks"], seed=cfg["seed"],
-            p_override=sim["p_override"], n_comm_ions=sim["n_comm_ions"],
-            n_mem_ions=sim["n_mem_ions"], trace=trace_path is not None)
+        config = SimConfig.from_profile(layout, hw, **cfg["sim"], seed=cfg["seed"],
+                                        trace=args.trace_path is not None)
     except StepCountError:
         raise  # main names the fields behind the step count
     except ValueError as err:
@@ -468,11 +436,11 @@ def cmd_simulate(cfg: dict, validate: bool, trace_path: Optional[str]) -> int:
         "waits_for_herald": config.waits_for_herald, "j_steps": config.j_steps,
         "k_steps": config.k_steps, "p": config.p,
         **{k: v for k, v in vars(stats).items() if k != "trace"}}}
-    if trace_path is not None:
-        _write(trace_path, "\n".join(stats.trace) + "\n", "--trace")
-        payload["trace_path"] = trace_path
+    if args.trace_path is not None:
+        _write(args.trace_path, "\n".join(stats.trace) + "\n", "--trace")
+        payload["trace_path"] = args.trace_path
     code = EXIT_OK
-    if validate:
+    if args.validate:
         verdict = validate_against_analytic(config, evaluate_rate(layout, hw))
         payload["validation"] = dict(vars(verdict))
         if not verdict.passed:
@@ -497,9 +465,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "multiplexed trapped-ion repeater chains.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, groups: list[str]):
-        """A subcommand with its groups' flags, group by group, in table order."""
+    def add(name: str, run, help_text: str, groups: list[str]):
+        """A subcommand that runs run(cfg, args), with its groups' flags in table order."""
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", metavar="FILE", help="JSON config document")
         for group in groups:
             for field in _FIELDS:
@@ -509,21 +478,22 @@ def build_parser() -> argparse.ArgumentParser:
                     p.add_argument("--" + field.flag.replace("_", "-"), **kwargs)
         return p
 
-    add("rate", "evaluate one chain configuration", ["io", "hw", "layout"])
-    p = add("classify", "walk the timing-regime decision tree", ["io", "hw", "layout"])
+    add("rate", cmd_rate, "evaluate one chain configuration", ["io", "hw", "layout"])
+    p = add("classify", cmd_classify, "walk the timing-regime decision tree",
+            ["io", "hw", "layout"])
     p.add_argument("--l0-km", type=float, dest="l0_km",
                    help="classify a link of this length directly")
-    add("optimize", "grid-search repeater count and time multiplexing",
+    add("optimize", cmd_optimize, "grid-search repeater count and time multiplexing",
         ["io", "hw", "layout", "bounds", "cons"])
-    add("sweep", "optimize across a distance grid",
+    add("sweep", cmd_sweep, "optimize across a distance grid",
         ["io", "hw", "layout", "bounds", "cons", "sweep"])
-    p = add("figure", "reproduce canned sweep families as CSV files",
+    p = add("figure", cmd_figure, "reproduce canned sweep families as CSV files",
             ["io", "hw", "bounds", "sweep", "out_dir"])
     p.add_argument("figure_ids", nargs="+", metavar="FIG",
                    choices=sorted(FIGURES) + ["all"],
                    help=f"{', '.join(sorted(FIGURES))}, or all; curves that share "
                         "M, hardware and constraints are swept once")
-    p = add("simulate", "run the discrete-event protocol simulator",
+    p = add("simulate", cmd_simulate, "run the discrete-event protocol simulator",
             ["io", "hw", "layout", "sim"])
     p.add_argument("--validate", action="store_true",
                    help="compare against the analytic model; exit 4 on mismatch")
@@ -538,19 +508,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         cfg = load_config(args.config, args)
         style = cfg["output"]["format"]
-        if args.command == "rate":
-            return cmd_rate(cfg)
-        if args.command == "classify":
-            return cmd_classify(cfg, args.l0_km)
-        if args.command == "optimize":
-            return cmd_optimize(cfg)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "figure":
-            return cmd_figure(cfg, args.figure_ids)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.validate, args.trace_path)
-        raise AssertionError(args.command)  # pragma: no cover
+        return args.run(cfg, args)
     except CliError as err:
         error = err
     except InfeasibleError as err:
