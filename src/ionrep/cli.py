@@ -190,11 +190,12 @@ def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
 
 
 def _seconds(section: dict) -> dict:
-    """A config section under the library's names: each *_us field in seconds."""
+    """A section under the library's names: each *_us field in seconds, by one
+    correctly rounded division (50 us is the library's 5e-05 s)."""
     out = {}
     for key, value in section.items():
         if key.endswith("_us"):
-            key, value = key[:-3], None if value is None else value * US
+            key, value = key[:-3], None if value is None else value / 1e6
         out[key] = value
     return out
 

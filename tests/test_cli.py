@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 import ionrep.figures as figures_module
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
 from ionrep.cli import (
-    _FIELDS, DEFAULTS, FORMATS, CliError, build_parser, main, make_l_grid)
+    _FIELDS, DEFAULTS, FORMATS, CliError, build_parser, load_config, main, make_bounds,
+    make_hardware, make_l_grid)
 from ionrep.figures import CSV_COLUMNS
-from ionrep.optimize import MAX_L_POINTS
+from ionrep.optimize import MAX_L_POINTS, SearchBounds
 
 SWEEP_HEADER = ",".join(CSV_COLUMNS) + ",infeasible_reason"
 
@@ -547,6 +548,18 @@ SIM_RESULT = ("result.waits_for_herald: false\nresult.j_steps: 1\nresult.k_steps
               "result.empirical_rate: 7842.10526\nresult.peak_comm_loaded: 20\n"
               "result.peak_mem_loaded: 120\nresult.peak_heralded: 7\n"
               "result.dropped_comm: 0\nresult.dropped_mem: 0\n")
+
+
+class TestLibraryObjects:
+    def test_defaults_are_the_library_defaults(self):
+        assert make_hardware(copy.deepcopy(DEFAULTS)) == HardwareProfile()
+        assert make_bounds(DEFAULTS) == SearchBounds()
+
+    def test_microseconds_become_the_nearest_seconds(self):
+        args = build_parser().parse_args(["rate", "--tau-g-us", "10", "--tau-o-us", "50"])
+        timing = make_hardware(load_config(None, args)).timing
+        assert (timing.tau, timing.tau_g, timing.tau_o, timing.tau_m) == (1e-6, 10e-6,
+                                                                          50e-6, 60.0)
 
 
 class TestListPayloads:
