@@ -188,6 +188,13 @@ def _first_successes(rng: np.random.Generator, p: float, rows: int,
     return fsi
 
 
+def _event_steps(last: int, m: int, j: int, k: int, wait: bool) -> list[int]:
+    """The steps in [0, last] where a slot starts or one of its two later events
+    comes due, at most 3m whatever the clock; no other step changes a count."""
+    return sorted({t for due in (0, *((k, k + j) if wait else (j, max(j, k))))
+                   for t in range(due, min(due + m, last + 1))})
+
+
 def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
                collect_trace: bool):
     lay = config.layout
@@ -223,14 +230,10 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
             if count:
                 trace.append(f"{step},{node},{event},{int(count)}")
 
-    # the last herald decision lands 2j steps before the block ends. Only a
-    # step where a slot starts or one of its two later events comes due
-    # changes any state, so without a trace only those steps run: at most 3m
+    # the last herald decision lands 2j steps before the block ends
     last = config.block_steps - 2 * j
-    steps = range(last + 1) if collect_trace else sorted(
-        {t for due in (0, *((k, k + j) if wait else (j, max(j, k))))
-         for t in range(due, min(due + m, last + 1))})
-    for t in steps:
+    steps = _event_steps(last, m, j, k, wait)
+    for t, upto in zip(steps, [*steps[1:], last + 1]):
         freed_c = np.zeros_like(used_comm)
         freed_m = np.zeros_like(used_mem)
 
@@ -290,10 +293,11 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
         peaks[0] = max(peaks[0], int(used_comm.max()))
         peaks[1] = max(peaks[1], int(used_mem.max()))
         peaks[2] = max(peaks[2], int(heralded.max()))
-        if collect_trace:
-            note(t, used_comm, "comm_loaded")
-            note(t, used_mem, "mem_loaded")
-            note(t, heralded, "heralded")
+        if collect_trace:  # this step's gauges, held until the next event
+            for u in range(t, upto):
+                note(u, used_comm, "comm_loaded")
+                note(u, used_mem, "mem_loaded")
+                note(u, heralded, "heralded")
 
     successes = int(link_ok.all(axis=0).sum())
     return successes, peaks, dropped_comm, dropped_mem, trace

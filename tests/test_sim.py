@@ -298,7 +298,7 @@ class TestDrawSlices:
 
 
 class TestEventSteps:
-    """Untraced chunks run only the steps where an event comes due."""
+    """Chunks run only the steps where an event comes due, traced or not."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(0, 3), big_m=st.integers(1, 3), m=st.integers(1, 8),
@@ -307,12 +307,35 @@ class TestEventSteps:
            pool_m=st.integers(0, 12), blocks=st.integers(1, 40), seed=st.integers(0, 99))
     def test_trace_changes_no_stats(self, n, big_m, m, j, k, tau_o_us, p, pool_c, pool_m,
                                     blocks, seed):
-        # the traced chunk walks every step, so quiet steps must change nothing
+        # quiet steps change nothing: walking every step gives the same stats
+        # and the same trace, whose quiet steps repeat the held gauges
         cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
                         tau_o_s=tau_o_us * US, p=p, n_comm_ions=pool_c,
-                        n_mem_ions=pool_m, num_blocks=blocks, seed=seed)
-        traced = run_protocol_sim(dataclasses.replace(cfg, trace=True))
-        assert dataclasses.replace(traced, trace=None) == run_protocol_sim(cfg)
+                        n_mem_ions=pool_m, num_blocks=blocks, seed=seed, trace=True)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_event_steps", lambda last, *_: range(last + 1))
+            every_step = run_protocol_sim(cfg)
+        traced = run_protocol_sim(cfg)
+        assert traced == every_step
+        untraced = run_protocol_sim(dataclasses.replace(cfg, trace=False))
+        assert dataclasses.replace(traced, trace=None) == untraced
+
+    def test_traced_long_clock_runs_only_its_events(self, monkeypatch):
+        # simulate --tau-us 0.01 --n 3 --time-mux 3 --spatial-mux 3 --num-blocks 8192
+        # --trace: 18,590 steps a block, 92,030 trace lines, 9 steps run
+        cfg = SimConfig.from_profile(ChainLayout(150, 3, 3, 3),
+                                     HardwareProfile().updated(tau=1e-8),
+                                     num_blocks=8192, trace=True)
+        runs = []
+        event_steps = mcsim._event_steps
+        monkeypatch.setattr(mcsim, "_event_steps",
+                            lambda *args: runs.append(event_steps(*args)) or runs[-1])
+        stats = run_protocol_sim(cfg)
+        assert (cfg.k_steps, stats.block_steps, len(stats.trace)) == (18_388, 18_590, 92_031)
+        assert [len(steps) for steps in runs] == [9]
+        text = "\n".join(stats.trace) + "\n"  # the bytes simulate --trace writes
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f67077575dd5c9d986531d1e0f40ac41ec3616fe0144501b660ae937fb43c9d2")
 
     def test_long_clock_runs_only_its_events(self):
         # 18.6 million steps a block, of which 9 can change a count
