@@ -17,7 +17,7 @@ CONFIGS = {
                  b' "n_comm_ions": 40}, "seed": 7, "sweep": {"l_list_km": [50, 100]}}',
     "json.json": b'{"output": {"format": "json"}, "layout": {"n": 3, "time_mux": 4}}',
     "key.json": b'{"output": {"format": "json"}, "hardware": {"bogus": 1}}',
-    "type.json": b'{"layout": {"n": "three"}}', "root.json": b'[{"output": {}}]',
+    "type.json": b'{"layout": {"n": "three"}}', "array.json": b'[{"output": {}}]',
     "section.json": b'{"hardware": 3}', "broken.json": b'{"layout": ',
     "empty.json": b'{"sweep": {"l_list_km": []}}', "bytes.json": b'\xff\xfe{}',
 }
