@@ -443,6 +443,43 @@ class TestSweepOracle:
         assert max(rows) == 3 * 601 <= optimize_module.PASS_ROWS
 
 
+def assert_reports_are_scalar_evaluations(ls, spatial_mux, hw, results):
+    """Each result's whole report is evaluate_rate's at its (n_opt, m_opt)."""
+    for l_km, res in zip(ls, results):
+        if res is not None:
+            layout = ChainLayout(l_km, res.n_opt, spatial_mux, res.m_opt)
+            assert res.report.to_dict() == evaluate_rate(layout, hw).to_dict()
+
+
+class TestReports:
+    # the optimizer reports its optima from rate_grid cells, evaluate_rate
+    # from its own 1 x 1 call: every field must agree, not only the rate
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_problems())
+    @example(DIP)
+    def test_optimum_report_is_the_scalar_evaluation(self, problem):
+        l_km, spatial_mux, hw, bounds, constraints = problem
+        try:
+            res = optimize_rate(*problem)
+        except (InfeasibleError, ValueError):
+            return
+        assert_reports_are_scalar_evaluations([l_km], spatial_mux, hw, [res])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_sweeps())
+    def test_sweep_reports_are_scalar_evaluations(self, case):
+        ls, spatial_mux, hw, bounds, constraints, pass_rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            if pass_rows is not None:
+                mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
+            try:
+                rows = sweep_distance(ls, spatial_mux, hw, bounds, constraints)
+            except ValueError:
+                return
+        assert_reports_are_scalar_evaluations(
+            ls, spatial_mux, hw, [row.result for row in rows])
+
+
 class TestTimeRescaling:
     @pytest.mark.parametrize("c", [3.0, 10.0])
     def test_argmax_invariant_and_rate_scales(self, c):
