@@ -33,38 +33,44 @@ Feasibility keeps a prefix of each row. n_o does not depend on m, so n_o_max
 removes whole rows; n_m is n_m(1) m, so n_m_max caps m by an integer
 division; the block grows with m, so tau_m caps m where
 rates.memory_covers stops holding. The rate is computed only by
-rates.rate_grid, called three times per pass: at m = 1 for the row
-quantities, at the candidate columns, where its own mem_ok must agree with
-the memory cap, and at each distance's optimum for its report. Cells
-broadcast elementwise, so a candidate's rate is the bits of its cell in the
-full grid. Infeasible and non-finite cells count as -1, and per distance a
-row-major argmax over its rows' sorted candidates breaks ties toward smaller
-n, then smaller m, as a scan of that distance's whole grid would. A pass
-holds at most PASS_ROWS rows, or one distance where its n_max + 1 rows are
-more; n_max is at most MAX_SEARCH_N, so memory stays bounded whatever the
-number of distances.
+rates.rate_grid, called twice per pass: at m = 1 for the row quantities,
+and at each row's candidate columns 1, lo and lo + 1. The memory cap rests
+on den_steps(m) = den_steps(1) + (m - 1.0), rounded as rate_grid rounds it;
+an assertion checks that identity, and rate_grid's mem_ok against m <= cap,
+on every evaluated cell. Both sides apply memory_covers to equal values, so
+they agree at the cap's boundary too. Cells broadcast elementwise, so a
+candidate's rate is the bits of its cell in the full grid. Infeasible and
+non-finite cells count as -1, and per distance a row-major argmax over its
+rows' sorted candidates breaks ties toward smaller n, then smaller m, as a
+scan of that distance's whole grid would. Each distance's report is read
+from the fields of the cell that won its argmax. A pass holds at most
+PASS_ROWS rows, or one distance where its n_max + 1 rows are more; n_max is
+at most MAX_SEARCH_N, so memory stays bounded whatever the number of
+distances.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import MAX_COUNT, ChainLayout, HardwareProfile, fiber_transmissivity
-from .rates import (InfeasibleError, RateReport, grid_reports, memory_covers,
+from .model import (MAX_COUNT, ChainLayout, DerivedTiming, HardwareProfile,
+                    fiber_transmissivity)
+from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_covers,
                     plob_bound, rate_grid)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 SEARCH_CELLS = 512  # cells per round of the per-row search
 MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # (distance, n) rows per pass, or one distance's rows where they are more.
-# At n_max = 600 that is three distances: fig2-fig9 ran 1.7x faster than with
-# one distance per pass; ten per pass ran 2.3x faster but added ~3 MB to a
-# ~42 MB peak RSS.
-PASS_ROWS = 2048
+# At n_max = 600 that is six distances. On one core of a 2-vCPU machine
+# (numpy 2.4.6), fig2-fig9 took 282-303 ms a run, against 476 ms with one
+# distance per pass and 312-334 ms with three; ten per pass took 262-279 ms
+# but added ~0.8 MB to a ~36 MB peak RSS.
+PASS_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -153,6 +159,19 @@ def _last_true(pred, hi: np.ndarray) -> np.ndarray:
     return lo
 
 
+def _cells(grid: RateGrid, flat: np.ndarray) -> RateGrid:
+    """The grid's cells at the flat indices flat, as a RateGrid of flat's
+    shape: each field, and each array of its timing, broadcast to the
+    cells' shape first."""
+    def at(v):
+        return np.broadcast_to(v, grid.rate.shape).flat[flat]
+
+    t = grid.timing
+    return RateGrid(timing=DerivedTiming(at(t.heralding_time_s), t.j_steps, at(t.k_steps)),
+                    **{f.name: at(getattr(grid, f.name))
+                       for f in fields(grid) if f.name != "timing"})
+
+
 def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwareProfile,
                 bounds: SearchBounds, constraints: Constraints) -> list:
     """The optimum at each distance ls[i] over its candidate repeater counts
@@ -195,12 +214,12 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwarePr
 
     with np.errstate(all="ignore"):
         lo = _last_true(rising, cap)
-    cols = np.sort(np.clip(np.hstack([np.ones_like(ns), lo, lo + 1,
-                                      mem_cap - 1, mem_cap, mem_cap + 1]),
-                           1, bounds.m_max), axis=1)
+    cols = np.sort(np.clip(np.hstack([np.ones_like(ns), lo, lo + 1]), 1, bounds.m_max),
+                   axis=1)
     grid = rate_grid(ChainLayout(l_km, ns, spatial_mux, cols), hw)
-    assert np.array_equal(grid.mem_ok, cols <= mem_cap), \
-        "the memory cap disagrees with rate_grid's mem_ok"
+    assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
+            and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
+        "rate_grid's den_steps or mem_ok disagrees with the memory cap"
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
     # per distance, the flat index of the row-major argmax over its rows'
     # sorted columns: smallest n, then m
@@ -208,10 +227,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwarePr
     n_opt, m_opt = ns[best // cols.shape[1], 0], cols.flat[best]
     found = rate.flat[best] >= 0.0  # a distance with no feasible cell has only -1
     evaluations = cap.reshape(d, r).sum(axis=1)
-    # one more rate_grid call reports every distance's optimum
-    reports = iter(grid_reports(rate_grid(
-        ChainLayout(ls[found], n_opt[found], spatial_mux, m_opt[found]), hw), hw)
-        if found.any() else [])
+    reports = iter(grid_reports(_cells(grid, best[found]), hw))
     out: list = []
     for i, (n, m, evals) in enumerate(zip(n_opt.tolist(), m_opt.tolist(),
                                           evaluations.tolist())):

@@ -304,6 +304,8 @@ class TestScanOracle:
     @given(_problems())
     @example(DIP)
     @example((150.0, 10, BASE, SearchBounds(600, 2000), Constraints()))
+    # tau_m binds: the optimum (122, 22) is one of 13,513 evaluated points
+    @example((150.0, 10, BASE.updated(tau_m=3e-4), SearchBounds(600, 2000), Constraints()))
     @example((150.0, 50, BASE.updated(tau=10e-6), SearchBounds(40, 300),
               Constraints(n_o_max=125)))
     @example((150.0, 10, BASE, SearchBounds(5, 1), Constraints()))
@@ -437,10 +439,20 @@ class TestSweepOracle:
         assert (sweep[1].result.n_opt, sweep[1].result.m_opt) == (88, 25)
         assert all(row.result.evaluations == 100_001 * 1_000_000 for row in sweep)
         assert peak < 128 * 2 ** 20
-        # 601 rows a distance: three distances to a pass
+        # 601 rows a distance: six distances to a pass, two rate_grid calls each
         rows.clear()
-        sweep_distance([10.0 + 50 * i for i in range(10)], 10, BASE)
-        assert max(rows) == 3 * 601 <= optimize_module.PASS_ROWS
+        tracemalloc.start()
+        try:
+            sweep_distance([10.0 + 50 * i for i in range(10)], 10, BASE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows == [6 * 601] * 2 + [4 * 601] * 2
+        assert 6 * 601 <= optimize_module.PASS_ROWS
+        assert peak < 2 * 2 ** 20
+        rows.clear()
+        optimize_rate(150.0, 10, BASE)
+        assert rows == [601, 601]
 
 
 def assert_reports_are_scalar_evaluations(ls, spatial_mux, hw, results):
