@@ -52,7 +52,7 @@ distances.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -160,16 +160,15 @@ def _last_true(pred, hi: np.ndarray) -> np.ndarray:
 
 
 def _cells(grid: RateGrid, flat: np.ndarray) -> RateGrid:
-    """The grid's cells at the flat indices flat, as a RateGrid of flat's
-    shape: each field, and each array of its timing, broadcast to the
-    cells' shape first."""
+    """The grid's cells at flat indices into its cells' shape, as a RateGrid
+    of flat's shape for grid_reports; each field, and each array of its
+    timing, is broadcast to the cells' shape first."""
     def at(v):
         return np.broadcast_to(v, grid.rate.shape).flat[flat]
 
     t = grid.timing
-    return RateGrid(timing=DerivedTiming(at(t.heralding_time_s), t.j_steps, at(t.k_steps)),
-                    **{f.name: at(getattr(grid, f.name))
-                       for f in fields(grid) if f.name != "timing"})
+    return RateGrid(**{name: at(v) for name, v in vars(grid).items() if name != "timing"},
+                    timing=DerivedTiming(at(t.heralding_time_s), t.j_steps, at(t.k_steps)))
 
 
 def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwareProfile,
