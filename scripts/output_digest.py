@@ -48,6 +48,9 @@ simulate --n 3 --time-mux 3 --tau-us 1e-300 --seed -1
 figure fig7 --l-list-km 50,100 --out-dir figs
 figure fig2 fig8 --l-list-km 20,200 --out-dir f
 figure fig2 --n-max -1
+figure fig9 --l-list-km 50,150 --n-max 60 --m-max 200 --out-dir f
+figure all --l-list-km 50,150 --n-max 60 --m-max 200 --out-dir f
+figure fig2 fig7 --l-list-km 50 --n-max 20 --m-max 50 --tau-o-us 5 --out-dir f
 rate --threads 2""".splitlines()
 RUNS += [f"{cmd} --config {name}" for name in CONFIGS for cmd in ("rate", "optimize")]
 RUNS += [f"{cmd} --config full.json" for cmd in ("classify", "sweep", "simulate", "figure fig7")]
