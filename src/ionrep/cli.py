@@ -20,7 +20,7 @@ import os
 import sys
 from typing import NamedTuple, Optional
 
-from .figures import CSV_COLUMNS, FIGURES, curve_rows, reduce_row
+from .figures import CSV_COLUMNS, FIGURES, curve_rows, plan_sweeps, reduce_row
 from .mcsim import SimConfig, run_protocol_sim, validate_against_analytic
 from .model import ChainLayout, HardwareProfile, StepCountError, heralding_time
 from .optimize import (
@@ -408,14 +408,14 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
         raise CliError(EXIT_CONFIG, f"cannot write output.dir: {err}")
     ids = list(dict.fromkeys(i for arg in args.figure_ids
                              for i in (sorted(FIGURES) if arg == "all" else [arg])))
-    sweeps: dict = {}  # this call's sweeps, shared by curves with the same key
+    curves = [(fig_id, curve) for fig_id in ids for curve in FIGURES[fig_id][1]]
+    sweeps = plan_sweeps([curve for _, curve in curves], hw)  # shared by this call's curves
     files = []
-    for fig_id in ids:
-        for curve in FIGURES[fig_id][1]:
-            rows = curve_rows(curve, grid, hw, bounds, sweeps)
-            path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
-            _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
-            files.append(path)
+    for fig_id, curve in curves:
+        rows = curve_rows(curve, grid, hw, bounds, sweeps)
+        path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
+        _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
+        files.append(path)
     emit(cfg, "figure", {"figure": " ".join(ids),
                          "description": "; ".join(FIGURES[i][0] for i in ids),
                          "files": files})

@@ -32,27 +32,40 @@ rows beside it.
 Feasibility keeps a prefix of each row. n_o does not depend on m, so n_o_max
 removes whole rows; n_m is n_m(1) m, so n_m_max caps m by an integer
 division; the block grows with m, so tau_m caps m where
-rates.memory_covers stops holding. The rate is computed only by
-rates.rate_grid, called twice per pass: at m = 1 for the row quantities,
-and at each row's candidate columns 1, lo and lo + 1. The memory cap rests
-on den_steps(m) = den_steps(1) + (m - 1.0), rounded as rate_grid rounds it;
-an assertion checks that identity, and rate_grid's mem_ok against m <= cap,
-on every evaluated cell. Both sides apply memory_covers to equal values, so
-they agree at the cap's boundary too. Cells broadcast elementwise, so a
-candidate's rate is the bits of its cell in the full grid. Infeasible and
-non-finite cells count as -1, and per distance a row-major argmax over its
-rows' sorted candidates breaks ties toward smaller n, then smaller m, as a
-scan of that distance's whole grid would. Each distance's report is read
-from the fields of the cell that won its argmax. A pass holds at most
-PASS_ROWS rows, or one distance where its n_max + 1 rows are more; n_max is
-at most MAX_SEARCH_N, so memory stays bounded whatever the number of
-distances.
+rates.memory_covers stops holding. The memory cap rests on
+den_steps(m) = den_steps(1) + (m - 1.0), rounded as rate_grid rounds it; an
+assertion checks that identity, and rate_grid's mem_ok against m <= cap, on
+every evaluated cell. Both sides apply memory_covers to equal values, so
+they agree at the cap's boundary too.
+
+A pass splits into a row state and a step per variant. Noise (eps_g, f0)
+enters the rate only through the factor max(0, rci(n)), which is constant
+along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
+lower a row's cap below the memory cap. So the row state is computed once
+for all variants that share a row_key: the rate_grid call at m = 1, the
+memory cap, and lo_free, the last m in [1, memory cap] where P holds. Each
+variant then takes its cap (at most the memory cap) and
+lo = min(lo_free, cap), which is exact because P holds on a prefix: P holds
+on all of [1, lo_free] and nowhere in (lo_free, memory cap], so its last m
+in [1, cap] is lo_free when lo_free <= cap, and cap otherwise. The
+candidate columns are 1, lo and lo + 1. Variants with equal caps share one
+rate_grid call at those columns, and each other noise level recomputes only
+that grid's noise tail with rates.noise_tail, the function rate_grid itself
+calls, so the rate formula is written once. Cells broadcast elementwise, so a candidate's rate is
+the bits of its cell in the full grid. Infeasible and non-finite cells count
+as -1, and per distance a row-major argmax over its rows' sorted candidates
+breaks ties toward smaller n, then smaller m, as a scan of that distance's
+whole grid would. Each distance's report is read from the fields of the
+cell that won its argmax. A pass holds at most PASS_ROWS rows, or one
+distance where its n_max + 1 rows are more, and one candidate grid at a
+time; n_max is at most MAX_SEARCH_N, so memory stays bounded whatever the
+number of distances or variants.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -60,7 +73,7 @@ import numpy as np
 from .model import (MAX_COUNT, ChainLayout, DerivedTiming, HardwareProfile,
                     fiber_transmissivity)
 from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_covers,
-                    plob_bound, rate_grid)
+                    noise_tail, plob_bound, rate_grid)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 SEARCH_CELLS = 512  # cells per round of the per-row search
@@ -151,7 +164,9 @@ def _last_true(pred, hi: np.ndarray) -> np.ndarray:
     gap = up - lo
     while (gap > 1).any():
         step = -(-gap // (ks.size + 1))
-        m = np.minimum(lo + step * ks, up - 1)
+        # a row that is done (gap <= 1) tests its own lo again, which holds
+        # or is 0; up - 1 alone would be -1 in a row with up = lo = 0
+        m = np.maximum(lo, np.minimum(lo + step * ks, up - 1))
         ok = pred(m)
         lo = np.where(ok, m, lo).max(axis=1, keepdims=True)
         up = np.where(ok, up, m).min(axis=1, keepdims=True)
@@ -161,38 +176,42 @@ def _last_true(pred, hi: np.ndarray) -> np.ndarray:
 
 def _cells(grid: RateGrid, flat: np.ndarray) -> RateGrid:
     """The grid's cells at flat indices into its cells' shape, as a RateGrid
-    of flat's shape for grid_reports; each field, and each array of its
-    timing, is broadcast to the cells' shape first."""
+    of flat's shape for grid_reports. Each field, and each array of its
+    timing, has the cells' rows and either one column or theirs, as a
+    column of repeater counts broadcast against a block of columns gives."""
+    rows, cols = np.divmod(flat, grid.rate.shape[1])
+
     def at(v):
-        return np.broadcast_to(v, grid.rate.shape).flat[flat]
+        return v[rows, cols if v.shape[1] > 1 else 0]
 
     t = grid.timing
     return RateGrid(**{name: at(v) for name, v in vars(grid).items() if name != "timing"},
                     timing=DerivedTiming(at(t.heralding_time_s), t.j_steps, at(t.k_steps)))
 
 
-def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwareProfile,
-                bounds: SearchBounds, constraints: Constraints) -> list:
-    """The optimum at each distance ls[i] over its candidate repeater counts
-    ns[i], or the InfeasibleError that distance raises; one row per
-    (distance, n) pair."""
+def row_key(spatial_mux: int, hw: HardwareProfile, constraints: Constraints) -> tuple:
+    """What a solve's rows and their search depend on: spatial_mux, the
+    hardware with its noise set aside, and the constraints that choose the
+    rows (fixed_n, fixed_l0_km) or rule out a whole pass (tau_min). Variants
+    with equal keys differ only in noise, n_o_max and n_m_max, and share one
+    row solve (sweep_variants)."""
+    return (spatial_mux, hw.optical, hw.timing, hw.memory_margin,
+            constraints.fixed_l0_km, constraints.fixed_n, constraints.tau_min)
+
+
+def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: SearchBounds,
+                variants: Sequence[tuple]) -> list:
+    """Per variant (hw, constraints), the optimum at each distance ls[i] over
+    its candidate repeater counts ns[i], or the InfeasibleError that distance
+    raises; one row per (distance, n) pair, shared by the variants."""
     d, r = ns.shape
     ns = ns.reshape(-1, 1)
     l_km = np.repeat(ls, r)[:, None]
     m_max = np.full_like(ns, bounds.m_max)
+    hw = variants[0][0]  # the row state below does not depend on noise
     first = rate_grid(ChainLayout(l_km, ns, spatial_mux, np.ones_like(ns)), hw)
     den1 = first.den_steps  # den_steps(m) = den1 + (m - 1.0), as rate_grid rounds it
     mem_cap = _last_true(lambda m: memory_covers(hw, den1 + (m - 1.0)), m_max)
-    removed = {"tau_m": m_max - mem_cap}
-    cap = mem_cap
-    if constraints.n_o_max is not None:
-        n_o_ok = first.n_o <= constraints.n_o_max  # n_o does not depend on m
-        removed["n_o_max"] = np.where(n_o_ok, 0, m_max)
-        cap = np.where(n_o_ok, cap, 0)
-    if constraints.n_m_max is not None:
-        n_m_cap = np.minimum(constraints.n_m_max // first.n_m, m_max)  # n_m(m) = n_m(1) m
-        removed["n_m_max"] = m_max - n_m_cap
-        cap = np.minimum(cap, n_m_cap)
 
     # P(m) of the module docstring, with e = expm1(x): h > 1 is
     # (c + m) a lam > e, and u > 0 is e (1 - x - c lam) > x + c lam, tested
@@ -212,24 +231,58 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwarePr
         return out
 
     with np.errstate(all="ignore"):
-        lo = _last_true(rising, cap)
-    cols = np.sort(np.clip(np.hstack([np.ones_like(ns), lo, lo + 1]), 1, bounds.m_max),
-                   axis=1)
-    grid = rate_grid(ChainLayout(l_km, ns, spatial_mux, cols), hw)
-    assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
-            and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
-        "rate_grid's den_steps or mem_ok disagrees with the memory cap"
+        lo_free = _last_true(rising, mem_cap)
+
+    by_caps: dict = {}  # variant indices per (n_o_max, n_m_max), in first-seen order
+    for i, (_, cons) in enumerate(variants):
+        by_caps.setdefault((cons.n_o_max, cons.n_m_max), []).append(i)
+    out: list = [None] * len(variants)
+    for (n_o_max, n_m_max), members in by_caps.items():
+        removed = {"tau_m": m_max - mem_cap}
+        cap = mem_cap
+        if n_o_max is not None:
+            n_o_ok = first.n_o <= n_o_max  # n_o does not depend on m
+            removed["n_o_max"] = np.where(n_o_ok, 0, m_max)
+            cap = np.where(n_o_ok, cap, 0)
+        if n_m_max is not None:
+            n_m_cap = np.minimum(n_m_max // first.n_m, m_max)  # n_m(m) = n_m(1) m
+            removed["n_m_max"] = m_max - n_m_cap
+            cap = np.minimum(cap, n_m_cap)
+        # P holds on a prefix, so the search up to cap is the free one clipped
+        lo = np.minimum(lo_free, cap)
+        cols = np.sort(np.clip(np.hstack([np.ones_like(ns), lo, lo + 1]), 1, bounds.m_max),
+                       axis=1)
+        grid_hw = variants[members[0]][0]
+        grid = rate_grid(ChainLayout(l_km, ns, spatial_mux, cols), grid_hw)
+        assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
+                and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
+            "rate_grid's den_steps or mem_ok disagrees with the memory cap"
+        evaluations = cap.reshape(d, r).sum(axis=1).tolist()
+        for i in members:  # per noise level, only the noise tail is new
+            hw_i, cons_i = variants[i]
+            noisy = grid if hw_i.noise == grid_hw.noise else replace(
+                grid, **noise_tail(ns, grid.block, grid.den_steps, hw_i))
+            out[i] = _optima(noisy, cols, cap, ns[:, 0], removed, evaluations, hw_i,
+                             bounds, cons_i.pinned)
+    return out
+
+
+def _optima(grid: RateGrid, cols: np.ndarray, cap: np.ndarray, ns: np.ndarray,
+            removed: dict, evaluations: list, hw: HardwareProfile, bounds: SearchBounds,
+            pinned: bool) -> list:
+    """Each distance's argmax over its rows' candidate cells, as _solve_pass
+    returns it for one variant; the rows are the distances' rows in order."""
+    d = len(evaluations)
+    r = ns.size // d
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
     # per distance, the flat index of the row-major argmax over its rows'
     # sorted columns: smallest n, then m
     best = rate.reshape(d, -1).argmax(axis=1) + np.arange(0, rate.size, rate.size // d)
-    n_opt, m_opt = ns[best // cols.shape[1], 0], cols.flat[best]
+    n_opt, m_opt = ns[best // cols.shape[1]], cols.flat[best]
     found = rate.flat[best] >= 0.0  # a distance with no feasible cell has only -1
-    evaluations = cap.reshape(d, r).sum(axis=1)
     reports = iter(grid_reports(_cells(grid, best[found]), hw))
     out: list = []
-    for i, (n, m, evals) in enumerate(zip(n_opt.tolist(), m_opt.tolist(),
-                                          evaluations.tolist())):
+    for i, (n, m, evals) in enumerate(zip(n_opt.tolist(), m_opt.tolist(), evaluations)):
         if not found[i]:
             out.append(_infeasible({name: rm[i * r:(i + 1) * r]
                                     for name, rm in removed.items()}, evals))
@@ -238,7 +291,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, hw: HardwarePr
             n_opt=n,
             m_opt=m,
             report=next(reports),
-            boundary_hit_n=(not constraints.pinned) and n == bounds.n_max,
+            boundary_hit_n=(not pinned) and n == bounds.n_max,
             boundary_hit_m=m == bounds.m_max,
             evaluations=evals,
         ))
@@ -257,15 +310,21 @@ def _infeasible(removed: dict, evaluations: int) -> InfeasibleError:
     return InfeasibleError(names, f"no feasible (n, m) grid point: {detail}")
 
 
-def _solve(ls: Sequence[float], spatial_mux: int, hw: HardwareProfile,
-           bounds: SearchBounds, constraints: Constraints) -> list:
-    """Each distance's OptimizationResult, or the InfeasibleError it raises.
+def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
+           variants: Sequence[tuple]) -> list:
+    """Per variant (hw, constraints), each distance's OptimizationResult or
+    the InfeasibleError it raises; the variants must share one row_key.
 
     Distances are solved in passes of at most PASS_ROWS rows (at least one
     distance), so memory stays bounded whatever the number of distances. A
     ValueError is raised as a loop of one-distance calls would raise it: the
     first distance's, after the distances before it have been solved.
     """
+    hw, constraints = variants[0]
+    key = row_key(spatial_mux, hw, constraints)
+    if any(row_key(spatial_mux, *v) != key for v in variants[1:]):
+        raise ValueError("variants of one solve may differ only in noise, n_o_max "
+                         "and n_m_max")
     tau_min_error = None
     if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
         tau_min_error = InfeasibleError(
@@ -274,7 +333,7 @@ def _solve(ls: Sequence[float], spatial_mux: int, hw: HardwareProfile,
             f"{constraints.tau_min:.6g} s; no grid point is feasible",
         )
     per_pass = max(1, PASS_ROWS // (1 if constraints.pinned else bounds.n_max + 1))
-    out: list = []
+    out: list = [[] for _ in variants]
     for start in range(0, len(ls), per_pass):
         rows, error = [], None
         for l_km in ls[start:start + per_pass]:
@@ -287,10 +346,13 @@ def _solve(ls: Sequence[float], spatial_mux: int, hw: HardwareProfile,
                 error = err
                 break
         if tau_min_error is not None:
-            out += rows
+            for results in out:
+                results += rows
         elif rows:
-            out += _solve_pass(np.array(ls[start:start + len(rows)], dtype=float),
-                               np.array(rows), spatial_mux, hw, bounds, constraints)
+            solved = _solve_pass(np.array(ls[start:start + len(rows)], dtype=float),
+                                 np.array(rows), spatial_mux, bounds, variants)
+            for results, part in zip(out, solved):
+                results += part
         if error is not None:
             raise error
     return out
@@ -308,8 +370,8 @@ def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
     non-finite rate are never chosen. An empty feasible set raises
     InfeasibleError naming the constraints that removed points.
     """
-    res, = _solve([l_km], spatial_mux, hw, bounds or SearchBounds(),
-                  constraints or Constraints())
+    (res,), = _solve([l_km], spatial_mux, bounds or SearchBounds(),
+                     [(hw, constraints or Constraints())])
     if isinstance(res, InfeasibleError):
         raise res
     return res
@@ -334,19 +396,31 @@ def sweep_distance(l_list: Sequence[float], spatial_mux: int, hw: HardwareProfil
                    bounds: Optional[SearchBounds] = None,
                    constraints: Optional[Constraints] = None) -> list[SweepRow]:
     """Optimize at each distance; infeasible points become flagged rows."""
+    return sweep_variants(l_list, spatial_mux, [(hw, constraints)], bounds)[0]
+
+
+def sweep_variants(l_list: Sequence[float], spatial_mux: int, variants: Sequence[tuple],
+                   bounds: Optional[SearchBounds] = None) -> list[list[SweepRow]]:
+    """sweep_distance's rows for each (hw, constraints) of variants, from one
+    row solve; the variants must share one row_key, so they differ only in
+    noise, n_o_max and n_m_max (constraints may be None)."""
     ls = list(l_list)
     if not ls:
         raise ValueError("l_list must be nonempty")
     if any(b <= a for a, b in zip(ls, ls[1:])):
         raise ValueError("l_list must be strictly increasing")
-    rows = []
-    for l_km, res in zip(ls, _solve(ls, spatial_mux, hw, bounds or SearchBounds(),
-                                    constraints or Constraints())):
-        failed = isinstance(res, InfeasibleError)
-        rows.append(SweepRow(l_km=l_km, result=None if failed else res,
-                             plob=_plob(l_km, spatial_mux, hw),
-                             infeasible_reason=str(res) if failed else None))
-    return rows
+    variants = [(hw, constraints or Constraints()) for hw, constraints in variants]
+    solved = _solve(ls, spatial_mux, bounds or SearchBounds(), variants)
+    plob = [_plob(l_km, spatial_mux, variants[0][0]) for l_km in ls]
+    sweeps = []
+    for results in solved:
+        rows = []
+        for l_km, res, bound in zip(ls, results, plob):
+            failed = isinstance(res, InfeasibleError)
+            rows.append(SweepRow(l_km=l_km, result=None if failed else res, plob=bound,
+                                 infeasible_reason=str(res) if failed else None))
+        sweeps.append(rows)
+    return sweeps
 
 
 def distance_grid(l_min_km: float, l_max_km: float, l_step_km: float) -> list[float]:

@@ -12,7 +12,9 @@ numpy arrays: the regime comparisons (_regime_tests, behind the decision walk
 and the formula_groups masks), block_denominator, ion_budgets and
 block_success_prob. A regime reaches the formulas only through the
 formula_groups masks; its label is for reports. rate_grid combines them over
-distances, repeater counts and block lengths. evaluate_rate reports its
+distances, repeater counts and block lengths. Noise enters a grid only
+through its noise_tail (f_end, rci and the rate), so the optimizer re-noises
+one grid for each noise level instead of building another. evaluate_rate reports its
 1 x 1 call through grid_reports; the optimizer argmaxes it and reports its
 optima the same way; mcsim.SimConfig reads formula_groups and
 block_denominator at integer steps.
@@ -211,14 +213,21 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     n_o, n_m = ion_budgets(waits, k, j, layout.spatial_mux, m)
     p = link_success_prob(hw.optical, layout.link_length_km)
     block = block_success_prob(p, layout.spatial_mux, m, layout.n_repeaters)
-    f_end = end_to_end_fidelity(layout.n_repeaters, hw.noise)
-    rci = werner_rci(f_end)
     return RateGrid(
         timing=timing, waits=waits, den_steps=den_steps,
-        mem_ok=memory_covers(hw, den_steps),
-        n_o=n_o, n_m=n_m, p=p, block=block, f_end=f_end.fidelity, rci=rci,
-        rate=block / (den_steps * tm.tau) * np.maximum(0.0, rci),
+        mem_ok=memory_covers(hw, den_steps), n_o=n_o, n_m=n_m, p=p, block=block,
+        **noise_tail(layout.n_repeaters, block, den_steps, hw),
     )
+
+
+def noise_tail(n_repeaters, block, den_steps, hw: HardwareProfile) -> dict:
+    """The RateGrid fields that hw.noise enters, f_end, rci and the rate
+    block / (den_steps tau) x max(0, rci), for a grid's block and den_steps:
+    a grid at other noise is the grid with these fields replaced."""
+    f_end = end_to_end_fidelity(n_repeaters, hw.noise)
+    rci = werner_rci(f_end)
+    return {"f_end": f_end.fidelity, "rci": rci,
+            "rate": block / (den_steps * hw.timing.tau) * np.maximum(0.0, rci)}
 
 
 def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:

@@ -460,28 +460,32 @@ class TestFigure:
     FAST = ("--l-list-km", "50,150", "--n-max", "60", "--m-max", "200")
 
     @staticmethod
-    def count_sweeps(monkeypatch) -> list:
+    def count_solves(monkeypatch) -> list:
+        """The (l_list, spatial_mux, variants, bounds) of each shared row solve."""
         calls = []
-        real = figures_module.sweep_distance
+        real = figures_module.sweep_variants
 
         def counting(*args, **kwargs):
-            calls.append(args[1:])
+            calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(figures_module, "sweep_distance", counting)
+        monkeypatch.setattr(figures_module, "sweep_variants", counting)
         return calls
 
     def test_all_matches_one_call_per_id(self, capsys, tmp_path, monkeypatch):
-        calls = self.count_sweeps(monkeypatch)
+        calls = self.count_solves(monkeypatch)
         code, out, _ = run(capsys, "figure", "all", *self.FAST,
                            "--out-dir", str(tmp_path / "all"), "--format", "json")
         assert code == 0
-        assert len(calls) == 23
+        # 11 row solves for the 23 distinct (spatial_mux, hardware, constraints)
+        assert len(calls) == 11
+        assert sum(len(variants) for _, _, variants, _ in calls) == 23
         assert json.loads(out)["figure"] == "fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9"
         for fig_id in sorted(figures_module.FIGURES):
             assert run(capsys, "figure", fig_id, *self.FAST,
                        "--out-dir", str(tmp_path / "each"))[0] == 0
-        assert len(calls) == 23 + 59
+        # 3 per fig2-fig6, 3 for fig7, 4 for fig8 and 3 for fig9
+        assert len(calls) == 11 + 25
         names = sorted(p.name for p in (tmp_path / "all").iterdir())
         assert len(names) == 59
         assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
@@ -508,19 +512,31 @@ class TestFigure:
         assert digest.hexdigest() == self.GOLDEN
 
     def test_each_call_sweeps_its_own_curves(self, capsys, tmp_path, monkeypatch):
-        calls = self.count_sweeps(monkeypatch)
+        calls = self.count_solves(monkeypatch)
         assert run(capsys, "figure", "fig2", "fig3", *self.FAST,
                    "--out-dir", str(tmp_path))[0] == 0
-        assert len(calls) == 9
-        assert len(set(map(repr, calls))) == 9
-        # no sweep outlives its call
-        for expected in (18, 27):
+        # one solve per spatial_mux, each for its three noise levels
+        assert len(calls) == 3
+        assert len(set(map(repr, calls))) == 3
+        assert [len(variants) for _, _, variants, _ in calls] == [3, 3, 3]
+        # no solve outlives its call
+        for expected in (6, 9):
             assert run(capsys, "figure", "fig2", *self.FAST,
                        "--out-dir", str(tmp_path))[0] == 0
             assert len(calls) == expected
 
+    def test_curves_before_a_rejected_override_are_written(self, capsys, tmp_path):
+        # fig7's tau_g = 10 us is past tau_o = 5 us; fig2 runs with the flags alone
+        code, _, err = run(capsys, "figure", "fig2", "fig7", "--l-list-km", "50",
+                           "--n-max", "20", "--m-max", "50", "--tau-o-us", "5",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert "tau_o must exceed tau_g" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            f"fig2_{curve.label}.csv" for curve in figures_module.FIGURES["fig2"][1])
+
     def test_repeated_id_runs_once(self, capsys, tmp_path, monkeypatch):
-        calls = self.count_sweeps(monkeypatch)
+        calls = self.count_solves(monkeypatch)
         code, out, _ = run(capsys, "figure", "fig7", "fig7", *self.FAST,
                            "--out-dir", str(tmp_path), "--format", "json")
         assert code == 0

@@ -9,6 +9,7 @@ import math
 import re
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -313,6 +314,16 @@ class TestScanOracle:
     def test_matches_the_exhaustive_scan(self, problem):
         assert outcome(optimize_rate, *problem) == outcome(scan_optimum, *problem)
 
+    def test_rows_with_nothing_left_to_search_keep_their_lo(self):
+        # a row with hi = 0 beside a row still searching once tested m = -1
+        last_true = optimize_module._last_true
+        assert last_true(lambda m: m <= 30, np.array([[0], [50]])).tolist() == [[0], [30]]
+        assert last_true(lambda m: m <= 30, np.array([[0]])).tolist() == [[0]]
+        # pred fails at 1 and at 0 in the first row, and holds at -1
+        limit = np.array([[0], [30]])
+        assert last_true(lambda m: (m <= limit) & (m != 0),
+                         np.array([[5], [50]])).tolist() == [[0], [30]]
+
     def test_row_below_one_step_falls_then_peaks(self):
         l_km, mux, hw, bounds, cons = DIP
         ms = np.arange(1, bounds.m_max + 1)
@@ -490,6 +501,65 @@ class TestReports:
                 return
         assert_reports_are_scalar_evaluations(
             ls, spatial_mux, hw, [row.result for row in rows])
+
+
+@st.composite
+def _variant_sets(draw):
+    """A _sweeps() draw whose hardware and constraints become variants of one
+    row solve: 1-4 noise settings x 1-3 (n_o_max, n_m_max) caps, either of
+    which may be None, over the draw's own fixed_n, fixed_l0_km or tau_min."""
+    ls, spatial_mux, hw, bounds, constraints, pass_rows = draw(_sweeps())
+    noises = draw(st.lists(st.tuples(st.sampled_from([0.0, 1e-4, 1e-3, 0.05, 0.2]),
+                                     st.floats(-6.0, -2.0)), min_size=1, max_size=4))
+    caps = draw(st.lists(st.tuples(st.none() | st.integers(1, 10000),
+                                   st.none() | st.integers(1, 30000)),
+                         min_size=1, max_size=3))
+    variants = [(hw.updated(eps_g=eps_g, f0=1.0 - 10 ** f0_exp),
+                 replace(constraints, n_o_max=n_o_max, n_m_max=n_m_max))
+                for eps_g, f0_exp in noises for n_o_max, n_m_max in caps]
+    return ls, spatial_mux, variants, bounds, pass_rows
+
+
+class TestSharedRowSolve:
+    # variants that differ only in noise and ion caps share one row search;
+    # each must get the rows its own sweep_distance gives, field by field
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_variant_sets())
+    # n_o_max = 40 leaves 15 of the 61 rows at 150 km (cap = 0 on the rest)
+    @example(([50.0, 150.0], 10,
+              [(hw, Constraints(n_o_max=n_o_max)) for hw in (BASE, BASE.updated(eps_g=1e-3))
+               for n_o_max in (None, 40)],
+              SearchBounds(60, 200), 61))
+    @example(([1.0, 30.0, 100.0, 300.0], 5,
+              [(BASE.updated(tau_m=1e-3, eps_g=eps_g), Constraints(n_m_max=n_m_max))
+               for eps_g in (0.0, 1e-4, 0.2) for n_m_max in (None, 30)],
+              SearchBounds(2, 50), 3))
+    def test_each_variant_is_its_own_sweep(self, case):
+        ls, spatial_mux, variants, bounds, pass_rows = case
+        with pytest.MonkeyPatch.context() as mp:
+            if pass_rows is not None:
+                mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
+            try:
+                shared = optimize_module.sweep_variants(ls, spatial_mux, variants, bounds)
+            except ValueError as err:
+                for hw, cons in variants:
+                    with pytest.raises(ValueError, match=re.escape(str(err))):
+                        sweep_distance(ls, spatial_mux, hw, bounds, cons)
+                return
+            alone = [sweep_distance(ls, spatial_mux, hw, bounds, cons)
+                     for hw, cons in variants]
+        assert shared == alone
+        for (hw, _), rows in zip(variants, shared):
+            assert_reports_are_scalar_evaluations(
+                ls, spatial_mux, hw, [row.result for row in rows])
+
+    def test_variants_must_share_their_rows(self):
+        with pytest.raises(ValueError, match="differ only in noise"):
+            optimize_module.sweep_variants(
+                [150.0], 10, [(BASE, None), (BASE.updated(tau_g=2e-6), None)])
+        with pytest.raises(ValueError, match="differ only in noise"):
+            optimize_module.sweep_variants(
+                [150.0], 10, [(BASE, None), (BASE, Constraints(fixed_n=5))])
 
 
 class TestTimeRescaling:
