@@ -51,15 +51,17 @@ in [1, cap] is lo_free when lo_free <= cap, and cap otherwise. The
 candidate columns are 1, lo and lo + 1. Variants with equal caps share one
 rate_grid call at those columns, and each other noise level recomputes only
 that grid's noise tail with rates.noise_tail, the function rate_grid itself
-calls, so the rate formula is written once. Cells broadcast elementwise, so a candidate's rate is
-the bits of its cell in the full grid. Infeasible and non-finite cells count
-as -1, and per distance a row-major argmax over its rows' sorted candidates
-breaks ties toward smaller n, then smaller m, as a scan of that distance's
-whole grid would. Each distance's report is read from the fields of the
-cell that won its argmax. A pass holds at most PASS_ROWS rows, or one
-distance where its n_max + 1 rows are more, and one candidate grid at a
-time; n_max is at most MAX_SEARCH_N, so memory stays bounded whatever the
-number of distances or variants.
+calls, so the rate formula is written once.
+
+Cells broadcast elementwise, so a candidate's rate is the bits of its cell
+in the full grid. Infeasible and non-finite cells count as -1, and per
+distance a row-major argmax over its rows' sorted candidates breaks ties
+toward smaller n, then smaller m, as a scan of that distance's whole grid
+would. Each distance's report is read from the fields of the cell that won
+its argmax. A pass holds at most PASS_ROWS rows, or one distance where its
+n_max + 1 rows are more, and one candidate grid at a time; n_max is at most
+MAX_SEARCH_N, so memory stays bounded whatever the number of distances or
+variants.
 """
 
 from __future__ import annotations
