@@ -45,6 +45,9 @@ simulate --l-km 8 --n 1 --spatial-mux 3 --time-mux 4 --p-override 1 --num-blocks
 simulate --tau-us 0.01 --n 3 --time-mux 3 --num-blocks 100 --n-mem-ions 20 --trace t
 simulate --l-km 20 --n 1 --time-mux 6 --num-blocks 100 --validate --tau-m-us 10
 simulate --n 3 --time-mux 3 --tau-us 1e-300 --seed -1
+simulate --l-km 20 --n 1 --spatial-mux 8 --time-mux 6 --num-blocks 300 --validate
+simulate --l-km 40 --n 2 --spatial-mux 9 --time-mux 4 --tau-o-us 80 --num-blocks 300 --validate
+simulate --l-km 60 --n 3 --spatial-mux 50 --time-mux 3 --num-blocks 200 --validate
 figure fig7 --l-list-km 50,100 --out-dir figs
 figure fig2 fig8 --l-list-km 20,200 --out-dir f
 figure fig2 --n-max -1
