@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import json
 import math
 import os
@@ -459,6 +460,7 @@ _FLAG_ARGS = {"num": {"type": float}, "int": {"type": int},
                           "type": lambda s: [float(v) for v in s.split(",")]}}
 
 
+@functools.cache  # one parser a process: parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionrep",

@@ -30,12 +30,17 @@ Memory: a chunk's uniforms, one per (block, link, slot, mode) in C order,
 are drawn a slice of rows at a time into one reused float64 buffer of
 max(DRAW_BYTES, 8M) bytes, whatever the block count or chain length; each
 slice is reduced at once to the first successful mode per (block, link,
-slot). Drawing random(a) then random(b) yields the same stream as
-random(a + b), so the slicing changes no result. What grows with the chunk
-is the state, kept node-major with blocks last: the first successes, read as
-an m x links x blocks view of their block-major order, and three int32
-histories of m x (links or nodes) x blocks, about 18 MB each at n = 88,
-m = 25 and 2048 blocks; the per-node counters are nodes x blocks.
+slot). Up to LEAD_MODES modes the reduction counts each row's leading
+misses, two whole-slice operations per mode, since argmax pays a fixed cost
+per row; above it, those M operations a slice cost more than argmax's one,
+so argmax takes the first hit. Drawing random(a) then random(b) yields the
+same stream as random(a + b), so neither the slicing nor the method changes
+a result. What grows with the chunk is the state, kept node-major with
+blocks last: the first successes, read as an m x links x blocks view of
+their block-major order, and three int32 histories of m x (links or nodes)
+x blocks. At n = 88 and m = 25 each history takes about 18 MB for a
+2048-block run, which is one chunk of 2048 blocks, and four times that in a
+full chunk of CHUNK_BLOCKS = 8192. The per-node counters are nodes x blocks.
 """
 
 from __future__ import annotations
@@ -58,6 +63,7 @@ from .rates import RateReport, block_denominator, ceil_tol, formula_groups, ion_
 
 CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
+LEAD_MODES = 8  # up to this M, first hits are counted leading misses, not argmax
 _UNLIMITED = 1 << 30
 
 
@@ -172,19 +178,32 @@ def _first_successes(rng: np.random.Generator, p: float, rows: int,
 
     The rows are filled in order, a slice at a time, into one buffer of
     DRAW_BYTES (at least one row), so the generator is consumed exactly as
-    by one rng.random((rows, M)).
+    by one rng.random((rows, M)). Up to LEAD_MODES modes, each row's first
+    hit is its count of leading misses, taken by two operations per mode
+    over the whole slice; above it, argmax over each row, as M operations a
+    slice then cost more than argmax's fixed cost per row.
     """
     fsi = np.empty(rows, dtype=np.int32)
     per = max(1, DRAW_BYTES // (8 * big_m))
     buf = np.empty((min(per, rows), big_m))
-    hit = np.empty(buf.shape, dtype=bool)
+    flags = np.empty(buf.shape, dtype=bool)
+    lead = np.empty(len(buf), dtype=bool)
     for lo in range(0, rows, per):
         n = min(per, rows - lo)
+        out = fsi[lo:lo + n]
         rng.random(out=buf[:n])
-        np.less(buf[:n], p, out=hit[:n])
-        first = np.argmax(hit[:n], axis=1)
-        # argmax reads 0 both for a hit at mode 0 and for no hit at all
-        fsi[lo:lo + n] = np.where((first == 0) & ~hit[:n, 0], big_m, first)
+        if big_m <= LEAD_MODES:
+            miss, alive = np.greater_equal(buf[:n], p, out=flags[:n]), lead[:n]
+            alive.fill(True)
+            out.fill(0)
+            for i in range(big_m):  # alive: modes 0..i all missed
+                alive &= miss[:, i]
+                out += alive
+        else:
+            hit = np.less(buf[:n], p, out=flags[:n])
+            first = np.argmax(hit, axis=1)
+            # argmax reads 0 both for a hit at mode 0 and for no hit at all
+            out[:] = np.where((first == 0) & ~hit[:, 0], big_m, first)
     return fsi
 
 
@@ -218,6 +237,8 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     kept = np.zeros_like(att)
     loaded = np.zeros((m, n_links + 1, cb), dtype=np.int32)
     link_ok = np.zeros((n_links, cb), dtype=bool)
+    freed_c = np.empty_like(used_comm)  # this step's frees, zeroed each step
+    freed_m = np.empty_like(used_mem)
     want_init = np.full((n_links, cb), big_m, dtype=np.int32)
     dropped_comm = dropped_mem = 0
     peaks = np.zeros(3, dtype=np.int64)
@@ -234,8 +255,8 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     last = config.block_steps - 2 * j
     steps = _event_steps(last, m, j, k, wait)
     for t, upto in zip(steps, [*steps[1:], last + 1]):
-        freed_c = np.zeros_like(used_comm)
-        freed_m = np.zeros_like(used_mem)
+        freed_c.fill(0)
+        freed_m.fill(0)
 
         if wait:
             s = t - k

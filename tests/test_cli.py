@@ -358,6 +358,15 @@ class TestSimulate:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_calls_in_one_process_are_independent(self, capsys):
+        # one parser serves every call: a flag of one call must not reach the next
+        build_parser.cache_clear()
+        _, fresh, _ = run(capsys, *self.SIM, "--format", "json")
+        _, seeded, _ = run(capsys, *self.SIM, "--seed", "5", "--format", "json")
+        _, after, _ = run(capsys, *self.SIM, "--format", "json")
+        assert seeded != fresh
+        assert after == fresh
+
     def test_negative_seed_names_field(self, capsys):
         code, _, err = run(capsys, *self.SIM, "--seed", "-1")
         assert code == 2

@@ -9,6 +9,7 @@ import hashlib
 import math
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -285,6 +286,9 @@ class TestDrawSlices:
                                tau_o_s=50 * US, p=0.3, num_blocks=mcsim.CHUNK_BLOCKS + 37,
                                seed=5, trace=True),
                      id="two-chunks"),
+        pytest.param(SimConfig(ChainLayout(20.0, 2, 10, 3), j_steps=1, k_steps=4, tau_s=US,
+                               tau_o_s=5 * US, p=0.1, num_blocks=300, seed=9, trace=True),
+                     id="ten-modes"),
     ])
     def test_slicing_keeps_the_stream(self, monkeypatch, cfg):
         big_m = cfg.layout.spatial_mux
@@ -295,6 +299,21 @@ class TestDrawSlices:
             monkeypatch.setattr(mcsim, "DRAW_BYTES", budget)
             runs.append(run_protocol_sim(cfg))
         assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("big_m", range(1, 2 * mcsim.LEAD_MODES + 2))
+    def test_first_successes_are_the_first_hits(self, monkeypatch, big_m):
+        # counted leading misses up to LEAD_MODES modes, argmax above: both
+        # must give argmax's first hit, or M, and draw exactly rows x M uniforms
+        monkeypatch.setattr(mcsim, "DRAW_BYTES", 8 * big_m * 7 + 3)  # 7 rows a slice
+        rows = 7 * 40 + 5
+        for p in (0.0, 0.01, 0.3, 1.0):
+            rng, ref = np.random.default_rng([3, big_m]), np.random.default_rng([3, big_m])
+            hit = ref.random((rows, big_m)) < p
+            want = np.where(hit.any(axis=1), np.argmax(hit, axis=1), big_m)
+            got = mcsim._first_successes(rng, p, rows, big_m)
+            assert got.dtype == np.int32
+            assert np.array_equal(got, want)
+            assert rng.random() == ref.random()
 
 
 class TestEventSteps:
