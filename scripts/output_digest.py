@@ -27,6 +27,7 @@ rate --n 87 --time-mux 22 --tau-m-us 100
 rate --n 3 --time-mux 3 --tau-o-us 0.5 --f0 0.1
 rate --n 3 --time-mux 3 --tau-us 1e-9
 rate --n 3
+rate --l-km 0.6 --n 1 --time-mux 6 --tau-g-us 3 --tau-o-us 4
 classify --l0-km 1.7
 classify --l0-km 40 --tau-o-us 10
 classify --tau-g-us 3 --l0-km 0.05
@@ -48,6 +49,7 @@ simulate --n 3 --time-mux 3 --tau-us 1e-300 --seed -1
 simulate --l-km 20 --n 1 --spatial-mux 8 --time-mux 6 --num-blocks 300 --validate
 simulate --l-km 40 --n 2 --spatial-mux 9 --time-mux 4 --tau-o-us 80 --num-blocks 300 --validate
 simulate --l-km 60 --n 3 --spatial-mux 50 --time-mux 3 --num-blocks 200 --validate
+simulate --l-km 0.6 --n 1 --spatial-mux 2 --time-mux 6 --tau-g-us 3 --tau-o-us 4 --num-blocks 2000 --validate
 figure fig7 --l-list-km 50,100 --out-dir figs
 figure fig2 fig8 --l-list-km 20,200 --out-dir f
 figure fig2 --n-max -1

@@ -2,20 +2,26 @@
 
 Each block runs m generation slots. Every slot, every node fires up to M
 communication-ion attempts per fiber side; a link-level attempt succeeds with
-probability p and its herald arrives k steps later. What happens next depends
-on whether communication ions live long enough to wait for that herald:
+probability p and its herald arrives k steps later. The formula group from
+rates.waits_for_herald, read at the integer j and k, decides what happens
+next, and rates.slot_events gives the two steps after its start at which a
+slot acts:
 
-- blind gating (short-lived comm ions): every attempted mode is swapped into
-  memory j steps after generation; heralds later decide which single loaded
-  pair per link slot survives and the rest are freed.
+- blind gating (short-lived comm ions): at the first event, j steps in,
+  every attempted mode is in memory; at the second, once the gate is done
+  and the heralds are in hand, they decide which single loaded pair per
+  link slot survives and the rest are freed.
 - wait-for-herald (long-lived comm ions): failed modes are freed when the
-  herald arrives at slot+k; the one heralded mode per link is gated into
-  memory, occupying its comm ions until slot+k+j.
+  herald arrives, the first event; the one heralded mode per link is gated
+  into memory, occupying its comm ions until the second, j steps later.
 
-Occupancy bookkeeping frees ions before the same step's new initializations,
-which is what lets a fixed pool of 2jM (blind) or 2(Mk+j) (wait) comm ions
-cycle forever. Blocks do not pipeline: a block's wall time in steps equals
-its rate denominator and every block starts from empty traps.
+Only slot starts and these events change a count, so a chunk runs those
+steps alone, at most 3m of them whatever the clock. Occupancy bookkeeping
+frees ions before the same step's new initializations, which is what lets a
+fixed pool of 2jM (blind) or 2(Mk+j) (wait) comm ions cycle forever. Blocks
+do not pipeline: a block's wall time in steps is rates.block_denominator,
+the last slot's last event plus the swap and the readout, and every block
+starts from empty traps.
 
 Pool rule, for comm and memory ions alike: a node serves its left fiber side
 first, an end node's whole pool serves its one side, and a link gets the
@@ -59,7 +65,8 @@ from .model import (
     link_success_prob,
     swap_survival_factor,
 )
-from .rates import RateReport, block_denominator, ceil_tol, formula_groups, ion_budgets
+from .rates import (RateReport, block_denominator, ceil_tol, ion_budgets, slot_events,
+                    waits_for_herald)
 
 CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
@@ -96,19 +103,16 @@ class SimConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-    def _formula_groups(self):
-        # the analytic regime tests, read at the quantized times k tau, j tau
-        return formula_groups(self.k_steps * self.tau_s, self.j_steps * self.tau_s,
-                              self.tau_o_s)
-
     @property
     def waits_for_herald(self) -> bool:
-        return bool(self._formula_groups()[0])
+        # the analytic regime tests, read at the quantized times k tau, j tau
+        return bool(waits_for_herald(self.k_steps * self.tau_s, self.j_steps * self.tau_s,
+                                     self.tau_o_s))
 
     @property
     def block_steps(self) -> int:
-        """Wall steps per block: the regime denominator at the integer j, k."""
-        return int(block_denominator(*self._formula_groups(), self.k_steps,
+        """Wall steps per block: the rate denominator at the integer j, k."""
+        return int(block_denominator(self.waits_for_herald, self.k_steps,
                                      self.layout.time_mux, self.j_steps))
 
     @classmethod
@@ -207,11 +211,10 @@ def _first_successes(rng: np.random.Generator, p: float, rows: int,
     return fsi
 
 
-def _event_steps(last: int, m: int, j: int, k: int, wait: bool) -> list[int]:
-    """The steps in [0, last] where a slot starts or one of its two later events
+def _event_steps(m: int, events) -> list[int]:
+    """The steps where one of m slots starts or one of its two later events
     comes due, at most 3m whatever the clock; no other step changes a count."""
-    return sorted({t for due in (0, *((k, k + j) if wait else (j, max(j, k))))
-                   for t in range(due, min(due + m, last + 1))})
+    return sorted({t for due in (0, *events) for t in range(due, due + m)})
 
 
 def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
@@ -219,8 +222,8 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     lay = config.layout
     n_links = lay.n_links
     m, big_m = lay.time_mux, lay.spatial_mux
-    j, k = config.j_steps, config.k_steps
     wait = config.waits_for_herald
+    e1, e2 = (int(e) for e in slot_events(wait, config.k_steps, config.j_steps))
     # a pool past 2**30 binds nowhere, and the clamp keeps its budget int32
     pool_c = min(config.n_comm_ions or _UNLIMITED, _UNLIMITED)
     pool_m = min(config.n_mem_ions or _UNLIMITED, _UNLIMITED)
@@ -251,22 +254,31 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
             if count:
                 trace.append(f"{step},{node},{event},{int(count)}")
 
-    # the last herald decision lands 2j steps before the block ends
-    last = config.block_steps - 2 * j
-    steps = _event_steps(last, m, j, k, wait)
-    for t, upto in zip(steps, [*steps[1:], last + 1]):
+    steps = _event_steps(m, (e1, e2))
+    for t, upto in zip(steps, [*steps[1:], steps[-1] + 1]):
         freed_c.fill(0)
         freed_m.fill(0)
 
-        if wait:
-            s = t - k
-            if 0 <= s < m:
+        s = t - e1
+        if 0 <= s < m:
+            if wait:
                 # heralds arrive: free every mode except the one kept for gating
                 kept[s] = fsi[s] < att[s]
                 idle = att[s] - kept[s]
                 freed_c += _fold(idle, idle)
-            s = t - k - j
-            if 0 <= s < m:
+            else:
+                # blind gates complete: comm ions retire, all attempts load
+                freed_c += _fold(att[s], att[s])
+                at_left, at_right, kept[s] = _grant(att[s], used_mem, pool_m)
+                loaded[s] = load = _fold(at_left, at_right)
+                used_mem += load
+                dropped_mem += int(2 * att[s].sum() - load.sum())
+                note(t, load, "load_mem")
+        # second events run after first ones: blind with k <= j, both land on
+        # the same step and the heralds are already in hand when the gate ends
+        s = t - e2
+        if 0 <= s < m:
+            if wait:
                 # gate done on the kept mode: comm ion retires, memory loads
                 freed_c += _fold(kept[s], kept[s])
                 _, _, pair_ok = _grant(kept[s], used_mem, pool_m)
@@ -277,20 +289,7 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
                 dropped_mem += int((kept[s] - pair_ok).sum())
                 note(t, load, "load_mem")
                 note(t, load, "herald")
-        else:
-            s = t - j
-            if 0 <= s < m:
-                # blind gates complete: comm ions retire, all attempts load
-                freed_c += _fold(att[s], att[s])
-                at_left, at_right, kept[s] = _grant(att[s], used_mem, pool_m)
-                loaded[s] = load = _fold(at_left, at_right)
-                used_mem += load
-                dropped_mem += int(2 * att[s].sum() - load.sum())
-                note(t, load, "load_mem")
-            # keeps run after loads: with k <= j both land on the same step
-            # and the heralds are already in hand when the gate finishes
-            s = t - max(j, k)
-            if 0 <= s < m:
+            else:
                 # keep one surviving pair per link, free the rest of the loads
                 surv = fsi[s] < kept[s]
                 link_ok |= surv
@@ -304,22 +303,22 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
         note(t, freed_c, "free_comm")
         note(t, freed_m, "free_mem")
 
-        if t < m:
+        if t < m:  # only inits raise the comm count
             _, _, att[t] = _grant(want_init, used_comm, pool_c)
             init = _fold(att[t], att[t])
             used_comm += init
             dropped_comm += int((big_m - att[t]).sum())
             note(t, init, "init")
-
-        peaks[0] = max(peaks[0], int(used_comm.max()))
+            peaks[0] = max(peaks[0], int(used_comm.max()))
+        # at the step's end: a blind step frees loads after adding them
         peaks[1] = max(peaks[1], int(used_mem.max()))
-        peaks[2] = max(peaks[2], int(heralded.max()))
         if collect_trace:  # this step's gauges, held until the next event
             for u in range(t, upto):
                 note(u, used_comm, "comm_loaded")
                 note(u, used_mem, "mem_loaded")
                 note(u, heralded, "heralded")
 
+    peaks[2] = heralded.max()  # heralded pairs are never freed within a block
     successes = int(link_ok.all(axis=0).sum())
     return successes, peaks, dropped_comm, dropped_mem, trace
 

@@ -4,19 +4,25 @@ A block of m clock cycles accumulates heralded link-level entanglement which
 is swapped end to end once per block. How the block's wall time and the per
 node ion budgets come out depends on the ordering of three time scales: the
 heralding latency T, the communication-ion lifetime tau_o, and the gate time
-tau_g. The five orderings are labeled A, B1, B2, C1, C2; B1 shares A's
-formulas and C2 shares B2's.
+tau_g. The five orderings are labeled A, B1, B2, C1, C2, but the formulas
+split only two ways: comm ions wait for the herald (B2, C2) or gate into
+memory blind (A, B1, C1). waits_for_herald is that split, and the labels,
+from the decision walk, are for reports.
+
+A block's schedule is written once, in slot_events: each slot starts at its
+offset and has two later events, the herald and the gate into memory, whose
+order and spacing depend on the split. block_denominator is the last slot's
+last event plus the swap and the readout, and mcsim replays the same events
+at integer steps.
 
 Each formula is written once, here or in ionrep.model, and broadcasts over
-numpy arrays: the regime comparisons (_regime_tests, behind the decision walk
-and the formula_groups masks), block_denominator, ion_budgets and
-block_success_prob. A regime reaches the formulas only through the
-formula_groups masks; its label is for reports. rate_grid combines them over
-distances, repeater counts and block lengths. Noise enters a grid only
-through its noise_tail (f_end, rci and the rate), so the optimizer re-noises
-one grid for each noise level instead of building another. evaluate_rate reports its
-1 x 1 call through grid_reports; the optimizer argmaxes it and reports its
-optima the same way; mcsim.SimConfig reads formula_groups and
+numpy arrays: waits_for_herald, slot_events, block_denominator, ion_budgets
+and block_success_prob. rate_grid combines them over distances, repeater
+counts and block lengths. Noise enters a grid only through its noise_tail
+(f_end, rci and the rate), so the optimizer re-noises one grid for each
+noise level instead of building another. evaluate_rate reports its 1 x 1
+call through grid_reports; the optimizer argmaxes it and reports its optima
+the same way; mcsim.SimConfig reads waits_for_herald, slot_events and
 block_denominator at integer steps.
 """
 
@@ -62,11 +68,11 @@ def _regime_tests(t, tau_g: float, tau_o: float):
     return t >= tau_o, t >= tau_g, tau_o >= t + tau_g
 
 
-def formula_groups(t, tau_g: float, tau_o: float):
-    """Masks (waits, uses_k) of T in groups B2/C2 and A/B1; the rest is C1."""
-    past_o, past_g, fits = _regime_tests(t, tau_g, tau_o)
-    waits = ~past_o & fits
-    return waits, past_g & ~waits
+def waits_for_herald(t, tau_g: float, tau_o: float):
+    """True where T lets comm ions wait for the herald (B2, C2); A, B1 and
+    C1 gate blind. This mask is the only way a regime reaches a formula."""
+    past_o, _, fits = _regime_tests(t, tau_g, tau_o)
+    return ~past_o & fits
 
 
 def _decision_walk(timing: TimingParams, t: float):
@@ -91,10 +97,31 @@ def classification_path(timing: TimingParams, heralding_time_s: float) -> list[s
             for label, lhs, rhs, ok in steps] + [f"regime {regime.value}"]
 
 
-def block_denominator(waits, uses_k, k_steps, m, j_steps):
-    """Block wall time in steps: k + 2j (A, B1), k + 3j (B2, C2) or 3j (C1), + m - 1."""
-    base = np.where(uses_k, k_steps + 2.0 * j_steps,
-                    np.where(waits, k_steps + 3.0 * j_steps, 3.0 * j_steps))
+def slot_events(waits, k_steps, j_steps):
+    """A slot's two events, in steps after the slot starts.
+
+    Waiting for the herald, the herald arrives at k and the one heralded
+    mode is gated into memory by k + j. Gating blind, every attempt is in
+    memory at j and the herald's verdict is in hand at max(j, k), which is
+    k in A and B1 and j in C1, where the herald lands inside the gate.
+    """
+    return (np.where(waits, k_steps, j_steps),
+            np.where(waits, k_steps + j_steps, np.maximum(j_steps, k_steps)))
+
+
+def block_denominator(waits, k_steps, m, j_steps):
+    """Block wall time in steps: the last slot, m - 1, and its second event
+    from slot_events, then one j for the end-to-end swap and one for the
+    readout.
+
+    That is k + 3j in B2 and C2 (herald k, comm-to-memory gate, swap,
+    readout), max(j, k) + 2j = k + 2j in A and B1, where T >= tau_g gives
+    k >= j (the gate runs inside the herald wait, then swap and readout),
+    and 3j in C1 (the herald lands inside the gate). The waiting sum is taken as k + 3.0 j: (k + j) + 2j
+    differs from it in the last bit on some float cells.
+    """
+    base = np.where(waits, k_steps + 3.0 * j_steps,
+                    np.maximum(j_steps, k_steps) + 2.0 * j_steps)
     return base + (m - 1.0)  # exact for m = 1, where base may be below one ulp of m
 
 
@@ -208,8 +235,8 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     timing = derive_timing(layout, hw)
     tm = hw.timing
     k, j, m = timing.k_steps, timing.j_steps, layout.time_mux
-    waits, uses_k = formula_groups(timing.heralding_time_s, tm.tau_g, tm.tau_o)
-    den_steps = block_denominator(waits, uses_k, k, m, j)
+    waits = waits_for_herald(timing.heralding_time_s, tm.tau_g, tm.tau_o)
+    den_steps = block_denominator(waits, k, m, j)
     n_o, n_m = ion_budgets(waits, k, j, layout.spatial_mux, m)
     p = link_success_prob(hw.optical, layout.link_length_km)
     block = block_success_prob(p, layout.spatial_mux, m, layout.n_repeaters)

@@ -23,11 +23,12 @@ from ionrep.rates import (
     classify_regime,
     classification_path,
     evaluate_rate,
-    formula_groups,
     ion_budgets,
     plob_bound,
     rate_grid,
     reference_rates,
+    slot_events,
+    waits_for_herald,
 )
 
 BASE = HardwareProfile()
@@ -44,10 +45,8 @@ def l_km_for_herald_steps(k: float, n_ref=1.47, tau=US) -> float:
     return k * tau * C_VACUUM_KM_S / n_ref
 
 
-# each regime's formula group as formula_groups' masks (waits, uses_k): B1
-# shares A's formulas and C2 shares B2's
-GROUPS = {Regime.A: (False, True), Regime.B1: (False, True), Regime.B2: (True, False),
-          Regime.C2: (True, False), Regime.C1: (False, False)}
+# the regimes whose comm ions wait for the herald; A, B1 and C1 gate blind
+WAITS = {Regime.B2, Regime.C2}
 
 # (tau_g, tau_o, T) in microseconds, with T inside each regime's window
 WINDOWS = {Regime.A: (1.0, 50.0, 80.0), Regime.B1: (1.0, 50.0, 49.5),
@@ -56,12 +55,12 @@ WINDOWS = {Regime.A: (1.0, 50.0, 80.0), Regime.B1: (1.0, 50.0, 49.5),
 
 
 def denominator_steps(regime: Regime, k_steps: float, m: int, j_steps: float) -> float:
-    return float(block_denominator(*GROUPS[regime], k_steps, m, j_steps))
+    return float(block_denominator(regime in WAITS, k_steps, m, j_steps))
 
 
 def ion_requirements(layout: ChainLayout, timing: DerivedTiming, regime: Regime):
     """(n_o, n_m, n_m_is_upper_bound) of ion_budgets in the regime's group."""
-    waits = GROUPS[regime][0]
+    waits = regime in WAITS
     n_o, n_m = ion_budgets(waits, timing.k_steps, timing.j_steps,
                            layout.spatial_mux, layout.time_mux)
     return int(n_o), int(n_m), not waits
@@ -101,8 +100,7 @@ class TestClassification:
     def test_group_table_matches_formula_groups(self, regime):
         tau_g, tau_o, t = (v * US for v in WINDOWS[regime])
         assert classify_regime(TimingParams(tau_g=tau_g, tau_o=tau_o), t) is regime
-        waits, uses_k = formula_groups(t, tau_g, tau_o)
-        assert (bool(waits), bool(uses_k)) == GROUPS[regime]
+        assert bool(waits_for_herald(t, tau_g, tau_o)) == (regime in WAITS)
 
     def test_path_narrates_branches(self):
         t = TimingParams(tau_o=50 * US, tau_g=1 * US)
@@ -118,7 +116,8 @@ class TestDenominators:
         assert denominator_steps(Regime.B1, 5.0, 10, 1.0) == 16.0
         assert denominator_steps(Regime.B2, 5.0, 10, 1.0) == 17.0
         assert denominator_steps(Regime.C2, 5.0, 10, 1.0) == 17.0
-        assert denominator_steps(Regime.C1, 5.0, 10, 1.0) == 12.0
+        # C1 means T < tau_g, so k <= j: the herald lands inside the gate
+        assert denominator_steps(Regime.C1, 0.5, 10, 1.0) == 12.0
 
     @given(k=st.floats(0.01, 100), m=st.integers(1, 500), j=st.floats(0.01, 20))
     def test_ordering(self, k, m, j):
@@ -127,6 +126,37 @@ class TestDenominators:
         c1 = denominator_steps(Regime.C1, k, m, j)
         assert c1 <= b2
         assert a <= b2
+
+    def test_two_groups_equal_the_three_branch_reference(self):
+        # the reference picks among k + 2j (A, B1), k + 3j (B2, C2) and 3j
+        # (C1) with two masks; one branch on waits_for_herald gives the same
+        # floats, also with T one ulp either side of tau_g and T = tau_o - tau_g
+        def reference(t, tau_g, tau_o, k, m, j):
+            past_o, past_g = t >= tau_o, t >= tau_g
+            waits = ~past_o & (tau_o >= t + tau_g)
+            base = np.where(past_g & ~waits, k + 2.0 * j,
+                            np.where(waits, k + 3.0 * j, 3.0 * j))
+            return base + (m - 1.0)
+
+        rng = np.random.default_rng(18)
+        cells = 200_000
+        tau = 10.0 ** rng.uniform(-9, -5, cells)
+        tau_g = 10.0 ** rng.uniform(-7, -4, cells)
+        tau_o = tau_g * 10.0 ** rng.uniform(0.0, 2.5, cells)
+        t = 10.0 ** rng.uniform(-8, -3, cells)
+        edge = rng.integers(0, 5, cells)
+        t = np.select([edge == 1, edge == 2, edge == 3],
+                      [np.nextafter(tau_g, np.inf), np.nextafter(tau_g, -np.inf),
+                       tau_o - tau_g], t)
+        m = rng.integers(1, 500, cells)
+        k, j = t / tau, tau_g / tau
+        got = block_denominator(waits_for_herald(t, tau_g, tau_o), k, m, j)
+        want = reference(t, tau_g, tau_o, k, m, j)
+        assert got.dtype == want.dtype == np.float64
+        assert np.array_equal(got, want)
+        # gating blind (tau_o = 0), the second slot event + 2j is that base
+        assert np.array_equal(slot_events(False, k, j)[1] + 2.0 * j,
+                              reference(t, tau_g, 0.0, k, 1, j))
 
 
 class TestIonRequirements:
@@ -312,8 +342,7 @@ class TestEvaluateRate:
         assert rep_a.n_m == rep_b1.n_m
 
     def test_wait_twins_share_formulas(self):
-        for reg in (Regime.B2, Regime.C2):
-            assert GROUPS[reg] == GROUPS[Regime.B2]
+        assert WAITS == {Regime.B2, Regime.C2}
         timing = DerivedTiming(heralding_time_s=2e-6, j_steps=3.0, k_steps=2.0)
         lay = layout_for(m_time=6, m_spatial=2)
         assert ion_requirements(lay, timing, Regime.B2) == ion_requirements(

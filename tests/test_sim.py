@@ -31,6 +31,7 @@ from ionrep import (
 )
 from ionrep import mcsim
 from ionrep.model import C_VACUUM_KM_S
+from ionrep.rates import slot_events
 
 US = 1e-6
 
@@ -331,8 +332,9 @@ class TestEventSteps:
         cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
                         tau_o_s=tau_o_us * US, p=p, n_comm_ions=pool_c,
                         n_mem_ions=pool_m, num_blocks=blocks, seed=seed, trace=True)
+        event_steps = mcsim._event_steps
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(mcsim, "_event_steps", lambda last, *_: range(last + 1))
+            patch.setattr(mcsim, "_event_steps", lambda *a: range(event_steps(*a)[-1] + 1))
             every_step = run_protocol_sim(cfg)
         traced = run_protocol_sim(cfg)
         assert traced == every_step
@@ -520,3 +522,6 @@ class TestWallClock:
         assert (cfg.j_steps, cfg.k_steps) == (j, k)
         assert cfg.waits_for_herald == (rep.regime in (Regime.B2, Regime.C2))
         assert cfg.block_steps == pytest.approx(rep.denominator_steps, rel=1e-12)
+        # the replay's last event, then the swap and the readout, ends the block
+        events = slot_events(cfg.waits_for_herald, k, j)
+        assert mcsim._event_steps(m, events)[-1] + 2 * j == cfg.block_steps
