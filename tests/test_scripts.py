@@ -33,3 +33,14 @@ def test_output_digest_prints_one_line_per_call(capsys, monkeypatch):
     # two runs of one call hash alike
     assert digest.call(["rate", "--n", "3", "--time-mux", "4"]) == \
         digest.call(["rate", "--n", "3", "--time-mux", "4"])
+
+
+def test_report_digest_prints_two_hashes(capsys):
+    digest = _load("report_digest")
+    digest.main(["--points", "100"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(" ")[1] for line in lines] == ["evaluate_rate", "SimConfig.p"]
+    assert all(len(line.split(" ")[0]) == 64 for line in lines)
+    # the points, and so the hashes, are fixed by the seed
+    assert digest.digests(100, 0) == tuple(line.split(" ")[0] for line in lines)
+    assert digest.digests(100, 1) != digest.digests(100, 0)
