@@ -8,6 +8,9 @@ seconds throughout; dB enters only through the fiber attenuation coefficient.
 The per-link and per-chain formulas broadcast over numpy arrays, as do the
 n_repeaters and time_mux fields of ChainLayout; rates.rate_grid builds them
 into the one rate model the report, the optimizer and the simulator share.
+Their powers are np.power calls, so a point runs a grid cell's numpy loops,
+and fiber_transmissivity, link_success_prob and end_to_end_Q return an
+np.float64, a float subclass, for Python inputs.
 Each parameter dataclass checks its fields when it is built (dataclasses.replace
 and HardwareProfile.updated included), so the formulas check only their plain
 arguments.
@@ -202,7 +205,7 @@ class DerivedTiming:
 
 def fiber_transmissivity(alpha_db_per_km: float, length_km: float) -> float:
     """Power transmissivity of a fiber span, 10^(-alpha*length/10)."""
-    return 10.0 ** (-alpha_db_per_km * length_km / 10.0)
+    return np.power(10.0, -alpha_db_per_km * length_km / 10.0)
 
 
 def link_success_prob(optical: OpticalParams, l0_km: float) -> float:
@@ -235,24 +238,23 @@ def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
         raise StepCountError(("tau",), f"tau={tau:.6g} s is too short: the step count "
                                        f"tau_g/tau={j_steps:.6g} must be at most 2**31")
 
-    def chain_t(l_km: float) -> float:  # Python floats: an overflow is inf, unwarned
-        return l_km * hw.optical.refractive_index / C_VACUUM_KM_S
-
     # no link's T exceeds its chain's, so the longest chain bounds every
-    # T/tau; past the bound, the error names the shortest chain beyond it
+    # T/tau; past the bound, the error names the shortest chain beyond it.
+    # Chain T is taken on Python floats, where an overflow is inf, unwarned
     l_km = layout.total_distance_km
     l_max = float(l_km.max()) if isinstance(l_km, np.ndarray) else l_km
-    if not chain_t(l_max) / tau <= MAX_STEPS:
+    if not heralding_time(l_max, hw.optical.refractive_index) / tau <= MAX_STEPS:
         l_bad = min(l for l in np.ravel(l_km).tolist()
-                    if not chain_t(l) / tau <= MAX_STEPS)
-        if not math.isfinite(chain_t(l_bad)):  # the layout's doing, not the clock's
+                    if not heralding_time(l, hw.optical.refractive_index) / tau <= MAX_STEPS)
+        t_bad = heralding_time(l_bad, hw.optical.refractive_index)
+        if not math.isfinite(t_bad):  # the layout's doing, not the clock's
             raise StepCountError(("total_distance_km",),
                                  f"total_distance_km={l_bad:.6g} km is too long: its "
                                  "heralding time T is not finite")
         raise StepCountError(("total_distance_km", "tau"),
                              f"tau={tau:.6g} s is too short for total_distance_km="
                              f"{l_bad:.6g} km: the step count T/tau="
-                             f"{chain_t(l_bad) / tau:.6g} must be at most 2**31")
+                             f"{t_bad / tau:.6g} must be at most 2**31")
     t = heralding_time(layout.link_length_km, hw.optical.refractive_index)
     return DerivedTiming(heralding_time_s=t, j_steps=j_steps, k_steps=t / tau)
 
@@ -298,11 +300,7 @@ def swap_survival_factor(noise: NoiseParams) -> float:
 def end_to_end_Q(n: int, noise: NoiseParams) -> float:
     """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain."""
     _check(n >= 0, "n", ">= 0", n)
-    x = swap_survival_factor(noise)
-    # a float exponent: numpy computes x ** 2 as x * x for a size-1 integer
-    # array of two or more dimensions only, so an optimizer row's rate would
-    # depend on how many rows its pass holds
-    return 0.5 * (1.0 - x ** (n * 1.0))
+    return 0.5 * (1.0 - np.power(swap_survival_factor(noise), n))
 
 
 def end_to_end_fidelity(n: int, noise: NoiseParams) -> WernerState:

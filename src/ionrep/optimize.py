@@ -263,7 +263,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
         for i in members:  # per noise level, only the noise tail is new
             hw_i, cons_i = variants[i]
             noisy = grid if hw_i.noise == grid_hw.noise else replace(
-                grid, **noise_tail(ns, grid.block, grid.den_steps, hw_i))
+                grid, **noise_tail(ns, grid.ideal, hw_i))
             out[i] = _optima(noisy, cols, cap, ns[:, 0], removed, evaluations, hw_i,
                              bounds, cons_i.pinned)
     return out

@@ -20,10 +20,11 @@ numpy arrays: waits_for_herald, slot_events, block_denominator, ion_budgets
 and block_success_prob. rate_grid combines them over distances, repeater
 counts and block lengths. Noise enters a grid only through its noise_tail
 (f_end, rci and the rate), so the optimizer re-noises one grid for each
-noise level instead of building another. evaluate_rate reports its 1 x 1
-call through grid_reports; the optimizer argmaxes it and reports its optima
-the same way; mcsim.SimConfig reads waits_for_herald, slot_events and
-block_denominator at integer steps.
+noise level instead of building another. evaluate_rate is rate_grid on
+the caller's scalar layout, a point that runs a grid cell's numpy loops,
+reported by grid_reports; the optimizer argmaxes a grid and reports its
+optima the same way; mcsim.SimConfig reads waits_for_herald, slot_events
+and block_denominator at integer steps.
 """
 
 from __future__ import annotations
@@ -218,9 +219,10 @@ class RateGrid:
     n_m: np.ndarray
     p: np.ndarray
     block: np.ndarray
+    ideal: np.ndarray  # block / block duration
     f_end: np.ndarray
     rci: np.ndarray
-    rate: np.ndarray  # noisy rate: block / block duration x max(0, rci)
+    rate: np.ndarray  # noisy rate: ideal x max(0, rci)
 
 
 def memory_covers(hw: HardwareProfile, den_steps):
@@ -229,9 +231,9 @@ def memory_covers(hw: HardwareProfile, den_steps):
 
 
 def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
-    """The rate model over a layout with array n_repeaters (a column),
-    time_mux (a row or column) and, optionally, total_distance_km (a
-    column); blocks that outlive the memory are flagged in mem_ok."""
+    """The rate model over a layout whose n_repeaters is an int or a column,
+    time_mux an int, a row or a column and total_distance_km a float or a
+    column; blocks that outlive the memory are flagged in mem_ok."""
     timing = derive_timing(layout, hw)
     tm = hw.timing
     k, j, m = timing.k_steps, timing.j_steps, layout.time_mux
@@ -240,36 +242,37 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     n_o, n_m = ion_budgets(waits, k, j, layout.spatial_mux, m)
     p = link_success_prob(hw.optical, layout.link_length_km)
     block = block_success_prob(p, layout.spatial_mux, m, layout.n_repeaters)
+    ideal = block / (den_steps * tm.tau)
     return RateGrid(
         timing=timing, waits=waits, den_steps=den_steps,
         mem_ok=memory_covers(hw, den_steps), n_o=n_o, n_m=n_m, p=p, block=block,
-        **noise_tail(layout.n_repeaters, block, den_steps, hw),
+        ideal=ideal, **noise_tail(layout.n_repeaters, ideal, hw),
     )
 
 
-def noise_tail(n_repeaters, block, den_steps, hw: HardwareProfile) -> dict:
+def noise_tail(n_repeaters, ideal, hw: HardwareProfile) -> dict:
     """The RateGrid fields that hw.noise enters, f_end, rci and the rate
-    block / (den_steps tau) x max(0, rci), for a grid's block and den_steps:
-    a grid at other noise is the grid with these fields replaced."""
+    ideal x max(0, rci), for a grid's ideal rate: a grid at other noise is
+    the grid with these fields replaced."""
     f_end = end_to_end_fidelity(n_repeaters, hw.noise)
     rci = werner_rci(f_end)
-    return {"f_end": f_end.fidelity, "rci": rci,
-            "rate": block / (den_steps * hw.timing.tau) * np.maximum(0.0, rci)}
+    return {"f_end": f_end.fidelity, "rci": rci, "rate": ideal * np.maximum(0.0, rci)}
 
 
 def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
     """One report per cell of a rate_grid whose fields all have the cells'
-    shape: evaluate_rate's 1 x 1, or the optimizer's column of optima.
+    shape or are scalars (Python floats too): evaluate_rate's, or the optimizer's optima.
 
     Raises InfeasibleError, binding ["tau_m"], at the first cell whose block
     outlives the memory (tau_m must be at least memory_margin times the
     block duration).
     """
     t = grid.timing
+    herald, k_steps = np.asarray(t.heralding_time_s), np.asarray(t.k_steps)
     reports = []
     for i in range(grid.rate.size):
-        den_steps, block = grid.den_steps.item(i), grid.block.item(i)
-        den_s = den_steps * hw.timing.tau  # the grid's rate is block / den_s x max(0, rci)
+        den_steps = grid.den_steps.item(i)
+        den_s = den_steps * hw.timing.tau
         if not grid.mem_ok.item(i):
             raise InfeasibleError(
                 ["tau_m"],
@@ -277,15 +280,15 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
                 f"need at least {hw.memory_margin * den_s:.6g} s "
                 f"({hw.memory_margin:g} x {den_s:.6g} s)",
             )
-        timing = DerivedTiming(t.heralding_time_s.item(i), t.j_steps, t.k_steps.item(i))
+        timing = DerivedTiming(herald.item(i), t.j_steps, k_steps.item(i))
         reports.append(RateReport(
             regime=classify_regime(hw.timing, timing.heralding_time_s),
             p=grid.p.item(i),
             timing=timing,
             denominator_steps=den_steps,
             denominator_s=den_s,
-            block_success=block,
-            ideal_rate=block / den_s,
+            block_success=grid.block.item(i),
+            ideal_rate=grid.ideal.item(i),
             f_end=grid.f_end.item(i),
             rci=grid.rci.item(i),
             noisy_rate=grid.rate.item(i),
@@ -297,11 +300,9 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
 
 
 def evaluate_rate(layout: ChainLayout, hw: HardwareProfile) -> RateReport:
-    """Rate and resource report for one operating point, rate_grid's 1 x 1 call.
+    """Rate and resource report for one operating point: rate_grid's one cell.
 
     Raises InfeasibleError, binding ["tau_m"], when the memory lifetime
     cannot cover the block.
     """
-    grid = rate_grid(ChainLayout(layout.total_distance_km, np.array([layout.n_repeaters]),
-                                 layout.spatial_mux, np.array([layout.time_mux])), hw)
-    return grid_reports(grid, hw)[0]
+    return grid_reports(rate_grid(layout, hw), hw)[0]

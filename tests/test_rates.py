@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ionrep.mcsim import SimConfig
 from ionrep.model import (
     C_VACUUM_KM_S,
     ChainLayout,
@@ -123,7 +124,8 @@ class TestDenominators:
     def test_ordering(self, k, m, j):
         a = denominator_steps(Regime.A, k, m, j)
         b2 = denominator_steps(Regime.B2, k, m, j)
-        c1 = denominator_steps(Regime.C1, k, m, j)
+        # C1 means T < tau_g, so its point has k <= j
+        c1 = denominator_steps(Regime.C1, min(k, j), m, j)
         assert c1 <= b2
         assert a <= b2
 
@@ -355,14 +357,19 @@ class TestEvaluateRate:
            eps=st.sampled_from([0.0, 1e-4, 1e-3, 1e-2]),
            taus_us=st.sampled_from([(1.0, 50.0), (2.5, 50.0), (10.0, 12.0), (1.0, 500.0)]),
            n=st.integers(0, 40), m=st.integers(1, 80))
+    # a Python float's ** gave this point's p one ulp away from the grid's
+    @example(l_km=1.0, spatial_mux=1, eps=0.0, taus_us=(1.0, 50.0), n=0, m=1)
     def test_grid_cell_is_the_report(self, l_km, spatial_mux, eps, taus_us, n, m):
-        # evaluate_rate is the 1 x 1 call of the grid the optimizer scans, so
-        # the two agree bit for bit in every regime
+        # evaluate_rate is rate_grid on its own layout, one cell of the grid
+        # the optimizer scans, and the simulator's p is the same formula, so
+        # they agree bit for bit in every regime
         hw = BASE.updated(eps_g=eps, f0=1.0 - eps, tau_g=taus_us[0] * US,
                           tau_o=taus_us[1] * US)
         grid = rate_grid(ChainLayout(l_km, np.arange(41)[:, None], spatial_mux,
                                      np.arange(1, 81)[None, :]), hw)
-        rep = evaluate_rate(ChainLayout(l_km, n, spatial_mux, m), hw)
+        layout = ChainLayout(l_km, n, spatial_mux, m)
+        rep = evaluate_rate(layout, hw)
+        assert SimConfig.from_profile(layout, hw, 1).p == rep.p == grid.p[n, 0]
         assert rep.noisy_rate == grid.rate[n, m - 1]
         assert rep.n_o == grid.n_o[n, 0]
         assert rep.n_m == grid.n_m[n, m - 1]
@@ -383,9 +390,11 @@ class TestEvaluateRate:
 def test_ideal_rate_non_increasing_in_j_and_k():
     p, m_s, m_t, n = 0.02, 4, 30, 10
     blk = block_success_prob(p, m_s, m_t, n)
-    for reg in (Regime.A, Regime.B2, Regime.C1):
-        d1 = denominator_steps(reg, 5.0, m_t, 1.0)
-        d2 = denominator_steps(reg, 7.0, m_t, 1.0)
-        d3 = denominator_steps(reg, 5.0, m_t, 2.0)
+    # C1 means T < tau_g, so its points have k <= j
+    for reg, k1, k2 in ((Regime.A, 5.0, 7.0), (Regime.B2, 5.0, 7.0),
+                        (Regime.C1, 0.5, 0.7)):
+        d1 = denominator_steps(reg, k1, m_t, 1.0)
+        d2 = denominator_steps(reg, k2, m_t, 1.0)
+        d3 = denominator_steps(reg, k1, m_t, 2.0)
         assert blk / d2 <= blk / d1
         assert blk / d3 <= blk / d1
