@@ -14,7 +14,8 @@ see a last-bit change; these lines can.
 import argparse, hashlib, pathlib, random, sys  # noqa: E401
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-from ionrep import ChainLayout, HardwareProfile, InfeasibleError, SimConfig, evaluate_rate  # noqa: E402,E501
+from ionrep import (ChainLayout, HardwareProfile, InfeasibleError, SimConfig,  # noqa: E402
+                    evaluate_rate)
 
 US = 1e-6
 # (tau_g, tau_o) in microseconds: every regime occurs over 1-1000 km links

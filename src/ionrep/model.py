@@ -242,7 +242,7 @@ def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
     # T/tau; past the bound, the error names the shortest chain beyond it.
     # Chain T is taken on Python floats, where an overflow is inf, unwarned
     l_km = layout.total_distance_km
-    l_max = float(l_km.max()) if isinstance(l_km, np.ndarray) else l_km
+    l_max = float(l_km.max() if isinstance(l_km, np.ndarray) else l_km)
     if not heralding_time(l_max, hw.optical.refractive_index) / tau <= MAX_STEPS:
         l_bad = min(l for l in np.ravel(l_km).tolist()
                     if not heralding_time(l, hw.optical.refractive_index) / tau <= MAX_STEPS)

@@ -111,11 +111,12 @@ class TestHeraldingTime:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_heralding_time_blames_the_distance(self):
-        layout = ChainLayout(1.7e308, 0, 1, 1)
-        with pytest.raises(StepCountError, match="total_distance_km=1.7e\\+308 km is "
-                                                 "too long") as err:
-            derive_timing(layout, HardwareProfile())
-        assert err.value.fields == ("total_distance_km",)
+        for l_km in (1.7e308, np.float64(1.7e308)):  # a numpy scalar overflows unwarned too
+            layout = ChainLayout(l_km, 0, 1, 1)
+            with pytest.raises(StepCountError, match="total_distance_km=1.7e\\+308 km is "
+                                                     "too long") as err:
+                derive_timing(layout, HardwareProfile())
+            assert err.value.fields == ("total_distance_km",)
 
 
 class TestSwapGateNoise:
