@@ -27,11 +27,16 @@ def points(count: int, seed: int):
     rng = random.Random(seed)
     base = HardwareProfile()
     for _ in range(count):
-        eps = rng.choice((0.0, 1e-4, 1e-3, 1e-2))
+        # noise off, or eps_g and 1 - f0 drawn apart and continuously, so the
+        # swap survival factor x takes many values
+        eps_g, f0_loss = ((rng.uniform(0.0, 1e-2), rng.uniform(0.0, 1e-2))
+                          if rng.random() < 0.8 else (0.0, 0.0))
         tau_g, tau_o = rng.choice(TAUS_US)
-        hw = base.updated(eps_g=eps, f0=1.0 - eps, tau_g=tau_g * US, tau_o=tau_o * US,
+        hw = base.updated(eps_g=eps_g, f0=1.0 - f0_loss, tau_g=tau_g * US, tau_o=tau_o * US,
                           tau_m=rng.choice((60.0, 1e-3)))  # 1 ms: some blocks outlive it
-        layout = ChainLayout(10.0 ** rng.uniform(0.0, 3.0), rng.randrange(121),
+        # n = 2 a fifth of the time: numpy's power loop has a shortcut for x ** 2
+        n = 2 if rng.random() < 0.2 else rng.randrange(121)
+        layout = ChainLayout(10.0 ** rng.uniform(0.0, 3.0), n,
                              rng.randint(1, 50), rng.randint(1, 200))
         yield layout, hw
 
