@@ -8,9 +8,9 @@ seconds throughout; dB enters only through the fiber attenuation coefficient.
 The per-link and per-chain formulas broadcast over numpy arrays, as do the
 n_repeaters and time_mux fields of ChainLayout; rates.rate_grid builds them
 into the one rate model the report, the optimizer and the simulator share.
-Their powers are np.power calls, so a point runs a grid cell's numpy loops,
-and fiber_transmissivity, link_success_prob and end_to_end_Q return an
-np.float64, a float subclass, for Python inputs.
+Their powers are np.power calls, x ** 2 as pow at any shape, so a point runs
+a grid cell's numpy loops; fiber_transmissivity, link_success_prob and
+end_to_end_Q return an np.float64, a float subclass, for Python inputs.
 Each parameter dataclass checks its fields when it is built (dataclasses.replace
 and HardwareProfile.updated included), so the formulas check only their plain
 arguments.
@@ -228,7 +228,11 @@ def heralding_time(l0_km: float, refractive_index: float) -> float:
     """One-way classical latency T = l0 / c_fiber in seconds."""
     _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
     _check(refractive_index >= 1.0, "refractive_index", ">= 1", refractive_index)
-    return l0_km * refractive_index / C_VACUUM_KM_S
+    return _latency(l0_km, refractive_index)
+
+
+def _latency(l_km, refractive_index):  # heralding_time on inputs checked already
+    return l_km * refractive_index / C_VACUUM_KM_S
 
 
 def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
@@ -238,24 +242,22 @@ def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
         raise StepCountError(("tau",), f"tau={tau:.6g} s is too short: the step count "
                                        f"tau_g/tau={j_steps:.6g} must be at most 2**31")
 
-    # no link's T exceeds its chain's, so the longest chain bounds every
-    # T/tau; past the bound, the error names the shortest chain beyond it.
-    # Chain T is taken on Python floats, where an overflow is inf, unwarned
-    l_km = layout.total_distance_km
+    # the longest chain bounds every link's T/tau, on Python floats, where an
+    # overflow is inf, unwarned; past it, the error names the shortest chain beyond
+    n_ref, l_km = hw.optical.refractive_index, layout.total_distance_km
     l_max = float(l_km.max() if isinstance(l_km, np.ndarray) else l_km)
-    if not heralding_time(l_max, hw.optical.refractive_index) / tau <= MAX_STEPS:
+    if not _latency(l_max, n_ref) / tau <= MAX_STEPS:
         l_bad = min(l for l in np.ravel(l_km).tolist()
-                    if not heralding_time(l, hw.optical.refractive_index) / tau <= MAX_STEPS)
-        t_bad = heralding_time(l_bad, hw.optical.refractive_index)
-        if not math.isfinite(t_bad):  # the layout's doing, not the clock's
+                    if not _latency(l, n_ref) / tau <= MAX_STEPS)
+        if not math.isfinite(_latency(l_bad, n_ref)):  # the layout's doing, not the clock's
             raise StepCountError(("total_distance_km",),
                                  f"total_distance_km={l_bad:.6g} km is too long: its "
                                  "heralding time T is not finite")
         raise StepCountError(("total_distance_km", "tau"),
                              f"tau={tau:.6g} s is too short for total_distance_km="
                              f"{l_bad:.6g} km: the step count T/tau="
-                             f"{t_bad / tau:.6g} must be at most 2**31")
-    t = heralding_time(layout.link_length_km, hw.optical.refractive_index)
+                             f"{_latency(l_bad, n_ref) / tau:.6g} must be at most 2**31")
+    t = _latency(layout.link_length_km, n_ref)
     return DerivedTiming(heralding_time_s=t, j_steps=j_steps, k_steps=t / tau)
 
 
@@ -289,18 +291,18 @@ def swap_survival_factor(noise: NoiseParams) -> float:
     """
     x = _survival_factor(noise)
     if x < 0.0:
-        warnings.warn(
-            f"swap survival factor x={x:.6g} < 0; noise model outside Werner regime",
-            ModelDomainWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"swap survival factor x={x:.6g} < 0; noise model outside "
+                      "Werner regime", ModelDomainWarning, stacklevel=2)
     return x
 
 
 def end_to_end_Q(n: int, noise: NoiseParams) -> float:
     """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain."""
     _check(n >= 0, "n", ">= 0", n)
-    return 0.5 * (1.0 - np.power(swap_survival_factor(noise), n))
+    x = swap_survival_factor(noise)
+    # numpy's power loop takes x ** 2 as x * x for an exponent of stride 0 (a
+    # scalar, or one integer in 2-d) and as pow otherwise, a last bit apart
+    return 0.5 * (1.0 - np.where(n == 2, np.power(x, (2.0, 2.0))[0], np.power(x, n)))
 
 
 def end_to_end_fidelity(n: int, noise: NoiseParams) -> WernerState:

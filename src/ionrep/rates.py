@@ -20,11 +20,10 @@ numpy arrays: waits_for_herald, slot_events, block_denominator, ion_budgets
 and block_success_prob. rate_grid combines them over distances, repeater
 counts and block lengths. Noise enters a grid only through its noise_tail
 (f_end, rci and the rate), so the optimizer re-noises one grid for each
-noise level instead of building another. evaluate_rate is rate_grid on
-the caller's scalar layout, a point that runs a grid cell's numpy loops,
-reported by grid_reports; the optimizer argmaxes a grid and reports its
-optima the same way; mcsim.SimConfig reads waits_for_herald, slot_events
-and block_denominator at integer steps.
+noise level instead of building another. evaluate_rate reports rate_grid
+on the caller's own layout, whose one cell runs a grid cell's numpy loops,
+through grid_reports, as the optimizer reports a grid's optima; mcsim.SimConfig
+reads waits_for_herald, slot_events and block_denominator at integer steps.
 """
 
 from __future__ import annotations
@@ -251,9 +250,8 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
 
 
 def noise_tail(n_repeaters, ideal, hw: HardwareProfile) -> dict:
-    """The RateGrid fields that hw.noise enters, f_end, rci and the rate
-    ideal x max(0, rci), for a grid's ideal rate: a grid at other noise is
-    the grid with these fields replaced."""
+    """The RateGrid fields hw.noise enters, f_end, rci and the rate ideal x
+    max(0, rci): a grid at other noise is the grid with these replaced."""
     f_end = end_to_end_fidelity(n_repeaters, hw.noise)
     rci = werner_rci(f_end)
     return {"f_end": f_end.fidelity, "rci": rci, "rate": ideal * np.maximum(0.0, rci)}

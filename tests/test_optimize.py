@@ -423,6 +423,12 @@ class TestSweepOracle:
                            tau_o=2.8710873227992232e-05, eta_c=0.5376950446174826,
                            eps_g=0.0, f0=1.0),
               SearchBounds(2, 300), Constraints(fixed_n=3), None))
+    # continuous noise at n = 2, in passes of one row and of three: numpy's
+    # power loop takes x ** 2 as x * x or as pow by its exponent's size
+    @example(([1.0, 30.0, 100.0], 10, BASE.updated(eps_g=0.0037, f0=1.0 - 0.006039),
+              SearchBounds(2, 100), Constraints(fixed_n=2), 1))
+    @example(([1.0, 30.0, 100.0], 10, BASE.updated(eps_g=0.0037, f0=1.0 - 0.006039),
+              SearchBounds(2, 100), Constraints(fixed_n=2), None))
     def test_rows_match_the_scan_at_each_distance(self, case):
         *problem, pass_rows = case
         with pytest.MonkeyPatch.context() as mp:

@@ -386,6 +386,23 @@ class TestEvaluateRate:
         r2 = evaluate_rate(lay2, BASE)
         assert r2.block_success >= r1.block_success
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(l_km=st.floats(1.0, 1000.0), eps_g=st.floats(0.0, 1e-2),
+           f0_loss=st.floats(0.0, 1e-2), m=st.integers(1, 80))
+    def test_two_swaps_are_the_grid_cell_at_any_noise(self, l_km, eps_g, f0_loss, m):
+        # numpy's power loop takes x ** 2 as x * x where its exponent is a
+        # scalar or one integer, and as pow where it is longer, a last bit
+        # apart; at continuous noise, the report at n = 2 must still be its
+        # cell in a grid of many rows and in a grid of that one row
+        hw = BASE.updated(eps_g=eps_g, f0=1.0 - f0_loss)
+        ms = np.arange(1, 81)[None, :]
+        grid = rate_grid(ChainLayout(l_km, np.arange(41)[:, None], 1, ms), hw)
+        row = rate_grid(ChainLayout(l_km, np.array([[2]]), 1, ms), hw)
+        rep = evaluate_rate(ChainLayout(l_km, 2, 1, m), hw)
+        assert rep.f_end == grid.f_end[2, 0] == row.f_end[0, 0]
+        assert rep.rci == grid.rci[2, 0] == row.rci[0, 0]
+        assert rep.noisy_rate == grid.rate[2, m - 1] == row.rate[0, m - 1]
+
 
 def test_ideal_rate_non_increasing_in_j_and_k():
     p, m_s, m_t, n = 0.02, 4, 30, 10
