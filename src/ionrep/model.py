@@ -291,8 +291,11 @@ def swap_survival_factor(noise: NoiseParams) -> float:
     """
     x = _survival_factor(noise)
     if x < 0.0:
-        warnings.warn(f"swap survival factor x={x:.6g} < 0; noise model outside "
-                      "Werner regime", ModelDomainWarning, stacklevel=2)
+        warnings.warn(
+            f"swap survival factor x={x:.6g} < 0; noise model outside Werner regime",
+            ModelDomainWarning,
+            stacklevel=2,
+        )
     return x
 
 
