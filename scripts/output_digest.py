@@ -56,6 +56,7 @@ figure fig2 --n-max -1
 figure fig9 --l-list-km 50,150 --n-max 60 --m-max 200 --out-dir f
 figure all --l-list-km 50,150 --n-max 60 --m-max 200 --out-dir f
 figure fig2 fig7 --l-list-km 50 --n-max 20 --m-max 50 --tau-o-us 5 --out-dir f
+figure fig9 --tau-us 100 --tau-o-us 5000 --l-list-km 1e10 --n-max 20 --m-max 50 --out-dir f
 rate --threads 2""".splitlines()
 RUNS += [f"{cmd} --config {name}" for name in CONFIGS for cmd in ("rate", "optimize")]
 RUNS += [f"{cmd} --config full.json" for cmd in ("classify", "sweep", "simulate", "figure fig7")]
