@@ -21,7 +21,7 @@ import os
 import sys
 from typing import NamedTuple, Optional
 
-from .figures import CSV_COLUMNS, FIGURES, curve_rows, plan_sweeps, reduce_row
+from .figures import CSV_COLUMNS, FIGURES, curve_rows, reduce_row, solve_sweeps
 from .mcsim import SimConfig, run_protocol_sim, validate_against_analytic
 from .model import ChainLayout, HardwareProfile, StepCountError, heralding_time
 from .optimize import (
@@ -208,15 +208,15 @@ def make_hardware(cfg: dict) -> HardwareProfile:
         raise CliError(EXIT_CONFIG, f"invalid hardware config: {err}")
 
 
-def make_layout(cfg: dict, need_n: bool = True, need_m: bool = True) -> ChainLayout:
+def make_layout(cfg: dict, need_m: bool = True) -> ChainLayout:
     lay = cfg["layout"]
-    if need_n and lay["n"] is None:
+    if lay["n"] is None:
         raise CliError(EXIT_CONFIG, "config field layout.n is required here")
     if need_m and lay["time_mux"] is None:
         raise CliError(EXIT_CONFIG, "config field layout.time_mux is required here")
     try:
         return ChainLayout(total_distance_km=lay["l_km"],
-                           n_repeaters=lay["n"] if lay["n"] is not None else 0,
+                           n_repeaters=lay["n"],
                            spatial_mux=lay["spatial_mux"],
                            time_mux=lay["time_mux"] if lay["time_mux"] is not None else 1)
     except ValueError as err:
@@ -228,12 +228,9 @@ def make_bounds(cfg: dict) -> SearchBounds:
     return SearchBounds(**cfg["bounds"])
 
 
-def make_constraints(cfg: dict) -> Optional[Constraints]:
-    c = cfg["constraints"]
-    if all(v is None for v in c.values()):
-        return None
+def make_constraints(cfg: dict) -> Constraints:
     try:
-        return Constraints(**_seconds(c))
+        return Constraints(**_seconds(cfg["constraints"]))
     except ValueError as err:
         raise CliError(EXIT_CONFIG, f"invalid constraints config: {err}")
 
@@ -410,10 +407,10 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     ids = list(dict.fromkeys(i for arg in args.figure_ids
                              for i in (sorted(FIGURES) if arg == "all" else [arg])))
     curves = [(fig_id, curve) for fig_id in ids for curve in FIGURES[fig_id][1]]
-    sweeps = plan_sweeps([curve for _, curve in curves], hw)  # shared by this call's curves
+    sweeps = solve_sweeps([curve for _, curve in curves], grid, hw, bounds)
     files = []
     for fig_id, curve in curves:
-        rows = curve_rows(curve, grid, hw, bounds, sweeps)
+        rows = curve_rows(curve, hw, sweeps)
         path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
         _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
         files.append(path)

@@ -4,11 +4,11 @@ Each figure id maps to a fixed set of curves. A curve is a distance sweep of
 the optimizer under specific hardware overrides and constraints, reduced to
 one value column; the CSV layout is shared with the plain sweep subcommand.
 Curves with the same spatial_mux, hardware and constraints differ only in
-that column, so they share one sweep. Sweeps that differ only in noise
-(eps_g, f0), n_o_max and n_m_max share their rows (optimize.row_key), so one
-figure call solves each such group once, in one optimize.sweep_variants
-call: fig2-fig9 are 59 curves over 23 distinct sweeps, and `figure all`
-solves them in 11 row solves (the eight ids one at a time, in 25).
+that column, so they share one sweep. A figure call hands its distinct
+sweeps to one optimize.sweep_variants call, which gives the sweeps that
+differ only in noise (eps_g, f0), n_o_max and n_m_max one row solve:
+fig2-fig9 are 59 curves over 23 distinct sweeps, and `figure all` solves
+them in 11 row solves (the eight ids one at a time, in 25).
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .model import HardwareProfile
-from .optimize import Constraints, SearchBounds, SweepRow, row_key, sweep_variants
+from .optimize import Constraints, SearchBounds, SweepRow, sweep_variants
 
 CSV_COLUMNS = ("L_km", "value", "regime", "n_opt", "m_opt", "N_o", "N_m", "plob")
 
@@ -98,35 +98,23 @@ def _sweep_key(curve: Curve, hw: HardwareProfile) -> tuple:
     return curve.spatial_mux, hw_c, curve.constraints or Constraints()
 
 
-def plan_sweeps(curves: list[Curve], hw: HardwareProfile) -> dict:
-    """The sweeps of one figure call's curves, none solved yet: each key
-    (spatial_mux, hardware after the curve's overrides, constraints) maps to
-    None. A curve whose overrides the hardware rejects has no key here; it
-    raises on its own turn in curve_rows, after the curves before it."""
-    sweeps: dict = {}
+def solve_sweeps(curves: list[Curve], l_list: list[float], hw: HardwareProfile,
+                 bounds: Optional[SearchBounds]) -> dict:
+    """The rows of each distinct sweep of one figure call's curves, keyed by
+    (spatial_mux, hardware after the curve's overrides, constraints), from
+    one sweep_variants call. A curve whose overrides the hardware rejects has
+    no key here; it raises on its own turn in curve_rows."""
+    keys: dict = {}
     for curve in curves:
         with contextlib.suppress(ValueError):
-            sweeps.setdefault(_sweep_key(curve, hw), None)
-    return sweeps
+            keys.setdefault(_sweep_key(curve, hw))
+    return dict(zip(keys, sweep_variants(l_list, list(keys), bounds)))
 
 
-def curve_rows(curve: Curve, l_list: list[float], hw: HardwareProfile,
-               bounds: Optional[SearchBounds], sweeps: dict) -> list[dict]:
-    """Sweep one curve and reduce each row to the shared CSV columns.
-
-    `sweeps` maps this call's sweeps on this l_list and bounds to their rows,
-    or to None while unsolved (plan_sweeps). A curve whose sweep is unsolved
-    solves it with every unsolved sweep of the same optimize.row_key, in one
-    sweep_variants call, and records their rows for the curves after it.
-    """
-    key = _sweep_key(curve, hw)
-    if sweeps.get(key) is None:
-        sweeps[key] = None
-        group = [k for k, rows in sweeps.items()
-                 if rows is None and row_key(*k) == row_key(*key)]
-        sweeps.update(zip(group, sweep_variants(l_list, curve.spatial_mux,
-                                                [k[1:] for k in group], bounds)))
-    return [reduce_row(row, curve.value_field) for row in sweeps[key]]
+def curve_rows(curve: Curve, hw: HardwareProfile, sweeps: dict) -> list[dict]:
+    """One curve's rows from solve_sweeps' sweeps, each reduced to the shared
+    CSV columns."""
+    return [reduce_row(row, curve.value_field) for row in sweeps[_sweep_key(curve, hw)]]
 
 
 def reduce_row(row: SweepRow, value_field: str) -> dict:

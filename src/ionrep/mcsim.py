@@ -71,6 +71,7 @@ from .rates import (RateReport, block_denominator, ceil_tol, ion_budgets, slot_e
 CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
 LEAD_MODES = 8  # up to this M, first hits are counted leading misses, not argmax
+SIGMA = 3.0  # validation's bound on block success, in binomial standard deviations
 _UNLIMITED = 1 << 30
 
 
@@ -328,9 +329,9 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
 
     Pool exhaustion never aborts a block; starved attempts are counted in
     dropped_comm / dropped_mem. The optional trace covers block 0 only, as
-    CSV lines "step,node,event,count" (counts of zero are omitted except for
-    the per-step gauge events comm_loaded / mem_loaded / heralded, which are
-    emitted whenever nonzero).
+    CSV lines "step,node,event,count"; a zero count is never written. The
+    gauges comm_loaded, mem_loaded and heralded are written at every step up
+    to the block's last event step, the other events only at their own steps.
     """
     total = config.num_blocks
     successes = 0
@@ -380,12 +381,11 @@ class ValidationVerdict:
     checks: list[str]
 
 
-def validate_against_analytic(config: SimConfig, report: RateReport,
-                              sigma: float = 3.0) -> ValidationVerdict:
+def validate_against_analytic(config: SimConfig, report: RateReport) -> ValidationVerdict:
     """Run the simulator and compare it against an analytic RateReport.
 
-    Block success must sit within sigma binomial standard deviations of the
-    analytic value; occupancy peaks must respect the ion requirements, with
+    Block success must sit within SIGMA = 3 binomial standard deviations of
+    the analytic value; occupancy peaks must respect the ion requirements, with
     equality demanded where the requirement is exact (blind-regime comm ions
     once m >= j, so the pipeline saturates, or the n_comm_ions pool when it
     is smaller).
@@ -395,7 +395,7 @@ def validate_against_analytic(config: SimConfig, report: RateReport,
     sd = math.sqrt(max(expected * (1.0 - expected), 0.0) / config.num_blocks)
     diff = abs(stats.empirical_block_success - expected)
     z = diff / sd if sd > 0 else (0.0 if diff == 0 else math.inf)
-    ok = z <= sigma
+    ok = z <= SIGMA
     checks = [f"block success: observed {stats.empirical_block_success:.6g} "
               f"vs analytic {expected:.6g}, z = {z:.3g}"]
 

@@ -41,17 +41,17 @@ they agree at the cap's boundary too.
 A pass splits into a row state and a step per variant. Noise (eps_g, f0)
 enters the rate only through the factor max(0, rci(n)), which is constant
 along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
-lower a row's cap below the memory cap. So the row state is computed once
-for all variants that share a row_key: the rate_grid call at m = 1, the
-memory cap, and lo_free, the last m in [1, memory cap] where P holds. Each
-variant then takes its cap (at most the memory cap) and
-lo = min(lo_free, cap), which is exact because P holds on a prefix: P holds
-on all of [1, lo_free] and nowhere in (lo_free, memory cap], so its last m
-in [1, cap] is lo_free when lo_free <= cap, and cap otherwise. The
-candidate columns are 1, lo and lo + 1. Variants with equal caps share one
-rate_grid call at those columns, and each other noise level recomputes only
-that grid's noise tail with rates.noise_tail, the function rate_grid itself
-calls, so the rate formula is written once.
+lower a row's cap below the memory cap. So sweep_variants groups its
+variants by _row_key, and each group is one row solve with one row state:
+the rate_grid call at m = 1, the memory cap, and lo_free, the last m in
+[1, memory cap] where P holds. Each variant then takes its cap (at most the
+memory cap) and lo = min(lo_free, cap), which is exact because P holds on a
+prefix: P holds on all of [1, lo_free] and nowhere in (lo_free, memory cap],
+so its last m in [1, cap] is lo_free when lo_free <= cap, and cap otherwise.
+The candidate columns are 1, lo and lo + 1. Variants with equal caps share
+one rate_grid call at those columns, and each other noise level recomputes
+only that grid's noise tail with rates.noise_tail, the function rate_grid
+itself calls, so the rate formula is written once.
 
 Cells broadcast elementwise, so a candidate's rate is the bits of its cell
 in the full grid. Infeasible and non-finite cells count as -1, and per
@@ -191,12 +191,12 @@ def _cells(grid: RateGrid, flat: np.ndarray) -> RateGrid:
                     timing=DerivedTiming(at(t.heralding_time_s), t.j_steps, at(t.k_steps)))
 
 
-def row_key(spatial_mux: int, hw: HardwareProfile, constraints: Constraints) -> tuple:
+def _row_key(spatial_mux: int, hw: HardwareProfile, constraints: Constraints) -> tuple:
     """What a solve's rows and their search depend on: spatial_mux, the
     hardware with its noise set aside, and the constraints that choose the
     rows (fixed_n, fixed_l0_km) or rule out a whole pass (tau_min). Variants
-    with equal keys differ only in noise, n_o_max and n_m_max, and share one
-    row solve (sweep_variants)."""
+    with equal keys differ only in noise, n_o_max and n_m_max, and
+    sweep_variants gives them one row solve."""
     return (spatial_mux, hw.optical, hw.timing, hw.memory_margin,
             constraints.fixed_l0_km, constraints.fixed_n, constraints.tau_min)
 
@@ -315,7 +315,7 @@ def _infeasible(removed: dict, evaluations: int) -> InfeasibleError:
 def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
            variants: Sequence[tuple]) -> list:
     """Per variant (hw, constraints), each distance's OptimizationResult or
-    the InfeasibleError it raises; the variants must share one row_key.
+    the InfeasibleError it raises; the variants share one _row_key.
 
     Distances are solved in passes of at most PASS_ROWS rows (at least one
     distance), so memory stays bounded whatever the number of distances. A
@@ -323,10 +323,6 @@ def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
     first distance's, after the distances before it have been solved.
     """
     hw, constraints = variants[0]
-    key = row_key(spatial_mux, hw, constraints)
-    if any(row_key(spatial_mux, *v) != key for v in variants[1:]):
-        raise ValueError("variants of one solve may differ only in noise, n_o_max "
-                         "and n_m_max")
     tau_min_error = None
     if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
         tau_min_error = InfeasibleError(
@@ -398,30 +394,34 @@ def sweep_distance(l_list: Sequence[float], spatial_mux: int, hw: HardwareProfil
                    bounds: Optional[SearchBounds] = None,
                    constraints: Optional[Constraints] = None) -> list[SweepRow]:
     """Optimize at each distance; infeasible points become flagged rows."""
-    return sweep_variants(l_list, spatial_mux, [(hw, constraints)], bounds)[0]
+    return sweep_variants(l_list, [(spatial_mux, hw, constraints)], bounds)[0]
 
 
-def sweep_variants(l_list: Sequence[float], spatial_mux: int, variants: Sequence[tuple],
+def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
                    bounds: Optional[SearchBounds] = None) -> list[list[SweepRow]]:
-    """sweep_distance's rows for each (hw, constraints) of variants, from one
-    row solve; the variants must share one row_key, so they differ only in
-    noise, n_o_max and n_m_max (constraints may be None)."""
+    """sweep_distance's rows for each (spatial_mux, hw, constraints) of
+    variants, in their order (constraints may be None). Variants with equal
+    _row_key share one row solve, and the solves run in order of their first
+    variant, so a ValueError is the first failing solve's."""
     ls = list(l_list)
     if not ls:
         raise ValueError("l_list must be nonempty")
     if any(b <= a for a, b in zip(ls, ls[1:])):
         raise ValueError("l_list must be strictly increasing")
-    variants = [(hw, constraints or Constraints()) for hw, constraints in variants]
-    solved = _solve(ls, spatial_mux, bounds or SearchBounds(), variants)
-    plob = [_plob(l_km, spatial_mux, variants[0][0]) for l_km in ls]
-    sweeps = []
-    for results in solved:
-        rows = []
-        for l_km, res, bound in zip(ls, results, plob):
-            failed = isinstance(res, InfeasibleError)
-            rows.append(SweepRow(l_km=l_km, result=None if failed else res, plob=bound,
-                                 infeasible_reason=str(res) if failed else None))
-        sweeps.append(rows)
+    variants = [(mux, hw, cons or Constraints()) for mux, hw, cons in variants]
+    groups: dict = {}  # variant indices per row key, in first-seen order
+    for i, variant in enumerate(variants):
+        groups.setdefault(_row_key(*variant), []).append(i)
+    sweeps: list = [None] * len(variants)
+    for members in groups.values():
+        spatial_mux = variants[members[0]][0]
+        group = [variants[i][1:] for i in members]
+        solved = _solve(ls, spatial_mux, bounds or SearchBounds(), group)
+        plob = [_plob(l_km, spatial_mux, group[0][0]) for l_km in ls]
+        for i, results in zip(members, solved):
+            sweeps[i] = [SweepRow(l_km, None, bound, str(res))
+                         if isinstance(res, InfeasibleError) else SweepRow(l_km, res, bound)
+                         for l_km, res, bound in zip(ls, results, plob)]
     return sweeps
 
 

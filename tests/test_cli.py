@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import ionrep.figures as figures_module
+import ionrep.optimize as optimize_module
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
 from ionrep.cli import (
     _FIELDS, DEFAULTS, FORMATS, CliError, build_parser, load_config, main, make_bounds,
@@ -470,15 +471,15 @@ class TestFigure:
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
-        """The (l_list, spatial_mux, variants, bounds) of each shared row solve."""
+        """The (l_list, spatial_mux, bounds, variants) of each shared row solve."""
         calls = []
-        real = figures_module.sweep_variants
+        real = optimize_module._solve
 
         def counting(*args, **kwargs):
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(figures_module, "sweep_variants", counting)
+        monkeypatch.setattr(optimize_module, "_solve", counting)
         return calls
 
     def test_all_matches_one_call_per_id(self, capsys, tmp_path, monkeypatch):
@@ -488,7 +489,7 @@ class TestFigure:
         assert code == 0
         # 11 row solves for the 23 distinct (spatial_mux, hardware, constraints)
         assert len(calls) == 11
-        assert sum(len(variants) for _, _, variants, _ in calls) == 23
+        assert sum(len(variants) for _, _, _, variants in calls) == 23
         assert json.loads(out)["figure"] == "fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9"
         for fig_id in sorted(figures_module.FIGURES):
             assert run(capsys, "figure", fig_id, *self.FAST,
@@ -527,7 +528,7 @@ class TestFigure:
         # one solve per spatial_mux, each for its three noise levels
         assert len(calls) == 3
         assert len(set(map(repr, calls))) == 3
-        assert [len(variants) for _, _, variants, _ in calls] == [3, 3, 3]
+        assert [len(variants) for _, _, _, variants in calls] == [3, 3, 3]
         # no solve outlives its call
         for expected in (6, 9):
             assert run(capsys, "figure", "fig2", *self.FAST,
@@ -543,6 +544,20 @@ class TestFigure:
         assert "tau_o must exceed tau_g" in err
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             f"fig2_{curve.label}.csv" for curve in figures_module.FIGURES["fig2"][1])
+
+    def test_a_failing_later_row_solve_writes_no_curve(self, capsys, tmp_path):
+        # fig9's M1 and M5 curves solve at tau = 100 us; the M50 curve's
+        # tau = 10 us puts 1e10 km past the step-count bound, and every
+        # sweep is solved before the first CSV is written
+        code, _, err = run(capsys, "figure", "fig9", "--tau-us", "100", "--tau-o-us", "5000",
+                           "--l-list-km", "1e10", "--n-max", "20", "--m-max", "50",
+                           "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err == ("ionrep figure: error: config field sweep.l_list_km or "
+                       "hardware.tau_us: tau=1e-05 s is too short for "
+                       "total_distance_km=1e+10 km: the step count T/tau=4.90339e+09 "
+                       "must be at most 2**31\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_repeated_id_runs_once(self, capsys, tmp_path, monkeypatch):
         calls = self.count_solves(monkeypatch)

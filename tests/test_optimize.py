@@ -511,61 +511,78 @@ class TestReports:
 
 @st.composite
 def _variant_sets(draw):
-    """A _sweeps() draw whose hardware and constraints become variants of one
-    row solve: 1-4 noise settings x 1-3 (n_o_max, n_m_max) caps, either of
-    which may be None, over the draw's own fixed_n, fixed_l0_km or tau_min."""
+    """A _sweeps() draw whose distances, bounds and pass size hold for the
+    variants of one sweep_variants call. Their row keys are the draw's own
+    and any of: a second spatial_mux, tau_g halved, and a fixed_n in place
+    of the draw's pinning. Each key takes 1-4 noise settings x 1-3
+    (n_o_max, n_m_max) caps, either of which may be None, and the variants
+    come in a drawn order, so groups interleave."""
     ls, spatial_mux, hw, bounds, constraints, pass_rows = draw(_sweeps())
+    keys = [(spatial_mux, hw, constraints)]
+    if draw(st.booleans()):
+        keys.append((draw(st.sampled_from([1, 5, 10, 50])), hw, constraints))
+    if draw(st.booleans()):
+        keys.append((spatial_mux, hw.updated(tau_g=hw.timing.tau_g / 2), constraints))
+    if draw(st.booleans()):
+        keys.append((spatial_mux, hw, replace(constraints, fixed_l0_km=None,
+                                              fixed_n=draw(st.integers(0, 60)))))
     noises = draw(st.lists(st.tuples(st.sampled_from([0.0, 1e-4, 1e-3, 0.05, 0.2]),
                                      st.floats(-6.0, -2.0)), min_size=1, max_size=4))
     caps = draw(st.lists(st.tuples(st.none() | st.integers(1, 10000),
                                    st.none() | st.integers(1, 30000)),
                          min_size=1, max_size=3))
-    variants = [(hw.updated(eps_g=eps_g, f0=1.0 - 10 ** f0_exp),
-                 replace(constraints, n_o_max=n_o_max, n_m_max=n_m_max))
+    variants = [(mux, key_hw.updated(eps_g=eps_g, f0=1.0 - 10 ** f0_exp),
+                 replace(key_cons, n_o_max=n_o_max, n_m_max=n_m_max))
+                for mux, key_hw, key_cons in keys
                 for eps_g, f0_exp in noises for n_o_max, n_m_max in caps]
-    return ls, spatial_mux, variants, bounds, pass_rows
+    return ls, draw(st.permutations(variants)), bounds, pass_rows
 
 
 class TestSharedRowSolve:
-    # variants that differ only in noise and ion caps share one row search;
-    # each must get the rows its own sweep_distance gives, field by field
+    # variants that share a row key share one row search, and a call may mix
+    # keys; each variant must get the rows its own sweep_distance gives,
+    # field by field, and a failing call the first failing variant's error
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_variant_sets())
     # n_o_max = 40 leaves 15 of the 61 rows at 150 km (cap = 0 on the rest)
-    @example(([50.0, 150.0], 10,
-              [(hw, Constraints(n_o_max=n_o_max)) for hw in (BASE, BASE.updated(eps_g=1e-3))
+    @example(([50.0, 150.0],
+              [(10, hw, Constraints(n_o_max=n_o_max)) for hw in (BASE, BASE.updated(eps_g=1e-3))
                for n_o_max in (None, 40)],
               SearchBounds(60, 200), 61))
-    @example(([1.0, 30.0, 100.0, 300.0], 5,
-              [(BASE.updated(tau_m=1e-3, eps_g=eps_g), Constraints(n_m_max=n_m_max))
+    @example(([1.0, 30.0, 100.0, 300.0],
+              [(5, BASE.updated(tau_m=1e-3, eps_g=eps_g), Constraints(n_m_max=n_m_max))
                for eps_g in (0.0, 1e-4, 0.2) for n_m_max in (None, 30)],
               SearchBounds(2, 50), 3))
+    # four row keys, interleaved
+    @example(([50.0, 150.0],
+              [(10, BASE, None), (5, BASE, Constraints(n_o_max=40)),
+               (10, BASE.updated(tau_g=2e-6), None), (10, BASE, Constraints(fixed_n=5)),
+               (5, BASE.updated(eps_g=1e-3), None), (10, BASE.updated(eps_g=1e-3), None)],
+              SearchBounds(60, 200), None))
+    # only the second key fails: 150 km in 1e-9 km links is past MAX_COUNT
+    @example(([50.0, 150.0], [(10, BASE, None), (10, BASE, Constraints(fixed_l0_km=1e-9))],
+              SearchBounds(60, 200), None))
     def test_each_variant_is_its_own_sweep(self, case):
-        ls, spatial_mux, variants, bounds, pass_rows = case
+        ls, variants, bounds, pass_rows = case
         with pytest.MonkeyPatch.context() as mp:
             if pass_rows is not None:
                 mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
-            try:
-                shared = optimize_module.sweep_variants(ls, spatial_mux, variants, bounds)
-            except ValueError as err:
-                for hw, cons in variants:
-                    with pytest.raises(ValueError, match=re.escape(str(err))):
-                        sweep_distance(ls, spatial_mux, hw, bounds, cons)
+            alone = []
+            for mux, hw, cons in variants:
+                try:
+                    alone.append(sweep_distance(ls, mux, hw, bounds, cons))
+                except ValueError as err:
+                    alone.append(err)
+            errors = [str(a) for a in alone if isinstance(a, ValueError)]
+            if errors:
+                with pytest.raises(ValueError) as err:
+                    optimize_module.sweep_variants(ls, variants, bounds)
+                assert str(err.value) == errors[0]
                 return
-            alone = [sweep_distance(ls, spatial_mux, hw, bounds, cons)
-                     for hw, cons in variants]
+            shared = optimize_module.sweep_variants(ls, variants, bounds)
         assert shared == alone
-        for (hw, _), rows in zip(variants, shared):
-            assert_reports_are_scalar_evaluations(
-                ls, spatial_mux, hw, [row.result for row in rows])
-
-    def test_variants_must_share_their_rows(self):
-        with pytest.raises(ValueError, match="differ only in noise"):
-            optimize_module.sweep_variants(
-                [150.0], 10, [(BASE, None), (BASE.updated(tau_g=2e-6), None)])
-        with pytest.raises(ValueError, match="differ only in noise"):
-            optimize_module.sweep_variants(
-                [150.0], 10, [(BASE, None), (BASE, Constraints(fixed_n=5))])
+        for (mux, hw, _), rows in zip(variants, shared):
+            assert_reports_are_scalar_evaluations(ls, mux, hw, [row.result for row in rows])
 
 
 class TestTimeRescaling:
