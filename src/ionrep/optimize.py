@@ -408,6 +408,7 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
         raise ValueError("l_list must be nonempty")
     if any(b <= a for a, b in zip(ls, ls[1:])):
         raise ValueError("l_list must be strictly increasing")
+    bounds = bounds or SearchBounds()
     variants = [(mux, hw, cons or Constraints()) for mux, hw, cons in variants]
     groups: dict = {}  # variant indices per row key, in first-seen order
     for i, variant in enumerate(variants):
@@ -416,7 +417,7 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
     for members in groups.values():
         spatial_mux = variants[members[0]][0]
         group = [variants[i][1:] for i in members]
-        solved = _solve(ls, spatial_mux, bounds or SearchBounds(), group)
+        solved = _solve(ls, spatial_mux, bounds, group)
         plob = [_plob(l_km, spatial_mux, group[0][0]) for l_km in ls]
         for i, results in zip(members, solved):
             sweeps[i] = [SweepRow(l_km, None, bound, str(res))
