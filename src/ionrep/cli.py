@@ -523,11 +523,15 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 
 def _step_fields(cfg: dict, command: str, err: StepCountError) -> str:
-    """The config fields behind a step count past the cap."""
+    """The config fields behind a step count past the cap; a figure curve's
+    own clock override stands in for hardware.tau_us."""
     distance = ("layout.l_km" if command not in ("sweep", "figure") else
                 "sweep.l_list_km" if cfg["sweep"]["l_list_km"] is not None else
                 "sweep.l_max_km")
-    return " or ".join("hardware.tau_us" if f == "tau" else distance for f in err.fields)
+    curve = getattr(err, "curve", None)  # set by figures.solve_sweeps
+    tau = ("hardware.tau_us" if curve is None or "tau" not in curve.hw_overrides else
+           f"curve {curve.label}'s own tau_us={curve.hw_overrides['tau'] / US:g}")
+    return " or ".join(tau if f == "tau" else distance for f in err.fields)
 
 
 def _emit_error(style: str, command: str, err: CliError) -> None:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import HardwareProfile
+from .model import HardwareProfile, StepCountError
 from .optimize import Constraints, SearchBounds, SweepRow, sweep_variants
 
 CSV_COLUMNS = ("L_km", "value", "regime", "n_opt", "m_opt", "N_o", "N_m", "plob")
@@ -103,12 +103,18 @@ def solve_sweeps(curves: list[Curve], l_list: list[float], hw: HardwareProfile,
     """The rows of each distinct sweep of one figure call's curves, keyed by
     (spatial_mux, hardware after the curve's overrides, constraints), from
     one sweep_variants call. A curve whose overrides the hardware rejects has
-    no key here; it raises on its own turn in curve_rows."""
-    keys: dict = {}
+    no key here; it raises on its own turn in curve_rows. A StepCountError
+    from a sweep carries, as its curve attribute, the first curve of that
+    sweep, whose overrides may have set the clock at fault."""
+    keys: dict = {}  # sweep key -> its first curve
     for curve in curves:
         with contextlib.suppress(ValueError):
-            keys.setdefault(_sweep_key(curve, hw))
-    return dict(zip(keys, sweep_variants(l_list, list(keys), bounds)))
+            keys.setdefault(_sweep_key(curve, hw), curve)
+    try:
+        return dict(zip(keys, sweep_variants(l_list, list(keys), bounds)))
+    except StepCountError as err:
+        err.curve = list(keys.values())[err.variant]
+        raise
 
 
 def curve_rows(curve: Curve, hw: HardwareProfile, sweeps: dict) -> list[dict]:

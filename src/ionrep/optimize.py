@@ -38,6 +38,19 @@ assertion checks that identity, and rate_grid's mem_ok against m <= cap, on
 every evaluated cell. Both sides apply memory_covers to equal values, so
 they agree at the cap's boundary too.
 
+Each row's lo, and its memory cap, come from one integer search,
+_last_true, seeded by the closed form. The memory cap is a division:
+m <= tau_m / (memory_margin tau) - den_steps(1) + 1. For c >= 0, h(m) > 1
+ends where x = lam m reaches the larger root of e^x - 1 = a (x + c lam), a
+Lambert W_{-1} value (Corless et al., "On the Lambert W function", 1996);
+three Newton steps on e^x - a x - (1 + a c lam) from L + log L,
+L = log(a + 1 + a c lam), estimate it, and lo is near x / lam. Rows with
+c < 0 take the same estimate. The search's one seeded round tests each
+row's cap and the four integers around its estimate; a row whose tested
+values straddle the end of P is done. Rows the estimate missed (a NaN, an
+estimate off by more than one) are bracketed by further rounds, so lo is
+exact whatever the estimate; the estimate only sets the number of rounds.
+
 A pass splits into a row state and a step per variant. Noise (eps_g, f0)
 enters the rate only through the factor max(0, rci(n)), which is constant
 along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
@@ -48,14 +61,16 @@ the rate_grid call at m = 1, the memory cap, and lo_free, the last m in
 memory cap) and lo = min(lo_free, cap), which is exact because P holds on a
 prefix: P holds on all of [1, lo_free] and nowhere in (lo_free, memory cap],
 so its last m in [1, cap] is lo_free when lo_free <= cap, and cap otherwise.
-The candidate columns are 1, lo and lo + 1. Variants with equal caps share
-one rate_grid call at those columns, and each other noise level recomputes
-only that grid's noise tail with rates.noise_tail, the function rate_grid
-itself calls, so the rate formula is written once.
+The candidate columns are 1, lo and lo + 1, in that order. Variants with
+equal caps share one candidate grid, rates.rate_blocks (rate_grid's block
+stage) applied to the m = 1 grid at those columns, and each other noise
+level recomputes only the noise fields, with rates.noise_tail and
+rates.noisy_rate, the functions rate_grid itself calls, so the rate formula
+is written once.
 
 Cells broadcast elementwise, so a candidate's rate is the bits of its cell
 in the full grid. Infeasible and non-finite cells count as -1, and per
-distance a row-major argmax over its rows' sorted candidates breaks ties
+distance a row-major argmax over its rows' candidates breaks ties
 toward smaller n, then smaller m, as a scan of that distance's whole grid
 would. Each distance's report is read from the fields of the cell that won
 its argmax. A pass holds at most PASS_ROWS rows, or one distance where its
@@ -73,12 +88,15 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (MAX_COUNT, ChainLayout, DerivedTiming, HardwareProfile,
-                    fiber_transmissivity)
+                    StepCountError, fiber_transmissivity)
 from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_covers,
-                    noise_tail, plob_bound, rate_grid)
+                    noise_tail, noisy_rate, plob_bound, rate_blocks, rate_grid)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
-SEARCH_CELLS = 512  # cells per round of the per-row search
+# cells per bracket round of the per-row search; the bracket rounds run only
+# while _last_true's seeded round has left some row open
+SEARCH_CELLS = 512
+_SEED_OFFSETS = np.arange(-1, 3)[:, None, None]  # the seeded round's m - floor(guess)
 MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # (distance, n) rows per pass, or one distance's rows where they are more.
 # At n_max = 600 that is six distances. On one core of a 2-vCPU machine
@@ -152,16 +170,25 @@ def _candidate_ns(l_km: float, bounds: SearchBounds,
     return np.arange(0, bounds.n_max + 1, dtype=np.int64)
 
 
-def _last_true(pred, hi: np.ndarray) -> np.ndarray:
+def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Per row, the largest m in [1, hi] where pred(m) holds, or 0 where it
     holds nowhere; pred must hold on a prefix of the integers m >= 1.
 
-    Each round tests up to SEARCH_CELLS cells, split evenly over the rows:
-    a single row (a pinned n at one distance) takes one or two rounds, and
-    hundreds of rows take a bisection's.
+    guess is a float column, the answer's estimate: any value (NaN, +-inf
+    included) gives the exact answer, and one whose floor is within 1 of it
+    takes a single round. That round tests hi and floor(guess) - 1 ...
+    floor(guess) + 2, each clipped to [1, hi], on a leading axis: numpy 2.4
+    reduces a (5, 601, 1) array over axis 0 in ~2 us, a (601, 5) one over
+    axis 1 in ~33 us. Rows it leaves open are bracketed by the loop below,
+    whose rounds test up to SEARCH_CELLS cells, split evenly over the rows.
     """
-    top = (hi >= 1) & pred(hi)
-    lo, up = np.where(top, hi, 0), np.where(top, hi + 1, hi)
+    g = np.fmin(np.fmax(guess, 0.0), hi).astype(np.int64)  # NaN and inf land in [0, hi]
+    m = np.concatenate([hi[None], np.clip(g + _SEED_OFFSETS, 1, hi)])
+    ok = pred(m)
+    # every m tested true is at most the answer, every false one above it;
+    # a row with hi = 0 tests only 0, and comes out with lo = 0 either way
+    lo = np.where(ok, m, 0).max(axis=0)
+    up = np.where(ok, hi + 1, m).min(axis=0)
     ks = np.arange(1, max(1, SEARCH_CELLS // hi.shape[0]) + 1)
     gap = up - lo
     while (gap > 1).any():
@@ -210,10 +237,13 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     ns = ns.reshape(-1, 1)
     l_km = np.repeat(ls, r)[:, None]
     m_max = np.full_like(ns, bounds.m_max)
-    hw = variants[0][0]  # the row state below does not depend on noise
-    first = rate_grid(ChainLayout(l_km, ns, spatial_mux, np.ones_like(ns)), hw)
+    hw = variants[0][0]  # the rows' state below depends on noise only through f_end, rci
+    layout = ChainLayout(l_km, ns, spatial_mux, np.ones_like(ns))
+    first = rate_grid(layout, hw)
     den1 = first.den_steps  # den_steps(m) = den1 + (m - 1.0), as rate_grid rounds it
-    mem_cap = _last_true(lambda m: memory_covers(hw, den1 + (m - 1.0)), m_max)
+    tm = hw.timing
+    mem_cap = _last_true(lambda m: memory_covers(hw, den1 + (m - 1.0)), m_max,
+                         tm.tau_m / (hw.memory_margin * tm.tau) - den1 + 1.0)
 
     # P(m) of the module docstring, with e = expm1(x): h > 1 is
     # (c + m) a lam > e, and u > 0 is e (1 - x - c lam) > x + c lam, tested
@@ -221,7 +251,8 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     # could make it true), and not at all in a pass without such rows
     c = den1 - 1.0
     lam = -spatial_mux * np.log1p(-first.p)
-    a_lam, c_lam, neg = (ns + 1.0) * lam, c * lam, c < 0.0
+    a = ns + 1.0
+    a_lam, c_lam, neg = a * lam, c * lam, c < 0.0
     some_neg = bool(neg.any())
 
     def rising(m):
@@ -233,7 +264,15 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
         return out
 
     with np.errstate(all="ignore"):
-        lo_free = _last_true(rising, mem_cap)
+        # lo_free's seed: the larger root x of e^x - a x - b = 0, b = 1 + a c lam,
+        # by three Newton steps from L + log L, L = log(a + b), then m = x / lam
+        b = 1.0 + a * c_lam
+        x = np.log(a + b)
+        x += np.log(x)
+        for _ in range(3):
+            e = np.exp(x)
+            x -= (e - a * x - b) / (e - a)
+        lo_free = _last_true(rising, mem_cap, x / lam)
 
     by_caps: dict = {}  # variant indices per (n_o_max, n_m_max), in first-seen order
     for i, (_, cons) in enumerate(variants):
@@ -252,18 +291,19 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
             cap = np.minimum(cap, n_m_cap)
         # P holds on a prefix, so the search up to cap is the free one clipped
         lo = np.minimum(lo_free, cap)
-        cols = np.sort(np.clip(np.hstack([np.ones_like(ns), lo, lo + 1]), 1, bounds.m_max),
-                       axis=1)
-        grid_hw = variants[members[0]][0]
-        grid = rate_grid(ChainLayout(l_km, ns, spatial_mux, cols), grid_hw)
+        # in order, since 1 <= clip(lo) <= clip(lo + 1)
+        cols = np.clip(np.hstack([np.ones_like(ns), lo, lo + 1]), 1, bounds.m_max)
+        grid = rate_blocks(first, layout, cols, hw)
         assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
                 and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
             "rate_grid's den_steps or mem_ok disagrees with the memory cap"
         evaluations = cap.reshape(d, r).sum(axis=1).tolist()
-        for i in members:  # per noise level, only the noise tail is new
+        for i in members:  # per noise level, only f_end, rci and the rate are new
             hw_i, cons_i = variants[i]
-            noisy = grid if hw_i.noise == grid_hw.noise else replace(
-                grid, **noise_tail(ns, grid.ideal, hw_i))
+            noisy = grid
+            if hw_i.noise != hw.noise:
+                tail = noise_tail(ns, hw_i)
+                noisy = replace(grid, **tail, rate=noisy_rate(grid.ideal, tail["rci"]))
             out[i] = _optima(noisy, cols, cap, ns[:, 0], removed, evaluations, hw_i,
                              bounds, cons_i.pinned)
     return out
@@ -278,7 +318,7 @@ def _optima(grid: RateGrid, cols: np.ndarray, cap: np.ndarray, ns: np.ndarray,
     r = ns.size // d
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
     # per distance, the flat index of the row-major argmax over its rows'
-    # sorted columns: smallest n, then m
+    # ordered columns: smallest n, then m
     best = rate.reshape(d, -1).argmax(axis=1) + np.arange(0, rate.size, rate.size // d)
     n_opt, m_opt = ns[best // cols.shape[1]], cols.flat[best]
     found = rate.flat[best] >= 0.0  # a distance with no feasible cell has only -1
@@ -402,7 +442,8 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
     """sweep_distance's rows for each (spatial_mux, hw, constraints) of
     variants, in their order (constraints may be None). Variants with equal
     _row_key share one row solve, and the solves run in order of their first
-    variant, so a ValueError is the first failing solve's."""
+    variant, so a ValueError is the first failing solve's. A StepCountError
+    names that solve by its first variant's index, as its variant attribute."""
     ls = list(l_list)
     if not ls:
         raise ValueError("l_list must be nonempty")
@@ -417,7 +458,11 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
     for members in groups.values():
         spatial_mux = variants[members[0]][0]
         group = [variants[i][1:] for i in members]
-        solved = _solve(ls, spatial_mux, bounds, group)
+        try:
+            solved = _solve(ls, spatial_mux, bounds, group)
+        except StepCountError as err:
+            err.variant = members[0]
+            raise
         plob = [_plob(l_km, spatial_mux, group[0][0]) for l_km in ls]
         for i, results in zip(members, solved):
             sweeps[i] = [SweepRow(l_km, None, bound, str(res))

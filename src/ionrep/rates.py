@@ -18,12 +18,25 @@ at integer steps.
 Each formula is written once, here or in ionrep.model, and broadcasts over
 numpy arrays: waits_for_herald, slot_events, block_denominator, ion_budgets
 and block_success_prob. rate_grid combines them over distances, repeater
-counts and block lengths. Noise enters a grid only through its noise_tail
-(f_end, rci and the rate), so the optimizer re-noises one grid for each
-noise level instead of building another. evaluate_rate reports rate_grid
-on the caller's own layout, whose one cell runs a grid cell's numpy loops,
-through grid_reports, as the optimizer reports a grid's optima; mcsim.SimConfig
-reads waits_for_herald, slot_events and block_denominator at integer steps.
+counts and block lengths in two stages:
+
+- the row stage, rate_rows, computes what does not depend on the block
+  length m: the timing, the waits_for_herald mask, p, the comm ions n_o,
+  and the noise fields f_end and rci (noise_tail);
+- the block stage, rate_blocks, takes a row state and the block lengths and
+  computes den_steps, mem_ok, the memory ions n_m, the block success, the
+  ideal rate and the noisy rate (noisy_rate).
+
+rate_grid is the row stage followed by the block stage. A RateGrid is a
+RowState with the block fields added, so the block stage also takes a
+RateGrid as its row state: the optimizer computes one grid at m = 1 per
+pass and applies the block stage to it at its candidate columns. Noise
+enters a grid only through f_end, rci and the rate, so the optimizer
+re-noises one grid for each noise level instead of building another.
+evaluate_rate reports rate_grid on the caller's own layout, whose one cell
+runs a grid cell's numpy loops, through grid_reports, as the optimizer
+reports a grid's optima; mcsim.SimConfig reads waits_for_herald,
+slot_events and block_denominator at integer steps.
 """
 
 from __future__ import annotations
@@ -138,9 +151,16 @@ def ion_budgets(waits, k_steps, j_steps, spatial_mux, m):
     C2) parks attempts for k steps, needing 2(Mk + j) comm ions, but loads
     one memory pair per link per cycle, exactly 2m memories.
     """
-    n_o = ceil_tol(np.where(waits, 2.0 * (spatial_mux * k_steps + j_steps),
-                              2.0 * spatial_mux * j_steps))
-    return n_o, np.where(waits, 2, 2 * spatial_mux) * m
+    return _comm_ions(waits, k_steps, j_steps, spatial_mux), _memory_ions(waits, spatial_mux, m)
+
+
+def _comm_ions(waits, k_steps, j_steps, spatial_mux):  # ion_budgets' n_o, free of m
+    return ceil_tol(np.where(waits, 2.0 * (spatial_mux * k_steps + j_steps),
+                             2.0 * spatial_mux * j_steps))
+
+
+def _memory_ions(waits, spatial_mux, m):  # ion_budgets' n_m
+    return np.where(waits, 2, 2 * spatial_mux) * m
 
 
 def block_success_prob(p, spatial_mux, time_mux, n_repeaters):
@@ -206,21 +226,32 @@ class RateReport:
         return out
 
 
-@dataclass(frozen=True)
-class RateGrid:
-    """rate_grid's output; each field broadcasts to n_repeaters x time_mux."""
+# RowState and RateGrid are plain dataclasses: evaluate_rate builds one of
+# each per call, and a frozen one's __init__ takes about twice as long
+@dataclass
+class RowState:
+    """rate_rows' output: the fields that do not depend on the block length;
+    each broadcasts to the layout's rows, n_repeaters against
+    total_distance_km."""
 
     timing: DerivedTiming
     waits: np.ndarray  # formula group B2/C2, the rest blind
-    den_steps: np.ndarray
-    mem_ok: np.ndarray  # tau_m covers memory_margin x the block duration
     n_o: np.ndarray
-    n_m: np.ndarray
     p: np.ndarray
-    block: np.ndarray
-    ideal: np.ndarray  # block / block duration
     f_end: np.ndarray
     rci: np.ndarray
+
+
+@dataclass
+class RateGrid(RowState):
+    """rate_grid's output, a row state with the block fields added; each field
+    broadcasts to n_repeaters x time_mux."""
+
+    den_steps: np.ndarray
+    mem_ok: np.ndarray  # tau_m covers memory_margin x the block duration
+    n_m: np.ndarray
+    block: np.ndarray
+    ideal: np.ndarray  # block / block duration
     rate: np.ndarray  # noisy rate: ideal x max(0, rci)
 
 
@@ -233,28 +264,50 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     """The rate model over a layout whose n_repeaters is an int or a column,
     time_mux an int, a row or a column and total_distance_km a float or a
     column; blocks that outlive the memory are flagged in mem_ok."""
+    return rate_blocks(rate_rows(layout, hw), layout, layout.time_mux, hw)
+
+
+def rate_rows(layout: ChainLayout, hw: HardwareProfile) -> RowState:
+    """The row stage: rate_grid's fields that do not depend on time_mux,
+    which this stage ignores."""
     timing = derive_timing(layout, hw)
     tm = hw.timing
-    k, j, m = timing.k_steps, timing.j_steps, layout.time_mux
     waits = waits_for_herald(timing.heralding_time_s, tm.tau_g, tm.tau_o)
-    den_steps = block_denominator(waits, k, m, j)
-    n_o, n_m = ion_budgets(waits, k, j, layout.spatial_mux, m)
-    p = link_success_prob(hw.optical, layout.link_length_km)
-    block = block_success_prob(p, layout.spatial_mux, m, layout.n_repeaters)
-    ideal = block / (den_steps * tm.tau)
-    return RateGrid(
-        timing=timing, waits=waits, den_steps=den_steps,
-        mem_ok=memory_covers(hw, den_steps), n_o=n_o, n_m=n_m, p=p, block=block,
-        ideal=ideal, **noise_tail(layout.n_repeaters, ideal, hw),
+    return RowState(
+        timing=timing, waits=waits,
+        n_o=_comm_ions(waits, timing.k_steps, timing.j_steps, layout.spatial_mux),
+        p=link_success_prob(hw.optical, layout.link_length_km),
+        **noise_tail(layout.n_repeaters, hw),
     )
 
 
-def noise_tail(n_repeaters, ideal, hw: HardwareProfile) -> dict:
-    """The RateGrid fields hw.noise enters, f_end, rci and the rate ideal x
-    max(0, rci): a grid at other noise is the grid with these replaced."""
+def rate_blocks(rows: RowState, layout: ChainLayout, time_mux,
+                hw: HardwareProfile) -> RateGrid:
+    """The block stage: rows (a RowState, or a RateGrid at other block
+    lengths) of layout's n_repeaters and spatial_mux, at block lengths
+    time_mux, which broadcast against the rows as rate_grid's would."""
+    timing = rows.timing
+    den_steps = block_denominator(rows.waits, timing.k_steps, time_mux, timing.j_steps)
+    block = block_success_prob(rows.p, layout.spatial_mux, time_mux, layout.n_repeaters)
+    ideal = block / (den_steps * hw.timing.tau)
+    return RateGrid(
+        timing=timing, waits=rows.waits, n_o=rows.n_o, p=rows.p, f_end=rows.f_end,
+        rci=rows.rci, den_steps=den_steps, mem_ok=memory_covers(hw, den_steps),
+        n_m=_memory_ions(rows.waits, layout.spatial_mux, time_mux), block=block,
+        ideal=ideal, rate=noisy_rate(ideal, rows.rci),
+    )
+
+
+def noise_tail(n_repeaters, hw: HardwareProfile) -> dict:
+    """The row fields hw.noise enters, f_end and rci; with noisy_rate, a grid
+    at other noise is the grid with these and its rate replaced."""
     f_end = end_to_end_fidelity(n_repeaters, hw.noise)
-    rci = werner_rci(f_end)
-    return {"f_end": f_end.fidelity, "rci": rci, "rate": ideal * np.maximum(0.0, rci)}
+    return {"f_end": f_end.fidelity, "rci": werner_rci(f_end)}
+
+
+def noisy_rate(ideal, rci):
+    """The noisy rate ideal x max(0, rci), the one block field noise enters."""
+    return ideal * np.maximum(0.0, rci)
 
 
 def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:

@@ -548,16 +548,26 @@ class TestFigure:
     def test_a_failing_later_row_solve_writes_no_curve(self, capsys, tmp_path):
         # fig9's M1 and M5 curves solve at tau = 100 us; the M50 curve's
         # tau = 10 us puts 1e10 km past the step-count bound, and every
-        # sweep is solved before the first CSV is written
+        # sweep is solved before the first CSV is written. The message names
+        # that curve's own clock, not the --tau-us the user gave
         code, _, err = run(capsys, "figure", "fig9", "--tau-us", "100", "--tau-o-us", "5000",
                            "--l-list-km", "1e10", "--n-max", "20", "--m-max", "50",
                            "--out-dir", str(tmp_path))
         assert code == 2
-        assert err == ("ionrep figure: error: config field sweep.l_list_km or "
-                       "hardware.tau_us: tau=1e-05 s is too short for "
+        assert err == ("ionrep figure: error: config field sweep.l_list_km or curve "
+                       "Nomax125_M50_tau10us's own tau_us=10: tau=1e-05 s is too short for "
                        "total_distance_km=1e+10 km: the step count T/tau=4.90339e+09 "
                        "must be at most 2**31\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_a_clock_the_curve_does_not_set_is_the_flags(self, capsys, tmp_path):
+        # at tau = 1 ns every fig9 sweep is past the bound; the first to fail,
+        # Nomax125_M1_tau1us, takes its clock from --tau-us
+        code, _, err = run(capsys, "figure", "fig9", "--tau-us", "0.001", "--l-list-km", "1e10",
+                           "--n-max", "20", "--m-max", "50", "--out-dir", str(tmp_path))
+        assert code == 2
+        assert err.startswith("ionrep figure: error: config field sweep.l_list_km or "
+                              "hardware.tau_us: tau=1e-09 s is too short for ")
 
     def test_repeated_id_runs_once(self, capsys, tmp_path, monkeypatch):
         calls = self.count_solves(monkeypatch)

@@ -29,6 +29,7 @@ from ionrep import (
     plob_bound,
     sweep_distance,
 )
+from ionrep.optimize import distance_grid
 from ionrep.rates import rate_grid
 
 BASE = HardwareProfile()
@@ -300,6 +301,23 @@ def _problems(draw):
 DIP = (0.2, 5, BASE.updated(tau=10e-6), SearchBounds(60, 300), Constraints(fixed_n=1))
 
 
+def scan_last_true(pred, hi):
+    """_last_true by a linear scan: per row, the last m in [1, hi] where
+    pred holds, or 0."""
+    ms = np.arange(1, int(hi.max()) + 1)[:, None, None]
+    return np.where(pred(ms) & (ms <= hi), ms, 0).max(axis=0, initial=0)
+
+
+def wrong_guesses(rng, hi):
+    """A guess per row of hi, each 0, negative, above hi, NaN, -inf, inf or
+    an integer in [-5, hi + 5]."""
+    kinds = np.broadcast_arrays(0.0, -rng.integers(1, 10 ** 6, hi.shape),
+                                hi + rng.integers(1, 10 ** 6, hi.shape), np.nan,
+                                -np.inf, np.inf, rng.integers(-5, hi + 6))
+    pick = rng.integers(len(kinds), size=(1,) + hi.shape)
+    return np.take_along_axis(np.stack(kinds).astype(float), pick, 0)[0]
+
+
 class TestScanOracle:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_problems())
@@ -315,14 +333,19 @@ class TestScanOracle:
         assert outcome(optimize_rate, *problem) == outcome(scan_optimum, *problem)
 
     def test_rows_with_nothing_left_to_search_keep_their_lo(self):
-        # a row with hi = 0 beside a row still searching once tested m = -1
-        last_true = optimize_module._last_true
-        assert last_true(lambda m: m <= 30, np.array([[0], [50]])).tolist() == [[0], [30]]
-        assert last_true(lambda m: m <= 30, np.array([[0]])).tolist() == [[0]]
-        # pred fails at 1 and at 0 in the first row, and holds at -1
-        limit = np.array([[0], [30]])
-        assert last_true(lambda m: (m <= limit) & (m != 0),
-                         np.array([[5], [50]])).tolist() == [[0], [30]]
+        # a row with hi = 0 (the third) beside rows still searching once
+        # tested m = -1; the first row fails at 1 and at 0, and holds at -1.
+        # A guess of 0 leaves the other rows open, so the bracket loop runs
+        # beside the finished ones, and no guess changes the answer
+        limit, hi = np.array([[0], [30], [0], [70]]), np.array([[5], [50], [0], [60]])
+
+        def pred(m):
+            return (m <= limit) & (m != 0)
+
+        rng = np.random.default_rng(0)
+        for guess in [np.zeros((4, 1)), limit + 0.5] + [wrong_guesses(rng, hi)
+                                                         for _ in range(50)]:
+            assert optimize_module._last_true(pred, hi, guess).tolist() == [[0], [30], [0], [60]]
 
     def test_row_below_one_step_falls_then_peaks(self):
         l_km, mux, hw, bounds, cons = DIP
@@ -335,9 +358,10 @@ class TestScanOracle:
         assert res.m_opt == int(np.argmax(rate)) + 1 == 8
 
     def test_non_finite_rates_are_never_chosen(self, monkeypatch):
+        # rci is row state: a NaN there reaches every candidate cell of the row
         def nan_at_88(layout, hw):
             grid = rate_grid(layout, hw)
-            grid.rate[np.broadcast_to(layout.n_repeaters == 88, grid.rate.shape)] = np.nan
+            grid.rci[np.broadcast_to(layout.n_repeaters == 88, grid.rci.shape)] = np.nan
             return grid
 
         monkeypatch.setattr(optimize_module, "rate_grid", nan_at_88)
@@ -361,6 +385,48 @@ class TestScanOracle:
         # tau_m covers every block up to m = 10**6 on every row
         assert res.evaluations == 100_001 * 1_000_000
         assert peak < 128 * 2 ** 20
+
+
+class TestSeededSearch:
+    # _last_true's guess sets how many rounds a search takes, never its answer
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_problems(), st.integers(0, 2 ** 32 - 1))
+    @example(DIP, 0)  # a row whose base is under one step: c < 0
+    @example((150.0, 10, BASE, SearchBounds(600, 2000), Constraints()), 1)
+    @example((150.0, 10, BASE.updated(tau_m=3e-4), SearchBounds(600, 2000), Constraints()), 2)
+    def test_any_guess_gives_the_exact_answer(self, problem, seed):
+        rng = np.random.default_rng(seed)
+        real = optimize_module._last_true
+
+        def checked(pred, hi, guess):
+            lo = real(pred, hi, guess)
+            assert np.array_equal(lo, scan_last_true(pred, hi))
+            for _ in range(3):
+                assert np.array_equal(real(pred, hi, wrong_guesses(rng, hi)), lo)
+            return lo
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(optimize_module, "_last_true", checked)
+            outcome(optimize_rate, *problem)
+
+    def test_the_seed_closes_every_row_in_one_round(self, monkeypatch):
+        real, calls = optimize_module._last_true, []  # predicate calls per search
+
+        def counted(pred, hi, guess):
+            calls.append(0)
+
+            def counting(m):
+                calls[-1] += 1
+                return pred(m)
+            return real(counting, hi, guess)
+
+        monkeypatch.setattr(optimize_module, "_last_true", counted)
+        optimize_rate(150.0, 10, BASE)
+        assert calls == [1, 1]  # the memory cap and lo_free
+        calls.clear()
+        sweep_distance(distance_grid(10.0, 500.0, 10.0), 10, BASE)  # the default sweep
+        assert calls == [1] * 18  # nine passes, two searches each
 
 
 @st.composite
@@ -456,7 +522,7 @@ class TestSweepOracle:
         assert (sweep[1].result.n_opt, sweep[1].result.m_opt) == (88, 25)
         assert all(row.result.evaluations == 100_001 * 1_000_000 for row in sweep)
         assert peak < 128 * 2 ** 20
-        # 601 rows a distance: six distances to a pass, two rate_grid calls each
+        # 601 rows a distance: six distances to a pass, one rate_grid call each
         rows.clear()
         tracemalloc.start()
         try:
@@ -464,12 +530,12 @@ class TestSweepOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rows == [6 * 601] * 2 + [4 * 601] * 2
+        assert rows == [6 * 601, 4 * 601]
         assert 6 * 601 <= optimize_module.PASS_ROWS
         assert peak < 2 * 2 ** 20
         rows.clear()
         optimize_rate(150.0, 10, BASE)
-        assert rows == [601, 601]
+        assert rows == [601]
 
 
 def assert_reports_are_scalar_evaluations(ls, spatial_mux, hw, results):
