@@ -21,7 +21,7 @@ import os
 import sys
 from typing import NamedTuple, Optional
 
-from .figures import CSV_COLUMNS, FIGURES, curve_rows, reduce_row, solve_sweeps
+from .figures import CSV_COLUMNS, FIGURES, curve_rows, curve_variant, reduce_row
 from .mcsim import SimConfig, run_protocol_sim, validate_against_analytic
 from .model import ChainLayout, HardwareProfile, StepCountError, heralding_time
 from .optimize import (
@@ -30,6 +30,7 @@ from .optimize import (
     distance_grid,
     optimize_rate,
     sweep_distance,
+    sweep_variants,
 )
 from .rates import InfeasibleError, RateReport, classification_path, evaluate_rate
 
@@ -407,12 +408,16 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     ids = list(dict.fromkeys(i for arg in args.figure_ids
                              for i in (sorted(FIGURES) if arg == "all" else [arg])))
     curves = [(fig_id, curve) for fig_id in ids for curve in FIGURES[fig_id][1]]
-    sweeps = solve_sweeps([curve for _, curve in curves], grid, hw, bounds)
+    variants = [curve_variant(curve, hw) for _, curve in curves]
+    try:
+        sweeps = sweep_variants(grid, variants, bounds)
+    except StepCountError as err:
+        err.curve = curves[err.variant][1]  # its overrides may have set the clock
+        raise
     files = []
-    for fig_id, curve in curves:
-        rows = curve_rows(curve, hw, sweeps)
+    for (fig_id, curve), rows in zip(curves, sweeps):
         path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
-        _write(path, _csv_text(list(CSV_COLUMNS), rows), "output.dir")
+        _write(path, _csv_text(list(CSV_COLUMNS), curve_rows(curve, rows)), "output.dir")
         files.append(path)
     emit(cfg, "figure", {"figure": " ".join(ids),
                          "description": "; ".join(FIGURES[i][0] for i in ids),
@@ -524,11 +529,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
 def _step_fields(cfg: dict, command: str, err: StepCountError) -> str:
     """The config fields behind a step count past the cap; a figure curve's
-    own clock override stands in for hardware.tau_us."""
+    own clock override stands in for hardware.tau_us. cmd_figure sets the
+    error's curve to the first curve of the row solve that failed."""
     distance = ("layout.l_km" if command not in ("sweep", "figure") else
                 "sweep.l_list_km" if cfg["sweep"]["l_list_km"] is not None else
                 "sweep.l_max_km")
-    curve = getattr(err, "curve", None)  # set by figures.solve_sweeps
+    curve = getattr(err, "curve", None)
     tau = ("hardware.tau_us" if curve is None or "tau" not in curve.hw_overrides else
            f"curve {curve.label}'s own tau_us={curve.hw_overrides['tau'] / US:g}")
     return " or ".join(tau if f == "tau" else distance for f in err.fields)

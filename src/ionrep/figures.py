@@ -3,22 +3,22 @@
 Each figure id maps to a fixed set of curves. A curve is a distance sweep of
 the optimizer under specific hardware overrides and constraints, reduced to
 one value column; the CSV layout is shared with the plain sweep subcommand.
-Curves with the same spatial_mux, hardware and constraints differ only in
-that column, so they share one sweep. A figure call hands its distinct
-sweeps to one optimize.sweep_variants call, which gives the sweeps that
-differ only in noise (eps_g, f0), n_o_max and n_m_max one row solve:
-fig2-fig9 are 59 curves over 23 distinct sweeps, and `figure all` solves
-them in 11 row solves (the eight ids one at a time, in 25).
+A figure call hands every curve's variant, curve_variant's (spatial_mux,
+hardware after the curve's overrides, constraints), to one
+optimize.sweep_variants call, which solves equal variants once and gives
+the variants that differ only in noise (eps_g, f0), n_o_max and n_m_max one
+row solve: fig2-fig9 are 59 curves over 23 distinct variants, and
+`figure all` solves them in 11 row solves (the eight ids one at a time, in
+25).
 """
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import HardwareProfile, StepCountError
-from .optimize import Constraints, SearchBounds, SweepRow, sweep_variants
+from .model import HardwareProfile
+from .optimize import Constraints, SweepRow
 
 CSV_COLUMNS = ("L_km", "value", "regime", "n_opt", "m_opt", "N_o", "N_m", "plob")
 
@@ -50,77 +50,55 @@ def _mux_noise_family(value_field: str) -> list[Curve]:
     ]
 
 
-def _figures() -> dict[str, tuple[str, list[Curve]]]:
-    figs = {
-        "fig2": ("optimized rate vs distance", _mux_noise_family("noisy_rate")),
-        "fig3": ("optimal time multiplexing vs distance", _mux_noise_family("m_opt")),
-        "fig4": ("optimal repeater count vs distance", _mux_noise_family("n_opt")),
-        "fig5": ("communication ions per node vs distance", _mux_noise_family("n_o")),
-        "fig6": ("memory ions per node vs distance", _mux_noise_family("n_m")),
-        "fig7": ("rate vs distance with 10x slower gates", [
-            Curve(label=f"M{mux}", value_field="noisy_rate", spatial_mux=mux,
-                  hw_overrides={"tau_g": 10e-6, **_noise_knob(1e-4)})
-            for mux in (1, 5, 10)
-        ]),
-        "fig8": ("rate vs distance at fixed repeater spacing", [
-            Curve(label=f"L0_{l0:g}km", value_field="noisy_rate", spatial_mux=10,
-                  hw_overrides=_noise_knob(1e-4),
-                  constraints=Constraints(fixed_l0_km=l0))
-            for l0 in (2.0, 5.0, 10.0, 20.0)
-        ]),
-        "fig9": ("rate vs distance under ion-count caps", [
-            Curve(label="Nomax125_M1_tau1us", value_field="noisy_rate",
-                  spatial_mux=1, hw_overrides=_noise_knob(1e-4),
-                  constraints=Constraints(n_o_max=125)),
-            Curve(label="Nomax125_M5_tau1us", value_field="noisy_rate",
-                  spatial_mux=5, hw_overrides=_noise_knob(1e-4),
-                  constraints=Constraints(n_o_max=125)),
-            # slower clock trades gate-time ratio for more spatial modes
-            Curve(label="Nomax125_M50_tau10us", value_field="noisy_rate",
-                  spatial_mux=50,
-                  hw_overrides={"tau": 10e-6, **_noise_knob(1e-4)},
-                  constraints=Constraints(n_o_max=125)),
-        ] + [
-            Curve(label=f"Nmmax{cap}_M5", value_field="noisy_rate",
-                  spatial_mux=5, hw_overrides=_noise_knob(1e-4),
-                  constraints=Constraints(n_m_max=cap))
-            for cap in (20, 40, 60, 100)
-        ]),
-    }
-    return figs
+FIGURES: dict[str, tuple[str, list[Curve]]] = {
+    "fig2": ("optimized rate vs distance", _mux_noise_family("noisy_rate")),
+    "fig3": ("optimal time multiplexing vs distance", _mux_noise_family("m_opt")),
+    "fig4": ("optimal repeater count vs distance", _mux_noise_family("n_opt")),
+    "fig5": ("communication ions per node vs distance", _mux_noise_family("n_o")),
+    "fig6": ("memory ions per node vs distance", _mux_noise_family("n_m")),
+    "fig7": ("rate vs distance with 10x slower gates", [
+        Curve(label=f"M{mux}", value_field="noisy_rate", spatial_mux=mux,
+              hw_overrides={"tau_g": 10e-6, **_noise_knob(1e-4)})
+        for mux in (1, 5, 10)
+    ]),
+    "fig8": ("rate vs distance at fixed repeater spacing", [
+        Curve(label=f"L0_{l0:g}km", value_field="noisy_rate", spatial_mux=10,
+              hw_overrides=_noise_knob(1e-4),
+              constraints=Constraints(fixed_l0_km=l0))
+        for l0 in (2.0, 5.0, 10.0, 20.0)
+    ]),
+    "fig9": ("rate vs distance under ion-count caps", [
+        Curve(label="Nomax125_M1_tau1us", value_field="noisy_rate",
+              spatial_mux=1, hw_overrides=_noise_knob(1e-4),
+              constraints=Constraints(n_o_max=125)),
+        Curve(label="Nomax125_M5_tau1us", value_field="noisy_rate",
+              spatial_mux=5, hw_overrides=_noise_knob(1e-4),
+              constraints=Constraints(n_o_max=125)),
+        # slower clock trades gate-time ratio for more spatial modes
+        Curve(label="Nomax125_M50_tau10us", value_field="noisy_rate",
+              spatial_mux=50,
+              hw_overrides={"tau": 10e-6, **_noise_knob(1e-4)},
+              constraints=Constraints(n_o_max=125)),
+    ] + [
+        Curve(label=f"Nmmax{cap}_M5", value_field="noisy_rate",
+              spatial_mux=5, hw_overrides=_noise_knob(1e-4),
+              constraints=Constraints(n_m_max=cap))
+        for cap in (20, 40, 60, 100)
+    ]),
+}
 
 
-FIGURES = _figures()
-
-
-def _sweep_key(curve: Curve, hw: HardwareProfile) -> tuple:
+def curve_variant(curve: Curve, hw: HardwareProfile) -> tuple:
+    """The curve's (spatial_mux, hardware after its overrides, constraints),
+    as optimize.sweep_variants takes a variant; raises ValueError when the
+    hardware rejects the overrides."""
     hw_c = hw.updated(**curve.hw_overrides) if curve.hw_overrides else hw
-    return curve.spatial_mux, hw_c, curve.constraints or Constraints()
+    return curve.spatial_mux, hw_c, curve.constraints
 
 
-def solve_sweeps(curves: list[Curve], l_list: list[float], hw: HardwareProfile,
-                 bounds: Optional[SearchBounds]) -> dict:
-    """The rows of each distinct sweep of one figure call's curves, keyed by
-    (spatial_mux, hardware after the curve's overrides, constraints), from
-    one sweep_variants call. A curve whose overrides the hardware rejects has
-    no key here; it raises on its own turn in curve_rows. A StepCountError
-    from a sweep carries, as its curve attribute, the first curve of that
-    sweep, whose overrides may have set the clock at fault."""
-    keys: dict = {}  # sweep key -> its first curve
-    for curve in curves:
-        with contextlib.suppress(ValueError):
-            keys.setdefault(_sweep_key(curve, hw), curve)
-    try:
-        return dict(zip(keys, sweep_variants(l_list, list(keys), bounds)))
-    except StepCountError as err:
-        err.curve = list(keys.values())[err.variant]
-        raise
-
-
-def curve_rows(curve: Curve, hw: HardwareProfile, sweeps: dict) -> list[dict]:
-    """One curve's rows from solve_sweeps' sweeps, each reduced to the shared
-    CSV columns."""
-    return [reduce_row(row, curve.value_field) for row in sweeps[_sweep_key(curve, hw)]]
+def curve_rows(curve: Curve, rows: list[SweepRow]) -> list[dict]:
+    """The curve's sweep rows, each reduced to the shared CSV columns."""
+    return [reduce_row(row, curve.value_field) for row in rows]
 
 
 def reduce_row(row: SweepRow, value_field: str) -> dict:

@@ -48,19 +48,20 @@ L = log(a + 1 + a c lam), estimate it, and lo is near x / lam. Rows with
 c < 0 take the same estimate. The search's one seeded round tests each
 row's cap and the four integers around its estimate; a row whose tested
 values straddle the end of P is done. Rows the estimate missed (a NaN, an
-estimate off by more than one) are bracketed by further rounds, so lo is
+estimate off by more than one) are bisected by further rounds, so lo is
 exact whatever the estimate; the estimate only sets the number of rounds.
 
 A pass splits into a row state and a step per variant. Noise (eps_g, f0)
 enters the rate only through the factor max(0, rci(n)), which is constant
 along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
-lower a row's cap below the memory cap. So sweep_variants groups its
-variants by _row_key, and each group is one row solve with one row state:
-the rate_grid call at m = 1, the memory cap, and lo_free, the last m in
-[1, memory cap] where P holds. Each variant then takes its cap (at most the
-memory cap) and lo = min(lo_free, cap), which is exact because P holds on a
-prefix: P holds on all of [1, lo_free] and nowhere in (lo_free, memory cap],
-so its last m in [1, cap] is lo_free when lo_free <= cap, and cap otherwise.
+lower a row's cap below the memory cap. So sweep_variants solves each
+distinct variant once and groups the distinct variants by _row_key; each
+group is one row solve with one row state: the rate_grid call at m = 1,
+the memory cap, and lo_free, the last m in [1, memory cap] where P holds.
+Each variant then takes its cap (at most the memory cap) and
+lo = min(lo_free, cap), which is exact because P holds on a prefix: P
+holds on all of [1, lo_free] and nowhere in (lo_free, memory cap], so its
+last m in [1, cap] is lo_free when lo_free <= cap, and cap otherwise.
 The candidate columns are 1, lo and lo + 1, in that order. Variants with
 equal caps share one candidate grid, rates.rate_blocks (rate_grid's block
 stage) applied to the m = 1 grid at those columns, and each other noise
@@ -93,9 +94,6 @@ from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_
                     noise_tail, noisy_rate, plob_bound, rate_blocks, rate_grid)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
-# cells per bracket round of the per-row search; the bracket rounds run only
-# while _last_true's seeded round has left some row open
-SEARCH_CELLS = 512
 _SEED_OFFSETS = np.arange(-1, 3)[:, None, None]  # the seeded round's m - floor(guess)
 MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # (distance, n) rows per pass, or one distance's rows where they are more.
@@ -117,6 +115,8 @@ class SearchBounds:
                 f"bounds.n_max must be in [0, {MAX_SEARCH_N}], got {self.n_max}")
         if self.m_max < 1:
             raise ValueError(f"bounds.m_max must be >= 1, got {self.m_max}")
+        if self.m_max > MAX_COUNT:
+            raise ValueError(f"bounds.m_max must be at most {MAX_COUNT}, got {self.m_max}")
 
 
 @dataclass(frozen=True)
@@ -179,8 +179,8 @@ def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
     takes a single round. That round tests hi and floor(guess) - 1 ...
     floor(guess) + 2, each clipped to [1, hi], on a leading axis: numpy 2.4
     reduces a (5, 601, 1) array over axis 0 in ~2 us, a (601, 5) one over
-    axis 1 in ~33 us. Rows it leaves open are bracketed by the loop below,
-    whose rounds test up to SEARCH_CELLS cells, split evenly over the rows.
+    axis 1 in ~33 us. Rows it leaves open are bisected by the loop below,
+    one cell per row a round.
     """
     g = np.fmin(np.fmax(guess, 0.0), hi).astype(np.int64)  # NaN and inf land in [0, hi]
     m = np.concatenate([hi[None], np.clip(g + _SEED_OFFSETS, 1, hi)])
@@ -189,16 +189,14 @@ def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
     # a row with hi = 0 tests only 0, and comes out with lo = 0 either way
     lo = np.where(ok, m, 0).max(axis=0)
     up = np.where(ok, hi + 1, m).min(axis=0)
-    ks = np.arange(1, max(1, SEARCH_CELLS // hi.shape[0]) + 1)
     gap = up - lo
     while (gap > 1).any():
-        step = -(-gap // (ks.size + 1))
         # a row that is done (gap <= 1) tests its own lo again, which holds
-        # or is 0; up - 1 alone would be -1 in a row with up = lo = 0
-        m = np.maximum(lo, np.minimum(lo + step * ks, up - 1))
+        # or is 0, and keeps its answer either way
+        m = lo + gap // 2
         ok = pred(m)
-        lo = np.where(ok, m, lo).max(axis=1, keepdims=True)
-        up = np.where(ok, up, m).min(axis=1, keepdims=True)
+        lo = np.where(ok, m, lo)
+        up = np.where(ok, up, m)
         gap = up - lo
     return lo
 
@@ -440,10 +438,12 @@ def sweep_distance(l_list: Sequence[float], spatial_mux: int, hw: HardwareProfil
 def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
                    bounds: Optional[SearchBounds] = None) -> list[list[SweepRow]]:
     """sweep_distance's rows for each (spatial_mux, hw, constraints) of
-    variants, in their order (constraints may be None). Variants with equal
-    _row_key share one row solve, and the solves run in order of their first
+    variants, in their order (constraints may be None, which is
+    Constraints()). Equal variants are solved once, and variants with equal
+    _row_key share one row solve; the solves run in order of their first
     variant, so a ValueError is the first failing solve's. A StepCountError
-    names that solve by its first variant's index, as its variant attribute."""
+    names that solve by the index of its first variant in variants, as its
+    variant attribute."""
     ls = list(l_list)
     if not ls:
         raise ValueError("l_list must be nonempty")
@@ -451,24 +451,23 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
         raise ValueError("l_list must be strictly increasing")
     bounds = bounds or SearchBounds()
     variants = [(mux, hw, cons or Constraints()) for mux, hw, cons in variants]
-    groups: dict = {}  # variant indices per row key, in first-seen order
-    for i, variant in enumerate(variants):
-        groups.setdefault(_row_key(*variant), []).append(i)
-    sweeps: list = [None] * len(variants)
+    groups: dict = {}  # distinct variants per row key, in first-seen order
+    for variant in dict.fromkeys(variants):
+        groups.setdefault(_row_key(*variant), []).append(variant)
+    rows: dict = {}
     for members in groups.values():
-        spatial_mux = variants[members[0]][0]
-        group = [variants[i][1:] for i in members]
+        spatial_mux, hw = members[0][:2]
         try:
-            solved = _solve(ls, spatial_mux, bounds, group)
+            solved = _solve(ls, spatial_mux, bounds, [v[1:] for v in members])
         except StepCountError as err:
-            err.variant = members[0]
+            err.variant = variants.index(members[0])
             raise
-        plob = [_plob(l_km, spatial_mux, group[0][0]) for l_km in ls]
-        for i, results in zip(members, solved):
-            sweeps[i] = [SweepRow(l_km, None, bound, str(res))
-                         if isinstance(res, InfeasibleError) else SweepRow(l_km, res, bound)
-                         for l_km, res, bound in zip(ls, results, plob)]
-    return sweeps
+        plob = [_plob(l_km, spatial_mux, hw) for l_km in ls]
+        for variant, results in zip(members, solved):
+            rows[variant] = [SweepRow(l_km, None, bound, str(res))
+                             if isinstance(res, InfeasibleError) else SweepRow(l_km, res, bound)
+                             for l_km, res, bound in zip(ls, results, plob)]
+    return [rows[v] for v in variants]
 
 
 def distance_grid(l_min_km: float, l_max_km: float, l_step_km: float) -> list[float]:

@@ -90,6 +90,10 @@ class TestRate:
           "--time-mux", "3"), ["hardware.tau_us"]),
         # an n_max cap keeps the candidate rows from asking for gigabytes
         (("optimize", "--n-max", "1073741824", "--m-max", "1"), ["bounds.n_max"]),
+        # an m_max past 2**30 ended in an OverflowError traceback, or wrapped
+        # the int64 evaluation count where tau_m covers every block
+        (("optimize", "--m-max", str(2 ** 70)), ["bounds.m_max"]),
+        (("optimize", "--m-max", str(2 ** 63 - 1), "--tau-m-us", "1e300"), ["bounds.m_max"]),
         # finite step counts past 2**31 would wrap the int64 ion budgets
         (("optimize", "--tau-us", "1e-300", "--n-max", "3", "--m-max", "3"),
          ["hardware.tau_us"]),
@@ -102,6 +106,7 @@ class TestRate:
     def test_out_of_domain_flags_name_the_field(self, capsys, args, fields):
         code, _, err = run(capsys, *args)
         assert code == 2
+        assert err.count("\n") == 1
         assert all(field in err for field in fields)
 
     def test_missing_layout_field(self, capsys):
@@ -535,15 +540,15 @@ class TestFigure:
                        "--out-dir", str(tmp_path))[0] == 0
             assert len(calls) == expected
 
-    def test_curves_before_a_rejected_override_are_written(self, capsys, tmp_path):
-        # fig7's tau_g = 10 us is past tau_o = 5 us; fig2 runs with the flags alone
+    def test_a_rejected_override_writes_no_curve(self, capsys, tmp_path):
+        # fig7's tau_g = 10 us is past tau_o = 5 us; every curve's hardware
+        # is built before any sweep, so fig2's curves are not written either
         code, _, err = run(capsys, "figure", "fig2", "fig7", "--l-list-km", "50",
                            "--n-max", "20", "--m-max", "50", "--tau-o-us", "5",
                            "--out-dir", str(tmp_path))
         assert code == 2
         assert "tau_o must exceed tau_g" in err
-        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-            f"fig2_{curve.label}.csv" for curve in figures_module.FIGURES["fig2"][1])
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_failing_later_row_solve_writes_no_curve(self, capsys, tmp_path):
         # fig9's M1 and M5 curves solve at tau = 100 us; the M50 curve's

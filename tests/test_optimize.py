@@ -29,6 +29,7 @@ from ionrep import (
     plob_bound,
     sweep_distance,
 )
+from ionrep.model import StepCountError
 from ionrep.optimize import distance_grid
 from ionrep.rates import rate_grid
 
@@ -335,7 +336,7 @@ class TestScanOracle:
     def test_rows_with_nothing_left_to_search_keep_their_lo(self):
         # a row with hi = 0 (the third) beside rows still searching once
         # tested m = -1; the first row fails at 1 and at 0, and holds at -1.
-        # A guess of 0 leaves the other rows open, so the bracket loop runs
+        # A guess of 0 leaves the other rows open, so the bisection runs
         # beside the finished ones, and no guess changes the answer
         limit, hi = np.array([[0], [30], [0], [70]]), np.array([[5], [50], [0], [60]])
 
@@ -628,6 +629,15 @@ class TestSharedRowSolve:
     # only the second key fails: 150 km in 1e-9 km links is past MAX_COUNT
     @example(([50.0, 150.0], [(10, BASE, None), (10, BASE, Constraints(fixed_l0_km=1e-9))],
               SearchBounds(60, 200), None))
+    # a repeated variant, between two others
+    @example(([50.0, 150.0],
+              [(10, BASE, Constraints(n_o_max=40)), (5, BASE, None),
+               (10, BASE, Constraints(n_o_max=40))],
+              SearchBounds(60, 200), None))
+    # one variant given with None, and again with Constraints()
+    @example(([50.0, 150.0], [(10, BASE, None), (10, BASE.updated(eps_g=1e-3), None),
+                              (10, BASE, Constraints())],
+              SearchBounds(60, 200), None))
     def test_each_variant_is_its_own_sweep(self, case):
         ls, variants, bounds, pass_rows = case
         with pytest.MonkeyPatch.context() as mp:
@@ -649,6 +659,32 @@ class TestSharedRowSolve:
         assert shared == alone
         for (mux, hw, _), rows in zip(variants, shared):
             assert_reports_are_scalar_evaluations(ls, mux, hw, [row.result for row in rows])
+
+    def test_each_distinct_variant_is_solved_once(self, monkeypatch):
+        solved, real = [], optimize_module._solve
+
+        def recording(ls, spatial_mux, bounds, group):
+            solved.extend((spatial_mux,) + variant for variant in group)
+            return real(ls, spatial_mux, bounds, group)
+
+        monkeypatch.setattr(optimize_module, "_solve", recording)
+        noisy = BASE.updated(eps_g=1e-3)
+        variants = [(10, BASE, None), (5, BASE, None), (10, noisy, None),
+                    (10, BASE, Constraints()), (5, BASE, Constraints(n_o_max=40)),
+                    (10, noisy, None), (5, BASE, Constraints(n_o_max=40))]
+        rows = optimize_module.sweep_variants([50.0, 150.0], variants, SearchBounds(60, 200))
+        assert solved == [(10, BASE, Constraints()), (10, noisy, Constraints()),
+                          (5, BASE, Constraints()), (5, BASE, Constraints(n_o_max=40))]
+        assert rows[0] == rows[3] and rows[2] == rows[5] and rows[4] == rows[6]
+
+    def test_a_step_count_error_names_the_callers_variant(self):
+        # at 1e10 km, T/tau is past 2**31 at tau = 10 us but not at 100 us;
+        # the repeated variant before the failing one is solved once
+        slow, fast = BASE.updated(tau=100e-6, tau_o=5e-3), BASE.updated(tau=10e-6, tau_o=5e-3)
+        variants = [(1, slow, None), (1, slow, Constraints()), (1, fast, None)]
+        with pytest.raises(StepCountError) as err:
+            optimize_module.sweep_variants([1e10], variants, SearchBounds(20, 50))
+        assert err.value.variant == 2
 
 
 class TestTimeRescaling:
