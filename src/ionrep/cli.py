@@ -22,7 +22,7 @@ import sys
 from typing import NamedTuple, Optional
 
 from .figures import CSV_COLUMNS, FIGURES, curve_rows, curve_variant, reduce_row
-from .mcsim import SimConfig, run_protocol_sim, validate_against_analytic
+from .mcsim import SimConfig, run_protocol_sim, validate_stats
 from .model import ChainLayout, HardwareProfile, StepCountError, heralding_time
 from .optimize import (
     Constraints,
@@ -445,7 +445,7 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
         payload["trace_path"] = args.trace_path
     code = EXIT_OK
     if args.validate:
-        verdict = validate_against_analytic(config, evaluate_rate(layout, hw))
+        verdict = validate_stats(config, evaluate_rate(layout, hw), stats)
         payload["validation"] = dict(vars(verdict))
         if not verdict.passed:
             code = EXIT_VALIDATION

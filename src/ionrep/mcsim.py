@@ -15,7 +15,7 @@ slot acts:
   herald arrives, the first event; the one heralded mode per link is gated
   into memory, occupying its comm ions until the second, j steps later.
 
-Only slot starts and these events change a count, so a chunk runs those
+Only slot starts and these events change a count, so a sub-batch runs those
 steps alone, at most 3m of them whatever the clock. Occupancy bookkeeping
 frees ions before the same step's new initializations, which is what lets a
 fixed pool of 2jM (blind) or 2(Mk+j) (wait) comm ions cycle forever. Blocks
@@ -27,26 +27,35 @@ Pool rule, for comm and memory ions alike: a node serves its left fiber side
 first, an end node's whole pool serves its one side, and a link gets the
 smaller of its two ends' grants.
 
-Determinism: blocks are simulated in fixed-size chunks; chunk c draws all of
-its randomness up front from numpy's default generator seeded with
-(seed, c). Merging chunk counters is order-independent, so results are
+Determinism: blocks are simulated in fixed-size chunks of CHUNK_BLOCKS;
+chunk c draws all of its randomness from numpy's default generator seeded
+with (seed, c). Merging counters is order-independent, so results are
 bit-identical for a given (config, seed) no matter how chunks are scheduled.
 
-Memory: a chunk's uniforms, one per (block, link, slot, mode) in C order,
-are drawn a slice of rows at a time into one reused float64 buffer of
-max(DRAW_BYTES, 8M) bytes, whatever the block count or chain length; each
-slice is reduced at once to the first successful mode per (block, link,
-slot). Up to LEAD_MODES modes the reduction counts each row's leading
-misses, two whole-slice operations per mode, since argmax pays a fixed cost
-per row; above it, those M operations a slice cost more than argmax's one,
-so argmax takes the first hit. Drawing random(a) then random(b) yields the
-same stream as random(a + b), so neither the slicing nor the method changes
-a result. What grows with the chunk is the state, kept node-major with
-blocks last: the first successes, read as an m x links x blocks view of
-their block-major order, and three int32 histories of m x (links or nodes)
-x blocks. At n = 88 and m = 25 each history takes about 18 MB for a
-2048-block run, which is one chunk of 2048 blocks, and four times that in a
-full chunk of CHUNK_BLOCKS = 8192. The per-node counters are nodes x blocks.
+Memory: a chunk is the unit of seeding and a sub-batch the unit of state. A
+chunk's blocks run through the step loop in sub-batches of
+STATE_BYTES // (16 (links + 1) m) blocks, at least one, and each sub-batch
+draws its rows from the chunk's generator in turn. Its uniforms, one per
+(block, link, slot, mode) in C order, are drawn a slice of rows at a time
+into one reused float64 buffer of max(DRAW_BYTES, 8M) bytes; each slice is
+reduced at once to the first successful mode per (block, link, slot). Up to
+LEAD_MODES modes the reduction counts each row's leading misses, two
+whole-slice operations per mode, since argmax pays a fixed cost per row;
+above it, those M operations a slice cost more than argmax's one, so argmax
+takes the first hit. The draws are block-major, and drawing random(a) then
+random(b) yields the same stream as random(a + b), so neither the slicing,
+the sub-batching nor the method changes a result. A sub-batch's state is
+kept node-major with blocks last: the first successes, read as an
+m x links x blocks view of their block-major order, and three int32
+histories of m x (links or nodes) x blocks, at most 16 B x (links + 1) x m
+a block, so STATE_BYTES bounds it; the per-node counters, about 25 B a
+node and block, come on top and count only at small m. The headline point
+(n = 88, M = 10, m = 25) runs 466 blocks a sub-batch, and 2048 blocks peak
+at 18 MiB of traced allocations (81 MiB as one batch); a full chunk at
+n = 20, M = 1, m = 100 peaks at 16 MiB (276 MiB as one batch). A single
+block larger than STATE_BYTES still runs alone, so its state is bounded
+only by a check of the config before the run, which the simulator does not
+make.
 """
 
 from __future__ import annotations
@@ -70,6 +79,7 @@ from .rates import (RateReport, block_denominator, ceil_tol, ion_budgets, slot_e
 
 CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
+STATE_BYTES = 16 << 20  # a sub-batch's block state, at least one block
 LEAD_MODES = 8  # up to this M, first hits are counted leading misses, not argmax
 SIGMA = 3.0  # validation's bound on block success, in binomial standard deviations
 _UNLIMITED = 1 << 30
@@ -155,12 +165,11 @@ class SimStats:
     trace: Optional[list[str]] = None
 
 
-def _fold(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-node totals of per-link sides: link i is node i + 1's left, node i's right."""
-    out = np.zeros((len(left) + 1, left.shape[1]), dtype=np.int32)
-    out[1:] = left
+def _fold(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+    """Add per-node totals of per-link sides to out: link i is node i + 1's
+    left, node i's right."""
+    out[1:] += left
     out[:-1] += right
-    return out
 
 
 def _grant(want: np.ndarray, used: np.ndarray, pool: int) -> tuple[np.ndarray, ...]:
@@ -218,8 +227,10 @@ def _event_steps(m: int, events) -> list[int]:
     return sorted({t for due in (0, *events) for t in range(due, due + m)})
 
 
-def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
+def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
                collect_trace: bool):
+    """A sub-batch: cb blocks run side by side, drawing their rows next from
+    rng, their chunk's generator."""
     lay = config.layout
     n_links = lay.n_links
     m, big_m = lay.time_mux, lay.spatial_mux
@@ -229,7 +240,6 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     pool_c = min(config.n_comm_ions or _UNLIMITED, _UNLIMITED)
     pool_m = min(config.n_mem_ions or _UNLIMITED, _UNLIMITED)
 
-    rng = np.random.default_rng([config.seed, chunk_index])
     fsi = _first_successes(rng, config.p, cb * n_links * m, big_m).reshape(cb, n_links, m).T
 
     used_comm = np.zeros((n_links + 1, cb), dtype=np.int32)
@@ -244,14 +254,18 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     freed_c = np.empty_like(used_comm)  # this step's frees, zeroed each step
     freed_m = np.empty_like(used_mem)
     want_init = np.full((n_links, cb), big_m, dtype=np.int32)
-    dropped_comm = dropped_mem = 0
     peaks = np.zeros(3, dtype=np.int64)
     trace: list[str] = []
 
-    def note(step: int, node_vals: np.ndarray, event: str) -> None:
+    def note(step: int, event: str, vals: np.ndarray, right=None) -> None:
+        """Trace block 0's per-node counts; given right, vals and right are
+        per-link sides, folded to nodes."""
         if not collect_trace:
             return
-        for node, count in enumerate(node_vals[:, 0]):
+        if right is not None:
+            vals, left = np.zeros((n_links + 1, 1), dtype=np.int64), vals
+            _fold(vals, left[:, :1], right[:, :1])
+        for node, count in enumerate(vals[:, 0]):
             if count:
                 trace.append(f"{step},{node},{event},{int(count)}")
 
@@ -259,68 +273,77 @@ def _run_chunk(config: SimConfig, chunk_index: int, cb: int,
     for t, upto in zip(steps, [*steps[1:], steps[-1] + 1]):
         freed_c.fill(0)
         freed_m.fill(0)
+        loads = False
 
         s = t - e1
         if 0 <= s < m:
             if wait:
                 # heralds arrive: free every mode except the one kept for gating
-                kept[s] = fsi[s] < att[s]
+                np.less(fsi[s], att[s], out=kept[s])
                 idle = att[s] - kept[s]
-                freed_c += _fold(idle, idle)
+                _fold(freed_c, idle, idle)
             else:
                 # blind gates complete: comm ions retire, all attempts load
-                freed_c += _fold(att[s], att[s])
+                _fold(freed_c, att[s], att[s])
                 at_left, at_right, kept[s] = _grant(att[s], used_mem, pool_m)
-                loaded[s] = load = _fold(at_left, at_right)
-                used_mem += load
-                dropped_mem += int(2 * att[s].sum() - load.sum())
-                note(t, load, "load_mem")
+                _fold(loaded[s], at_left, at_right)  # each slot loads once
+                used_mem += loaded[s]
+                loads = True
+                note(t, "load_mem", loaded[s])
         # second events run after first ones: blind with k <= j, both land on
         # the same step and the heralds are already in hand when the gate ends
         s = t - e2
         if 0 <= s < m:
             if wait:
                 # gate done on the kept mode: comm ion retires, memory loads
-                freed_c += _fold(kept[s], kept[s])
+                _fold(freed_c, kept[s], kept[s])
                 _, _, pair_ok = _grant(kept[s], used_mem, pool_m)
-                load = _fold(pair_ok, pair_ok)
-                used_mem += load
-                heralded += load
-                link_ok |= pair_ok > 0
-                dropped_mem += int((kept[s] - pair_ok).sum())
-                note(t, load, "load_mem")
-                note(t, load, "herald")
+                _fold(used_mem, pair_ok, pair_ok)
+                _fold(heralded, pair_ok, pair_ok)
+                loads = True
+                np.logical_or(link_ok, pair_ok, out=link_ok)
+                note(t, "load_mem", pair_ok, pair_ok)
+                note(t, "herald", pair_ok, pair_ok)
             else:
                 # keep one surviving pair per link, free the rest of the loads
                 surv = fsi[s] < kept[s]
                 link_ok |= surv
-                held = _fold(surv, surv)
-                freed_m += loaded[s] - held
+                held = freed_m  # zero until now: only this event frees memory
+                _fold(held, surv, surv)
                 heralded += held
-                note(t, held, "herald")
+                note(t, "herald", held)
+                np.subtract(loaded[s], held, out=freed_m)
 
         used_comm -= freed_c
         used_mem -= freed_m
-        note(t, freed_c, "free_comm")
-        note(t, freed_m, "free_mem")
+        note(t, "free_comm", freed_c)
+        note(t, "free_mem", freed_m)
 
         if t < m:  # only inits raise the comm count
             _, _, att[t] = _grant(want_init, used_comm, pool_c)
-            init = _fold(att[t], att[t])
-            used_comm += init
-            dropped_comm += int((big_m - att[t]).sum())
-            note(t, init, "init")
+            _fold(used_comm, att[t], att[t])
+            note(t, "init", att[t], att[t])
             peaks[0] = max(peaks[0], int(used_comm.max()))
-        # at the step's end: a blind step frees loads after adding them
-        peaks[1] = max(peaks[1], int(used_mem.max()))
+        # only a load raises the memory count; read at the step's end, as a
+        # blind step frees loads after adding them
+        if loads:
+            peaks[1] = max(peaks[1], int(used_mem.max()))
         if collect_trace:  # this step's gauges, held until the next event
             for u in range(t, upto):
-                note(u, used_comm, "comm_loaded")
-                note(u, used_mem, "mem_loaded")
-                note(u, heralded, "heralded")
+                note(u, "comm_loaded", used_comm)
+                note(u, "mem_loaded", used_mem)
+                note(u, "heralded", heralded)
 
     peaks[2] = heralded.max()  # heralded pairs are never freed within a block
     successes = int(link_ok.all(axis=0).sum())
+    # every slot's grants are in hand: blind drops count ions at an attempt's
+    # two ends; wait drops count kept pairs, and heralded holds both ends of
+    # each granted one
+    dropped_comm = int(big_m * att.size - att.sum())
+    if wait:
+        dropped_mem = int(kept.sum() - heralded.sum() // 2)
+    else:
+        dropped_mem = int(2 * att.sum() - loaded.sum())
     return successes, peaks, dropped_comm, dropped_mem, trace
 
 
@@ -334,26 +357,25 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     to the block's last event step, the other events only at their own steps.
     """
     total = config.num_blocks
+    lay = config.layout
+    per = max(1, STATE_BYTES // (16 * (lay.n_links + 1) * lay.time_mux))
     successes = 0
     dropped_c = 0
     dropped_m = 0
     peaks = np.zeros(3, dtype=np.int64)
     trace: Optional[list[str]] = ["step,node,event,count"] if config.trace else None
-    done = 0
-    chunk_index = 0
-    while done < total:
-        cb = min(CHUNK_BLOCKS, total - done)
-        s, pk, dc, dm, tr = _run_chunk(
-            config, chunk_index, cb,
-            collect_trace=config.trace and chunk_index == 0)
-        successes += s
-        dropped_c += dc
-        dropped_m += dm
-        peaks = np.maximum(peaks, pk)
-        if trace is not None and tr:
-            trace.extend(tr)
-        done += cb
-        chunk_index += 1
+    for c, first in enumerate(range(0, total, CHUNK_BLOCKS)):
+        rng = np.random.default_rng([config.seed, c])
+        cb = min(CHUNK_BLOCKS, total - first)
+        for lo in range(0, cb, per):
+            s, pk, dc, dm, tr = _run_batch(config, rng, min(per, cb - lo),
+                                           collect_trace=config.trace and first + lo == 0)
+            successes += s
+            dropped_c += dc
+            dropped_m += dm
+            peaks = np.maximum(peaks, pk)
+            if trace is not None:
+                trace.extend(tr)
 
     steps = config.block_steps
     return SimStats(
@@ -382,7 +404,13 @@ class ValidationVerdict:
 
 
 def validate_against_analytic(config: SimConfig, report: RateReport) -> ValidationVerdict:
-    """Run the simulator and compare it against an analytic RateReport.
+    """Run the simulator and compare it against an analytic RateReport."""
+    return validate_stats(config, report, run_protocol_sim(config))
+
+
+def validate_stats(config: SimConfig, report: RateReport,
+                   stats: SimStats) -> ValidationVerdict:
+    """Compare a finished run of config against an analytic RateReport.
 
     Block success must sit within SIGMA = 3 binomial standard deviations of
     the analytic value; occupancy peaks must respect the ion requirements, with
@@ -390,7 +418,6 @@ def validate_against_analytic(config: SimConfig, report: RateReport) -> Validati
     once m >= j, so the pipeline saturates, or the n_comm_ions pool when it
     is smaller).
     """
-    stats = run_protocol_sim(config)
     expected = report.block_success
     sd = math.sqrt(max(expected * (1.0 - expected), 0.0) / config.num_blocks)
     diff = abs(stats.empirical_block_success - expected)

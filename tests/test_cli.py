@@ -9,7 +9,9 @@ import warnings
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ionrep.cli as cli_module
 import ionrep.figures as figures_module
+import ionrep.mcsim as mcsim_module
 import ionrep.optimize as optimize_module
 from ionrep import ChainLayout, HardwareProfile, evaluate_rate
 from ionrep.cli import (
@@ -650,6 +652,20 @@ class TestListPayloads:
             "validation.checks: comm peak 20 == 2M min(j, m) = 20: ok\n"
             "validation.checks: mem peak 120 <= 2Mm = 120: ok\n"
             "validation.checks: heralded peak 7 <= 2m = 12: ok\n"), "")
+
+    def test_simulate_validate_runs_the_simulation_once(self, capsys, monkeypatch):
+        calls = []
+        run_sim = mcsim_module.run_protocol_sim
+
+        def counted(config):
+            calls.append(config)
+            return run_sim(config)
+
+        monkeypatch.setattr(mcsim_module, "run_protocol_sim", counted)
+        monkeypatch.setattr(cli_module, "run_protocol_sim", counted)
+        code, out, _ = run(capsys, *SIM_VALIDATE)
+        assert (code, len(calls)) == (0, 1)
+        assert out.startswith(SIM_RESULT + "validation.passed: true\n")
 
     def test_simulate_csv_drops_the_checks(self, capsys):
         lines = SIM_RESULT.splitlines() + [

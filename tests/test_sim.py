@@ -292,14 +292,17 @@ class TestDrawSlices:
                      id="ten-modes"),
     ])
     def test_slicing_keeps_the_stream(self, monkeypatch, cfg):
-        big_m = cfg.layout.spatial_mux
+        lay = cfg.layout
+        block = 16 * (lay.n_links + 1) * lay.time_mux  # one block's state budget
         runs = []
-        # one row per slice, 7 rows per slice (a budget no row size divides),
-        # and a whole chunk in one slice, as a single draw
-        for budget in (1, 8 * big_m * 7 + 3, 1 << 40):
-            monkeypatch.setattr(mcsim, "DRAW_BYTES", budget)
+        # one row (block) per slice (sub-batch), 7 per slice (a budget no row
+        # or block size divides), and a whole chunk in one, as a single draw
+        for draw, state in ((1, 1), (8 * lay.spatial_mux * 7 + 3, block * 7 + 3),
+                            (1 << 40, 1 << 40)):
+            monkeypatch.setattr(mcsim, "DRAW_BYTES", draw)
+            monkeypatch.setattr(mcsim, "STATE_BYTES", state)
             runs.append(run_protocol_sim(cfg))
-        assert runs[0] == runs[1] == runs[2]
+        assert all(run == runs[0] for run in runs[1:])
 
     @pytest.mark.parametrize("big_m", range(1, 2 * mcsim.LEAD_MODES + 2))
     def test_first_successes_are_the_first_hits(self, monkeypatch, big_m):
@@ -373,17 +376,40 @@ class TestEventSteps:
 
 
 class TestDrawMemory:
-    def test_headline_run_stays_under_128_mib(self):
-        # n = 88, M = 10, m = 25: one draw of the whole chunk would take 391 MiB
-        cfg = SimConfig.from_profile(ChainLayout(150, 88, 10, 25), HardwareProfile(),
-                                     num_blocks=2048)
+    """A run's traced allocations stay within one sub-batch's state budget
+    and a few MiB for the draw buffer and a step's temporaries."""
+
+    @staticmethod
+    def _traced_run(cfg):
         tracemalloc.start()
         try:
-            run_protocol_sim(cfg)
+            stats = run_protocol_sim(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 128 * 2 ** 20
+        assert peak < mcsim.STATE_BYTES + 4 * 2 ** 20
+        return stats
+
+    def test_headline_run_stays_within_the_state_budget(self):
+        # n = 88, M = 10, m = 25: one draw of the whole chunk would take 391 MiB,
+        # and the chunk's state in one batch 81 MiB
+        cfg = SimConfig.from_profile(ChainLayout(150, 88, 10, 25), HardwareProfile(),
+                                     num_blocks=2048)
+        assert self._traced_run(cfg) == SimStats(
+            block_steps=36, blocks_run=2048, successes=1827,
+            empirical_block_success=0.89208984375, empirical_rate=24780.2734375,
+            peak_comm_loaded=182, peak_mem_loaded=27, peak_heralded=27, dropped_comm=0,
+            dropped_mem=0)
+
+    def test_long_chain_chunk_stays_within_the_state_budget(self):
+        # n = 20, M = 1, m = 100: a whole chunk's state in one batch takes 276 MiB
+        cfg = SimConfig.from_profile(ChainLayout(150, 20, 1, 100), HardwareProfile(),
+                                     num_blocks=mcsim.CHUNK_BLOCKS)
+        assert self._traced_run(cfg) == SimStats(
+            block_steps=138, blocks_run=8192, successes=525,
+            empirical_block_success=0.0640869140625, empirical_rate=464.39792798913044,
+            peak_comm_loaded=74, peak_mem_loaded=17, peak_heralded=17, dropped_comm=0,
+            dropped_mem=0)
 
 
 class TestValidationVerdict:
