@@ -34,25 +34,27 @@ bit-identical for a given (config, seed) no matter how chunks are scheduled.
 
 Memory: a chunk is the unit of seeding and a sub-batch the unit of state. A
 chunk's blocks run through the step loop in sub-batches of
-STATE_BYTES // (16 (links + 1) m) blocks, at least one, and each sub-batch
-draws its rows from the chunk's generator in turn. Its uniforms, one per
-(block, link, slot, mode) in C order, are drawn a slice of rows at a time
-into one reused float64 buffer of max(DRAW_BYTES, 8M) bytes; each slice is
-reduced at once to the first successful mode per (block, link, slot). Up to
-LEAD_MODES modes the reduction counts each row's leading misses, two
-whole-slice operations per mode, since argmax pays a fixed cost per row;
-above it, those M operations a slice cost more than argmax's one, so argmax
+STATE_BYTES // (16 (links + 1) (m + 3)) blocks, at least one, and each
+sub-batch draws its rows from the chunk's generator in turn. Its uniforms,
+one per (block, link, slot, mode) in C order, are drawn a slice of rows at a
+time into one reused float64 buffer of max(DRAW_BYTES, 8M) bytes; each slice
+is reduced at once to the first successful mode per (block, link, slot). Up
+to WEIGHTED_MODES modes the slice's hits are copied mode-major, mode i
+weighted M - i, and one max over the modes gives M less the first hit, or 0
+where a row has none: a handful of whole-slice operations whatever M. Above
+it, that copy and max cost more than argmax's fixed cost per row, so argmax
 takes the first hit. The draws are block-major, and drawing random(a) then
 random(b) yields the same stream as random(a + b), so neither the slicing,
 the sub-batching nor the method changes a result. A sub-batch's state is
 kept node-major with blocks last: the first successes, read as an
 m x links x blocks view of their block-major order, and three int32
 histories of m x (links or nodes) x blocks, at most 16 B x (links + 1) x m
-a block, so STATE_BYTES bounds it; the per-node counters, about 25 B a
-node and block, come on top and count only at small m. The headline point
-(n = 88, M = 10, m = 25) runs 466 blocks a sub-batch, and 2048 blocks peak
-at 18 MiB of traced allocations (81 MiB as one batch); a full chunk at
-n = 20, M = 1, m = 100 peaks at 16 MiB (276 MiB as one batch). A single
+a block; the per-node counters and a step's temporaries, about 45 B a node
+and block, are the m + 3 term's 48 B, so STATE_BYTES bounds both. The
+headline point (n = 88, M = 10, m = 25) runs 416 blocks a sub-batch, and
+2048 blocks peak at 15 MiB of traced allocations (81 MiB as one batch); a
+full chunk at n = 20, M = 1, m = 100 peaks at 15 MiB (276 MiB as one batch)
+and at n = 100, M = 1, m = 1 at 12 MiB (52 MiB as one batch). A single
 block larger than STATE_BYTES still runs alone, so its state is bounded
 only by a check of the config before the run, which the simulator does not
 make.
@@ -80,7 +82,7 @@ from .rates import (RateReport, block_denominator, ceil_tol, ion_budgets, slot_e
 CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
 STATE_BYTES = 16 << 20  # a sub-batch's block state, at least one block
-LEAD_MODES = 8  # up to this M, first hits are counted leading misses, not argmax
+WEIGHTED_MODES = 32  # up to this M, first hits are a weighted max over modes, not argmax
 SIGMA = 3.0  # validation's bound on block success, in binomial standard deviations
 _UNLIMITED = 1 << 30
 
@@ -177,8 +179,11 @@ def _grant(want: np.ndarray, used: np.ndarray, pool: int) -> tuple[np.ndarray, .
 
     at_left[i] is the grant of link i's right end, which serves it as its
     left side, and at_right[i] that of its left end. No grant exceeds its
-    want; a pool of _UNLIMITED grants every want, as no count comes near it.
+    want. A pool of _UNLIMITED, which no count comes near, grants every want
+    as it stands, without the budget arithmetic.
     """
+    if pool >= _UNLIMITED:
+        return want, want, want
     budget = np.maximum(pool - used, 0)
     at_left = np.minimum(want, budget[1:])
     budget[1:-1] -= at_left[:-1]
@@ -192,29 +197,31 @@ def _first_successes(rng: np.random.Generator, p: float, rows: int,
 
     The rows are filled in order, a slice at a time, into one buffer of
     DRAW_BYTES (at least one row), so the generator is consumed exactly as
-    by one rng.random((rows, M)). Up to LEAD_MODES modes, each row's first
-    hit is its count of leading misses, taken by two operations per mode
-    over the whole slice; above it, argmax over each row, as M operations a
-    slice then cost more than argmax's fixed cost per row.
+    by one rng.random((rows, M)). Up to WEIGHTED_MODES modes, the slice's
+    hits are copied mode-major and weighted M - i at mode i, so the best
+    weight over the modes of a row is M less its first hit, and 0 where it
+    has none; above it, argmax over each row, as the mode-major copy and
+    reduction then cost more than argmax's fixed cost per row.
     """
     fsi = np.empty(rows, dtype=np.int32)
     per = max(1, DRAW_BYTES // (8 * big_m))
     buf = np.empty((min(per, rows), big_m))
     flags = np.empty(buf.shape, dtype=bool)
-    lead = np.empty(len(buf), dtype=bool)
+    weighted = big_m <= WEIGHTED_MODES
+    if weighted:
+        by_mode = np.empty((big_m, len(buf)), dtype=bool)
+        weights = np.arange(big_m, 0, -1, dtype=np.uint8)[:, None]  # M - i at mode i
     for lo in range(0, rows, per):
         n = min(per, rows - lo)
         out = fsi[lo:lo + n]
         rng.random(out=buf[:n])
-        if big_m <= LEAD_MODES:
-            miss, alive = np.greater_equal(buf[:n], p, out=flags[:n]), lead[:n]
-            alive.fill(True)
-            out.fill(0)
-            for i in range(big_m):  # alive: modes 0..i all missed
-                alive &= miss[:, i]
-                out += alive
+        hit = np.less(buf[:n], p, out=flags[:n])
+        if weighted:
+            np.copyto(by_mode[:, :n], hit.T)
+            score = by_mode[:, :n].view(np.uint8)
+            score *= weights
+            np.subtract(big_m, np.maximum.reduce(score, axis=0), out=out)
         else:
-            hit = np.less(buf[:n], p, out=flags[:n])
             first = np.argmax(hit, axis=1)
             # argmax reads 0 both for a hit at mode 0 and for no hit at all
             out[:] = np.where((first == 0) & ~hit[:, 0], big_m, first)
@@ -358,7 +365,7 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     """
     total = config.num_blocks
     lay = config.layout
-    per = max(1, STATE_BYTES // (16 * (lay.n_links + 1) * lay.time_mux))
+    per = max(1, STATE_BYTES // (16 * (lay.n_links + 1) * (lay.time_mux + 3)))
     successes = 0
     dropped_c = 0
     dropped_m = 0
@@ -469,7 +476,9 @@ def sample_end_to_end_Q(n: int, noise: NoiseParams, trials: int,
 
     Each swap flips a two-valued error flag with probability (1 - x)/2, so
     the flag's polarization contracts by x per hop and the odd-flip
-    probability converges to Q(n).
+    probability converges to Q(n). Trials are drawn DRAW_BYTES of uniforms
+    (at least one trial) at a time, in order, so the draw size changes no
+    result.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -484,11 +493,8 @@ def sample_end_to_end_Q(n: int, noise: NoiseParams, trials: int,
     flip_p = 0.5 * (1.0 - x)
     rng = np.random.default_rng([seed])
     odd = 0
-    chunk = 100_000
-    left = trials
-    while left > 0:
-        rows = min(chunk, left)
-        flips = rng.random((rows, n)) < flip_p
+    per = max(1, DRAW_BYTES // (8 * n))
+    for lo in range(0, trials, per):
+        flips = rng.random((min(per, trials - lo), n)) < flip_p
         odd += int((flips.sum(axis=1) % 2 == 1).sum())
-        left -= rows
     return odd / trials

@@ -31,7 +31,7 @@ from ionrep import (
 )
 from ionrep import mcsim
 from ionrep.model import C_VACUUM_KM_S
-from ionrep.rates import slot_events
+from ionrep.rates import ion_budgets, slot_events
 
 US = 1e-6
 
@@ -192,6 +192,30 @@ class TestIonPools:
         # only the repeater, with its two sides, is short of ions here
         assert run_protocol_sim(blind_config(n_comm_ions=5)).dropped_comm == 40
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 3), big_m=st.integers(1, 4), m=st.integers(1, 6),
+           j=st.integers(1, 3), k=st.integers(1, 6), p=st.sampled_from([0.2, 0.6, 1.0]),
+           wait=st.booleans(), seed=st.integers(0, 99))
+    def test_budget_pools_suffice_and_bind(self, n, big_m, m, j, k, p, wait, seed):
+        # tau_o half a step past T + tau_g waits for the herald, half a step
+        # short of it gates blind
+        cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
+                        tau_o_s=(k + j + (0.5 if wait else -0.5)) * US, p=p,
+                        num_blocks=200, seed=seed, trace=True)
+        assert cfg.waits_for_herald == wait
+        n_o, n_m = (int(v) for v in ion_budgets(wait, k, j, big_m, m))
+        unlimited = run_protocol_sim(cfg)
+        # pools of the budgets take the grant arithmetic, unlimited ones skip
+        # it: both must hand out the same ions
+        budgeted = dataclasses.replace(cfg, n_comm_ions=n_o, n_mem_ions=n_m)
+        assert run_protocol_sim(budgeted) == unlimited
+        # a budget the run reaches is tight: one ion fewer drops attempts; a
+        # budget of 1 is left out, since a pool of 0 means unlimited
+        if unlimited.peak_comm_loaded == n_o > 1:
+            assert run_protocol_sim(dataclasses.replace(cfg, n_comm_ions=n_o - 1)).dropped_comm
+        if unlimited.peak_mem_loaded == n_m > 1:
+            assert run_protocol_sim(dataclasses.replace(cfg, n_mem_ions=n_m - 1)).dropped_mem
+
     def test_huge_pool_is_unlimited(self):
         # a pool past what any int32 counter can hold binds nowhere
         for cfg in (oracle_config(num_blocks=50), blind_config(p=0.6, num_blocks=50)):
@@ -304,10 +328,12 @@ class TestDrawSlices:
             runs.append(run_protocol_sim(cfg))
         assert all(run == runs[0] for run in runs[1:])
 
-    @pytest.mark.parametrize("big_m", range(1, 2 * mcsim.LEAD_MODES + 2))
+    @pytest.mark.parametrize("big_m", [*range(1, 18), mcsim.WEIGHTED_MODES - 1,
+                                       mcsim.WEIGHTED_MODES, mcsim.WEIGHTED_MODES + 1, 64])
     def test_first_successes_are_the_first_hits(self, monkeypatch, big_m):
-        # counted leading misses up to LEAD_MODES modes, argmax above: both
-        # must give argmax's first hit, or M, and draw exactly rows x M uniforms
+        # a weighted max over modes up to WEIGHTED_MODES modes, argmax above:
+        # both must give argmax's first hit, or M, and draw exactly rows x M
+        # uniforms
         monkeypatch.setattr(mcsim, "DRAW_BYTES", 8 * big_m * 7 + 3)  # 7 rows a slice
         rows = 7 * 40 + 5
         for p in (0.0, 0.01, 0.3, 1.0):
@@ -411,6 +437,17 @@ class TestDrawMemory:
             peak_comm_loaded=74, peak_mem_loaded=17, peak_heralded=17, dropped_comm=0,
             dropped_mem=0)
 
+    def test_one_slot_long_chain_stays_within_the_state_budget(self):
+        # n = 100, M = 1, m = 1: the per-node counters outweigh the per-slot
+        # histories, and a chunk's 8192 blocks in one batch took 52 MiB
+        cfg = SimConfig.from_profile(ChainLayout(150, 100, 1, 1), HardwareProfile(),
+                                     num_blocks=mcsim.CHUNK_BLOCKS, p_override=0.97)
+        assert self._traced_run(cfg) == SimStats(
+            block_steps=11, blocks_run=8192, successes=361,
+            empirical_block_success=0.0440673828125, empirical_rate=4006.125710227273,
+            peak_comm_loaded=2, peak_mem_loaded=2, peak_heralded=2, dropped_comm=0,
+            dropped_mem=0)
+
 
 class TestValidationVerdict:
     @staticmethod
@@ -478,6 +515,28 @@ class TestFlipSampler:
         exact = end_to_end_Q(10, noise)
         sigma = math.sqrt(exact * (1 - exact) / trials)
         assert abs(q - exact) < 3 * sigma
+
+    @pytest.mark.parametrize("n, expected", [(1, 0.018943170488534396),
+                                             (7, 0.11864406779661017),
+                                             (40, 0.3778664007976072)])
+    def test_draw_size_changes_no_result(self, monkeypatch, n, expected):
+        # one trial a draw, 7 a draw (a budget no row size divides), and all
+        # 1003 in one, which is how the value was pinned
+        noise = NoiseParams(f0=0.99, eps_g=1e-2)
+        for draw in (1, 8 * n * 7 + 3, 1 << 40):
+            monkeypatch.setattr(mcsim, "DRAW_BYTES", draw)
+            assert sample_end_to_end_Q(n, noise, 1003, seed=4) == expected
+
+    def test_draws_stay_within_the_draw_budget(self):
+        # n = 1000 with 10,000 trials took 80 MB as one draw
+        tracemalloc.start()
+        try:
+            q = sample_end_to_end_Q(1000, NoiseParams(f0=0.99, eps_g=1e-2), 10_000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q == 0.4959
+        assert peak < 2 * mcsim.DRAW_BYTES
 
     @pytest.mark.parametrize("n, trials, match", [(3, 0, "trials must be >= 1, got 0"),
                                                   (-1, 100, "n must be >= 0, got -1")])
