@@ -38,15 +38,13 @@ STATE_BYTES // (16 (links + 1) (m + 3)) blocks, at least one, and each
 sub-batch draws its rows from the chunk's generator in turn. Its uniforms,
 one per (block, link, slot, mode) in C order, are drawn a slice of rows at a
 time into one reused float64 buffer of max(DRAW_BYTES, 8M) bytes; each slice
-is reduced at once to the first successful mode per (block, link, slot). Up
-to WEIGHTED_MODES modes the slice's hits are copied mode-major, mode i
-weighted M - i, and one max over the modes gives M less the first hit, or 0
-where a row has none: a handful of whole-slice operations whatever M. Above
-it, that copy and max cost more than argmax's fixed cost per row, so argmax
-takes the first hit. The draws are block-major, and drawing random(a) then
-random(b) yields the same stream as random(a + b), so neither the slicing,
-the sub-batching nor the method changes a result. A sub-batch's state is
-kept node-major with blocks last: the first successes, read as an
+is reduced at once to the first successful mode per (block, link, slot):
+the slice's hits are copied mode-major, mode i weighted M - i, and one max
+over the modes gives M less the first hit, or 0 where a row has none, a
+handful of whole-slice operations whatever M. The draws are block-major, and
+drawing random(a) then random(b) yields the same stream as random(a + b), so
+neither the slicing nor the sub-batching changes a result. A sub-batch's
+state is kept node-major with blocks last: the first successes, read as an
 m x links x blocks view of their block-major order, and three int32
 histories of m x (links or nodes) x blocks, at most 16 B x (links + 1) x m
 a block; the per-node counters and a step's temporaries, about 45 B a node
@@ -82,7 +80,6 @@ from .rates import (RateReport, block_denominator, ceil_tol, ion_budgets, slot_e
 CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
 STATE_BYTES = 16 << 20  # a sub-batch's block state, at least one block
-WEIGHTED_MODES = 32  # up to this M, first hits are a weighted max over modes, not argmax
 SIGMA = 3.0  # validation's bound on block success, in binomial standard deviations
 _UNLIMITED = 1 << 30
 
@@ -197,34 +194,26 @@ def _first_successes(rng: np.random.Generator, p: float, rows: int,
 
     The rows are filled in order, a slice at a time, into one buffer of
     DRAW_BYTES (at least one row), so the generator is consumed exactly as
-    by one rng.random((rows, M)). Up to WEIGHTED_MODES modes, the slice's
-    hits are copied mode-major and weighted M - i at mode i, so the best
-    weight over the modes of a row is M less its first hit, and 0 where it
-    has none; above it, argmax over each row, as the mode-major copy and
-    reduction then cost more than argmax's fixed cost per row.
+    by one rng.random((rows, M)). The slice's hits are copied mode-major and
+    weighted M - i at mode i, so the best weight over the modes of a row is
+    M less its first hit, and 0 where it has none.
     """
     fsi = np.empty(rows, dtype=np.int32)
     per = max(1, DRAW_BYTES // (8 * big_m))
     buf = np.empty((min(per, rows), big_m))
     flags = np.empty(buf.shape, dtype=bool)
-    weighted = big_m <= WEIGHTED_MODES
-    if weighted:
-        by_mode = np.empty((big_m, len(buf)), dtype=bool)
-        weights = np.arange(big_m, 0, -1, dtype=np.uint8)[:, None]  # M - i at mode i
+    weight_dtype = np.min_scalar_type(big_m)  # uint8 up to 255 modes
+    by_mode = np.empty((big_m, len(buf)), dtype=weight_dtype)
+    weights = np.arange(big_m, 0, -1, dtype=weight_dtype)[:, None]  # M - i at mode i
     for lo in range(0, rows, per):
         n = min(per, rows - lo)
-        out = fsi[lo:lo + n]
         rng.random(out=buf[:n])
         hit = np.less(buf[:n], p, out=flags[:n])
-        if weighted:
-            np.copyto(by_mode[:, :n], hit.T)
-            score = by_mode[:, :n].view(np.uint8)
-            score *= weights
-            np.subtract(big_m, np.maximum.reduce(score, axis=0), out=out)
-        else:
-            first = np.argmax(hit, axis=1)
-            # argmax reads 0 both for a hit at mode 0 and for no hit at all
-            out[:] = np.where((first == 0) & ~hit[:, 0], big_m, first)
+        # copying the hits' 0/1 bytes as uint8 keeps the copy as fast as bool to bool
+        score = by_mode[:, :n]
+        np.copyto(score, hit.view(np.uint8).T)
+        score *= weights
+        np.subtract(big_m, np.maximum.reduce(score, axis=0), out=fsi[lo:lo + n])
     return fsi
 
 

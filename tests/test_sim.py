@@ -328,14 +328,13 @@ class TestDrawSlices:
             runs.append(run_protocol_sim(cfg))
         assert all(run == runs[0] for run in runs[1:])
 
-    @pytest.mark.parametrize("big_m", [*range(1, 18), mcsim.WEIGHTED_MODES - 1,
-                                       mcsim.WEIGHTED_MODES, mcsim.WEIGHTED_MODES + 1, 64])
+    @pytest.mark.parametrize("big_m", [*range(1, 18), 31, 32, 33, 64, 255, 256, 300, 1 << 16])
     def test_first_successes_are_the_first_hits(self, monkeypatch, big_m):
-        # a weighted max over modes up to WEIGHTED_MODES modes, argmax above:
-        # both must give argmax's first hit, or M, and draw exactly rows x M
-        # uniforms
+        # the weighted max over modes must give argmax's first hit, or M, and
+        # draw exactly rows x M uniforms; its weights widen past uint8 at 256
+        # modes and past uint16 at 2**16
         monkeypatch.setattr(mcsim, "DRAW_BYTES", 8 * big_m * 7 + 3)  # 7 rows a slice
-        rows = 7 * 40 + 5
+        rows = 7 * (40 if big_m < 1 << 16 else 2) + 5
         for p in (0.0, 0.01, 0.3, 1.0):
             rng, ref = np.random.default_rng([3, big_m]), np.random.default_rng([3, big_m])
             hit = ref.random((rows, big_m)) < p
