@@ -1,14 +1,23 @@
 #!/usr/bin/env python3
-"""Print one "sha256 exit argv" line per fixed ionrep command-line call.
+"""Print the frozen-output digest: one "sha256 exit argv" line per fixed
+ionrep command-line call, then two "sha256 name" lines over POINTS random
+operating points drawn from random.Random(0).
 
-Each hash covers the exit code, stdout, stderr and written files of one
-in-process call, run in a fresh directory that holds CONFIGS. Run it in two
-checkouts and diff the output: equal lines mean equal CLI bytes.
+A call line hashes the exit code, stdout, stderr and written files of one
+in-process call, run in a fresh directory that holds CONFIGS. The CLI prints
+9 significant digits, so these lines cannot see a last-bit change. The
+evaluate_rate line hashes each point's repr(evaluate_rate(...).to_dict()),
+or its InfeasibleError message, and the SimConfig.p line each point's
+SimConfig.from_profile(...).p as float.hex. Diff the output of two
+checkouts: equal lines mean equal CLI bytes and bit-equal reports and p.
+
+    python3 scripts/digest.py
 """
-import contextlib, hashlib, io, os, pathlib, shlex, sys, tempfile, warnings  # noqa: E401
+import contextlib, hashlib, io, os, pathlib, random, shlex, sys, tempfile, warnings  # noqa: E401
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
-from ionrep import cli  # noqa: E402
+from ionrep import (ChainLayout, HardwareProfile, InfeasibleError, SimConfig, cli,  # noqa: E402
+                    evaluate_rate)
 
 CONFIGS = {
     "full.json": b'{"hardware": {"tau_us": 2, "tau_g_us": 10, "tau_o_us": 80, "tau_m_us": 1e6'
@@ -55,6 +64,7 @@ figure fig2 fig8 --l-list-km 20,200 --out-dir f
 figure fig2 --n-max -1
 figure fig9 --l-list-km 50,150 --n-max 60 --m-max 200 --out-dir f
 figure all --l-list-km 50,150 --n-max 60 --m-max 200 --out-dir f
+figure all --l-min-km 10 --l-max-km 500 --l-step-km 50 --out-dir f
 figure fig2 fig7 --l-list-km 50 --n-max 20 --m-max 50 --tau-o-us 5 --out-dir f
 figure fig9 --tau-us 100 --tau-o-us 5000 --l-list-km 1e10 --n-max 20 --m-max 50 --out-dir f
 rate --threads 2""".splitlines()
@@ -62,6 +72,11 @@ RUNS += [f"{cmd} --config {name}" for name in CONFIGS for cmd in ("rate", "optim
 RUNS += [f"{cmd} --config full.json" for cmd in ("classify", "sweep", "simulate", "figure fig7")]
 HELP = [f"{cmd} --help" for cmd in ("", "rate", "classify", "optimize", "sweep", "figure",
                                     "simulate")]
+
+POINTS = 4000
+US = 1e-6
+# (tau_g, tau_o) in microseconds: every regime occurs over 1-1000 km links
+TAUS_US = ((1.0, 50.0), (2.5, 50.0), (10.0, 12.0), (1.0, 500.0))
 
 
 def call(argv: list[str]) -> str:
@@ -85,6 +100,25 @@ def call(argv: list[str]) -> str:
     return f"{digest.hexdigest()} {code} {shlex.join(argv)}"
 
 
+def points():
+    """POINTS (layout, hardware) pairs drawn from random.Random(0)."""
+    rng = random.Random(0)
+    base = HardwareProfile()
+    for _ in range(POINTS):
+        # noise off, or eps_g and 1 - f0 drawn apart and continuously, so the
+        # swap survival factor x takes many values
+        eps_g, f0_loss = ((rng.uniform(0.0, 1e-2), rng.uniform(0.0, 1e-2))
+                          if rng.random() < 0.8 else (0.0, 0.0))
+        tau_g, tau_o = rng.choice(TAUS_US)
+        hw = base.updated(eps_g=eps_g, f0=1.0 - f0_loss, tau_g=tau_g * US, tau_o=tau_o * US,
+                          tau_m=rng.choice((60.0, 1e-3)))  # 1 ms: some blocks outlive it
+        # n = 2 a fifth of the time: numpy's power loop has a shortcut for x ** 2
+        n = 2 if rng.random() < 0.2 else rng.randrange(121)
+        layout = ChainLayout(10.0 ** rng.uniform(0.0, 3.0), n,
+                             rng.randint(1, 50), rng.randint(1, 200))
+        yield layout, hw
+
+
 def main() -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     for run in RUNS:
@@ -92,6 +126,16 @@ def main() -> None:
             print(call(shlex.split(run) + ["--format", style]))
     for run in [r for r in RUNS if "--config" in r] + HELP:
         print(call(shlex.split(run)))
+    reports, probs = hashlib.sha256(), hashlib.sha256()
+    for layout, hw in points():
+        try:
+            line = repr(evaluate_rate(layout, hw).to_dict())
+        except InfeasibleError as err:
+            line = str(err)
+        reports.update(line.encode() + b"\n")
+        probs.update(float(SimConfig.from_profile(layout, hw, 1).p).hex().encode() + b"\n")
+    print(f"{reports.hexdigest()} evaluate_rate")
+    print(f"{probs.hexdigest()} SimConfig.p")
 
 
 if __name__ == "__main__":

@@ -37,8 +37,9 @@ chunk's blocks run through the step loop in sub-batches of
 STATE_BYTES // (16 (links + 1) (m + 3)) blocks, at least one, and each
 sub-batch draws its rows from the chunk's generator in turn. Its uniforms,
 one per (block, link, slot, mode) in C order, are drawn a slice of rows at a
-time into one reused float64 buffer of max(DRAW_BYTES, 8M) bytes; each slice
-is reduced at once to the first successful mode per (block, link, slot):
+time into one reused float64 buffer of DRAW_BYTES, and SimConfig rejects an
+M above DRAW_BYTES // 8, so a row of M modes always fits it; each slice is
+reduced at once to the first successful mode per (block, link, slot):
 the slice's hits are copied mode-major, mode i weighted M - i, and one max
 over the modes gives M less the first hit, or 0 where a row has none, a
 handful of whole-slice operations whatever M. The draws are block-major, and
@@ -48,11 +49,7 @@ state is kept node-major with blocks last: the first successes, read as an
 m x links x blocks view of their block-major order, and three int32
 histories of m x (links or nodes) x blocks, at most 16 B x (links + 1) x m
 a block; the per-node counters and a step's temporaries, about 45 B a node
-and block, are the m + 3 term's 48 B, so STATE_BYTES bounds both. The
-headline point (n = 88, M = 10, m = 25) runs 416 blocks a sub-batch, and
-2048 blocks peak at 15 MiB of traced allocations (81 MiB as one batch); a
-full chunk at n = 20, M = 1, m = 100 peaks at 15 MiB (276 MiB as one batch)
-and at n = 100, M = 1, m = 1 at 12 MiB (52 MiB as one batch). A single
+and block, are the m + 3 term's 48 B, so STATE_BYTES bounds both. A single
 block larger than STATE_BYTES still runs alone, so its state is bounded
 only by a check of the config before the run, which the simulator does not
 make.
@@ -112,6 +109,9 @@ class SimConfig:
             raise ValueError("ion pools must be >= 0 (0 means unlimited)")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.layout.spatial_mux > DRAW_BYTES // 8:  # one row of draws fits the buffer
+            raise ValueError(f"spatial_mux must be <= {DRAW_BYTES // 8} to simulate, "
+                             f"got {self.layout.spatial_mux}")
 
     @property
     def waits_for_herald(self) -> bool:

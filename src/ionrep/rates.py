@@ -130,8 +130,11 @@ def block_denominator(waits, k_steps, m, j_steps):
     That is k + 3j in B2 and C2 (herald k, comm-to-memory gate, swap,
     readout), max(j, k) + 2j = k + 2j in A and B1, where T >= tau_g gives
     k >= j (the gate runs inside the herald wait, then swap and readout),
-    and 3j in C1 (the herald lands inside the gate). The waiting sum is taken as k + 3.0 j: (k + j) + 2j
-    differs from it in the last bit on some float cells.
+    and 3j in C1 (the herald lands inside the gate). The k + 3j assumes the
+    swap waits for the last slot's comm-to-memory gate; whether the two may
+    overlap is ROADMAP item 3's open question. The waiting sum is taken as
+    k + 3.0 j: (k + j) + 2j differs from it in the last bit on some float
+    cells.
     """
     base = np.where(waits, k_steps + 3.0 * j_steps,
                     np.maximum(j_steps, k_steps) + 2.0 * j_steps)

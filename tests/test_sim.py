@@ -92,6 +92,14 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="pools"):
             oracle_config(n_comm_ions=-1)
 
+    def test_rejects_a_mode_row_past_the_draw_buffer(self):
+        # a row of M mode draws takes 8M bytes, and the buffer holds at least one
+        row_max = mcsim.DRAW_BYTES // 8
+        base = oracle_config()
+        dataclasses.replace(base, layout=ChainLayout(30.0, 2, row_max, 3))  # accepted
+        with pytest.raises(ValueError, match=f"spatial_mux must be <= {row_max}"):
+            dataclasses.replace(base, layout=ChainLayout(30.0, 2, row_max + 1, 3))
+
     @pytest.mark.parametrize("times", [dict(tau_s=0.0), dict(tau_s=-US),
                                        dict(tau_o_s=0.0), dict(tau_o_s=-US)])
     def test_rejects_non_positive_times(self, times):
