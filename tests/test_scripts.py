@@ -39,20 +39,33 @@ def digest():
     return module, out.getvalue().splitlines()
 
 
-def test_digest_matches_its_golden(digest):
-    # pytest's list diff names the first line that differs, call or hash
-    assert digest[1] == GOLDEN.read_text(encoding="utf-8").splitlines()
+def _golden() -> list[str]:
+    return GOLDEN.read_text(encoding="utf-8").splitlines()
 
 
-def test_digest_prints_call_lines_then_two_last_bit_lines(digest):
+# pytest's list diff names the first line that differs, call or hash
+def test_output_digest_matches_its_golden(digest):
+    assert digest[1][:-2] == _golden()[:-2]
+
+
+def test_report_digest_matches_its_golden(digest):
+    assert digest[1][-2:] == _golden()[-2:]
+
+
+def test_output_digest_prints_one_line_per_call(digest):
     module, lines = digest
-    *calls, reports, probs = [line.split(" ", 2) for line in lines]
-    assert [reports[1:], probs[1:]] == [["evaluate_rate"], ["SimConfig.p"]]
+    calls = [line.split(" ", 2) for line in lines[:-2]]
     assert len(calls) >= 150
-    assert all(len(line[0]) == 64 for line in calls + [reports, probs])
+    assert all(len(sha) == 64 for sha, _, _ in calls)
     assert {code for _, code, _ in calls} == {"0", "2", "3", "4"}
     assert {argv.split()[0] for _, _, argv in calls} == {
         "--help", "rate", "classify", "optimize", "sweep", "figure", "simulate"}
     # two runs of one call hash alike
     assert module.call(["rate", "--n", "3", "--time-mux", "4"]) == \
         module.call(["rate", "--n", "3", "--time-mux", "4"])
+
+
+def test_report_digest_prints_two_hashes(digest):
+    lines = [line.split(" ") for line in digest[1][-2:]]
+    assert [name for _, name in lines] == ["evaluate_rate", "SimConfig.p"]
+    assert all(len(sha) == 64 for sha, _ in lines)
