@@ -29,10 +29,14 @@ pass of rows at a time, and optimize_rate is the same search at one
 distance. Rows are independent, so a row's answer does not depend on the
 rows beside it.
 
-Feasibility keeps a prefix of each row. n_o does not depend on m, so n_o_max
-removes whole rows; n_m is n_m(1) m, so n_m_max caps m by an integer
-division; the block grows with m, so tau_m caps m where
-rates.memory_covers stops holding. The memory cap rests on
+Feasibility keeps a prefix of each row, so each constraint is one entry of
+a cap table holding each row's largest feasible m: n_o does not depend on
+m, so n_o_max's entry is m_max or 0; n_m is n_m(1) m, so n_m_max's is an
+integer division; the block grows with m, so tau_m's is the last m where
+rates.memory_covers holds. A row's cap is the least of its entries. Per
+distance, the evaluated points are its rows' caps summed, and when none is
+left each constraint has removed m_max less its entry, summed over the
+rows, which InfeasibleError reports. The memory cap rests on
 den_steps(m) = den_steps(1) + (m - 1.0), rounded as rate_grid rounds it; an
 assertion checks that identity, and rate_grid's mem_ok against m <= cap, on
 every evaluated cell. Both sides apply memory_covers to equal values, so
@@ -73,8 +77,8 @@ Cells broadcast elementwise, so a candidate's rate is the bits of its cell
 in the full grid. Infeasible and non-finite cells count as -1, and per
 distance a row-major argmax over its rows' candidates breaks ties
 toward smaller n, then smaller m, as a scan of that distance's whole grid
-would. Each distance's report is read from the fields of the cell that won
-its argmax. A pass holds at most PASS_ROWS rows, or one distance where its
+would. Each distance's report is read by rates.grid_reports straight from
+the grid's fields at the cell that won its argmax. A pass holds at most PASS_ROWS rows, or one distance where its
 n_max + 1 rows are more, and one candidate grid at a time; n_max is at most
 MAX_SEARCH_N, so memory stays bounded whatever the number of distances or
 variants.
@@ -88,8 +92,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (MAX_COUNT, ChainLayout, DerivedTiming, HardwareProfile,
-                    StepCountError, fiber_transmissivity)
+from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError,
+                    fiber_transmissivity)
 from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_covers,
                     noise_tail, noisy_rate, plob_bound, rate_blocks, rate_grid)
 
@@ -201,21 +205,6 @@ def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
     return lo
 
 
-def _cells(grid: RateGrid, flat: np.ndarray) -> RateGrid:
-    """The grid's cells at flat indices into its cells' shape, as a RateGrid
-    of flat's shape for grid_reports. Each field, and each array of its
-    timing, has the cells' rows and either one column or theirs, as a
-    column of repeater counts broadcast against a block of columns gives."""
-    rows, cols = np.divmod(flat, grid.rate.shape[1])
-
-    def at(v):
-        return v[rows, cols if v.shape[1] > 1 else 0]
-
-    t = grid.timing
-    return RateGrid(**{name: at(v) for name, v in vars(grid).items() if name != "timing"},
-                    timing=DerivedTiming(at(t.heralding_time_s), t.j_steps, at(t.k_steps)))
-
-
 def _row_key(spatial_mux: int, hw: HardwareProfile, constraints: Constraints) -> tuple:
     """What a solve's rows and their search depend on: spatial_mux, the
     hardware with its noise set aside, and the constraints that choose the
@@ -234,13 +223,13 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     d, r = ns.shape
     ns = ns.reshape(-1, 1)
     l_km = np.repeat(ls, r)[:, None]
-    m_max = np.full_like(ns, bounds.m_max)
     hw = variants[0][0]  # the rows' state below depends on noise only through f_end, rci
     layout = ChainLayout(l_km, ns, spatial_mux, np.ones_like(ns))
     first = rate_grid(layout, hw)
     den1 = first.den_steps  # den_steps(m) = den1 + (m - 1.0), as rate_grid rounds it
     tm = hw.timing
-    mem_cap = _last_true(lambda m: memory_covers(hw, den1 + (m - 1.0)), m_max,
+    mem_cap = _last_true(lambda m: memory_covers(hw, den1 + (m - 1.0)),
+                         np.full_like(ns, bounds.m_max),
                          tm.tau_m / (hw.memory_margin * tm.tau) - den1 + 1.0)
 
     # P(m) of the module docstring, with e = expm1(x): h > 1 is
@@ -277,55 +266,50 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
         by_caps.setdefault((cons.n_o_max, cons.n_m_max), []).append(i)
     out: list = [None] * len(variants)
     for (n_o_max, n_m_max), members in by_caps.items():
-        removed = {"tau_m": m_max - mem_cap}
-        cap = mem_cap
-        if n_o_max is not None:
-            n_o_ok = first.n_o <= n_o_max  # n_o does not depend on m
-            removed["n_o_max"] = np.where(n_o_ok, 0, m_max)
-            cap = np.where(n_o_ok, cap, 0)
-        if n_m_max is not None:
-            n_m_cap = np.minimum(n_m_max // first.n_m, m_max)  # n_m(m) = n_m(1) m
-            removed["n_m_max"] = m_max - n_m_cap
-            cap = np.minimum(cap, n_m_cap)
-        # P holds on a prefix, so the search up to cap is the free one clipped
-        lo = np.minimum(lo_free, cap)
+        # the cap table: per constraint, each row's largest feasible m
+        caps = {"tau_m": mem_cap}
+        if n_o_max is not None:  # n_o does not depend on m
+            caps["n_o_max"] = np.where(first.n_o <= n_o_max, bounds.m_max, 0)
+        if n_m_max is not None:  # n_m(m) = n_m(1) m
+            caps["n_m_max"] = np.minimum(n_m_max // first.n_m, bounds.m_max)
+        # P holds on a prefix, so the search up to the row cap is the free one clipped
+        lo = np.minimum.reduce([lo_free, *caps.values()])
         # in order, since 1 <= clip(lo) <= clip(lo + 1)
         cols = np.clip(np.hstack([np.ones_like(ns), lo, lo + 1]), 1, bounds.m_max)
         grid = rate_blocks(first, layout, cols, hw)
         assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
                 and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
             "rate_grid's den_steps or mem_ok disagrees with the memory cap"
-        evaluations = cap.reshape(d, r).sum(axis=1).tolist()
         for i in members:  # per noise level, only f_end, rci and the rate are new
             hw_i, cons_i = variants[i]
             noisy = grid
             if hw_i.noise != hw.noise:
                 tail = noise_tail(ns, hw_i)
                 noisy = replace(grid, **tail, rate=noisy_rate(grid.ideal, tail["rci"]))
-            out[i] = _optima(noisy, cols, cap, ns[:, 0], removed, evaluations, hw_i,
-                             bounds, cons_i.pinned)
+            out[i] = _optima(noisy, cols, caps, ns.reshape(d, r), hw_i, bounds, cons_i.pinned)
     return out
 
 
-def _optima(grid: RateGrid, cols: np.ndarray, cap: np.ndarray, ns: np.ndarray,
-            removed: dict, evaluations: list, hw: HardwareProfile, bounds: SearchBounds,
-            pinned: bool) -> list:
+def _optima(grid: RateGrid, cols: np.ndarray, caps: dict, ns: np.ndarray,
+            hw: HardwareProfile, bounds: SearchBounds, pinned: bool) -> list:
     """Each distance's argmax over its rows' candidate cells, as _solve_pass
-    returns it for one variant; the rows are the distances' rows in order."""
-    d = len(evaluations)
-    r = ns.size // d
+    returns it for one variant; ns holds each distance's candidate repeater
+    counts, one distance a row, and the grid's rows are theirs in order."""
+    d, r = ns.shape
+    cap = np.minimum.reduce(list(caps.values()))  # each row's largest feasible m
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
     # per distance, the flat index of the row-major argmax over its rows'
     # ordered columns: smallest n, then m
     best = rate.reshape(d, -1).argmax(axis=1) + np.arange(0, rate.size, rate.size // d)
-    n_opt, m_opt = ns[best // cols.shape[1]], cols.flat[best]
+    n_opt, m_opt = ns.flat[best // cols.shape[1]], cols.flat[best]
     found = rate.flat[best] >= 0.0  # a distance with no feasible cell has only -1
-    reports = iter(grid_reports(_cells(grid, best[found]), hw))
+    reports = iter(grid_reports(grid, hw, best[found].tolist()))
+    evaluations = cap.reshape(d, r).sum(axis=1).tolist()
     out: list = []
     for i, (n, m, evals) in enumerate(zip(n_opt.tolist(), m_opt.tolist(), evaluations)):
         if not found[i]:
-            out.append(_infeasible({name: rm[i * r:(i + 1) * r]
-                                    for name, rm in removed.items()}, evals))
+            out.append(_infeasible({name: c.reshape(d, r)[i] for name, c in caps.items()},
+                                   bounds.m_max, evals))
             continue
         out.append(OptimizationResult(
             n_opt=n,
@@ -338,15 +322,16 @@ def _optima(grid: RateGrid, cols: np.ndarray, cap: np.ndarray, ns: np.ndarray,
     return out
 
 
-def _infeasible(removed: dict, evaluations: int) -> InfeasibleError:
-    """What one distance raises: the points each constraint removed from its
-    rows, or, when some remain, that none has a finite rate."""
+def _infeasible(caps: dict, m_max: int, evaluations: int) -> InfeasibleError:
+    """What one distance raises, from its rows' cap table: the points each
+    constraint removed, m_max less its cap summed over the rows, or, when
+    some remain, that none has a finite rate."""
     if evaluations:
         return InfeasibleError(["rate"],
                                "no feasible (n, m) grid point has a finite rate")
-    binding = {name: int(r.sum()) for name, r in removed.items() if r.any()}
-    names = sorted(binding) or ["(empty grid)"]
-    detail = ", ".join(f"{name} removed {binding.get(name, 0)} points" for name in names)
+    removed = {name: int((m_max - cap).sum()) for name, cap in caps.items()}
+    names = sorted(name for name, count in removed.items() if count)
+    detail = ", ".join(f"{name} removed {removed[name]} points" for name in names)
     return InfeasibleError(names, f"no feasible (n, m) grid point: {detail}")
 
 

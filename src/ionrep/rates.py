@@ -33,10 +33,12 @@ RateGrid as its row state: the optimizer computes one grid at m = 1 per
 pass and applies the block stage to it at its candidate columns. Noise
 enters a grid only through f_end, rci and the rate, so the optimizer
 re-noises one grid for each noise level instead of building another.
-evaluate_rate reports rate_grid on the caller's own layout, whose one cell
-runs a grid cell's numpy loops, through grid_reports, as the optimizer
-reports a grid's optima; mcsim.SimConfig reads waits_for_herald,
-slot_events and block_denominator at integer steps.
+grid_reports reads reports straight from a grid's fields at flat cell
+indices, a one-column row field by the cell's row: evaluate_rate passes
+the one cell of rate_grid on the caller's own layout, which runs a grid
+cell's numpy loops, and the optimizer the cells of its optima.
+mcsim.SimConfig reads waits_for_herald, slot_events and block_denominator
+at integer steps.
 """
 
 from __future__ import annotations
@@ -313,9 +315,12 @@ def noisy_rate(ideal, rci):
     return ideal * np.maximum(0.0, rci)
 
 
-def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
-    """One report per cell of a rate_grid whose fields all have the cells'
-    shape or are scalars (Python floats too): evaluate_rate's, or the optimizer's optima.
+def grid_reports(grid: RateGrid, hw: HardwareProfile, cells) -> list[RateReport]:
+    """One report per flat index in cells, an index into the shape of
+    grid.rate: evaluate_rate's one cell, or the optimizer's optima. Each
+    block field has that shape; each row field, the timing's included, has
+    one column, or is a scalar (a Python float too), and is read by the
+    cell's row.
 
     Raises InfeasibleError, binding ["tau_m"], at the first cell whose block
     outlives the memory (tau_m must be at least memory_margin times the
@@ -323,8 +328,10 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
     """
     t = grid.timing
     herald, k_steps = np.asarray(t.heralding_time_s), np.asarray(t.k_steps)
+    width = grid.rate.shape[-1] if grid.rate.ndim else 1
     reports = []
-    for i in range(grid.rate.size):
+    for i in cells:
+        row = i // width
         den_steps = grid.den_steps.item(i)
         den_s = den_steps * hw.timing.tau
         if not grid.mem_ok.item(i):
@@ -334,21 +341,21 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile) -> list[RateReport]:
                 f"need at least {hw.memory_margin * den_s:.6g} s "
                 f"({hw.memory_margin:g} x {den_s:.6g} s)",
             )
-        timing = DerivedTiming(herald.item(i), t.j_steps, k_steps.item(i))
+        timing = DerivedTiming(herald.item(row), t.j_steps, k_steps.item(row))
         reports.append(RateReport(
             regime=classify_regime(hw.timing, timing.heralding_time_s),
-            p=grid.p.item(i),
+            p=grid.p.item(row),
             timing=timing,
             denominator_steps=den_steps,
             denominator_s=den_s,
             block_success=grid.block.item(i),
             ideal_rate=grid.ideal.item(i),
-            f_end=grid.f_end.item(i),
-            rci=grid.rci.item(i),
+            f_end=grid.f_end.item(row),
+            rci=grid.rci.item(row),
             noisy_rate=grid.rate.item(i),
-            n_o=grid.n_o.item(i),
+            n_o=grid.n_o.item(row),
             n_m=grid.n_m.item(i),
-            n_m_is_upper_bound=not grid.waits.item(i),
+            n_m_is_upper_bound=not grid.waits.item(row),
         ))
     return reports
 
@@ -359,4 +366,4 @@ def evaluate_rate(layout: ChainLayout, hw: HardwareProfile) -> RateReport:
     Raises InfeasibleError, binding ["tau_m"], when the memory lifetime
     cannot cover the block.
     """
-    return grid_reports(rate_grid(layout, hw), hw)[0]
+    return grid_reports(rate_grid(layout, hw), hw, [0])[0]

@@ -156,7 +156,7 @@ class TestConfigFile:
         ('{"bogus": 1}', "bogus"),
         ('{"hardware.eta_c": 0.5}', "hardware.eta_c"),  # not a section
         ('{"layout": {"eta_c": 0.5}}', "layout.eta_c"),
-        ('{"threads": 2}', "threads"),  # removed: sweeps size their own pool
+        ('{"threads": 2}', "threads"),  # removed: sweeps run on the calling thread
     ])
     def test_keys_outside_the_schema_rejected(self, capsys, tmp_path, doc, key):
         path = tmp_path / "cfg.json"

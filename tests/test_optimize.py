@@ -330,6 +330,9 @@ class TestScanOracle:
               Constraints(n_o_max=125)))
     @example((150.0, 10, BASE, SearchBounds(5, 1), Constraints()))
     @example((150.0, 10, BASE, SearchBounds(2, 3), Constraints(n_o_max=5, n_m_max=1)))
+    # all three caps remove points and none are left
+    @example((150.0, 10, BASE.updated(tau_m=3e-4), SearchBounds(60, 200),
+              Constraints(n_o_max=100, n_m_max=10)))
     def test_matches_the_exhaustive_scan(self, problem):
         assert outcome(optimize_rate, *problem) == outcome(scan_optimum, *problem)
 
