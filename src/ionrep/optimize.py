@@ -37,21 +37,24 @@ rates.memory_covers holds. A row's cap is the least of its entries. Per
 distance, the evaluated points are its rows' caps summed, and when none is
 left each constraint has removed m_max less its entry, summed over the
 rows, which InfeasibleError reports. The memory cap rests on
-den_steps(m) = den_steps(1) + (m - 1.0), rounded as rate_grid rounds it; an
-assertion checks that identity, and rate_grid's mem_ok against m <= cap, on
-every evaluated cell. Both sides apply memory_covers to equal values, so
-they agree at the cap's boundary too.
+den_steps(m) = den_steps(1) + (m - 1.0), rounded as rates.block_denominator
+rounds it; an assertion checks that identity, and rate_blocks' mem_ok
+against m <= cap, on every evaluated cell. Both sides apply memory_covers
+to equal values, so they agree at the cap's boundary too. memory_covers is
+monotone in m, so a pass first tests it once at m_max: where it holds on
+every row, the memory cap is m_max and no search runs. At the default
+tau_m = 60 s that is every pass of the standard figures.
 
-Each row's lo, and its memory cap, come from one integer search,
-_last_true, seeded by the closed form. The memory cap is a division:
-m <= tau_m / (memory_margin tau) - den_steps(1) + 1. For c >= 0, h(m) > 1
-ends where x = lam m reaches the larger root of e^x - 1 = a (x + c lam), a
-Lambert W_{-1} value (Corless et al., "On the Lambert W function", 1996);
-three Newton steps on e^x - a x - (1 + a c lam) from L + log L,
-L = log(a + 1 + a c lam), estimate it, and lo is near x / lam. Rows with
-c < 0 take the same estimate. The search's one seeded round tests each
-row's cap and the four integers around its estimate; a row whose tested
-values straddle the end of P is done. Rows the estimate missed (a NaN, an
+Each row's lo, and its memory cap where the memory binds, come from one
+integer search, _last_true, seeded by the closed form. The memory cap is a
+division: m <= tau_m / (memory_margin tau) - den_steps(1) + 1. For c >= 0,
+h(m) > 1 ends where x = lam m reaches the larger root of
+e^x - 1 = a (x + c lam), a Lambert W_{-1} value (Corless et al., "On the
+Lambert W function", 1996); three Newton steps on e^x - a x - (1 + a c lam)
+from L + log L, L = log(a + 1 + a c lam), estimate it, and lo is near
+x / lam. Rows with c < 0 take the same estimate. The search's one seeded
+round tests each row's cap and the four integers around its estimate; a
+row whose tested values straddle the end of P is done. Rows the estimate missed (a NaN, an
 estimate off by more than one) are bisected by further rounds, so lo is
 exact whatever the estimate; the estimate only sets the number of rounds.
 
@@ -60,15 +63,18 @@ enters the rate only through the factor max(0, rci(n)), which is constant
 along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
 lower a row's cap below the memory cap. So sweep_variants solves each
 distinct variant once and groups the distinct variants by _row_key; each
-group is one row solve with one row state: the rate_grid call at m = 1,
-the memory cap, and lo_free, the last m in [1, memory cap] where P holds.
-Each variant then takes its cap (at most the memory cap) and
-lo = min(lo_free, cap), which is exact because P holds on a prefix: P
-holds on all of [1, lo_free] and nowhere in (lo_free, memory cap], so its
-last m in [1, cap] is lo_free when lo_free <= cap, and cap otherwise.
+group is one row solve with one row state: rates.rate_rows (rate_grid's
+row stage) with den_steps(1) from rates.block_denominator and n_m(1) from
+the memory-ion formula, the memory cap, and lo_free, the last m in
+[1, memory cap] where P holds. Each variant then takes its cap (at most
+the memory cap) and lo = min(lo_free, cap), which is exact because P
+holds on a prefix: P holds on all of [1, lo_free] and nowhere in
+(lo_free, memory cap], so its last m in [1, cap] is lo_free when
+lo_free <= cap, and cap otherwise.
 The candidate columns are 1, lo and lo + 1, in that order. Variants with
 equal caps share one candidate grid, rates.rate_blocks (rate_grid's block
-stage) applied to the m = 1 grid at those columns, and each other noise
+stage) applied to the row state at those columns, so the block stage runs
+only at candidate columns, once per group of caps, and each other noise
 level recomputes only the noise fields, with rates.noise_tail and
 rates.noisy_rate, the functions rate_grid itself calls, so the rate formula
 is written once.
@@ -86,6 +92,7 @@ variants.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
@@ -94,8 +101,9 @@ import numpy as np
 
 from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError,
                     fiber_transmissivity)
-from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_covers,
-                    noise_tail, noisy_rate, plob_bound, rate_blocks, rate_grid)
+from .rates import (InfeasibleError, RateGrid, RateReport, _memory_ions, block_denominator,
+                    grid_reports, memory_covers, noise_tail, noisy_rate, plob_bound,
+                    rate_blocks, rate_rows)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 _SEED_OFFSETS = np.arange(-1, 3)[:, None, None]  # the seeded round's m - floor(guess)
@@ -187,7 +195,7 @@ def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
     one cell per row a round.
     """
     g = np.fmin(np.fmax(guess, 0.0), hi).astype(np.int64)  # NaN and inf land in [0, hi]
-    m = np.concatenate([hi[None], np.clip(g + _SEED_OFFSETS, 1, hi)])
+    m = np.concatenate([hi[None], np.minimum(np.maximum(g + _SEED_OFFSETS, 1), hi)])
     ok = pred(m)
     # every m tested true is at most the answer, every false one above it;
     # a row with hi = 0 tests only 0, and comes out with lo = 0 either way
@@ -224,20 +232,25 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     ns = ns.reshape(-1, 1)
     l_km = np.repeat(ls, r)[:, None]
     hw = variants[0][0]  # the rows' state below depends on noise only through f_end, rci
-    layout = ChainLayout(l_km, ns, spatial_mux, np.ones_like(ns))
-    first = rate_grid(layout, hw)
-    den1 = first.den_steps  # den_steps(m) = den1 + (m - 1.0), as rate_grid rounds it
-    tm = hw.timing
-    mem_cap = _last_true(lambda m: memory_covers(hw, den1 + (m - 1.0)),
-                         np.full_like(ns, bounds.m_max),
-                         tm.tau_m / (hw.memory_margin * tm.tau) - den1 + 1.0)
+    layout = ChainLayout(l_km, ns, spatial_mux)
+    rows = rate_rows(layout, hw)
+    timing = rows.timing
+    # den_steps(m) = den1 + (m - 1.0), as rate_blocks rounds it, and n_m(m) = n_m1 m
+    den1 = block_denominator(rows.waits, timing.k_steps, 1, timing.j_steps)
+    n_m1 = _memory_ions(rows.waits, spatial_mux, 1)
+    mem_cap = np.full_like(ns, bounds.m_max)
+    # memory_covers is monotone in m: where it holds at m_max, m_max is the cap
+    if not memory_covers(hw, den1 + (bounds.m_max - 1.0)).all():
+        tm = hw.timing
+        mem_cap = _last_true(lambda m: memory_covers(hw, den1 + (m - 1.0)), mem_cap,
+                             tm.tau_m / (hw.memory_margin * tm.tau) - den1 + 1.0)
 
     # P(m) of the module docstring, with e = expm1(x): h > 1 is
     # (c + m) a lam > e, and u > 0 is e (1 - x - c lam) > x + c lam, tested
     # only where c < 0 (it is false for c >= 0, where rounding near x = 0
     # could make it true), and not at all in a pass without such rows
     c = den1 - 1.0
-    lam = -spatial_mux * np.log1p(-first.p)
+    lam = -spatial_mux * np.log1p(-rows.p)
     a = ns + 1.0
     a_lam, c_lam, neg = a * lam, c * lam, c < 0.0
     some_neg = bool(neg.any())
@@ -269,34 +282,37 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
         # the cap table: per constraint, each row's largest feasible m
         caps = {"tau_m": mem_cap}
         if n_o_max is not None:  # n_o does not depend on m
-            caps["n_o_max"] = np.where(first.n_o <= n_o_max, bounds.m_max, 0)
+            caps["n_o_max"] = np.where(rows.n_o <= n_o_max, bounds.m_max, 0)
         if n_m_max is not None:  # n_m(m) = n_m(1) m
-            caps["n_m_max"] = np.minimum(n_m_max // first.n_m, bounds.m_max)
+            caps["n_m_max"] = np.minimum(n_m_max // n_m1, bounds.m_max)
+        cap = functools.reduce(np.minimum, caps.values())  # a row's cap: its least entry
         # P holds on a prefix, so the search up to the row cap is the free one clipped
-        lo = np.minimum.reduce([lo_free, *caps.values()])
+        lo = np.minimum(lo_free, cap)
         # in order, since 1 <= clip(lo) <= clip(lo + 1)
-        cols = np.clip(np.hstack([np.ones_like(ns), lo, lo + 1]), 1, bounds.m_max)
-        grid = rate_blocks(first, layout, cols, hw)
+        cols = np.minimum(np.maximum(np.hstack([np.ones_like(ns), lo, lo + 1]), 1),
+                          bounds.m_max)
+        grid = rate_blocks(rows, layout, cols, hw)
         assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
                 and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
-            "rate_grid's den_steps or mem_ok disagrees with the memory cap"
+            "rate_blocks' den_steps or mem_ok disagrees with the memory cap"
         for i in members:  # per noise level, only f_end, rci and the rate are new
             hw_i, cons_i = variants[i]
             noisy = grid
             if hw_i.noise != hw.noise:
                 tail = noise_tail(ns, hw_i)
                 noisy = replace(grid, **tail, rate=noisy_rate(grid.ideal, tail["rci"]))
-            out[i] = _optima(noisy, cols, caps, ns.reshape(d, r), hw_i, bounds, cons_i.pinned)
+            out[i] = _optima(noisy, cols, cap, caps, ns.reshape(d, r), hw_i, bounds,
+                             cons_i.pinned)
     return out
 
 
-def _optima(grid: RateGrid, cols: np.ndarray, caps: dict, ns: np.ndarray,
+def _optima(grid: RateGrid, cols: np.ndarray, cap: np.ndarray, caps: dict, ns: np.ndarray,
             hw: HardwareProfile, bounds: SearchBounds, pinned: bool) -> list:
     """Each distance's argmax over its rows' candidate cells, as _solve_pass
-    returns it for one variant; ns holds each distance's candidate repeater
+    returns it for one variant; cap is each row's largest feasible m, the
+    least of its caps' entries. ns holds each distance's candidate repeater
     counts, one distance a row, and the grid's rows are theirs in order."""
     d, r = ns.shape
-    cap = np.minimum.reduce(list(caps.values()))  # each row's largest feasible m
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
     # per distance, the flat index of the row-major argmax over its rows'
     # ordered columns: smallest n, then m

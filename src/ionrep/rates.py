@@ -29,8 +29,9 @@ counts and block lengths in two stages:
 
 rate_grid is the row stage followed by the block stage. A RateGrid is a
 RowState with the block fields added, so the block stage also takes a
-RateGrid as its row state: the optimizer computes one grid at m = 1 per
-pass and applies the block stage to it at its candidate columns. Noise
+RateGrid as its row state. The optimizer runs the row stage once per pass,
+takes den_steps and n_m at m = 1 from block_denominator and the memory-ion
+formula, and applies the block stage only at its candidate columns. Noise
 enters a grid only through f_end, rci and the rate, so the optimizer
 re-noises one grid for each noise level instead of building another.
 grid_reports reads reports straight from a grid's fields at flat cell

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ionrep.optimize as optimize_module
+import ionrep.rates as rates_module
 from ionrep import (
     ChainLayout,
     Constraints,
@@ -330,6 +331,9 @@ class TestScanOracle:
               Constraints(n_o_max=125)))
     @example((150.0, 10, BASE, SearchBounds(5, 1), Constraints()))
     @example((150.0, 10, BASE, SearchBounds(2, 3), Constraints(n_o_max=5, n_m_max=1)))
+    # tau_m binds on rows n = 0 and n = 1 only (caps 0 and 131), so the search
+    # runs though most rows are uncapped: the optimum (60, 25) of 11,931 points
+    @example((150.0, 10, BASE.updated(tau_m=5e-3), SearchBounds(60, 200), Constraints()))
     # all three caps remove points and none are left
     @example((150.0, 10, BASE.updated(tau_m=3e-4), SearchBounds(60, 200),
               Constraints(n_o_max=100, n_m_max=10)))
@@ -363,12 +367,14 @@ class TestScanOracle:
 
     def test_non_finite_rates_are_never_chosen(self, monkeypatch):
         # rci is row state: a NaN there reaches every candidate cell of the row
-        def nan_at_88(layout, hw):
-            grid = rate_grid(layout, hw)
-            grid.rci[np.broadcast_to(layout.n_repeaters == 88, grid.rci.shape)] = np.nan
-            return grid
+        real = optimize_module.rate_rows
 
-        monkeypatch.setattr(optimize_module, "rate_grid", nan_at_88)
+        def nan_at_88(layout, hw):
+            rows = real(layout, hw)
+            rows.rci[np.broadcast_to(layout.n_repeaters == 88, rows.rci.shape)] = np.nan
+            return rows
+
+        monkeypatch.setattr(optimize_module, "rate_rows", nan_at_88)
         res = optimize_rate(150.0, 10, BASE)
         assert (res.n_opt, res.m_opt) == (87, 25)
         assert math.isfinite(res.report.noisy_rate)
@@ -426,11 +432,15 @@ class TestSeededSearch:
             return real(counting, hi, guess)
 
         monkeypatch.setattr(optimize_module, "_last_true", counted)
+        # tau_m covers every block up to m_max, so lo_free is the only search
         optimize_rate(150.0, 10, BASE)
-        assert calls == [1, 1]  # the memory cap and lo_free
+        assert calls == [1]
         calls.clear()
         sweep_distance(distance_grid(10.0, 500.0, 10.0), 10, BASE)  # the default sweep
-        assert calls == [1] * 18  # nine passes, two searches each
+        assert calls == [1] * 9  # nine passes
+        calls.clear()
+        optimize_rate(150.0, 10, BASE.updated(tau_m=3e-4))  # tau_m binds
+        assert calls == [1, 1]  # the memory cap and lo_free
 
 
 @st.composite
@@ -508,13 +518,21 @@ class TestSweepOracle:
 
     def test_passes_stay_small(self, monkeypatch):
         # three distances at the largest n_max: a pass each
-        rows = []
+        rows, blocks = [], []  # rows per row stage, and block-stage calls
+        real_rows, real_blocks = optimize_module.rate_rows, optimize_module.rate_blocks
 
         def counting(layout, hw):
             rows.append(len(layout.n_repeaters))
-            return rate_grid(layout, hw)
+            return real_rows(layout, hw)
 
-        monkeypatch.setattr(optimize_module, "rate_grid", counting)
+        def counting_blocks(*args):
+            blocks.append(1)
+            return real_blocks(*args)
+
+        monkeypatch.setattr(optimize_module, "rate_rows", counting)
+        # under both names, so that a rate_grid call's block stage counts too
+        monkeypatch.setattr(rates_module, "rate_blocks", counting_blocks)
+        monkeypatch.setattr(optimize_module, "rate_blocks", counting_blocks)
         tracemalloc.start()
         try:
             sweep = sweep_distance([100.0, 150.0, 200.0], 10, BASE,
@@ -526,8 +544,10 @@ class TestSweepOracle:
         assert (sweep[1].result.n_opt, sweep[1].result.m_opt) == (88, 25)
         assert all(row.result.evaluations == 100_001 * 1_000_000 for row in sweep)
         assert peak < 128 * 2 ** 20
-        # 601 rows a distance: six distances to a pass, one rate_grid call each
+        # 601 rows a distance: six distances to a pass, one row stage each,
+        # and one block stage, at the candidate columns only
         rows.clear()
+        blocks.clear()
         tracemalloc.start()
         try:
             sweep_distance([10.0 + 50 * i for i in range(10)], 10, BASE)
@@ -535,11 +555,14 @@ class TestSweepOracle:
         finally:
             tracemalloc.stop()
         assert rows == [6 * 601, 4 * 601]
+        assert len(blocks) == 2
         assert 6 * 601 <= optimize_module.PASS_ROWS
         assert peak < 2 * 2 ** 20
         rows.clear()
+        blocks.clear()
         optimize_rate(150.0, 10, BASE)
         assert rows == [601]
+        assert len(blocks) == 1
 
 
 def assert_reports_are_scalar_evaluations(ls, spatial_mux, hw, results):

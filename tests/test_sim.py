@@ -30,7 +30,9 @@ from ionrep import (
     validate_against_analytic,
 )
 from ionrep import mcsim
+from ionrep.figures import FIGURES, curve_variant
 from ionrep.model import C_VACUUM_KM_S
+from ionrep.optimize import SearchBounds, distance_grid, sweep_variants
 from ionrep.rates import ion_budgets, slot_events
 
 US = 1e-6
@@ -160,6 +162,36 @@ class TestOccupancyReplay:
         report = evaluate_rate(layout, hw)
         assert report.n_o == 12
         assert stats.peak_comm_loaded - report.n_o == 2
+
+
+class TestPublishedOptima:
+    def test_every_figure_optimum_fits_its_ion_budgets(self):
+        # each distinct (n, M, m, j, k, regime) optimum of `figure all` at the
+        # default grid, replayed for one block at p = 1: the peaks stay within
+        # ion_budgets at the integer j and k, and heralded pairs within 2m
+        variants = [curve_variant(curve, HardwareProfile())
+                    for fig_id in sorted(FIGURES) for curve in FIGURES[fig_id][1]]
+        sweeps = sweep_variants(distance_grid(10.0, 500.0, 10.0), variants, SearchBounds())
+        replays = {}
+        for (spatial_mux, hw, _), rows in zip(variants, sweeps):
+            for row in rows:
+                res = row.result
+                cfg = SimConfig.from_profile(
+                    ChainLayout(row.l_km, res.n_opt, spatial_mux, res.m_opt), hw,
+                    num_blocks=1, p_override=1.0)
+                replays.setdefault((res.n_opt, spatial_mux, res.m_opt, cfg.j_steps,
+                                    cfg.k_steps, res.report.regime), cfg)
+        assert len(replays) == 1032
+        failures = []
+        for key, cfg in replays.items():
+            _, spatial_mux, m, j, k, _ = key
+            stats = run_protocol_sim(cfg)
+            n_o, n_m = ion_budgets(cfg.waits_for_herald, k, j, spatial_mux, m)
+            if not (stats.peak_comm_loaded <= n_o and stats.peak_mem_loaded <= n_m
+                    and stats.peak_heralded <= 2 * m):
+                failures.append((key, stats.peak_comm_loaded, stats.peak_mem_loaded,
+                                 stats.peak_heralded))
+        assert failures == []
 
 
 class TestIonPools:
