@@ -13,7 +13,8 @@ a grid cell's numpy loops; fiber_transmissivity, link_success_prob and
 end_to_end_Q return an np.float64, a float subclass, for Python inputs.
 Each parameter dataclass checks its fields when it is built (dataclasses.replace
 and HardwareProfile.updated included), so the formulas check only their plain
-arguments.
+arguments. ChainLayout._unchecked, for the optimizer's rows, built from
+inputs it has checked, is the one layout that skips its checks.
 """
 
 from __future__ import annotations
@@ -54,6 +55,13 @@ def _check(ok, name: str, rule: str, value) -> None:
     # builds is checked, and an array value would print whole
     if not (ok if isinstance(ok, bool) else ok.all()):
         raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def _check_count(name: str, v, low: int) -> None:
+    """v, a number or an array, must be an integer in [low, MAX_COUNT]."""
+    kind = "nonnegative" if low == 0 else "positive"
+    _check((v % 1 == 0) & (v >= low) & (v <= MAX_COUNT), name,
+           f"a {kind} integer <= {MAX_COUNT}", v)
 
 
 @dataclass(frozen=True)
@@ -174,12 +182,17 @@ class ChainLayout:
     def __post_init__(self) -> None:
         _check(self.total_distance_km > 0.0, "total_distance_km", "positive",
                self.total_distance_km)
-        for name, low, kind in (("n_repeaters", 0, "nonnegative"),
-                                ("spatial_mux", 1, "positive"),
-                                ("time_mux", 1, "positive")):
-            v = getattr(self, name)
-            _check((v % 1 == 0) & (v >= low) & (v <= MAX_COUNT), name,
-                   f"a {kind} integer <= {MAX_COUNT}", v)
+        for name, low in (("n_repeaters", 0), ("spatial_mux", 1), ("time_mux", 1)):
+            _check_count(name, getattr(self, name), low)
+
+    @classmethod
+    def _unchecked(cls, total_distance_km, n_repeaters, spatial_mux) -> "ChainLayout":
+        """A layout at time_mux 1 built without __post_init__'s checks, for
+        fields its caller has checked: the optimizer's thousands of rows."""
+        layout = object.__new__(cls)
+        layout.__dict__.update(total_distance_km=total_distance_km,
+                               n_repeaters=n_repeaters, spatial_mux=spatial_mux, time_mux=1)
+        return layout
 
     @property
     def n_links(self) -> int:

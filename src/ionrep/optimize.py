@@ -21,8 +21,10 @@ u'(x) = -e^x (x + c lam).
 
 In both cases P(m) = [h(m) > 1 or u(lam m) > 0] holds on a prefix of the
 integers m >= 1. Let lo be the last m in [1, cap] where P holds, cap being
-the row's largest feasible m. The row's integer argmax is then one of 1, lo
-and lo + 1: where the rate still rises at cap, lo is cap.
+the row's largest feasible m, or 0 where P fails at m = 1, which then
+stands for m = 1. The row's integer argmax is then lo or lo + 1 where
+c >= 0, and one of 1, lo and lo + 1 where c < 0: where the rate still rises
+at cap, lo is cap.
 
 A row is a (distance, n) pair: a sweep solves its distances together, a
 pass of rows at a time, and optimize_rate is the same search at one
@@ -70,22 +72,35 @@ the memory-ion formula, the memory cap, and lo_free, the last m in
 the memory cap) and lo = min(lo_free, cap), which is exact because P
 holds on a prefix: P holds on all of [1, lo_free] and nowhere in
 (lo_free, memory cap], so its last m in [1, cap] is lo_free when
-lo_free <= cap, and cap otherwise.
-The candidate columns are 1, lo and lo + 1, in that order. Variants with
-equal caps share one candidate grid, rates.rate_blocks (rate_grid's block
-stage) applied to the row state at those columns, so the block stage runs
-only at candidate columns, once per group of caps, and each other noise
-level recomputes only the noise fields, with rates.noise_tail and
-rates.noisy_rate, the functions rate_grid itself calls, so the rate formula
-is written once.
+lo_free <= cap, and cap otherwise. The noise fields f_end and rci depend
+on n alone, and an unpinned pass holds one copy of 0..n_max per distance,
+so rates.noise_tail runs once per distinct n, for the row state and for
+each other noise level, and its columns are tiled to the pass's rows. The
+pass's layout skips ChainLayout's checks: its distances and repeater
+counts come from checked inputs, and _solve checks spatial_mux.
+
+The candidate columns are lo and lo + 1, in that order, where every row of
+the pass has c >= 0, and 1, lo and lo + 1 in a pass with a c < 0 row. One
+more case needs m = 1: a distance whose best candidate rate is not > 0
+has every candidate it could pick tied at rate 0 (or none feasible and
+finite), and the full scan breaks a zero-rate tie toward m = 1, which the
+two columns may lack. A variant whose two-column argmax has such a
+distance is solved again on the columns 1, lo and lo + 1. Variants with
+equal caps share each candidate grid, rates.rate_blocks (rate_grid's block
+stage) applied to the row state at those columns, built at most once per
+group of caps when a variant first needs it. So the block stage runs only
+at candidate columns, and each other noise level recomputes only the
+noise fields, with rates.noise_tail and rates.noisy_rate, the functions
+rate_grid itself calls, so the rate formula is written once.
 
 Cells broadcast elementwise, so a candidate's rate is the bits of its cell
 in the full grid. Infeasible and non-finite cells count as -1, and per
 distance a row-major argmax over its rows' candidates breaks ties
 toward smaller n, then smaller m, as a scan of that distance's whole grid
 would. Each distance's report is read by rates.grid_reports straight from
-the grid's fields at the cell that won its argmax. A pass holds at most PASS_ROWS rows, or one distance where its
-n_max + 1 rows are more, and one candidate grid at a time; n_max is at most
+the grid's fields at the cell that won its argmax. A pass holds at most
+PASS_ROWS rows, or one distance where its n_max + 1 rows are more, and at
+most two candidate grids at a time; n_max is at most
 MAX_SEARCH_N, so memory stays bounded whatever the number of distances or
 variants.
 """
@@ -99,7 +114,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError,
+from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError, _check_count,
                     fiber_transmissivity)
 from .rates import (InfeasibleError, RateGrid, RateReport, _memory_ions, block_denominator,
                     grid_reports, memory_covers, noise_tail, noisy_rate, plob_bound,
@@ -229,11 +244,17 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     its candidate repeater counts ns[i], or the InfeasibleError that distance
     raises; one row per (distance, n) pair, shared by the variants."""
     d, r = ns.shape
-    ns = ns.reshape(-1, 1)
-    l_km = np.repeat(ls, r)[:, None]
-    hw = variants[0][0]  # the rows' state below depends on noise only through f_end, rci
-    layout = ChainLayout(l_km, ns, spatial_mux)
-    rows = rate_rows(layout, hw)
+    ns_by_l, ns = ns, ns.reshape(-1, 1)
+    hw, constraints = variants[0]  # the rows' state depends on noise only through the tail
+    # an unpinned pass holds d copies of 0..n_max, so its tail is one copy's, tiled
+    reps, tail_ns = (1, ns) if constraints.pinned else (d, ns[:r])
+
+    def tail(hw_i: HardwareProfile) -> dict:
+        return {name: np.tile(v, (reps, 1)) for name, v in noise_tail(tail_ns, hw_i).items()}
+
+    # checked distances and repeater counts; _solve checks spatial_mux
+    layout = ChainLayout._unchecked(np.repeat(ls, r)[:, None], ns, spatial_mux)
+    rows = rate_rows(layout, hw, tail(hw))
     timing = rows.timing
     # den_steps(m) = den1 + (m - 1.0), as rate_blocks rounds it, and n_m(m) = n_m1 m
     den1 = block_denominator(rows.waits, timing.k_steps, 1, timing.j_steps)
@@ -250,7 +271,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     # only where c < 0 (it is false for c >= 0, where rounding near x = 0
     # could make it true), and not at all in a pass without such rows
     c = den1 - 1.0
-    lam = -spatial_mux * np.log1p(-rows.p)
+    lam = -spatial_mux * rows.log1m_p
     a = ns + 1.0
     a_lam, c_lam, neg = a * lam, c * lam, c < 0.0
     some_neg = bool(neg.any())
@@ -288,37 +309,54 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
         cap = functools.reduce(np.minimum, caps.values())  # a row's cap: its least entry
         # P holds on a prefix, so the search up to the row cap is the free one clipped
         lo = np.minimum(lo_free, cap)
-        # in order, since 1 <= clip(lo) <= clip(lo + 1)
-        cols = np.minimum(np.maximum(np.hstack([np.ones_like(ns), lo, lo + 1]), 1),
-                          bounds.m_max)
-        grid = rate_blocks(rows, layout, cols, hw)
-        assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
-                and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
-            "rate_blocks' den_steps or mem_ok disagrees with the memory cap"
-        for i in members:  # per noise level, only f_end, rci and the rate are new
+        # the candidate columns, clipped to [1, m_max], each set in order since
+        # 1 <= clip(lo) <= clip(lo + 1): m = 1 joins lo and lo + 1 in a pass with
+        # c < 0 rows, and for a variant whose two-column optima have a zero-rate tie
+        col_sets = [[np.ones_like(ns), lo, lo + 1]]
+        if not some_neg:
+            col_sets.insert(0, [lo, lo + 1])
+        grids: list = []  # (cols, grid) of each set, built once its first variant needs it
+        for i in members:
             hw_i, cons_i = variants[i]
-            noisy = grid
-            if hw_i.noise != hw.noise:
-                tail = noise_tail(ns, hw_i)
-                noisy = replace(grid, **tail, rate=noisy_rate(grid.ideal, tail["rci"]))
-            out[i] = _optima(noisy, cols, cap, caps, ns.reshape(d, r), hw_i, bounds,
-                             cons_i.pinned)
+            # per noise level, only f_end, rci and the rate are new
+            t = None if hw_i.noise == hw.noise else tail(hw_i)
+            for k, parts in enumerate(col_sets):
+                if k == len(grids):
+                    cols = np.minimum(np.maximum(np.hstack(parts), 1), bounds.m_max)
+                    grid = rate_blocks(rows, layout, cols, hw)
+                    assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
+                            and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
+                        "rate_blocks' den_steps or mem_ok disagrees with the memory cap"
+                    grids.append((cols, grid))
+                cols, grid = grids[k]
+                if t is not None:
+                    grid = replace(grid, **t, rate=noisy_rate(grid.ideal, t["rci"]))
+                out[i] = _optima(grid, cols, cap, caps, ns_by_l, hw_i, bounds, cons_i.pinned)
+                if out[i] is not None:
+                    break
     return out
 
 
 def _optima(grid: RateGrid, cols: np.ndarray, cap: np.ndarray, caps: dict, ns: np.ndarray,
-            hw: HardwareProfile, bounds: SearchBounds, pinned: bool) -> list:
+            hw: HardwareProfile, bounds: SearchBounds, pinned: bool) -> Optional[list]:
     """Each distance's argmax over its rows' candidate cells, as _solve_pass
     returns it for one variant; cap is each row's largest feasible m, the
     least of its caps' entries. ns holds each distance's candidate repeater
-    counts, one distance a row, and the grid's rows are theirs in order."""
+    counts, one distance a row, and the grid's rows are theirs in order.
+
+    With two columns, lo and lo + 1, it returns None when some distance's
+    best rate is not > 0: in the full scan a zero-rate tie breaks toward
+    m = 1, which only the three-column grid holds."""
     d, r = ns.shape
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
     # per distance, the flat index of the row-major argmax over its rows'
     # ordered columns: smallest n, then m
     best = rate.reshape(d, -1).argmax(axis=1) + np.arange(0, rate.size, rate.size // d)
+    top = rate.flat[best]
+    if cols.shape[1] == 2 and not (top > 0.0).all():
+        return None
     n_opt, m_opt = ns.flat[best // cols.shape[1]], cols.flat[best]
-    found = rate.flat[best] >= 0.0  # a distance with no feasible cell has only -1
+    found = top >= 0.0  # a distance with no feasible cell has only -1
     reports = iter(grid_reports(grid, hw, best[found].tolist()))
     evaluations = cap.reshape(d, r).sum(axis=1).tolist()
     out: list = []
@@ -361,6 +399,7 @@ def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
     ValueError is raised as a loop of one-distance calls would raise it: the
     first distance's, after the distances before it have been solved.
     """
+    _check_count("spatial_mux", spatial_mux, 1)  # the one input the passes do not check
     hw, constraints = variants[0]
     tau_min_error = None
     if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:

@@ -21,16 +21,24 @@ and block_success_prob. rate_grid combines them over distances, repeater
 counts and block lengths in two stages:
 
 - the row stage, rate_rows, computes what does not depend on the block
-  length m: the timing, the waits_for_herald mask, p, the comm ions n_o,
-  and the noise fields f_end and rci (noise_tail);
+  length m: the timing, the waits_for_herald mask, p and log1m_p =
+  log1p(-p), the comm ions n_o, and the noise fields f_end and rci
+  (noise_tail, or the caller's own);
 - the block stage, rate_blocks, takes a row state and the block lengths and
   computes den_steps, mem_ok, the memory ions n_m, the block success, the
   ideal rate and the noisy rate (noisy_rate).
 
+The block success is one formula, _block_success, on log1p(-p). The public
+block_success_prob checks that p is in [0, 1] and applies it; the block
+stage applies it to the row state's log1m_p unchecked, since p comes from
+link_success_prob, and the optimizer derives its lam = -M log1p(-p) from
+the same log1m_p.
+
 rate_grid is the row stage followed by the block stage. A RateGrid is a
 RowState with the block fields added, so the block stage also takes a
 RateGrid as its row state. The optimizer runs the row stage once per pass,
-takes den_steps and n_m at m = 1 from block_denominator and the memory-ion
+with the noise fields it computed once per distinct repeater count, takes
+den_steps and n_m at m = 1 from block_denominator and the memory-ion
 formula, and applies the block stage only at its candidate columns. Noise
 enters a grid only through f_end, rci and the rate, so the optimizer
 re-noises one grid for each noise level instead of building another.
@@ -170,12 +178,25 @@ def _memory_ions(waits, spatial_mux, m):  # ion_budgets' n_m
 
 
 def block_success_prob(p, spatial_mux, time_mux, n_repeaters):
-    """Probability that all n+1 links herald at least one pair in one block."""
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"p must be in [0, 1], got {p}")
+    """Probability that all n+1 links herald at least one pair in one block.
+
+    Raises ValueError naming the first p outside [0, 1] (NaN included).
+    """
+    bad = ~((np.asarray(p) >= 0.0) & (p <= 1.0))
+    if bad.any():
+        first = np.flatnonzero(bad)[0]
+        where = f" at flat index {first}" if bad.ndim else ""
+        raise ValueError(f"p must be in [0, 1], got {np.ravel(p)[first]}{where}")
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf
+        return _block_success(np.log1p(-p), spatial_mux, time_mux, n_repeaters)
+
+
+def _block_success(log1m_p, spatial_mux, time_mux, n_repeaters):
+    """block_success_prob from log1m_p = log1p(-p), p in [0, 1]: the rate
+    model's block stage takes log1m_p from its row state unchecked."""
     # p = 0 and p = 1 come out exactly as 0 and 1 through the infinities
     with np.errstate(divide="ignore"):
-        per_link = -np.expm1(spatial_mux * time_mux * np.log1p(-p))
+        per_link = -np.expm1(spatial_mux * time_mux * log1m_p)
         return np.exp((n_repeaters + 1.0) * np.log(per_link))
 
 
@@ -244,6 +265,7 @@ class RowState:
     waits: np.ndarray  # formula group B2/C2, the rest blind
     n_o: np.ndarray
     p: np.ndarray
+    log1m_p: np.ndarray  # log1p(-p)
     f_end: np.ndarray
     rci: np.ndarray
 
@@ -273,17 +295,19 @@ def rate_grid(layout: ChainLayout, hw: HardwareProfile) -> RateGrid:
     return rate_blocks(rate_rows(layout, hw), layout, layout.time_mux, hw)
 
 
-def rate_rows(layout: ChainLayout, hw: HardwareProfile) -> RowState:
+def rate_rows(layout: ChainLayout, hw: HardwareProfile, tail=None) -> RowState:
     """The row stage: rate_grid's fields that do not depend on time_mux,
-    which this stage ignores."""
+    which this stage ignores. tail is noise_tail(layout.n_repeaters, hw),
+    computed here when None."""
     timing = derive_timing(layout, hw)
     tm = hw.timing
     waits = waits_for_herald(timing.heralding_time_s, tm.tau_g, tm.tau_o)
+    p = link_success_prob(hw.optical, layout.link_length_km)
     return RowState(
         timing=timing, waits=waits,
         n_o=_comm_ions(waits, timing.k_steps, timing.j_steps, layout.spatial_mux),
-        p=link_success_prob(hw.optical, layout.link_length_km),
-        **noise_tail(layout.n_repeaters, hw),
+        p=p, log1m_p=np.log1p(-p),
+        **(noise_tail(layout.n_repeaters, hw) if tail is None else tail),
     )
 
 
@@ -294,11 +318,12 @@ def rate_blocks(rows: RowState, layout: ChainLayout, time_mux,
     time_mux, which broadcast against the rows as rate_grid's would."""
     timing = rows.timing
     den_steps = block_denominator(rows.waits, timing.k_steps, time_mux, timing.j_steps)
-    block = block_success_prob(rows.p, layout.spatial_mux, time_mux, layout.n_repeaters)
+    block = _block_success(rows.log1m_p, layout.spatial_mux, time_mux, layout.n_repeaters)
     ideal = block / (den_steps * hw.timing.tau)
     return RateGrid(
-        timing=timing, waits=rows.waits, n_o=rows.n_o, p=rows.p, f_end=rows.f_end,
-        rci=rows.rci, den_steps=den_steps, mem_ok=memory_covers(hw, den_steps),
+        timing=timing, waits=rows.waits, n_o=rows.n_o, p=rows.p, log1m_p=rows.log1m_p,
+        f_end=rows.f_end, rci=rows.rci, den_steps=den_steps,
+        mem_ok=memory_covers(hw, den_steps),
         n_m=_memory_ions(rows.waits, layout.spatial_mux, time_mux), block=block,
         ideal=ideal, rate=noisy_rate(ideal, rows.rci),
     )

@@ -178,6 +178,17 @@ class TestConstraints:
         with pytest.raises(ValueError, match="l_km"):
             optimize_rate(l_km, 10, BASE)
 
+    @pytest.mark.parametrize("spatial_mux", [0, 2.5, 2 ** 30 + 1])
+    @pytest.mark.parametrize("call", [
+        lambda mux: optimize_rate(150.0, mux, BASE),
+        lambda mux: sweep_distance([100.0, 150.0], mux, BASE),
+        lambda mux: optimize_module.sweep_variants([100.0, 150.0], [(mux, BASE, None)]),
+        lambda mux: crossover_distance(mux, BASE),
+    ], ids=["optimize_rate", "sweep_distance", "sweep_variants", "crossover_distance"])
+    def test_spatial_mux_must_be_a_positive_count(self, call, spatial_mux):
+        with pytest.raises(ValueError, match="^spatial_mux must be a positive integer"):
+            call(spatial_mux)
+
     def test_fixed_n_and_fixed_l0_conflict(self):
         with pytest.raises(ValueError):
             Constraints(fixed_n=10, fixed_l0_km=15.0)
@@ -324,6 +335,13 @@ class TestScanOracle:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_problems())
     @example(DIP)
+    # a row below one step (c < 0) whose rate dips after m = 1 and rises
+    # again, never past m = 1: the optimum (1, 1)
+    @example((0.5, 10, BASE.updated(tau=10e-6), SearchBounds(60, 300), Constraints(fixed_n=1)))
+    # rci < 0 at n = 22, so every rate is 0 and the scan's tie breaks toward
+    # m = 1: the optimum (22, 1), which the columns lo and lo + 1 miss
+    @example((150.0, 10, BASE.updated(f0=0.99, eps_g=0.0), SearchBounds(600, 2000),
+              Constraints(fixed_n=22)))
     @example((150.0, 10, BASE, SearchBounds(600, 2000), Constraints()))
     # tau_m binds: the optimum (122, 22) is one of 13,513 evaluated points
     @example((150.0, 10, BASE.updated(tau_m=3e-4), SearchBounds(600, 2000), Constraints()))
@@ -369,8 +387,8 @@ class TestScanOracle:
         # rci is row state: a NaN there reaches every candidate cell of the row
         real = optimize_module.rate_rows
 
-        def nan_at_88(layout, hw):
-            rows = real(layout, hw)
+        def nan_at_88(layout, hw, tail=None):
+            rows = real(layout, hw, tail)
             rows.rci[np.broadcast_to(layout.n_repeaters == 88, rows.rci.shape)] = np.nan
             return rows
 
@@ -518,16 +536,16 @@ class TestSweepOracle:
 
     def test_passes_stay_small(self, monkeypatch):
         # three distances at the largest n_max: a pass each
-        rows, blocks = [], []  # rows per row stage, and block-stage calls
+        rows, blocks = [], []  # rows per row stage, and each block stage's (rows, columns)
         real_rows, real_blocks = optimize_module.rate_rows, optimize_module.rate_blocks
 
-        def counting(layout, hw):
+        def counting(layout, hw, tail=None):
             rows.append(len(layout.n_repeaters))
-            return real_rows(layout, hw)
+            return real_rows(layout, hw, tail)
 
-        def counting_blocks(*args):
-            blocks.append(1)
-            return real_blocks(*args)
+        def counting_blocks(rows_state, layout, time_mux, hw):
+            blocks.append(np.shape(time_mux))
+            return real_blocks(rows_state, layout, time_mux, hw)
 
         monkeypatch.setattr(optimize_module, "rate_rows", counting)
         # under both names, so that a rate_grid call's block stage counts too
@@ -545,7 +563,7 @@ class TestSweepOracle:
         assert all(row.result.evaluations == 100_001 * 1_000_000 for row in sweep)
         assert peak < 128 * 2 ** 20
         # 601 rows a distance: six distances to a pass, one row stage each,
-        # and one block stage, at the candidate columns only
+        # and one block stage, at the two candidate columns lo and lo + 1 only
         rows.clear()
         blocks.clear()
         tracemalloc.start()
@@ -555,14 +573,17 @@ class TestSweepOracle:
         finally:
             tracemalloc.stop()
         assert rows == [6 * 601, 4 * 601]
-        assert len(blocks) == 2
+        assert blocks == [(6 * 601, 2), (4 * 601, 2)]
         assert 6 * 601 <= optimize_module.PASS_ROWS
         assert peak < 2 * 2 ** 20
         rows.clear()
         blocks.clear()
         optimize_rate(150.0, 10, BASE)
         assert rows == [601]
-        assert len(blocks) == 1
+        assert blocks == [(601, 2)]
+        blocks.clear()
+        optimize_rate(*DIP)  # a row with c < 0: m = 1 is a candidate too
+        assert blocks == [(1, 3)]
 
 
 def assert_reports_are_scalar_evaluations(ls, spatial_mux, hw, results):

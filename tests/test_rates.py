@@ -215,6 +215,13 @@ class TestBlockSuccess:
         with pytest.raises(ValueError, match="p must be in \\[0, 1\\]"):
             block_success_prob(p, 2, 3, 2)
 
+    def test_an_array_error_is_one_line_naming_the_first_bad_p(self):
+        p = np.full(100, 0.25)
+        p[[37, 60]] = 1.5, -0.5
+        with pytest.raises(ValueError) as err:
+            block_success_prob(p, 2, 3, 2)
+        assert str(err.value) == "p must be in [0, 1], got 1.5 at flat index 37"
+
     @given(p=st.floats(1e-6, 1.0), m_s=st.integers(1, 20), m_t=st.integers(1, 20),
            n=st.integers(0, 20))
     def test_monotone_in_mux_and_p(self, p, m_s, m_t, n):
