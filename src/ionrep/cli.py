@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 from .figures import CSV_COLUMNS, FIGURES, curve_rows, curve_variant, reduce_row
 from .mcsim import SimConfig, run_protocol_sim, validate_stats
-from .model import ChainLayout, HardwareProfile, StepCountError, heralding_time
+from .model import ChainLayout, HardwareProfile, StepCountError, _check, heralding_time
 from .optimize import (
     Constraints,
     SearchBounds,
@@ -343,8 +343,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
     if l0_km is None:
         layout = make_layout(cfg, need_m=False)
         l0_km, blame = layout.link_length_km, "config field layout.l_km: "
-    if not 0 < l0_km < math.inf:
-        raise CliError(EXIT_CONFIG, f"l0_km must be positive and finite, got {l0_km}")
+    _check(0 < l0_km < math.inf, "l0_km", "positive and finite", l0_km)
     t = heralding_time(l0_km, hw.optical.refractive_index)
     # classification counts no steps, so only the reported T must be finite
     if not math.isfinite(t / US):

@@ -67,6 +67,7 @@ from .model import (
     ChainLayout,
     HardwareProfile,
     NoiseParams,
+    _check,
     derive_timing,
     link_success_prob,
     swap_survival_factor,
@@ -96,22 +97,21 @@ class SimConfig:
     trace: bool = False
 
     def __post_init__(self) -> None:
-        if self.j_steps < 1 or self.k_steps < 1:
-            raise ValueError(
-                f"j_steps and k_steps must be >= 1, got {self.j_steps}, {self.k_steps}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must be in [0, 1], got {self.p}")
-        if self.tau_s <= 0 or self.tau_o_s <= 0:
-            raise ValueError("tau_s and tau_o_s must be positive")
-        if self.num_blocks < 1:
-            raise ValueError(f"num_blocks must be >= 1, got {self.num_blocks}")
-        if self.n_comm_ions < 0 or self.n_mem_ions < 0:
-            raise ValueError("ion pools must be >= 0 (0 means unlimited)")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.layout.spatial_mux > DRAW_BYTES // 8:  # one row of draws fits the buffer
-            raise ValueError(f"spatial_mux must be <= {DRAW_BYTES // 8} to simulate, "
-                             f"got {self.layout.spatial_mux}")
+        _check(0.0 <= self.p <= 1.0, "p", "in [0, 1]", self.p)
+        _check(self.tau_s > 0, "tau_s", "positive", self.tau_s)
+        _check(self.tau_o_s > 0, "tau_o_s", "positive", self.tau_o_s)
+        # counts may pass model.MAX_COUNT: k_steps reaches MAX_STEPS, a pool of
+        # _UNLIMITED or more means unlimited, and a seed may be any integer >= 0
+        for name, low, rule in (("j_steps", 1, ">= 1"), ("k_steps", 1, ">= 1"),
+                                ("num_blocks", 1, ">= 1"),
+                                ("n_comm_ions", 0, ">= 0 (0 means unlimited)"),
+                                ("n_mem_ions", 0, ">= 0 (0 means unlimited)"),
+                                ("seed", 0, ">= 0")):
+            v = getattr(self, name)
+            _check(v >= low, name, rule, v)
+            _check(v % 1 == 0, name, "an integer", v)
+        mux = self.layout.spatial_mux  # one row of draws fits the buffer
+        _check(mux <= DRAW_BYTES // 8, "spatial_mux", f"<= {DRAW_BYTES // 8} to simulate", mux)
 
     @property
     def waits_for_herald(self) -> bool:
@@ -469,10 +469,8 @@ def sample_end_to_end_Q(n: int, noise: NoiseParams, trials: int,
     (at least one trial) at a time, in order, so the draw size changes no
     result.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    _check(trials >= 1, "trials", ">= 1", trials)
+    _check(n >= 0, "n", ">= 0", n)
     x = swap_survival_factor(noise)
     if abs(x) > 1.0:
         raise ValueError(f"survival factor x={x:.6g} outside [-1, 1]; "

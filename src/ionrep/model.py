@@ -15,6 +15,9 @@ Each parameter dataclass checks its fields when it is built (dataclasses.replace
 and HardwareProfile.updated included), so the formulas check only their plain
 arguments. ChainLayout._unchecked, for the optimizer's rows, built from
 inputs it has checked, is the one layout that skips its checks.
+Every field check, here and in SearchBounds, Constraints and SimConfig, goes
+through _check, which rejects NaN and, for counts, fractions, and names an
+array's first bad entry and its flat index, on one line.
 """
 
 from __future__ import annotations
@@ -51,10 +54,14 @@ class StepCountError(ValueError):
 
 
 def _check(ok, name: str, rule: str, value) -> None:
-    # the message is formatted only on failure: every layout the optimizer
-    # builds is checked, and an array value would print whole
+    # ok is the test a good value passes, which NaN fails; the message is
+    # formatted only on failure
     if not (ok if isinstance(ok, bool) else ok.all()):
-        raise ValueError(f"{name} must be {rule}, got {value}")
+        where = ""
+        if np.ndim(value):
+            first = np.flatnonzero(~np.asarray(ok))[0]
+            value, where = np.ravel(value)[first], f" at flat index {first}"
+        raise ValueError(f"{name} must be {rule}, got {value}{where}")
 
 
 def _check_count(name: str, v, low: int) -> None:

@@ -114,8 +114,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError, _check_count,
-                    fiber_transmissivity)
+from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError, _check,
+                    _check_count, fiber_transmissivity)
 from .rates import (InfeasibleError, RateGrid, RateReport, _memory_ions, block_denominator,
                     grid_reports, memory_covers, noise_tail, noisy_rate, plob_bound,
                     rate_blocks, rate_rows)
@@ -137,13 +137,12 @@ class SearchBounds:
     m_max: int = 2000
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_max <= MAX_SEARCH_N:
-            raise ValueError(
-                f"bounds.n_max must be in [0, {MAX_SEARCH_N}], got {self.n_max}")
-        if self.m_max < 1:
-            raise ValueError(f"bounds.m_max must be >= 1, got {self.m_max}")
-        if self.m_max > MAX_COUNT:
-            raise ValueError(f"bounds.m_max must be at most {MAX_COUNT}, got {self.m_max}")
+        n_max, m_max = self.n_max, self.m_max
+        _check(0 <= n_max <= MAX_SEARCH_N, "bounds.n_max", f"in [0, {MAX_SEARCH_N}]", n_max)
+        _check(n_max % 1 == 0, "bounds.n_max", "an integer", n_max)
+        _check(m_max >= 1, "bounds.m_max", ">= 1", m_max)
+        _check(m_max <= MAX_COUNT, "bounds.m_max", f"at most {MAX_COUNT}", m_max)
+        _check(m_max % 1 == 0, "bounds.m_max", "an integer", m_max)
 
 
 @dataclass(frozen=True)
@@ -159,14 +158,17 @@ class Constraints:
             raise ValueError("at most one of fixed_l0_km and fixed_n may be set")
         for name in ("n_o_max", "n_m_max"):
             v = getattr(self, name)
-            if v is not None and v < 1:
-                raise ValueError(f"{name} must be positive, got {v}")
-        if self.fixed_l0_km is not None and self.fixed_l0_km <= 0:
-            raise ValueError(f"fixed_l0_km must be positive, got {self.fixed_l0_km}")
-        if self.fixed_n is not None and not 0 <= self.fixed_n <= MAX_COUNT:
-            raise ValueError(f"fixed_n must be in [0, {MAX_COUNT}], got {self.fixed_n}")
-        if self.tau_min is not None and self.tau_min <= 0:
-            raise ValueError(f"tau_min must be positive, got {self.tau_min}")
+            if v is not None:
+                _check(v >= 1, name, "positive", v)
+                _check(v % 1 == 0, name, "an integer", v)
+        if self.fixed_l0_km is not None:
+            _check(self.fixed_l0_km > 0, "fixed_l0_km", "positive", self.fixed_l0_km)
+        if self.fixed_n is not None:
+            _check(0 <= self.fixed_n <= MAX_COUNT, "fixed_n", f"in [0, {MAX_COUNT}]",
+                   self.fixed_n)
+            _check(self.fixed_n % 1 == 0, "fixed_n", "an integer", self.fixed_n)
+        if self.tau_min is not None:
+            _check(self.tau_min > 0, "tau_min", "positive", self.tau_min)
 
     @property
     def pinned(self) -> bool:
@@ -414,8 +416,7 @@ def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
         rows, error = [], None
         for l_km in ls[start:start + per_pass]:
             try:
-                if not 0.0 < l_km < math.inf:
-                    raise ValueError(f"l_km must be positive and finite, got {l_km}")
+                _check(0.0 < l_km < math.inf, "l_km", "positive and finite", l_km)
                 # a clock below tau_min rules out every point before any is evaluated
                 rows.append(tau_min_error or _candidate_ns(l_km, bounds, constraints))
             except ValueError as err:
@@ -518,8 +519,7 @@ def distance_grid(l_min_km: float, l_max_km: float, l_step_km: float) -> list[fl
     """
     for name, v in (("l_min_km", l_min_km), ("l_max_km", l_max_km),
                     ("l_step_km", l_step_km)):
-        if not 0.0 < v < math.inf:
-            raise ValueError(f"{name} must be positive and finite, got {v}")
+        _check(0.0 < v < math.inf, name, "positive and finite", v)
     if l_max_km < l_min_km:
         raise ValueError(f"l_max_km must be >= l_min_km, got {l_max_km} < {l_min_km}")
     grid: list[float] = []

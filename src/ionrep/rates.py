@@ -35,13 +35,12 @@ link_success_prob, and the optimizer derives its lam = -M log1p(-p) from
 the same log1m_p.
 
 rate_grid is the row stage followed by the block stage. A RateGrid is a
-RowState with the block fields added, so the block stage also takes a
-RateGrid as its row state. The optimizer runs the row stage once per pass,
-with the noise fields it computed once per distinct repeater count, takes
-den_steps and n_m at m = 1 from block_denominator and the memory-ion
-formula, and applies the block stage only at its candidate columns. Noise
-enters a grid only through f_end, rci and the rate, so the optimizer
-re-noises one grid for each noise level instead of building another.
+RowState with the block fields added. The optimizer runs the row stage once
+per pass, with the noise fields it computed once per distinct repeater
+count, takes den_steps and n_m at m = 1 from block_denominator and the
+memory-ion formula, and applies the block stage only at its candidate
+columns. Noise enters a grid only through f_end, rci and the rate, so the
+optimizer re-noises one grid for each noise level instead of building another.
 grid_reports reads reports straight from a grid's fields at flat cell
 indices, a one-column row field by the cell's row: evaluate_rate passes
 the one cell of rate_grid on the caller's own layout, which runs a grid
@@ -63,6 +62,7 @@ from .model import (
     DerivedTiming,
     HardwareProfile,
     TimingParams,
+    _check,
     derive_timing,
     end_to_end_fidelity,
     link_success_prob,
@@ -182,11 +182,7 @@ def block_success_prob(p, spatial_mux, time_mux, n_repeaters):
 
     Raises ValueError naming the first p outside [0, 1] (NaN included).
     """
-    bad = ~((np.asarray(p) >= 0.0) & (p <= 1.0))
-    if bad.any():
-        first = np.flatnonzero(bad)[0]
-        where = f" at flat index {first}" if bad.ndim else ""
-        raise ValueError(f"p must be in [0, 1], got {np.ravel(p)[first]}{where}")
+    _check((p >= 0.0) & (p <= 1.0), "p", "in [0, 1]", p)
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf
         return _block_success(np.log1p(-p), spatial_mux, time_mux, n_repeaters)
 
@@ -202,8 +198,7 @@ def _block_success(log1m_p, spatial_mux, time_mux, n_repeaters):
 
 def plob_bound(eta: float, spatial_mux: int, tau_s: float) -> float:
     """Repeaterless capacity of M parallel pure-loss channels, in ebits/s."""
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"transmissivity must be in (0, 1), got {eta}")
+    _check(0.0 < eta < 1.0, "transmissivity", "in (0, 1)", eta)
     return -spatial_mux / tau_s * math.log1p(-eta) / math.log(2.0)
 
 
@@ -215,8 +210,7 @@ def reference_rates(n: int, m: int, spatial_mux: int, p: float, q: float,
     R2 pools m cycles, and R combines both poolings. q is the memory-swap
     success probability per node (1 for deterministic ion-ion gates).
     """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q must be in [0, 1], got {q}")
+    _check(0.0 <= q <= 1.0, "q", "in [0, 1]", q)
     qn = q ** n
     r0 = p ** (n + 1) * qn / tau_s
     r1 = block_success_prob(p, spatial_mux, 1, n) * qn / tau_s
@@ -313,9 +307,9 @@ def rate_rows(layout: ChainLayout, hw: HardwareProfile, tail=None) -> RowState:
 
 def rate_blocks(rows: RowState, layout: ChainLayout, time_mux,
                 hw: HardwareProfile) -> RateGrid:
-    """The block stage: rows (a RowState, or a RateGrid at other block
-    lengths) of layout's n_repeaters and spatial_mux, at block lengths
-    time_mux, which broadcast against the rows as rate_grid's would."""
+    """The block stage: rows, a RowState of layout's n_repeaters and
+    spatial_mux, at block lengths time_mux, which broadcast against the
+    rows as rate_grid's would."""
     timing = rows.timing
     den_steps = block_denominator(rows.waits, timing.k_steps, time_mux, timing.j_steps)
     block = _block_success(rows.log1m_p, layout.spatial_mux, time_mux, layout.n_repeaters)

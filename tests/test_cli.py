@@ -379,6 +379,12 @@ class TestSimulate:
         assert code == 2
         assert "seed must be >= 0" in err
 
+    def test_negative_pool_names_field_on_one_line(self, capsys):
+        code, _, err = run(capsys, *self.SIM, "--n-comm-ions", "-1")
+        assert code == 2
+        assert err.count("\n") == 1
+        assert "n_comm_ions must be >= 0" in err
+
     def test_spatial_mux_past_one_draw_row_names_field(self, capsys):
         code, _, err = run(capsys, "simulate", "--spatial-mux", "131073", "--n", "0",
                            "--time-mux", "1", "--num-blocks", "1")

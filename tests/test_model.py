@@ -256,6 +256,18 @@ class TestValidation:
         assert ChainLayout(150.0, 87).n_links == 88
         assert ChainLayout(150.0, 87).link_length_km == pytest.approx(150.0 / 88)
 
+    def test_an_array_error_is_one_line_naming_the_first_bad_entry(self):
+        l_km = np.full((100, 1), 10.0)
+        l_km[37] = -1
+        with pytest.raises(ValueError) as err:
+            ChainLayout(l_km, 1)
+        assert str(err.value) == "total_distance_km must be positive, got -1.0 at flat index 37"
+        f = np.full(100, 0.9)
+        f[[37, 60]] = 1.5, math.nan
+        with pytest.raises(ValueError) as err:
+            WernerState(f)
+        assert str(err.value) == "fidelity must be in [0, 1], got 1.5 at flat index 37"
+
     def test_profile_updated_routes_fields(self):
         hw = HardwareProfile().updated(eps_g=1e-3, tau_g=10e-6)
         assert hw.noise.eps_g == 1e-3

@@ -8,6 +8,7 @@ search is also checked against an exhaustive scan of the whole grid.
 import math
 import re
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -211,6 +212,38 @@ class TestConstraints:
     def test_pinned_repeater_count_is_bounded(self, cons, match):
         with pytest.raises(ValueError, match=match):
             optimize_rate(150.0, 10, BASE, constraints=Constraints(**cons))
+
+    @pytest.mark.parametrize("cons, message", [
+        (dict(tau_min=math.nan), "tau_min must be positive, got nan"),
+        (dict(fixed_l0_km=math.nan), "fixed_l0_km must be positive, got nan"),
+        (dict(n_o_max=math.nan), "n_o_max must be positive, got nan"),
+        (dict(n_m_max=math.nan), "n_m_max must be positive, got nan"),
+        (dict(fixed_n=math.nan), "fixed_n must be in [0, 1073741824], got nan"),
+        (dict(n_o_max=125.5), "n_o_max must be an integer, got 125.5"),
+        (dict(n_m_max=300.5), "n_m_max must be an integer, got 300.5"),
+        (dict(fixed_n=87.5), "fixed_n must be an integer, got 87.5"),
+    ])
+    def test_nan_and_fractional_fields_rejected(self, cons, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                Constraints(**cons)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("bounds, message", [
+        (dict(n_max=20.5), "bounds.n_max must be an integer, got 20.5"),
+        (dict(n_max=-0.5), "bounds.n_max must be in [0, 100000], got -0.5"),
+        (dict(n_max=math.nan), "bounds.n_max must be in [0, 100000], got nan"),
+        (dict(m_max=100.5), "bounds.m_max must be an integer, got 100.5"),
+        (dict(m_max=math.nan), "bounds.m_max must be >= 1, got nan"),
+        (dict(m_max=math.inf), "bounds.m_max must be at most 1073741824, got inf"),
+    ])
+    def test_search_bounds_reject_nan_and_fractional_counts(self, bounds, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                SearchBounds(**bounds)
+        assert str(err.value) == message
 
     def test_comm_ion_cap_moves_the_optimum(self):
         res = optimize_rate(150.0, 10, BASE, constraints=Constraints(n_o_max=125))

@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -91,7 +92,7 @@ class TestConfigValidation:
             oracle_config(num_blocks=0)
 
     def test_rejects_negative_pool(self):
-        with pytest.raises(ValueError, match="pools"):
+        with pytest.raises(ValueError, match="n_comm_ions"):
             oracle_config(n_comm_ions=-1)
 
     def test_rejects_a_mode_row_past_the_draw_buffer(self):
@@ -105,8 +106,33 @@ class TestConfigValidation:
     @pytest.mark.parametrize("times", [dict(tau_s=0.0), dict(tau_s=-US),
                                        dict(tau_o_s=0.0), dict(tau_o_s=-US)])
     def test_rejects_non_positive_times(self, times):
-        with pytest.raises(ValueError, match="tau_s and tau_o_s must be positive"):
+        with pytest.raises(ValueError, match=f"{next(iter(times))} must be positive"):
             oracle_config(**times)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("j_steps", 1.5, "j_steps must be an integer, got 1.5"),
+        ("k_steps", math.nan, "k_steps must be >= 1, got nan"),
+        ("num_blocks", 2.5, "num_blocks must be an integer, got 2.5"),
+        ("n_comm_ions", 2.5, "n_comm_ions must be an integer, got 2.5"),
+        ("n_comm_ions", math.nan, "n_comm_ions must be >= 0 (0 means unlimited), got nan"),
+        ("n_mem_ions", 2.5, "n_mem_ions must be an integer, got 2.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", math.nan, "seed must be >= 0, got nan"),
+        ("p", math.nan, "p must be in [0, 1], got nan"),
+        ("tau_s", math.nan, "tau_s must be positive, got nan"),
+        ("tau_o_s", math.nan, "tau_o_s must be positive, got nan"),
+    ])
+    def test_rejects_nan_and_fractional_counts_naming_the_field(self, field, value,
+                                                               message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as err:
+                oracle_config(**{field: value})
+        assert str(err.value) == message
+
+    def test_counts_past_max_count_are_accepted(self):
+        # k_steps reaches MAX_STEPS = 2**31, and a seed may be any integer >= 0
+        oracle_config(k_steps=2 ** 31, seed=2 ** 64, n_comm_ions=2 ** 40)
 
 
 class TestClosedFormAgreement:
