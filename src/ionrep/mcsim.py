@@ -224,9 +224,10 @@ def _event_steps(m: int, events) -> list[int]:
 
 
 def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
-               collect_trace: bool):
+               trace: Optional[list[str]]):
     """A sub-batch: cb blocks run side by side, drawing their rows next from
-    rng, their chunk's generator."""
+    rng, their chunk's generator. Given a trace list, block 0's lines are
+    appended to it at the end of each event step, read from its counts."""
     lay = config.layout
     n_links = lay.n_links
     m, big_m = lay.time_mux, lay.spatial_mux
@@ -251,19 +252,7 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
     freed_m = np.empty_like(used_mem)
     want_init = np.full((n_links, cb), big_m, dtype=np.int32)
     peaks = np.zeros(3, dtype=np.int64)
-    trace: list[str] = []
-
-    def note(step: int, event: str, vals: np.ndarray, right=None) -> None:
-        """Trace block 0's per-node counts; given right, vals and right are
-        per-link sides, folded to nodes."""
-        if not collect_trace:
-            return
-        if right is not None:
-            vals, left = np.zeros((n_links + 1, 1), dtype=np.int64), vals
-            _fold(vals, left[:, :1], right[:, :1])
-        for node, count in enumerate(vals[:, 0]):
-            if count:
-                trace.append(f"{step},{node},{event},{int(count)}")
+    her_before = np.zeros(n_links + 1, dtype=np.int32)  # block 0's, at the last event step
 
     steps = _event_steps(m, (e1, e2))
     for t, upto in zip(steps, [*steps[1:], steps[-1] + 1]):
@@ -285,7 +274,6 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
                 _fold(loaded[s], at_left, at_right)  # each slot loads once
                 used_mem += loaded[s]
                 loads = True
-                note(t, "load_mem", loaded[s])
         # second events run after first ones: blind with k <= j, both land on
         # the same step and the heralds are already in hand when the gate ends
         s = t - e2
@@ -298,8 +286,6 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
                 _fold(heralded, pair_ok, pair_ok)
                 loads = True
                 np.logical_or(link_ok, pair_ok, out=link_ok)
-                note(t, "load_mem", pair_ok, pair_ok)
-                note(t, "herald", pair_ok, pair_ok)
             else:
                 # keep one surviving pair per link, free the rest of the loads
                 surv = fsi[s] < kept[s]
@@ -307,28 +293,36 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
                 held = freed_m  # zero until now: only this event frees memory
                 _fold(held, surv, surv)
                 heralded += held
-                note(t, "herald", held)
                 np.subtract(loaded[s], held, out=freed_m)
 
         used_comm -= freed_c
         used_mem -= freed_m
-        note(t, "free_comm", freed_c)
-        note(t, "free_mem", freed_m)
 
         if t < m:  # only inits raise the comm count
             _, _, att[t] = _grant(want_init, used_comm, pool_c)
             _fold(used_comm, att[t], att[t])
-            note(t, "init", att[t], att[t])
             peaks[0] = max(peaks[0], int(used_comm.max()))
         # only a load raises the memory count; read at the step's end, as a
         # blind step frees loads after adding them
         if loads:
             peaks[1] = max(peaks[1], int(used_mem.max()))
-        if collect_trace:  # this step's gauges, held until the next event
-            for u in range(t, upto):
-                note(u, "comm_loaded", used_comm)
-                note(u, "mem_loaded", used_mem)
-                note(u, "heralded", heralded)
+        if trace is not None:  # block 0 is column 0; each event comes once a step
+            herald = heralded[:, 0] - her_before
+            her_before = heralded[:, 0].copy()
+            init = np.zeros_like(herald)
+            if t < m:
+                _fold(init, att[t, :, 0], att[t, :, 0])
+            s = t - e1  # wait loads come with the herald, blind ones at the first event
+            load = herald if wait else loaded[s, :, 0] if 0 <= s < m else 0 * init
+            lines = [(t, "load_mem", load), (t, "herald", herald),
+                     (t, "free_comm", freed_c[:, 0]), (t, "free_mem", freed_m[:, 0]),
+                     (t, "init", init)]
+            # this step's gauges, held until the next event
+            lines += [(u, event, vals[:, 0]) for u in range(t, upto) for event, vals in
+                      (("comm_loaded", used_comm), ("mem_loaded", used_mem),
+                       ("heralded", heralded))]
+            trace.extend(f"{u},{node},{event},{count}" for u, event, vals in lines
+                         for node, count in enumerate(vals.tolist()) if count)
 
     peaks[2] = heralded.max()  # heralded pairs are never freed within a block
     successes = int(link_ok.all(axis=0).sum())
@@ -340,7 +334,7 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
         dropped_mem = int(kept.sum() - heralded.sum() // 2)
     else:
         dropped_mem = int(2 * att.sum() - loaded.sum())
-    return successes, peaks, dropped_comm, dropped_mem, trace
+    return successes, peaks, dropped_comm, dropped_mem
 
 
 def run_protocol_sim(config: SimConfig) -> SimStats:
@@ -359,19 +353,17 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     dropped_c = 0
     dropped_m = 0
     peaks = np.zeros(3, dtype=np.int64)
-    trace: Optional[list[str]] = ["step,node,event,count"] if config.trace else None
+    trace = ["step,node,event,count"] if config.trace else None
     for c, first in enumerate(range(0, total, CHUNK_BLOCKS)):
         rng = np.random.default_rng([config.seed, c])
         cb = min(CHUNK_BLOCKS, total - first)
         for lo in range(0, cb, per):
-            s, pk, dc, dm, tr = _run_batch(config, rng, min(per, cb - lo),
-                                           collect_trace=config.trace and first + lo == 0)
+            s, pk, dc, dm = _run_batch(config, rng, min(per, cb - lo),
+                                       trace if first + lo == 0 else None)
             successes += s
             dropped_c += dc
             dropped_m += dm
             peaks = np.maximum(peaks, pk)
-            if trace is not None:
-                trace.extend(tr)
 
     steps = config.block_steps
     return SimStats(
