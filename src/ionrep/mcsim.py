@@ -254,8 +254,7 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
     peaks = np.zeros(3, dtype=np.int64)
     her_before = np.zeros(n_links + 1, dtype=np.int32)  # block 0's, at the last event step
 
-    steps = _event_steps(m, (e1, e2))
-    for t, upto in zip(steps, [*steps[1:], steps[-1] + 1]):
+    for t in _event_steps(m, (e1, e2)):
         freed_c.fill(0)
         freed_m.fill(0)
         loads = False
@@ -314,14 +313,12 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
                 _fold(init, att[t, :, 0], att[t, :, 0])
             s = t - e1  # wait loads come with the herald, blind ones at the first event
             load = herald if wait else loaded[s, :, 0] if 0 <= s < m else 0 * init
-            lines = [(t, "load_mem", load), (t, "herald", herald),
-                     (t, "free_comm", freed_c[:, 0]), (t, "free_mem", freed_m[:, 0]),
-                     (t, "init", init)]
-            # this step's gauges, held until the next event
-            lines += [(u, event, vals[:, 0]) for u in range(t, upto) for event, vals in
-                      (("comm_loaded", used_comm), ("mem_loaded", used_mem),
-                       ("heralded", heralded))]
-            trace.extend(f"{u},{node},{event},{count}" for u, event, vals in lines
+            # then this step's gauges, which hold until the next event step
+            lines = (("load_mem", load), ("herald", herald), ("free_comm", freed_c[:, 0]),
+                     ("free_mem", freed_m[:, 0]), ("init", init),
+                     ("comm_loaded", used_comm[:, 0]), ("mem_loaded", used_mem[:, 0]),
+                     ("heralded", heralded[:, 0]))
+            trace.extend(f"{t},{node},{event},{count}" for event, vals in lines
                          for node, count in enumerate(vals.tolist()) if count)
 
     peaks[2] = heralded.max()  # heralded pairs are never freed within a block
@@ -342,9 +339,10 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
 
     Pool exhaustion never aborts a block; starved attempts are counted in
     dropped_comm / dropped_mem. The optional trace covers block 0 only, as
-    CSV lines "step,node,event,count"; a zero count is never written. The
-    gauges comm_loaded, mem_loaded and heralded are written at every step up
-    to the block's last event step, the other events only at their own steps.
+    CSV lines "step,node,event,count"; a zero count is never written. Lines
+    are written at event steps only, at most 3m of them whatever the clock:
+    a step's events, then the gauges comm_loaded, mem_loaded and heralded,
+    which hold until the next event step, as no count changes in between.
     """
     total = config.num_blocks
     lay = config.layout

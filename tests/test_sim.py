@@ -351,7 +351,7 @@ class TestSeededPins:
         assert run_protocol_sim(cfg) == expected
 
     def test_blind_two_repeaters_both_pools_capped(self):
-        # block 0's 143 trace lines are pinned by their sha256
+        # block 0's 131 trace lines are pinned by their sha256
         stats = run_protocol_sim(SimConfig(
             ChainLayout(30.0, 2, 3, 4), j_steps=1, k_steps=8, tau_s=US,
             tau_o_s=5 * US, p=0.6, n_comm_ions=5, n_mem_ions=10, num_blocks=200,
@@ -362,7 +362,7 @@ class TestSeededPins:
             empirical_block_success=0.935, empirical_rate=71923.07692307692,
             peak_comm_loaded=5, peak_mem_loaded=10, peak_heralded=4,
             dropped_comm=1600, dropped_mem=3600,
-            trace="4df532b0bc7d30d98e8934a1d1c05f46b372cd39b70af721d0317a9cbb34ccf6")
+            trace="edfca12f2703d1efe6fd590fd915d7b98b932af7e03e3557a68cfa2afc6d7ea3")
 
 
 class TestDrawSlices:
@@ -422,7 +422,8 @@ class TestEventSteps:
     def test_trace_changes_no_stats(self, n, big_m, m, j, k, tau_o_us, p, pool_c, pool_m,
                                     blocks, seed):
         # quiet steps change nothing: walking every step gives the same stats
-        # and the same trace, whose quiet steps repeat the held gauges
+        # and the same trace once each event step's gauges are repeated at the
+        # quiet steps up to the next event step
         cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
                         tau_o_s=tau_o_us * US, p=p, n_comm_ions=pool_c,
                         n_mem_ions=pool_m, num_blocks=blocks, seed=seed, trace=True)
@@ -431,13 +432,24 @@ class TestEventSteps:
             patch.setattr(mcsim, "_event_steps", lambda *a: range(event_steps(*a)[-1] + 1))
             every_step = run_protocol_sim(cfg)
         traced = run_protocol_sim(cfg)
-        assert traced == every_step
+        steps = event_steps(m, slot_events(cfg.waits_for_herald, k, j))
+        by_step = {}
+        for line in traced.trace[1:]:
+            by_step.setdefault(int(line.split(",")[0]), []).append(line)
+        assert set(by_step) <= set(steps)
+        expanded = traced.trace[:1]
+        for t, upto in zip(steps, [*steps[1:], steps[-1] + 1]):
+            lines = by_step.get(t, [])
+            gauges = [line.split(",", 1)[1] for line in lines
+                      if line.split(",")[2] in ("comm_loaded", "mem_loaded", "heralded")]
+            expanded += lines + [f"{u},{g}" for u in range(t + 1, upto) for g in gauges]
+        assert dataclasses.replace(traced, trace=expanded) == every_step
         untraced = run_protocol_sim(dataclasses.replace(cfg, trace=False))
         assert dataclasses.replace(traced, trace=None) == untraced
 
     def test_traced_long_clock_runs_only_its_events(self, monkeypatch):
         # simulate --tau-us 0.01 --n 3 --time-mux 3 --spatial-mux 3 --num-blocks 8192
-        # --trace: 18,590 steps a block, 92,030 trace lines, 9 steps run
+        # --trace: 18,590 steps a block, 9 steps run, 120 trace lines written at them
         cfg = SimConfig.from_profile(ChainLayout(150, 3, 3, 3),
                                      HardwareProfile().updated(tau=1e-8),
                                      num_blocks=8192, trace=True)
@@ -446,11 +458,21 @@ class TestEventSteps:
         monkeypatch.setattr(mcsim, "_event_steps",
                             lambda *args: runs.append(event_steps(*args)) or runs[-1])
         stats = run_protocol_sim(cfg)
-        assert (cfg.k_steps, stats.block_steps, len(stats.trace)) == (18_388, 18_590, 92_031)
+        assert (cfg.k_steps, stats.block_steps, len(stats.trace)) == (18_388, 18_590, 121)
         assert [len(steps) for steps in runs] == [9]
         text = "\n".join(stats.trace) + "\n"  # the bytes simulate --trace writes
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "f67077575dd5c9d986531d1e0f40ac41ec3616fe0144501b660ae937fb43c9d2")
+            "3fb4927542736b1939ca97a2e0b9ce60cbb29246822964590918cfc5651eb205")
+
+    @pytest.mark.parametrize("tau_o_s, wait, lines", [(1.0, True, 141), (US, False, 149)])
+    def test_trace_length_does_not_grow_with_the_clock(self, tau_o_s, wait, lines):
+        # lines are written at event steps only, so a clock 100 times longer
+        # writes as many; p = 1 fills every slot
+        for k in (3_000, 300_000):
+            cfg = SimConfig(ChainLayout(20.0, 2, 3, 4), j_steps=2, k_steps=k, tau_s=US,
+                            tau_o_s=tau_o_s, p=1.0, trace=True)
+            assert cfg.waits_for_herald == wait
+            assert len(run_protocol_sim(cfg).trace) == lines
 
     def test_long_clock_runs_only_its_events(self):
         # 18.6 million steps a block, of which 9 can change a count
