@@ -68,6 +68,7 @@ from .model import (
     HardwareProfile,
     NoiseParams,
     _check,
+    _store_int,
     derive_timing,
     link_success_prob,
     swap_survival_factor,
@@ -110,6 +111,7 @@ class SimConfig:
             v = getattr(self, name)
             _check(v >= low, name, rule, v)
             _check(v % 1 == 0, name, "an integer", v)
+            _store_int(self, name)
         mux = self.layout.spatial_mux  # one row of draws fits the buffer
         _check(mux <= DRAW_BYTES // 8, "spatial_mux", f"<= {DRAW_BYTES // 8} to simulate", mux)
 

@@ -17,7 +17,8 @@ arguments. ChainLayout._unchecked, for the optimizer's rows, built from
 inputs it has checked, is the one layout that skips its checks.
 Every field check, here and in SearchBounds, Constraints and SimConfig, goes
 through _check, which rejects NaN and, for counts, fractions, and names an
-array's first bad entry and its flat index, on one line.
+array's first bad entry and its flat index, on one line. A scalar count that
+passes is stored as an int by _store_int, so 4.0 and np.int64(4) give 4.
 """
 
 from __future__ import annotations
@@ -69,6 +70,14 @@ def _check_count(name: str, v, low: int) -> None:
     kind = "nonnegative" if low == 0 else "positive"
     _check((v % 1 == 0) & (v >= low) & (v <= MAX_COUNT), name,
            f"a {kind} integer <= {MAX_COUNT}", v)
+
+
+def _store_int(obj, name: str) -> None:
+    """Store obj's field name, a count its checks passed, as an int where it
+    is a scalar of another type (4.0, np.int64(4)); an array stays as it is."""
+    v = getattr(obj, name)
+    if type(v) is not int and np.ndim(v) == 0:
+        object.__setattr__(obj, name, int(v))
 
 
 @dataclass(frozen=True)
@@ -191,6 +200,7 @@ class ChainLayout:
                self.total_distance_km)
         for name, low in (("n_repeaters", 0), ("spatial_mux", 1), ("time_mux", 1)):
             _check_count(name, getattr(self, name), low)
+            _store_int(self, name)
 
     @classmethod
     def _unchecked(cls, total_distance_km, n_repeaters, spatial_mux) -> "ChainLayout":

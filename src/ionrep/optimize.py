@@ -115,7 +115,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError, _check,
-                    _check_count, fiber_transmissivity)
+                    _check_count, _store_int, fiber_transmissivity)
 from .rates import (InfeasibleError, RateGrid, RateReport, _memory_ions, block_denominator,
                     grid_reports, memory_covers, noise_tail, noisy_rate, plob_bound,
                     rate_blocks, rate_rows)
@@ -143,6 +143,8 @@ class SearchBounds:
         _check(m_max >= 1, "bounds.m_max", ">= 1", m_max)
         _check(m_max <= MAX_COUNT, "bounds.m_max", f"at most {MAX_COUNT}", m_max)
         _check(m_max % 1 == 0, "bounds.m_max", "an integer", m_max)
+        _store_int(self, "n_max")
+        _store_int(self, "m_max")
 
 
 @dataclass(frozen=True)
@@ -161,12 +163,14 @@ class Constraints:
             if v is not None:
                 _check(v >= 1, name, "positive", v)
                 _check(v % 1 == 0, name, "an integer", v)
+                _store_int(self, name)
         if self.fixed_l0_km is not None:
             _check(self.fixed_l0_km > 0, "fixed_l0_km", "positive", self.fixed_l0_km)
         if self.fixed_n is not None:
             _check(0 <= self.fixed_n <= MAX_COUNT, "fixed_n", f"in [0, {MAX_COUNT}]",
                    self.fixed_n)
             _check(self.fixed_n % 1 == 0, "fixed_n", "an integer", self.fixed_n)
+            _store_int(self, "fixed_n")
         if self.tau_min is not None:
             _check(self.tau_min > 0, "tau_min", "positive", self.tau_min)
 

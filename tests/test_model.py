@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ionrep import (Constraints, SearchBounds, SimConfig, evaluate_rate, optimize_rate,
+                    run_protocol_sim)
 from ionrep.model import (
     ChainLayout,
     HardwareProfile,
@@ -267,6 +269,44 @@ class TestValidation:
         with pytest.raises(ValueError) as err:
             WernerState(f)
         assert str(err.value) == "fidelity must be in [0, 1], got 1.5 at flat index 37"
+
+    @pytest.mark.parametrize("cast", [float, np.int64])
+    @pytest.mark.parametrize("make, run, fields", [
+        pytest.param(lambda c: ChainLayout(20.0, c(1), 2, 4), "simulate", ["n_repeaters"],
+                     id="layout-n"),
+        pytest.param(lambda c: ChainLayout(20.0, 1, c(2), 4), "simulate", ["spatial_mux"],
+                     id="layout-M"),
+        pytest.param(lambda c: ChainLayout(20.0, 1, 2, c(4)), "simulate", ["time_mux"],
+                     id="layout-m"),
+        pytest.param(lambda c: ChainLayout(150.0, c(87), c(10), c(22)), "evaluate",
+                     ["n_repeaters", "spatial_mux", "time_mux"], id="layout-report"),
+        pytest.param(lambda c: SearchBounds(c(100), c(50)), "bounds", ["n_max", "m_max"],
+                     id="bounds"),
+        pytest.param(lambda c: Constraints(n_m_max=c(300)), "constraints", ["n_m_max"],
+                     id="n_m_max"),
+        pytest.param(lambda c: Constraints(n_o_max=c(200)), "constraints", ["n_o_max"],
+                     id="n_o_max"),
+        pytest.param(lambda c: Constraints(fixed_n=c(87)), "constraints", ["fixed_n"],
+                     id="fixed_n"),
+        pytest.param(lambda c: SimConfig(ChainLayout(20.0, 1, 2, 4), j_steps=c(1),
+                                         k_steps=c(3), tau_s=1e-6, tau_o_s=5e-6, p=0.3,
+                                         n_comm_ions=c(6), n_mem_ions=c(5),
+                                         num_blocks=c(10), seed=c(3)),
+                     "run", ["j_steps", "k_steps", "n_comm_ions", "n_mem_ions", "num_blocks",
+                             "seed"], id="sim-config"),
+    ])
+    def test_an_integral_count_is_stored_as_an_int(self, make, run, fields, cast):
+        # 4.0 or np.int64(4) gives what 4 gives, down to each result's repr
+        hw = HardwareProfile()
+        run = {"simulate": lambda lay: run_protocol_sim(SimConfig.from_profile(lay, hw, 10)),
+               "evaluate": lambda lay: evaluate_rate(lay, hw).to_dict(),
+               "bounds": lambda bounds: optimize_rate(150.0, 10, hw, bounds),
+               "constraints": lambda cons: optimize_rate(150.0, 10, hw, constraints=cons),
+               "run": run_protocol_sim}[run]
+        got, twin = make(cast), make(int)
+        assert [type(getattr(got, name)) for name in fields] == [int] * len(fields)
+        assert run(got) == run(twin)
+        assert repr(run(got)) == repr(run(twin))
 
     def test_profile_updated_routes_fields(self):
         hw = HardwareProfile().updated(eps_g=1e-3, tau_g=10e-6)
