@@ -254,7 +254,7 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
     freed_m = np.empty_like(used_mem)
     want_init = np.full((n_links, cb), big_m, dtype=np.int32)
     peaks = np.zeros(3, dtype=np.int64)
-    her_before = np.zeros(n_links + 1, dtype=np.int32)  # block 0's, at the last event step
+    her_before = np.zeros(n_links + 1, dtype=np.int32)  # block 0's heralded, a step back
 
     for t in _event_steps(m, (e1, e2)):
         freed_c.fill(0)
@@ -314,7 +314,7 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
             if t < m:
                 _fold(init, att[t, :, 0], att[t, :, 0])
             s = t - e1  # wait loads come with the herald, blind ones at the first event
-            load = herald if wait else loaded[s, :, 0] if 0 <= s < m else 0 * init
+            load = herald if wait else loaded[s, :, 0] if 0 <= s < m else np.zeros_like(init)
             # then this step's gauges, which hold until the next event step
             lines = (("load_mem", load), ("herald", herald), ("free_comm", freed_c[:, 0]),
                      ("free_mem", freed_m[:, 0]), ("init", init),
