@@ -34,25 +34,34 @@ bit-identical for a given (config, seed) no matter how chunks are scheduled.
 
 Memory: a chunk is the unit of seeding and a sub-batch the unit of state. A
 chunk's blocks run through the step loop in sub-batches of
-STATE_BYTES // (16 (links + 1) (m + 3)) blocks, at least one, and each
-sub-batch draws its rows from the chunk's generator in turn. Its uniforms,
-one per (block, link, slot, mode) in C order, are drawn a slice of rows at a
-time into one reused float64 buffer of DRAW_BYTES, and SimConfig rejects an
-M above DRAW_BYTES // 8, so a row of M modes always fits it; each slice is
-reduced at once to the first successful mode per (block, link, slot):
-the slice's hits are copied mode-major, mode i weighted M - i, and one max
-over the modes gives M less the first hit, or 0 where a row has none, a
-handful of whole-slice operations whatever M. The draws are block-major, and
-drawing random(a) then random(b) yields the same stream as random(a + b), so
-neither the slicing nor the sub-batching changes a result. A sub-batch's
-state is kept node-major with blocks last: the first successes, read as an
-m x links x blocks view of their block-major order, and three int32
-histories of m x (links or nodes) x blocks, at most 16 B x (links + 1) x m
-a block; the per-node counters and a step's temporaries, about 45 B a node
-and block, are the m + 3 term's 48 B, so STATE_BYTES bounds both. A single
-block larger than STATE_BYTES still runs alone, so its state is bounded
-only by a check of the config before the run, which the simulator does not
-make.
+STATE_BYTES // (c (links + 1) (m + 3)) blocks, at least one, with c = 16 B
+up to 65,535 modes and 20 B past them, and each sub-batch draws its rows
+from the chunk's generator in turn. Its uniforms, one per (block, link,
+slot, mode) in C order, are drawn a slice of rows at a time into one reused
+float64 buffer of DRAW_BYTES, and SimConfig rejects an M above
+DRAW_BYTES // 8, so a row of M modes always fits it; each slice is reduced
+at once to the first successful mode per (block, link, slot), in
+np.min_scalar_type(M), which is uint8 up to 255 modes: the slice's hits are
+copied mode-major, mode i weighted M - i, and one max over the modes gives
+M less the first hit, or 0 where a row has none, a handful of whole-slice
+operations whatever M. The draws are block-major, and drawing random(a)
+then random(b) yields the same stream as random(a + b), so neither the
+slicing nor the sub-batching changes a result.
+
+The state is allocated once a run, for its largest sub-batch, and each
+sub-batch runs on the front of it. It is kept slot-major with blocks last:
+the first successes, copied from their block-major order to m x links x
+blocks, and three int32 histories of m x (links or nodes) x blocks. The
+step loop writes a slot's attempts and kept pairs before it reads them, so
+only the blind loads, which it adds up, are zeroed for each sub-batch. A
+block's state per (node, slot) is 12 B of histories and w B each for the
+first successes and their copy, with w = 1, 2 or 4 by M; c counts w as 2 B
+at least, so at uint8 the 2 B to spare, an eighth of STATE_BYTES, cover the
+draw buffer, which is live beside the state while a sub-batch draws. The per-node counters and a
+step's temporaries, about 40 B a node and block, are the m + 3 term's 48 B
+at least, so STATE_BYTES bounds both. A single block larger than
+STATE_BYTES still runs alone, so its state is bounded only by a check of
+the config before the run, which the simulator does not make.
 """
 
 from __future__ import annotations
@@ -173,8 +182,9 @@ def _fold(out: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
     out[:-1] += right
 
 
-def _grant(want: np.ndarray, used: np.ndarray, pool: int) -> tuple[np.ndarray, ...]:
-    """(at_left, at_right, per_link): a per-link want granted by the pool rule.
+def _grant(want: np.ndarray | int, used: np.ndarray, pool: int) -> tuple[np.ndarray, ...]:
+    """(at_left, at_right, per_link): a per-link want, or one scalar want for
+    every link, granted by the pool rule.
 
     at_left[i] is the grant of link i's right end, which serves it as its
     left side, and at_right[i] that of its left end. No grant exceeds its
@@ -198,13 +208,14 @@ def _first_successes(rng: np.random.Generator, p: float, rows: int,
     DRAW_BYTES (at least one row), so the generator is consumed exactly as
     by one rng.random((rows, M)). The slice's hits are copied mode-major and
     weighted M - i at mode i, so the best weight over the modes of a row is
-    M less its first hit, and 0 where it has none.
+    M less its first hit, and 0 where it has none. The result takes the
+    weights' dtype, np.min_scalar_type(M), which holds 0..M.
     """
-    fsi = np.empty(rows, dtype=np.int32)
+    weight_dtype = np.min_scalar_type(big_m)  # uint8 up to 255 modes
+    fsi = np.empty(rows, dtype=weight_dtype)
     per = max(1, DRAW_BYTES // (8 * big_m))
     buf = np.empty((min(per, rows), big_m))
     flags = np.empty(buf.shape, dtype=bool)
-    weight_dtype = np.min_scalar_type(big_m)  # uint8 up to 255 modes
     by_mode = np.empty((big_m, len(buf)), dtype=weight_dtype)
     weights = np.arange(big_m, 0, -1, dtype=weight_dtype)[:, None]  # M - i at mode i
     for lo in range(0, rows, per):
@@ -225,47 +236,55 @@ def _event_steps(m: int, events) -> list[int]:
     return sorted({t for due in (0, *events) for t in range(due, due + m)})
 
 
-def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
+def _histories(m: int, n_links: int, blocks: int) -> tuple[np.ndarray, ...]:
+    """Room for the three int32 per-slot histories of a sub-batch of up to
+    `blocks` blocks: attempts and kept pairs per link, and loads per node."""
+    return tuple(np.empty(m * width * blocks, dtype=np.int32)
+                 for width in (n_links, n_links, n_links + 1))
+
+
+def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
                trace: Optional[list[str]]):
-    """A sub-batch: cb blocks run side by side, drawing their rows next from
-    rng, their chunk's generator. Given a trace list, block 0's lines are
-    appended to it at the end of each event step, read from its counts."""
-    lay = config.layout
-    n_links = lay.n_links
-    m, big_m = lay.time_mux, lay.spatial_mux
+    """A sub-batch: its blocks run side by side on their first successes fs,
+    slot-major (m, links, blocks), and on the room hist from _histories,
+    which they overwrite. Returns the per-block success mask, the peaks and
+    the drops. Given a trace list, block 0's lines are appended to it at the
+    end of each event step, read from its counts."""
+    m, n_links, cb = fs.shape
+    big_m = config.layout.spatial_mux
     wait = config.waits_for_herald
     e1, e2 = (int(e) for e in slot_events(wait, config.k_steps, config.j_steps))
     # a pool past 2**30 binds nowhere, and the clamp keeps its budget int32
     pool_c = min(config.n_comm_ions or _UNLIMITED, _UNLIMITED)
     pool_m = min(config.n_mem_ions or _UNLIMITED, _UNLIMITED)
 
-    fsi = _first_successes(rng, config.p, cb * n_links * m, big_m).reshape(cb, n_links, m).T
-
     used_comm = np.zeros((n_links + 1, cb), dtype=np.int32)
     used_mem = np.zeros_like(used_comm)
     heralded = np.zeros_like(used_comm)
     # per-slot history read when the slot's freeing step comes due: attempts
-    # per link, the pair per link that may still succeed, and blind loads
-    att = np.zeros((m, n_links, cb), dtype=np.int32)
-    kept = np.zeros_like(att)
-    loaded = np.zeros((m, n_links + 1, cb), dtype=np.int32)
+    # per link, the pair per link that may still succeed, and blind loads.
+    # A slot's att and kept are written before they are read; its loads are
+    # added up, so they start from zero
+    att, kept = (h[:fs.size].reshape(fs.shape) for h in hist[:2])
+    loaded = hist[2][:m * (n_links + 1) * cb].reshape(m, n_links + 1, cb)
+    if not wait:
+        loaded.fill(0)
     link_ok = np.zeros((n_links, cb), dtype=bool)
     freed_c = np.empty_like(used_comm)  # this step's frees, zeroed each step
-    freed_m = np.empty_like(used_mem)
-    want_init = np.full((n_links, cb), big_m, dtype=np.int32)
+    freed_m = np.empty_like(used_mem)  # blind second events' frees, zeroed there
     peaks = np.zeros(3, dtype=np.int64)
     her_before = np.zeros(n_links + 1, dtype=np.int32)  # block 0's heralded, a step back
+    nothing = np.zeros_like(her_before)
 
     for t in _event_steps(m, (e1, e2)):
         freed_c.fill(0)
-        freed_m.fill(0)
         loads = False
 
         s = t - e1
         if 0 <= s < m:
             if wait:
                 # heralds arrive: free every mode except the one kept for gating
-                np.less(fsi[s], att[s], out=kept[s])
+                np.less(fs[s], att[s], out=kept[s])
                 idle = att[s] - kept[s]
                 _fold(freed_c, idle, idle)
             else:
@@ -289,18 +308,19 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
                 np.logical_or(link_ok, pair_ok, out=link_ok)
             else:
                 # keep one surviving pair per link, free the rest of the loads
-                surv = fsi[s] < kept[s]
+                surv = fs[s] < kept[s]
                 link_ok |= surv
-                held = freed_m  # zero until now: only this event frees memory
+                held = freed_m  # the pairs kept, then the loads freed
+                held.fill(0)
                 _fold(held, surv, surv)
                 heralded += held
                 np.subtract(loaded[s], held, out=freed_m)
+                used_mem -= freed_m
 
         used_comm -= freed_c
-        used_mem -= freed_m
 
         if t < m:  # only inits raise the comm count
-            _, _, att[t] = _grant(want_init, used_comm, pool_c)
+            _, _, att[t] = _grant(big_m, used_comm, pool_c)
             _fold(used_comm, att[t], att[t])
             peaks[0] = max(peaks[0], int(used_comm.max()))
         # only a load raises the memory count; read at the step's end, as a
@@ -313,18 +333,20 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
             init = np.zeros_like(herald)
             if t < m:
                 _fold(init, att[t, :, 0], att[t, :, 0])
-            s = t - e1  # wait loads come with the herald, blind ones at the first event
-            load = herald if wait else loaded[s, :, 0] if 0 <= s < m else np.zeros_like(init)
+            # wait loads come with the herald, blind ones at the first event,
+            # and blind frees of memory at the second
+            s1, s2 = t - e1, t - e2
+            load = herald if wait else loaded[s1, :, 0] if 0 <= s1 < m else nothing
+            free_mem = freed_m[:, 0] if not wait and 0 <= s2 < m else nothing
             # then this step's gauges, which hold until the next event step
             lines = (("load_mem", load), ("herald", herald), ("free_comm", freed_c[:, 0]),
-                     ("free_mem", freed_m[:, 0]), ("init", init),
+                     ("free_mem", free_mem), ("init", init),
                      ("comm_loaded", used_comm[:, 0]), ("mem_loaded", used_mem[:, 0]),
                      ("heralded", heralded[:, 0]))
             trace.extend(f"{t},{node},{event},{count}" for event, vals in lines
                          for node, count in enumerate(vals.tolist()) if count)
 
     peaks[2] = heralded.max()  # heralded pairs are never freed within a block
-    successes = int(link_ok.all(axis=0).sum())
     # every slot's grants are in hand: blind drops count ions at an attempt's
     # two ends; wait drops count kept pairs, and heralded holds both ends of
     # each granted one
@@ -333,7 +355,7 @@ def _run_batch(config: SimConfig, rng: np.random.Generator, cb: int,
         dropped_mem = int(kept.sum() - heralded.sum() // 2)
     else:
         dropped_mem = int(2 * att.sum() - loaded.sum())
-    return successes, peaks, dropped_comm, dropped_mem
+    return link_ok.all(axis=0), peaks, dropped_comm, dropped_mem
 
 
 def run_protocol_sim(config: SimConfig) -> SimStats:
@@ -348,7 +370,16 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     """
     total = config.num_blocks
     lay = config.layout
-    per = max(1, STATE_BYTES // (16 * (lay.n_links + 1) * (lay.time_mux + 3)))
+    n_links, m, big_m = lay.n_links, lay.time_mux, lay.spatial_mux
+    fs_dtype = np.min_scalar_type(big_m)
+    # a block's state per (node, slot): three int32 histories, and the first
+    # successes and their slot-major copy, counted at 2 B each at least
+    state = 12 + 2 * max(fs_dtype.itemsize, 2)
+    per = max(1, STATE_BYTES // (state * (n_links + 1) * (m + 3)))
+    # one state for the run, sized for its largest sub-batch; each runs on its front
+    size = min(per, CHUNK_BLOCKS, total)
+    hist = _histories(m, n_links, size)
+    slot_major = np.empty(m * n_links * size, dtype=fs_dtype)
     successes = 0
     dropped_c = 0
     dropped_m = 0
@@ -358,9 +389,12 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
         rng = np.random.default_rng([config.seed, c])
         cb = min(CHUNK_BLOCKS, total - first)
         for lo in range(0, cb, per):
-            s, pk, dc, dm = _run_batch(config, rng, min(per, cb - lo),
-                                       trace if first + lo == 0 else None)
-            successes += s
+            b = min(per, cb - lo)
+            fs = slot_major[:m * n_links * b].reshape(m, n_links, b)
+            np.copyto(fs, _first_successes(rng, config.p, b * n_links * m, big_m)
+                      .reshape(b, n_links, m).T)
+            ok, pk, dc, dm = _run_batch(config, fs, hist, trace if first + lo == 0 else None)
+            successes += int(ok.sum())
             dropped_c += dc
             dropped_m += dm
             peaks = np.maximum(peaks, pk)

@@ -6,6 +6,7 @@ success, occupancy ceilings) where the simulator must agree with arithmetic.
 """
 import dataclasses
 import hashlib
+import itertools
 import math
 import tracemalloc
 import warnings
@@ -380,6 +381,12 @@ class TestDrawSlices:
         pytest.param(SimConfig(ChainLayout(20.0, 2, 10, 3), j_steps=1, k_steps=4, tau_s=US,
                                tau_o_s=5 * US, p=0.1, num_blocks=300, seed=9, trace=True),
                      id="ten-modes"),
+        # blind loads are added up in a history reused by every sub-batch, so
+        # it must start from zero in the second chunk and in a short last batch
+        pytest.param(SimConfig(ChainLayout(20.0, 1, 3, 2), j_steps=1, k_steps=8, tau_s=US,
+                               tau_o_s=5 * US, p=0.4, n_comm_ions=6, n_mem_ions=12,
+                               num_blocks=mcsim.CHUNK_BLOCKS + 37, seed=6, trace=True),
+                     id="blind-budget-pools-two-chunks"),
     ])
     def test_slicing_keeps_the_stream(self, monkeypatch, cfg):
         lay = cfg.layout
@@ -396,9 +403,9 @@ class TestDrawSlices:
 
     @pytest.mark.parametrize("big_m", [*range(1, 18), 31, 32, 33, 64, 255, 256, 300, 1 << 16])
     def test_first_successes_are_the_first_hits(self, monkeypatch, big_m):
-        # the weighted max over modes must give argmax's first hit, or M, and
-        # draw exactly rows x M uniforms; its weights widen past uint8 at 256
-        # modes and past uint16 at 2**16
+        # the weighted max over modes must give argmax's first hit, or M, in
+        # the weights' dtype, and draw exactly rows x M uniforms; the weights
+        # widen past uint8 at 256 modes and past uint16 at 2**16
         monkeypatch.setattr(mcsim, "DRAW_BYTES", 8 * big_m * 7 + 3)  # 7 rows a slice
         rows = 7 * (40 if big_m < 1 << 16 else 2) + 5
         for p in (0.0, 0.01, 0.3, 1.0):
@@ -406,9 +413,42 @@ class TestDrawSlices:
             hit = ref.random((rows, big_m)) < p
             want = np.where(hit.any(axis=1), np.argmax(hit, axis=1), big_m)
             got = mcsim._first_successes(rng, p, rows, big_m)
-            assert got.dtype == np.int32
+            assert got.dtype == np.min_scalar_type(big_m)
             assert np.array_equal(got, want)
             assert rng.random() == ref.random()
+
+
+class TestStepLoopOracle:
+    """The step loop checked exactly, not statistically: a block's outcome
+    depends on its draws only through the first success per (link, slot),
+    0..M, so a tiny config's every pattern runs as one sub-batch, and the
+    block successes weighted by the patterns' probabilities must give the
+    closed form."""
+
+    @pytest.mark.parametrize("j, k", [(1, 2), (2, 1), (1, 5)])
+    @pytest.mark.parametrize("wait", [True, False])
+    def test_weighted_block_success_is_the_closed_form(self, wait, j, k):
+        for n, big_m, m in itertools.product(range(3), (1, 2), (1, 2, 3)):
+            links = n + 1
+            # one block per pattern, slot-major as the step loop reads them
+            fs = np.indices((big_m + 1,) * (m * links), dtype=np.min_scalar_type(big_m))
+            fs = fs.reshape(m, links, -1)
+            cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
+                            tau_o_s=(k + j + (0.5 if wait else -0.5)) * US, p=0.5)
+            assert cfg.waits_for_herald == wait
+            n_o, n_m = (int(v) for v in ion_budgets(wait, k, j, big_m, m))
+            for pools in ((0, 0), (n_o, n_m)):
+                pooled = dataclasses.replace(cfg, n_comm_ions=pools[0], n_mem_ions=pools[1])
+                ok = mcsim._run_batch(pooled, fs, mcsim._histories(m, links, fs.shape[2]),
+                                      None)[0]
+                for p in (0.1, 0.5, 0.9):
+                    # first success at mode i < M, or at none of the M modes
+                    law = np.array([p * (1 - p) ** i for i in range(big_m)]
+                                   + [(1 - p) ** big_m])
+                    weight = law[fs].prod(axis=(0, 1))
+                    assert math.isclose(weight.sum(), 1.0, abs_tol=1e-12)
+                    exact = (1 - (1 - p) ** (big_m * m)) ** (n + 1)
+                    assert abs(weight[ok].sum() - exact) <= 1e-12, (n, big_m, m, pools, p)
 
 
 class TestEventSteps:
