@@ -274,7 +274,6 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
     freed_m = np.empty_like(used_mem)  # blind second events' frees, zeroed there
     peaks = np.zeros(3, dtype=np.int64)
     her_before = np.zeros(n_links + 1, dtype=np.int32)  # block 0's heralded, a step back
-    nothing = np.zeros_like(her_before)
 
     for t in _event_steps(m, (e1, e2)):
         freed_c.fill(0)
@@ -330,7 +329,7 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
         if trace is not None:  # block 0 is column 0; each event comes once a step
             herald = heralded[:, 0] - her_before
             her_before = heralded[:, 0].copy()
-            init = np.zeros_like(herald)
+            init, nothing = np.zeros_like(herald), np.zeros_like(herald)
             if t < m:
                 _fold(init, att[t, :, 0], att[t, :, 0])
             # wait loads come with the herald, blind ones at the first event,

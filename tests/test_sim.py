@@ -385,7 +385,7 @@ class TestDrawSlices:
         # it must start from zero in the second chunk and in a short last batch
         pytest.param(SimConfig(ChainLayout(20.0, 1, 3, 2), j_steps=1, k_steps=8, tau_s=US,
                                tau_o_s=5 * US, p=0.4, n_comm_ions=6, n_mem_ions=12,
-                               num_blocks=mcsim.CHUNK_BLOCKS + 37, seed=6, trace=True),
+                               num_blocks=mcsim.CHUNK_BLOCKS + 37, seed=6),
                      id="blind-budget-pools-two-chunks"),
     ])
     def test_slicing_keeps_the_stream(self, monkeypatch, cfg):
