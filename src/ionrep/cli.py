@@ -454,11 +454,18 @@ def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- parser
 
+def _km_list(text: str) -> list[float]:
+    """--l-list-km's value: comma-separated kilometres."""
+    try:
+        return [float(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected KM[,KM...], got {text!r}") from None
+
+
 # kind -> its flag's argparse arguments; a str flag's metavar is its key
 _FLAG_ARGS = {"num": {"type": float}, "int": {"type": int},
               "fmt": {"choices": FORMATS},
-              "numlist": {"metavar": "KM[,KM...]",
-                          "type": lambda s: [float(v) for v in s.split(",")]}}
+              "numlist": {"metavar": "KM[,KM...]", "type": _km_list}}
 
 
 @functools.cache  # one parser a process: parse_args keeps no state between calls

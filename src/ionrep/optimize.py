@@ -39,9 +39,9 @@ rates.memory_covers holds. A row's cap is the least of its entries. Per
 distance, the evaluated points are its rows' caps summed, and when none is
 left each constraint has removed m_max less its entry, summed over the
 rows, which InfeasibleError reports. The memory cap rests on
-den_steps(m) = den_steps(1) + (m - 1.0), rounded as rates.block_denominator
-rounds it; an assertion checks that identity, and rate_blocks' mem_ok
-against m <= cap, on every evaluated cell. Both sides apply memory_covers
+den_steps(m) = den1 + (m - 1.0), the row state's den1 extended as
+rates.rate_blocks extends it; an assertion checks rate_blocks' mem_ok
+against m <= cap on every evaluated cell. Both sides apply memory_covers
 to equal values, so they agree at the cap's boundary too. memory_covers is
 monotone in m, so a pass first tests it once at m_max: where it holds on
 every row, the memory cap is m_max and no search runs. At the default
@@ -66,9 +66,8 @@ along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
 lower a row's cap below the memory cap. So sweep_variants solves each
 distinct variant once and groups the distinct variants by _row_key; each
 group is one row solve with one row state: rates.rate_rows (rate_grid's
-row stage) with den_steps(1) from rates.block_denominator and n_m(1) from
-the memory-ion formula, the memory cap, and lo_free, the last m in
-[1, memory cap] where P holds. Each variant then takes its cap (at most
+row stage), whose den1 and n_m1 are den_steps(1) and n_m(1), the memory
+cap, and lo_free, the last m in [1, memory cap] where P holds. Each variant then takes its cap (at most
 the memory cap) and lo = min(lo_free, cap), which is exact because P
 holds on a prefix: P holds on all of [1, lo_free] and nowhere in
 (lo_free, memory cap], so its last m in [1, cap] is lo_free when
@@ -116,9 +115,8 @@ import numpy as np
 
 from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError, _check,
                     _check_count, _store_int, fiber_transmissivity)
-from .rates import (InfeasibleError, RateGrid, RateReport, _memory_ions, block_denominator,
-                    grid_reports, memory_covers, noise_tail, noisy_rate, plob_bound,
-                    rate_blocks, rate_rows)
+from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_covers,
+                    noise_tail, noisy_rate, plob_bound, rate_blocks, rate_rows)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 _SEED_OFFSETS = np.arange(-1, 3)[:, None, None]  # the seeded round's m - floor(guess)
@@ -261,10 +259,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     # checked distances and repeater counts; _solve checks spatial_mux
     layout = ChainLayout._unchecked(np.repeat(ls, r)[:, None], ns, spatial_mux)
     rows = rate_rows(layout, hw, tail(hw))
-    timing = rows.timing
-    # den_steps(m) = den1 + (m - 1.0), as rate_blocks rounds it, and n_m(m) = n_m1 m
-    den1 = block_denominator(rows.waits, timing.k_steps, 1, timing.j_steps)
-    n_m1 = _memory_ions(rows.waits, spatial_mux, 1)
+    den1 = rows.den1  # den_steps(m) = den1 + (m - 1.0), as rate_blocks computes it
     mem_cap = np.full_like(ns, bounds.m_max)
     # memory_covers is monotone in m: where it holds at m_max, m_max is the cap
     if not memory_covers(hw, den1 + (bounds.m_max - 1.0)).all():
@@ -311,7 +306,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
         if n_o_max is not None:  # n_o does not depend on m
             caps["n_o_max"] = np.where(rows.n_o <= n_o_max, bounds.m_max, 0)
         if n_m_max is not None:  # n_m(m) = n_m(1) m
-            caps["n_m_max"] = np.minimum(n_m_max // n_m1, bounds.m_max)
+            caps["n_m_max"] = np.minimum(n_m_max // rows.n_m1, bounds.m_max)
         cap = functools.reduce(np.minimum, caps.values())  # a row's cap: its least entry
         # P holds on a prefix, so the search up to the row cap is the free one clipped
         lo = np.minimum(lo_free, cap)
@@ -330,9 +325,8 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
                 if k == len(grids):
                     cols = np.minimum(np.maximum(np.hstack(parts), 1), bounds.m_max)
                     grid = rate_blocks(rows, layout, cols, hw)
-                    assert (np.array_equal(grid.den_steps, den1 + (cols - 1.0))
-                            and np.array_equal(grid.mem_ok, cols <= mem_cap)), \
-                        "rate_blocks' den_steps or mem_ok disagrees with the memory cap"
+                    assert np.array_equal(grid.mem_ok, cols <= mem_cap), \
+                        "rate_blocks' mem_ok disagrees with the memory cap"
                     grids.append((cols, grid))
                 cols, grid = grids[k]
                 if t is not None:

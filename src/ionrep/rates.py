@@ -22,11 +22,13 @@ counts and block lengths in two stages:
 
 - the row stage, rate_rows, computes what does not depend on the block
   length m: the timing, the waits_for_herald mask, p and log1m_p =
-  log1p(-p), the comm ions n_o, and the noise fields f_end and rci
-  (noise_tail, or the caller's own);
+  log1p(-p), the comm ions n_o, the noise fields f_end and rci (noise_tail,
+  or the caller's own), and the block's m = 1 parts: den1, block_denominator
+  at m = 1, and n_m1, the memory ions at m = 1;
 - the block stage, rate_blocks, takes a row state and the block lengths and
-  computes den_steps, mem_ok, the memory ions n_m, the block success, the
-  ideal rate and the noisy rate (noisy_rate).
+  extends those parts to den_steps = den1 + (m - 1.0), which is
+  block_denominator's own rounding, and n_m = n_m1 m, then computes mem_ok,
+  the block success, the ideal rate and the noisy rate (noisy_rate).
 
 The block success is one formula, _block_success, on log1p(-p). The public
 block_success_prob checks that p is in [0, 1] and applies it; the block
@@ -37,10 +39,10 @@ the same log1m_p.
 rate_grid is the row stage followed by the block stage. A RateGrid is a
 RowState with the block fields added. The optimizer runs the row stage once
 per pass, with the noise fields it computed once per distinct repeater
-count, takes den_steps and n_m at m = 1 from block_denominator and the
-memory-ion formula, and applies the block stage only at its candidate
-columns. Noise enters a grid only through f_end, rci and the rate, so the
-optimizer re-noises one grid for each noise level instead of building another.
+count, reads its memory cap and its search's c from den1 and its n_m_max
+cap from n_m1, and applies the block stage only at its candidate columns.
+Noise enters a grid only through f_end, rci and the rate, so the optimizer
+re-noises one grid for each noise level instead of building another.
 grid_reports reads reports straight from a grid's fields at flat cell
 indices, a one-column row field by the cell's row: evaluate_rate passes
 the one cell of rate_grid on the caller's own layout, which runs a grid
@@ -262,6 +264,8 @@ class RowState:
     log1m_p: np.ndarray  # log1p(-p)
     f_end: np.ndarray
     rci: np.ndarray
+    den1: np.ndarray  # den_steps at m = 1; den_steps(m) = den1 + (m - 1.0)
+    n_m1: np.ndarray  # n_m at m = 1; n_m(m) = n_m1 m
 
 
 @dataclass
@@ -302,6 +306,8 @@ def rate_rows(layout: ChainLayout, hw: HardwareProfile, tail=None) -> RowState:
         n_o=_comm_ions(waits, timing.k_steps, timing.j_steps, layout.spatial_mux),
         p=p, log1m_p=np.log1p(-p),
         **(noise_tail(layout.n_repeaters, hw) if tail is None else tail),
+        den1=block_denominator(waits, timing.k_steps, 1, timing.j_steps),
+        n_m1=_memory_ions(waits, layout.spatial_mux, 1),
     )
 
 
@@ -310,16 +316,13 @@ def rate_blocks(rows: RowState, layout: ChainLayout, time_mux,
     """The block stage: rows, a RowState of layout's n_repeaters and
     spatial_mux, at block lengths time_mux, which broadcast against the
     rows as rate_grid's would."""
-    timing = rows.timing
-    den_steps = block_denominator(rows.waits, timing.k_steps, time_mux, timing.j_steps)
+    den_steps = rows.den1 + (time_mux - 1.0)  # block_denominator's rounding
     block = _block_success(rows.log1m_p, layout.spatial_mux, time_mux, layout.n_repeaters)
     ideal = block / (den_steps * hw.timing.tau)
     return RateGrid(
-        timing=timing, waits=rows.waits, n_o=rows.n_o, p=rows.p, log1m_p=rows.log1m_p,
-        f_end=rows.f_end, rci=rows.rci, den_steps=den_steps,
-        mem_ok=memory_covers(hw, den_steps),
-        n_m=_memory_ions(rows.waits, layout.spatial_mux, time_mux), block=block,
-        ideal=ideal, rate=noisy_rate(ideal, rows.rci),
+        **vars(rows), den_steps=den_steps, mem_ok=memory_covers(hw, den_steps),
+        n_m=rows.n_m1 * time_mux, block=block, ideal=ideal,
+        rate=noisy_rate(ideal, rows.rci),
     )
 
 

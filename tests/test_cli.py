@@ -282,6 +282,21 @@ class TestSweep:
         assert "config field sweep.l_list_km must be positive and strictly " \
                "increasing" in err
 
+    def test_malformed_distance_list_names_the_form(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--l-list-km", "10,,20"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "ionrep sweep: error: argument --l-list-km: expected KM[,KM...], got '10,,20'")
+
+    def test_step_count_past_the_cap_blames_l_max_km(self, capsys):
+        code, out, err = run(capsys, "sweep", "--l-min-km", "10", "--l-max-km", "1e12",
+                             "--l-step-km", "5e11")
+        assert (code, out) == (2, "")
+        assert err == ("ionrep sweep: error: config field sweep.l_max_km or hardware.tau_us: "
+                       "tau=1e-06 s is too short for total_distance_km=5e+11 km: the step "
+                       "count T/tau=2.4517e+12 must be at most 2**31\n")
+
     # only a config file can give an empty list; figure fails before writing
     @pytest.mark.parametrize("args", [("sweep",), ("figure", "fig7")])
     def test_empty_distance_list_names_the_field(self, capsys, tmp_path, args):

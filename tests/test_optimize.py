@@ -870,6 +870,10 @@ class TestCrossover:
     def test_hopeless_hardware_never_crosses(self):
         assert crossover_distance(10, BASE.updated(eps_g=0.2)) is None
 
+    def test_no_feasible_probe_never_crosses(self):
+        # a 1 us memory covers no block at any probed distance
+        assert crossover_distance(10, BASE.updated(tau_m=1e-6)) is None
+
     # the bisection's answer is the first win of a scan of its whole grid,
     # and the wins are a suffix of that grid
     @pytest.mark.parametrize("spatial_mux, hw, bounds", [

@@ -152,10 +152,13 @@ class TestDenominators:
                        tau_o - tau_g], t)
         m = rng.integers(1, 500, cells)
         k, j = t / tau, tau_g / tau
-        got = block_denominator(waits_for_herald(t, tau_g, tau_o), k, m, j)
+        waits = waits_for_herald(t, tau_g, tau_o)
+        got = block_denominator(waits, k, m, j)
         want = reference(t, tau_g, tau_o, k, m, j)
         assert got.dtype == want.dtype == np.float64
         assert np.array_equal(got, want)
+        # rate_blocks extends the row stage's m = 1 value as den1 + (m - 1.0)
+        assert np.array_equal(block_denominator(waits, k, 1, j) + (m - 1.0), got)
         # gating blind (tau_o = 0), the second slot event + 2j is that base
         assert np.array_equal(slot_events(False, k, j)[1] + 2.0 * j,
                               reference(t, tau_g, 0.0, k, 1, j))
