@@ -103,9 +103,8 @@ def curve_rows(curve: Curve, rows: list[SweepRow]) -> list[dict]:
 
 def reduce_row(row: SweepRow, value_field: str) -> dict:
     if row.result is None:
-        return {"L_km": row.l_km, "value": math.nan, "regime": "",
-                "n_opt": math.nan, "m_opt": math.nan, "N_o": math.nan,
-                "N_m": math.nan, "plob": row.plob}
+        return dict.fromkeys(CSV_COLUMNS, math.nan) | {
+            "L_km": row.l_km, "regime": "", "plob": row.plob}
     rep = row.result.report
     values = {
         "noisy_rate": rep.noisy_rate,

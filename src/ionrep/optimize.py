@@ -32,10 +32,10 @@ distance. Rows are independent, so a row's answer does not depend on the
 rows beside it.
 
 Feasibility keeps a prefix of each row, so each constraint is one entry of
-a cap table holding each row's largest feasible m: n_o does not depend on
-m, so n_o_max's entry is m_max or 0; n_m is n_m(1) m, so n_m_max's is an
-integer division; the block grows with m, so tau_m's is the last m where
-rates.memory_covers holds. A row's cap is the least of its entries. Per
+a cap table holding each row's largest feasible m: n_o_max's and n_m_max's
+entries are rates.ion_caps, the ion budgets' inverse on the row state; the
+block grows with m, so tau_m's is the last m where rates.memory_covers
+holds. A row's cap is the least of its entries. Per
 distance, the evaluated points are its rows' caps summed, and when none is
 left each constraint has removed m_max less its entry, summed over the
 rows, which InfeasibleError reports. The memory cap rests on
@@ -66,17 +66,16 @@ along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
 lower a row's cap below the memory cap. So sweep_variants solves each
 distinct variant once and groups the distinct variants by _row_key; each
 group is one row solve with one row state: rates.rate_rows (rate_grid's
-row stage), whose den1 and n_m1 are den_steps(1) and n_m(1), the memory
-cap, and lo_free, the last m in [1, memory cap] where P holds. Each variant then takes its cap (at most
-the memory cap) and lo = min(lo_free, cap), which is exact because P
-holds on a prefix: P holds on all of [1, lo_free] and nowhere in
-(lo_free, memory cap], so its last m in [1, cap] is lo_free when
-lo_free <= cap, and cap otherwise. The noise fields f_end and rci depend
-on n alone, and an unpinned pass holds one copy of 0..n_max per distance,
-so rates.noise_tail runs once per distinct n, for the row state and for
-each other noise level, and its columns are tiled to the pass's rows. The
-pass's layout skips ChainLayout's checks: its distances and repeater
-counts come from checked inputs, and _solve checks spatial_mux.
+row stage), the memory cap, and lo_free, the last m in [1, memory cap]
+where P holds. Each variant then takes its cap (at most the memory cap)
+and lo = min(lo_free, cap), exact because P holds on a prefix: P holds on
+all of [1, lo_free] and nowhere in (lo_free, memory cap], so its last m in
+[1, cap] is lo_free when lo_free <= cap, and cap otherwise. The noise fields
+f_end and rci depend on n alone, and an unpinned pass holds one copy of
+0..n_max per distance, so rates.noise_tail runs once per distinct n, for the
+row state and for each other noise level, and its columns are tiled to the
+pass's rows. The pass's layout skips ChainLayout's checks: its distances and
+repeater counts come from checked inputs, and _solve checks spatial_mux.
 
 The candidate columns are lo and lo + 1, in that order, where every row of
 the pass has c >= 0, and 1, lo and lo + 1 in a pass with a c < 0 row. One
@@ -115,8 +114,9 @@ import numpy as np
 
 from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError, _check,
                     _check_count, _store_int, fiber_transmissivity)
-from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, memory_covers,
-                    noise_tail, noisy_rate, plob_bound, rate_blocks, rate_rows)
+from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, ion_caps,
+                    memory_covers, noise_tail, noisy_rate, plob_bound, rate_blocks,
+                    rate_rows)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 _SEED_OFFSETS = np.arange(-1, 3)[:, None, None]  # the seeded round's m - floor(guess)
@@ -302,11 +302,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     out: list = [None] * len(variants)
     for (n_o_max, n_m_max), members in by_caps.items():
         # the cap table: per constraint, each row's largest feasible m
-        caps = {"tau_m": mem_cap}
-        if n_o_max is not None:  # n_o does not depend on m
-            caps["n_o_max"] = np.where(rows.n_o <= n_o_max, bounds.m_max, 0)
-        if n_m_max is not None:  # n_m(m) = n_m(1) m
-            caps["n_m_max"] = np.minimum(n_m_max // rows.n_m1, bounds.m_max)
+        caps = {"tau_m": mem_cap, **ion_caps(rows, bounds.m_max, n_o_max, n_m_max)}
         cap = functools.reduce(np.minimum, caps.values())  # a row's cap: its least entry
         # P holds on a prefix, so the search up to the row cap is the free one clipped
         lo = np.minimum(lo_free, cap)
@@ -537,8 +533,7 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
     """Smallest grid distance where the optimized rate beats the PLOB bound.
 
     The advantage sets in at long distances and persists, so a bisection over
-    the grid suffices; the step below the reported distance is re-checked to
-    guard against a non-monotone edge. Returns None when no grid point wins.
+    the grid suffices. Returns None when no grid point wins.
     """
     grid = distance_grid(l_min_km, l_max_km, l_step_km)
 
@@ -558,6 +553,4 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
             hi = mid
         else:
             lo = mid + 1
-    while lo > 0 and beats(grid[lo - 1]):
-        lo -= 1
     return float(grid[lo])

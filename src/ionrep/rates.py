@@ -17,16 +17,16 @@ at integer steps.
 
 Each formula is written once, here or in ionrep.model, and broadcasts over
 numpy arrays: waits_for_herald, slot_events, block_denominator, ion_budgets
-and block_success_prob. rate_grid combines them over distances, repeater
-counts and block lengths in two stages:
+(whose inverse is ion_caps) and block_success_prob. rate_grid combines them
+over distances, repeater counts and block lengths in two stages:
 
 - the row stage, rate_rows, computes what does not depend on the block
   length m: the timing, the waits_for_herald mask, p and log1m_p =
-  log1p(-p), the comm ions n_o, the noise fields f_end and rci (noise_tail,
-  or the caller's own), and the block's m = 1 parts: den1, block_denominator
-  at m = 1, and n_m1, the memory ions at m = 1;
+  log1p(-p), the noise fields f_end and rci (noise_tail, or the caller's
+  own), and the block's m = 1 parts: ion_budgets at m = 1, the comm ions
+  n_o and the memory ions n_m1, and den1, block_denominator at m = 1;
 - the block stage, rate_blocks, takes a row state and the block lengths and
-  extends those parts to den_steps = den1 + (m - 1.0), which is
+  extends den1 and n_m1 to den_steps = den1 + (m - 1.0), which is
   block_denominator's own rounding, and n_m = n_m1 m, then computes mem_ok,
   the block success, the ideal rate and the noisy rate (noisy_rate).
 
@@ -39,8 +39,8 @@ the same log1m_p.
 rate_grid is the row stage followed by the block stage. A RateGrid is a
 RowState with the block fields added. The optimizer runs the row stage once
 per pass, with the noise fields it computed once per distinct repeater
-count, reads its memory cap and its search's c from den1 and its n_m_max
-cap from n_m1, and applies the block stage only at its candidate columns.
+count, reads its memory cap and its search's c from den1 and its ion caps
+from ion_caps, and applies the block stage only at its candidate columns.
 Noise enters a grid only through f_end, rci and the rate, so the optimizer
 re-noises one grid for each noise level instead of building another.
 grid_reports reads reports straight from a grid's fields at flat cell
@@ -167,16 +167,21 @@ def ion_budgets(waits, k_steps, j_steps, spatial_mux, m):
     C2) parks attempts for k steps, needing 2(Mk + j) comm ions, but loads
     one memory pair per link per cycle, exactly 2m memories.
     """
-    return _comm_ions(waits, k_steps, j_steps, spatial_mux), _memory_ions(waits, spatial_mux, m)
+    n_o = ceil_tol(np.where(waits, 2.0 * (spatial_mux * k_steps + j_steps),
+                            2.0 * spatial_mux * j_steps))
+    return n_o, np.where(waits, 2, 2 * spatial_mux) * m
 
 
-def _comm_ions(waits, k_steps, j_steps, spatial_mux):  # ion_budgets' n_o, free of m
-    return ceil_tol(np.where(waits, 2.0 * (spatial_mux * k_steps + j_steps),
-                             2.0 * spatial_mux * j_steps))
-
-
-def _memory_ions(waits, spatial_mux, m):  # ion_budgets' n_m
-    return np.where(waits, 2, 2 * spatial_mux) * m
+def ion_caps(rows: RowState, m_max: int, n_o_max, n_m_max) -> dict:
+    """Per cap set (not None), by its name, each row's largest m in [1, m_max]
+    whose ion_budgets fit it, or 0 where none does, from the row state's n_o
+    and n_m1: n_o_max keeps all of a row or none, and n_m_max divides."""
+    caps = {}
+    if n_o_max is not None:
+        caps["n_o_max"] = np.where(rows.n_o <= n_o_max, m_max, 0)
+    if n_m_max is not None:
+        caps["n_m_max"] = np.minimum(n_m_max // rows.n_m1, m_max)
+    return caps
 
 
 def block_success_prob(p, spatial_mux, time_mux, n_repeaters):
@@ -301,13 +306,11 @@ def rate_rows(layout: ChainLayout, hw: HardwareProfile, tail=None) -> RowState:
     tm = hw.timing
     waits = waits_for_herald(timing.heralding_time_s, tm.tau_g, tm.tau_o)
     p = link_success_prob(hw.optical, layout.link_length_km)
+    n_o, n_m1 = ion_budgets(waits, timing.k_steps, timing.j_steps, layout.spatial_mux, 1)
     return RowState(
-        timing=timing, waits=waits,
-        n_o=_comm_ions(waits, timing.k_steps, timing.j_steps, layout.spatial_mux),
-        p=p, log1m_p=np.log1p(-p),
+        timing=timing, waits=waits, n_o=n_o, p=p, log1m_p=np.log1p(-p),
         **(noise_tail(layout.n_repeaters, hw) if tail is None else tail),
-        den1=block_denominator(waits, timing.k_steps, 1, timing.j_steps),
-        n_m1=_memory_ions(waits, layout.spatial_mux, 1),
+        den1=block_denominator(waits, timing.k_steps, 1, timing.j_steps), n_m1=n_m1,
     )
 
 

@@ -867,6 +867,20 @@ class TestCrossover:
         # benchmark by the same factor and the benchmark wins at short range
         assert crossover_distance(1, BASE) < crossover_distance(10, BASE)
 
+    @pytest.mark.parametrize("spatial_mux, crossover", [(1, 133.0), (10, 142.0)])
+    def test_no_distance_is_optimized_twice(self, monkeypatch, spatial_mux, crossover):
+        # the bisection has tested the distance below its answer and found it
+        # losing, so no distance needs a second optimize_rate
+        probed, optimize_rate = [], optimize_module.optimize_rate
+
+        def recording(l_km, *args):
+            probed.append(l_km)
+            return optimize_rate(l_km, *args)
+
+        monkeypatch.setattr(optimize_module, "optimize_rate", recording)
+        assert crossover_distance(spatial_mux, BASE) == crossover
+        assert len(probed) == len(set(probed))
+
     def test_hopeless_hardware_never_crosses(self):
         assert crossover_distance(10, BASE.updated(eps_g=0.2)) is None
 

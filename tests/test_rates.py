@@ -25,8 +25,10 @@ from ionrep.rates import (
     classification_path,
     evaluate_rate,
     ion_budgets,
+    ion_caps,
     plob_bound,
     rate_grid,
+    rate_rows,
     reference_rates,
     slot_events,
     waits_for_herald,
@@ -200,6 +202,32 @@ class TestIonRequirements:
                                k_steps=1.0)
         n_o, _, _ = ion_requirements(layout_for(m_spatial=10), timing, Regime.A)
         assert n_o == 200
+
+
+class TestIonCaps:
+    def test_caps_are_a_forward_scan_of_the_budgets(self):
+        # per row, the last m in [0, m_max] whose ion_budgets fit the cap,
+        # m = 0 (no block) fitting any cap, on random rows of both groups
+        rng = np.random.default_rng(33)
+        spatial_mux, m_max = 4, 30
+        rows = rate_rows(ChainLayout(rng.uniform(20.0, 800.0, (80, 1)),
+                                     rng.integers(0, 60, (80, 1)), spatial_mux, 1), BASE)
+        assert rows.waits.any() and not rows.waits.all()
+        t = rows.timing
+        budgets = [ion_budgets(rows.waits, t.k_steps, t.j_steps, spatial_mux, m)
+                   for m in range(m_max + 1)]
+        assert ion_caps(rows, m_max, None, None) == {}
+        seen = set()
+        for n_o_max, n_m_max in ((1, 1), (int(np.median(rows.n_o)), 37), (10 ** 6, 10 ** 6)):
+            caps = ion_caps(rows, m_max, n_o_max, n_m_max)
+            assert list(caps) == ["n_o_max", "n_m_max"]
+            for name, i, limit in (("n_o_max", 0, n_o_max), ("n_m_max", 1, n_m_max)):
+                scan = np.zeros_like(caps[name])
+                for m, budget in enumerate(budgets):
+                    scan = np.where((m == 0) | (budget[i] <= limit), m, scan)
+                assert np.array_equal(caps[name], scan), name
+                seen |= set(scan.ravel().tolist())
+        assert {0, m_max} < seen  # caps at 0, at m_max and between
 
 
 class TestBlockSuccess:

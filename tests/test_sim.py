@@ -135,6 +135,11 @@ class TestConfigValidation:
         # k_steps reaches MAX_STEPS = 2**31, and a seed may be any integer >= 0
         oracle_config(k_steps=2 ** 31, seed=2 ** 64, n_comm_ions=2 ** 40)
 
+    def test_from_profile_takes_fields_past_num_blocks_by_name(self):
+        # a fourth positional argument could be read as a seed or as p_override
+        with pytest.raises(TypeError):
+            SimConfig.from_profile(ChainLayout(20.0, 1, 2, 3), HardwareProfile(), 10, 7)
+
 
 class TestClosedFormAgreement:
     def test_oracle_chain_within_three_sigma(self):
@@ -616,6 +621,38 @@ class TestValidationVerdict:
                 dataclasses.replace(cfg, n_mem_ions=pool), report)
             assert not any("FAIL" in line for line in verdict.checks)
             assert verdict.passed is passed
+
+    @pytest.mark.parametrize("wait, pool, peaks, lines", [
+        (True, 0, (15, 13, 13), ["comm peak 15 <= 2(Mk+j) = 14: FAIL",
+                                 "mem peak 13 <= 2m = 12: FAIL",
+                                 "heralded peak 13 <= 2m = 12: FAIL"]),
+        (False, 0, (7, 25, 9), ["comm peak 7 == 2M min(j, m) = 6: FAIL",
+                                "mem peak 25 <= 2Mm = 24: FAIL",
+                                "heralded peak 9 <= 2m = 8: FAIL"]),
+        (False, 0, (5, 24, 8), ["comm peak 5 == 2M min(j, m) = 6: FAIL",
+                                "mem peak 24 <= 2Mm = 24: ok",
+                                "heralded peak 8 <= 2m = 8: ok"]),
+        (False, 5, (6, 24, 8), ["comm peak 6 == min(2M min(j, m), n_comm_ions) = 5: FAIL",
+                                "mem peak 24 <= 2Mm = 24: ok",
+                                "heralded peak 8 <= 2m = 8: ok"]),
+    ], ids=["wait", "blind", "blind-below-its-cap", "blind-pooled"])
+    def test_peaks_past_their_bounds_fail(self, wait, pool, peaks, lines):
+        # wait: M = 2, m = 6, j = 1, k = 3; blind: M = 3, m = 4, j = 1. Block
+        # success is the analytic value, so only the peaks can fail
+        layout, hw = (self._layout_and_hw() if wait else
+                      (ChainLayout(8.0, 1, 3, 4), HardwareProfile().updated(tau_o=5 * US)))
+        cfg = SimConfig.from_profile(layout, hw, num_blocks=100, n_comm_ions=pool)
+        assert cfg.waits_for_herald is wait
+        report = evaluate_rate(layout, hw)
+        comm, mem, her = peaks
+        stats = SimStats(block_steps=cfg.block_steps, blocks_run=100, successes=0,
+                         empirical_block_success=report.block_success, empirical_rate=0.0,
+                         peak_comm_loaded=comm, peak_mem_loaded=mem, peak_heralded=her,
+                         dropped_comm=0, dropped_mem=0)
+        verdict = mcsim.validate_stats(cfg, report, stats)
+        assert verdict.z_score == 0.0
+        assert verdict.checks[1:] == lines
+        assert verdict.passed is False
 
     @pytest.mark.xfail(raises=AssertionError,
                        reason="validate_stats demands 2M min(j, m) comm ions, but each "
