@@ -525,11 +525,17 @@ class TestFigure:
         assert len(calls) == 11
         assert sum(len(variants) for _, _, _, variants in calls) == 23
         assert json.loads(out)["figure"] == "fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9"
+        # the ids one at a time solve again, not read what `all` solved
+        optimize_module._solved.clear()
+        solves = []
         for fig_id in sorted(figures_module.FIGURES):
+            before = len(calls)
             assert run(capsys, "figure", fig_id, *self.FAST,
                        "--out-dir", str(tmp_path / "each"))[0] == 0
-        # 3 per fig2-fig6, 3 for fig7, 4 for fig8 and 3 for fig9
-        assert len(calls) == 11 + 25
+            solves.append(len(calls) - before)
+        # fig2 solves the nine sweeps that fig3-fig6 read from the cache;
+        # 3 for fig7, 4 for fig8 and 3 for fig9
+        assert solves == [3, 0, 0, 0, 0, 3, 4, 3]
         names = sorted(p.name for p in (tmp_path / "all").iterdir())
         assert len(names) == 59
         assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
@@ -537,19 +543,23 @@ class TestFigure:
             assert ((tmp_path / "all" / name).read_bytes()
                     == (tmp_path / "each" / name).read_bytes()), name
 
-    def test_each_call_sweeps_its_own_curves(self, capsys, tmp_path, monkeypatch):
+    def test_a_repeated_call_solves_nothing(self, capsys, tmp_path, monkeypatch):
         calls = self.count_solves(monkeypatch)
+        first = tmp_path / "first"
         assert run(capsys, "figure", "fig2", "fig3", *self.FAST,
-                   "--out-dir", str(tmp_path))[0] == 0
+                   "--out-dir", str(first))[0] == 0
         # one solve per spatial_mux, each for its three noise levels
         assert len(calls) == 3
         assert len(set(map(repr, calls))) == 3
         assert [len(variants) for _, _, _, variants in calls] == [3, 3, 3]
-        # no solve outlives its call
-        for expected in (6, 9):
+        fig2 = {p.name: p.read_bytes() for p in first.glob("fig2_*")}
+        assert len(fig2) == 9
+        # a solved sweep outlives its call: fig2 again reads it from the cache
+        for again in ("second", "third"):
             assert run(capsys, "figure", "fig2", *self.FAST,
-                       "--out-dir", str(tmp_path))[0] == 0
-            assert len(calls) == expected
+                       "--out-dir", str(tmp_path / again))[0] == 0
+            assert len(calls) == 3
+            assert {p.name: p.read_bytes() for p in (tmp_path / again).iterdir()} == fig2
 
     def test_a_rejected_override_writes_no_curve(self, capsys, tmp_path):
         # fig7's tau_g = 10 us is past tau_o = 5 us; every curve's hardware
@@ -905,6 +915,12 @@ class TestContract:
          "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
         (("figure", "fig2", "--l-step-km", "0", "--n-max", "-1"),
          "config field sweep.l_step_km must be positive and finite, got 0.0"),
+        (("optimize", "--l-km", "150", "--n-o-max", "100000000000000000000"),
+         "invalid constraints config: n_o_max must be at most 1073741824, "
+         "got 100000000000000000000"),
+        (("optimize", "--l-km", "150", "--n-m-max", "100000000000000000000"),
+         "invalid constraints config: n_m_max must be at most 1073741824, "
+         "got 100000000000000000000"),
     ])
     def test_first_bad_field_wins(self, capsys, tmp_path, args, message):
         if args[0] == "figure":
@@ -1060,6 +1076,7 @@ class TestFuzz:
     @example((["rate", "--l-km=1.7e308", "--n=0", "--time-mux=1"], {}))
     @example((["classify", "--l-km=1.7e308", "--n=0"], {}))
     @example((["classify", "--l0-km=1.7e308"], {}))
+    @example((["optimize", "--l-km=150", "--n-m-max=100000000000000000000"], {}))
     def test_every_input_ends_in_an_answer_or_one_line(self, capsys, tmp_path, case):
         args, doc = case
         path = tmp_path / "cfg.json"

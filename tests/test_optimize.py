@@ -7,6 +7,7 @@ search is also checked against an exhaustive scan of the whole grid.
 """
 import math
 import re
+import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -212,6 +213,16 @@ class TestConstraints:
     def test_pinned_repeater_count_is_bounded(self, cons, match):
         with pytest.raises(ValueError, match=match):
             optimize_rate(150.0, 10, BASE, constraints=Constraints(**cons))
+
+    @pytest.mark.parametrize("name", ["n_o_max", "n_m_max"])
+    def test_ion_caps_are_bounded(self, name):
+        # a cap past int64 once overflowed in rates.ion_caps
+        with pytest.raises(ValueError) as err:
+            Constraints(**{name: 10 ** 20})
+        assert str(err.value) == f"{name} must be at most 1073741824, got {10 ** 20}"
+        # the largest cap allowed binds nowhere on the default grid
+        res = optimize_rate(150.0, 10, BASE, constraints=Constraints(**{name: 2 ** 30}))
+        assert res == optimize_rate(150.0, 10, BASE)
 
     @pytest.mark.parametrize("cons, message", [
         (dict(tau_min=math.nan), "tau_min must be positive, got nan"),
@@ -565,6 +576,7 @@ class TestSweepOracle:
         with pytest.MonkeyPatch.context() as mp:
             if pass_rows is not None:
                 mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
+            optimize_module._solved.clear()  # solve at this pass size, not read an earlier one
             assert sweep_outcome(*problem) == scan_sweep(*problem)
 
     def test_passes_stay_small(self, monkeypatch):
@@ -648,6 +660,7 @@ class TestReports:
         with pytest.MonkeyPatch.context() as mp:
             if pass_rows is not None:
                 mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
+            optimize_module._solved.clear()
             try:
                 rows = sweep_distance(ls, spatial_mux, hw, bounds, constraints)
             except ValueError:
@@ -725,10 +738,12 @@ class TestSharedRowSolve:
                 mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
             alone = []
             for mux, hw, cons in variants:
+                optimize_module._solved.clear()
                 try:
                     alone.append(sweep_distance(ls, mux, hw, bounds, cons))
                 except ValueError as err:
                     alone.append(err)
+            optimize_module._solved.clear()  # the shared call solves, not reads alone's rows
             errors = [str(a) for a in alone if isinstance(a, ValueError)]
             if errors:
                 with pytest.raises(ValueError) as err:
@@ -765,6 +780,116 @@ class TestSharedRowSolve:
         with pytest.raises(StepCountError) as err:
             optimize_module.sweep_variants([1e10], variants, SearchBounds(20, 50))
         assert err.value.variant == 2
+
+
+class TestSolvedSweeps:
+    # sweep_variants keeps what it solved: a held sweep must read as a fresh
+    # solve, each caller must get lists of its own, and the held rows must
+    # stay within SOLVED_ROWS
+    LS = [50.0, 150.0, 400.0]
+    BOUNDS = SearchBounds(60, 200)
+    # unpinned, pinned, capped and (n_o_max = 5) infeasible everywhere
+    VARIANTS = [(10, BASE, None), (5, BASE.updated(eps_g=1e-3), None),
+                (10, BASE, Constraints(fixed_l0_km=20.0)),
+                (10, BASE.updated(eps_g=1e-4), Constraints(n_o_max=125)),
+                (5, BASE, Constraints(n_m_max=60)), (10, BASE, Constraints(n_o_max=5))]
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        """Each _solve call's spatial_mux and variants."""
+        calls, real = [], optimize_module._solve
+
+        def counting(ls, spatial_mux, bounds, group):
+            calls.append((spatial_mux, group))
+            return real(ls, spatial_mux, bounds, group)
+
+        monkeypatch.setattr(optimize_module, "_solve", counting)
+        return calls
+
+    def test_a_held_sweep_reads_as_a_fresh_solve(self, monkeypatch):
+        first = optimize_module.sweep_variants(self.LS, self.VARIANTS, self.BOUNDS)
+        calls = self.count_solves(monkeypatch)
+        # equal distances given as ints: a hit, with the caller's own l_km
+        held = optimize_module.sweep_variants([50, 150, 400], self.VARIANTS, self.BOUNDS)
+        assert calls == []
+        assert [type(row.l_km) for row in held[0]] == [int] * 3
+        optimize_module._solved.clear()
+        fresh = optimize_module.sweep_variants(self.LS, self.VARIANTS, self.BOUNDS)
+        assert [mux for mux, _ in calls] == [10, 5, 10]  # one solve per row key
+        assert held == fresh == first
+        assert all(row.result is None for row in fresh[-1])
+        assert any(row.result is not None for rows in fresh for row in rows)
+
+    def test_each_caller_gets_its_own_lists(self):
+        rows = optimize_module.sweep_variants(self.LS, [(10, BASE, None), (10, BASE, None)],
+                                              self.BOUNDS)
+        assert rows[0] == rows[1]
+        assert rows[0] is not rows[1]
+        expected = list(rows[0])
+        rows[0].clear()
+        rows[1][0] = None
+        assert optimize_module.sweep_variants(self.LS, [(10, BASE, None)],
+                                              self.BOUNDS) == [expected]
+
+    def test_held_rows_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(optimize_module, "SOLVED_ROWS", 6)
+        calls, solved = self.count_solves(monkeypatch), optimize_module._solved
+
+        def sweep(spatial_mux: int, ls=(50.0, 150.0)) -> None:
+            optimize_module.sweep_variants(ls, [(spatial_mux, BASE, None)], self.BOUNDS)
+
+        for spatial_mux in (1, 5, 10, 1, 50):  # 1 is read again, so 5 is the oldest
+            sweep(spatial_mux)
+            assert solved.rows <= 6
+        assert [mux for mux, _ in calls] == [1, 5, 10, 50]
+        calls.clear()
+        for spatial_mux in (10, 1, 50, 5):  # 5 was dropped; solving it drops 10
+            sweep(spatial_mux)
+        assert [mux for mux, _ in calls] == [5]
+        assert solved.rows == 6
+        # seven distances are more than the bound: solved, but not held
+        calls.clear()
+        for _ in range(2):
+            sweep(10, [10.0 * i for i in range(1, 8)])
+        assert len(calls) == 2
+        sweep(1)
+        sweep(50)
+        sweep(5)
+        assert len(calls) == 2
+
+    def test_a_failing_solve_holds_nothing(self, monkeypatch):
+        # at 1e10 km, T/tau is past 2**31 at tau = 10 us but not at 100 us
+        slow, fast = BASE.updated(tau=100e-6, tau_o=5e-3), BASE.updated(tau=10e-6, tau_o=5e-3)
+        variants = [(1, slow, None), (1, fast, None)]
+        calls = self.count_solves(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(StepCountError) as err:
+                optimize_module.sweep_variants([1e10], variants, SearchBounds(20, 50))
+            assert err.value.variant == 1
+        # slow's solve is held, so the retry solves only the failing variant
+        assert [group for _, group in calls] == [[(slow, Constraints())],
+                                                 [(fast, Constraints())],
+                                                 [(fast, Constraints())]]
+        assert optimize_module._solved.rows == 1
+
+    def test_threads_share_the_cache(self, monkeypatch):
+        # more threads than cores, with frequent switches: every caller gets
+        # the rows of a solve, and the held-row count matches what is held
+        monkeypatch.setattr(optimize_module, "SOLVED_ROWS", 4)
+        muxes = [1, 5, 10, 50]
+        expected = {mux: sweep_distance([50.0, 150.0], mux, BASE, self.BOUNDS) for mux in muxes}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [(mux, pool.submit(sweep_distance, [50.0, 150.0], mux, BASE,
+                                             self.BOUNDS)) for mux in muxes * 20]
+                got = [(mux, future.result(timeout=120)) for mux, future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rows == expected[mux] for mux, rows in got)
+        solved = optimize_module._solved
+        assert solved.rows == sum(map(len, solved._entries.values())) <= 4
 
 
 class TestTimeRescaling:
