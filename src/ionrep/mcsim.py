@@ -35,33 +35,38 @@ bit-identical for a given (config, seed) no matter how chunks are scheduled.
 Memory: a chunk is the unit of seeding and a sub-batch the unit of state. A
 chunk's blocks run through the step loop in sub-batches of
 STATE_BYTES // (c (links + 1) (m + 3)) blocks, at least one, with c = 16 B
-up to 65,535 modes and 20 B past them, and each sub-batch draws its rows
-from the chunk's generator in turn. Its uniforms, one per (block, link,
-slot, mode) in C order, are drawn a slice of rows at a time into one reused
-float64 buffer of DRAW_BYTES, and SimConfig rejects an M above
-DRAW_BYTES // 8, so a row of M modes always fits it; each slice is reduced
-at once to the first successful mode per (block, link, slot), in
-np.min_scalar_type(M), which is uint8 up to 255 modes: the slice's hits are
-copied mode-major, mode i weighted M - i, and one max over the modes gives
-M less the first hit, or 0 where a row has none, a handful of whole-slice
-operations whatever M. The draws are block-major, and drawing random(a)
-then random(b) yields the same stream as random(a + b), so neither the
-slicing nor the sub-batching changes a result.
+up to 65,535 modes and 20 B past them while the counts fit int32 (12 B more
+past that), and each sub-batch draws its rows from the chunk's generator in
+turn. Its uniforms, one per (block, link, slot, mode) in C order, are drawn
+a slice of rows at a time into one reused float64 buffer of DRAW_BYTES, and
+SimConfig rejects an M above DRAW_BYTES // 8, so a row of M modes always
+fits it; each slice is reduced at once to the first successful mode per
+(block, link, slot), in np.min_scalar_type(M), which is uint8 up to 255
+modes: the slice's hits are copied mode-major, mode i weighted M - i, and
+one max over the modes gives M less the first hit, or 0 where a row has
+none, a handful of whole-slice operations whatever M. The draws are
+block-major, and drawing random(a) then random(b) yields the same stream as
+random(a + b), so neither the slicing nor the sub-batching changes a result.
 
 The state is allocated once a run, for its largest sub-batch, and each
 sub-batch runs on the front of it. It is kept slot-major with blocks last:
 the first successes, copied from their block-major order to m x links x
-blocks, and three int32 histories of m x (links or nodes) x blocks. The
-step loop writes a slot's attempts and kept pairs before it reads them, so
-only the blind loads, which it adds up, are zeroed for each sub-batch. A
-block's state per (node, slot) is 12 B of histories and w B each for the
-first successes and their copy, with w = 1, 2 or 4 by M; c counts w as 2 B
-at least, so at uint8 the 2 B to spare, an eighth of STATE_BYTES, cover the
-draw buffer, which is live beside the state while a sub-batch draws. The per-node counters and a
-step's temporaries, about 40 B a node and block, are the m + 3 term's 48 B
-at least, so STATE_BYTES bounds both. A single block larger than
-STATE_BYTES still runs alone, so its state is bounded only by a check of
-the config before the run, which the simulator does not make.
+blocks, and three histories of m x (links or nodes) x blocks. Every count of
+a block, in the histories, the per-node counters and a step's temporaries,
+takes one signed type chosen from the config, _count_dtype: no count passes
+2Mm, so int8 serves up to 2Mm = 126, int16 the headline point, int32 up to
+2**31 - 2 and int64 past it. The step loop writes a slot's attempts and kept
+pairs before it reads them, so only the blind loads, which it adds up, are
+zeroed for each sub-batch. A block's state per (node, slot) is 3h B of
+histories, h the counts' width, and w B each for the first successes and
+their copy, with w = 1, 2 or 4 by M; c counts h as 4 B and w as 2 B at
+least, so sub-batches are as large at int8 as at int32, and at uint8 the 2 B
+to spare, an eighth of STATE_BYTES, cover the draw buffer, which is live
+beside the state while a sub-batch draws. The per-node counters and a step's
+temporaries, about ten counts a node and block, fit the m + 3 term's 3c B,
+at least 9h + 12 B, so STATE_BYTES bounds both. A single block larger than
+STATE_BYTES still runs alone, so its state is bounded only by a check of the
+config before the run, which the simulator does not make.
 """
 
 from __future__ import annotations
@@ -89,7 +94,6 @@ CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain
 STATE_BYTES = 16 << 20  # a sub-batch's block state, at least one block
 SIGMA = 3.0  # validation's bound on block success, in binomial standard deviations
-_UNLIMITED = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,9 @@ class SimConfig:
         _check(0.0 <= self.p <= 1.0, "p", "in [0, 1]", self.p)
         _check(self.tau_s > 0, "tau_s", "positive", self.tau_s)
         _check(self.tau_o_s > 0, "tau_o_s", "positive", self.tau_o_s)
-        # counts may pass model.MAX_COUNT: k_steps reaches MAX_STEPS, a pool of
-        # _UNLIMITED or more means unlimited, and a seed may be any integer >= 0
+        # counts may pass model.MAX_COUNT: k_steps reaches MAX_STEPS, a pool past
+        # 2Mm, the most ions a node ever holds, binds nowhere, and a seed may be
+        # any integer >= 0
         for name, low, rule in (("j_steps", 1, ">= 1"), ("k_steps", 1, ">= 1"),
                                 ("num_blocks", 1, ">= 1"),
                                 ("n_comm_ions", 0, ">= 0 (0 means unlimited)"),
@@ -176,10 +181,10 @@ def _grant(want: np.ndarray | int, used: np.ndarray, pool: int) -> tuple[np.ndar
 
     at_left[i] is the grant of link i's right end, which serves it as its
     left side, and at_right[i] that of its left end. No grant exceeds its
-    want. A pool of _UNLIMITED, which no count comes near, grants every want
-    as it stands, without the budget arithmetic.
+    want. A pool of 0, unlimited, grants every want as it stands, without
+    the budget arithmetic; any other pool must fit used's dtype.
     """
-    if pool >= _UNLIMITED:
+    if not pool:
         return want, want, want
     budget = np.maximum(pool - used, 0)
     at_left = np.minimum(want, budget[1:])
@@ -224,10 +229,22 @@ def _event_steps(m: int, events) -> list[int]:
     return sorted({t for due in (0, *events) for t in range(due, due + m)})
 
 
-def _histories(m: int, n_links: int, blocks: int) -> tuple[np.ndarray, ...]:
-    """Room for the three int32 per-slot histories of a sub-batch of up to
-    `blocks` blocks: attempts and kept pairs per link, and loads per node."""
-    return tuple(np.empty(m * width * blocks, dtype=np.int32)
+def _count_dtype(layout: ChainLayout) -> np.dtype:
+    """The signed integer type of a block's counts, the smallest to hold
+    -2Mm and 2Mm: no node ever holds more than its 2M attempts in each of m
+    slots, so no count, budget or difference of counts passes 2Mm either way.
+    int8 up to 2Mm = 126, int16 up to 32,766, int32 up to 2**31 - 2 and
+    int64 past it."""
+    # a signed type's largest value is one less than its smallest's magnitude
+    return np.min_scalar_type(-2 * layout.spatial_mux * layout.time_mux - 1)
+
+
+def _histories(layout: ChainLayout, blocks: int) -> tuple[np.ndarray, ...]:
+    """Room for the three per-slot histories of a sub-batch of up to
+    `blocks` blocks, in _count_dtype: attempts and kept pairs per link, and
+    loads per node."""
+    m, n_links = layout.time_mux, layout.n_links
+    return tuple(np.empty(m * width * blocks, dtype=_count_dtype(layout))
                  for width in (n_links, n_links, n_links + 1))
 
 
@@ -235,18 +252,22 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
                trace: Optional[list[str]]):
     """A sub-batch: its blocks run side by side on their first successes fs,
     slot-major (m, links, blocks), and on the room hist from _histories,
-    which they overwrite. Returns the per-block success mask, the peaks and
-    the drops. Given a trace list, block 0's lines are appended to it at the
-    end of each event step, read from its counts."""
+    which they overwrite; every count takes hist's dtype. Returns the
+    per-block success mask, the peaks and the drops. Given a trace list,
+    block 0's lines are appended to it at the end of each event step, read
+    from its counts."""
     m, n_links, cb = fs.shape
     big_m = config.layout.spatial_mux
     wait = config.waits_for_herald
     e1, e2 = (int(e) for e in slot_events(wait, config.k_steps, config.j_steps))
-    # a pool past 2**30 binds nowhere, and the clamp keeps its budget int32
-    pool_c = min(config.n_comm_ions or _UNLIMITED, _UNLIMITED)
-    pool_m = min(config.n_mem_ions or _UNLIMITED, _UNLIMITED)
+    count = hist[0].dtype
+    # no count passes 2Mm, so a pool past it binds nowhere, and the clamp
+    # keeps its budget in the counts' dtype; a pool of 0 stays unlimited
+    cap = 2 * big_m * m
+    pool_c = min(config.n_comm_ions, cap)
+    pool_m = min(config.n_mem_ions, cap)
 
-    used_comm = np.zeros((n_links + 1, cb), dtype=np.int32)
+    used_comm = np.zeros((n_links + 1, cb), dtype=count)
     used_mem = np.zeros_like(used_comm)
     heralded = np.zeros_like(used_comm)
     # per-slot history read when the slot's freeing step comes due: attempts
@@ -261,7 +282,7 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
     freed_c = np.empty_like(used_comm)  # this step's frees, zeroed each step
     freed_m = np.empty_like(used_mem)  # blind second events' frees, zeroed there
     peaks = np.zeros(3, dtype=np.int64)
-    her_before = np.zeros(n_links + 1, dtype=np.int32)  # block 0's heralded, a step back
+    her_before = np.zeros(n_links + 1, dtype=count)  # block 0's heralded, a step back
 
     for t in _event_steps(m, (e1, e2)):
         freed_c.fill(0)
@@ -359,13 +380,14 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     lay = config.layout
     n_links, m, big_m = lay.n_links, lay.time_mux, lay.spatial_mux
     fs_dtype = np.min_scalar_type(big_m)
-    # a block's state per (node, slot): three int32 histories, and the first
-    # successes and their slot-major copy, counted at 2 B each at least
-    state = 12 + 2 * max(fs_dtype.itemsize, 2)
+    # a block's state per (node, slot): three histories, counted at 4 B each
+    # at least, and the first successes and their slot-major copy, counted at
+    # 2 B each at least
+    state = 3 * max(_count_dtype(lay).itemsize, 4) + 2 * max(fs_dtype.itemsize, 2)
     per = max(1, STATE_BYTES // (state * (n_links + 1) * (m + 3)))
     # one state for the run, sized for its largest sub-batch; each runs on its front
     size = min(per, CHUNK_BLOCKS, total)
-    hist = _histories(m, n_links, size)
+    hist = _histories(lay, size)
     slot_major = np.empty(m * n_links * size, dtype=fs_dtype)
     successes = 0
     dropped_c = 0

@@ -289,7 +289,7 @@ class TestIonPools:
             assert run_protocol_sim(dataclasses.replace(cfg, n_mem_ions=n_m - 1)).dropped_mem
 
     def test_huge_pool_is_unlimited(self):
-        # a pool past what any int32 counter can hold binds nowhere
+        # a pool past 2Mm, and past what any int32 counter can hold, binds nowhere
         for cfg in (oracle_config(num_blocks=50), blind_config(p=0.6, num_blocks=50)):
             huge = dataclasses.replace(cfg, n_comm_ions=2 ** 32, n_mem_ions=2 ** 32)
             assert run_protocol_sim(huge) == run_protocol_sim(cfg)
@@ -444,7 +444,7 @@ class TestStepLoopOracle:
             n_o, n_m = (int(v) for v in ion_budgets(wait, k, j, big_m, m))
             for pools in ((0, 0), (n_o, n_m)):
                 pooled = dataclasses.replace(cfg, n_comm_ions=pools[0], n_mem_ions=pools[1])
-                ok = mcsim._run_batch(pooled, fs, mcsim._histories(m, links, fs.shape[2]),
+                ok = mcsim._run_batch(pooled, fs, mcsim._histories(pooled.layout, fs.shape[2]),
                                       None)[0]
                 for p in (0.1, 0.5, 0.9):
                     # first success at mode i < M, or at none of the M modes
@@ -454,6 +454,65 @@ class TestStepLoopOracle:
                     assert math.isclose(weight.sum(), 1.0, abs_tol=1e-12)
                     exact = (1 - (1 - p) ** (big_m * m)) ** (n + 1)
                     assert abs(weight[ok].sum() - exact) <= 1e-12, (n, big_m, m, pools, p)
+
+
+class TestCountWidth:
+    """A block's counts take the smallest signed type that holds -2Mm and
+    2Mm, chosen from the config alone; they must count exactly as int64
+    counts do, and reach 2Mm without wrapping at every width's edge."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 3), big_m=st.integers(1, 4), m=st.integers(1, 6),
+           j=st.integers(1, 3), k=st.integers(1, 6), p=st.sampled_from([0.2, 0.6, 1.0]),
+           wait=st.booleans(), budget=st.booleans(), seed=st.integers(0, 99))
+    def test_narrow_counts_match_int64_counts(self, n, big_m, m, j, k, p, wait, budget, seed):
+        cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
+                        tau_o_s=(k + j + (0.5 if wait else -0.5)) * US, p=p,
+                        num_blocks=200, seed=seed, trace=True)
+        assert cfg.waits_for_herald == wait
+        if budget:  # pools of the budgets take the grant arithmetic
+            n_o, n_m = (int(v) for v in ion_budgets(wait, k, j, big_m, m))
+            cfg = dataclasses.replace(cfg, n_comm_ions=n_o, n_mem_ions=n_m)
+        assert mcsim._count_dtype(cfg.layout) == np.int8  # 2Mm <= 48 here
+        narrow = run_protocol_sim(cfg)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mcsim, "_count_dtype", lambda layout: np.dtype(np.int64))
+            assert run_protocol_sim(cfg) == narrow
+
+    @pytest.mark.parametrize("twice_mm, dtype", [
+        (126, np.int8), (128, np.int16), (32_766, np.int16), (32_768, np.int32),
+        (2 ** 31 - 2, np.int32), (2 ** 31, np.int64), (2 * 131_072 * 2 ** 30, np.int64)])
+    def test_count_type_holds_twice_mm(self, twice_mm, dtype):
+        # M = 1 or the largest M that SimConfig takes, m = Mm / M
+        big_m = 1 if twice_mm < 2 ** 31 else 131_072
+        layout = ChainLayout(20.0, 1, big_m, twice_mm // (2 * big_m))
+        assert mcsim._count_dtype(layout) == dtype
+
+    @pytest.mark.parametrize("big_m, m", [(1, 63), (1, 64), (3, 5461), (128, 128),
+                                          (131_072, 8193)])
+    def test_comm_peak_is_twice_mm_in_the_wait_regime(self, big_m, m):
+        # every mode misses, so the repeater holds 2M comm ions from each of
+        # the m slots until the first herald, k > m steps in; at M = 131,072
+        # and m = 8193, 2Mm = 2,147,745,792 is past int32
+        cfg = SimConfig(ChainLayout(1.0, 1, big_m, m), j_steps=1, k_steps=10_000,
+                        tau_s=1e-9, tau_o_s=50e-6, p=1e-12)
+        assert cfg.waits_for_herald
+        fs = np.full((m, 2, 1), big_m, dtype=np.min_scalar_type(big_m))
+        peaks = mcsim._run_batch(cfg, fs, mcsim._histories(cfg.layout, 1), None)[1]
+        assert peaks.tolist() == [2 * big_m * m, 0, 0]
+
+    @pytest.mark.parametrize("m", [63, 64])
+    @pytest.mark.parametrize("pool", [0, 100, 128, 2 ** 40])
+    def test_blind_memory_peak_is_twice_mm(self, m, pool):
+        # p = 1 and k > m: every slot loads both sides' one mode before the
+        # first is freed, so the repeater holds 2Mm = 126 or 128 memory ions,
+        # past int8 at 128; a pool of 100 binds, one of 128 or more does not
+        cfg = SimConfig(ChainLayout(20.0, 1, 1, m), j_steps=1, k_steps=80, tau_s=US,
+                        tau_o_s=80 * US, p=1.0, n_mem_ions=pool)
+        assert not cfg.waits_for_herald
+        stats = run_protocol_sim(cfg)
+        assert stats.peak_mem_loaded == min(pool or 2 * m, 2 * m)
+        assert (stats.dropped_mem > 0) == (pool == 100)
 
 
 class TestEventSteps:
