@@ -8,6 +8,11 @@ single 9-significant-digit formatter so text, JSON, and CSV renderings of the
 same result carry identical values, and a fixed seed reproduces identical
 bytes. NaN is spelled "nan" in every format (JSON has no NaN literal).
 
+Each subcommand loads only the modules it runs: rate and classify need the
+model, the rates and the figure table (for the parser's choices); optimize,
+sweep and figure import the optimizer inside the functions that call it, and
+simulate imports the simulator inside cmd_simulate.
+
 Exit codes: 0 success, 2 config error, 3 infeasible, 4 validation failure.
 """
 from __future__ import annotations
@@ -19,20 +24,15 @@ import json
 import math
 import os
 import sys
-from typing import NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .figures import CSV_COLUMNS, FIGURES, curve_rows, curve_variant, reduce_row
-from .mcsim import SimConfig, run_protocol_sim, validate_stats
-from .model import ChainLayout, HardwareProfile, StepCountError, _check, heralding_time
-from .optimize import (
-    Constraints,
-    SearchBounds,
-    distance_grid,
-    optimize_rate,
-    sweep_distance,
-    sweep_variants,
-)
+from .model import (ChainLayout, Constraints, HardwareProfile, StepCountError, _check,
+                    heralding_time)
 from .rates import InfeasibleError, RateReport, classification_path, evaluate_rate
+
+if TYPE_CHECKING:
+    from .optimize import SearchBounds
 
 SPEC_VERSION = "1"
 
@@ -225,6 +225,7 @@ def make_layout(cfg: dict, need_m: bool = True) -> ChainLayout:
 
 
 def make_bounds(cfg: dict) -> SearchBounds:
+    from .optimize import SearchBounds
     # no prefix: SearchBounds' messages already name bounds.n_max and bounds.m_max
     return SearchBounds(**cfg["bounds"])
 
@@ -237,6 +238,7 @@ def make_constraints(cfg: dict) -> Constraints:
 
 
 def make_l_grid(cfg: dict) -> list[float]:
+    from .optimize import distance_grid
     sw = cfg["sweep"]
     if sw["l_list_km"] is not None:
         grid = [float(v) for v in sw["l_list_km"]]
@@ -360,6 +362,7 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
+    from .optimize import optimize_rate
     hw = make_hardware(cfg)
     constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
     res = optimize_rate(cfg["layout"]["l_km"], cfg["layout"]["spatial_mux"], hw,
@@ -377,6 +380,7 @@ def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
+    from .optimize import sweep_distance
     hw = make_hardware(cfg)
     grid = make_l_grid(cfg)
     constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
@@ -393,6 +397,7 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
+    from .optimize import sweep_variants
     if cfg["output"]["format"] == "csv":
         raise CliError(EXIT_CONFIG,
                        "figure writes CSV files itself; use --format text or json")
@@ -425,6 +430,7 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
+    from .mcsim import SimConfig, run_protocol_sim, validate_stats
     layout = make_layout(cfg)
     hw = make_hardware(cfg)
     try:

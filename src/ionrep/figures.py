@@ -16,10 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .model import HardwareProfile
-from .optimize import Constraints, SweepRow
+from .model import Constraints, HardwareProfile
+
+if TYPE_CHECKING:  # the table is built without loading the optimizer
+    from .optimize import SweepRow
 
 CSV_COLUMNS = ("L_km", "value", "regime", "n_opt", "m_opt", "N_o", "N_m", "plob")
 

@@ -15,10 +15,11 @@ Each parameter dataclass checks its fields when it is built (dataclasses.replace
 and HardwareProfile.updated included), so the formulas check only their plain
 arguments. ChainLayout._unchecked, for the optimizer's rows, built from
 inputs it has checked, is the one layout that skips its checks.
-Every field check, here and in SearchBounds, Constraints and SimConfig, goes
-through _check, which rejects NaN and, for counts, fractions, and names an
-array's first bad entry and its flat index, on one line. A scalar count that
-passes is stored as an int by _store_int, so 4.0 and np.int64(4) give 4.
+Every field check, here (the optimizer's Constraints included) and in
+SearchBounds and SimConfig, goes through _check, which rejects NaN and, for
+counts, fractions, and names an array's first bad entry and its flat index,
+on one line. A scalar count that passes is stored as an int by _store_int,
+so 4.0 and np.int64(4) give 4.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Optional
 
 import numpy as np
 
@@ -218,6 +220,45 @@ class ChainLayout:
     @property
     def link_length_km(self) -> float:
         return self.total_distance_km / self.n_links
+
+
+@dataclass(frozen=True)
+class Constraints:
+    """The optimizer's limits on a chain: ion caps per node, a pinned spacing
+    or repeater count, and a shortest clock cycle tau_min in seconds. It
+    lives here, with the other config dataclasses, so that the figure table
+    builds curves without loading the optimizer."""
+
+    n_o_max: Optional[int] = None
+    n_m_max: Optional[int] = None
+    fixed_l0_km: Optional[float] = None
+    fixed_n: Optional[int] = None
+    tau_min: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.fixed_l0_km is not None and self.fixed_n is not None:
+            raise ValueError("at most one of fixed_l0_km and fixed_n may be set")
+        for name in ("n_o_max", "n_m_max"):
+            v = getattr(self, name)
+            if v is not None:
+                _check(v >= 1, name, "positive", v)
+                _check(v <= MAX_COUNT, name, f"at most {MAX_COUNT}", v)
+                _check(v % 1 == 0, name, "an integer", v)
+                _store_int(self, name)
+        if self.fixed_l0_km is not None:
+            _check(self.fixed_l0_km > 0, "fixed_l0_km", "positive", self.fixed_l0_km)
+        if self.fixed_n is not None:
+            _check(0 <= self.fixed_n <= MAX_COUNT, "fixed_n", f"in [0, {MAX_COUNT}]",
+                   self.fixed_n)
+            _check(self.fixed_n % 1 == 0, "fixed_n", "an integer", self.fixed_n)
+            _store_int(self, "fixed_n")
+        if self.tau_min is not None:
+            _check(self.tau_min > 0, "tau_min", "positive", self.tau_min)
+
+    @property
+    def pinned(self) -> bool:
+        """True when fixed_n or fixed_l0_km pins the repeater count."""
+        return self.fixed_n is not None or self.fixed_l0_km is not None
 
 
 @dataclass(frozen=True)

@@ -125,8 +125,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (MAX_COUNT, ChainLayout, HardwareProfile, StepCountError, _check,
-                    _check_count, _store_int, fiber_transmissivity)
+from .model import (MAX_COUNT, ChainLayout, Constraints, HardwareProfile, StepCountError,
+                    _check, _check_count, _store_int, fiber_transmissivity)
 from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, ion_caps,
                     memory_covers, noise_tail, noisy_rate, plob_bound, rate_blocks,
                     rate_rows)
@@ -161,40 +161,6 @@ class SearchBounds:
         _check(m_max % 1 == 0, "bounds.m_max", "an integer", m_max)
         _store_int(self, "n_max")
         _store_int(self, "m_max")
-
-
-@dataclass(frozen=True)
-class Constraints:
-    n_o_max: Optional[int] = None
-    n_m_max: Optional[int] = None
-    fixed_l0_km: Optional[float] = None
-    fixed_n: Optional[int] = None
-    tau_min: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.fixed_l0_km is not None and self.fixed_n is not None:
-            raise ValueError("at most one of fixed_l0_km and fixed_n may be set")
-        for name in ("n_o_max", "n_m_max"):
-            v = getattr(self, name)
-            if v is not None:
-                _check(v >= 1, name, "positive", v)
-                _check(v <= MAX_COUNT, name, f"at most {MAX_COUNT}", v)
-                _check(v % 1 == 0, name, "an integer", v)
-                _store_int(self, name)
-        if self.fixed_l0_km is not None:
-            _check(self.fixed_l0_km > 0, "fixed_l0_km", "positive", self.fixed_l0_km)
-        if self.fixed_n is not None:
-            _check(0 <= self.fixed_n <= MAX_COUNT, "fixed_n", f"in [0, {MAX_COUNT}]",
-                   self.fixed_n)
-            _check(self.fixed_n % 1 == 0, "fixed_n", "an integer", self.fixed_n)
-            _store_int(self, "fixed_n")
-        if self.tau_min is not None:
-            _check(self.tau_min > 0, "tau_min", "positive", self.tau_min)
-
-    @property
-    def pinned(self) -> bool:
-        """True when fixed_n or fixed_l0_km pins the repeater count."""
-        return self.fixed_n is not None or self.fixed_l0_km is not None
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,16 @@ import argparse
 import copy
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+import ionrep
 import ionrep.cli as cli_module
 import ionrep.figures as figures_module
 import ionrep.mcsim as mcsim_module
@@ -638,6 +643,63 @@ class TestLibraryObjects:
                                                                           50e-6, 60.0)
 
 
+# Run in a fresh interpreter, whose sys.modules no test has filled: one
+# subcommand through main, then the ionrep submodules it loaded.
+_LOADED_BY = """
+import contextlib, io, sys
+from ionrep import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m.startswith("ionrep.")))
+"""
+
+
+def _fresh_python(code: str, *argv: str) -> list[str]:
+    src = str(pathlib.Path(cli_module.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    return out.stdout.split()
+
+
+class TestModuleLoading:
+    """Each subcommand loads only the modules it runs; `import ionrep`
+    loads none, and its public names resolve on first access."""
+
+    REPORT = ["ionrep.cli", "ionrep.figures", "ionrep.model", "ionrep.rates"]
+
+    @pytest.mark.parametrize("argv, extra", [
+        (RATE_ARGS, []),
+        (("classify", "--l0-km", "1.7"), []),
+        (("optimize",), ["ionrep.optimize"]),
+        (("sweep", "--l-list-km", "100,200"), ["ionrep.optimize"]),
+        (("figure", "fig8", "--l-list-km", "100", "--out-dir", "{tmp}"), ["ionrep.optimize"]),
+        (("simulate", "--l-km", "20", "--n", "2", "--time-mux", "3", "--num-blocks", "100"),
+         ["ionrep.mcsim"]),
+    ], ids=["rate", "classify", "optimize", "sweep", "figure", "simulate"])
+    def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, extra):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        assert _fresh_python(_LOADED_BY, *argv) == ["0", *sorted(self.REPORT + extra)]
+
+    def test_importing_the_package_loads_no_submodule(self):
+        assert _fresh_python("import sys, ionrep; print(ionrep.__version__, "
+                             "*[m for m in sys.modules if m.startswith('ionrep.')])"
+                             ) == [ionrep.__version__]
+
+    def test_every_public_name_is_its_submodules_object(self):
+        for name in ionrep.__all__:
+            value = getattr(ionrep, name)
+            home = sys.modules[ionrep._MODULE_OF[name]]
+            assert value is getattr(home, name)
+            # a class or function resolves to the module that defines it
+            assert getattr(value, "__module__", home.__name__) == home.__name__
+
+    def test_an_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="has no attribute 'optimize_rates'"):
+            ionrep.optimize_rates
+        assert not hasattr(ionrep, "SweepRows")
+
+
 class TestListPayloads:
     """Text repeats a list's label per item; CSV drops what sits under a list."""
 
@@ -681,7 +743,6 @@ class TestListPayloads:
             return run_sim(config)
 
         monkeypatch.setattr(mcsim_module, "run_protocol_sim", counted)
-        monkeypatch.setattr(cli_module, "run_protocol_sim", counted)
         code, out, _ = run(capsys, *SIM_VALIDATE)
         assert (code, len(calls)) == (0, 1)
         assert out.startswith(SIM_RESULT + "validation.passed: true\n")

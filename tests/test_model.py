@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from ionrep import (Constraints, SearchBounds, SimConfig, evaluate_rate, optimize_rate,
                     run_protocol_sim)
 from ionrep.model import (
+    MAX_COUNT,
+    MAX_STEPS,
     ChainLayout,
     HardwareProfile,
     ModelDomainWarning,
@@ -29,8 +31,73 @@ from ionrep.model import (
     swap_survival_factor,
     werner_rci,
 )
+from ionrep.optimize import MAX_SEARCH_N
 
 BASE_NOISE = NoiseParams(f0=0.9999, eps_g=1e-4)
+
+
+def _up(x):
+    return math.nextafter(x, math.inf)
+
+
+def _down(x):
+    return math.nextafter(x, -math.inf)
+
+
+def _j_steps(tau_g):
+    """derive_timing at tau = 1 s, where tau_g is the step count j."""
+    timing = TimingParams(tau=1.0, tau_g=tau_g, tau_o=2.0 ** 40, tau_m=2.0 ** 50)
+    return derive_timing(ChainLayout(1.0, 1), HardwareProfile(timing=timing))
+
+
+# Each field rule at its edge: (rule, build from one value, the edge value,
+# whether the edge is accepted, the value just past it). The value just past
+# the edge gets the opposite verdict.
+RULE_EDGES = [
+    ("eta_c <= 1", lambda v: OpticalParams(eta_c=v), 1.0, True, _up(1.0)),
+    ("eta_c > 0", lambda v: OpticalParams(eta_c=v), 0.0, False, _up(0.0)),
+    ("eta_d <= 1", lambda v: OpticalParams(eta_d=v), 1.0, True, _up(1.0)),
+    ("eta_d > 0", lambda v: OpticalParams(eta_d=v), 0.0, False, _up(0.0)),
+    ("eta_c == eta_d == 1", lambda v: OpticalParams(eta_c=v, eta_d=v), 1.0, True, _up(1.0)),
+    ("alpha >= 0", lambda v: OpticalParams(alpha_db_per_km=v), 0.0, True, _down(0.0)),
+    ("refractive_index >= 1", lambda v: OpticalParams(refractive_index=v), 1.0, True,
+     _down(1.0)),
+    ("tau > 0", lambda v: TimingParams(tau=v), 0.0, False, _up(0.0)),
+    ("tau_g > 0", lambda v: TimingParams(tau_g=v), 0.0, False, _up(0.0)),
+    ("tau_m > 0", lambda v: TimingParams(tau_m=v), 0.0, False, _up(0.0)),
+    ("tau_o > tau_g", lambda v: TimingParams(tau_g=1e-6, tau_o=v), 1e-6, False, _up(1e-6)),
+    ("f0 >= 0.25", lambda v: NoiseParams(f0=v), 0.25, True, _down(0.25)),
+    ("f0 <= 1", lambda v: NoiseParams(f0=v), 1.0, True, _up(1.0)),
+    ("eps_g >= 0", lambda v: NoiseParams(eps_g=v), 0.0, True, _down(0.0)),
+    ("eps_g <= 1", lambda v: NoiseParams(eps_g=v), 1.0, True, _up(1.0)),
+    ("survival >= 0", lambda v: HardwareProfile(noise=NoiseParams(f0=1.0, eps_g=v)),
+     0.5, True, _up(0.5)),
+    ("memory_margin >= 1", lambda v: HardwareProfile(memory_margin=v), 1.0, True, _down(1.0)),
+    ("fidelity >= 0", WernerState, 0.0, True, _down(0.0)),
+    ("fidelity <= 1", WernerState, 1.0, True, _up(1.0)),
+    ("tau_g/tau <= MAX_STEPS", _j_steps, float(MAX_STEPS), True, _up(float(MAX_STEPS))),
+    ("total_distance_km > 0", lambda v: ChainLayout(v, 1), 0.0, False, _up(0.0)),
+    ("n_repeaters >= 0", lambda v: ChainLayout(10.0, v), 0, True, -1),
+    ("n_repeaters <= MAX_COUNT", lambda v: ChainLayout(10.0, v), MAX_COUNT, True,
+     MAX_COUNT + 1),
+    ("spatial_mux >= 1", lambda v: ChainLayout(10.0, 1, v), 1, True, 0),
+    ("time_mux >= 1", lambda v: ChainLayout(10.0, 1, 1, v), 1, True, 0),
+    ("n_o_max >= 1", lambda v: Constraints(n_o_max=v), 1, True, 0),
+    ("n_o_max <= MAX_COUNT", lambda v: Constraints(n_o_max=v), MAX_COUNT, True,
+     MAX_COUNT + 1),
+    ("n_m_max >= 1", lambda v: Constraints(n_m_max=v), 1, True, 0),
+    ("n_m_max <= MAX_COUNT", lambda v: Constraints(n_m_max=v), MAX_COUNT, True,
+     MAX_COUNT + 1),
+    ("fixed_n >= 0", lambda v: Constraints(fixed_n=v), 0, True, -1),
+    ("fixed_n <= MAX_COUNT", lambda v: Constraints(fixed_n=v), MAX_COUNT, True, MAX_COUNT + 1),
+    ("fixed_l0_km > 0", lambda v: Constraints(fixed_l0_km=v), 0.0, False, _up(0.0)),
+    ("tau_min > 0", lambda v: Constraints(tau_min=v), 0.0, False, _up(0.0)),
+    ("n_max >= 0", lambda v: SearchBounds(n_max=v), 0, True, -1),
+    ("n_max <= MAX_SEARCH_N", lambda v: SearchBounds(n_max=v), MAX_SEARCH_N, True,
+     MAX_SEARCH_N + 1),
+    ("m_max >= 1", lambda v: SearchBounds(m_max=v), 1, True, 0),
+    ("m_max <= MAX_COUNT", lambda v: SearchBounds(m_max=v), MAX_COUNT, True, MAX_COUNT + 1),
+]
 
 
 class TestLinkSuccess:
@@ -307,6 +374,18 @@ class TestValidation:
         assert [type(getattr(got, name)) for name in fields] == [int] * len(fields)
         assert run(got) == run(twin)
         assert repr(run(got)) == repr(run(twin))
+
+    @pytest.mark.parametrize("build, value, accepted", [
+        pytest.param(build, value, accepted, id=f"{rule}-{where}")
+        for rule, build, edge, edge_ok, past in RULE_EDGES
+        for where, value, accepted in (("edge", edge, edge_ok), ("past", past, not edge_ok))
+    ])
+    def test_each_rule_at_its_edge(self, build, value, accepted):
+        if accepted:
+            build(value)
+        else:
+            with pytest.raises(ValueError):
+                build(value)
 
     def test_profile_updated_routes_fields(self):
         hw = HardwareProfile().updated(eps_g=1e-3, tau_g=10e-6)

@@ -941,8 +941,9 @@ class TestSweep:
         ls = [50.0, 100.0, 150.0, 200.0, 250.0]
         assert_rows_equal_direct_calls(ls, sweep_distance(ls, 10, BASE))
 
-    # sweeps run on the calling thread and share no state, so a caller's
-    # own threads must not show in the rows
+    # sweeps run on the calling thread, and the one state they share is
+    # sweep_variants' cache of solved rows (optimize._solved), under one
+    # lock; so a caller's own threads must not show in the rows
     def test_threading_is_invisible(self):
         ls = [50.0, 100.0, 150.0]
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -1005,6 +1006,12 @@ class TestCrossover:
         monkeypatch.setattr(optimize_module, "optimize_rate", recording)
         assert crossover_distance(spatial_mux, BASE) == crossover
         assert len(probed) == len(set(probed))
+
+    # a grid that starts at or past the crossover answers its first distance:
+    # the bisection must include index 0
+    @pytest.mark.parametrize("l_min_km", [142.0, 200.0])
+    def test_grid_starting_past_the_crossover_answers_its_start(self, l_min_km):
+        assert crossover_distance(10, BASE, l_min_km=l_min_km) == l_min_km
 
     def test_hopeless_hardware_never_crosses(self):
         assert crossover_distance(10, BASE.updated(eps_g=0.2)) is None

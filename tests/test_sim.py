@@ -607,6 +607,27 @@ class TestDrawMemory:
         assert peak < mcsim.STATE_BYTES + 4 * 2 ** 20
         return stats
 
+    def test_sub_batch_is_the_state_budget_over_a_blocks_state(self, monkeypatch):
+        # int8 counts and uint8 first successes: a block's state is 16 B for
+        # each of its (n + 2)(m + 3) (node, slot) cells, so a budget of five
+        # blocks and a few bytes runs sub-batches of five
+        cfg = oracle_config(num_blocks=23)
+        lay = cfg.layout
+        assert (mcsim._count_dtype(lay), np.min_scalar_type(lay.spatial_mux)) == (
+            np.int8, np.uint8)
+        block = 16 * (lay.n_repeaters + 2) * (lay.time_mux + 3)
+        monkeypatch.setattr(mcsim, "STATE_BYTES", 5 * block + 7)
+        sizes, run_batch = [], mcsim._run_batch
+
+        def recording(config, fs, hist, trace):
+            sizes.append(fs.shape[2])  # fs is slot-major: (m, links, blocks)
+            return run_batch(config, fs, hist, trace)
+
+        monkeypatch.setattr(mcsim, "_run_batch", recording)
+        run_protocol_sim(cfg)
+        assert max(sizes) == mcsim.STATE_BYTES // block == 5
+        assert sum(sizes) == cfg.num_blocks
+
     def test_headline_run_stays_within_the_state_budget(self):
         # n = 88, M = 10, m = 25: one draw of the whole chunk would take 391 MiB,
         # and the chunk's state in one batch 81 MiB
