@@ -16,7 +16,6 @@ _EXPORTS = {
         "ChainLayout",
         "DerivedTiming",
         "HardwareProfile",
-        "ModelDomainWarning",
         "NoiseParams",
         "OpticalParams",
         "TimingParams",

@@ -504,14 +504,12 @@ def sample_end_to_end_Q(n: int, noise: NoiseParams, trials: int,
     the flag's polarization contracts by x per hop and the odd-flip
     probability converges to Q(n). Trials are drawn DRAW_BYTES of uniforms
     (at least one trial) at a time, in order, so the draw size changes no
-    result.
+    result. Noise with x < 0 raises swap_survival_factor's ValueError, and
+    x <= 1 always holds, so the flip probability is in [0, 1/2].
     """
     _check(trials >= 1, "trials", ">= 1", trials)
     _check(n >= 0, "n", ">= 0", n)
     x = swap_survival_factor(noise)
-    if abs(x) > 1.0:
-        raise ValueError(f"survival factor x={x:.6g} outside [-1, 1]; "
-                         "flip probability undefined")
     if n == 0:
         return 0.0
     flip_p = 0.5 * (1.0 - x)

@@ -20,12 +20,14 @@ SearchBounds and SimConfig, goes through _check, which rejects NaN and, for
 counts, fractions, and names an array's first bad entry and its flat index,
 on one line. A scalar count that passes is stored as an int by _store_int,
 so 4.0 and np.int64(4) give 4.
+The one rule over two noise fields, a swap survival factor x >= 0 (where
+the closed-form Q(n) holds), is swap_survival_factor's alone: every caller
+raises its one-line ValueError, and no check warns instead of raising.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -37,10 +39,6 @@ C_VACUUM_KM_S = 299792.458
 MAX_COUNT = 2 ** 30
 # Largest step count tau_g/tau or T/tau: 2 (M k + j) stays in int64 for M <= MAX_COUNT.
 MAX_STEPS = 2 ** 31
-
-
-class ModelDomainWarning(UserWarning):
-    """Inputs left the regime where the closed-form noise model is meaningful."""
 
 
 class StepCountError(ValueError):
@@ -156,9 +154,7 @@ class HardwareProfile:
     memory_margin: float = 10.0
 
     def __post_init__(self) -> None:
-        if _survival_factor(self.noise) < 0.0:
-            raise ValueError(f"swap survival factor 1 - 2 eps_g - (4/3)(1 - f0) is below 0 "
-                             f"at eps_g={self.noise.eps_g}, f0={self.noise.f0}")
+        swap_survival_factor(self.noise)  # its x >= 0 check
         _check(self.memory_margin >= 1.0, "memory_margin", ">= 1", self.memory_margin)
 
     def updated(self, **kwargs: float) -> "HardwareProfile":
@@ -348,30 +344,27 @@ def compose_gate_errors(eps_1: float, eps_2: float) -> float:
     return 1.0 - (1.0 - eps_1) * (1.0 - eps_2)
 
 
-def _survival_factor(noise: NoiseParams) -> float:
-    return 1.0 - 2.0 * noise.eps_g - (4.0 / 3.0) * (1.0 - noise.f0)
-
-
 def swap_survival_factor(noise: NoiseParams) -> float:
     """Per-swap survival factor x = 1 - 2 eps_g - (4/3)(1 - f0).
 
     The polarization (1 - 2Q) of the end-to-end error flag shrinks by x at
-    every swap. x < 0 means the inputs are outside the Werner regime the
-    closed form was derived for; the value is still returned, with a warning.
-    A HardwareProfile with such noise cannot be built.
+    every swap. The closed form Q(n) = (1 - x^n)/2 holds only for x >= 0, so
+    x < 0 raises a ValueError here, and HardwareProfile, end_to_end_Q,
+    end_to_end_fidelity and mcsim.sample_end_to_end_Q raise it by calling
+    this. x <= 1 follows from NoiseParams' rules on eps_g and f0.
     """
-    x = _survival_factor(noise)
+    x = 1.0 - 2.0 * noise.eps_g - (4.0 / 3.0) * (1.0 - noise.f0)
     if x < 0.0:
-        warnings.warn(
-            f"swap survival factor x={x:.6g} < 0; noise model outside Werner regime",
-            ModelDomainWarning,
-            stacklevel=2,
-        )
+        raise ValueError(f"swap survival factor 1 - 2 eps_g - (4/3)(1 - f0) is below 0 "
+                         f"at eps_g={noise.eps_g}, f0={noise.f0}")
     return x
 
 
 def end_to_end_Q(n: int, noise: NoiseParams) -> float:
-    """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain."""
+    """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain.
+
+    Noise with x < 0 raises swap_survival_factor's ValueError.
+    """
     _check(n >= 0, "n", ">= 0", n)
     x = swap_survival_factor(noise)
     # numpy's power loop takes x ** 2 as x * x for an exponent of stride 0 (a

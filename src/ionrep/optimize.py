@@ -111,7 +111,10 @@ each distance's result, or the text of its InfeasibleError, and PLOB
 bound. The cache holds at most SOLVED_ROWS rows, one distance of one
 variant each, and keeps no sweep longer than that. A solve that raises
 stores nothing. Rows depend on nothing but the key: the model is taken to
-be fixed for the life of the process.
+be fixed for the life of the process. A CLI process makes one sweep_variants
+call and gains nothing from the cache; its users in this repository are the
+processes that repeat sweeps: perfbench's figure_family workload, one figure
+id per op in one process, and scripts/digest.py's in-process CLI calls.
 """
 
 from __future__ import annotations

@@ -454,7 +454,8 @@ class TestFigure:
         assert [f.rsplit("/", 1)[-1] for f in files] == [
             "fig7_M1.csv", "fig7_M5.csv", "fig7_M10.csv"]
         for f in files:
-            header = open(f, encoding="utf-8").readline().strip()
+            with open(f, encoding="utf-8") as csv_file:
+                header = csv_file.readline().strip()
             assert header == ",".join(CSV_COLUMNS)
 
     def test_deterministic_bytes(self, capsys, tmp_path):

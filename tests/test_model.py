@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionrep import (Constraints, SearchBounds, SimConfig, evaluate_rate, optimize_rate,
-                    run_protocol_sim)
+                    run_protocol_sim, sample_end_to_end_Q)
 from ionrep.model import (
     MAX_COUNT,
     MAX_STEPS,
     ChainLayout,
     HardwareProfile,
-    ModelDomainWarning,
     NoiseParams,
     OpticalParams,
     StepCountError,
@@ -71,6 +70,9 @@ RULE_EDGES = [
     ("eps_g >= 0", lambda v: NoiseParams(eps_g=v), 0.0, True, _down(0.0)),
     ("eps_g <= 1", lambda v: NoiseParams(eps_g=v), 1.0, True, _up(1.0)),
     ("survival >= 0", lambda v: HardwareProfile(noise=NoiseParams(f0=1.0, eps_g=v)),
+     0.5, True, _up(0.5)),
+    ("survival >= 0 pointwise", lambda v: (swap_survival_factor(NoiseParams(1.0, v)),
+                                           end_to_end_Q(3, NoiseParams(1.0, v))),
      0.5, True, _up(0.5)),
     ("memory_margin >= 1", lambda v: HardwareProfile(memory_margin=v), 1.0, True, _down(1.0)),
     ("fidelity >= 0", WernerState, 0.0, True, _down(0.0)),
@@ -238,19 +240,35 @@ class TestEndToEndNoise:
         assert abs(f - 0.978559) < 1e-6
 
     def test_negative_x_is_a_profile_error(self):
-        # the closed form only holds for x >= 0; a full profile rejects the
-        # noise outright, while the pointwise formulas above only warn
+        # the closed form only holds for x >= 0
         with pytest.raises(ValueError, match="eps_g=0.9, f0=0.3"):
             HardwareProfile().updated(eps_g=0.9, f0=0.3)
 
-    def test_negative_x_warns_but_computes(self):
+    # x >= 0 is swap_survival_factor's one check: the profile and each
+    # pointwise formula raise its line for x < 0 and take x = 0 exactly
+    NOISE_CALLS = {
+        "swap_survival_factor": swap_survival_factor,
+        "end_to_end_Q": lambda noise: end_to_end_Q(2, noise),
+        "end_to_end_fidelity": lambda noise: end_to_end_fidelity(2, noise).fidelity,
+        "sample_end_to_end_Q": lambda noise: sample_end_to_end_Q(2, noise, 4000, seed=3),
+        "HardwareProfile": lambda noise: HardwareProfile(noise=noise).noise,
+    }
+
+    def test_negative_x_is_one_error_everywhere(self):
         bad = NoiseParams(f0=0.3, eps_g=0.2)
-        with pytest.warns(ModelDomainWarning):
-            x = swap_survival_factor(bad)
-        assert x < 0.0
-        with pytest.warns(ModelDomainWarning):
-            q = end_to_end_Q(2, bad)
-        assert 0.0 <= q <= 1.0
+        line = ("swap survival factor 1 - 2 eps_g - (4/3)(1 - f0) is below 0 "
+                "at eps_g=0.2, f0=0.3")
+        for name, call in self.NOISE_CALLS.items():
+            with pytest.raises(ValueError) as err:
+                call(bad)
+            assert str(err.value) == line, name
+        edge = NoiseParams(f0=1.0, eps_g=0.5)  # x = 0: every swap fully depolarizes
+        got = {name: call(edge) for name, call in self.NOISE_CALLS.items()}
+        assert got["swap_survival_factor"] == 0.0
+        assert got["end_to_end_Q"] == 0.5
+        assert got["end_to_end_fidelity"] == 0.25
+        assert abs(got["sample_end_to_end_Q"] - 0.5) < 0.03
+        assert got["HardwareProfile"] == edge
 
     @given(n1=st.integers(0, 20), n2=st.integers(0, 20))
     def test_composition_law(self, n1, n2):

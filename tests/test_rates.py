@@ -301,10 +301,17 @@ class TestReferenceRates:
         _, r1, _, _ = reference_rates(0, 1, 2, 0.5, 1.0, 1.0)
         assert r1 == pytest.approx(0.75, rel=1e-12)
 
-    @pytest.mark.parametrize("q", [-0.5, 1.01])
+    @pytest.mark.parametrize("q", [-0.5, 1.01, -5e-324, math.nextafter(1.0, 2.0)])
     def test_rejects_q_outside_unit_interval(self, q):
         with pytest.raises(ValueError, match=f"q must be in \\[0, 1\\], got {q}"):
             reference_rates(2, 3, 2, 0.3, q, US)
+
+    @pytest.mark.parametrize("q, r0", [(0.0, 0.0), (1.0, 0.3 ** 3 / US)])
+    def test_accepts_q_at_its_edges(self, q, r0):
+        # n = 2 swaps: q = 0 zeroes every rate, q = 1 leaves R0 = p^(n+1) / tau
+        rates = reference_rates(2, 3, 2, 0.3, q, US)
+        assert rates[0] == r0
+        assert (max(rates) == 0.0) == (q == 0.0)
 
     def test_deterministic_links(self):
         _, _, _, r = reference_rates(3, 7, 4, 1.0, 1.0, US)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from ionrep import (
     ChainLayout,
     HardwareProfile,
-    ModelDomainWarning,
     NoiseParams,
     Regime,
     SimConfig,
@@ -734,6 +733,24 @@ class TestValidationVerdict:
         assert verdict.checks[1:] == lines
         assert verdict.passed is False
 
+    @pytest.mark.parametrize("successes, z, passed", [(100, 0.0, True),
+                                                      (99, math.inf, False)])
+    def test_certain_blocks_have_no_spread(self, successes, z, passed):
+        # at block success exactly 1 the binomial sd is 0: a run where every
+        # block succeeded has z = 0, and one failed block puts it at z = inf.
+        # The peaks are at their bounds (M = 2, m = 6, j = 1, k = 3), so only
+        # block success decides
+        layout, hw = self._layout_and_hw()
+        cfg = SimConfig.from_profile(layout, hw, num_blocks=100)
+        report = dataclasses.replace(evaluate_rate(layout, hw), block_success=1.0)
+        stats = SimStats(block_steps=cfg.block_steps, blocks_run=100, successes=successes,
+                         empirical_block_success=successes / 100, empirical_rate=0.0,
+                         peak_comm_loaded=14, peak_mem_loaded=12, peak_heralded=12,
+                         dropped_comm=0, dropped_mem=0)
+        verdict = mcsim.validate_stats(cfg, report, stats)
+        assert verdict.z_score == z
+        assert verdict.passed is passed
+
     @pytest.mark.xfail(raises=AssertionError,
                        reason="validate_stats demands 2M min(j, m) comm ions, but each "
                               "end node serves one fiber side and peaks at M min(j, m)")
@@ -798,9 +815,10 @@ class TestFlipSampler:
             sample_end_to_end_Q(n, NoiseParams(f0=0.999, eps_g=1e-3), trials)
 
     def test_rejects_unphysical_noise(self):
-        with pytest.warns(ModelDomainWarning):
-            with pytest.raises(ValueError, match="flip probability"):
-                sample_end_to_end_Q(3, NoiseParams(f0=0.25, eps_g=1.0), 100)
+        with pytest.raises(ValueError, match=r"^swap survival factor 1 - 2 eps_g - "
+                                             r"\(4/3\)\(1 - f0\) is below 0 at "
+                                             r"eps_g=1.0, f0=0.25$"):
+            sample_end_to_end_Q(3, NoiseParams(f0=0.25, eps_g=1.0), 100)
 
 
 class TestTrace:
