@@ -27,26 +27,30 @@ Pool rule, for comm and memory ions alike: a node serves its left fiber side
 first, an end node's whole pool serves its one side, and a link gets the
 smaller of its two ends' grants.
 
-Determinism: blocks are simulated in fixed-size chunks of CHUNK_BLOCKS;
-chunk c draws all of its randomness from numpy's default generator seeded
-with (seed, c). Merging counters is order-independent, so results are
-bit-identical for a given (config, seed) no matter how chunks are scheduled.
+Determinism: blocks are seeded in fixed-size chunks of CHUNK_BLOCKS;
+chunk c draws all of its randomness, block by block, from numpy's default
+generator seeded with (seed, c). Merging counters is order-independent, so
+results are bit-identical for a given (config, seed) no matter how the
+blocks are batched.
 
-Memory: a chunk is the unit of seeding and a sub-batch the unit of state. A
-chunk's blocks run through the step loop in sub-batches of
+Memory: a chunk is the unit of seeding and a sub-batch the unit of state.
+The blocks run through the step loop in order, in sub-batches of
 STATE_BYTES // (c (links + 1) (m + 3)) blocks, at least one, with c = 16 B
 up to 65,535 modes and 20 B past them while the counts fit int32 (12 B more
-past that), and each sub-batch draws its rows from the chunk's generator in
-turn. Its uniforms, one per (block, link, slot, mode) in C order, are drawn
-a slice of rows at a time into one reused float64 buffer of DRAW_BYTES, and
-SimConfig rejects an M above DRAW_BYTES // 8, so a row of M modes always
-fits it; each slice is reduced at once to the first successful mode per
-(block, link, slot), in np.min_scalar_type(M), which is uint8 up to 255
-modes: the slice's hits are copied mode-major, mode i weighted M - i, and
-one max over the modes gives M less the first hit, or 0 where a row has
-none, a handful of whole-slice operations whatever M. The draws are
-block-major, and drawing random(a) then random(b) yields the same stream as
-random(a + b), so neither the slicing nor the sub-batching changes a result.
+past that). A sub-batch takes blocks from one chunk or several, and may end
+inside a chunk: it draws each chunk's rows from that chunk's own generator,
+which a chunk's first block starts and the next sub-batch goes on with. Its
+uniforms, one per (block, link, slot, mode) in C order, are drawn a slice of
+rows at a time into one reused float64 buffer of DRAW_BYTES, and SimConfig
+rejects an M above DRAW_BYTES // 8, so a row of M modes always fits it; each
+slice is reduced at once to the first successful mode per (block, link,
+slot), in np.min_scalar_type(M), which is uint8 up to 255 modes: the slice's
+hits are copied mode-major, mode i weighted M - i, and one max over the
+modes gives M less the first hit, or 0 where a row has none, a handful of
+whole-slice operations whatever M. The draws are block-major, and drawing
+random(a) then random(b) yields the same stream as random(a + b), so neither
+the slicing nor the sub-batching changes a result: a run is bit-identical
+whatever its sub-batches, one block each or the whole run in one.
 
 The state is allocated once a run, for its largest sub-batch, and each
 sub-batch runs on the front of it. It is kept slot-major with blocks last:
@@ -382,11 +386,12 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     fs_dtype = np.min_scalar_type(big_m)
     # a block's state per (node, slot): three histories, counted at 4 B each
     # at least, and the first successes and their slot-major copy, counted at
-    # 2 B each at least
+    # 2 B each at least; a sub-batch is as many blocks as STATE_BYTES holds,
+    # from one chunk or several
     state = 3 * max(_count_dtype(lay).itemsize, 4) + 2 * max(fs_dtype.itemsize, 2)
     per = max(1, STATE_BYTES // (state * (n_links + 1) * (m + 3)))
     # one state for the run, sized for its largest sub-batch; each runs on its front
-    size = min(per, CHUNK_BLOCKS, total)
+    size = min(per, total)
     hist = _histories(lay, size)
     slot_major = np.empty(m * n_links * size, dtype=fs_dtype)
     successes = 0
@@ -394,19 +399,25 @@ def run_protocol_sim(config: SimConfig) -> SimStats:
     dropped_m = 0
     peaks = np.zeros(3, dtype=np.int64)
     trace = ["step,node,event,count"] if config.trace else None
-    for c, first in enumerate(range(0, total, CHUNK_BLOCKS)):
-        rng = np.random.default_rng([config.seed, c])
-        cb = min(CHUNK_BLOCKS, total - first)
-        for lo in range(0, cb, per):
-            b = min(per, cb - lo)
-            fs = slot_major[:m * n_links * b].reshape(m, n_links, b)
-            np.copyto(fs, _first_successes(rng, config.p, b * n_links * m, big_m)
-                      .reshape(b, n_links, m).T)
-            ok, pk, dc, dm = _run_batch(config, fs, hist, trace if first + lo == 0 else None)
-            successes += int(ok.sum())
-            dropped_c += dc
-            dropped_m += dm
-            peaks = np.maximum(peaks, pk)
+    for lo in range(0, total, per):
+        hi = min(lo + per, total)
+        fs = slot_major[:m * n_links * (hi - lo)].reshape(m, n_links, hi - lo)
+        # each chunk in the sub-batch draws its blocks' rows from its own
+        # generator, started at the chunk's first block and gone on with by the
+        # next sub-batch where the chunk runs past this one's end
+        for c in range(lo // CHUNK_BLOCKS, (hi - 1) // CHUNK_BLOCKS + 1):
+            start = max(lo, c * CHUNK_BLOCKS)
+            stop = min(hi, (c + 1) * CHUNK_BLOCKS)
+            if start == c * CHUNK_BLOCKS:
+                rng = np.random.default_rng([config.seed, c])
+            np.copyto(fs[:, :, start - lo:stop - lo],
+                      _first_successes(rng, config.p, (stop - start) * n_links * m, big_m)
+                      .reshape(stop - start, n_links, m).T)
+        ok, pk, dc, dm = _run_batch(config, fs, hist, trace if lo == 0 else None)
+        successes += int(ok.sum())
+        dropped_c += dc
+        dropped_m += dm
+        peaks = np.maximum(peaks, pk)
 
     steps = config.block_steps
     return SimStats(

