@@ -7,11 +7,12 @@ place they become the library's seconds. All numeric output passes through a
 single 9-significant-digit formatter so text, JSON, and CSV renderings of the
 same result carry identical values, and a fixed seed reproduces identical
 bytes. NaN is spelled "nan" in every format (JSON has no NaN literal).
+csv.writer quotes a CSV field only where it holds a comma, quote or newline.
 
 Each subcommand loads only the modules it runs: rate and classify need the
 model, the rates and the figure table (for the parser's choices); optimize,
-sweep and figure import the optimizer inside the functions that call it, and
-simulate imports the simulator inside cmd_simulate.
+sweep and figure import the optimizer inside the functions that call it,
+simulate imports the simulator inside cmd_simulate, and only CSV loads csv.
 
 Exit codes: 0 success, 2 config error, 3 infeasible, 4 validation failure.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import copy
 import functools
+import io
 import json
 import math
 import os
@@ -288,9 +290,11 @@ def _leaves(doc, prefix: str = "", under_a_list: bool = False):
 
 
 def _csv_text(header: list[str], rows: list[dict]) -> str:
-    out = [",".join(header)]
-    out.extend(",".join(fmt_value(row[c]) for c in header) for row in rows)
-    return "\n".join(out) + "\n"
+    import csv
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(
+        [header] + [[fmt_value(row[c]) for c in header] for row in rows])
+    return out.getvalue()
 
 
 def _write(path: str, text: str, field: str) -> None:

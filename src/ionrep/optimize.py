@@ -119,6 +119,7 @@ id per op in one process, and scripts/digest.py's in-process CLI calls.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 import threading
@@ -567,8 +568,9 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
                        l_step_km: float = 1.0) -> Optional[float]:
     """Smallest grid distance where the optimized rate beats the PLOB bound.
 
-    The advantage sets in at long distances and persists, so a bisection over
-    the grid suffices. Returns None when no grid point wins.
+    The advantage sets in at long distances and persists, so the wins are a
+    suffix of the grid: once its last distance wins, bisect_left finds the
+    first, one optimize_rate call a halving. Returns None when none wins.
     """
     grid = distance_grid(l_min_km, l_max_km, l_step_km)
 
@@ -579,13 +581,6 @@ def crossover_distance(spatial_mux: int, hw: HardwareProfile,
             return False
         return res.report.noisy_rate > _plob(float(l_km), spatial_mux, hw)
 
-    lo, hi = 0, len(grid) - 1
-    if not beats(grid[hi]):
+    if not beats(grid[-1]):
         return None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if beats(grid[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    return float(grid[lo])
+    return float(grid[bisect.bisect_left(grid, True, hi=len(grid) - 1, key=beats)])

@@ -1,6 +1,8 @@
 """End-to-end command-line tests, run in-process through main()."""
 import argparse
 import copy
+import csv
+import io
 import json
 import math
 import os
@@ -108,6 +110,8 @@ class TestRate:
         # a link whose heralding time overflows, though classify counts no steps
         (("classify", "--l-km", "1.7e308", "--n", "0"), ["layout.l_km"]),
         (("classify", "--l0-km", "1.7e308"), ["l0_km"]),
+        # a heralding time finite in seconds but not in microseconds
+        (("classify", "--l0-km", "5e307"), ["l0_km"]),
     ])
     def test_out_of_domain_flags_name_the_field(self, capsys, args, fields):
         code, _, err = run(capsys, *args)
@@ -260,13 +264,23 @@ class TestSweep:
         assert float(last[7]) == 14434.1687
 
     def test_infeasible_rows_are_flagged_not_fatal(self, capsys):
-        code, out, _ = run(capsys, "sweep", "--l-list-km", "50,100",
-                           "--n-o-max", "5", "--format", "csv")
-        assert code == 0
-        for line in out.strip().split("\n")[1:]:
-            cells = line.split(",")
-            assert cells[1] == "nan"
-            assert "n_o_max" in cells[-1]
+        # a reason holds one comma per constraint that removed points: the CSV
+        # quotes it, so every row still parses to the header's fields
+        for caps, removers in ((("--n-o-max", "5"), ["n_o_max"]),
+                               (("--n-o-max", "1", "--tau-m-us", "100"), ["n_o_max", "tau_m"])):
+            args = ("sweep", "--l-list-km", "50,100", *caps)
+            code, out, _ = run(capsys, *args, "--format", "csv")
+            assert code == 0
+            header, *rows = csv.reader(io.StringIO(out))
+            assert ",".join(header) == SWEEP_HEADER
+            assert [len(cells) for cells in rows] == [9, 9]
+            _, jtext, _ = run(capsys, *args, "--format", "json")
+            reasons = [row["infeasible_reason"] for row in json.loads(jtext)["rows"]]
+            assert [cells[-1] for cells in rows] == reasons
+            for cells in rows:
+                assert cells[1] == "nan"
+                assert [r for r in ("n_o_max", "n_m_max", "tau_m") if r in cells[-1]] == removers
+                assert cells[-1].count(",") == len(removers)
 
     def test_plob_underflow_is_its_limit(self, capsys):
         # past ~16,200 km the transmissivity underflows to 0.0: PLOB is 0
@@ -681,6 +695,12 @@ class TestModuleLoading:
     def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, extra):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert _fresh_python(_LOADED_BY, *argv) == ["0", *sorted(self.REPORT + extra)]
+
+    @pytest.mark.parametrize("style", FORMATS)
+    def test_only_a_csv_call_loads_csv(self, style):
+        probe = _LOADED_BY.replace('m.startswith("ionrep.")', 'm == "csv"')
+        assert _fresh_python(probe, "sweep", "--l-list-km", "100", "--format", style) \
+            == ["0", *(["csv"] if style == "csv" else [])]
 
     def test_importing_the_package_loads_no_submodule(self):
         assert _fresh_python("import sys, ionrep; print(ionrep.__version__, "

@@ -988,10 +988,9 @@ class TestCrossover:
         # benchmark by the same factor and the benchmark wins at short range
         assert crossover_distance(1, BASE) < crossover_distance(10, BASE)
 
-    @pytest.mark.parametrize("spatial_mux, crossover", [(1, 133.0), (10, 142.0)])
-    def test_no_distance_is_optimized_twice(self, monkeypatch, spatial_mux, crossover):
-        # the bisection has tested the distance below its answer and found it
-        # losing, so no distance needs a second optimize_rate
+    @pytest.fixture
+    def probed(self, monkeypatch):
+        """The distances crossover_distance hands optimize_rate, in order."""
         probed, optimize_rate = [], optimize_module.optimize_rate
 
         def recording(l_km, *args):
@@ -999,8 +998,25 @@ class TestCrossover:
             return optimize_rate(l_km, *args)
 
         monkeypatch.setattr(optimize_module, "optimize_rate", recording)
+        return probed
+
+    @pytest.mark.parametrize("spatial_mux, crossover", [(1, 133.0), (10, 142.0)])
+    def test_no_distance_is_optimized_twice(self, probed, spatial_mux, crossover):
+        # the bisection has tested the distance below its answer and found it
+        # losing, so no distance needs a second optimize_rate
         assert crossover_distance(spatial_mux, BASE) == crossover
         assert len(probed) == len(set(probed))
+
+    # the grid's last distance first, then a bisection of the other 490 down
+    # to one: 9 halvings; a one-point grid is its last distance alone
+    @pytest.mark.parametrize("grid, calls, start", [
+        ((), 10, [500.0, 255.0, 132.0]),
+        ((150.0, 150.0), 1, [150.0]),
+    ], ids=["default-grid", "one-point"])
+    def test_probe_count(self, probed, grid, calls, start):
+        crossover_distance(10, BASE, None, *grid)
+        assert len(probed) == calls
+        assert probed[:3] == start
 
     # a grid that starts at or past the crossover answers its first distance:
     # the bisection must include index 0

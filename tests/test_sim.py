@@ -771,18 +771,25 @@ class TestValidationVerdict:
         assert verdict.checks[1:] == lines
         assert verdict.passed is False
 
-    @pytest.mark.parametrize("successes, z, passed", [(100, 0.0, True),
-                                                      (99, math.inf, False)])
-    def test_certain_blocks_have_no_spread(self, successes, z, passed):
+    @pytest.mark.parametrize("analytic, blocks, successes, z, passed", [
+        (1.0, 100, 100, 0.0, True),
+        (1.0, 100, 99, math.inf, False),
+        (0.5, 16, 14, 3.0, True),
+        (0.5, 16, 2, 3.0, True),
+        (0.5, 16, 15, 3.5, False),
+    ], ids=["100-0.0-True", "99-inf-False", "z-at-sigma-above", "z-at-sigma-below",
+            "z-past-sigma"])
+    def test_certain_blocks_have_no_spread(self, analytic, blocks, successes, z, passed):
         # at block success exactly 1 the binomial sd is 0: a run where every
         # block succeeded has z = 0, and one failed block puts it at z = inf.
-        # The peaks are at their bounds (M = 2, m = 6, j = 1, k = 3), so only
-        # block success decides
+        # At 0.5 over 16 blocks the sd is 1/8, so 14 or 2 successes sit at
+        # z = SIGMA = 3 exactly, and pass. The peaks are at their bounds
+        # (M = 2, m = 6, j = 1, k = 3), so only block success decides
         layout, hw = self._layout_and_hw()
-        cfg = SimConfig.from_profile(layout, hw, num_blocks=100)
-        report = dataclasses.replace(evaluate_rate(layout, hw), block_success=1.0)
-        stats = SimStats(block_steps=cfg.block_steps, blocks_run=100, successes=successes,
-                         empirical_block_success=successes / 100, empirical_rate=0.0,
+        cfg = SimConfig.from_profile(layout, hw, num_blocks=blocks)
+        report = dataclasses.replace(evaluate_rate(layout, hw), block_success=analytic)
+        stats = SimStats(block_steps=cfg.block_steps, blocks_run=blocks, successes=successes,
+                         empirical_block_success=successes / blocks, empirical_rate=0.0,
                          peak_comm_loaded=14, peak_mem_loaded=12, peak_heralded=12,
                          dropped_comm=0, dropped_mem=0)
         verdict = mcsim.validate_stats(cfg, report, stats)
