@@ -777,8 +777,7 @@ class TestValidationVerdict:
         (0.5, 16, 14, 3.0, True),
         (0.5, 16, 2, 3.0, True),
         (0.5, 16, 15, 3.5, False),
-    ], ids=["100-0.0-True", "99-inf-False", "z-at-sigma-above", "z-at-sigma-below",
-            "z-past-sigma"])
+    ], ids=["100-0.0-True", "99-inf-False", "14-3.0-True", "2-3.0-True", "15-3.5-False"])
     def test_certain_blocks_have_no_spread(self, analytic, blocks, successes, z, passed):
         # at block success exactly 1 the binomial sd is 0: a run where every
         # block succeeded has z = 0, and one failed block puts it at z = inf.
