@@ -38,6 +38,7 @@ TESTS = {
     "model": ["tests/test_model.py", "tests/test_rates.py", "tests/test_scripts.py"],
     "optimize": ["tests/test_optimize.py", "tests/test_scripts.py"],
     "cli": ["tests/test_cli.py", "tests/test_scripts.py"],
+    "figures": ["tests/test_cli.py", "tests/test_sim.py", "tests/test_scripts.py"],
 }
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
          ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot, ast.IsNot: ast.Is,

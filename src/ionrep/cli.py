@@ -9,10 +9,12 @@ same result carry identical values, and a fixed seed reproduces identical
 bytes. NaN is spelled "nan" in every format (JSON has no NaN literal).
 csv.writer quotes a CSV field only where it holds a comma, quote or newline.
 
-Each subcommand loads only the modules it runs: rate and classify need the
-model, the rates and the figure table (for the parser's choices); optimize,
+Each call builds the flags of its own subcommand only, and loads only the
+modules it runs: rate and classify need the model and the rates; optimize,
 sweep and figure import the optimizer inside the functions that call it,
-simulate imports the simulator inside cmd_simulate, and only CSV loads csv.
+sweep and figure the figure table, and simulate the simulator inside
+cmd_simulate; only CSV loads csv. FIGURES, the figure table, resolves on
+first access like the package's names.
 
 Exit codes: 0 success, 2 config error, 3 infeasible, 4 validation failure.
 """
@@ -28,7 +30,6 @@ import os
 import sys
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .figures import CSV_COLUMNS, FIGURES, curve_rows, curve_variant, reduce_row
 from .model import (ChainLayout, Constraints, HardwareProfile, StepCountError, _check,
                     heralding_time)
 from .rates import InfeasibleError, RateReport, classification_path, evaluate_rate
@@ -384,6 +385,7 @@ def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
+    from .figures import CSV_COLUMNS, reduce_row
     from .optimize import sweep_distance
     hw = make_hardware(cfg)
     grid = make_l_grid(cfg)
@@ -401,6 +403,7 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
+    from .figures import CSV_COLUMNS, FIGURES, curve_rows, curve_variant
     from .optimize import sweep_variants
     if cfg["output"]["format"] == "csv":
         raise CliError(EXIT_CONFIG,
@@ -478,53 +481,69 @@ _FLAG_ARGS = {"num": {"type": float}, "int": {"type": int},
               "numlist": {"metavar": "KM[,KM...]", "type": _km_list}}
 
 
-@functools.cache  # one parser a process: parse_args keeps no state between calls
-def build_parser() -> argparse.ArgumentParser:
+# name -> (run, help line, flag groups in table order)
+_COMMANDS = {
+    "rate": (cmd_rate, "evaluate one chain configuration", ("io", "hw", "layout")),
+    "classify": (cmd_classify, "walk the timing-regime decision tree",
+                 ("io", "hw", "layout")),
+    "optimize": (cmd_optimize, "grid-search repeater count and time multiplexing",
+                 ("io", "hw", "layout", "bounds", "cons")),
+    "sweep": (cmd_sweep, "optimize across a distance grid",
+              ("io", "hw", "layout", "bounds", "cons", "sweep")),
+    "figure": (cmd_figure, "reproduce canned sweep families as CSV files",
+               ("io", "hw", "bounds", "sweep", "out_dir")),
+    "simulate": (cmd_simulate, "run the discrete-event protocol simulator",
+                 ("io", "hw", "layout", "sim")),
+}
+
+
+@functools.cache  # one parser a command: parse_args keeps no state between calls
+def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The parser of a call that names command, or no known command: every
+    subcommand with its help line, and flags, -h included, on command's
+    subparser only; argparse never runs the others."""
     parser = argparse.ArgumentParser(
         prog="ionrep",
         description="Rate model, optimizer, and event-level validator for "
                     "multiplexed trapped-ion repeater chains.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, run, help_text: str, groups: list[str]):
-        """A subcommand that runs run(cfg, args), with its groups' flags in table order."""
-        p = sub.add_parser(name, help=help_text)
+    for name, (run, help_text, groups) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
         p.set_defaults(run=run)
-        p.add_argument("--config", metavar="FILE", help="JSON config document")
-        for group in groups:
-            for field in _FIELDS:
-                if field.group == group:
-                    kwargs = (_FLAG_ARGS.get(field.kind)
-                              or {"metavar": field.path.rpartition(".")[2].upper()})
-                    p.add_argument("--" + field.flag.replace("_", "-"), **kwargs)
-        return p
-
-    add("rate", cmd_rate, "evaluate one chain configuration", ["io", "hw", "layout"])
-    p = add("classify", cmd_classify, "walk the timing-regime decision tree",
-            ["io", "hw", "layout"])
-    p.add_argument("--l0-km", type=float, dest="l0_km",
-                   help="classify a link of this length directly")
-    add("optimize", cmd_optimize, "grid-search repeater count and time multiplexing",
-        ["io", "hw", "layout", "bounds", "cons"])
-    add("sweep", cmd_sweep, "optimize across a distance grid",
-        ["io", "hw", "layout", "bounds", "cons", "sweep"])
-    p = add("figure", cmd_figure, "reproduce canned sweep families as CSV files",
-            ["io", "hw", "bounds", "sweep", "out_dir"])
-    p.add_argument("figure_ids", nargs="+", metavar="FIG",
-                   choices=sorted(FIGURES) + ["all"],
-                   help=f"{', '.join(sorted(FIGURES))}, or all; curves that share "
-                        "M, hardware and constraints are swept once")
-    p = add("simulate", cmd_simulate, "run the discrete-event protocol simulator",
-            ["io", "hw", "layout", "sim"])
-    p.add_argument("--validate", action="store_true",
-                   help="compare against the analytic model; exit 4 on mismatch")
-    p.add_argument("--trace", metavar="FILE", dest="trace_path",
-                   help="write a step,node,event,count log of block 0")
+        if name == command:
+            _add_flags(p, name, groups)
     return parser
 
 
+def _add_flags(p: argparse.ArgumentParser, command: str, groups: tuple) -> None:
+    p.add_argument("--config", metavar="FILE", help="JSON config document")
+    for group in groups:
+        for field in _FIELDS:
+            if field.group == group:
+                kwargs = (_FLAG_ARGS.get(field.kind)
+                          or {"metavar": field.path.rpartition(".")[2].upper()})
+                p.add_argument("--" + field.flag.replace("_", "-"), **kwargs)
+    if command == "classify":
+        p.add_argument("--l0-km", type=float, dest="l0_km",
+                       help="classify a link of this length directly")
+    elif command == "figure":
+        from .figures import FIGURES
+        p.add_argument("figure_ids", nargs="+", metavar="FIG",
+                       choices=sorted(FIGURES) + ["all"],
+                       help=f"{', '.join(sorted(FIGURES))}, or all; curves that share "
+                            "M, hardware and constraints are swept once")
+    elif command == "simulate":
+        p.add_argument("--validate", action="store_true",
+                       help="compare against the analytic model; exit 4 on mismatch")
+        p.add_argument("--trace", metavar="FILE", dest="trace_path",
+                       help="write a step,node,event,count log of block 0")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the subcommand its first positional names, and the top
+    # level takes no option with a value, so that is the first command token
+    args = build_parser(next((a for a in argv if a in _COMMANDS), None)).parse_args(argv)
     style = args.format or "text"  # until the config has been read
     try:
         cfg = load_config(args.config, args)
@@ -568,6 +587,15 @@ def _emit_error(style: str, command: str, err: CliError) -> None:
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         sys.stderr.write(f"ionrep {command}: error: {err}\n")
+
+
+def __getattr__(name: str):
+    """FIGURES loads the figure table on first access (PEP 562)."""
+    if name != "FIGURES":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .figures import FIGURES
+    globals()[name] = FIGURES
+    return FIGURES
 
 
 if __name__ == "__main__":

@@ -85,6 +85,7 @@ from .model import (
     ChainLayout,
     HardwareProfile,
     NoiseParams,
+    StepCountError,
     _check,
     _store_int,
     derive_timing,
@@ -149,12 +150,21 @@ class SimConfig:
     def from_profile(cls, layout: ChainLayout, hw: HardwareProfile, num_blocks: int, *,
                      p_override: Optional[float] = None, **fields) -> "SimConfig":
         """The config of layout on hw at j and k rounded up to whole steps, with
-        p_override, when given, for the link's p; fields go to cls by name."""
+        p_override, when given, for the link's p; fields go to cls by name.
+        A count that rounds to 0 steps raises StepCountError."""
         timing = derive_timing(layout, hw)
+        j_steps, k_steps = int(ceil_tol(timing.j_steps)), int(ceil_tol(timing.k_steps))
+        if j_steps < 1:
+            raise StepCountError(("tau",), f"the step count tau_g/tau={timing.j_steps:.6g} "
+                                           "rounds to j_steps=0, and must be at least 1")
+        if k_steps < 1:
+            raise StepCountError(("total_distance_km", "tau"),
+                                 f"the step count T/tau={timing.k_steps:.6g} rounds to "
+                                 "k_steps=0, and must be at least 1")
         p = link_success_prob(hw.optical, layout.link_length_km) \
             if p_override is None else p_override
-        return cls(layout, int(ceil_tol(timing.j_steps)), int(ceil_tol(timing.k_steps)),
-                   hw.timing.tau, hw.timing.tau_o, p, num_blocks=num_blocks, **fields)
+        return cls(layout, j_steps, k_steps, hw.timing.tau, hw.timing.tau_o, p,
+                   num_blocks=num_blocks, **fields)
 
 
 @dataclass(frozen=True)

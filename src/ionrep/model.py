@@ -42,7 +42,8 @@ MAX_STEPS = 2 ** 31
 
 
 class StepCountError(ValueError):
-    """A step count tau_g/tau or T/tau is past MAX_STEPS.
+    """A step count tau_g/tau or T/tau is past MAX_STEPS, or, in the
+    simulator, rounds to 0 whole steps.
 
     fields names the inputs to blame: ("tau",) for tau_g/tau,
     ("total_distance_km",) when the chain's heralding time T is not finite

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -19,7 +20,7 @@ import ionrep.cli as cli_module
 import ionrep.figures as figures_module
 import ionrep.mcsim as mcsim_module
 import ionrep.optimize as optimize_module
-from ionrep import ChainLayout, HardwareProfile, evaluate_rate
+from ionrep import ChainLayout, Constraints, HardwareProfile, evaluate_rate
 from ionrep.cli import (
     _FIELDS, DEFAULTS, FORMATS, CliError, build_parser, load_config, main, make_bounds,
     make_hardware, make_l_grid)
@@ -112,12 +113,21 @@ class TestRate:
         (("classify", "--l0-km", "1.7e308"), ["l0_km"]),
         # a heralding time finite in seconds but not in microseconds
         (("classify", "--l0-km", "5e307"), ["l0_km"]),
+        # step counts T/tau and tau_g/tau that round to 0 whole steps
+        (("simulate", "--n", "1", "--time-mux", "2", "--l-km", "1e-300"),
+         ["layout.l_km or hardware.tau_us", "k_steps=0"]),
+        (("simulate", "--n", "1", "--time-mux", "2", "--tau-us", "1e6", "--tau-g-us", "1e-4"),
+         ["config field hardware.tau_us:", "j_steps=0"]),
     ])
     def test_out_of_domain_flags_name_the_field(self, capsys, args, fields):
         code, _, err = run(capsys, *args)
         assert code == 2
         assert err.count("\n") == 1
         assert all(field in err for field in fields)
+        code, out, err = run(capsys, *args, "--format", "json")
+        error = json.loads(out)["error"]
+        assert (code, err, error["kind"]) == (2, "", "config")
+        assert all(field in error["message"] for field in fields)
 
     def test_missing_layout_field(self, capsys):
         code, _, err = run(capsys, "rate", "--l-km", "150",
@@ -460,6 +470,23 @@ class TestSimulate:
 
 
 class TestFigure:
+    LABEL_PART = r"(?:^|_)(M|Nomax|Nmmax|L0_|tau|eps)([\d.e-]+?)(?:km|us)?(?=_|$)"
+
+    def test_each_label_names_its_curves_settings(self):
+        # a CSV's name is its curve's label, so Nomax125 must be the 125-ion cap
+        noise = HardwareProfile().noise
+        for _, curves in figures_module.FIGURES.values():
+            for curve in curves:
+                cons, hw = curve.constraints or Constraints(), curve.hw_overrides
+                settings = {"M": curve.spatial_mux, "Nomax": cons.n_o_max,
+                            "Nmmax": cons.n_m_max, "L0_": cons.fixed_l0_km,
+                            "tau": hw.get("tau", 1e-6) * 1e6,
+                            "eps": hw.get("eps_g", noise.eps_g)}
+                named = re.findall(self.LABEL_PART, curve.label)
+                assert named, curve.label
+                for key, value in named:
+                    assert settings[key] == pytest.approx(float(value)), curve.label
+
     def test_writes_one_csv_per_curve(self, capsys, tmp_path):
         code, out, _ = run(capsys, "figure", "fig7", "--l-list-km", "50,100",
                            "--out-dir", str(tmp_path), "--format", "json")
@@ -652,7 +679,8 @@ class TestLibraryObjects:
         assert make_bounds(DEFAULTS) == SearchBounds()
 
     def test_microseconds_become_the_nearest_seconds(self):
-        args = build_parser().parse_args(["rate", "--tau-g-us", "10", "--tau-o-us", "50"])
+        args = build_parser("rate").parse_args(["rate", "--tau-g-us", "10", "--tau-o-us",
+                                                "50"])
         timing = make_hardware(load_config(None, args)).timing
         assert (timing.tau, timing.tau_g, timing.tau_o, timing.tau_m) == (1e-6, 10e-6,
                                                                           50e-6, 60.0)
@@ -663,8 +691,11 @@ class TestLibraryObjects:
 _LOADED_BY = """
 import contextlib, io, sys
 from ionrep import cli
-with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(sys.argv[1:])
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exit_:  # argparse's usage errors
+        code = exit_.code
 print(code, *sorted(m for m in sys.modules if m.startswith("ionrep.")))
 """
 
@@ -681,20 +712,30 @@ class TestModuleLoading:
     """Each subcommand loads only the modules it runs; `import ionrep`
     loads none, and its public names resolve on first access."""
 
-    REPORT = ["ionrep.cli", "ionrep.figures", "ionrep.model", "ionrep.rates"]
+    REPORT = ["ionrep.cli", "ionrep.model", "ionrep.rates"]
+    SWEEPS = ["ionrep.figures", "ionrep.optimize"]
 
-    @pytest.mark.parametrize("argv, extra", [
-        (RATE_ARGS, []),
-        (("classify", "--l0-km", "1.7"), []),
-        (("optimize",), ["ionrep.optimize"]),
-        (("sweep", "--l-list-km", "100,200"), ["ionrep.optimize"]),
-        (("figure", "fig8", "--l-list-km", "100", "--out-dir", "{tmp}"), ["ionrep.optimize"]),
+    @pytest.mark.parametrize("argv, code, extra", [
+        (RATE_ARGS, 0, []),
+        (("classify", "--l0-km", "1.7"), 0, []),
+        (("optimize",), 0, ["ionrep.optimize"]),
+        (("sweep", "--l-list-km", "100,200"), 0, SWEEPS),
+        (("figure", "fig8", "--l-list-km", "100", "--out-dir", "{tmp}"), 0, SWEEPS),
         (("simulate", "--l-km", "20", "--n", "2", "--time-mux", "3", "--num-blocks", "100"),
-         ["ionrep.mcsim"]),
-    ], ids=["rate", "classify", "optimize", "sweep", "figure", "simulate"])
-    def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, extra):
+         0, ["ionrep.mcsim"]),
+        ((), 2, []),
+    ], ids=["rate", "classify", "optimize", "sweep", "figure", "simulate", "no-command"])
+    def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, code, extra):
         argv = [a.format(tmp=tmp_path) for a in argv]
-        assert _fresh_python(_LOADED_BY, *argv) == ["0", *sorted(self.REPORT + extra)]
+        assert _fresh_python(_LOADED_BY, *argv) == [str(code), *sorted(self.REPORT + extra)]
+
+    def test_the_figure_table_resolves_on_first_access(self):
+        assert _fresh_python("import sys, ionrep.cli as c; loaded = 'ionrep.figures' in "
+                             "sys.modules; print(loaded, c.FIGURES is sys.modules["
+                             "'ionrep.figures'].FIGURES)") == ["False", "True"]
+        assert cli_module.FIGURES is figures_module.FIGURES
+        with pytest.raises(AttributeError, match="has no attribute 'FIGURE'"):
+            cli_module.FIGURE
 
     @pytest.mark.parametrize("style", FORMATS)
     def test_only_a_csv_call_loads_csv(self, style):
@@ -885,7 +926,7 @@ class TestContract:
 
     @pytest.mark.parametrize("command", list(FLAGS))
     def test_flags_per_subcommand(self, command):
-        parser = build_parser()
+        parser = build_parser(command)
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == list(FLAGS)
@@ -903,10 +944,10 @@ class TestContract:
         args = [command] + (["fig7"] if command == "figure" else [])
         for flag, taken in (("--threads", False), ("--seed", command == "simulate")):
             if taken:
-                assert build_parser().parse_args(args + [flag, "2"]).seed == 2
+                assert build_parser(command).parse_args(args + [flag, "2"]).seed == 2
                 continue
             with pytest.raises(SystemExit) as exit_:
-                build_parser().parse_args(args + [flag, "2"])
+                build_parser(command).parse_args(args + [flag, "2"])
             assert exit_.value.code == 2
             assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
 
@@ -1119,8 +1160,9 @@ def _config_docs(draw):
     return doc
 
 
-_SUBPARSERS = next(a for a in build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction)).choices
+_SUBPARSERS = {command: next(a for a in build_parser(command)._actions
+                             if isinstance(a, argparse._SubParsersAction)).choices[command]
+               for command in ("rate", "classify", "optimize")}
 _FUZZ_FLAGS = {  # command -> the fields it has a flag for, but none for a path
     command: [f for f in _FIELDS if f.kind != "str" and "--" + f.flag.replace("_", "-")
               in _SUBPARSERS[command]._option_string_actions]

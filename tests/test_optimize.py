@@ -213,6 +213,14 @@ class TestConstraints:
         with pytest.raises(ValueError, match=match):
             optimize_rate(150.0, 10, BASE, constraints=Constraints(**cons))
 
+    def test_pinned_link_count_may_reach_max_count(self):
+        # 1 km at 2**-30 km is exactly 2**30 links; a spacing one ulp shorter is too many
+        res = optimize_rate(1.0, 10, BASE, constraints=Constraints(fixed_l0_km=2.0 ** -30))
+        assert (res.n_opt, res.report.noisy_rate) == (2 ** 30 - 1, 0.0)
+        with pytest.raises(ValueError, match="^fixed_l0_km=9.313225746154784e-10 gives"):
+            optimize_rate(1.0, 10, BASE, constraints=Constraints(
+                fixed_l0_km=math.nextafter(2.0 ** -30, 0)))
+
     @pytest.mark.parametrize("name", ["n_o_max", "n_m_max"])
     def test_ion_caps_are_bounded(self, name):
         # a cap past int64 once overflowed in rates.ion_caps

@@ -31,7 +31,7 @@ from ionrep import (
 )
 from ionrep import mcsim
 from ionrep.figures import FIGURES, curve_variant
-from ionrep.model import C_VACUUM_KM_S
+from ionrep.model import C_VACUUM_KM_S, StepCountError
 from ionrep.optimize import SearchBounds, distance_grid, sweep_variants
 from ionrep.rates import ion_budgets, slot_events
 
@@ -126,6 +126,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as err:
             oracle_config(**{field: value})
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("layout, hw_fields, fields", [
+        (ChainLayout(1e-300, 1, 1, 2), {}, ("total_distance_km", "tau")),
+        (ChainLayout(30.0, 1, 1, 2), dict(tau=1.0, tau_g=1e-10), ("tau",)),
+    ], ids=["k_steps", "j_steps"])
+    def test_a_step_count_rounding_to_zero_names_its_inputs(self, layout, hw_fields, fields):
+        hw = HardwareProfile().updated(**hw_fields)
+        with pytest.raises(StepCountError, match="=0, and must be at least 1") as err:
+            SimConfig.from_profile(layout, hw, 1)
+        assert err.value.fields == fields
 
     def test_counts_past_max_count_are_accepted(self):
         # k_steps reaches MAX_STEPS = 2**31, and a seed may be any integer >= 0
