@@ -35,7 +35,8 @@ ROOT = Path(__file__).resolve().parents[1]
 TESTS = {
     "mcsim": ["tests/test_sim.py", "tests/test_scripts.py"],
     "rates": ["tests/test_rates.py", "tests/test_optimize.py", "tests/test_scripts.py"],
-    "model": ["tests/test_model.py", "tests/test_rates.py", "tests/test_scripts.py"],
+    "model": ["tests/test_model.py", "tests/test_rates.py", "tests/test_cli.py",
+              "tests/test_optimize.py", "tests/test_scripts.py"],
     "optimize": ["tests/test_optimize.py", "tests/test_scripts.py"],
     "cli": ["tests/test_cli.py", "tests/test_scripts.py"],
     "figures": ["tests/test_cli.py", "tests/test_sim.py", "tests/test_scripts.py"],

@@ -25,7 +25,10 @@ starts from empty traps.
 
 Pool rule, for comm and memory ions alike: a node serves its left fiber side
 first, an end node's whole pool serves its one side, and a link gets the
-smaller of its two ends' grants.
+smaller of its two ends' grants. Starved attempts are tallied as drops only
+where a pool is set: an unlimited pool grants every want and drops nothing.
+Waiting for the herald, memory takes only heralded pairs and frees none
+within a block, so a node's memory count is its heralded count.
 
 Determinism: blocks are seeded in fixed-size chunks of CHUNK_BLOCKS;
 chunk c draws all of its randomness, block by block, from numpy's default
@@ -267,9 +270,11 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
     """A sub-batch: its blocks run side by side on their first successes fs,
     slot-major (m, links, blocks), and on the room hist from _histories,
     which they overwrite; every count takes hist's dtype. Returns the
-    per-block success mask, the peaks and the drops. Given a trace list,
-    block 0's lines are appended to it at the end of each event step, read
-    from its counts."""
+    per-block success mask, the peaks and the drops, which are summed from
+    the histories only for a set pool and are 0 for an unlimited one. In the
+    wait regime one array holds both the memory and the heralded counts,
+    which are equal at every step. Given a trace list, block 0's lines are
+    appended to it at the end of each event step, read from its counts."""
     m, n_links, cb = fs.shape
     big_m = config.layout.spatial_mux
     wait = config.waits_for_herald
@@ -283,7 +288,9 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
 
     used_comm = np.zeros((n_links + 1, cb), dtype=count)
     used_mem = np.zeros_like(used_comm)
-    heralded = np.zeros_like(used_comm)
+    # waiting, memory takes only heralded pairs and frees none within a
+    # block, so the two counts are one array
+    heralded = used_mem if wait else np.zeros_like(used_comm)
     # per-slot history read when the slot's freeing step comes due: attempts
     # per link, the pair per link that may still succeed, and blind loads.
     # A slot's att and kept are written before they are read; its loads are
@@ -324,8 +331,7 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
                 # gate done on the kept mode: comm ion retires, memory loads
                 _fold(freed_c, kept[s], kept[s])
                 _, _, pair_ok = _grant(kept[s], used_mem, pool_m)
-                _fold(used_mem, pair_ok, pair_ok)
-                _fold(heralded, pair_ok, pair_ok)
+                _fold(used_mem, pair_ok, pair_ok)  # and so heralded
                 loads = True
                 np.logical_or(link_ok, pair_ok, out=link_ok)
             else:
@@ -371,12 +377,16 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
     peaks[2] = heralded.max()  # heralded pairs are never freed within a block
     # every slot's grants are in hand: blind drops count ions at an attempt's
     # two ends; wait drops count kept pairs, and heralded holds both ends of
-    # each granted one
-    dropped_comm = int(big_m * att.size - att.sum())
-    if wait:
-        dropped_mem = int(kept.sum() - heralded.sum() // 2)
-    else:
-        dropped_mem = int(2 * att.sum() - loaded.sum())
+    # each granted one. An unlimited pool grants every want, so its drops are
+    # 0 without a sum over the histories
+    dropped_comm = dropped_mem = 0
+    if pool_c:
+        dropped_comm = int(big_m * att.size - att.sum())
+    if pool_m:
+        if wait:
+            dropped_mem = int(kept.sum() - heralded.sum() // 2)
+        else:
+            dropped_mem = int(2 * att.sum() - loaded.sum())
     return link_ok.all(axis=0), peaks, dropped_comm, dropped_mem
 
 

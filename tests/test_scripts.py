@@ -3,6 +3,14 @@ checked against its golden, tests/golden/digest.txt, the frozen output. A
 declared output change re-records it in the same commit, from the repo root:
 
     python3 scripts/digest.py > tests/golden/digest.txt
+
+The digest's last two lines, the evaluate_rate and SimConfig.p hashes of
+float bits, depend on numpy's CPU dispatch: the golden was recorded with
+numpy's AVX-512 loops, whose exp, log1p, expm1 and power differ in the last
+bit from its AVX2 and SSE loops on part of their inputs. With
+NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
+test_report_digest_matches_its_golden fails and every other test passes; a
+CPU without AVX-512 runs those other loops, so it should fail there too.
 """
 import contextlib
 import importlib.util

@@ -294,6 +294,43 @@ class TestIonPools:
         if unlimited.peak_mem_loaded == n_m > 1:
             assert run_protocol_sim(dataclasses.replace(cfg, n_mem_ions=n_m - 1)).dropped_mem
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 3), big_m=st.integers(1, 4), m=st.integers(1, 6),
+           j=st.integers(1, 3), k=st.integers(1, 6), p=st.sampled_from([0.2, 0.6, 1.0]),
+           seed=st.integers(0, 99))
+    def test_waiting_memory_holds_only_heralded_pairs(self, n, big_m, m, j, k, p, seed):
+        # waiting for the herald, memory takes only heralded pairs and frees
+        # none within a block, so its count is the heralded count at every
+        # step, with the memory pool unlimited, at its budget or one ion short
+        cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
+                        tau_o_s=(k + j + 0.5) * US, p=p, num_blocks=50, seed=seed,
+                        trace=True)
+        assert cfg.waits_for_herald
+        _, n_m = (int(v) for v in ion_budgets(True, k, j, big_m, m))
+        for pool in (0, n_m, n_m - 1):
+            stats = run_protocol_sim(dataclasses.replace(cfg, n_mem_ions=pool))
+            assert stats.peak_heralded == stats.peak_mem_loaded
+            gauges = {"mem_loaded": [], "heralded": []}
+            for line in stats.trace[1:]:
+                step, node, event, count = line.split(",")
+                if event in gauges:
+                    gauges[event].append((step, node, count))
+            assert gauges["mem_loaded"] == gauges["heralded"]
+
+    def test_blind_memory_peak_is_read_at_every_load(self):
+        # a binding memory pool fills at the second load, grants less while
+        # slots are freed, and the last load (step 6) leaves the repeater at
+        # 10 of its 12 ions: the peak must be the highest count, not the last
+        cfg = SimConfig(ChainLayout(20.0, 1, 3, 6), j_steps=1, k_steps=3, tau_s=US,
+                        tau_o_s=3.5 * US, p=1.0, n_mem_ions=12, num_blocks=5, seed=7,
+                        trace=True)
+        assert not cfg.waits_for_herald
+        stats = run_protocol_sim(cfg)
+        gauges = [line.split(",") for line in stats.trace[1:] if ",mem_loaded," in line]
+        assert max(int(count) for *_, count in gauges) == stats.peak_mem_loaded == 12
+        assert [count for step, node, _, count in gauges if (step, node) == ("6", "1")] == ["10"]
+        assert stats.dropped_mem == 80
+
     def test_huge_pool_is_unlimited(self):
         # a pool past 2Mm, and past what any int32 counter can hold, binds nowhere
         for cfg in (oracle_config(num_blocks=50), blind_config(p=0.6, num_blocks=50)):
