@@ -6,6 +6,8 @@ Each mutant changes one site of src/ionrep/<module>.py:
   in and not in;
 - + and - swapped, or * and /, in an expression or an augmented assignment;
 - `and` and `or` swapped;
+- the test of an if, while or conditional expression negated: x becomes
+  `not x`, and `not x` becomes x;
 - an int literal raised by 1.
 
 The probe copies the repository to a temporary directory and first checks
@@ -50,6 +52,11 @@ SYMBOLS = {ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">", ast.GtE: ">=", ast.Eq: "==",
            ast.NotEq: "!=", ast.Is: "is", ast.IsNot: "is not", ast.In: "in",
            ast.NotIn: "not in", ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/",
            ast.And: "and", ast.Or: "or"}
+TESTED = {ast.If: "if", ast.While: "while", ast.IfExp: "if"}  # nodes with a test
+
+
+def _is_not(test: ast.expr) -> bool:
+    return isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not)
 
 
 def sites(source: str) -> list[tuple[int, int, int, str]]:
@@ -66,6 +73,10 @@ def sites(source: str) -> list[tuple[int, int, int, str]]:
             found.append((i, 0, node.lineno, f"{SYMBOLS[op]} -> {SYMBOLS[SWAPS[op]]}"))
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             found.append((i, 0, node.lineno, f"{node.value} -> {node.value + 1}"))
+        elif type(node) in TESTED:
+            word = TESTED[type(node)]
+            change = f"{word} not -> {word}" if _is_not(node.test) else f"{word} -> {word} not"
+            found.append((i, 0, node.lineno, change))
     return found
 
 
@@ -77,6 +88,9 @@ def mutant(source: str, node: int, op: int) -> str:
         target.ops[op] = FLIPS[type(target.ops[op])]()
     elif isinstance(target, ast.Constant):
         target.value += 1
+    elif type(target) in TESTED:
+        target.test = target.test.operand if _is_not(target.test) \
+            else ast.UnaryOp(ast.Not(), target.test)
     else:
         target.op = SWAPS[type(target.op)]()
     return ast.unparse(tree)

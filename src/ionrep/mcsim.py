@@ -28,7 +28,9 @@ first, an end node's whole pool serves its one side, and a link gets the
 smaller of its two ends' grants. Starved attempts are tallied as drops only
 where a pool is set: an unlimited pool grants every want and drops nothing.
 Waiting for the herald, memory takes only heralded pairs and frees none
-within a block, so a node's memory count is its heralded count.
+within a block, so a node's memory count is its heralded count. Each peak
+is read only where its count can rise: comm at slot starts, blind memory at
+a first-event step's end, heralded (so waiting memory) after the last step.
 
 Determinism: blocks are seeded in fixed-size chunks of CHUNK_BLOCKS;
 chunk c draws all of its randomness, block by block, from numpy's default
@@ -272,9 +274,9 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
     which they overwrite; every count takes hist's dtype. Returns the
     per-block success mask, the peaks and the drops, which are summed from
     the histories only for a set pool and are 0 for an unlimited one. In the
-    wait regime one array holds both the memory and the heralded counts,
-    which are equal at every step. Given a trace list, block 0's lines are
-    appended to it at the end of each event step, read from its counts."""
+    wait regime one array holds the memory and the heralded counts, equal at
+    every step and never falling, so both peaks are read after the last
+    step. A trace list gets block 0's lines at the end of each event step."""
     m, n_links, cb = fs.shape
     big_m = config.layout.spatial_mux
     wait = config.waits_for_herald
@@ -288,9 +290,7 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
 
     used_comm = np.zeros((n_links + 1, cb), dtype=count)
     used_mem = np.zeros_like(used_comm)
-    # waiting, memory takes only heralded pairs and frees none within a
-    # block, so the two counts are one array
-    heralded = used_mem if wait else np.zeros_like(used_comm)
+    heralded = used_mem if wait else np.zeros_like(used_comm)  # one count, waiting
     # per-slot history read when the slot's freeing step comes due: attempts
     # per link, the pair per link that may still succeed, and blind loads.
     # A slot's att and kept are written before they are read; its loads are
@@ -307,7 +307,6 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
 
     for t in _event_steps(m, (e1, e2)):
         freed_c.fill(0)
-        loads = False
 
         s = t - e1
         if 0 <= s < m:
@@ -322,7 +321,6 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
                 at_left, at_right, kept[s] = _grant(att[s], used_mem, pool_m)
                 _fold(loaded[s], at_left, at_right)  # each slot loads once
                 used_mem += loaded[s]
-                loads = True
         # second events run after first ones: blind with k <= j, both land on
         # the same step and the heralds are already in hand when the gate ends
         s = t - e2
@@ -332,7 +330,6 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
                 _fold(freed_c, kept[s], kept[s])
                 _, _, pair_ok = _grant(kept[s], used_mem, pool_m)
                 _fold(used_mem, pair_ok, pair_ok)  # and so heralded
-                loads = True
                 np.logical_or(link_ok, pair_ok, out=link_ok)
             else:
                 # keep one surviving pair per link, free the rest of the loads
@@ -351,9 +348,9 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
             _, _, att[t] = _grant(big_m, used_comm, pool_c)
             _fold(used_comm, att[t], att[t])
             peaks[0] = max(peaks[0], int(used_comm.max()))
-        # only a load raises the memory count; read at the step's end, as a
-        # blind step frees loads after adding them
-        if loads:
+        # gating blind, only a first event's loads raise the memory count; read
+        # at the step's end, as a second event on the same step frees loads
+        if not wait and 0 <= t - e1 < m:
             peaks[1] = max(peaks[1], int(used_mem.max()))
         if trace is not None:  # block 0 is column 0; each event comes once a step
             herald = heralded[:, 0] - her_before
@@ -375,6 +372,8 @@ def _run_batch(config: SimConfig, fs: np.ndarray, hist: tuple[np.ndarray, ...],
                          for node, count in enumerate(vals.tolist()) if count)
 
     peaks[2] = heralded.max()  # heralded pairs are never freed within a block
+    if wait:  # and waiting, they are the memory count, so its peak too
+        peaks[1] = peaks[2]
     # every slot's grants are in hand: blind drops count ions at an attempt's
     # two ends; wait drops count kept pairs, and heralded holds both ends of
     # each granted one. An unlimited pool grants every want, so its drops are

@@ -169,6 +169,7 @@ class SearchBounds:
 
 @dataclass(frozen=True)
 class OptimizationResult:
+    """The argmax and its report; evaluations counts feasible grid points, not cells."""
     n_opt: int
     m_opt: int
     report: RateReport

@@ -201,6 +201,37 @@ class TestOccupancyReplay:
         assert report.n_o == 12
         assert stats.peak_comm_loaded - report.n_o == 2
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(n=st.integers(0, 3), big_m=st.integers(1, 4), m=st.integers(1, 10),
+           j=st.integers(1, 4), k=st.integers(1, 12), wait=st.booleans())
+    def test_peaks_follow_the_slot_schedule(self, n, big_m, m, j, k, wait):
+        # at p = 1 each slot side holds, waiting: M comm ions on [0, k), 1 on
+        # [k, k + j), then 1 memory ion; blind: M comm ions on [0, j), M memory
+        # ions on [j, max(j, k)), then 1. A node's peak is the most that m
+        # slots, started a step apart, overlap, short blocks (m < k, m < d)
+        # included; a repeater has two sides, an end node one
+        cfg = SimConfig(ChainLayout(20.0, n, big_m, m), j_steps=j, k_steps=k, tau_s=US,
+                        tau_o_s=(k + j + (0.5 if wait else -0.5)) * US, p=1.0,
+                        num_blocks=1)
+        assert cfg.waits_for_herald == wait
+        sides = 2 if n else 1
+        d = max(j, k) - j
+        if wait:
+            comm = big_m * min(m, k) + min(j, max(0, m - k))
+            mem = m
+        else:
+            comm = big_m * min(j, m)
+            mem = big_m * min(m, d) + m - min(m, d)
+        stats = run_protocol_sim(cfg)
+        assert (stats.peak_comm_loaded, stats.peak_mem_loaded) == (sides * comm, sides * mem)
+        if n:
+            # the budgets are the peaks of blocks long enough to reach them
+            n_o, n_m = (int(v) for v in ion_budgets(wait, k, j, big_m, m))
+            comm_full = m >= (k + j if wait else j)
+            mem_full = wait or big_m == 1 or m <= d
+            assert (n_o == 2 * comm) == comm_full and n_o >= 2 * comm
+            assert (n_m == 2 * mem) == mem_full and n_m >= 2 * mem
+
 
 class TestPublishedOptima:
     def test_every_figure_optimum_fits_its_ion_budgets(self):
