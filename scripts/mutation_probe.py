@@ -40,7 +40,7 @@ TESTS = {
     "model": ["tests/test_model.py", "tests/test_rates.py", "tests/test_cli.py",
               "tests/test_optimize.py", "tests/test_scripts.py"],
     "optimize": ["tests/test_optimize.py", "tests/test_scripts.py"],
-    "cli": ["tests/test_cli.py", "tests/test_scripts.py"],
+    "cli": ["tests/test_cli.py", "tests/test_help.py", "tests/test_scripts.py"],
     "figures": ["tests/test_cli.py", "tests/test_sim.py", "tests/test_scripts.py"],
 }
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

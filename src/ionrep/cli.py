@@ -1,9 +1,11 @@
 """Command-line front end.
 
 One JSON config document drives every subcommand; flags override file values,
-which override baseline defaults. Each config section reaches the library by
-field name; times cross this interface in microseconds, and _seconds is the one
-place they become the library's seconds. All numeric output passes through a
+which override baseline defaults. A subcommand has a flag only for a config
+field it reads or checks (_FIELDS names them per field); the file may set any
+field. Each config section reaches the library by field name; times cross
+this interface in microseconds, and _seconds is the one place they become the
+library's seconds. All numeric output passes through a
 single 9-significant-digit formatter so text, JSON, and CSV renderings of the
 same result carry identical values, and a fixed seed reproduces identical
 bytes. NaN is spelled "nan" in every format (JSON has no NaN literal).
@@ -54,7 +56,7 @@ class _Field(NamedTuple):
     default: object
     kind: str          # num, int, str, fmt, numlist
     nullable: bool
-    group: str         # flag group: which subcommands take the flag
+    commands: str      # the subcommands that read or check it, which take its flag
     dest: str = ""     # the flag's dest, when it is not the path's key
 
     @property
@@ -62,42 +64,44 @@ class _Field(NamedTuple):
         return self.dest or self.path.rpartition(".")[2]
 
 
-# Every config field once, in DEFAULTS order.
+# Every config field once, in --help order, with the subcommands that read or
+# check it and so take its flag; a config file may set it for any subcommand.
+_ALL = "rate classify optimize sweep figure simulate"
 _FIELDS = (
-    _Field("hardware.eta_c", 0.3, "num", False, "hw"),
-    _Field("hardware.eta_d", 0.8, "num", False, "hw"),
-    _Field("hardware.alpha_db_per_km", 0.2, "num", False, "hw"),
-    _Field("hardware.refractive_index", 1.47, "num", False, "hw"),
-    _Field("hardware.tau_us", 1.0, "num", False, "hw"),
-    _Field("hardware.tau_g_us", 1.0, "num", False, "hw"),
-    _Field("hardware.tau_o_us", 50.0, "num", False, "hw"),
-    _Field("hardware.tau_m_us", 6e7, "num", False, "hw"),
-    _Field("hardware.f0", 0.9999, "num", False, "hw"),
-    _Field("hardware.eps_g", 1e-4, "num", False, "hw"),
-    _Field("hardware.memory_margin", 10.0, "num", False, "hw"),
-    _Field("layout.l_km", 150.0, "num", False, "layout"),
-    _Field("layout.n", None, "int", True, "layout"),
-    _Field("layout.spatial_mux", 10, "int", False, "layout"),
-    _Field("layout.time_mux", None, "int", True, "layout"),
-    _Field("sweep.l_min_km", 10.0, "num", False, "sweep"),
-    _Field("sweep.l_max_km", 500.0, "num", False, "sweep"),
-    _Field("sweep.l_step_km", 10.0, "num", False, "sweep"),
-    _Field("sweep.l_list_km", None, "numlist", True, "sweep"),
-    _Field("bounds.n_max", 600, "int", False, "bounds"),
-    _Field("bounds.m_max", 2000, "int", False, "bounds"),
-    _Field("constraints.n_o_max", None, "int", True, "cons"),
-    _Field("constraints.n_m_max", None, "int", True, "cons"),
-    _Field("constraints.fixed_l0_km", None, "num", True, "cons"),
-    _Field("constraints.fixed_n", None, "int", True, "cons"),
-    _Field("constraints.tau_min_us", None, "num", True, "cons"),
-    _Field("sim.num_blocks", 100000, "int", False, "sim"),
-    _Field("sim.n_comm_ions", 0, "int", False, "sim"),
-    _Field("sim.n_mem_ions", 0, "int", False, "sim"),
-    _Field("sim.p_override", None, "num", True, "sim"),
-    _Field("output.format", "text", "fmt", False, "io"),
-    _Field("output.path", None, "str", True, "io", dest="output"),
-    _Field("output.dir", ".", "str", False, "out_dir", dest="out_dir"),
-    _Field("seed", 0, "int", False, "sim"),
+    _Field("output.format", "text", "fmt", False, _ALL),
+    _Field("output.path", None, "str", True, _ALL, dest="output"),
+    _Field("hardware.eta_c", 0.3, "num", False, _ALL),
+    _Field("hardware.eta_d", 0.8, "num", False, _ALL),
+    _Field("hardware.alpha_db_per_km", 0.2, "num", False, _ALL),
+    _Field("hardware.refractive_index", 1.47, "num", False, _ALL),
+    _Field("hardware.tau_us", 1.0, "num", False, _ALL),
+    _Field("hardware.tau_g_us", 1.0, "num", False, _ALL),
+    _Field("hardware.tau_o_us", 50.0, "num", False, _ALL),
+    _Field("hardware.tau_m_us", 6e7, "num", False, _ALL),
+    _Field("hardware.f0", 0.9999, "num", False, _ALL),
+    _Field("hardware.eps_g", 1e-4, "num", False, _ALL),
+    _Field("hardware.memory_margin", 10.0, "num", False, _ALL),
+    _Field("layout.l_km", 150.0, "num", False, "rate classify optimize simulate"),
+    _Field("layout.n", None, "int", True, "rate classify simulate"),
+    _Field("layout.spatial_mux", 10, "int", False, "rate classify optimize sweep simulate"),
+    _Field("layout.time_mux", None, "int", True, "rate classify simulate"),
+    _Field("bounds.n_max", 600, "int", False, "optimize sweep figure"),
+    _Field("bounds.m_max", 2000, "int", False, "optimize sweep figure"),
+    _Field("constraints.n_o_max", None, "int", True, "optimize sweep"),
+    _Field("constraints.n_m_max", None, "int", True, "optimize sweep"),
+    _Field("constraints.fixed_l0_km", None, "num", True, "optimize sweep"),
+    _Field("constraints.fixed_n", None, "int", True, "optimize sweep"),
+    _Field("constraints.tau_min_us", None, "num", True, "optimize sweep"),
+    _Field("sweep.l_min_km", 10.0, "num", False, "sweep figure"),
+    _Field("sweep.l_max_km", 500.0, "num", False, "sweep figure"),
+    _Field("sweep.l_step_km", 10.0, "num", False, "sweep figure"),
+    _Field("sweep.l_list_km", None, "numlist", True, "sweep figure"),
+    _Field("output.dir", ".", "str", False, "figure", dest="out_dir"),
+    _Field("sim.num_blocks", 100000, "int", False, "simulate"),
+    _Field("sim.n_comm_ions", 0, "int", False, "simulate"),
+    _Field("sim.n_mem_ions", 0, "int", False, "simulate"),
+    _Field("sim.p_override", None, "num", True, "simulate"),
+    _Field("seed", 0, "int", False, "simulate"),
 )
 _BY_PATH = {f.path: f for f in _FIELDS}
 
@@ -481,19 +485,14 @@ _FLAG_ARGS = {"num": {"type": float}, "int": {"type": int},
               "numlist": {"metavar": "KM[,KM...]", "type": _km_list}}
 
 
-# name -> (run, help line, flag groups in table order)
+# name -> (run, help line)
 _COMMANDS = {
-    "rate": (cmd_rate, "evaluate one chain configuration", ("io", "hw", "layout")),
-    "classify": (cmd_classify, "walk the timing-regime decision tree",
-                 ("io", "hw", "layout")),
-    "optimize": (cmd_optimize, "grid-search repeater count and time multiplexing",
-                 ("io", "hw", "layout", "bounds", "cons")),
-    "sweep": (cmd_sweep, "optimize across a distance grid",
-              ("io", "hw", "layout", "bounds", "cons", "sweep")),
-    "figure": (cmd_figure, "reproduce canned sweep families as CSV files",
-               ("io", "hw", "bounds", "sweep", "out_dir")),
-    "simulate": (cmd_simulate, "run the discrete-event protocol simulator",
-                 ("io", "hw", "layout", "sim")),
+    "rate": (cmd_rate, "evaluate one chain configuration"),
+    "classify": (cmd_classify, "walk the timing-regime decision tree"),
+    "optimize": (cmd_optimize, "grid-search repeater count and time multiplexing"),
+    "sweep": (cmd_sweep, "optimize across a distance grid"),
+    "figure": (cmd_figure, "reproduce canned sweep families as CSV files"),
+    "simulate": (cmd_simulate, "run the discrete-event protocol simulator"),
 }
 
 
@@ -507,22 +506,21 @@ def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
         description="Rate model, optimizer, and event-level validator for "
                     "multiplexed trapped-ion repeater chains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (run, help_text, groups) in _COMMANDS.items():
+    for name, (run, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text, add_help=name == command)
         p.set_defaults(run=run)
         if name == command:
-            _add_flags(p, name, groups)
+            _add_flags(p, name)
     return parser
 
 
-def _add_flags(p: argparse.ArgumentParser, command: str, groups: tuple) -> None:
+def _add_flags(p: argparse.ArgumentParser, command: str) -> None:
     p.add_argument("--config", metavar="FILE", help="JSON config document")
-    for group in groups:
-        for field in _FIELDS:
-            if field.group == group:
-                kwargs = (_FLAG_ARGS.get(field.kind)
-                          or {"metavar": field.path.rpartition(".")[2].upper()})
-                p.add_argument("--" + field.flag.replace("_", "-"), **kwargs)
+    for field in _FIELDS:
+        if command in field.commands.split():
+            kwargs = (_FLAG_ARGS.get(field.kind)
+                      or {"metavar": field.path.rpartition(".")[2].upper()})
+            p.add_argument("--" + field.flag.replace("_", "-"), **kwargs)
     if command == "classify":
         p.add_argument("--l0-km", type=float, dest="l0_km",
                        help="classify a link of this length directly")

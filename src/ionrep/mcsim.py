@@ -533,20 +533,25 @@ def sample_end_to_end_Q(n: int, noise: NoiseParams, trials: int,
     Each swap flips a two-valued error flag with probability (1 - x)/2, so
     the flag's polarization contracts by x per hop and the odd-flip
     probability converges to Q(n). Trials are drawn DRAW_BYTES of uniforms
-    (at least one trial) at a time, in order, so the draw size changes no
-    result. Noise with x < 0 raises swap_survival_factor's ValueError, and
-    x <= 1 always holds, so the flip probability is in [0, 1/2].
+    at a time, in order: whole trials while a row of n fits, else one trial
+    in pieces, so the draw size changes no result. Noise with x < 0 raises
+    swap_survival_factor's ValueError, and x <= 1 always holds, so the flip
+    probability is in [0, 1/2].
     """
-    _check(trials >= 1, "trials", ">= 1", trials)
-    _check(n >= 0, "n", ">= 0", n)
+    for name, v, low in (("trials", trials, 1), ("n", n, 0)):
+        _check(v >= low, name, f">= {low}", v)
+        _check(v % 1 == 0, name, "an integer", v)
+    n, trials = int(n), int(trials)
     x = swap_survival_factor(noise)
     if n == 0:
         return 0.0
     flip_p = 0.5 * (1.0 - x)
     rng = np.random.default_rng([seed])
     odd = 0
-    per = max(1, DRAW_BYTES // (8 * n))
+    width = max(1, DRAW_BYTES // 8)  # uniforms a draw holds
+    per = max(1, width // n)
     for lo in range(0, trials, per):
-        flips = rng.random((min(per, trials - lo), n)) < flip_p
-        odd += int((flips.sum(axis=1) % 2 == 1).sum())
+        flips = sum((rng.random((min(per, trials - lo), min(width, n - c))) < flip_p)
+                    .sum(axis=1) for c in range(0, n, width))
+        odd += int((flips % 2 == 1).sum())
     return odd / trials

@@ -857,8 +857,8 @@ FLAGS = {
         "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
-        "--eps-g=float --memory-margin=float --l-km=float --n=int "
-        "--spatial-mux=int --time-mux=int --n-max=int --m-max=int "
+        "--eps-g=float --memory-margin=float --l-km=float "
+        "--spatial-mux=int --n-max=int --m-max=int "
         "--n-o-max=int --n-m-max=int --fixed-l0-km=float --fixed-n=int "
         "--tau-min-us=float"
     ),
@@ -867,8 +867,8 @@ FLAGS = {
         "--eta-c=float --eta-d=float "
         "--alpha-db-per-km=float --refractive-index=float --tau-us=float "
         "--tau-g-us=float --tau-o-us=float --tau-m-us=float --f0=float "
-        "--eps-g=float --memory-margin=float --l-km=float --n=int "
-        "--spatial-mux=int --time-mux=int --n-max=int --m-max=int "
+        "--eps-g=float --memory-margin=float "
+        "--spatial-mux=int --n-max=int --m-max=int "
         "--n-o-max=int --n-m-max=int --fixed-l0-km=float --fixed-n=int "
         "--tau-min-us=float --l-min-km=float --l-max-km=float "
         "--l-step-km=float --l-list-km=KM[,KM...]"
@@ -895,17 +895,17 @@ FLAGS = {
 }
 
 DEFAULTS_JSON = (
-    '{"hardware": {"eta_c": 0.3, "eta_d": 0.8, "alpha_db_per_km": 0.2, '
+    '{"output": {"format": "text", "path": null, "dir": "."}, "hardware": '
+    '{"eta_c": 0.3, "eta_d": 0.8, "alpha_db_per_km": 0.2, '
     '"refractive_index": 1.47, "tau_us": 1.0, "tau_g_us": 1.0, '
     '"tau_o_us": 50.0, "tau_m_us": 60000000.0, "f0": 0.9999, "eps_g": '
     '0.0001, "memory_margin": 10.0}, "layout": {"l_km": 150.0, "n": null,'
-    ' "spatial_mux": 10, "time_mux": null}, "sweep": {"l_min_km": 10.0, '
-    '"l_max_km": 500.0, "l_step_km": 10.0, "l_list_km": null}, "bounds": '
-    '{"n_max": 600, "m_max": 2000}, "constraints": {"n_o_max": null, '
-    '"n_m_max": null, "fixed_l0_km": null, "fixed_n": null, "tau_min_us":'
-    ' null}, "sim": {"num_blocks": 100000, "n_comm_ions": 0, '
-    '"n_mem_ions": 0, "p_override": null}, "output": {"format": "text", '
-    '"path": null, "dir": "."}, "seed": 0}'
+    ' "spatial_mux": 10, "time_mux": null}, "bounds": {"n_max": 600, '
+    '"m_max": 2000}, "constraints": {"n_o_max": null, "n_m_max": null, '
+    '"fixed_l0_km": null, "fixed_n": null, "tau_min_us": null}, "sweep": '
+    '{"l_min_km": 10.0, "l_max_km": 500.0, "l_step_km": 10.0, "l_list_km": '
+    'null}, "sim": {"num_blocks": 100000, "n_comm_ions": 0, '
+    '"n_mem_ions": 0, "p_override": null}, "seed": 0}'
 )
 
 
@@ -919,6 +919,31 @@ def _flag_label(action: argparse.Action) -> str:
     if action.type is not None:  # a comma-separated list of kilometres
         assert action.type("1,2.5") == [1.0, 2.5]
     return action.metavar
+
+
+# A cheap call per subcommand that sets no flag hiding another's value:
+# classify without --l0-km, sweep and figure without --l-list-km.
+_GRID = ("--l-min-km", "50", "--l-max-km", "100", "--l-step-km", "50",
+         "--n-max", "20", "--m-max", "20")
+_BASE_CALLS = {
+    "rate": ("rate", "--n", "3", "--time-mux", "4"),
+    "classify": ("classify", "--n", "3"),
+    "optimize": ("optimize", "--n-max", "20", "--m-max", "20"),
+    "sweep": ("sweep", *_GRID),
+    "figure": ("figure", "fig7", *_GRID),
+    "simulate": ("simulate", "--n", "1", "--time-mux", "2", "--num-blocks", "10"),
+}
+
+
+def _subparser(command: str) -> argparse.ArgumentParser:
+    return next(a for a in build_parser(command)._actions
+                if isinstance(a, argparse._SubParsersAction)).choices[command]
+
+
+# (subcommand, flag) for each flag that parses a number or a list of them
+_NUMERIC_FLAGS = [(command, action.option_strings[0]) for command in FLAGS
+                  for action in _subparser(command)._actions
+                  if action.option_strings and action.type is not None]
 
 
 class TestContract:
@@ -942,14 +967,27 @@ class TestContract:
     @pytest.mark.parametrize("command", list(FLAGS))
     def test_flags_a_subcommand_does_not_read_are_rejected(self, capsys, command):
         args = [command] + (["fig7"] if command == "figure" else [])
-        for flag, taken in (("--threads", False), ("--seed", command == "simulate")):
+        # layout flags that optimize and sweep once took and ignored
+        unread = {"optimize": ("--n", "--time-mux"),
+                  "sweep": ("--l-km", "--n", "--time-mux")}.get(command, ())
+        for flag, taken in (("--threads", False), ("--seed", command == "simulate"),
+                            *((flag, False) for flag in unread)):
             if taken:
                 assert build_parser(command).parse_args(args + [flag, "2"]).seed == 2
                 continue
             with pytest.raises(SystemExit) as exit_:
                 build_parser(command).parse_args(args + [flag, "2"])
             assert exit_.value.code == 2
-            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+            err = capsys.readouterr().err  # --n also abbreviates --n-max
+            assert (f"unrecognized arguments: {flag} 2" in err
+                    or f"ambiguous option: {flag} could match" in err)
+
+    @pytest.mark.parametrize("command, flag", _NUMERIC_FLAGS,
+                             ids=[" ".join(case) for case in _NUMERIC_FLAGS])
+    def test_every_numeric_flag_is_read(self, capsys, monkeypatch, tmp_path, command, flag):
+        monkeypatch.chdir(tmp_path)  # figure writes its CSV files here
+        base = run(capsys, *_BASE_CALLS[command])
+        assert run(capsys, *_BASE_CALLS[command], flag, "-1") != base
 
     def test_defaults_are_frozen(self):
         assert json.dumps(DEFAULTS) == DEFAULTS_JSON
@@ -1160,12 +1198,9 @@ def _config_docs(draw):
     return doc
 
 
-_SUBPARSERS = {command: next(a for a in build_parser(command)._actions
-                             if isinstance(a, argparse._SubParsersAction)).choices[command]
-               for command in ("rate", "classify", "optimize")}
 _FUZZ_FLAGS = {  # command -> the fields it has a flag for, but none for a path
     command: [f for f in _FIELDS if f.kind != "str" and "--" + f.flag.replace("_", "-")
-              in _SUBPARSERS[command]._option_string_actions]
+              in _subparser(command)._option_string_actions]
     for command in ("rate", "classify", "optimize")
 }
 

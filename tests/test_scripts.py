@@ -67,7 +67,7 @@ def test_output_digest_prints_one_line_per_call(digest):
     assert all(len(sha) == 64 for sha, _, _ in calls)
     assert {code for _, code, _ in calls} == {"0", "2", "3", "4"}
     assert {argv.split()[0] for _, _, argv in calls} == {
-        "--help", "rate", "classify", "optimize", "sweep", "figure", "simulate"}
+        "rate", "classify", "optimize", "sweep", "figure", "simulate"}
     # two runs of one call hash alike
     assert module.call(["rate", "--n", "3", "--time-mux", "4"]) == \
         module.call(["rate", "--n", "3", "--time-mux", "4"])

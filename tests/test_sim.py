@@ -920,18 +920,23 @@ class TestFlipSampler:
             assert sample_end_to_end_Q(n, noise, 1003, seed=4) == expected
 
     def test_draws_stay_within_the_draw_budget(self):
-        # n = 1000 with 10,000 trials took 80 MB as one draw
-        tracemalloc.start()
-        try:
-            q = sample_end_to_end_Q(1000, NoiseParams(f0=0.99, eps_g=1e-2), 10_000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert q == 0.4959
-        assert peak < 2 * mcsim.DRAW_BYTES
+        # n = 1000 with 10,000 trials took 80 MB as one draw, and n = 2,000,000
+        # with 3 took 19 MB as one row a draw
+        for n, trials, expected in ((1000, 10_000, 0.4959), (2_000_000, 3, 1 / 3)):
+            tracemalloc.start()
+            try:
+                q = sample_end_to_end_Q(n, NoiseParams(f0=0.99, eps_g=1e-2), trials, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert q == expected
+            assert peak < 2 * mcsim.DRAW_BYTES, n
 
     @pytest.mark.parametrize("n, trials, match", [(3, 0, "trials must be >= 1, got 0"),
-                                                  (-1, 100, "n must be >= 0, got -1")])
+                                                  (-1, 100, "n must be >= 0, got -1"),
+                                                  (1.5, 10, "n must be an integer, got 1.5"),
+                                                  (3, 2.5, "trials must be an integer, "
+                                                           "got 2.5")])
     def test_rejects_bad_counts(self, n, trials, match):
         with pytest.raises(ValueError, match=match):
             sample_end_to_end_Q(n, NoiseParams(f0=0.999, eps_g=1e-3), trials)
