@@ -504,10 +504,12 @@ def build_parser(command: Optional[str]) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionrep",
         description="Rate model, optimizer, and event-level validator for "
-                    "multiplexed trapped-ion repeater chains.")
+                    "multiplexed trapped-ion repeater chains.",
+        allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (run, help_text) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, add_help=name == command)
+        p = sub.add_parser(name, help=help_text, add_help=name == command,
+                           allow_abbrev=False)
         p.set_defaults(run=run)
         if name == command:
             _add_flags(p, name)

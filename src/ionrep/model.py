@@ -303,7 +303,9 @@ def _latency(l_km, refractive_index):  # heralding_time on inputs checked alread
     return l_km * refractive_index / C_VACUUM_KM_S
 
 
-def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
+def derive_timing(layout: ChainLayout, hw: HardwareProfile, l0_km=None) -> DerivedTiming:
+    """The layout's timing on hw's clock; l0_km is layout.link_length_km,
+    computed here when None."""
     tau = hw.timing.tau
     j_steps = hw.timing.tau_g / tau
     if not j_steps <= MAX_STEPS:
@@ -325,7 +327,7 @@ def derive_timing(layout: ChainLayout, hw: HardwareProfile) -> DerivedTiming:
                              f"tau={tau:.6g} s is too short for total_distance_km="
                              f"{l_bad:.6g} km: the step count T/tau="
                              f"{_latency(l_bad, n_ref) / tau:.6g} must be at most 2**31")
-    t = _latency(layout.link_length_km, n_ref)
+    t = _latency(layout.link_length_km if l0_km is None else l0_km, n_ref)
     return DerivedTiming(heralding_time_s=t, j_steps=j_steps, k_steps=t / tau)
 
 

@@ -55,27 +55,38 @@ e^x - 1 = a (x + c lam), a Lambert W_{-1} value (Corless et al., "On the
 Lambert W function", 1996); three Newton steps on e^x - a x - (1 + a c lam)
 from L + log L, L = log(a + 1 + a c lam), estimate it, and lo is near
 x / lam. Rows with c < 0 take the same estimate. The search's one seeded
-round tests each row's cap and the four integers around its estimate; a
-row whose tested values straddle the end of P is done. Rows the estimate missed (a NaN, an
-estimate off by more than one) are bisected by further rounds, so lo is
-exact whatever the estimate; the estimate only sets the number of rounds.
+round tests three integers a row, floor(estimate) - 1, floor(estimate)
+and floor(estimate) + 1, clipped to [1, cap]; a row whose tested values
+straddle the end of P is done, as is a row whose estimate is at or past
+its cap, which the clip tests. That closes every row whose lo is
+floor(estimate) or floor(estimate) - 1, which is all but fig9's c < 0 rows
+in the standard figures. Rows the estimate missed (a NaN, an estimate off
+by more than one) are bisected by further rounds, so lo is exact whatever
+the estimate; the estimate only sets the number of rounds.
 
-A pass splits into a row state and a step per variant. Noise (eps_g, f0)
-enters the rate only through the factor max(0, rci(n)), which is constant
-along a row, and a, lam and c do not depend on it; n_o_max and n_m_max only
-lower a row's cap below the memory cap. So sweep_variants solves each
-distinct variant once and groups the distinct variants by _row_key; each
-group is one row solve with one row state: rates.rate_rows (rate_grid's
-row stage), the memory cap, and lo_free, the last m in [1, memory cap]
-where P holds. Each variant then takes its cap (at most the memory cap)
-and lo = min(lo_free, cap), exact because P holds on a prefix: P holds on
-all of [1, lo_free] and nowhere in (lo_free, memory cap], so its last m in
-[1, cap] is lo_free when lo_free <= cap, and cap otherwise. The noise fields
-f_end and rci depend on n alone, and an unpinned pass holds one copy of
-0..n_max per distance, so rates.noise_tail runs once per distinct n, for the
-row state and for each other noise level, and its columns are tiled to the
-pass's rows. The pass's layout skips ChainLayout's checks: its distances and
-repeater counts come from checked inputs, and _solve checks spatial_mux.
+A pass splits into a row state, a step per spatial_mux M and a step per
+variant. Noise (eps_g, f0) enters the rate only through the factor
+max(0, rci(n)), which is constant along a row, and a, lam and c do not
+depend on it; n_o_max and n_m_max only lower a row's cap below the memory
+cap. M enters the row state only through the ion budgets n_o and n_m1,
+and the search only through lam = -M log1m_p. So sweep_variants solves
+each distinct variant once and groups the distinct variants by _row_key,
+which holds no M; each group is one row solve with one row state:
+rates.rate_rows (rate_grid's row stage) at the group's first M, and the
+memory cap. Each further M redoes only rates.ion_budgets. Per M, the step
+computes lam, the seed, and lo_free, the last m in [1, memory cap] where P
+holds, and its arrays are released before the next M's step. Each variant
+then takes its cap (at most the memory cap) and lo = min(lo_free, cap),
+exact because P holds on a prefix: P holds on all of [1, lo_free] and
+nowhere in (lo_free, memory cap], so its last m in [1, cap] is lo_free when
+lo_free <= cap, and cap otherwise. The noise fields f_end and rci depend on
+n alone, and an unpinned pass holds one copy of 0..n_max per distance, so
+rates.noise_tail runs once per distinct n and noise level: once a pass
+where the pass is pinned, and once a row solve where it is not, since
+every unpinned pass holds the same 0..n_max. Its columns are tiled to the
+pass's rows. The pass's layout skips ChainLayout's checks: its distances
+and repeater counts come from checked inputs, and _solve checks
+spatial_mux.
 
 The candidate columns are lo and lo + 1, in that order, where every row of
 the pass has c >= 0, and 1, lo and lo + 1 in a pass with a c < 0 row. One
@@ -84,9 +95,9 @@ has every candidate it could pick tied at rate 0 (or none feasible and
 finite), and the full scan breaks a zero-rate tie toward m = 1, which the
 two columns may lack. A variant whose two-column argmax has such a
 distance is solved again on the columns 1, lo and lo + 1. Variants with
-equal caps share each candidate grid, rates.rate_blocks (rate_grid's block
-stage) applied to the row state at those columns, built at most once per
-group of caps when a variant first needs it. So the block stage runs only
+equal M and caps share each candidate grid, rates.rate_blocks (rate_grid's
+block stage) applied to the row state at those columns, built at most once
+per group of caps when a variant first needs it. So the block stage runs only
 at candidate columns, and each other noise level recomputes only the
 noise fields, with rates.noise_tail and rates.noisy_rate, the functions
 rate_grid itself calls, so the rate formula is written once.
@@ -131,12 +142,12 @@ import numpy as np
 
 from .model import (MAX_COUNT, ChainLayout, Constraints, HardwareProfile, StepCountError,
                     _check, _check_count, _store_int, fiber_transmissivity)
-from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, ion_caps,
-                    memory_covers, noise_tail, noisy_rate, plob_bound, rate_blocks,
-                    rate_rows)
+from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, ion_budgets,
+                    ion_caps, memory_covers, noise_tail, noisy_rate, plob_bound,
+                    rate_blocks, rate_rows)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
-_SEED_OFFSETS = np.arange(-1, 3)[:, None, None]  # the seeded round's m - floor(guess)
+_SEED_OFFSETS = np.arange(-1, 2)[:, None, None]  # the seeded round's m - floor(guess)
 MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # (distance, n) rows per pass, or one distance's rows where they are more.
 # At n_max = 600 that is six distances. On one core of a 2-vCPU machine
@@ -196,15 +207,14 @@ def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
     holds nowhere; pred must hold on a prefix of the integers m >= 1.
 
     guess is a float column, the answer's estimate: any value (NaN, +-inf
-    included) gives the exact answer, and one whose floor is within 1 of it
-    takes a single round. That round tests hi and floor(guess) - 1 ...
-    floor(guess) + 2, each clipped to [1, hi], on a leading axis: numpy 2.4
-    reduces a (5, 601, 1) array over axis 0 in ~2 us, a (601, 5) one over
-    axis 1 in ~33 us. Rows it leaves open are bisected by the loop below,
-    one cell per row a round.
+    included) gives the exact answer, and one whose floor is the answer or
+    the answer + 1 takes a single round. That round tests floor(guess) - 1,
+    floor(guess) and floor(guess) + 1, each clipped to [1, hi], on a leading
+    axis; a guess at or above hi tests hi. Rows it leaves open are bisected
+    by the loop below, one cell per row a round.
     """
     g = np.fmin(np.fmax(guess, 0.0), hi).astype(np.int64)  # NaN and inf land in [0, hi]
-    m = np.concatenate([hi[None], np.minimum(np.maximum(g + _SEED_OFFSETS, 1), hi)])
+    m = np.minimum(np.maximum(g + _SEED_OFFSETS, 1), hi)
     ok = pred(m)
     # every m tested true is at most the answer, every false one above it;
     # a row with hi = 0 tests only 0, and comes out with lo = 0 either way
@@ -223,31 +233,44 @@ def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
 
 
 def _row_key(spatial_mux: int, hw: HardwareProfile, constraints: Constraints) -> tuple:
-    """What a solve's rows and their search depend on: spatial_mux, the
-    hardware with its noise set aside, and the constraints that choose the
-    rows (fixed_n, fixed_l0_km) or rule out a whole pass (tau_min). Variants
-    with equal keys differ only in noise, n_o_max and n_m_max, and
-    sweep_variants gives them one row solve."""
-    return (spatial_mux, hw.optical, hw.timing, hw.memory_margin,
-            constraints.fixed_l0_km, constraints.fixed_n, constraints.tau_min)
+    """What a solve's rows and their search depend on: the hardware with its
+    noise set aside, and the constraints that choose the rows (fixed_n,
+    fixed_l0_km) or rule out a whole pass (tau_min). Variants with equal
+    keys differ only in spatial_mux, noise, n_o_max and n_m_max, and
+    sweep_variants gives them one row solve. A spatial_mux that is not a
+    valid count joins the key, so that its variant's ValueError is raised in
+    that variant's own turn."""
+    key = (hw.optical, hw.timing, hw.memory_margin,
+           constraints.fixed_l0_km, constraints.fixed_n, constraints.tau_min)
+    try:
+        _check_count("spatial_mux", spatial_mux, 1)
+    except ValueError:
+        return (spatial_mux,) + key
+    return key
 
 
-def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: SearchBounds,
-                variants: Sequence[tuple]) -> list:
-    """Per variant (hw, constraints), the optimum at each distance ls[i] over
-    its candidate repeater counts ns[i], or the InfeasibleError that distance
-    raises; one row per (distance, n) pair, shared by the variants."""
+def _solve_pass(ls: np.ndarray, ns: np.ndarray, bounds: SearchBounds,
+                variants: Sequence[tuple], tails: dict) -> list:
+    """Per variant (spatial_mux, hw, constraints), the optimum at each
+    distance ls[i] over its candidate repeater counts ns[i], or the
+    InfeasibleError that distance raises; one row per (distance, n) pair,
+    shared by the variants. tails holds noise_tail's fields per noise
+    level, of one distance's repeater counts where the pass is unpinned,
+    and takes the ones this pass computes."""
     d, r = ns.shape
     ns_by_l, ns = ns, ns.reshape(-1, 1)
-    hw, constraints = variants[0]  # the rows' state depends on noise only through the tail
+    # the rows' state depends on noise only through the tail
+    mux, hw, constraints = variants[0]
     # an unpinned pass holds d copies of 0..n_max, so its tail is one copy's, tiled
     reps, tail_ns = (1, ns) if constraints.pinned else (d, ns[:r])
 
     def tail(hw_i: HardwareProfile) -> dict:
-        return {name: np.tile(v, (reps, 1)) for name, v in noise_tail(tail_ns, hw_i).items()}
+        if hw_i.noise not in tails:
+            tails[hw_i.noise] = noise_tail(tail_ns, hw_i)
+        return {name: np.tile(v, (reps, 1)) for name, v in tails[hw_i.noise].items()}
 
     # checked distances and repeater counts; _solve checks spatial_mux
-    layout = ChainLayout._unchecked(np.repeat(ls, r)[:, None], ns, spatial_mux)
+    layout = ChainLayout._unchecked(np.repeat(ls, r)[:, None], ns, mux)
     rows = rate_rows(layout, hw, tail(hw))
     den1 = rows.den1  # den_steps(m) = den1 + (m - 1.0), as rate_blocks computes it
     mem_cap = np.full_like(ns, bounds.m_max)
@@ -262,64 +285,84 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, spatial_mux: int, bounds: Search
     # only where c < 0 (it is false for c >= 0, where rounding near x = 0
     # could make it true), and not at all in a pass without such rows
     c = den1 - 1.0
-    lam = -spatial_mux * rows.log1m_p
     a = ns + 1.0
-    a_lam, c_lam, neg = a * lam, c * lam, c < 0.0
+    neg = c < 0.0
     some_neg = bool(neg.any())
-
-    def rising(m):
-        x = lam * m
-        e = np.expm1(x)
-        out = (c + m) * a_lam > e
-        if some_neg:
-            out |= neg & (e * (1.0 - x - c_lam) > x + c_lam)
-        return out
-
-    with np.errstate(all="ignore"):
-        # lo_free's seed: the larger root x of e^x - a x - b = 0, b = 1 + a c lam,
-        # by three Newton steps from L + log L, L = log(a + b), then m = x / lam
-        b = 1.0 + a * c_lam
-        x = np.log(a + b)
-        x += np.log(x)
-        for _ in range(3):
-            e = np.exp(x)
-            x -= (e - a * x - b) / (e - a)
-        lo_free = _last_true(rising, mem_cap, x / lam)
-
-    by_caps: dict = {}  # variant indices per (n_o_max, n_m_max), in first-seen order
-    for i, (_, cons) in enumerate(variants):
-        by_caps.setdefault((cons.n_o_max, cons.n_m_max), []).append(i)
     out: list = [None] * len(variants)
-    for (n_o_max, n_m_max), members in by_caps.items():
-        # the cap table: per constraint, each row's largest feasible m
-        caps = {"tau_m": mem_cap, **ion_caps(rows, bounds.m_max, n_o_max, n_m_max)}
-        cap = functools.reduce(np.minimum, caps.values())  # a row's cap: its least entry
-        # P holds on a prefix, so the search up to the row cap is the free one clipped
-        lo = np.minimum(lo_free, cap)
-        # the candidate columns, clipped to [1, m_max], each set in order since
-        # 1 <= clip(lo) <= clip(lo + 1): m = 1 joins lo and lo + 1 in a pass with
-        # c < 0 rows, and for a variant whose two-column optima have a zero-rate tie
-        col_sets = [[np.ones_like(ns), lo, lo + 1]]
-        if not some_neg:
-            col_sets.insert(0, [lo, lo + 1])
-        grids: list = []  # (cols, grid) of each set, built once its first variant needs it
+
+    def solve_mux(rows, layout: ChainLayout, members: list) -> None:
+        # one spatial_mux's search and candidates, whose arrays go on return
+        lam = -layout.spatial_mux * rows.log1m_p
+        a_lam, c_lam = a * lam, c * lam
+
+        def rising(m):
+            x = lam * m
+            e = np.expm1(x)
+            ok = (c + m) * a_lam > e
+            if some_neg:
+                ok |= neg & (e * (1.0 - x - c_lam) > x + c_lam)
+            return ok
+
+        with np.errstate(all="ignore"):
+            # lo_free's seed: the larger root x of e^x - a x - b = 0, b = 1 + a c lam,
+            # by three Newton steps from L + log L, L = log(a + b), then m = x / lam
+            b = 1.0 + a * c_lam
+            x = np.log(a + b)
+            x += np.log(x)
+            for _ in range(3):
+                e = np.exp(x)
+                x -= (e - a * x - b) / (e - a)
+            lo_free = _last_true(rising, mem_cap, x / lam)
+
+        by_caps: dict = {}  # variant indices per (n_o_max, n_m_max), in first-seen order
         for i in members:
-            hw_i, cons_i = variants[i]
-            # per noise level, only f_end, rci and the rate are new
-            t = None if hw_i.noise == hw.noise else tail(hw_i)
-            for k, parts in enumerate(col_sets):
-                if k == len(grids):
-                    cols = np.minimum(np.maximum(np.hstack(parts), 1), bounds.m_max)
-                    grid = rate_blocks(rows, layout, cols, hw)
-                    assert np.array_equal(grid.mem_ok, cols <= mem_cap), \
-                        "rate_blocks' mem_ok disagrees with the memory cap"
-                    grids.append((cols, grid))
-                cols, grid = grids[k]
-                if t is not None:
-                    grid = replace(grid, **t, rate=noisy_rate(grid.ideal, t["rci"]))
-                out[i] = _optima(grid, cols, cap, caps, ns_by_l, hw_i, bounds, cons_i.pinned)
-                if out[i] is not None:
-                    break
+            cons = variants[i][2]
+            by_caps.setdefault((cons.n_o_max, cons.n_m_max), []).append(i)
+        for (n_o_max, n_m_max), capped in by_caps.items():
+            # the cap table: per constraint, each row's largest feasible m
+            caps = {"tau_m": mem_cap, **ion_caps(rows, bounds.m_max, n_o_max, n_m_max)}
+            # a row's cap: its least entry
+            cap = functools.reduce(np.minimum, caps.values())
+            # P holds on a prefix, so the search up to the row cap is the free one clipped
+            lo = np.minimum(lo_free, cap)
+            # the candidate columns, clipped to [1, m_max], each set in order since
+            # 1 <= clip(lo) <= clip(lo + 1): m = 1 joins lo and lo + 1 in a pass with
+            # c < 0 rows, and for a variant whose two-column optima have a zero-rate tie
+            col_sets = [[np.ones_like(ns), lo, lo + 1]]
+            if not some_neg:
+                col_sets.insert(0, [lo, lo + 1])
+            # (cols, grid) of each set, built once its first variant needs it
+            grids: list = []
+            for i in capped:
+                _, hw_i, cons_i = variants[i]
+                # per noise level, only f_end, rci and the rate are new
+                t = None if hw_i.noise == hw.noise else tail(hw_i)
+                for k, parts in enumerate(col_sets):
+                    if k == len(grids):
+                        cols = np.minimum(np.maximum(np.hstack(parts), 1), bounds.m_max)
+                        grid = rate_blocks(rows, layout, cols, hw)
+                        assert np.array_equal(grid.mem_ok, cols <= mem_cap), \
+                            "rate_blocks' mem_ok disagrees with the memory cap"
+                        grids.append((cols, grid))
+                    cols, grid = grids[k]
+                    if t is not None:
+                        grid = replace(grid, **t, rate=noisy_rate(grid.ideal, t["rci"]))
+                    out[i] = _optima(grid, cols, cap, caps, ns_by_l, hw_i, bounds,
+                                     cons_i.pinned)
+                    if out[i] is not None:
+                        break
+
+    by_mux: dict = {}  # variant indices per spatial_mux, in first-seen order
+    for i, variant in enumerate(variants):
+        by_mux.setdefault(variant[0], []).append(i)
+    for mux, members in by_mux.items():
+        if mux != layout.spatial_mux:
+            # only the ion budgets of the row state depend on spatial_mux
+            layout = ChainLayout._unchecked(layout.total_distance_km, ns, mux)
+            timing = rows.timing
+            n_o, n_m1 = ion_budgets(rows.waits, timing.k_steps, timing.j_steps, mux, 1)
+            rows = replace(rows, n_o=n_o, n_m1=n_m1)
+        solve_mux(rows, layout, members)
     return out
 
 
@@ -375,18 +418,19 @@ def _infeasible(caps: dict, m_max: int, evaluations: int) -> InfeasibleError:
     return InfeasibleError(names, f"no feasible (n, m) grid point: {detail}")
 
 
-def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
-           variants: Sequence[tuple]) -> list:
-    """Per variant (hw, constraints), each distance's OptimizationResult or
-    the InfeasibleError it raises; the variants share one _row_key.
+def _solve(ls: Sequence[float], bounds: SearchBounds, variants: Sequence[tuple]) -> list:
+    """Per variant (spatial_mux, hw, constraints), each distance's
+    OptimizationResult or the InfeasibleError it raises; the variants share
+    one _row_key.
 
     Distances are solved in passes of at most PASS_ROWS rows (at least one
     distance), so memory stays bounded whatever the number of distances. A
     ValueError is raised as a loop of one-distance calls would raise it: the
     first distance's, after the distances before it have been solved.
     """
-    _check_count("spatial_mux", spatial_mux, 1)  # the one input the passes do not check
-    hw, constraints = variants[0]
+    for spatial_mux, _, _ in variants:  # the one input the passes do not check
+        _check_count("spatial_mux", spatial_mux, 1)
+    _, hw, constraints = variants[0]
     tau_min_error = None
     if constraints.tau_min is not None and hw.timing.tau < constraints.tau_min:
         tau_min_error = InfeasibleError(
@@ -395,6 +439,7 @@ def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
             f"{constraints.tau_min:.6g} s; no grid point is feasible",
         )
     per_pass = max(1, PASS_ROWS // (1 if constraints.pinned else bounds.n_max + 1))
+    tails: dict = {}  # noise_tail's fields per noise level: unpinned passes share 0..n_max
     out: list = [[] for _ in variants]
     for start in range(0, len(ls), per_pass):
         rows, error = [], None
@@ -411,7 +456,8 @@ def _solve(ls: Sequence[float], spatial_mux: int, bounds: SearchBounds,
                 results += rows
         elif rows:
             solved = _solve_pass(np.array(ls[start:start + len(rows)], dtype=float),
-                                 np.array(rows), spatial_mux, bounds, variants)
+                                 np.array(rows), bounds, variants,
+                                 {} if constraints.pinned else tails)
             for results, part in zip(out, solved):
                 results += part
         if error is not None:
@@ -431,8 +477,8 @@ def optimize_rate(l_km: float, spatial_mux: int, hw: HardwareProfile,
     non-finite rate are never chosen. An empty feasible set raises
     InfeasibleError naming the constraints that removed points.
     """
-    (res,), = _solve([l_km], spatial_mux, bounds or SearchBounds(),
-                     [(hw, constraints or Constraints())])
+    (res,), = _solve([l_km], bounds or SearchBounds(),
+                     [(spatial_mux, hw, constraints or Constraints())])
     if isinstance(res, InfeasibleError):
         raise res
     return res
@@ -500,10 +546,11 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
     """sweep_distance's rows for each (spatial_mux, hw, constraints) of
     variants, in their order (constraints may be None, which is
     Constraints()), a new list for each. Equal variants are solved once,
-    and variants with equal _row_key share one row solve; the solves run in
-    order of their first variant, so a ValueError is the first failing
-    solve's. A StepCountError names that solve by the index of its first
-    variant in variants, as its variant attribute.
+    and variants with equal _row_key share one row solve, whatever their
+    spatial_mux; a solve computes the PLOB bounds once per spatial_mux. The
+    solves run in order of their first variant, so a ValueError is the first
+    failing solve's. A StepCountError names that solve by the index of its
+    first variant in variants, as its variant attribute.
 
     A variant solved before, at equal distances and bounds, is read from the
     module's cache (keyed by the distances as a tuple, the bounds and the
@@ -525,17 +572,19 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
         if held[variant] is None:
             groups.setdefault(_row_key(*variant), []).append(variant)
     for members in groups.values():
-        spatial_mux, hw = members[0][:2]
         try:
-            solved = _solve(ls, spatial_mux, bounds, [v[1:] for v in members])
+            solved = _solve(ls, bounds, members)
         except StepCountError as err:
             err.variant = variants.index(members[0])
             raise
-        plob = [_plob(l_km, spatial_mux, hw) for l_km in ls]
+        plob: dict = {}  # per spatial_mux: _plob reads no hw field the row key leaves out
         for variant, results in zip(members, solved):
+            spatial_mux, hw, _ = variant
+            if spatial_mux not in plob:
+                plob[spatial_mux] = [_plob(l_km, spatial_mux, hw) for l_km in ls]
             held[variant] = tuple(
                 (str(res) if isinstance(res, InfeasibleError) else res, bound)
-                for res, bound in zip(results, plob))
+                for res, bound in zip(results, plob[spatial_mux]))
             _solved.put(sweep + (variant,), held[variant])
     return [[SweepRow(l_km, None, bound, res) if isinstance(res, str)
              else SweepRow(l_km, res, bound) for l_km, (res, bound) in zip(ls, held[v])]

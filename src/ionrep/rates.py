@@ -39,8 +39,9 @@ the same log1m_p.
 rate_grid is the row stage followed by the block stage. A RateGrid is a
 RowState with the block fields added. The optimizer runs the row stage once
 per pass, with the noise fields it computed once per distinct repeater
-count, reads its memory cap and its search's c from den1 and its ion caps
-from ion_caps, and applies the block stage only at its candidate columns.
+count, and redoes only ion_budgets for each further spatial_mux; it reads
+its memory cap and its search's c from den1 and its ion caps from
+ion_caps, and applies the block stage only at its candidate columns.
 Noise enters a grid only through f_end, rci and the rate, so the optimizer
 re-noises one grid for each noise level instead of building another.
 grid_reports reads reports straight from a grid's fields at flat cell
@@ -302,10 +303,11 @@ def rate_rows(layout: ChainLayout, hw: HardwareProfile, tail=None) -> RowState:
     """The row stage: rate_grid's fields that do not depend on time_mux,
     which this stage ignores. tail is noise_tail(layout.n_repeaters, hw),
     computed here when None."""
-    timing = derive_timing(layout, hw)
+    l0_km = layout.link_length_km  # one division over the rows, for T and p
+    timing = derive_timing(layout, hw, l0_km)
     tm = hw.timing
     waits = waits_for_herald(timing.heralding_time_s, tm.tau_g, tm.tau_o)
-    p = link_success_prob(hw.optical, layout.link_length_km)
+    p = link_success_prob(hw.optical, l0_km)
     n_o, n_m1 = ion_budgets(waits, timing.k_steps, timing.j_steps, layout.spatial_mux, 1)
     return RowState(
         timing=timing, waits=waits, n_o=n_o, p=p, log1m_p=np.log1p(-p),

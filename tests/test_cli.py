@@ -552,7 +552,7 @@ class TestFigure:
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
-        """The (l_list, spatial_mux, bounds, variants) of each shared row solve."""
+        """The (l_list, bounds, variants) of each shared row solve."""
         calls = []
         real = optimize_module._solve
 
@@ -568,9 +568,10 @@ class TestFigure:
         code, out, _ = run(capsys, "figure", "all", *self.FAST,
                            "--out-dir", str(tmp_path / "all"), "--format", "json")
         assert code == 0
-        # 11 row solves for the 23 distinct (spatial_mux, hardware, constraints)
-        assert len(calls) == 11
-        assert sum(len(variants) for _, _, _, variants in calls) == 23
+        # 7 row solves for the 23 distinct (spatial_mux, hardware, constraints):
+        # one per clock, gate time and pinning, whatever the spatial_mux
+        assert len(calls) == 7
+        assert sum(len(variants) for _, _, variants in calls) == 23
         assert json.loads(out)["figure"] == "fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9"
         # the ids one at a time solve again, not read what `all` solved
         optimize_module._solved.clear()
@@ -581,8 +582,8 @@ class TestFigure:
                        "--out-dir", str(tmp_path / "each"))[0] == 0
             solves.append(len(calls) - before)
         # fig2 solves the nine sweeps that fig3-fig6 read from the cache;
-        # 3 for fig7, 4 for fig8 and 3 for fig9
-        assert solves == [3, 0, 0, 0, 0, 3, 4, 3]
+        # 1 for fig7, 4 for fig8 (one per l0) and 2 for fig9 (one per clock)
+        assert solves == [1, 0, 0, 0, 0, 1, 4, 2]
         names = sorted(p.name for p in (tmp_path / "all").iterdir())
         assert len(names) == 59
         assert names == sorted(p.name for p in (tmp_path / "each").iterdir())
@@ -595,17 +596,15 @@ class TestFigure:
         first = tmp_path / "first"
         assert run(capsys, "figure", "fig2", "fig3", *self.FAST,
                    "--out-dir", str(first))[0] == 0
-        # one solve per spatial_mux, each for its three noise levels
-        assert len(calls) == 3
-        assert len(set(map(repr, calls))) == 3
-        assert [len(variants) for _, _, _, variants in calls] == [3, 3, 3]
+        # one solve for the three spatial_mux values at three noise levels each
+        assert [len(variants) for _, _, variants in calls] == [9]
         fig2 = {p.name: p.read_bytes() for p in first.glob("fig2_*")}
         assert len(fig2) == 9
         # a solved sweep outlives its call: fig2 again reads it from the cache
         for again in ("second", "third"):
             assert run(capsys, "figure", "fig2", *self.FAST,
                        "--out-dir", str(tmp_path / again))[0] == 0
-            assert len(calls) == 3
+            assert len(calls) == 1
             assert {p.name: p.read_bytes() for p in (tmp_path / again).iterdir()} == fig2
 
     def test_a_rejected_override_writes_no_curve(self, capsys, tmp_path):
@@ -651,7 +650,7 @@ class TestFigure:
         assert doc["figure"] == "fig7"
         assert [f.rsplit("/", 1)[-1] for f in doc["files"]] == [
             "fig7_M1.csv", "fig7_M5.csv", "fig7_M10.csv"]
-        assert len(calls) == 3
+        assert [len(variants) for _, _, variants in calls] == [3]  # one solve, three M
 
     def test_curve_inventory(self, capsys, tmp_path):
         code, out, _ = run(capsys, "figure", "fig9", "--l-list-km", "100",
@@ -978,9 +977,21 @@ class TestContract:
             with pytest.raises(SystemExit) as exit_:
                 build_parser(command).parse_args(args + [flag, "2"])
             assert exit_.value.code == 2
-            err = capsys.readouterr().err  # --n also abbreviates --n-max
-            assert (f"unrecognized arguments: {flag} 2" in err
-                    or f"ambiguous option: {flag} could match" in err)
+            assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+    def test_abbreviated_flags_are_rejected(self, capsys):
+        # --time is a prefix of --time-mux only, and is still not taken for it
+        with pytest.raises(SystemExit) as exit_:
+            main(["rate", "--time", "22"])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if "unrecognized arguments" in line] == [
+            "ionrep: error: unrecognized arguments: --time 22"]
+        # nor by the top-level parser: --hel is not --help
+        with pytest.raises(SystemExit) as exit_:
+            main(["--hel"])
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("command, flag", _NUMERIC_FLAGS,
                              ids=[" ".join(case) for case in _NUMERIC_FLAGS])

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ionrep.figures as figures_module
 import ionrep.optimize as optimize_module
 import ionrep.rates as rates_module
 from ionrep import (
@@ -485,27 +486,51 @@ class TestSeededSearch:
             mp.setattr(optimize_module, "_last_true", checked)
             outcome(optimize_rate, *problem)
 
-    def test_the_seed_closes_every_row_in_one_round(self, monkeypatch):
-        real, calls = optimize_module._last_true, []  # predicate calls per search
+    @staticmethod
+    def count_rounds(monkeypatch) -> list:
+        """Per _last_true call, the shape of each m its predicate tests."""
+        real, calls = optimize_module._last_true, []
 
         def counted(pred, hi, guess):
-            calls.append(0)
+            calls.append([])
 
             def counting(m):
-                calls[-1] += 1
+                calls[-1].append(np.shape(m))
                 return pred(m)
             return real(counting, hi, guess)
 
         monkeypatch.setattr(optimize_module, "_last_true", counted)
+        return calls
+
+    def test_the_seed_closes_every_row_in_one_round(self, monkeypatch):
+        # one round of three cells a row: floor(guess) - 1, floor(guess) and
+        # floor(guess) + 1
+        calls = self.count_rounds(monkeypatch)
         # tau_m covers every block up to m_max, so lo_free is the only search
         optimize_rate(150.0, 10, BASE)
-        assert calls == [1]
+        assert calls == [[(3, 601, 1)]]
         calls.clear()
         sweep_distance(distance_grid(10.0, 500.0, 10.0), 10, BASE)  # the default sweep
-        assert calls == [1] * 9  # nine passes
+        assert calls == [[(3, 6 * 601, 1)]] * 8 + [[(3, 2 * 601, 1)]]  # nine passes
         calls.clear()
         optimize_rate(150.0, 10, BASE.updated(tau_m=3e-4))  # tau_m binds
-        assert calls == [1, 1]  # the memory cap and lo_free
+        assert calls == [[(3, 601, 1)]] * 2  # the memory cap and lo_free
+
+    def test_figure_searches_take_pinned_rounds(self, monkeypatch):
+        # every search of `figure all` on its default grid, in solve order:
+        # fig2-fig6 with fig9's 1 us curves (M = 1, 5, 10), fig7 (M = 1, 5,
+        # 10), fig8's four pinned solves and fig9's M = 50 at tau = 10 us,
+        # nine passes each but fig8's one. Only the last misses rows: its
+        # c < 0 rows are ROADMAP item 9's seed leftovers
+        calls = self.count_rounds(monkeypatch)
+        variants = [figures_module.curve_variant(curve, BASE)
+                    for _, curves in figures_module.FIGURES.values() for curve in curves]
+        optimize_module._solved.clear()
+        optimize_module.sweep_variants(distance_grid(10.0, 500.0, 10.0), variants)
+        assert [len(rounds) for rounds in calls] == [1] * 58 + [12] * 4 + [4] + [1] * 4
+        assert all(rounds[0][0] == 3 for rounds in calls)
+        # a bisection round tests one cell a row
+        assert all(m == rounds[0][1:] for rounds in calls for m in rounds[1:])
 
 
 @st.composite
@@ -725,6 +750,10 @@ class TestSharedRowSolve:
     # only the second key fails: 150 km in 1e-9 km links is past MAX_COUNT
     @example(([50.0, 150.0], [(10, BASE, None), (10, BASE, Constraints(fixed_l0_km=1e-9))],
               SearchBounds(60, 200), None))
+    # spatial_mux = 0 is not a count, and its variant fails in its own turn:
+    # after the first variant's error at inf km in one order, before it in the other
+    @example(([50.0, math.inf], [(10, BASE, None), (0, BASE, None)], SearchBounds(60, 200), None))
+    @example(([50.0, math.inf], [(0, BASE, None), (10, BASE, None)], SearchBounds(60, 200), None))
     # a repeated variant, between two others
     @example(([50.0, 150.0],
               [(10, BASE, Constraints(n_o_max=40)), (5, BASE, None),
@@ -761,9 +790,9 @@ class TestSharedRowSolve:
     def test_each_distinct_variant_is_solved_once(self, monkeypatch):
         solved, real = [], optimize_module._solve
 
-        def recording(ls, spatial_mux, bounds, group):
-            solved.extend((spatial_mux,) + variant for variant in group)
-            return real(ls, spatial_mux, bounds, group)
+        def recording(ls, bounds, group):
+            solved.append(group)
+            return real(ls, bounds, group)
 
         monkeypatch.setattr(optimize_module, "_solve", recording)
         noisy = BASE.updated(eps_g=1e-3)
@@ -771,8 +800,9 @@ class TestSharedRowSolve:
                     (10, BASE, Constraints()), (5, BASE, Constraints(n_o_max=40)),
                     (10, noisy, None), (5, BASE, Constraints(n_o_max=40))]
         rows = optimize_module.sweep_variants([50.0, 150.0], variants, SearchBounds(60, 200))
-        assert solved == [(10, BASE, Constraints()), (10, noisy, Constraints()),
-                          (5, BASE, Constraints()), (5, BASE, Constraints(n_o_max=40))]
+        # one row key: a single solve, over both spatial_mux values
+        assert solved == [[(10, BASE, Constraints()), (5, BASE, Constraints()),
+                           (10, noisy, Constraints()), (5, BASE, Constraints(n_o_max=40))]]
         assert rows[0] == rows[3] and rows[2] == rows[5] and rows[4] == rows[6]
 
     def test_a_step_count_error_names_the_callers_variant(self):
@@ -799,12 +829,12 @@ class TestSolvedSweeps:
 
     @staticmethod
     def count_solves(monkeypatch) -> list:
-        """Each _solve call's spatial_mux and variants."""
+        """Each _solve call's variants."""
         calls, real = [], optimize_module._solve
 
-        def counting(ls, spatial_mux, bounds, group):
-            calls.append((spatial_mux, group))
-            return real(ls, spatial_mux, bounds, group)
+        def counting(ls, bounds, group):
+            calls.append(group)
+            return real(ls, bounds, group)
 
         monkeypatch.setattr(optimize_module, "_solve", counting)
         return calls
@@ -818,7 +848,8 @@ class TestSolvedSweeps:
         assert [type(row.l_km) for row in held[0]] == [int] * 3
         optimize_module._solved.clear()
         fresh = optimize_module.sweep_variants(self.LS, self.VARIANTS, self.BOUNDS)
-        assert [mux for mux, _ in calls] == [10, 5, 10]  # one solve per row key
+        # one solve per row key: five variants over two spatial_mux, then the pinned one
+        assert [[v[0] for v in group] for group in calls] == [[10, 5, 10, 5, 10], [10]]
         assert held == fresh == first
         assert all(row.result is None for row in fresh[-1])
         assert any(row.result is not None for rows in fresh for row in rows)
@@ -844,11 +875,11 @@ class TestSolvedSweeps:
         for spatial_mux in (1, 5, 10, 1, 50):  # 1 is read again, so 5 is the oldest
             sweep(spatial_mux)
             assert solved.rows <= 6
-        assert [mux for mux, _ in calls] == [1, 5, 10, 50]
+        assert [group[0][0] for group in calls] == [1, 5, 10, 50]
         calls.clear()
         for spatial_mux in (10, 1, 50, 5):  # 5 was dropped; solving it drops 10
             sweep(spatial_mux)
-        assert [mux for mux, _ in calls] == [5]
+        assert [group[0][0] for group in calls] == [5]
         assert solved.rows == 6
         # seven distances are more than the bound: solved, but not held
         calls.clear()
@@ -870,9 +901,8 @@ class TestSolvedSweeps:
                 optimize_module.sweep_variants([1e10], variants, SearchBounds(20, 50))
             assert err.value.variant == 1
         # slow's solve is held, so the retry solves only the failing variant
-        assert [group for _, group in calls] == [[(slow, Constraints())],
-                                                 [(fast, Constraints())],
-                                                 [(fast, Constraints())]]
+        assert calls == [[(1, slow, Constraints())], [(1, fast, Constraints())],
+                         [(1, fast, Constraints())]]
         assert optimize_module._solved.rows == 1
 
     def test_threads_share_the_cache(self, monkeypatch):
