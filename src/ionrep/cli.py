@@ -294,11 +294,12 @@ def _leaves(doc, prefix: str = "", under_a_list: bool = False):
             yield prefix[:-1] if in_list else f"{prefix}{key}", value, under_a_list
 
 
-def _csv_text(header: list[str], rows: list[dict]) -> str:
+def _csv_text(header: tuple, rows: list[tuple]) -> str:
+    """The header and each row, its values in header order."""
     import csv
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(
-        [header] + [[fmt_value(row[c]) for c in header] for row in rows])
+        map(fmt_value, row) for row in [header, *rows])
     return out.getvalue()
 
 
@@ -312,7 +313,7 @@ def _write(path: str, text: str, field: str) -> None:
 
 
 def emit(cfg: dict, command: str, payload: dict,
-         csv_table: Optional[tuple[list[str], list[dict]]] = None) -> None:
+         csv_table: Optional[tuple[tuple, list[tuple]]] = None) -> None:
     """Render payload in the configured format to stdout or output.path."""
     style = cfg["output"]["format"]
     if style == "json":
@@ -321,8 +322,9 @@ def emit(cfg: dict, command: str, payload: dict,
         text = json.dumps(doc, indent=2) + "\n"
     elif style == "csv":
         if csv_table is None:  # one row; lists have no tabular shape
-            row = {label: v for label, v, listed in _leaves(payload) if not listed}
-            csv_table = (list(row), [row])
+            header, row = zip(*((label, v) for label, v, listed in _leaves(payload)
+                                if not listed))
+            csv_table = (header, [row])
         text = _csv_text(*csv_table)
     else:
         lines = (f"{label}: {fmt_value(v)}" for label, v, _ in _leaves(payload))
@@ -389,20 +391,17 @@ def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
-    from .figures import CSV_COLUMNS, reduce_row
+    from .figures import CSV_COLUMNS, row_values
     from .optimize import sweep_distance
     hw = make_hardware(cfg)
     grid = make_l_grid(cfg)
     constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
     raw = sweep_distance(grid, cfg["layout"]["spatial_mux"], hw,
                          bounds=make_bounds(cfg), constraints=constraints)
-    rows = []
-    for r in raw:
-        row = reduce_row(r, "noisy_rate")
-        row["infeasible_reason"] = r.infeasible_reason or ""
-        rows.append(row)
-    emit(cfg, "sweep", {"rows": rows},
-         csv_table=(list(CSV_COLUMNS) + ["infeasible_reason"], rows))
+    header = CSV_COLUMNS + ("infeasible_reason",)
+    rows = [row_values(r, "noisy_rate") + (r.infeasible_reason or "",) for r in raw]
+    emit(cfg, "sweep", {"rows": [dict(zip(header, row)) for row in rows]},
+         csv_table=(header, rows))
     return EXIT_OK
 
 
@@ -432,7 +431,7 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     files = []
     for (fig_id, curve), rows in zip(curves, sweeps):
         path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
-        _write(path, _csv_text(list(CSV_COLUMNS), curve_rows(curve, rows)), "output.dir")
+        _write(path, _csv_text(CSV_COLUMNS, curve_rows(curve, rows)), "output.dir")
         files.append(path)
     emit(cfg, "figure", {"figure": " ".join(ids),
                          "description": "; ".join(FIGURES[i][0] for i in ids),

@@ -2,7 +2,8 @@
 
 Each figure id maps to a fixed set of curves. A curve is a distance sweep of
 the optimizer under specific hardware overrides and constraints, reduced to
-one value column; the CSV layout is shared with the plain sweep subcommand.
+one value column. row_values gives a sweep row's cells in CSV_COLUMNS
+order, for these curves and for the plain sweep subcommand alike.
 A figure call hands every curve's variant, curve_variant's (spatial_mux,
 hardware after the curve's overrides, constraints), to one
 optimize.sweep_variants call, which solves equal variants once and gives
@@ -100,30 +101,17 @@ def curve_variant(curve: Curve, hw: HardwareProfile) -> tuple:
     return curve.spatial_mux, hw_c, curve.constraints
 
 
-def curve_rows(curve: Curve, rows: list[SweepRow]) -> list[dict]:
-    """The curve's sweep rows, each reduced to the shared CSV columns."""
-    return [reduce_row(row, curve.value_field) for row in rows]
+def curve_rows(curve: Curve, rows: list[SweepRow]) -> list[tuple]:
+    """The curve's sweep rows as row_values tuples."""
+    return [row_values(row, curve.value_field) for row in rows]
 
 
-def reduce_row(row: SweepRow, value_field: str) -> dict:
+def row_values(row: SweepRow, value_field: str) -> tuple:
+    """A sweep row's values in CSV_COLUMNS order, value_field in the value
+    column; an infeasible row is NaN but for its distance and PLOB bound."""
     if row.result is None:
-        return dict.fromkeys(CSV_COLUMNS, math.nan) | {
-            "L_km": row.l_km, "regime": "", "plob": row.plob}
-    rep = row.result.report
-    values = {
-        "noisy_rate": rep.noisy_rate,
-        "m_opt": row.result.m_opt,
-        "n_opt": row.result.n_opt,
-        "n_o": rep.n_o,
-        "n_m": rep.n_m,
-    }
-    return {
-        "L_km": row.l_km,
-        "value": values[value_field],
-        "regime": rep.regime.value,
-        "n_opt": row.result.n_opt,
-        "m_opt": row.result.m_opt,
-        "N_o": rep.n_o,
-        "N_m": rep.n_m,
-        "plob": row.plob,
-    }
+        return row.l_km, math.nan, "", math.nan, math.nan, math.nan, math.nan, row.plob
+    res, rep = row.result, row.result.report
+    value = getattr(res if value_field.endswith("_opt") else rep, value_field)
+    return (row.l_km, value, rep.regime.value, res.n_opt, res.m_opt, rep.n_o, rep.n_m,
+            row.plob)

@@ -83,10 +83,11 @@ lo_free <= cap, and cap otherwise. The noise fields f_end and rci depend on
 n alone, and an unpinned pass holds one copy of 0..n_max per distance, so
 rates.noise_tail runs once per distinct n and noise level: once a pass
 where the pass is pinned, and once a row solve where it is not, since
-every unpinned pass holds the same 0..n_max. Its columns are tiled to the
-pass's rows. The pass's layout skips ChainLayout's checks: its distances
-and repeater counts come from checked inputs, and _solve checks
-spatial_mux.
+every unpinned pass holds the same 0..n_max. An unpinned pass of more than
+one distance tiles its columns to its rows; any other pass takes them as
+they are held, since nothing writes them in place. The pass's layout skips
+ChainLayout's checks: its distances and repeater counts come from checked
+inputs, and _solve checks spatial_mux.
 
 The candidate columns are lo and lo + 1, in that order, where every row of
 the pass has c >= 0, and 1, lo and lo + 1 in a pass with a c < 0 row. One
@@ -267,7 +268,9 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, bounds: SearchBounds,
     def tail(hw_i: HardwareProfile) -> dict:
         if hw_i.noise not in tails:
             tails[hw_i.noise] = noise_tail(tail_ns, hw_i)
-        return {name: np.tile(v, (reps, 1)) for name, v in tails[hw_i.noise].items()}
+        # one copy is the held arrays: nothing writes f_end or rci in place
+        return tails[hw_i.noise] if reps == 1 else {
+            name: np.tile(v, (reps, 1)) for name, v in tails[hw_i.noise].items()}
 
     # checked distances and repeater counts; _solve checks spatial_mux
     layout = ChainLayout._unchecked(np.repeat(ls, r)[:, None], ns, mux)

@@ -90,15 +90,15 @@ class Regime(enum.Enum):
 
 
 def _regime_tests(t, tau_g: float, tau_o: float):
-    """The comparisons behind every regime label, in decision order."""
-    t = np.asarray(t)
+    """The comparisons behind every regime label, in decision order, on t as
+    given: a float gives Python bools, an array boolean arrays."""
     return t >= tau_o, t >= tau_g, tau_o >= t + tau_g
 
 
 def waits_for_herald(t, tau_g: float, tau_o: float):
     """True where T lets comm ions wait for the herald (B2, C2); A, B1 and
     C1 gate blind. This mask is the only way a regime reaches a formula."""
-    past_o, _, fits = _regime_tests(t, tau_g, tau_o)
+    past_o, _, fits = _regime_tests(np.asarray(t), tau_g, tau_o)
     return ~past_o & fits
 
 

@@ -532,6 +532,36 @@ class TestSeededSearch:
         # a bisection round tests one cell a row
         assert all(m == rounds[0][1:] for rounds in calls for m in rounds[1:])
 
+    def test_rising_rows_end_where_the_formulas_say(self, monkeypatch):
+        # lo_free, the last m in [1, memory cap] where P(m) = [h(m) > 1 or
+        # u(lam m) > 0] holds, against P in Python floats on a pass of c < 0
+        # rows. At n = 0 (a = 1) h <= 1 everywhere, so u's clause alone sets
+        # that row's lo; its argmax is m = 1 whatever lo is
+        l_km, mux, hw, bounds, _ = DIP
+        real, searches = optimize_module._last_true, []
+
+        def kept(pred, hi, guess):
+            lo = real(pred, hi, guess)
+            searches.append((pred.__name__, hi, lo))
+            return lo
+
+        monkeypatch.setattr(optimize_module, "_last_true", kept)
+        optimize_rate(l_km, mux, hw, bounds)
+        (hi, lo), = [(hi, lo) for name, hi, lo in searches if name == "rising"]
+        ns = np.arange(bounds.n_max + 1)
+        grid = rate_grid(ChainLayout(l_km, ns[:, None], mux), hw)
+        assert (grid.den_steps < 1.0).all()  # c = den_steps(1) - 1 < 0 on every row
+        for n in ns:
+            a, lam = n + 1.0, -mux * float(grid.log1m_p[n, 0])
+            c_lam = (float(grid.den_steps[n, 0]) - 1.0) * lam
+
+            def p(m):
+                x = lam * m
+                return m * a * lam + c_lam * a > math.expm1(x) or \
+                    math.exp(x) * (1.0 - x - c_lam) > 1.0
+
+            assert lo[n, 0] == max((m for m in range(1, hi[n, 0] + 1) if p(m)), default=0)
+
 
 @st.composite
 def _sweeps(draw):
@@ -890,6 +920,27 @@ class TestSolvedSweeps:
         sweep(50)
         sweep(5)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("cleared", [False, True])
+    def test_an_empty_cache_holds_a_full_bound(self, monkeypatch, cleared):
+        # a new cache, and a cleared one, count no held rows: sweeps of
+        # SOLVED_ROWS rows in all are every one held
+        monkeypatch.setattr(optimize_module, "SOLVED_ROWS", 6)
+        solved = optimize_module._SolvedSweeps()
+        monkeypatch.setattr(optimize_module, "_solved", solved)
+
+        def sweep(spatial_mux: int) -> None:
+            optimize_module.sweep_variants([50.0, 150.0], [(spatial_mux, BASE, None)],
+                                           self.BOUNDS)
+
+        if cleared:
+            sweep(50)
+            solved.clear()
+        calls = self.count_solves(monkeypatch)
+        for spatial_mux in (1, 5, 10, 1):  # three sweeps of two rows, then the first again
+            sweep(spatial_mux)
+        assert [group[0][0] for group in calls] == [1, 5, 10]
+        assert solved.rows == 6
 
     def test_a_failing_solve_holds_nothing(self, monkeypatch):
         # at 1e10 km, T/tau is past 2**31 at tau = 10 us but not at 100 us

@@ -277,9 +277,10 @@ class TestPlob:
         assert plob_bound(1e-9, 1, 1.0) == pytest.approx(1e-9 / math.log(2), rel=1e-6)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        # the check's own error, not math.log1p's domain error at eta = 1
+        with pytest.raises(ValueError, match="transmissivity"):
             plob_bound(1.0, 1, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="transmissivity"):
             plob_bound(0.0, 1, 1.0)
 
     @given(e1=st.floats(1e-6, 0.999), e2=st.floats(1e-6, 0.999))

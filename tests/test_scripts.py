@@ -1,26 +1,36 @@
 """Smoke tests of the scripts under scripts/, run in-process, and the digest
-checked against its golden, tests/golden/digest.txt, the frozen output. A
-declared output change re-records it in the same commit, from the repo root:
-
-    python3 scripts/digest.py > tests/golden/digest.txt
+checked against its golden, tests/golden/digest.txt, the frozen output.
 
 The digest's last two lines, the evaluate_rate and SimConfig.p hashes of
-float bits, depend on numpy's CPU dispatch: the golden was recorded with
-numpy's AVX-512 loops, whose exp, log1p, expm1 and power differ in the last
-bit from its AVX2 and SSE loops on part of their inputs. With
-NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4",
-test_report_digest_matches_its_golden fails and every other test passes; a
-CPU without AVX-512 runs those other loops, so it should fail there too.
+float bits, depend on numpy's CPU dispatch: numpy's AVX-512 loops for exp,
+log1p, expm1 and power differ in the last bit from its AVX2 and SSE loops
+on part of their inputs, and those two agree. So the golden ends in two
+pairs of those lines, one per dispatch family: the AVX-512 loops' pair, then
+the pair of the loops without them. The tests pick the pair of the loops
+numpy runs, and one test runs the digest with the AVX-512 loops turned off,
+so both families are checked on a machine that has them. A declared output
+change re-records the golden in the same commit, from the repo root of such
+a machine:
+
+    python3 scripts/digest.py > tests/golden/digest.txt
+    NPY_DISABLE_CPU_FEATURES="$NO_AVX512" python3 scripts/digest.py | tail -n 2 \
+        >> tests/golden/digest.txt
+
+with NO_AVX512="AVX512_SPR AVX512_ICL X86_V4".
 """
 import contextlib
 import importlib.util
 import io
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden" / "digest.txt"
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"  # NPY_DISABLE_CPU_FEATURES' value
 
 
 def _load(name: str):
@@ -47,17 +57,36 @@ def digest():
     return module, out.getvalue().splitlines()
 
 
-def _golden() -> list[str]:
-    return GOLDEN.read_text(encoding="utf-8").splitlines()
+def _golden(avx512: bool) -> list[str]:
+    """The golden as the digest prints it where numpy runs its AVX-512
+    loops (avx512) or not: its call lines and that family's report pair."""
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    return lines[:-4] + (lines[-4:-2] if avx512 else lines[-2:])
+
+
+def _runs_avx512() -> bool:
+    """Whether this process's numpy runs its AVX-512 loops."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return bool(__cpu_features__.get("AVX512_SKX"))
 
 
 # pytest's list diff names the first line that differs, call or hash
 def test_output_digest_matches_its_golden(digest):
-    assert digest[1][:-2] == _golden()[:-2]
+    assert digest[1][:-2] == _golden(_runs_avx512())[:-2]
 
 
 def test_report_digest_matches_its_golden(digest):
-    assert digest[1][-2:] == _golden()[-2:]
+    assert digest[1][-2:] == _golden(_runs_avx512())[-2:]
+
+
+def test_digest_without_avx512_matches_its_golden():
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=NO_AVX512)
+    run = subprocess.run([sys.executable, str(SCRIPTS / "digest.py")], env=env,
+                         capture_output=True, text=True, timeout=120, check=True)
+    assert run.stdout.splitlines() == _golden(avx512=False)
 
 
 def test_output_digest_prints_one_line_per_call(digest):
