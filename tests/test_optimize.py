@@ -920,6 +920,10 @@ class TestSolvedSweeps:
         sweep(50)
         sweep(5)
         assert len(calls) == 2
+        # six, the bound itself, are held
+        for _ in range(2):
+            sweep(10, [10.0 * i for i in range(1, 7)])
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("cleared", [False, True])
     def test_an_empty_cache_holds_a_full_bound(self, monkeypatch, cleared):
