@@ -15,17 +15,21 @@ that the module's tests pass there on the module as ast.unparse writes it.
 Then it runs them with -x on each mutant, at most --timeout seconds each. A
 mutant is killed when its tests fail or time out, and survives when they
 pass. The sites are sampled with a fixed seed, so the same module source
-gives the same mutants. Each mutant's line reads "status path:line change";
-the last line is "module: killed K / N". It takes minutes, one pytest
-process at a time, and is not part of the test suite.
+gives the same mutants; with --since REV, the probe takes every site on the
+lines that `git diff -U0 REV` changes in the module instead (a site's line
+is the first line of its node). Each mutant's line reads "status path:line
+change"; the last line is "module: killed K / N". It takes minutes, one
+pytest process at a time, and is not part of the test suite.
 
     python3 scripts/mutation_probe.py mcsim [--sites 40] [--seed 0] [--timeout 300]
+    python3 scripts/mutation_probe.py optimize --since HEAD~1
 """
 import argparse
 import ast
 import itertools
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -96,6 +100,14 @@ def mutant(source: str, node: int, op: int) -> str:
     return ast.unparse(tree)
 
 
+def hunk_lines(diff: str) -> set[int]:
+    """The new-file line numbers that the hunks of a -U0 diff change."""
+    lines: set[int] = set()
+    for start, count in re.findall(r"^@@ -\S+ \+(\d+)(?:,(\d+))? @@", diff, re.M):
+        lines.update(range(int(start), int(start) + int(count or 1)))
+    return lines
+
+
 def run_tests(work: Path, tests: list[str], timeout: float) -> str:
     """'pass', 'fail' or 'timeout' for the tests in the copy at work."""
     # a failing example one mutant's run saved must not be replayed on the next
@@ -118,13 +130,21 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the site sample")
     parser.add_argument("--timeout", type=float, default=300.0,
                         help="seconds a mutant's tests may take")
+    parser.add_argument("--since", metavar="REV",
+                        help="every site on the lines changed since REV, not a sample")
     args = parser.parse_args(argv)
 
     rel = Path("src", "ionrep", f"{args.module}.py")
     source = (ROOT / rel).read_text(encoding="utf-8")
     every = sites(source)
-    chosen = every if not args.sites else random.Random(args.seed).sample(
-        every, min(args.sites, len(every)))
+    if args.since is not None:
+        diff = subprocess.run(["git", "diff", "-U0", args.since, "--", str(rel)], cwd=ROOT,
+                              capture_output=True, text=True, check=True).stdout
+        changed = hunk_lines(diff)
+        chosen = [site for site in every if site[2] in changed]
+    else:
+        chosen = every if not args.sites else random.Random(args.seed).sample(
+            every, min(args.sites, len(every)))
     tests = TESTS[args.module]
     with tempfile.TemporaryDirectory(prefix="mutation_probe_") as tmp:
         work = Path(tmp) / "repo"
@@ -142,8 +162,9 @@ def main(argv=None) -> int:
             killed += status != "pass"
             label = {"pass": "survived", "fail": "killed"}.get(status, status)
             print(f"{label:8} {rel}:{line} {change}", flush=True)
+    drawn = f"since {args.since}" if args.since is not None else f"seed {args.seed}"
     print(f"{args.module}: killed {killed} / {len(chosen)} "
-          f"({len(every)} sites, seed {args.seed}, tests {' '.join(tests)})")
+          f"({len(every)} sites, {drawn}, tests {' '.join(tests)})")
     return 0
 
 

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import sys
+import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from .model import (ChainLayout, Constraints, HardwareProfile, StepCountError, _check,
@@ -405,9 +406,43 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+# Rows (distances x distinct variants) that figure calls hold: ~850 B a row
+# under tracemalloc (Python 3.11.7, numpy 2.4.6), ~1.7 MB when full, which
+# fits `figure all` on the default 50-distance grid (1,150 rows).
+SOLVED_ROWS = 2048
+_held: dict = {}  # (grid, bounds, variant set) -> rows per variant, least recently used first
+_held_lock = threading.Lock()
+
+
+def _figure_sweeps(grid: list[float], variants: list[tuple], bounds: SearchBounds) -> dict:
+    """Each variant's rows, from one optimize.sweep_variants call. A process
+    that repeats a figure call (fig3-fig6 are fig2's sweeps, read for other
+    columns) solves it once: the rows are held under the grid, bounds and
+    variant set, within SOLVED_ROWS rows, dropping the least recently used
+    first. A call that raises, or is over the bound, holds nothing. The
+    model is taken to be fixed for the life of the process."""
+    from .optimize import sweep_variants
+    distinct = frozenset(variants)
+    key = (tuple(grid), bounds, distinct)
+    with _held_lock:
+        if key in _held:
+            _held[key] = _held.pop(key)  # now the most recently used
+            return _held[key]
+    rows = dict(zip(variants, sweep_variants(grid, variants, bounds)))
+    if len(grid) * len(distinct) <= SOLVED_ROWS:
+        with _held_lock:
+            _held.pop(key, None)  # another thread may have solved it meanwhile
+            _held[key] = rows
+            excess = sum(len(g) * len(v) for g, _, v in _held) - SOLVED_ROWS
+            while excess > 0:
+                g, _, v = oldest = next(iter(_held))
+                excess -= len(g) * len(v)
+                del _held[oldest]
+    return rows
+
+
 def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     from .figures import CSV_COLUMNS, FIGURES, curve_rows, curve_variant
-    from .optimize import sweep_variants
     if cfg["output"]["format"] == "csv":
         raise CliError(EXIT_CONFIG,
                        "figure writes CSV files itself; use --format text or json")
@@ -424,14 +459,15 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
     curves = [(fig_id, curve) for fig_id in ids for curve in FIGURES[fig_id][1]]
     variants = [curve_variant(curve, hw) for _, curve in curves]
     try:
-        sweeps = sweep_variants(grid, variants, bounds)
+        sweeps = _figure_sweeps(grid, variants, bounds)
     except StepCountError as err:
         err.curve = curves[err.variant][1]  # its overrides may have set the clock
         raise
     files = []
-    for (fig_id, curve), rows in zip(curves, sweeps):
+    for (fig_id, curve), variant in zip(curves, variants):
         path = os.path.join(out_dir, f"{fig_id}_{curve.label}.csv")
-        _write(path, _csv_text(CSV_COLUMNS, curve_rows(curve, rows)), "output.dir")
+        _write(path, _csv_text(CSV_COLUMNS, curve_rows(curve, sweeps[variant])),
+               "output.dir")
         files.append(path)
     emit(cfg, "figure", {"figure": " ".join(ids),
                          "description": "; ".join(FIGURES[i][0] for i in ids),

@@ -9,10 +9,10 @@ hardware after the curve's overrides, constraints), to one
 optimize.sweep_variants call, which solves equal variants once and gives
 the variants that differ only in spatial_mux, noise (eps_g, f0), n_o_max
 and n_m_max one row solve: fig2-fig9 are 59 curves over 23 distinct
-variants, and `figure all` solves them in 7 row solves. sweep_variants
-keeps the sweeps it solved, so the eight ids one at a time in one process
-take 8: fig3-fig6 are fig2's nine sweeps, each read for another value
-column.
+variants, and `figure all` solves them in 7 row solves. The figure command
+holds a call's rows for a later call with the same variants, so the eight
+ids one at a time in one process take 8: fig3-fig6 are fig2's nine sweeps,
+each read for another value column.
 """
 from __future__ import annotations
 

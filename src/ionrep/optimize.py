@@ -113,20 +113,6 @@ PASS_ROWS rows, or one distance where its n_max + 1 rows are more, and at
 most two candidate grids at a time; n_max is at most
 MAX_SEARCH_N, so memory stays bounded whatever the number of distances or
 variants.
-
-sweep_variants keeps what it solved in a least-recently-used cache, so a
-process that asks for the same sweep again (fig3-fig6 are fig2's sweeps,
-each read for another column) does not solve it again. An entry's key is
-the distances as a tuple, the bounds and the variant (spatial_mux, hw,
-constraints), the equality its in-call dedup already uses; its value is
-each distance's result, or the text of its InfeasibleError, and PLOB
-bound. The cache holds at most SOLVED_ROWS rows, one distance of one
-variant each, and keeps no sweep longer than that. A solve that raises
-stores nothing. Rows depend on nothing but the key: the model is taken to
-be fixed for the life of the process. A CLI process makes one sweep_variants
-call and gains nothing from the cache; its users in this repository are the
-processes that repeat sweeps: perfbench's figure_family workload, one figure
-id per op in one process, and scripts/digest.py's in-process CLI calls.
 """
 
 from __future__ import annotations
@@ -134,8 +120,6 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
@@ -156,11 +140,6 @@ MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # distance per pass and 312-334 ms with three; ten per pass took 262-279 ms
 # but added ~0.8 MB to a ~36 MB peak RSS.
 PASS_ROWS = 4096
-# Rows (one distance of one variant) that sweep_variants keeps solved. A row
-# held ~780 B under tracemalloc (Python 3.11.7, numpy 2.4.6), so a full
-# cache holds ~1.6 MB; that fits `figure all`'s 23 variants on the default
-# 50-distance grid (1,150 rows).
-SOLVED_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -509,41 +488,6 @@ def sweep_distance(l_list: Sequence[float], spatial_mux: int, hw: HardwareProfil
     return sweep_variants(l_list, [(spatial_mux, hw, constraints)], bounds)[0]
 
 
-class _SolvedSweeps:
-    """sweep_variants' cache, least recently used first: per key, each
-    distance's (result or infeasible reason, plob). One lock covers every
-    lookup, store and eviction."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._entries: OrderedDict = OrderedDict()
-        self.rows = 0
-
-    def get(self, key: tuple) -> Optional[tuple]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: tuple, entry: tuple) -> None:
-        if len(entry) > SOLVED_ROWS:
-            return  # it would evict every other entry and still not fit
-        with self._lock:
-            self.rows += len(entry) - len(self._entries.pop(key, ()))
-            self._entries[key] = entry
-            while self.rows > SOLVED_ROWS:
-                self.rows -= len(self._entries.popitem(last=False)[1])
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self.rows = 0
-
-
-_solved = _SolvedSweeps()
-
-
 def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
                    bounds: Optional[SearchBounds] = None) -> list[list[SweepRow]]:
     """sweep_distance's rows for each (spatial_mux, hw, constraints) of
@@ -553,13 +497,7 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
     spatial_mux; a solve computes the PLOB bounds once per spatial_mux. The
     solves run in order of their first variant, so a ValueError is the first
     failing solve's. A StepCountError names that solve by the index of its
-    first variant in variants, as its variant attribute.
-
-    A variant solved before, at equal distances and bounds, is read from the
-    module's cache (keyed by the distances as a tuple, the bounds and the
-    variant) and not solved again. The cache holds at most SOLVED_ROWS rows,
-    dropping the least recently used sweep first, and keeps no sweep longer
-    than that; a solve that raises stores nothing."""
+    first variant in variants, as its variant attribute."""
     ls = list(l_list)
     if not ls:
         raise ValueError("l_list must be nonempty")
@@ -567,13 +505,10 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
         raise ValueError("l_list must be strictly increasing")
     bounds = bounds or SearchBounds()
     variants = [(mux, hw, cons or Constraints()) for mux, hw, cons in variants]
-    sweep = (tuple(ls), bounds)
-    held: dict = {}  # each distinct variant's (result or reason, plob) per distance
-    groups: dict = {}  # distinct variants not held, per row key, in first-seen order
+    groups: dict = {}  # distinct variants per row key, in first-seen order
     for variant in dict.fromkeys(variants):
-        held[variant] = _solved.get(sweep + (variant,))
-        if held[variant] is None:
-            groups.setdefault(_row_key(*variant), []).append(variant)
+        groups.setdefault(_row_key(*variant), []).append(variant)
+    swept: dict = {}  # each distinct variant's rows
     for members in groups.values():
         try:
             solved = _solve(ls, bounds, members)
@@ -585,13 +520,11 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
             spatial_mux, hw, _ = variant
             if spatial_mux not in plob:
                 plob[spatial_mux] = [_plob(l_km, spatial_mux, hw) for l_km in ls]
-            held[variant] = tuple(
-                (str(res) if isinstance(res, InfeasibleError) else res, bound)
-                for res, bound in zip(results, plob[spatial_mux]))
-            _solved.put(sweep + (variant,), held[variant])
-    return [[SweepRow(l_km, None, bound, res) if isinstance(res, str)
-             else SweepRow(l_km, res, bound) for l_km, (res, bound) in zip(ls, held[v])]
-            for v in variants]
+            swept[variant] = [
+                SweepRow(l_km, None, bound, str(res)) if isinstance(res, InfeasibleError)
+                else SweepRow(l_km, res, bound)
+                for l_km, res, bound in zip(ls, results, plob[spatial_mux])]
+    return [list(swept[v]) for v in variants]
 
 
 def distance_grid(l_min_km: float, l_max_km: float, l_step_km: float) -> list[float]:

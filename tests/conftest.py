@@ -3,7 +3,7 @@ import pathlib
 
 import pytest
 
-import ionrep.optimize as optimize_module
+import ionrep.cli as cli_module
 
 TESTS_DIR = pathlib.Path(__file__).parent
 
@@ -19,10 +19,10 @@ def pytest_collection_modifyitems(items):
 
 
 @pytest.fixture(autouse=True)
-def empty_sweep_cache():
-    """Each test starts and ends with sweep_variants' cache empty: tests
-    that count solves, or patch what a solve calls, must not read rows an
-    earlier test left behind, whatever order the tests run in."""
-    optimize_module._solved.clear()
+def empty_figure_store():
+    """Each test starts and ends with the figure command's held rows
+    emptied: tests that count solves, or patch what a solve calls, must not
+    read rows an earlier test left behind, whatever order the tests run in."""
+    cli_module._held.clear()
     yield
-    optimize_module._solved.clear()
+    cli_module._held.clear()

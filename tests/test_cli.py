@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -573,15 +574,14 @@ class TestFigure:
         assert len(calls) == 7
         assert sum(len(variants) for _, _, variants in calls) == 23
         assert json.loads(out)["figure"] == "fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9"
-        # the ids one at a time solve again, not read what `all` solved
-        optimize_module._solved.clear()
+        # the ids one at a time solve again: `all` is held under its own variant set
         solves = []
         for fig_id in sorted(figures_module.FIGURES):
             before = len(calls)
             assert run(capsys, "figure", fig_id, *self.FAST,
                        "--out-dir", str(tmp_path / "each"))[0] == 0
             solves.append(len(calls) - before)
-        # fig2 solves the nine sweeps that fig3-fig6 read from the cache;
+        # fig2 solves the nine sweeps that fig3-fig6 read from the store;
         # 1 for fig7, 4 for fig8 (one per l0) and 2 for fig9 (one per clock)
         assert solves == [1, 0, 0, 0, 0, 1, 4, 2]
         names = sorted(p.name for p in (tmp_path / "all").iterdir())
@@ -600,12 +600,98 @@ class TestFigure:
         assert [len(variants) for _, _, variants in calls] == [9]
         fig2 = {p.name: p.read_bytes() for p in first.glob("fig2_*")}
         assert len(fig2) == 9
-        # a solved sweep outlives its call: fig2 again reads it from the cache
+        # fig2's variants are fig3's: fig2 again reads the first call's rows
         for again in ("second", "third"):
             assert run(capsys, "figure", "fig2", *self.FAST,
                        "--out-dir", str(tmp_path / again))[0] == 0
             assert len(calls) == 1
             assert {p.name: p.read_bytes() for p in (tmp_path / again).iterdir()} == fig2
+
+    # the store itself, at a bound of a few rows: each call's rows are
+    # distances x distinct variants, here two distances of one spatial_mux
+    BOUNDS = SearchBounds(20, 50)
+
+    def sweep(self, *muxes: int, ls=(50.0, 150.0)) -> dict:
+        return cli_module._figure_sweeps(list(ls), [(mux, HardwareProfile(), None)
+                                                    for mux in muxes], self.BOUNDS)
+
+    @staticmethod
+    def held_rows() -> int:
+        return sum(len(grid) * len(variants) for grid, _, variants in cli_module._held)
+
+    def test_held_rows_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "SOLVED_ROWS", 6)
+        calls = self.count_solves(monkeypatch)
+        for mux in (1, 5, 10, 1):  # exactly the bound: the first is still held
+            self.sweep(mux)
+        assert [variants[0][0] for _, _, variants in calls] == [1, 5, 10]
+        assert self.held_rows() == 6
+        self.sweep(50)  # 1 was read again, so 5 is the oldest
+        for mux in (10, 1, 50, 5):  # 5 was dropped; solving it drops 10
+            self.sweep(mux)
+        assert [variants[0][0] for _, _, variants in calls] == [1, 5, 10, 50, 5]
+        assert self.held_rows() == 6
+        # one key per set of variants, whatever their order and repeats: four
+        # rows, which drop the two oldest calls, 1 and 50
+        self.sweep(1, 5, 1)
+        self.sweep(5, 1)
+        assert len(calls) == 6
+        assert self.held_rows() == 6
+        self.sweep(10)  # drops 5
+        self.sweep(50)  # drops {1, 5}'s four rows, and no more
+        self.sweep(10)
+        assert len(calls) == 8
+        assert self.held_rows() == 4
+        for mux in (1, 5, 100):  # one row each: the seventh drops 50, the oldest
+            self.sweep(mux, ls=(50.0,))
+        assert self.held_rows() == 5
+        self.sweep(10)
+        assert len(calls) == 11
+
+    def test_a_call_over_the_bound_holds_and_evicts_nothing(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "SOLVED_ROWS", 6)
+        calls = self.count_solves(monkeypatch)
+        self.sweep(1)
+        self.sweep(5)
+        for _ in range(2):  # four distances of two variants: solved each time, never held
+            self.sweep(10, 50, ls=[10.0 * i for i in range(1, 5)])
+        self.sweep(1)
+        self.sweep(5)
+        assert len(calls) == 4
+        assert self.held_rows() == 4
+        for _ in range(2):  # three distances of two variants, the bound itself, are held
+            self.sweep(10, 50, ls=[10.0 * i for i in range(1, 4)])
+        assert len(calls) == 5
+        assert self.held_rows() == 6
+
+    def test_a_failing_call_holds_nothing(self, capsys, tmp_path, monkeypatch):
+        # fig9's M50 curve is past the step-count bound at 1e10 km (see
+        # below): a retry solves every row key again, the one before it too
+        calls = self.count_solves(monkeypatch)
+        for _ in range(2):
+            assert run(capsys, "figure", "fig9", "--tau-us", "100", "--tau-o-us", "5000",
+                       "--l-list-km", "1e10", "--n-max", "20", "--m-max", "50",
+                       "--out-dir", str(tmp_path))[0] == 2
+        assert [len(variants) for _, _, variants in calls] == [6, 1, 6, 1]
+        assert cli_module._held == {}
+
+    def test_threads_share_the_store(self, monkeypatch):
+        # more threads than cores, with frequent switches: every caller gets
+        # the rows of a solve, and the store stays within its bound
+        monkeypatch.setattr(cli_module, "SOLVED_ROWS", 4)
+        muxes = [1, 5, 10, 50]
+        expected = {mux: {(mux, HardwareProfile(), None): optimize_module.sweep_distance(
+            [50.0, 150.0], mux, HardwareProfile(), self.BOUNDS)} for mux in muxes}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [(mux, pool.submit(self.sweep, mux)) for mux in muxes * 20]
+                got = [(mux, future.result(timeout=120)) for mux, future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(rows == expected[mux] for mux, rows in got)
+        assert self.held_rows() <= 4
 
     def test_a_rejected_override_writes_no_curve(self, capsys, tmp_path):
         # fig7's tau_g = 10 us is past tau_o = 5 us; every curve's hardware
@@ -720,10 +806,12 @@ class TestModuleLoading:
         (("optimize",), 0, ["ionrep.optimize"]),
         (("sweep", "--l-list-km", "100,200"), 0, SWEEPS),
         (("figure", "fig8", "--l-list-km", "100", "--out-dir", "{tmp}"), 0, SWEEPS),
+        (("figure", "--help"), 0, ["ionrep.figures"]),
         (("simulate", "--l-km", "20", "--n", "2", "--time-mux", "3", "--num-blocks", "100"),
          0, ["ionrep.mcsim"]),
         ((), 2, []),
-    ], ids=["rate", "classify", "optimize", "sweep", "figure", "simulate", "no-command"])
+    ], ids=["rate", "classify", "optimize", "sweep", "figure", "figure-help", "simulate",
+            "no-command"])
     def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, code, extra):
         argv = [a.format(tmp=tmp_path) for a in argv]
         assert _fresh_python(_LOADED_BY, *argv) == [str(code), *sorted(self.REPORT + extra)]

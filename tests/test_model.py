@@ -339,6 +339,8 @@ class TestValidation:
                 ChainLayout(10.0, **{"n_repeaters": 1, name: 2 ** 30 + 1})
         assert ChainLayout(150.0, 87).n_links == 88
         assert ChainLayout(150.0, 87).link_length_km == pytest.approx(150.0 / 88)
+        layout = ChainLayout(100.0, 3)
+        assert layout.spatial_mux == layout.time_mux == 1
 
     def test_an_array_error_is_one_line_naming_the_first_bad_entry(self):
         l_km = np.full((100, 1), 10.0)

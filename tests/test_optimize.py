@@ -7,7 +7,6 @@ search is also checked against an exhaustive scan of the whole grid.
 """
 import math
 import re
-import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -32,7 +31,7 @@ from ionrep import (
     plob_bound,
     sweep_distance,
 )
-from ionrep.model import StepCountError
+from ionrep.model import MAX_COUNT, StepCountError
 from ionrep.optimize import distance_grid
 from ionrep.rates import rate_grid
 
@@ -254,11 +253,15 @@ class TestConstraints:
         (dict(m_max=100.5), "bounds.m_max must be an integer, got 100.5"),
         (dict(m_max=math.nan), "bounds.m_max must be >= 1, got nan"),
         (dict(m_max=math.inf), "bounds.m_max must be at most 1073741824, got inf"),
+        (dict(m_max=MAX_COUNT + 1), "bounds.m_max must be at most 1073741824, got 1073741825"),
     ])
     def test_search_bounds_reject_nan_and_fractional_counts(self, bounds, message):
         with pytest.raises(ValueError) as err:
             SearchBounds(**bounds)
         assert str(err.value) == message
+
+    def test_search_bounds_take_the_largest_count(self):
+        assert SearchBounds(m_max=MAX_COUNT).m_max == MAX_COUNT
 
     def test_comm_ion_cap_moves_the_optimum(self):
         res = optimize_rate(150.0, 10, BASE, constraints=Constraints(n_o_max=125))
@@ -525,7 +528,6 @@ class TestSeededSearch:
         calls = self.count_rounds(monkeypatch)
         variants = [figures_module.curve_variant(curve, BASE)
                     for _, curves in figures_module.FIGURES.values() for curve in curves]
-        optimize_module._solved.clear()
         optimize_module.sweep_variants(distance_grid(10.0, 500.0, 10.0), variants)
         assert [len(rounds) for rounds in calls] == [1] * 58 + [12] * 4 + [4] + [1] * 4
         assert all(rounds[0][0] == 3 for rounds in calls)
@@ -634,7 +636,6 @@ class TestSweepOracle:
         with pytest.MonkeyPatch.context() as mp:
             if pass_rows is not None:
                 mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
-            optimize_module._solved.clear()  # solve at this pass size, not read an earlier one
             assert sweep_outcome(*problem) == scan_sweep(*problem)
 
     def test_passes_stay_small(self, monkeypatch):
@@ -718,7 +719,6 @@ class TestReports:
         with pytest.MonkeyPatch.context() as mp:
             if pass_rows is not None:
                 mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
-            optimize_module._solved.clear()
             try:
                 rows = sweep_distance(ls, spatial_mux, hw, bounds, constraints)
             except ValueError:
@@ -800,12 +800,10 @@ class TestSharedRowSolve:
                 mp.setattr(optimize_module, "PASS_ROWS", pass_rows)
             alone = []
             for mux, hw, cons in variants:
-                optimize_module._solved.clear()
                 try:
                     alone.append(sweep_distance(ls, mux, hw, bounds, cons))
                 except ValueError as err:
                     alone.append(err)
-            optimize_module._solved.clear()  # the shared call solves, not reads alone's rows
             errors = [str(a) for a in alone if isinstance(a, ValueError)]
             if errors:
                 with pytest.raises(ValueError) as err:
@@ -843,141 +841,6 @@ class TestSharedRowSolve:
         with pytest.raises(StepCountError) as err:
             optimize_module.sweep_variants([1e10], variants, SearchBounds(20, 50))
         assert err.value.variant == 2
-
-
-class TestSolvedSweeps:
-    # sweep_variants keeps what it solved: a held sweep must read as a fresh
-    # solve, each caller must get lists of its own, and the held rows must
-    # stay within SOLVED_ROWS
-    LS = [50.0, 150.0, 400.0]
-    BOUNDS = SearchBounds(60, 200)
-    # unpinned, pinned, capped and (n_o_max = 5) infeasible everywhere
-    VARIANTS = [(10, BASE, None), (5, BASE.updated(eps_g=1e-3), None),
-                (10, BASE, Constraints(fixed_l0_km=20.0)),
-                (10, BASE.updated(eps_g=1e-4), Constraints(n_o_max=125)),
-                (5, BASE, Constraints(n_m_max=60)), (10, BASE, Constraints(n_o_max=5))]
-
-    @staticmethod
-    def count_solves(monkeypatch) -> list:
-        """Each _solve call's variants."""
-        calls, real = [], optimize_module._solve
-
-        def counting(ls, bounds, group):
-            calls.append(group)
-            return real(ls, bounds, group)
-
-        monkeypatch.setattr(optimize_module, "_solve", counting)
-        return calls
-
-    def test_a_held_sweep_reads_as_a_fresh_solve(self, monkeypatch):
-        first = optimize_module.sweep_variants(self.LS, self.VARIANTS, self.BOUNDS)
-        calls = self.count_solves(monkeypatch)
-        # equal distances given as ints: a hit, with the caller's own l_km
-        held = optimize_module.sweep_variants([50, 150, 400], self.VARIANTS, self.BOUNDS)
-        assert calls == []
-        assert [type(row.l_km) for row in held[0]] == [int] * 3
-        optimize_module._solved.clear()
-        fresh = optimize_module.sweep_variants(self.LS, self.VARIANTS, self.BOUNDS)
-        # one solve per row key: five variants over two spatial_mux, then the pinned one
-        assert [[v[0] for v in group] for group in calls] == [[10, 5, 10, 5, 10], [10]]
-        assert held == fresh == first
-        assert all(row.result is None for row in fresh[-1])
-        assert any(row.result is not None for rows in fresh for row in rows)
-
-    def test_each_caller_gets_its_own_lists(self):
-        rows = optimize_module.sweep_variants(self.LS, [(10, BASE, None), (10, BASE, None)],
-                                              self.BOUNDS)
-        assert rows[0] == rows[1]
-        assert rows[0] is not rows[1]
-        expected = list(rows[0])
-        rows[0].clear()
-        rows[1][0] = None
-        assert optimize_module.sweep_variants(self.LS, [(10, BASE, None)],
-                                              self.BOUNDS) == [expected]
-
-    def test_held_rows_stay_within_the_bound(self, monkeypatch):
-        monkeypatch.setattr(optimize_module, "SOLVED_ROWS", 6)
-        calls, solved = self.count_solves(monkeypatch), optimize_module._solved
-
-        def sweep(spatial_mux: int, ls=(50.0, 150.0)) -> None:
-            optimize_module.sweep_variants(ls, [(spatial_mux, BASE, None)], self.BOUNDS)
-
-        for spatial_mux in (1, 5, 10, 1, 50):  # 1 is read again, so 5 is the oldest
-            sweep(spatial_mux)
-            assert solved.rows <= 6
-        assert [group[0][0] for group in calls] == [1, 5, 10, 50]
-        calls.clear()
-        for spatial_mux in (10, 1, 50, 5):  # 5 was dropped; solving it drops 10
-            sweep(spatial_mux)
-        assert [group[0][0] for group in calls] == [5]
-        assert solved.rows == 6
-        # seven distances are more than the bound: solved, but not held
-        calls.clear()
-        for _ in range(2):
-            sweep(10, [10.0 * i for i in range(1, 8)])
-        assert len(calls) == 2
-        sweep(1)
-        sweep(50)
-        sweep(5)
-        assert len(calls) == 2
-        # six, the bound itself, are held
-        for _ in range(2):
-            sweep(10, [10.0 * i for i in range(1, 7)])
-        assert len(calls) == 3
-
-    @pytest.mark.parametrize("cleared", [False, True])
-    def test_an_empty_cache_holds_a_full_bound(self, monkeypatch, cleared):
-        # a new cache, and a cleared one, count no held rows: sweeps of
-        # SOLVED_ROWS rows in all are every one held
-        monkeypatch.setattr(optimize_module, "SOLVED_ROWS", 6)
-        solved = optimize_module._SolvedSweeps()
-        monkeypatch.setattr(optimize_module, "_solved", solved)
-
-        def sweep(spatial_mux: int) -> None:
-            optimize_module.sweep_variants([50.0, 150.0], [(spatial_mux, BASE, None)],
-                                           self.BOUNDS)
-
-        if cleared:
-            sweep(50)
-            solved.clear()
-        calls = self.count_solves(monkeypatch)
-        for spatial_mux in (1, 5, 10, 1):  # three sweeps of two rows, then the first again
-            sweep(spatial_mux)
-        assert [group[0][0] for group in calls] == [1, 5, 10]
-        assert solved.rows == 6
-
-    def test_a_failing_solve_holds_nothing(self, monkeypatch):
-        # at 1e10 km, T/tau is past 2**31 at tau = 10 us but not at 100 us
-        slow, fast = BASE.updated(tau=100e-6, tau_o=5e-3), BASE.updated(tau=10e-6, tau_o=5e-3)
-        variants = [(1, slow, None), (1, fast, None)]
-        calls = self.count_solves(monkeypatch)
-        for _ in range(2):
-            with pytest.raises(StepCountError) as err:
-                optimize_module.sweep_variants([1e10], variants, SearchBounds(20, 50))
-            assert err.value.variant == 1
-        # slow's solve is held, so the retry solves only the failing variant
-        assert calls == [[(1, slow, Constraints())], [(1, fast, Constraints())],
-                         [(1, fast, Constraints())]]
-        assert optimize_module._solved.rows == 1
-
-    def test_threads_share_the_cache(self, monkeypatch):
-        # more threads than cores, with frequent switches: every caller gets
-        # the rows of a solve, and the held-row count matches what is held
-        monkeypatch.setattr(optimize_module, "SOLVED_ROWS", 4)
-        muxes = [1, 5, 10, 50]
-        expected = {mux: sweep_distance([50.0, 150.0], mux, BASE, self.BOUNDS) for mux in muxes}
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                futures = [(mux, pool.submit(sweep_distance, [50.0, 150.0], mux, BASE,
-                                             self.BOUNDS)) for mux in muxes * 20]
-                got = [(mux, future.result(timeout=120)) for mux, future in futures]
-        finally:
-            sys.setswitchinterval(interval)
-        assert all(rows == expected[mux] for mux, rows in got)
-        solved = optimize_module._solved
-        assert solved.rows == sum(map(len, solved._entries.values())) <= 4
 
 
 class TestTimeRescaling:
@@ -1029,9 +892,8 @@ class TestSweep:
         ls = [50.0, 100.0, 150.0, 200.0, 250.0]
         assert_rows_equal_direct_calls(ls, sweep_distance(ls, 10, BASE))
 
-    # sweeps run on the calling thread, and the one state they share is
-    # sweep_variants' cache of solved rows (optimize._solved), under one
-    # lock; so a caller's own threads must not show in the rows
+    # sweeps run on the calling thread and keep no state between calls, so
+    # a caller's own threads must not show in the rows
     def test_threading_is_invisible(self):
         ls = [50.0, 100.0, 150.0]
         with ThreadPoolExecutor(max_workers=4) as pool:
@@ -1059,6 +921,64 @@ class TestSweep:
             assert row.result is None
             assert "n_o_max" in row.infeasible_reason
             assert math.isfinite(row.plob)
+
+    LS = [50.0, 150.0, 400.0]
+    BOUNDS = SearchBounds(60, 200)
+    # unpinned, pinned, capped and (n_o_max = 5) infeasible everywhere
+    VARIANTS = [(10, BASE, None), (5, BASE.updated(eps_g=1e-3), None),
+                (10, BASE, Constraints(fixed_l0_km=20.0)),
+                (10, BASE.updated(eps_g=1e-4), Constraints(n_o_max=125)),
+                (5, BASE, Constraints(n_m_max=60)), (10, BASE, Constraints(n_o_max=5))]
+
+    @staticmethod
+    def count_solves(monkeypatch) -> list:
+        """Each _solve call's variants."""
+        calls, real = [], optimize_module._solve
+
+        def counting(ls, bounds, group):
+            calls.append(group)
+            return real(ls, bounds, group)
+
+        monkeypatch.setattr(optimize_module, "_solve", counting)
+        return calls
+
+    def test_a_repeated_call_solves_again_to_equal_rows(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        first = optimize_module.sweep_variants(self.LS, self.VARIANTS, self.BOUNDS)
+        # one solve per row key: five variants over two spatial_mux, then the pinned one
+        assert [[v[0] for v in group] for group in calls] == [[10, 5, 10, 5, 10], [10]]
+        again = optimize_module.sweep_variants(self.LS, self.VARIANTS, self.BOUNDS)
+        assert len(calls) == 4
+        assert again == first
+        assert all(row.result is None for row in again[-1])
+        assert any(row.result is not None for rows in again for row in rows)
+
+    def test_two_equal_calls_make_two_solves(self, monkeypatch):
+        calls = self.count_solves(monkeypatch)
+        for _ in range(2):
+            optimize_module.sweep_variants(self.LS, [(10, BASE, None)], self.BOUNDS)
+        assert calls == [[(10, BASE, Constraints())]] * 2
+
+    def test_each_caller_gets_its_own_lists(self):
+        rows = optimize_module.sweep_variants(self.LS, [(10, BASE, None), (10, BASE, None)],
+                                              self.BOUNDS)
+        assert rows[0] == rows[1]
+        assert rows[0] is not rows[1]
+        expected = list(rows[0])
+        rows[0].clear()
+        rows[1][0] = None
+        assert optimize_module.sweep_variants(self.LS, [(10, BASE, None)],
+                                              self.BOUNDS) == [expected]
+
+    def test_lossless_fiber_has_no_plob_bound(self):
+        # at alpha = 0 the transmissivity is 1 at every distance: the bound
+        # is unbounded, so the chain never beats it
+        lossless = BASE.updated(alpha_db_per_km=0.0)
+        rows = sweep_distance([50.0, 150.0], 10, lossless, self.BOUNDS)
+        assert [row.plob for row in rows] == [math.inf, math.inf]
+        assert all(row.result is not None for row in rows)
+        assert crossover_distance(10, lossless, self.BOUNDS, l_min_km=50.0, l_max_km=150.0,
+                                  l_step_km=50.0) is None
 
     def test_rejects_unsorted_or_empty_grids(self):
         with pytest.raises(ValueError):

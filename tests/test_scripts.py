@@ -106,3 +106,13 @@ def test_report_digest_prints_two_hashes(digest):
     lines = [line.split(" ") for line in digest[1][-2:]]
     assert [name for _, name in lines] == ["evaluate_rate", "SimConfig.p"]
     assert all(len(sha) == 64 for sha, _ in lines)
+
+
+def test_mutation_probe_reads_new_lines_from_hunk_headers():
+    # a -U0 hunk's "+start,count" names the new file's lines; count 0 is a
+    # pure deletion, and a missing count is one line
+    diff = ("diff --git a/m.py b/m.py\n--- a/m.py\n+++ b/m.py\n"
+            "@@ -3,2 +3 @@ def f():\n-    a\n-    b\n+    c\n"
+            "@@ -9 +8,0 @@\n-    d\n"
+            "@@ -20,0 +20,3 @@ class C:\n+    e\n+    f\n+    g\n")
+    assert _load("mutation_probe").hunk_lines(diff) == {3, 20, 21, 22}
