@@ -619,35 +619,6 @@ class TestFigure:
     def held_rows() -> int:
         return sum(len(grid) * len(variants) for grid, _, variants in cli_module._held)
 
-    def test_held_rows_stay_within_the_bound(self, monkeypatch):
-        monkeypatch.setattr(cli_module, "SOLVED_ROWS", 6)
-        calls = self.count_solves(monkeypatch)
-        for mux in (1, 5, 10, 1):  # exactly the bound: the first is still held
-            self.sweep(mux)
-        assert [variants[0][0] for _, _, variants in calls] == [1, 5, 10]
-        assert self.held_rows() == 6
-        self.sweep(50)  # 1 was read again, so 5 is the oldest
-        for mux in (10, 1, 50, 5):  # 5 was dropped; solving it drops 10
-            self.sweep(mux)
-        assert [variants[0][0] for _, _, variants in calls] == [1, 5, 10, 50, 5]
-        assert self.held_rows() == 6
-        # one key per set of variants, whatever their order and repeats: four
-        # rows, which drop the two oldest calls, 1 and 50
-        self.sweep(1, 5, 1)
-        self.sweep(5, 1)
-        assert len(calls) == 6
-        assert self.held_rows() == 6
-        self.sweep(10)  # drops 5
-        self.sweep(50)  # drops {1, 5}'s four rows, and no more
-        self.sweep(10)
-        assert len(calls) == 8
-        assert self.held_rows() == 4
-        for mux in (1, 5, 100):  # one row each: the seventh drops 50, the oldest
-            self.sweep(mux, ls=(50.0,))
-        assert self.held_rows() == 5
-        self.sweep(10)
-        assert len(calls) == 11
-
     def test_a_call_over_the_bound_holds_and_evicts_nothing(self, monkeypatch):
         monkeypatch.setattr(cli_module, "SOLVED_ROWS", 6)
         calls = self.count_solves(monkeypatch)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import ionrep.cli as cli_module
 import ionrep.figures as figures_module
 import ionrep.optimize as optimize_module
 import ionrep.rates as rates_module
@@ -987,6 +988,65 @@ class TestSweep:
             sweep_distance([], 10, BASE)
         with pytest.raises(ValueError):
             sweep_distance([50.0, 50.0], 10, BASE)
+
+
+class TestSolvedSweeps:
+    # sweep_variants keeps nothing (see TestSweep): the sweeps a process
+    # solves again are held by the figure command's store, whose rows are
+    # distances x distinct variants; these check its bound at a few rows
+    BOUNDS = SearchBounds(20, 50)
+
+    def sweep(self, *muxes: int, ls=(50.0, 150.0)) -> dict:
+        return cli_module._figure_sweeps(list(ls), [(mux, BASE, None) for mux in muxes],
+                                         self.BOUNDS)
+
+    @staticmethod
+    def held_rows() -> int:
+        return sum(len(grid) * len(variants) for grid, _, variants in cli_module._held)
+
+    def test_held_rows_stay_within_the_bound(self, monkeypatch):
+        monkeypatch.setattr(cli_module, "SOLVED_ROWS", 6)
+        calls = TestSweep.count_solves(monkeypatch)
+        for mux in (1, 5, 10, 1):  # exactly the bound: the first is still held
+            self.sweep(mux)
+        assert [group[0][0] for group in calls] == [1, 5, 10]
+        assert self.held_rows() == 6
+        self.sweep(50)  # 1 was read again, so 5 is the oldest
+        for mux in (10, 1, 50, 5):  # 5 was dropped; solving it drops 10
+            self.sweep(mux)
+        assert [group[0][0] for group in calls] == [1, 5, 10, 50, 5]
+        assert self.held_rows() == 6
+        # one key per set of variants, whatever their order and repeats: four
+        # rows, which drop the two oldest calls, 1 and 50
+        self.sweep(1, 5, 1)
+        self.sweep(5, 1)
+        assert len(calls) == 6
+        assert self.held_rows() == 6
+        self.sweep(10)  # drops 5
+        self.sweep(50)  # drops {1, 5}'s four rows, and no more
+        self.sweep(10)
+        assert len(calls) == 8
+        assert self.held_rows() == 4
+        for mux in (1, 5, 100):  # one row each: the seventh drops 50, the oldest
+            self.sweep(mux, ls=(50.0,))
+        assert self.held_rows() == 5
+        self.sweep(10)
+        assert len(calls) == 11
+
+    @pytest.mark.parametrize("cleared", [False, True])
+    def test_an_empty_cache_holds_a_full_bound(self, monkeypatch, cleared):
+        # a new store, and an emptied one, hold no rows: calls of
+        # SOLVED_ROWS rows in all are every one held
+        monkeypatch.setattr(cli_module, "SOLVED_ROWS", 6)
+        monkeypatch.setattr(cli_module, "_held", {})
+        if cleared:
+            self.sweep(50)
+            cli_module._held.clear()
+        calls = TestSweep.count_solves(monkeypatch)
+        for mux in (1, 5, 10, 1):  # three calls of two rows, then the first again
+            self.sweep(mux)
+        assert [group[0][0] for group in calls] == [1, 5, 10]
+        assert self.held_rows() == 6
 
 
 class TestCrossover:
