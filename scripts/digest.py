@@ -70,6 +70,10 @@ figure fig2 fig7 --l-list-km 50 --n-max 20 --m-max 50 --tau-o-us 5 --out-dir f
 figure fig9 --tau-us 100 --tau-o-us 5000 --l-list-km 1e10 --n-max 20 --m-max 50 --out-dir f""".splitlines()
 RUNS += [f"{cmd} --config {name}" for name in CONFIGS for cmd in ("rate", "optimize")]
 RUNS += [f"{cmd} --config full.json" for cmd in ("classify", "sweep", "simulate", "figure fig7")]
+# CSV tables run as they are: a plain one, one with quoted reasons, one row with a bool
+CSV_RUNS = """sweep --l-list-km 50,100 --format csv
+sweep --l-list-km 100,300 --n-o-max 5 --format csv
+rate --n 87 --time-mux 22 --format csv""".splitlines()
 
 POINTS = 4000
 US = 1e-6
@@ -122,7 +126,7 @@ def main() -> None:
     for run in RUNS:
         for style in ("text", "json", "csv"):
             print(call(shlex.split(run) + ["--format", style]))
-    for run in [r for r in RUNS if "--config" in r]:
+    for run in [r for r in RUNS if "--config" in r] + CSV_RUNS:
         print(call(shlex.split(run)))
     reports, probs = hashlib.sha256(), hashlib.sha256()
     for layout, hw in points():

@@ -9,23 +9,26 @@ library's seconds. All numeric output passes through a
 single 9-significant-digit formatter so text, JSON, and CSV renderings of the
 same result carry identical values, and a fixed seed reproduces identical
 bytes. NaN is spelled "nan" in every format (JSON has no NaN literal).
-csv.writer quotes a CSV field only where it holds a comma, quote or newline.
+A CSV table is the bytes csv.writer writes over that formatter, which
+quotes a field only where it holds a comma, quote or newline; one
+str.format call renders a table that has no such field and no bool.
 
 Each call builds the flags of its own subcommand only, and loads only the
 modules it runs: rate and classify need the model and the rates; optimize,
 sweep and figure import the optimizer inside the functions that call it,
 sweep and figure the figure table, and simulate the simulator inside
-cmd_simulate; only CSV loads csv. FIGURES, the figure table, resolves on
-first access like the package's names.
+cmd_simulate; csv loads only for a CSV table with a bool or a field to
+quote. FIGURES, the figure table, resolves on first access like the
+package's names.
 
 Exit codes: 0 success, 2 config error, 3 infeasible, 4 validation failure.
 """
 from __future__ import annotations
 
 import argparse
-import copy
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -173,7 +176,8 @@ def _merge_file(cfg: dict, user) -> None:
 
 def load_config(path: Optional[str], flags: argparse.Namespace) -> dict:
     """defaults <- config file <- command-line flags."""
-    cfg = copy.deepcopy(DEFAULTS)
+    cfg = {key: dict(value) if isinstance(value, dict) else value  # values are scalars
+           for key, value in DEFAULTS.items()}
     user: object = {}
     if path is not None:
         try:
@@ -295,20 +299,46 @@ def _leaves(doc, prefix: str = "", under_a_list: bool = False):
             yield prefix[:-1] if in_list else f"{prefix}{key}", value, under_a_list
 
 
+# the cell types whose format(v, "") is str(v), as fmt_value prints them;
+# a numpy float32 formats as a Python float, so other types take !s
+_PLAIN_TYPES = (str, int, type(None))
+
+
+@functools.lru_cache(maxsize=64)
+def _row_template(types: tuple) -> Optional[str]:
+    """A row's str.format template, by its cells' types, that prints what
+    fmt_value prints; None where a cell is a bool, spelled true or false."""
+    if bool in types:
+        return None
+    return ",".join("{:.9g}" if issubclass(t, float) else "{}" if t in _PLAIN_TYPES
+                    else "{!s}" for t in types)
+
+
 def _csv_text(header: tuple, rows: list[tuple]) -> str:
-    """The header and each row, its values in header order."""
+    """The header and each row, its values in header order, in the bytes
+    csv.writer writes over fmt_value. One str.format call renders the table;
+    csv.writer renders it instead where a cell is a bool or needs quoting,
+    which shows as a comma or newline that no template wrote, a quote or
+    CR, or an empty line (a one-column row whose cell is empty)."""
+    table = [header, *rows]
+    templates = [_row_template(tuple(map(type, row))) for row in table]
+    if None not in templates:
+        text = ("\n".join(templates) + "\n").format(*itertools.chain.from_iterable(table))
+        if (text.count(",") == sum(map(len, table)) - len(table)
+                and text.count("\n") == len(table) and '"' not in text
+                and "\r" not in text and "\n\n" not in text and text[0] != "\n"):
+            return text
     import csv
     out = io.StringIO()
-    csv.writer(out, lineterminator="\n").writerows(
-        map(fmt_value, row) for row in [header, *rows])
+    csv.writer(out, lineterminator="\n").writerows(map(fmt_value, row) for row in table)
     return out.getvalue()
 
 
 def _write(path: str, text: str, field: str) -> None:
-    """Write a file; failing is a config error that names the field."""
+    """Write a file as UTF-8; failing is a config error that names the field."""
     try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with open(path, "wb") as fh:
+            fh.write(text.encode())
     except OSError as err:
         raise CliError(EXIT_CONFIG, f"cannot write {field}: {err}")
 

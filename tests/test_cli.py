@@ -13,6 +13,7 @@ import sys
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
@@ -797,9 +798,13 @@ class TestModuleLoading:
 
     @pytest.mark.parametrize("style", FORMATS)
     def test_only_a_csv_call_loads_csv(self, style):
+        # a plain table is one str.format call; csv.writer quotes the
+        # infeasible reasons, which hold a comma
         probe = _LOADED_BY.replace('m.startswith("ionrep.")', 'm == "csv"')
         assert _fresh_python(probe, "sweep", "--l-list-km", "100", "--format", style) \
-            == ["0", *(["csv"] if style == "csv" else [])]
+            == ["0"]
+        assert _fresh_python(probe, "sweep", "--l-list-km", "100", "--n-o-max", "5",
+                             "--format", style) == ["0", *(["csv"] if style == "csv" else [])]
 
     def test_importing_the_package_loads_no_submodule(self):
         assert _fresh_python("import sys, ionrep; print(ionrep.__version__, "
@@ -1189,6 +1194,59 @@ class TestContract:
         assert (code, out, err) == (2, "", "ionrep figure: error: figure writes CSV "
                                            "files itself; use --format text or json\n")
         assert list(tmp_path.iterdir()) == []
+
+
+# CSV cells: every type that reaches a table, numpy scalars included, and
+# strings that csv.writer quotes (comma, quote, newline), may quote (CR) or
+# must not treat as a template ({})
+_SPECIAL_TEXT = st.text(alphabet=',"\r\n{}a', max_size=3)
+_CELLS = st.one_of(
+    st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e-300]),
+    st.integers() | st.sampled_from([10 ** 9 + 7, -(10 ** 12), 2 ** 63]),
+    st.booleans(), st.none(),
+    st.floats().map(np.float64), st.floats(width=32).map(np.float32),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.text(alphabet="ab1.-", max_size=3), _SPECIAL_TEXT)
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows of one width, often one column."""
+    width = draw(st.sampled_from([1, 1, 2, 3, 9]))
+    header = draw(st.tuples(*[st.text(alphabet="L_km", max_size=4) | _SPECIAL_TEXT]
+                            * width))
+    return header, draw(st.lists(st.tuples(*[_CELLS] * width), max_size=6))
+
+
+class TestCsvText:
+    """_csv_text writes the bytes of csv.writer over fmt_value, whether one
+    str.format call renders the table or csv.writer does."""
+
+    @staticmethod
+    def reference(header, rows) -> str:
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows(
+            map(cli_module.fmt_value, row) for row in [header, *rows])
+        return out.getvalue()
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_tables())
+    @example((("a",), [("",)]))         # csv.writer writes a lone empty cell as ""
+    @example((("a",), [("b\rc",)]))     # a CR, which csv.writer may or may not quote
+    @example((("a", "b"), [("{}", "{0}")]))
+    @example((("a", "b"), [(True, np.True_)]))
+    @example((("x",), [(np.float32(0.1),), (np.float64(-0.0),), (np.int64(2 ** 62),)]))
+    def test_matches_csv_writer_over_fmt_value(self, table):
+        assert cli_module._csv_text(*table) == self.reference(*table)
+
+    def test_a_plain_table_is_one_format_call(self, monkeypatch):
+        # no csv.writer: the sweep's rows without a reason to quote
+        monkeypatch.setitem(sys.modules, "csv", None)  # importing csv raises
+        rows = [(50.0, 27571.94, "B2", 44, 21, 111, 42, 1520030.93, ""),
+                (100.0, math.nan, "", math.nan, math.nan, math.nan, math.nan, 1.5, "")]
+        assert cli_module._csv_text(("L_km",) * 9, rows) == (
+            "L_km,L_km,L_km,L_km,L_km,L_km,L_km,L_km,L_km\n"
+            "50,27571.94,B2,44,21,111,42,1520030.93,\n100,nan,,nan,nan,nan,nan,1.5,\n")
 
 
 class TestWriteErrors:

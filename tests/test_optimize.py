@@ -520,6 +520,31 @@ class TestSeededSearch:
         optimize_rate(150.0, 10, BASE.updated(tau_m=3e-4))  # tau_m binds
         assert calls == [[(3, 601, 1)]] * 2  # the memory cap and lo_free
 
+    def test_a_memory_that_covers_exactly_m_max_takes_no_search(self, monkeypatch):
+        # tau_m covers exactly an m_max block on the pass's longest-block
+        # row, den_steps(m_max) = den1 + (m_max - 1.0), so the memory cap is
+        # m_max on every row and lo_free is the only search; a tau_m one ulp
+        # shorter leaves that row's cap below m_max, found by a search
+        real, den1 = optimize_module.rate_rows, []
+
+        def kept(layout, hw, tail=None):
+            rows = real(layout, hw, tail)
+            den1.append(rows.den1)
+            return rows
+
+        monkeypatch.setattr(optimize_module, "rate_rows", kept)
+        optimize_rate(150.0, 10, BASE)
+        bounds = SearchBounds()
+        tau_m = (BASE.memory_margin * (den1[0].max() + (bounds.m_max - 1.0))
+                 * BASE.timing.tau)
+        calls = self.count_rounds(monkeypatch)
+        res = optimize_rate(150.0, 10, BASE.updated(tau_m=tau_m), bounds)
+        assert calls == [[(3, 601, 1)]]
+        assert res.evaluations == 601 * bounds.m_max
+        calls.clear()
+        optimize_rate(150.0, 10, BASE.updated(tau_m=math.nextafter(tau_m, 0.0)), bounds)
+        assert len(calls) == 2  # the memory cap and lo_free
+
     def test_figure_searches_take_pinned_rounds(self, monkeypatch):
         # every search of `figure all` on its default grid, in solve order:
         # fig2-fig6 with fig9's 1 us curves (M = 1, 5, 10), fig7 (M = 1, 5,

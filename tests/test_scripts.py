@@ -21,6 +21,7 @@ with NO_AVX512="AVX512_SPR AVX512_ICL X86_V4".
 import contextlib
 import importlib.util
 import io
+import json
 import os
 import pathlib
 import subprocess
@@ -116,3 +117,41 @@ def test_mutation_probe_reads_new_lines_from_hunk_headers():
             "@@ -9 +8,0 @@\n-    d\n"
             "@@ -20,0 +20,3 @@ class C:\n+    e\n+    f\n+    g\n")
     assert _load("mutation_probe").hunk_lines(diff) == {3, 20, 21, 22}
+
+
+def _perfbench_stdout(p50_ms: float, rss_mb: float) -> str:
+    """perfbench/run.py's last two lines, as one run prints them."""
+    metrics = {"p50_ms": {"value": p50_ms, "unit": "ms"},
+               "peak_rss_mb": {"value": rss_mb, "unit": "MB"}}
+    return "\n".join([
+        '{"workload": "figure_family", "machine": {"nproc": 2, "commit": "abc"}}',
+        f'{{"correct": true, "attempted": 8, "failed": 0, "metrics": {json.dumps(metrics)}}}',
+        ""])
+
+
+def test_bench_summarizes_pairs_per_metric():
+    bench = _load("bench")
+    entries = [{"name": "p50_ms", "unit": "ms", "better": "lower"},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower"}]
+    first = bench.parse_run(_perfbench_stdout(2.0, 120.0))
+    assert first == {"correct": True, "attempted": 8, "failed": 0,
+                     "metrics": {"p50_ms": 2.0, "peak_rss_mb": 120.0},
+                     "machine": {"nproc": 2, "commit": "abc"}}
+    # p50: the change wins pairs 0 and 1 and ties pair 2; RSS: it loses
+    # pair 0, so its median of 120.0 clears nothing
+    sides = {"base": [(2.0, 120.0), (3.0, 120.0), (1.0, 120.0)],
+             "change": [(1.5, 120.5), (2.0, 120.0), (1.0, 120.0)]}
+    runs = [{"workload": "figure_family", "pair": pair, "side": side,
+             **bench.parse_run(_perfbench_stdout(*values))}
+            for side, per_pair in sides.items() for pair, values in enumerate(per_pair)]
+    summary = bench.summarize(runs, entries)["figure_family"]
+    assert summary["p50_ms"] == {
+        "unit": "ms", "better": "lower", "pairs": 3,
+        "base": {"median": 2.0, "q1": 1.5, "q3": 2.5},
+        "change": {"median": 1.5, "q1": 1.25, "q3": 1.75},
+        "change_wins": 2, "clears_base_iqr": False}
+    assert summary["peak_rss_mb"]["change_wins"] == 0
+    assert summary["peak_rss_mb"]["change"]["median"] == 120.0
+    # a median better by more than the base's quartile distance clears it
+    runs[3]["metrics"]["p50_ms"] = runs[4]["metrics"]["p50_ms"] = 0.5
+    assert bench.summarize(runs, entries)["figure_family"]["p50_ms"]["clears_base_iqr"]
