@@ -10,8 +10,11 @@ perfbench/ or BENCHMARK.json differ between the two trees, since the runs
 would not measure the same thing.
 
 It writes BENCH_<LABEL>.json at the repository root: the machine record of
-the first run, every run's end-to-end metrics with its correct / attempted /
-failed counts, and per workload and metric each side's median and
+the first run, with the start-up floor under every CLI process beside it
+(the median wall times of `python -S -c pass`, `python -c pass` and
+`python -c "import numpy"` as processes, on one pinned core, and whether
+numpy has its AVX-512 Skylake-X loops), every run's end-to-end metrics
+with its correct / attempted / failed counts, and per workload and metric each side's median and
 quartiles, the pairs the change won (strictly better in BENCHMARK.json's
 direction) and whether the change's median beats the base median by more
 than the base's interquartile range. On two vCPUs a figure_family run takes
@@ -29,6 +32,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -46,6 +50,42 @@ def bench_differs(rev: str) -> bool:
     changed = subprocess.run(["git", "diff", "--quiet", rev, "--", *SHARED],
                              cwd=ROOT).returncode != 0
     return changed or bool(git("ls-files", "--others", "--exclude-standard", "--", *SHARED))
+
+
+# what every CLI process pays before ionrep's code, as (label, interpreter arguments)
+STARTUP = (("python -S -c pass", ("-S", "-c", "pass")),
+           ("python -c pass", ("-c", "pass")),
+           ('python -c "import numpy"', ("-c", "import numpy")))
+
+
+def startup_floor(runs: int = 9) -> dict:
+    """The start-up floor for the machine record: per STARTUP command, the
+    median wall time in ms of runs fresh processes, run one at a time with
+    PYTHONDONTWRITEBYTECODE=1 on the core perfbench pins its workers to
+    (the highest this process may use); and numpy's AVX512_SKX flag, which
+    decides the loops its exp, log1p, expm1 and power dispatch to."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    allowed = os.sched_getaffinity(0)
+    core = max(allowed)
+    os.sched_setaffinity(0, {core})  # the children inherit it
+    try:
+        floor = {}
+        for label, args in STARTUP:
+            times = []
+            for _ in range(runs):
+                t = time.perf_counter()
+                subprocess.run([sys.executable, *args], env=env, check=True)
+                times.append(time.perf_counter() - t)
+            floor[label] = statistics.median(times) * 1e3
+    finally:
+        os.sched_setaffinity(0, allowed)
+    return {"startup_floor_ms": floor, "startup_core": core, "startup_runs": runs,
+            "numpy_avx512_skx": bool(__cpu_features__.get("AVX512_SKX"))}
 
 
 def parse_run(stdout: str) -> dict:
@@ -122,6 +162,7 @@ def main(argv=None) -> int:
               "working tree; the two sides would not run the same benchmark",
               file=sys.stderr)
         return 2
+    floor = startup_floor()
     runs: list[dict] = []
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
         base_tree = Path(tmp) / "base"
@@ -143,6 +184,7 @@ def main(argv=None) -> int:
             git("worktree", "remove", "--force", str(base_tree))
     machine = dict(runs[0]["machine"]) if runs else {}
     machine.pop("commit", None)
+    machine.update(floor)
     for r in runs:
         del r["machine"]
     dirty = bool(git("status", "--porcelain", "--untracked-files=no"))

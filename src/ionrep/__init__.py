@@ -22,27 +22,27 @@ _EXPORTS = {
         "WernerState",
         "apply_swap_gate_noise",
         "compose_gate_errors",
+        "heralding_time",
+        "swap_survival_factor",
+        "Constraints",
+        "InfeasibleError",
+        "Regime",
+        "classify_regime",
+        "classification_path",
+    ),
+    "rates": (
+        "RateReport",
+        "block_success_prob",
         "derive_timing",
         "end_to_end_Q",
         "end_to_end_fidelity",
+        "evaluate_rate",
         "fiber_transmissivity",
-        "heralding_time",
         "intra_node_success_prob",
         "link_success_prob",
-        "swap_survival_factor",
-        "werner_rci",
-        "Constraints",
-    ),
-    "rates": (
-        "InfeasibleError",
-        "RateReport",
-        "Regime",
-        "block_success_prob",
-        "classify_regime",
-        "classification_path",
-        "evaluate_rate",
         "plob_bound",
         "reference_rates",
+        "werner_rci",
     ),
     "optimize": (
         "OptimizationResult",

@@ -14,12 +14,13 @@ quotes a field only where it holds a comma, quote or newline; one
 str.format call renders a table that has no such field and no bool.
 
 Each call builds the flags of its own subcommand only, and loads only the
-modules it runs: rate and classify need the model and the rates; optimize,
-sweep and figure import the optimizer inside the functions that call it,
-sweep and figure the figure table, and simulate the simulator inside
-cmd_simulate; csv loads only for a CSV table with a bool or a field to
-quote. FIGURES, the figure table, resolves on first access like the
-package's names.
+modules it runs: classify, a help page or a config error needs only the
+model, which imports no numpy; cmd_rate imports the rates once it has
+built its inputs; optimize, sweep and figure import the optimizer inside
+the functions that call it, sweep and figure the figure table, and
+simulate the simulator inside cmd_simulate; csv loads only for a CSV
+table with a bool or a field to quote. FIGURES, the figure table, resolves
+on first access like the package's names.
 
 Exit codes: 0 success, 2 config error, 3 infeasible, 4 validation failure.
 """
@@ -36,12 +37,12 @@ import sys
 import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .model import (ChainLayout, Constraints, HardwareProfile, StepCountError, _check,
-                    heralding_time)
-from .rates import InfeasibleError, RateReport, classification_path, evaluate_rate
+from .model import (ChainLayout, Constraints, HardwareProfile, InfeasibleError,
+                    StepCountError, _check, classification_path, heralding_time)
 
 if TYPE_CHECKING:
     from .optimize import SearchBounds
+    from .rates import RateReport
 
 SPEC_VERSION = "1"
 
@@ -376,7 +377,9 @@ def report_doc(report: RateReport) -> dict:
 # ---------------------------------------------------------------- commands
 
 def cmd_rate(cfg: dict, args: argparse.Namespace) -> int:
-    report = evaluate_rate(make_layout(cfg), make_hardware(cfg))
+    layout, hw = make_layout(cfg), make_hardware(cfg)
+    from .rates import evaluate_rate
+    report = evaluate_rate(layout, hw)
     emit(cfg, "rate", {"result": report_doc(report)})
     return EXIT_OK
 
@@ -507,6 +510,7 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
     from .mcsim import SimConfig, run_protocol_sim, validate_stats
+    from .rates import evaluate_rate
     layout = make_layout(cfg)
     hw = make_hardware(cfg)
     try:

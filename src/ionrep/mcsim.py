@@ -93,12 +93,10 @@ from .model import (
     StepCountError,
     _check,
     _store_int,
-    derive_timing,
-    link_success_prob,
     swap_survival_factor,
 )
-from .rates import (RateReport, block_denominator, ceil_tol, ion_budgets, slot_events,
-                    waits_for_herald)
+from .rates import (RateReport, block_denominator, ceil_tol, derive_timing, ion_budgets,
+                    link_success_prob, slot_events, waits_for_herald)
 
 CHUNK_BLOCKS = 8192
 DRAW_BYTES = 1 << 20  # the draw buffer, whatever the chunk or chain

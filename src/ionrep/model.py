@@ -1,25 +1,24 @@
-"""Physical parameters and pointwise formulas for dual-species trapped-ion repeater chains.
+"""Physical parameters, their checks and the timing-regime walk for
+dual-species trapped-ion repeater chains; this module imports no numpy.
 
-Everything in this module is a pure function of its inputs: link success
-probabilities, signal travel times, Werner-state noise maps, and the reverse
-coherent information used to discount noisy rates. Units are kilometers and
-seconds throughout; dB enters only through the fiber attenuation coefficient.
+It holds the constants, the parameter dataclasses, the heralding time
+T = l0 / c_fiber, the Werner-state noise maps, the regime walk
+(classify_regime, classification_path) and the errors StepCountError and
+InfeasibleError, so classify, the help pages and every config error run
+without numpy. The formulas that compute with numpy are in ionrep.rates.
+Units are kilometers and seconds; dB enters only through the fiber
+attenuation coefficient.
 
-The per-link and per-chain formulas broadcast over numpy arrays, as do the
-n_repeaters and time_mux fields of ChainLayout; rates.rate_grid builds them
-into the one rate model the report, the optimizer and the simulator share.
-Their powers are np.power calls, x ** 2 as pow at any shape, so a point runs
-a grid cell's numpy loops; fiber_transmissivity, link_success_prob and
-end_to_end_Q return an np.float64, a float subclass, for Python inputs.
-Each parameter dataclass checks its fields when it is built (dataclasses.replace
-and HardwareProfile.updated included), so the formulas check only their plain
+ChainLayout's fields may be numpy arrays, a grid of chains. Each parameter
+dataclass checks its fields when it is built (dataclasses.replace and
+HardwareProfile.updated included), so the formulas check only their plain
 arguments. ChainLayout._unchecked, for the optimizer's rows, built from
 inputs it has checked, is the one layout that skips its checks.
 Every field check, here (the optimizer's Constraints included) and in
 SearchBounds and SimConfig, goes through _check, which rejects NaN and, for
 counts, fractions, and names an array's first bad entry and its flat index,
-on one line. A scalar count that passes is stored as an int by _store_int,
-so 4.0 and np.int64(4) give 4.
+on one line, calling numpy only for an array. A scalar count that passes is
+stored as an int by _store_int, so 4.0 and np.int64(4) give 4.
 The one rule over two noise fields, a swap survival factor x >= 0 (where
 the closed-form Q(n) holds), is swap_survival_factor's alone: every caller
 raises its one-line ValueError, and no check warns instead of raising.
@@ -27,11 +26,9 @@ raises its one-line ValueError, and no check warns instead of raising.
 
 from __future__ import annotations
 
-import math
+import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional
-
-import numpy as np
 
 # Vacuum speed of light, km/s.
 C_VACUUM_KM_S = 299792.458
@@ -55,12 +52,21 @@ class StepCountError(ValueError):
         self.fields = fields
 
 
+class InfeasibleError(Exception):
+    """No operating point satisfies the constraints; binding names them."""
+
+    def __init__(self, binding: list[str], message: str):
+        super().__init__(message)
+        self.binding = binding
+
+
 def _check(ok, name: str, rule: str, value) -> None:
     # ok is the test a good value passes, which NaN fails; the message is
     # formatted only on failure
     if not (ok if isinstance(ok, bool) else ok.all()):
         where = ""
-        if np.ndim(value):
+        if getattr(value, "ndim", 0):  # an array, so numpy is loaded already
+            import numpy as np
             first = np.flatnonzero(~np.asarray(ok))[0]
             value, where = np.ravel(value)[first], f" at flat index {first}"
         raise ValueError(f"{name} must be {rule}, got {value}{where}")
@@ -77,7 +83,7 @@ def _store_int(obj, name: str) -> None:
     """Store obj's field name, a count its checks passed, as an int where it
     is a scalar of another type (4.0, np.int64(4)); an array stays as it is."""
     v = getattr(obj, name)
-    if type(v) is not int and np.ndim(v) == 0:
+    if type(v) is not int and getattr(v, "ndim", 0) == 0:
         object.__setattr__(obj, name, int(v))
 
 
@@ -271,27 +277,6 @@ class DerivedTiming:
     k_steps: float
 
 
-def fiber_transmissivity(alpha_db_per_km: float, length_km: float) -> float:
-    """Power transmissivity of a fiber span, 10^(-alpha*length/10)."""
-    return np.power(10.0, -alpha_db_per_km * length_km / 10.0)
-
-
-def link_success_prob(optical: OpticalParams, l0_km: float) -> float:
-    """Probability that one link-level heralding attempt over l0_km succeeds.
-
-    One of the two photonic Bell states is distinguishable in linear optics,
-    hence the factor 1/2; both photons must be collected and detected.
-    """
-    _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
-    eta = fiber_transmissivity(optical.alpha_db_per_km, l0_km)
-    return 0.5 * optical.eta_c ** 2 * optical.eta_d ** 2 * eta
-
-
-def intra_node_success_prob(optical: OpticalParams) -> float:
-    """Photonic swap success with no fiber in the path (the l0 = 0 limit)."""
-    return link_success_prob(optical, 0.0)
-
-
 def heralding_time(l0_km: float, refractive_index: float) -> float:
     """One-way classical latency T = l0 / c_fiber in seconds."""
     _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
@@ -301,34 +286,6 @@ def heralding_time(l0_km: float, refractive_index: float) -> float:
 
 def _latency(l_km, refractive_index):  # heralding_time on inputs checked already
     return l_km * refractive_index / C_VACUUM_KM_S
-
-
-def derive_timing(layout: ChainLayout, hw: HardwareProfile, l0_km=None) -> DerivedTiming:
-    """The layout's timing on hw's clock; l0_km is layout.link_length_km,
-    computed here when None."""
-    tau = hw.timing.tau
-    j_steps = hw.timing.tau_g / tau
-    if not j_steps <= MAX_STEPS:
-        raise StepCountError(("tau",), f"tau={tau:.6g} s is too short: the step count "
-                                       f"tau_g/tau={j_steps:.6g} must be at most 2**31")
-
-    # the longest chain bounds every link's T/tau, on Python floats, where an
-    # overflow is inf, unwarned; past it, the error names the shortest chain beyond
-    n_ref, l_km = hw.optical.refractive_index, layout.total_distance_km
-    l_max = float(l_km.max() if isinstance(l_km, np.ndarray) else l_km)
-    if not _latency(l_max, n_ref) / tau <= MAX_STEPS:
-        l_bad = min(l for l in np.ravel(l_km).tolist()
-                    if not _latency(l, n_ref) / tau <= MAX_STEPS)
-        if not math.isfinite(_latency(l_bad, n_ref)):  # the layout's doing, not the clock's
-            raise StepCountError(("total_distance_km",),
-                                 f"total_distance_km={l_bad:.6g} km is too long: its "
-                                 "heralding time T is not finite")
-        raise StepCountError(("total_distance_km", "tau"),
-                             f"tau={tau:.6g} s is too short for total_distance_km="
-                             f"{l_bad:.6g} km: the step count T/tau="
-                             f"{_latency(l_bad, n_ref) / tau:.6g} must be at most 2**31")
-    t = _latency(layout.link_length_km if l0_km is None else l0_km, n_ref)
-    return DerivedTiming(heralding_time_s=t, j_steps=j_steps, k_steps=t / tau)
 
 
 def apply_swap_gate_noise(state: WernerState, eps_g: float) -> WernerState:
@@ -352,9 +309,9 @@ def swap_survival_factor(noise: NoiseParams) -> float:
 
     The polarization (1 - 2Q) of the end-to-end error flag shrinks by x at
     every swap. The closed form Q(n) = (1 - x^n)/2 holds only for x >= 0, so
-    x < 0 raises a ValueError here, and HardwareProfile, end_to_end_Q,
-    end_to_end_fidelity and mcsim.sample_end_to_end_Q raise it by calling
-    this. x <= 1 follows from NoiseParams' rules on eps_g and f0.
+    x < 0 raises a ValueError here, and HardwareProfile, rates.end_to_end_Q,
+    rates.end_to_end_fidelity and mcsim.sample_end_to_end_Q raise it by
+    calling this. x <= 1 follows from NoiseParams' rules on eps_g and f0.
     """
     x = 1.0 - 2.0 * noise.eps_g - (4.0 / 3.0) * (1.0 - noise.f0)
     if x < 0.0:
@@ -363,32 +320,37 @@ def swap_survival_factor(noise: NoiseParams) -> float:
     return x
 
 
-def end_to_end_Q(n: int, noise: NoiseParams) -> float:
-    """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain.
-
-    Noise with x < 0 raises swap_survival_factor's ValueError.
-    """
-    _check(n >= 0, "n", ">= 0", n)
-    x = swap_survival_factor(noise)
-    # numpy's power loop takes x ** 2 as x * x for an exponent of stride 0 (a
-    # scalar, or one integer in 2-d) and as pow otherwise, a last bit apart
-    return 0.5 * (1.0 - np.where(n == 2, np.power(x, (2.0, 2.0))[0], np.power(x, n)))
+class Regime(enum.Enum):
+    A = "A"
+    B1 = "B1"
+    B2 = "B2"
+    C1 = "C1"
+    C2 = "C2"
 
 
-def end_to_end_fidelity(n: int, noise: NoiseParams) -> WernerState:
-    """Werner state shared across a chain with n repeaters, F = 1 - (3/2) Q(n)."""
-    return WernerState(1.0 - 1.5 * end_to_end_Q(n, noise))
+def _regime_tests(t, tau_g: float, tau_o: float):
+    """The comparisons behind every regime label, in decision order, on t as
+    given: a float gives Python bools, an array boolean arrays."""
+    return t >= tau_o, t >= tau_g, tau_o >= t + tau_g
 
 
-def werner_rci(state: WernerState) -> float:
-    """Reverse coherent information of a Werner state, in ebits per pair.
+def _decision_walk(timing: TimingParams, t: float):
+    """The regime of t and the (label, lhs, rhs, outcome) branches taken."""
+    past_o, past_g, fits = _regime_tests(t, timing.tau_g, timing.tau_o)
+    steps = [("T >= tau_o", t, timing.tau_o, past_o)]
+    if past_o:
+        return Regime.A, steps
+    steps += [("T >= tau_g", t, timing.tau_g, past_g),
+              ("tau_o >= T + tau_g", timing.tau_o, t + timing.tau_g, fits)]
+    return Regime(("B" if past_g else "C") + ("2" if fits else "1")), steps
 
-    I_R = H(B) - H(AB) = 1 - (-F log2 F - (1-F) log2((1-F)/3)), with
-    0 log 0 = 0. Negative values are meaningful (no distillable entanglement
-    is certified); clamping is left to the caller.
-    """
-    f = state.fidelity
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = (-np.where(f > 0.0, f * np.log2(f), 0.0)
-             - (1.0 - f) * np.log2((1.0 - f) / 3.0))
-    return np.where(f >= 1.0, 1.0, 1.0 - h)[()]
+
+def classify_regime(timing: TimingParams, heralding_time_s: float) -> Regime:
+    return _decision_walk(timing, heralding_time_s)[0]
+
+
+def classification_path(timing: TimingParams, heralding_time_s: float) -> list[str]:
+    """The branch conditions evaluated on the way to a regime label."""
+    regime, steps = _decision_walk(timing, heralding_time_s)
+    return [f"{label} ({lhs:.9g} >= {rhs:.9g}): {'yes' if ok else 'no'}"
+            for label, lhs, rhs, ok in steps] + [f"regime {regime.value}"]

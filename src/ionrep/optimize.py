@@ -125,9 +125,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import (MAX_COUNT, ChainLayout, Constraints, HardwareProfile, StepCountError,
-                    _check, _check_count, _store_int, fiber_transmissivity)
-from .rates import (InfeasibleError, RateGrid, RateReport, grid_reports, ion_budgets,
+from .model import (MAX_COUNT, ChainLayout, Constraints, HardwareProfile, InfeasibleError,
+                    StepCountError, _check, _check_count, _store_int)
+from .rates import (RateGrid, RateReport, fiber_transmissivity, grid_reports, ion_budgets,
                     ion_caps, memory_covers, noise_tail, noisy_rate, plob_bound,
                     rate_blocks, rate_rows)
 

@@ -1,4 +1,4 @@
-"""Timing-regime classification and entanglement distribution rates.
+"""Entanglement distribution rates: every formula that computes with numpy.
 
 A block of m clock cycles accumulates heralded link-level entanglement which
 is swapped end to end once per block. How the block's wall time and the per
@@ -7,7 +7,13 @@ heralding latency T, the communication-ion lifetime tau_o, and the gate time
 tau_g. The five orderings are labeled A, B1, B2, C1, C2, but the formulas
 split only two ways: comm ions wait for the herald (B2, C2) or gate into
 memory blind (A, B1, C1). waits_for_herald is that split, and the labels,
-from the decision walk, are for reports.
+from ionrep.model's decision walk, are for reports.
+
+The pointwise formulas are here too, from fiber_transmissivity to
+werner_rci. Their powers are np.power calls, x ** 2 as pow at any shape,
+so a point runs a grid cell's numpy loops; fiber_transmissivity,
+link_success_prob and end_to_end_Q return an np.float64, a float subclass,
+for Python inputs.
 
 A block's schedule is written once, in slot_events: each slot starts at its
 offset and has two later events, the herald and the gate into memory, whose
@@ -54,45 +60,94 @@ at integer steps.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .model import (
-    ChainLayout,
-    DerivedTiming,
-    HardwareProfile,
-    TimingParams,
-    _check,
-    derive_timing,
-    end_to_end_fidelity,
-    link_success_prob,
-    werner_rci,
-)
+from .model import (MAX_STEPS, ChainLayout, DerivedTiming, HardwareProfile, InfeasibleError,
+                    NoiseParams, OpticalParams, Regime, StepCountError, WernerState, _check,
+                    _latency, _regime_tests, classify_regime, swap_survival_factor)
 
 
-class InfeasibleError(Exception):
-    """No operating point satisfies the constraints; binding names them."""
-
-    def __init__(self, binding: list[str], message: str):
-        super().__init__(message)
-        self.binding = binding
+def fiber_transmissivity(alpha_db_per_km: float, length_km: float) -> float:
+    """Power transmissivity of a fiber span, 10^(-alpha*length/10)."""
+    return np.power(10.0, -alpha_db_per_km * length_km / 10.0)
 
 
-class Regime(enum.Enum):
-    A = "A"
-    B1 = "B1"
-    B2 = "B2"
-    C1 = "C1"
-    C2 = "C2"
+def link_success_prob(optical: OpticalParams, l0_km: float) -> float:
+    """Probability that one link-level heralding attempt over l0_km succeeds.
+
+    One of the two photonic Bell states is distinguishable in linear optics,
+    hence the factor 1/2; both photons must be collected and detected.
+    """
+    _check(l0_km >= 0.0, "l0_km", ">= 0", l0_km)
+    eta = fiber_transmissivity(optical.alpha_db_per_km, l0_km)
+    return 0.5 * optical.eta_c ** 2 * optical.eta_d ** 2 * eta
 
 
-def _regime_tests(t, tau_g: float, tau_o: float):
-    """The comparisons behind every regime label, in decision order, on t as
-    given: a float gives Python bools, an array boolean arrays."""
-    return t >= tau_o, t >= tau_g, tau_o >= t + tau_g
+def intra_node_success_prob(optical: OpticalParams) -> float:
+    """Photonic swap success with no fiber in the path (the l0 = 0 limit)."""
+    return link_success_prob(optical, 0.0)
+
+
+def derive_timing(layout: ChainLayout, hw: HardwareProfile, l0_km=None) -> DerivedTiming:
+    """The layout's timing on hw's clock; l0_km is layout.link_length_km,
+    computed here when None."""
+    tau = hw.timing.tau
+    j_steps = hw.timing.tau_g / tau
+    if not j_steps <= MAX_STEPS:
+        raise StepCountError(("tau",), f"tau={tau:.6g} s is too short: the step count "
+                                       f"tau_g/tau={j_steps:.6g} must be at most 2**31")
+
+    # the longest chain bounds every link's T/tau, on Python floats, where an
+    # overflow is inf, unwarned; past it, the error names the shortest chain beyond
+    n_ref, l_km = hw.optical.refractive_index, layout.total_distance_km
+    l_max = float(l_km.max() if isinstance(l_km, np.ndarray) else l_km)
+    if not _latency(l_max, n_ref) / tau <= MAX_STEPS:
+        l_bad = min(l for l in np.ravel(l_km).tolist()
+                    if not _latency(l, n_ref) / tau <= MAX_STEPS)
+        if not math.isfinite(_latency(l_bad, n_ref)):  # the layout's doing, not the clock's
+            raise StepCountError(("total_distance_km",),
+                                 f"total_distance_km={l_bad:.6g} km is too long: its "
+                                 "heralding time T is not finite")
+        raise StepCountError(("total_distance_km", "tau"),
+                             f"tau={tau:.6g} s is too short for total_distance_km="
+                             f"{l_bad:.6g} km: the step count T/tau="
+                             f"{_latency(l_bad, n_ref) / tau:.6g} must be at most 2**31")
+    t = _latency(layout.link_length_km if l0_km is None else l0_km, n_ref)
+    return DerivedTiming(heralding_time_s=t, j_steps=j_steps, k_steps=t / tau)
+
+
+def end_to_end_Q(n: int, noise: NoiseParams) -> float:
+    """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain.
+
+    Noise with x < 0 raises swap_survival_factor's ValueError.
+    """
+    _check(n >= 0, "n", ">= 0", n)
+    x = swap_survival_factor(noise)
+    # numpy's power loop takes x ** 2 as x * x for an exponent of stride 0 (a
+    # scalar, or one integer in 2-d) and as pow otherwise, a last bit apart
+    return 0.5 * (1.0 - np.where(n == 2, np.power(x, (2.0, 2.0))[0], np.power(x, n)))
+
+
+def end_to_end_fidelity(n: int, noise: NoiseParams) -> WernerState:
+    """Werner state shared across a chain with n repeaters, F = 1 - (3/2) Q(n)."""
+    return WernerState(1.0 - 1.5 * end_to_end_Q(n, noise))
+
+
+def werner_rci(state: WernerState) -> float:
+    """Reverse coherent information of a Werner state, in ebits per pair.
+
+    I_R = H(B) - H(AB) = 1 - (-F log2 F - (1-F) log2((1-F)/3)), with
+    0 log 0 = 0. Negative values are meaningful (no distillable entanglement
+    is certified); clamping is left to the caller.
+    """
+    f = state.fidelity
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h = (-np.where(f > 0.0, f * np.log2(f), 0.0)
+             - (1.0 - f) * np.log2((1.0 - f) / 3.0))
+    return np.where(f >= 1.0, 1.0, 1.0 - h)[()]
 
 
 def waits_for_herald(t, tau_g: float, tau_o: float):
@@ -100,28 +155,6 @@ def waits_for_herald(t, tau_g: float, tau_o: float):
     C1 gate blind. This mask is the only way a regime reaches a formula."""
     past_o, _, fits = _regime_tests(np.asarray(t), tau_g, tau_o)
     return ~past_o & fits
-
-
-def _decision_walk(timing: TimingParams, t: float):
-    """The regime of t and the (label, lhs, rhs, outcome) branches taken."""
-    past_o, past_g, fits = _regime_tests(t, timing.tau_g, timing.tau_o)
-    steps = [("T >= tau_o", t, timing.tau_o, past_o)]
-    if past_o:
-        return Regime.A, steps
-    steps += [("T >= tau_g", t, timing.tau_g, past_g),
-              ("tau_o >= T + tau_g", timing.tau_o, t + timing.tau_g, fits)]
-    return Regime(("B" if past_g else "C") + ("2" if fits else "1")), steps
-
-
-def classify_regime(timing: TimingParams, heralding_time_s: float) -> Regime:
-    return _decision_walk(timing, heralding_time_s)[0]
-
-
-def classification_path(timing: TimingParams, heralding_time_s: float) -> list[str]:
-    """The branch conditions evaluated on the way to a regime label."""
-    regime, steps = _decision_walk(timing, heralding_time_s)
-    return [f"{label} ({lhs:.9g} >= {rhs:.9g}): {'yes' if ok else 'no'}"
-            for label, lhs, rhs, ok in steps] + [f"regime {regime.value}"]
 
 
 def slot_events(waits, k_steps, j_steps):

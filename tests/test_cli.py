@@ -753,40 +753,74 @@ with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.St
         code = cli.main(sys.argv[1:])
     except SystemExit as exit_:  # argparse's usage errors
         code = exit_.code
-print(code, *sorted(m for m in sys.modules if m.startswith("ionrep.")))
+print(code, *sorted(m for m in sys.modules if m.startswith("ionrep.") or m == "numpy"))
 """
 
 
-def _fresh_python(code: str, *argv: str) -> list[str]:
+def _src_env() -> dict:
     src = str(pathlib.Path(cli_module.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _fresh_python(code: str, *argv: str) -> list[str]:
     out = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True,
-                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+                         text=True, check=True, env=_src_env())
     return out.stdout.split()
 
 
 class TestModuleLoading:
     """Each subcommand loads only the modules it runs; `import ionrep`
-    loads none, and its public names resolve on first access."""
+    loads none, and its public names resolve on first access. numpy loads
+    with the rates, so classify and the help pages run without it."""
 
-    REPORT = ["ionrep.cli", "ionrep.model", "ionrep.rates"]
-    SWEEPS = ["ionrep.figures", "ionrep.optimize"]
+    REPORT = ["ionrep.rates", "numpy"]
+    SWEEPS = ["ionrep.figures", "ionrep.optimize", *REPORT]
 
     @pytest.mark.parametrize("argv, code, extra", [
-        (RATE_ARGS, 0, []),
+        (RATE_ARGS, 0, REPORT),
         (("classify", "--l0-km", "1.7"), 0, []),
-        (("optimize",), 0, ["ionrep.optimize"]),
+        (("optimize",), 0, ["ionrep.optimize", *REPORT]),
         (("sweep", "--l-list-km", "100,200"), 0, SWEEPS),
         (("figure", "fig8", "--l-list-km", "100", "--out-dir", "{tmp}"), 0, SWEEPS),
         (("figure", "--help"), 0, ["ionrep.figures"]),
         (("simulate", "--l-km", "20", "--n", "2", "--time-mux", "3", "--num-blocks", "100"),
-         0, ["ionrep.mcsim"]),
+         0, ["ionrep.mcsim", *REPORT]),
         ((), 2, []),
     ], ids=["rate", "classify", "optimize", "sweep", "figure", "figure-help", "simulate",
             "no-command"])
     def test_a_subcommand_loads_only_what_it_runs(self, tmp_path, argv, code, extra):
         argv = [a.format(tmp=tmp_path) for a in argv]
-        assert _fresh_python(_LOADED_BY, *argv) == [str(code), *sorted(self.REPORT + extra)]
+        assert _fresh_python(_LOADED_BY, *argv) == [
+            str(code), *sorted(["ionrep.cli", "ionrep.model", *extra])]
+
+    # (argv, exit code): every call that builds and checks parameters only
+    NUMPY_FREE = [
+        (("classify", "--l0-km", "1.7"), 0),
+        (("classify", "--l-km", "150", "--n", "87", "--format", "json"), 0),
+        (("classify", "--l0-km", "30", "--format", "csv"), 0),
+        (("--help",), 0),
+        (("classify", "--help"), 0),
+        (("figure", "--help"), 0),
+        (("classify", "--bogus"), 2),
+        (("classify", "--config", "{tmp}/missing.json"), 2),
+        (("classify", "--tau-us", "0"), 2),
+    ]
+
+    @pytest.mark.parametrize("argv, code", NUMPY_FREE, ids=[
+        "classify-text", "classify-json", "classify-csv", "help", "classify-help",
+        "figure-help", "usage-error", "missing-config", "parameter-error"])
+    def test_runs_the_same_bytes_without_numpy(self, tmp_path, argv, code):
+        argv = [a.format(tmp=tmp_path) for a in argv]
+        blocked = ("import sys; sys.modules['numpy'] = None; "  # import numpy raises
+                   "from ionrep.cli import main; sys.exit(main())")
+        without, ordinary = [
+            (r.returncode, r.stdout, r.stderr) for r in (
+                subprocess.run([sys.executable, *how, *argv], capture_output=True,
+                               env=_src_env())
+                for how in (["-c", blocked], ["-m", "ionrep.cli"]))]
+        assert without == ordinary
+        assert without[0] == code and without[1] + without[2]  # it printed something
 
     def test_the_figure_table_resolves_on_first_access(self):
         assert _fresh_python("import sys, ionrep.cli as c; loaded = 'ionrep.figures' in "
@@ -800,7 +834,7 @@ class TestModuleLoading:
     def test_only_a_csv_call_loads_csv(self, style):
         # a plain table is one str.format call; csv.writer quotes the
         # infeasible reasons, which hold a comma
-        probe = _LOADED_BY.replace('m.startswith("ionrep.")', 'm == "csv"')
+        probe = _LOADED_BY.replace('m.startswith("ionrep.") or m == "numpy"', 'm == "csv"')
         assert _fresh_python(probe, "sweep", "--l-list-km", "100", "--format", style) \
             == ["0"]
         assert _fresh_python(probe, "sweep", "--l-list-km", "100", "--n-o-max", "5",

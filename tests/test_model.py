@@ -1,6 +1,7 @@
 """Pointwise physics formulas, checked against hand-derived values."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ionrep import (Constraints, SearchBounds, SimConfig, evaluate_rate, optimize_rate,
                     run_protocol_sim, sample_end_to_end_Q)
 from ionrep.model import (
+    C_VACUUM_KM_S,
     MAX_COUNT,
     MAX_STEPS,
     ChainLayout,
@@ -21,16 +23,18 @@ from ionrep.model import (
     WernerState,
     apply_swap_gate_noise,
     compose_gate_errors,
+    heralding_time,
+    swap_survival_factor,
+)
+from ionrep.optimize import MAX_SEARCH_N
+from ionrep.rates import (
     derive_timing,
     end_to_end_Q,
     end_to_end_fidelity,
-    heralding_time,
     intra_node_success_prob,
     link_success_prob,
-    swap_survival_factor,
     werner_rci,
 )
-from ionrep.optimize import MAX_SEARCH_N
 
 BASE_NOISE = NoiseParams(f0=0.9999, eps_g=1e-4)
 
@@ -177,6 +181,24 @@ class TestHeraldingTime:
                                                  "step count T/tau=4.90339e\\+299") as err:
             derive_timing(layout, HardwareProfile())
         assert err.value.fields == ("total_distance_km", "tau")
+
+    def test_a_chain_at_the_step_bound_passes(self):
+        hw = HardwareProfile()
+        tau, n_ref = hw.timing.tau, hw.optical.refractive_index
+
+        def steps(l_km):
+            return heralding_time(l_km, n_ref) / tau
+
+        at = MAX_STEPS * tau * C_VACUUM_KM_S / n_ref
+        while steps(at) > MAX_STEPS:
+            at = _down(at)
+        while steps(_up(at)) <= MAX_STEPS:
+            at = _up(at)
+        assert steps(at) == MAX_STEPS  # T/tau is exactly 2**31 here
+        assert derive_timing(ChainLayout(at, 0), hw).k_steps == MAX_STEPS
+        # past the bound, the error names the chain beyond it, not the one at it
+        with pytest.raises(StepCountError, match=re.escape(f"total_distance_km={2 * at:.6g} km")):
+            derive_timing(ChainLayout(np.array([[at], [2 * at]]), 0), hw)
 
     def test_overflowing_heralding_time_blames_the_distance(self):
         for l_km in (1.7e308, np.float64(1.7e308)):  # a numpy scalar overflows unwarned too

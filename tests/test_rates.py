@@ -13,17 +13,18 @@ from ionrep.model import (
     ChainLayout,
     DerivedTiming,
     HardwareProfile,
-    TimingParams,
-    fiber_transmissivity,
-)
-from ionrep.rates import (
     InfeasibleError,
     Regime,
+    TimingParams,
+    classification_path,
+    classify_regime,
+)
+from ionrep.rates import (
     block_denominator,
     block_success_prob,
-    classify_regime,
-    classification_path,
+    derive_timing,
     evaluate_rate,
+    fiber_transmissivity,
     ion_budgets,
     ion_caps,
     plob_bound,
@@ -177,7 +178,6 @@ class TestIonRequirements:
     def test_wait_regime_headline(self):
         layout = layout_for()
         hw = BASE
-        from ionrep.model import derive_timing
         timing = derive_timing(layout, hw)
         n_o, n_m, upper = ion_requirements(layout, timing, Regime.B2)
         assert n_o == 170  # ceil(2 * (10 * 8.358 + 1)) = ceil(169.16)

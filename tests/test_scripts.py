@@ -155,3 +155,18 @@ def test_bench_summarizes_pairs_per_metric():
     # a median better by more than the base's quartile distance clears it
     runs[3]["metrics"]["p50_ms"] = runs[4]["metrics"]["p50_ms"] = 0.5
     assert bench.summarize(runs, entries)["figure_family"]["p50_ms"]["clears_base_iqr"]
+
+
+def test_bench_records_the_start_up_floor():
+    bench = _load("bench")
+    allowed = os.sched_getaffinity(0)
+    record = bench.startup_floor(runs=1)
+    assert os.sched_getaffinity(0) == allowed  # the pin is undone
+    floor = record.pop("startup_floor_ms")
+    assert list(floor) == ["python -S -c pass", "python -c pass",
+                           'python -c "import numpy"']
+    assert all(0.0 < ms < 60_000.0 for ms in floor.values())
+    assert floor['python -c "import numpy"'] > floor["python -S -c pass"]
+    assert record == {"startup_core": max(allowed), "startup_runs": 1,
+                      "numpy_avx512_skx": record["numpy_avx512_skx"]}
+    assert isinstance(record["numpy_avx512_skx"], bool)
