@@ -407,9 +407,9 @@ def cmd_classify(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
-    from .optimize import optimize_rate
     hw = make_hardware(cfg)
     constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
+    from .optimize import optimize_rate
     res = optimize_rate(cfg["layout"]["l_km"], cfg["layout"]["spatial_mux"], hw,
                         bounds=make_bounds(cfg), constraints=constraints)
     emit(cfg, "optimize", {"result": {
@@ -425,11 +425,11 @@ def cmd_optimize(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
-    from .figures import CSV_COLUMNS, row_values
-    from .optimize import sweep_distance
     hw = make_hardware(cfg)
     grid = make_l_grid(cfg)
     constraints = make_constraints(cfg)  # a bad constraint is reported before a bad bound
+    from .figures import CSV_COLUMNS, row_values
+    from .optimize import sweep_distance
     raw = sweep_distance(grid, cfg["layout"]["spatial_mux"], hw,
                          bounds=make_bounds(cfg), constraints=constraints)
     header = CSV_COLUMNS + ("infeasible_reason",)
@@ -509,10 +509,10 @@ def cmd_figure(cfg: dict, args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(cfg: dict, args: argparse.Namespace) -> int:
-    from .mcsim import SimConfig, run_protocol_sim, validate_stats
-    from .rates import evaluate_rate
     layout = make_layout(cfg)
     hw = make_hardware(cfg)
+    from .mcsim import SimConfig, run_protocol_sim, validate_stats
+    from .rates import evaluate_rate
     try:
         config = SimConfig.from_profile(layout, hw, **cfg["sim"], seed=cfg["seed"],
                                         trace=args.trace_path is not None)

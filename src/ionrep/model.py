@@ -190,9 +190,9 @@ class ChainLayout:
 
     spatial_mux (M) counts parallel fiber modes per link per clock cycle;
     time_mux (m) is the number of clock cycles pooled into one swap block.
-    total_distance_km may be a float column, n_repeaters an integer column
-    and time_mux an integer row or column; they broadcast against each
-    other, which describes a grid of chains, one distance per row.
+    total_distance_km may be a float column, and n_repeaters and time_mux
+    integer rows or columns; they broadcast against each other, which
+    describes a grid of chains, one distance per row.
     """
 
     total_distance_km: float

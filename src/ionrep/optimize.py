@@ -79,13 +79,12 @@ holds, and its arrays are released before the next M's step. Each variant
 then takes its cap (at most the memory cap) and lo = min(lo_free, cap),
 exact because P holds on a prefix: P holds on all of [1, lo_free] and
 nowhere in (lo_free, memory cap], so its last m in [1, cap] is lo_free when
-lo_free <= cap, and cap otherwise. The noise fields f_end and rci depend on
-n alone, and an unpinned pass holds one copy of 0..n_max per distance, so
-rates.noise_tail runs once per distinct n and noise level: once a pass
-where the pass is pinned, and once a row solve where it is not, since
-every unpinned pass holds the same 0..n_max. An unpinned pass of more than
-one distance tiles its columns to its rows; any other pass takes them as
-they are held, since nothing writes them in place. The pass's layout skips
+lo_free <= cap, and cap otherwise. A pass's rows are a (distance, n) grid:
+its layout is a column of distances against one count a distance where
+the pass is pinned, and against one row 0..n_max where it is not. f_end
+and rci depend on n alone, so rates.noise_tail runs on the layout's counts
+once per noise level: once a pass where the pass is pinned, and once a row
+solve where it is not; nothing writes them in place. The layout skips
 ChainLayout's checks: its distances and repeater counts come from checked
 inputs, and _solve checks spatial_mux.
 
@@ -97,22 +96,22 @@ finite), and the full scan breaks a zero-rate tie toward m = 1, which the
 two columns may lack. A variant whose two-column argmax has such a
 distance is solved again on the columns 1, lo and lo + 1. Variants with
 equal M and caps share each candidate grid, rates.rate_blocks (rate_grid's
-block stage) applied to the row state at those columns, built at most once
-per group of caps when a variant first needs it. So the block stage runs only
-at candidate columns, and each other noise level recomputes only the
-noise fields, with rates.noise_tail and rates.noisy_rate, the functions
-rate_grid itself calls, so the rate formula is written once.
+block stage) applied to the row state at those columns, stacked on a
+leading axis: its cells are (column, distance, n). A grid is built at most
+once per group of caps, when a variant first needs it. A variant at other
+noise re-rates it in place, setting its own f_end and rci and the rate
+rates.noisy_rate(ideal, rci), as rate_grid does: one rate formula.
 
 Cells broadcast elementwise, so a candidate's rate is the bits of its cell
-in the full grid. Infeasible and non-finite cells count as -1, and per
-distance a row-major argmax over its rows' candidates breaks ties
-toward smaller n, then smaller m, as a scan of that distance's whole grid
-would. Each distance's report is read by rates.grid_reports straight from
-the grid's fields at the cell that won its argmax. A pass holds at most
-PASS_ROWS rows, or one distance where its n_max + 1 rows are more, and at
-most two candidate grids at a time; n_max is at most
-MAX_SEARCH_N, so memory stays bounded whatever the number of distances or
-variants.
+in the full grid. Infeasible and non-finite cells count as -1. The per-row
+table holds each row's best candidate, the elementwise max over its
+columns, beside its cap. Per distance the optimum is the first row holding
+the max, then its first column reaching it, which breaks ties toward
+smaller n, then smaller m, as a scan of the distance's whole grid would;
+rates.grid_reports reads its report from the grid's fields at that cell. A
+pass holds at most PASS_ROWS rows, or one distance where its n_max + 1 rows
+are more, and at most two candidate grids; n_max is at most MAX_SEARCH_N,
+so memory stays bounded whatever the number of distances or variants.
 """
 
 from __future__ import annotations
@@ -120,7 +119,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,7 +131,7 @@ from .rates import (RateGrid, RateReport, fiber_transmissivity, grid_reports, io
                     rate_blocks, rate_rows)
 
 MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
-_SEED_OFFSETS = np.arange(-1, 2)[:, None, None]  # the seeded round's m - floor(guess)
+_SEED_OFFSETS = np.arange(-1, 2)  # the seeded round's m - floor(guess), on a leading axis
 MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # (distance, n) rows per pass, or one distance's rows where they are more.
 # At n_max = 600 that is six distances. On one core of a 2-vCPU machine
@@ -186,15 +185,15 @@ def _last_true(pred, hi: np.ndarray, guess: np.ndarray) -> np.ndarray:
     """Per row, the largest m in [1, hi] where pred(m) holds, or 0 where it
     holds nowhere; pred must hold on a prefix of the integers m >= 1.
 
-    guess is a float column, the answer's estimate: any value (NaN, +-inf
-    included) gives the exact answer, and one whose floor is the answer or
-    the answer + 1 takes a single round. That round tests floor(guess) - 1,
-    floor(guess) and floor(guess) + 1, each clipped to [1, hi], on a leading
-    axis; a guess at or above hi tests hi. Rows it leaves open are bisected
-    by the loop below, one cell per row a round.
+    hi and guess share the rows' shape, any shape. guess is the answer's
+    estimate: any value (NaN, +-inf included) gives the exact answer, and one
+    whose floor is the answer or the answer + 1 takes a single round. That
+    round tests floor(guess) - 1, floor(guess) and floor(guess) + 1, each
+    clipped to [1, hi], on a leading axis; a guess at or above hi tests hi.
+    Rows it leaves open are bisected below, one cell per row a round.
     """
     g = np.fmin(np.fmax(guess, 0.0), hi).astype(np.int64)  # NaN and inf land in [0, hi]
-    m = np.minimum(np.maximum(g + _SEED_OFFSETS, 1), hi)
+    m = np.minimum(np.maximum(np.add.outer(_SEED_OFFSETS, g), 1), hi)
     ok = pred(m)
     # every m tested true is at most the answer, every false one above it;
     # a row with hi = 0 tests only 0, and comes out with lo = 0 either way
@@ -234,25 +233,22 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, bounds: SearchBounds,
     """Per variant (spatial_mux, hw, constraints), the optimum at each
     distance ls[i] over its candidate repeater counts ns[i], or the
     InfeasibleError that distance raises; one row per (distance, n) pair,
-    shared by the variants. tails holds noise_tail's fields per noise
-    level, of one distance's repeater counts where the pass is unpinned,
-    and takes the ones this pass computes."""
-    d, r = ns.shape
-    ns_by_l, ns = ns, ns.reshape(-1, 1)
+    shared by the variants, on the (distance, n) grid of ns. tails holds
+    noise_tail's fields per noise level, of one distance's repeater counts
+    where the pass is unpinned, and takes the ones this pass computes."""
     # the rows' state depends on noise only through the tail
     mux, hw, constraints = variants[0]
-    # an unpinned pass holds d copies of 0..n_max, so its tail is one copy's, tiled
-    reps, tail_ns = (1, ns) if constraints.pinned else (d, ns[:r])
+    # an unpinned pass holds d copies of 0..n_max: its layout and tail hold
+    # one copy, which broadcasts along the distances
+    tail_ns = ns if constraints.pinned else ns[0]
 
     def tail(hw_i: HardwareProfile) -> dict:
         if hw_i.noise not in tails:
             tails[hw_i.noise] = noise_tail(tail_ns, hw_i)
-        # one copy is the held arrays: nothing writes f_end or rci in place
-        return tails[hw_i.noise] if reps == 1 else {
-            name: np.tile(v, (reps, 1)) for name, v in tails[hw_i.noise].items()}
+        return tails[hw_i.noise]  # held arrays: nothing writes f_end or rci in place
 
     # checked distances and repeater counts; _solve checks spatial_mux
-    layout = ChainLayout._unchecked(np.repeat(ls, r)[:, None], ns, mux)
+    layout = ChainLayout._unchecked(ls[:, None], tail_ns, mux)
     rows = rate_rows(layout, hw, tail(hw))
     den1 = rows.den1  # den_steps(m) = den1 + (m - 1.0), as rate_blocks computes it
     mem_cap = np.full_like(ns, bounds.m_max)
@@ -267,7 +263,7 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, bounds: SearchBounds,
     # only where c < 0 (it is false for c >= 0, where rounding near x = 0
     # could make it true), and not at all in a pass without such rows
     c = den1 - 1.0
-    a = ns + 1.0
+    a = tail_ns + 1.0
     neg = c < 0.0
     some_neg = bool(neg.any())
     out: list = [None] * len(variants)
@@ -317,20 +313,19 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, bounds: SearchBounds,
             grids: list = []
             for i in capped:
                 _, hw_i, cons_i = variants[i]
-                # per noise level, only f_end, rci and the rate are new
-                t = None if hw_i.noise == hw.noise else tail(hw_i)
+                t = tail(hw_i)
                 for k, parts in enumerate(col_sets):
                     if k == len(grids):
-                        cols = np.minimum(np.maximum(np.hstack(parts), 1), bounds.m_max)
+                        cols = np.minimum(np.maximum(np.stack(parts), 1), bounds.m_max)
                         grid = rate_blocks(rows, layout, cols, hw)
                         assert np.array_equal(grid.mem_ok, cols <= mem_cap), \
                             "rate_blocks' mem_ok disagrees with the memory cap"
                         grids.append((cols, grid))
                     cols, grid = grids[k]
-                    if t is not None:
-                        grid = replace(grid, **t, rate=noisy_rate(grid.ideal, t["rci"]))
-                    out[i] = _optima(grid, cols, cap, caps, ns_by_l, hw_i, bounds,
-                                     cons_i.pinned)
+                    if grid.rci is not t["rci"]:
+                        # per noise level, only f_end, rci and the rate are new
+                        vars(grid).update(t, rate=noisy_rate(grid.ideal, t["rci"]))
+                    out[i] = _optima(grid, cols, cap, caps, ns, hw_i, bounds, cons_i.pinned)
                     if out[i] is not None:
                         break
 
@@ -340,10 +335,10 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, bounds: SearchBounds,
     for mux, members in by_mux.items():
         if mux != layout.spatial_mux:
             # only the ion budgets of the row state depend on spatial_mux
-            layout = ChainLayout._unchecked(layout.total_distance_km, ns, mux)
+            layout = ChainLayout._unchecked(layout.total_distance_km, tail_ns, mux)
             timing = rows.timing
-            n_o, n_m1 = ion_budgets(rows.waits, timing.k_steps, timing.j_steps, mux, 1)
-            rows = replace(rows, n_o=n_o, n_m1=n_m1)
+            rows.n_o, rows.n_m1 = ion_budgets(rows.waits, timing.k_steps, timing.j_steps,
+                                              mux, 1)
         solve_mux(rows, layout, members)
     return out
 
@@ -351,29 +346,33 @@ def _solve_pass(ls: np.ndarray, ns: np.ndarray, bounds: SearchBounds,
 def _optima(grid: RateGrid, cols: np.ndarray, cap: np.ndarray, caps: dict, ns: np.ndarray,
             hw: HardwareProfile, bounds: SearchBounds, pinned: bool) -> Optional[list]:
     """Each distance's argmax over its rows' candidate cells, as _solve_pass
-    returns it for one variant; cap is each row's largest feasible m, the
-    least of its caps' entries. ns holds each distance's candidate repeater
-    counts, one distance a row, and the grid's rows are theirs in order.
+    returns it for one variant. The grid's cells and cols are (candidate,
+    distance, n); ns holds each distance's candidate repeater counts, one
+    distance a row, and cap each row's largest feasible m, the least of its
+    caps' entries.
 
     With two columns, lo and lo + 1, it returns None when some distance's
     best rate is not > 0: in the full scan a zero-rate tie breaks toward
     m = 1, which only the three-column grid holds."""
-    d, r = ns.shape
+    at = np.arange(len(ns))
     rate = np.where((cols <= cap) & np.isfinite(grid.rate), grid.rate, -1.0)
-    # per distance, the flat index of the row-major argmax over its rows'
-    # ordered columns: smallest n, then m
-    best = rate.reshape(d, -1).argmax(axis=1) + np.arange(0, rate.size, rate.size // d)
-    top = rate.flat[best]
-    if cols.shape[1] == 2 and not (top > 0.0).all():
+    best = rate.max(axis=0)  # the per-row table, beside cap: each row's best rate, or -1
+    # per distance, the first row holding its max, then that row's first
+    # column reaching it: the smallest n, then m, as a row-major scan
+    row = best.argmax(axis=1)
+    top = best[at, row]
+    if len(cols) == 2 and not (top > 0.0).all():
         return None
-    n_opt, m_opt = ns.flat[best // cols.shape[1]], cols.flat[best]
+    col = (rate[:, at, row] == top).argmax(axis=0)
+    cells = np.ravel_multi_index((col, at, row), rate.shape)
+    n_opt, m_opt = ns[at, row], cols.flat[cells]
     found = top >= 0.0  # a distance with no feasible cell has only -1
-    reports = iter(grid_reports(grid, hw, best[found].tolist()))
-    evaluations = cap.reshape(d, r).sum(axis=1).tolist()
+    reports = iter(grid_reports(grid, hw, cells[found].tolist()))
+    evaluations = cap.sum(axis=1).tolist()
     out: list = []
     for i, (n, m, evals) in enumerate(zip(n_opt.tolist(), m_opt.tolist(), evaluations)):
         if not found[i]:
-            out.append(_infeasible({name: c.reshape(d, r)[i] for name, c in caps.items()},
+            out.append(_infeasible({name: c[i] for name, c in caps.items()},
                                    bounds.m_max, evals))
             continue
         out.append(OptimizationResult(

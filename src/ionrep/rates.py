@@ -49,11 +49,11 @@ count, and redoes only ion_budgets for each further spatial_mux; it reads
 its memory cap and its search's c from den1 and its ion caps from
 ion_caps, and applies the block stage only at its candidate columns.
 Noise enters a grid only through f_end, rci and the rate, so the optimizer
-re-noises one grid for each noise level instead of building another.
+re-rates one grid for each noise level instead of building another.
 grid_reports reads reports straight from a grid's fields at flat cell
-indices, a one-column row field by the cell's row: evaluate_rate passes
-the one cell of rate_grid on the caller's own layout, which runs a grid
-cell's numpy loops, and the optimizer the cells of its optima.
+indices, a row field at the cell's position on the rows: evaluate_rate
+passes the one cell of rate_grid on the caller's own layout, which runs a
+grid cell's numpy loops, and the optimizer the cells of its optima.
 mcsim.SimConfig reads waits_for_herald, slot_events and block_denominator
 at integer steps.
 """
@@ -379,9 +379,10 @@ def noisy_rate(ideal, rci):
 def grid_reports(grid: RateGrid, hw: HardwareProfile, cells) -> list[RateReport]:
     """One report per flat index in cells, an index into the shape of
     grid.rate: evaluate_rate's one cell, or the optimizer's optima. Each
-    block field has that shape; each row field, the timing's included, has
-    one column, or is a scalar (a Python float too), and is read by the
-    cell's row.
+    block field has that shape, with any candidate axes before the rows'.
+    Each row field, the timing's included, has the rows' shape (den1's) or
+    is a scalar (a Python float too), and is read at the cell's index modulo
+    its size: f_end and rci may hold only the rows' trailing axis.
 
     Raises InfeasibleError, binding ["tau_m"], at the first cell whose block
     outlives the memory (tau_m must be at least memory_margin times the
@@ -389,10 +390,10 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile, cells) -> list[RateReport]
     """
     t = grid.timing
     herald, k_steps = np.asarray(t.heralding_time_s), np.asarray(t.k_steps)
-    width = grid.rate.shape[-1] if grid.rate.ndim else 1
+    rows = grid.den1.size
     reports = []
     for i in cells:
-        row = i // width
+        row = i % rows
         den_steps = grid.den_steps.item(i)
         den_s = den_steps * hw.timing.tau
         if not grid.mem_ok.item(i):
@@ -411,8 +412,8 @@ def grid_reports(grid: RateGrid, hw: HardwareProfile, cells) -> list[RateReport]
             denominator_s=den_s,
             block_success=grid.block.item(i),
             ideal_rate=grid.ideal.item(i),
-            f_end=grid.f_end.item(row),
-            rci=grid.rci.item(row),
+            f_end=grid.f_end.item(row % grid.f_end.size),
+            rci=grid.rci.item(row % grid.rci.size),
             noisy_rate=grid.rate.item(i),
             n_o=grid.n_o.item(row),
             n_m=grid.n_m.item(i),

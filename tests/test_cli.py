@@ -805,11 +805,15 @@ class TestModuleLoading:
         (("classify", "--bogus"), 2),
         (("classify", "--config", "{tmp}/missing.json"), 2),
         (("classify", "--tau-us", "0"), 2),
+        (("optimize", "--tau-us", "0"), 2),
+        (("sweep", "--tau-us", "0"), 2),
+        (("simulate", "--n", "2", "--time-mux", "3", "--tau-us", "0"), 2),
     ]
 
     @pytest.mark.parametrize("argv, code", NUMPY_FREE, ids=[
         "classify-text", "classify-json", "classify-csv", "help", "classify-help",
-        "figure-help", "usage-error", "missing-config", "parameter-error"])
+        "figure-help", "usage-error", "missing-config", "parameter-error",
+        "optimize-parameter-error", "sweep-parameter-error", "simulate-parameter-error"])
     def test_runs_the_same_bytes_without_numpy(self, tmp_path, argv, code):
         argv = [a.format(tmp=tmp_path) for a in argv]
         blocked = ("import sys; sys.modules['numpy'] = None; "  # import numpy raises

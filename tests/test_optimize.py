@@ -369,7 +369,7 @@ DIP = (0.2, 5, BASE.updated(tau=10e-6), SearchBounds(60, 300), Constraints(fixed
 def scan_last_true(pred, hi):
     """_last_true by a linear scan: per row, the last m in [1, hi] where
     pred holds, or 0."""
-    ms = np.arange(1, int(hi.max()) + 1)[:, None, None]
+    ms = np.arange(1, int(hi.max()) + 1).reshape((-1,) + (1,) * hi.ndim)
     return np.where(pred(ms) & (ms <= hi), ms, 0).max(axis=0, initial=0)
 
 
@@ -511,14 +511,15 @@ class TestSeededSearch:
         # floor(guess) + 1
         calls = self.count_rounds(monkeypatch)
         # tau_m covers every block up to m_max, so lo_free is the only search
+        # on the pass's (distance, n) rows
         optimize_rate(150.0, 10, BASE)
-        assert calls == [[(3, 601, 1)]]
+        assert calls == [[(3, 1, 601)]]
         calls.clear()
         sweep_distance(distance_grid(10.0, 500.0, 10.0), 10, BASE)  # the default sweep
-        assert calls == [[(3, 6 * 601, 1)]] * 8 + [[(3, 2 * 601, 1)]]  # nine passes
+        assert calls == [[(3, 6, 601)]] * 8 + [[(3, 2, 601)]]  # nine passes
         calls.clear()
         optimize_rate(150.0, 10, BASE.updated(tau_m=3e-4))  # tau_m binds
-        assert calls == [[(3, 601, 1)]] * 2  # the memory cap and lo_free
+        assert calls == [[(3, 1, 601)]] * 2  # the memory cap and lo_free
 
     def test_a_memory_that_covers_exactly_m_max_takes_no_search(self, monkeypatch):
         # tau_m covers exactly an m_max block on the pass's longest-block
@@ -539,7 +540,7 @@ class TestSeededSearch:
                  * BASE.timing.tau)
         calls = self.count_rounds(monkeypatch)
         res = optimize_rate(150.0, 10, BASE.updated(tau_m=tau_m), bounds)
-        assert calls == [[(3, 601, 1)]]
+        assert calls == [[(3, 1, 601)]]
         assert res.evaluations == 601 * bounds.m_max
         calls.clear()
         optimize_rate(150.0, 10, BASE.updated(tau_m=math.nextafter(tau_m, 0.0)), bounds)
@@ -588,7 +589,7 @@ class TestSeededSearch:
                 return m * a * lam + c_lam * a > math.expm1(x) or \
                     math.exp(x) * (1.0 - x - c_lam) > 1.0
 
-            assert lo[n, 0] == max((m for m in range(1, hi[n, 0] + 1) if p(m)), default=0)
+            assert lo[0, n] == max((m for m in range(1, hi[0, n] + 1) if p(m)), default=0)
 
 
 @st.composite
@@ -666,11 +667,12 @@ class TestSweepOracle:
 
     def test_passes_stay_small(self, monkeypatch):
         # three distances at the largest n_max: a pass each
-        rows, blocks = [], []  # rows per row stage, and each block stage's (rows, columns)
+        # rows per row stage, and each block stage's (columns, distances, n)
+        rows, blocks = [], []
         real_rows, real_blocks = optimize_module.rate_rows, optimize_module.rate_blocks
 
         def counting(layout, hw, tail=None):
-            rows.append(len(layout.n_repeaters))
+            rows.append(np.broadcast(layout.total_distance_km, layout.n_repeaters).size)
             return real_rows(layout, hw, tail)
 
         def counting_blocks(rows_state, layout, time_mux, hw):
@@ -703,17 +705,17 @@ class TestSweepOracle:
         finally:
             tracemalloc.stop()
         assert rows == [6 * 601, 4 * 601]
-        assert blocks == [(6 * 601, 2), (4 * 601, 2)]
+        assert blocks == [(2, 6, 601), (2, 4, 601)]
         assert 6 * 601 <= optimize_module.PASS_ROWS
         assert peak < 2 * 2 ** 20
         rows.clear()
         blocks.clear()
         optimize_rate(150.0, 10, BASE)
         assert rows == [601]
-        assert blocks == [(601, 2)]
+        assert blocks == [(2, 1, 601)]
         blocks.clear()
         optimize_rate(*DIP)  # a row with c < 0: m = 1 is a candidate too
-        assert blocks == [(1, 3)]
+        assert blocks == [(3, 1, 1)]
 
 
 def assert_reports_are_scalar_evaluations(ls, spatial_mux, hw, results):
