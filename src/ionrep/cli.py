@@ -37,8 +37,8 @@ import sys
 import threading
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .model import (ChainLayout, Constraints, HardwareProfile, InfeasibleError,
-                    StepCountError, _check, classification_path, heralding_time)
+from .model import (ChainLayout, Constraints, HardwareProfile, InfeasibleError, StepCountError,
+                    _check, classification_path, distance_grid, heralding_time)
 
 if TYPE_CHECKING:
     from .optimize import SearchBounds
@@ -251,7 +251,6 @@ def make_constraints(cfg: dict) -> Constraints:
 
 
 def make_l_grid(cfg: dict) -> list[float]:
-    from .optimize import distance_grid
     sw = cfg["sweep"]
     if sw["l_list_km"] is not None:
         grid = [float(v) for v in sw["l_list_km"]]
@@ -443,7 +442,7 @@ def cmd_sweep(cfg: dict, args: argparse.Namespace) -> int:
 # under tracemalloc (Python 3.11.7, numpy 2.4.6), ~1.7 MB when full, which
 # fits `figure all` on the default 50-distance grid (1,150 rows).
 SOLVED_ROWS = 2048
-_held: dict = {}  # (grid, bounds, variant set) -> rows per variant, least recently used first
+_held: dict = {}  # (grid, bounds, variant set) -> rows per variant
 _held_lock = threading.Lock()
 
 
@@ -451,26 +450,23 @@ def _figure_sweeps(grid: list[float], variants: list[tuple], bounds: SearchBound
     """Each variant's rows, from one optimize.sweep_variants call. A process
     that repeats a figure call (fig3-fig6 are fig2's sweeps, read for other
     columns) solves it once: the rows are held under the grid, bounds and
-    variant set, within SOLVED_ROWS rows, dropping the least recently used
-    first. A call that raises, or is over the bound, holds nothing. The
-    model is taken to be fixed for the life of the process."""
+    variant set, within SOLVED_ROWS rows: a call that would pass the bound
+    empties the store first, and one that raises, or is over the bound on its
+    own, holds and empties nothing. The model is fixed for the process."""
     from .optimize import sweep_variants
     distinct = frozenset(variants)
     key = (tuple(grid), bounds, distinct)
     with _held_lock:
         if key in _held:
-            _held[key] = _held.pop(key)  # now the most recently used
             return _held[key]
     rows = dict(zip(variants, sweep_variants(grid, variants, bounds)))
-    if len(grid) * len(distinct) <= SOLVED_ROWS:
+    size = len(grid) * len(distinct)
+    if size <= SOLVED_ROWS:
         with _held_lock:
             _held.pop(key, None)  # another thread may have solved it meanwhile
+            if sum(len(g) * len(v) for g, _, v in _held) + size > SOLVED_ROWS:
+                _held.clear()
             _held[key] = rows
-            excess = sum(len(g) * len(v) for g, _, v in _held) - SOLVED_ROWS
-            while excess > 0:
-                g, _, v = oldest = next(iter(_held))
-                excess -= len(g) * len(v)
-                del _held[oldest]
     return rows
 
 

@@ -92,6 +92,7 @@ from .model import (
     NoiseParams,
     StepCountError,
     _check,
+    _check_count,
     _store_int,
     swap_survival_factor,
 )
@@ -125,14 +126,9 @@ class SimConfig:
         # counts may pass model.MAX_COUNT: k_steps reaches MAX_STEPS, a pool past
         # 2Mm, the most ions a node ever holds, binds nowhere, and a seed may be
         # any integer >= 0
-        for name, low, rule in (("j_steps", 1, ">= 1"), ("k_steps", 1, ">= 1"),
-                                ("num_blocks", 1, ">= 1"),
-                                ("n_comm_ions", 0, ">= 0 (0 means unlimited)"),
-                                ("n_mem_ions", 0, ">= 0 (0 means unlimited)"),
-                                ("seed", 0, ">= 0")):
-            v = getattr(self, name)
-            _check(v >= low, name, rule, v)
-            _check(v % 1 == 0, name, "an integer", v)
+        for name, low in (("j_steps", 1), ("k_steps", 1), ("num_blocks", 1),
+                          ("n_comm_ions", 0), ("n_mem_ions", 0), ("seed", 0)):
+            _check_count(name, getattr(self, name), low, high=None)
             _store_int(self, name)
         mux = self.layout.spatial_mux  # one row of draws fits the buffer
         _check(mux <= DRAW_BYTES // 8, "spatial_mux", f"<= {DRAW_BYTES // 8} to simulate", mux)
@@ -536,9 +532,8 @@ def sample_end_to_end_Q(n: int, noise: NoiseParams, trials: int,
     swap_survival_factor's ValueError, and x <= 1 always holds, so the flip
     probability is in [0, 1/2].
     """
-    for name, v, low in (("trials", trials, 1), ("n", n, 0)):
-        _check(v >= low, name, f">= {low}", v)
-        _check(v % 1 == 0, name, "an integer", v)
+    _check_count("trials", trials, 1, high=None)
+    _check_count("n", n, 0, high=None)
     n, trials = int(n), int(trials)
     x = swap_survival_factor(noise)
     if n == 0:

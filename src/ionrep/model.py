@@ -1,11 +1,12 @@
 """Physical parameters, their checks and the timing-regime walk for
 dual-species trapped-ion repeater chains; this module imports no numpy.
 
-It holds the constants, the parameter dataclasses, the heralding time
-T = l0 / c_fiber, the Werner-state noise maps, the regime walk
-(classify_regime, classification_path) and the errors StepCountError and
-InfeasibleError, so classify, the help pages and every config error run
-without numpy. The formulas that compute with numpy are in ionrep.rates.
+It holds the constants, the parameter dataclasses, the sweep's
+distance_grid, the heralding time T = l0 / c_fiber, the Werner-state noise
+maps, the regime walk (classify_regime, classification_path) and the errors
+StepCountError and InfeasibleError, so classify, the help pages and every
+config error but a bad bounds.* run without numpy. The formulas that
+compute with numpy are in ionrep.rates.
 Units are kilometers and seconds; dB enters only through the fiber
 attenuation coefficient.
 
@@ -15,10 +16,12 @@ HardwareProfile.updated included), so the formulas check only their plain
 arguments. ChainLayout._unchecked, for the optimizer's rows, built from
 inputs it has checked, is the one layout that skips its checks.
 Every field check, here (the optimizer's Constraints included) and in
-SearchBounds and SimConfig, goes through _check, which rejects NaN and, for
-counts, fractions, and names an array's first bad entry and its flat index,
-on one line, calling numpy only for an array. A scalar count that passes is
-stored as an int by _store_int, so 4.0 and np.int64(4) give 4.
+SearchBounds and SimConfig, goes through _check, which rejects NaN and names
+an array's first bad entry and its flat index, on one line, calling numpy
+only for an array. Every count, those fields' and the n and trials of
+rates.end_to_end_Q and mcsim.sample_end_to_end_Q, goes through _check_count,
+in one message form. A scalar count that passes is stored as an int by
+_store_int, so 4.0 and np.int64(4) give 4.
 The one rule over two noise fields, a swap survival factor x >= 0 (where
 the closed-form Q(n) holds), is swap_survival_factor's alone: every caller
 raises its one-line ValueError, and no check warns instead of raising.
@@ -27,6 +30,7 @@ raises its one-line ValueError, and no check warns instead of raising.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -34,6 +38,7 @@ from typing import Optional
 C_VACUUM_KM_S = 299792.458
 # Largest repeater count, mode count or block length: 2 M m stays in int64.
 MAX_COUNT = 2 ** 30
+MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 # Largest step count tau_g/tau or T/tau: 2 (M k + j) stays in int64 for M <= MAX_COUNT.
 MAX_STEPS = 2 ** 31
 
@@ -72,11 +77,13 @@ def _check(ok, name: str, rule: str, value) -> None:
         raise ValueError(f"{name} must be {rule}, got {value}{where}")
 
 
-def _check_count(name: str, v, low: int) -> None:
-    """v, a number or an array, must be an integer in [low, MAX_COUNT]."""
-    kind = "nonnegative" if low == 0 else "positive"
-    _check((v % 1 == 0) & (v >= low) & (v <= MAX_COUNT), name,
-           f"a {kind} integer <= {MAX_COUNT}", v)
+def _check_count(name: str, v, low: int, high: Optional[int] = MAX_COUNT) -> None:
+    """v, a number or an array, must be an integer in [low, high], where a
+    high of None sets no upper bound: "<name> must be a positive integer
+    <= <high>, got <v>", or nonnegative where low is 0."""
+    top = "" if high is None else f" <= {high}"
+    _check((v % 1 == 0) & (v >= low) & (high is None or v <= high), name,
+           f"a {'nonnegative' if low == 0 else 'positive'} integer{top}", v)
 
 
 def _store_int(obj, name: str) -> None:
@@ -241,20 +248,12 @@ class Constraints:
     def __post_init__(self) -> None:
         if self.fixed_l0_km is not None and self.fixed_n is not None:
             raise ValueError("at most one of fixed_l0_km and fixed_n may be set")
-        for name in ("n_o_max", "n_m_max"):
-            v = getattr(self, name)
-            if v is not None:
-                _check(v >= 1, name, "positive", v)
-                _check(v <= MAX_COUNT, name, f"at most {MAX_COUNT}", v)
-                _check(v % 1 == 0, name, "an integer", v)
+        for name, low in (("n_o_max", 1), ("n_m_max", 1), ("fixed_n", 0)):
+            if getattr(self, name) is not None:
+                _check_count(name, getattr(self, name), low)
                 _store_int(self, name)
         if self.fixed_l0_km is not None:
             _check(self.fixed_l0_km > 0, "fixed_l0_km", "positive", self.fixed_l0_km)
-        if self.fixed_n is not None:
-            _check(0 <= self.fixed_n <= MAX_COUNT, "fixed_n", f"in [0, {MAX_COUNT}]",
-                   self.fixed_n)
-            _check(self.fixed_n % 1 == 0, "fixed_n", "an integer", self.fixed_n)
-            _store_int(self, "fixed_n")
         if self.tau_min is not None:
             _check(self.tau_min > 0, "tau_min", "positive", self.tau_min)
 
@@ -262,6 +261,27 @@ class Constraints:
     def pinned(self) -> bool:
         """True when fixed_n or fixed_l0_km pins the repeater count."""
         return self.fixed_n is not None or self.fixed_l0_km is not None
+
+
+def distance_grid(l_min_km: float, l_max_km: float, l_step_km: float) -> list[float]:
+    """l_min_km + i * l_step_km for i = 0, 1, ... while within l_max_km (to 1e-12).
+
+    Raises ValueError naming the parameter at fault, l_step_km when the grid
+    would have more than MAX_L_POINTS distances.
+    """
+    for name, v in (("l_min_km", l_min_km), ("l_max_km", l_max_km),
+                    ("l_step_km", l_step_km)):
+        _check(0.0 < v < math.inf, name, "positive and finite", v)
+    if l_max_km < l_min_km:
+        raise ValueError(f"l_max_km must be >= l_min_km, got {l_max_km} < {l_min_km}")
+    grid: list[float] = []
+    while len(grid) <= MAX_L_POINTS:
+        l_km = l_min_km + len(grid) * l_step_km
+        if l_km > l_max_km * (1 + 1e-12):
+            return grid
+        grid.append(l_km)
+    raise ValueError(f"l_step_km={l_step_km:g} is too small: the grid would have "
+                     f"more than {MAX_L_POINTS} distances")
 
 
 @dataclass(frozen=True)

@@ -125,12 +125,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .model import (MAX_COUNT, ChainLayout, Constraints, HardwareProfile, InfeasibleError,
-                    StepCountError, _check, _check_count, _store_int)
+                    StepCountError, _check, _check_count, _store_int, distance_grid)
 from .rates import (RateGrid, RateReport, fiber_transmissivity, grid_reports, ion_budgets,
                     ion_caps, memory_covers, noise_tail, noisy_rate, plob_bound,
                     rate_blocks, rate_rows)
 
-MAX_L_POINTS = 10_000  # distances in a sweep grid: 200x the default grid's 50
 _SEED_OFFSETS = np.arange(-1, 2)  # the seeded round's m - floor(guess), on a leading axis
 MAX_SEARCH_N = 100_000  # largest bounds.n_max: one row of search state per n
 # (distance, n) rows per pass, or one distance's rows where they are more.
@@ -147,14 +146,9 @@ class SearchBounds:
     m_max: int = 2000
 
     def __post_init__(self) -> None:
-        n_max, m_max = self.n_max, self.m_max
-        _check(0 <= n_max <= MAX_SEARCH_N, "bounds.n_max", f"in [0, {MAX_SEARCH_N}]", n_max)
-        _check(n_max % 1 == 0, "bounds.n_max", "an integer", n_max)
-        _check(m_max >= 1, "bounds.m_max", ">= 1", m_max)
-        _check(m_max <= MAX_COUNT, "bounds.m_max", f"at most {MAX_COUNT}", m_max)
-        _check(m_max % 1 == 0, "bounds.m_max", "an integer", m_max)
-        _store_int(self, "n_max")
-        _store_int(self, "m_max")
+        for name, low, high in (("n_max", 0, MAX_SEARCH_N), ("m_max", 1, MAX_COUNT)):
+            _check_count(f"bounds.{name}", getattr(self, name), low, high)
+            _store_int(self, name)
 
 
 @dataclass(frozen=True)
@@ -524,27 +518,6 @@ def sweep_variants(l_list: Sequence[float], variants: Sequence[tuple],
                 else SweepRow(l_km, res, bound)
                 for l_km, res, bound in zip(ls, results, plob[spatial_mux])]
     return [list(swept[v]) for v in variants]
-
-
-def distance_grid(l_min_km: float, l_max_km: float, l_step_km: float) -> list[float]:
-    """l_min_km + i * l_step_km for i = 0, 1, ... while within l_max_km (to 1e-12).
-
-    Raises ValueError naming the parameter at fault, l_step_km when the grid
-    would have more than MAX_L_POINTS distances.
-    """
-    for name, v in (("l_min_km", l_min_km), ("l_max_km", l_max_km),
-                    ("l_step_km", l_step_km)):
-        _check(0.0 < v < math.inf, name, "positive and finite", v)
-    if l_max_km < l_min_km:
-        raise ValueError(f"l_max_km must be >= l_min_km, got {l_max_km} < {l_min_km}")
-    grid: list[float] = []
-    while len(grid) <= MAX_L_POINTS:
-        l_km = l_min_km + len(grid) * l_step_km
-        if l_km > l_max_km * (1 + 1e-12):
-            return grid
-        grid.append(l_km)
-    raise ValueError(f"l_step_km={l_step_km:g} is too small: the grid would have "
-                     f"more than {MAX_L_POINTS} distances")
 
 
 def crossover_distance(spatial_mux: int, hw: HardwareProfile,

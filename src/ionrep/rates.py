@@ -67,7 +67,7 @@ import numpy as np
 
 from .model import (MAX_STEPS, ChainLayout, DerivedTiming, HardwareProfile, InfeasibleError,
                     NoiseParams, OpticalParams, Regime, StepCountError, WernerState, _check,
-                    _latency, _regime_tests, classify_regime, swap_survival_factor)
+                    _check_count, _latency, _regime_tests, classify_regime, swap_survival_factor)
 
 
 def fiber_transmissivity(alpha_db_per_km: float, length_km: float) -> float:
@@ -122,9 +122,10 @@ def derive_timing(layout: ChainLayout, hw: HardwareProfile, l0_km=None) -> Deriv
 def end_to_end_Q(n: int, noise: NoiseParams) -> float:
     """Error-flag probability Q(n) = (1 - x^n)/2 after n swaps in a chain.
 
-    Noise with x < 0 raises swap_survival_factor's ValueError.
+    n must be a nonnegative integer, or an array of them; noise with x < 0
+    raises swap_survival_factor's ValueError.
     """
-    _check(n >= 0, "n", ">= 0", n)
+    _check_count("n", n, 0, high=None)
     x = swap_survival_factor(noise)
     # numpy's power loop takes x ** 2 as x * x for an exponent of stride 0 (a
     # scalar, or one integer in 2-d) and as pow otherwise, a last bit apart

@@ -27,7 +27,8 @@ from ionrep.cli import (
     _FIELDS, DEFAULTS, FORMATS, CliError, build_parser, load_config, main, make_bounds,
     make_hardware, make_l_grid)
 from ionrep.figures import CSV_COLUMNS
-from ionrep.optimize import MAX_L_POINTS, SearchBounds
+from ionrep.model import MAX_L_POINTS
+from ionrep.optimize import SearchBounds
 
 SWEEP_HEADER = ",".join(CSV_COLUMNS) + ",infeasible_reason"
 
@@ -423,13 +424,13 @@ class TestSimulate:
     def test_negative_seed_names_field(self, capsys):
         code, _, err = run(capsys, *self.SIM, "--seed", "-1")
         assert code == 2
-        assert "seed must be >= 0" in err
+        assert "seed must be a nonnegative integer, got -1" in err
 
     def test_negative_pool_names_field_on_one_line(self, capsys):
         code, _, err = run(capsys, *self.SIM, "--n-comm-ions", "-1")
         assert code == 2
         assert err.count("\n") == 1
-        assert "n_comm_ions must be >= 0" in err
+        assert "n_comm_ions must be a nonnegative integer, got -1" in err
 
     def test_spatial_mux_past_one_draw_row_names_field(self, capsys):
         code, _, err = run(capsys, "simulate", "--spatial-mux", "131073", "--n", "0",
@@ -808,12 +809,16 @@ class TestModuleLoading:
         (("optimize", "--tau-us", "0"), 2),
         (("sweep", "--tau-us", "0"), 2),
         (("simulate", "--n", "2", "--time-mux", "3", "--tau-us", "0"), 2),
+        (("sweep", "--l-step-km", "0"), 2),
+        (("sweep", "--l-list-km", "5,1"), 2),
+        (("figure", "fig2", "--l-step-km", "0"), 2),
     ]
 
     @pytest.mark.parametrize("argv, code", NUMPY_FREE, ids=[
         "classify-text", "classify-json", "classify-csv", "help", "classify-help",
         "figure-help", "usage-error", "missing-config", "parameter-error",
-        "optimize-parameter-error", "sweep-parameter-error", "simulate-parameter-error"])
+        "optimize-parameter-error", "sweep-parameter-error", "simulate-parameter-error",
+        "sweep-step-error", "sweep-list-error", "figure-step-error"])
     def test_runs_the_same_bytes_without_numpy(self, tmp_path, argv, code):
         argv = [a.format(tmp=tmp_path) for a in argv]
         blocked = ("import sys; sys.modules['numpy'] = None; "  # import numpy raises
@@ -1155,16 +1160,19 @@ class TestContract:
         (("optimize", "--eta-c", "1.5", "--n-o-max", "0"),
          "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
         (("optimize", "--n-o-max", "0", "--n-max", "-1"),
-         "invalid constraints config: n_o_max must be positive, got 0"),
+         "invalid constraints config: n_o_max must be a positive integer <= 1073741824, got 0"),
         (("optimize", "--fixed-n", "-3", "--m-max", "0"),
-         "invalid constraints config: fixed_n must be in [0, 1073741824], got -3"),
+         "invalid constraints config: fixed_n must be a nonnegative integer <= 1073741824, "
+         "got -3"),
         (("optimize", "--n-max", "-1", "--m-max", "0"),
-         "bounds.n_max must be in [0, 100000], got -1"),
-        (("optimize", "--l-km", "-5", "--m-max", "0"), "bounds.m_max must be >= 1, got 0"),
+         "bounds.n_max must be a nonnegative integer <= 100000, got -1"),
+        (("optimize", "--l-km", "-5", "--m-max", "0"),
+         "bounds.m_max must be a positive integer <= 1073741824, got 0"),
         (("sweep", "--l-list-km", "50,100", "--n-o-max", "0", "--m-max", "0"),
-         "invalid constraints config: n_o_max must be positive, got 0"),
+         "invalid constraints config: n_o_max must be a positive integer <= 1073741824, got 0"),
         (("sweep", "--l-list-km", "50,100", "--fixed-n", "-3", "--n-max", "-1"),
-         "invalid constraints config: fixed_n must be in [0, 1073741824], got -3"),
+         "invalid constraints config: fixed_n must be a nonnegative integer <= 1073741824, "
+         "got -3"),
         (("sweep", "--l-list-km", "0,10", "--n-max", "-1"),
          "config field sweep.l_list_km must be positive and strictly increasing, "
          "got [0.0, 10.0]"),
@@ -1184,16 +1192,17 @@ class TestContract:
           "--tau-us", "1e-300"),
          "config field hardware.tau_us: tau=1e-306 s is too short: the step count "
          "tau_g/tau=1e+300 must be at most 2**31"),
-        (("figure", "fig2", "--n-max", "-1"), "bounds.n_max must be in [0, 100000], got -1"),
+        (("figure", "fig2", "--n-max", "-1"),
+         "bounds.n_max must be a nonnegative integer <= 100000, got -1"),
         (("figure", "fig2", "--eta-c", "1.5", "--n-max", "-1"),
          "invalid hardware config: eta_c must be in (0, 1], got 1.5"),
         (("figure", "fig2", "--l-step-km", "0", "--n-max", "-1"),
          "config field sweep.l_step_km must be positive and finite, got 0.0"),
         (("optimize", "--l-km", "150", "--n-o-max", "100000000000000000000"),
-         "invalid constraints config: n_o_max must be at most 1073741824, "
+         "invalid constraints config: n_o_max must be a positive integer <= 1073741824, "
          "got 100000000000000000000"),
         (("optimize", "--l-km", "150", "--n-m-max", "100000000000000000000"),
-         "invalid constraints config: n_m_max must be at most 1073741824, "
+         "invalid constraints config: n_m_max must be a positive integer <= 1073741824, "
          "got 100000000000000000000"),
     ])
     def test_first_bad_field_wins(self, capsys, tmp_path, args, message):

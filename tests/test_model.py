@@ -106,6 +106,47 @@ RULE_EDGES = [
 ]
 
 
+def _sim_count(name):
+    """Build a SimConfig with name set to one value, and read it back."""
+    counts = dict(j_steps=1, k_steps=1, num_blocks=1, n_comm_ions=0, n_mem_ions=0, seed=0)
+    return lambda v: getattr(SimConfig(ChainLayout(20.0, 1), tau_s=1e-6, tau_o_s=5e-6, p=0.3,
+                                       **{**counts, name: v}), name)
+
+
+# Every count field, through its public entry point: (its name in errors, low,
+# high or None for no upper bound, the largest value tried, and a build from
+# one value that returns the field as stored, or the call's result). An
+# unbounded field is tried past MAX_COUNT, the sampler's only as far as a
+# test can draw.
+COUNT_FIELDS = [
+    pytest.param("n_repeaters", 0, MAX_COUNT, MAX_COUNT,
+                 lambda v: ChainLayout(10.0, v).n_repeaters, id="layout-n"),
+    pytest.param("spatial_mux", 1, MAX_COUNT, MAX_COUNT,
+                 lambda v: ChainLayout(10.0, 1, v).spatial_mux, id="layout-M"),
+    pytest.param("time_mux", 1, MAX_COUNT, MAX_COUNT,
+                 lambda v: ChainLayout(10.0, 1, 1, v).time_mux, id="layout-m"),
+    pytest.param("bounds.n_max", 0, MAX_SEARCH_N, MAX_SEARCH_N,
+                 lambda v: SearchBounds(n_max=v).n_max, id="bounds-n_max"),
+    pytest.param("bounds.m_max", 1, MAX_COUNT, MAX_COUNT,
+                 lambda v: SearchBounds(m_max=v).m_max, id="bounds-m_max"),
+    pytest.param("n_o_max", 1, MAX_COUNT, MAX_COUNT,
+                 lambda v: Constraints(n_o_max=v).n_o_max, id="n_o_max"),
+    pytest.param("n_m_max", 1, MAX_COUNT, MAX_COUNT,
+                 lambda v: Constraints(n_m_max=v).n_m_max, id="n_m_max"),
+    pytest.param("fixed_n", 0, MAX_COUNT, MAX_COUNT,
+                 lambda v: Constraints(fixed_n=v).fixed_n, id="fixed_n"),
+    *[pytest.param(name, low, None, MAX_COUNT + 1, _sim_count(name), id=f"sim-{name}")
+      for name, low in (("j_steps", 1), ("k_steps", 1), ("num_blocks", 1),
+                        ("n_comm_ions", 0), ("n_mem_ions", 0), ("seed", 0))],
+    pytest.param("trials", 1, None, 2 ** 20,
+                 lambda v: sample_end_to_end_Q(3, BASE_NOISE, v), id="sampled-trials"),
+    pytest.param("n", 0, None, 2 ** 20,
+                 lambda v: sample_end_to_end_Q(v, BASE_NOISE, 1), id="sampled-n"),
+    pytest.param("n", 0, None, MAX_COUNT + 1,
+                 lambda v: end_to_end_Q(v, BASE_NOISE), id="end_to_end_Q-n"),
+]
+
+
 class TestLinkSuccess:
     def test_lossless_limit(self):
         assert link_success_prob(OpticalParams(eta_c=1, eta_d=1), 0.0) == 0.5
@@ -413,6 +454,20 @@ class TestValidation:
         assert [type(getattr(got, name)) for name in fields] == [int] * len(fields)
         assert run(got) == run(twin)
         assert repr(run(got)) == repr(run(twin))
+
+    @pytest.mark.parametrize("name, low, high, top, build", COUNT_FIELDS)
+    def test_each_count_field_at_its_edges(self, name, low, high, top, build):
+        build(low)
+        build(top)
+        # 4.0 gives what 4 gives, down to its repr: a stored count is an int
+        assert repr(build(4.0)) == repr(build(4))
+        rule = f"a {'nonnegative' if low == 0 else 'positive'} integer"
+        rule += "" if high is None else f" <= {high}"
+        past = [] if high is None else [high + 1]
+        for v in (low - 1, *past, 2.5, math.nan, math.inf):
+            with pytest.raises(ValueError) as err:
+                build(v)
+            assert str(err.value) == f"{name} must be {rule}, got {v}"
 
     @pytest.mark.parametrize("build, value, accepted", [
         pytest.param(build, value, accepted, id=f"{rule}-{where}")

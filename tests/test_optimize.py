@@ -32,7 +32,7 @@ from ionrep import (
     plob_bound,
     sweep_distance,
 )
-from ionrep.model import MAX_COUNT, StepCountError
+from ionrep.model import MAX_COUNT, MAX_L_POINTS, StepCountError
 from ionrep.optimize import distance_grid
 from ionrep.rates import rate_grid
 
@@ -206,7 +206,8 @@ class TestConstraints:
             Constraints(**cons)
 
     @pytest.mark.parametrize("cons, match", [
-        (dict(fixed_n=2 ** 30 + 1), "fixed_n must be in"),
+        (dict(fixed_n=2 ** 30 + 1), "^fixed_n must be a nonnegative integer <= 1073741824, "
+                                    "got 1073741825$"),
         (dict(fixed_l0_km=1e-300), "gives 1.5e\\+302 links"),
         (dict(fixed_l0_km=5e-324), "gives inf links"),
     ])
@@ -227,7 +228,7 @@ class TestConstraints:
         # a cap past int64 once overflowed in rates.ion_caps
         with pytest.raises(ValueError) as err:
             Constraints(**{name: 10 ** 20})
-        assert str(err.value) == f"{name} must be at most 1073741824, got {10 ** 20}"
+        assert str(err.value) == f"{name} must be a positive integer <= 1073741824, got {10 ** 20}"
         # the largest cap allowed binds nowhere on the default grid
         res = optimize_rate(150.0, 10, BASE, constraints=Constraints(**{name: 2 ** 30}))
         assert res == optimize_rate(150.0, 10, BASE)
@@ -235,12 +236,12 @@ class TestConstraints:
     @pytest.mark.parametrize("cons, message", [
         (dict(tau_min=math.nan), "tau_min must be positive, got nan"),
         (dict(fixed_l0_km=math.nan), "fixed_l0_km must be positive, got nan"),
-        (dict(n_o_max=math.nan), "n_o_max must be positive, got nan"),
-        (dict(n_m_max=math.nan), "n_m_max must be positive, got nan"),
-        (dict(fixed_n=math.nan), "fixed_n must be in [0, 1073741824], got nan"),
-        (dict(n_o_max=125.5), "n_o_max must be an integer, got 125.5"),
-        (dict(n_m_max=300.5), "n_m_max must be an integer, got 300.5"),
-        (dict(fixed_n=87.5), "fixed_n must be an integer, got 87.5"),
+        (dict(n_o_max=math.nan), "n_o_max must be a positive integer <= 1073741824, got nan"),
+        (dict(n_m_max=math.nan), "n_m_max must be a positive integer <= 1073741824, got nan"),
+        (dict(fixed_n=math.nan), "fixed_n must be a nonnegative integer <= 1073741824, got nan"),
+        (dict(n_o_max=125.5), "n_o_max must be a positive integer <= 1073741824, got 125.5"),
+        (dict(n_m_max=300.5), "n_m_max must be a positive integer <= 1073741824, got 300.5"),
+        (dict(fixed_n=87.5), "fixed_n must be a nonnegative integer <= 1073741824, got 87.5"),
     ])
     def test_nan_and_fractional_fields_rejected(self, cons, message):
         with pytest.raises(ValueError) as err:
@@ -248,13 +249,14 @@ class TestConstraints:
         assert str(err.value) == message
 
     @pytest.mark.parametrize("bounds, message", [
-        (dict(n_max=20.5), "bounds.n_max must be an integer, got 20.5"),
-        (dict(n_max=-0.5), "bounds.n_max must be in [0, 100000], got -0.5"),
-        (dict(n_max=math.nan), "bounds.n_max must be in [0, 100000], got nan"),
-        (dict(m_max=100.5), "bounds.m_max must be an integer, got 100.5"),
-        (dict(m_max=math.nan), "bounds.m_max must be >= 1, got nan"),
-        (dict(m_max=math.inf), "bounds.m_max must be at most 1073741824, got inf"),
-        (dict(m_max=MAX_COUNT + 1), "bounds.m_max must be at most 1073741824, got 1073741825"),
+        (dict(n_max=20.5), "bounds.n_max must be a nonnegative integer <= 100000, got 20.5"),
+        (dict(n_max=-0.5), "bounds.n_max must be a nonnegative integer <= 100000, got -0.5"),
+        (dict(n_max=math.nan), "bounds.n_max must be a nonnegative integer <= 100000, got nan"),
+        (dict(m_max=100.5), "bounds.m_max must be a positive integer <= 1073741824, got 100.5"),
+        (dict(m_max=math.nan), "bounds.m_max must be a positive integer <= 1073741824, got nan"),
+        (dict(m_max=math.inf), "bounds.m_max must be a positive integer <= 1073741824, got inf"),
+        (dict(m_max=MAX_COUNT + 1),
+         "bounds.m_max must be a positive integer <= 1073741824, got 1073741825"),
     ])
     def test_search_bounds_reject_nan_and_fractional_counts(self, bounds, message):
         with pytest.raises(ValueError) as err:
@@ -1038,27 +1040,30 @@ class TestSolvedSweeps:
             self.sweep(mux)
         assert [group[0][0] for group in calls] == [1, 5, 10]
         assert self.held_rows() == 6
-        self.sweep(50)  # 1 was read again, so 5 is the oldest
-        for mux in (10, 1, 50, 5):  # 5 was dropped; solving it drops 10
+        self.sweep(50)  # past the bound: the store is emptied, then holds 50 alone
+        assert self.held_rows() == 2
+        for mux in (50, 1, 5, 50):  # 1 and 5 are solved again, and held beside 50
             self.sweep(mux)
-        assert [group[0][0] for group in calls] == [1, 5, 10, 50, 5]
+        assert [group[0][0] for group in calls] == [1, 5, 10, 50, 1, 5]
         assert self.held_rows() == 6
+        self.sweep(10)  # past the bound: 50, read last, is emptied with the rest
+        self.sweep(50)
+        assert [group[0][0] for group in calls] == [1, 5, 10, 50, 1, 5, 10, 50]
+        assert self.held_rows() == 4
         # one key per set of variants, whatever their order and repeats: four
-        # rows, which drop the two oldest calls, 1 and 50
+        # rows, which take the store past the bound
         self.sweep(1, 5, 1)
         self.sweep(5, 1)
-        assert len(calls) == 6
+        self.sweep(10)
+        assert len(calls) == 10
         assert self.held_rows() == 6
-        self.sweep(10)  # drops 5
-        self.sweep(50)  # drops {1, 5}'s four rows, and no more
-        self.sweep(10)
-        assert len(calls) == 8
-        assert self.held_rows() == 4
-        for mux in (1, 5, 100):  # one row each: the seventh drops 50, the oldest
+        for mux in (1, 5, 100):  # one row each: the first empties the store
             self.sweep(mux, ls=(50.0,))
-        assert self.held_rows() == 5
-        self.sweep(10)
-        assert len(calls) == 11
+        assert self.held_rows() == 3
+        self.sweep(10)  # five rows, within the bound
+        self.sweep(1, 5)  # nine: the store is emptied and holds {1, 5} alone
+        assert len(calls) == 15
+        assert self.held_rows() == 4
 
     @pytest.mark.parametrize("cleared", [False, True])
     def test_an_empty_cache_holds_a_full_bound(self, monkeypatch, cleared):
@@ -1168,7 +1173,7 @@ class TestCrossover:
     def test_grid_cap_is_exact(self):
         # the last distance is checked first, and hopeless hardware never wins
         hopeless = BASE.updated(eps_g=0.2)
-        cap = optimize_module.MAX_L_POINTS
+        cap = MAX_L_POINTS
         assert crossover_distance(10, hopeless, l_min_km=1.0, l_max_km=float(cap),
                                   l_step_km=1.0) is None
         with pytest.raises(ValueError, match="^l_step_km=1 is too small"):

@@ -109,14 +109,14 @@ class TestConfigValidation:
             oracle_config(**times)
 
     @pytest.mark.parametrize("field, value, message", [
-        ("j_steps", 1.5, "j_steps must be an integer, got 1.5"),
-        ("k_steps", math.nan, "k_steps must be >= 1, got nan"),
-        ("num_blocks", 2.5, "num_blocks must be an integer, got 2.5"),
-        ("n_comm_ions", 2.5, "n_comm_ions must be an integer, got 2.5"),
-        ("n_comm_ions", math.nan, "n_comm_ions must be >= 0 (0 means unlimited), got nan"),
-        ("n_mem_ions", 2.5, "n_mem_ions must be an integer, got 2.5"),
-        ("seed", 1.5, "seed must be an integer, got 1.5"),
-        ("seed", math.nan, "seed must be >= 0, got nan"),
+        ("j_steps", 1.5, "j_steps must be a positive integer, got 1.5"),
+        ("k_steps", math.nan, "k_steps must be a positive integer, got nan"),
+        ("num_blocks", 2.5, "num_blocks must be a positive integer, got 2.5"),
+        ("n_comm_ions", 2.5, "n_comm_ions must be a nonnegative integer, got 2.5"),
+        ("n_comm_ions", math.nan, "n_comm_ions must be a nonnegative integer, got nan"),
+        ("n_mem_ions", 2.5, "n_mem_ions must be a nonnegative integer, got 2.5"),
+        ("seed", 1.5, "seed must be a nonnegative integer, got 1.5"),
+        ("seed", math.nan, "seed must be a nonnegative integer, got nan"),
         ("p", math.nan, "p must be in [0, 1], got nan"),
         ("tau_s", math.nan, "tau_s must be positive, got nan"),
         ("tau_o_s", math.nan, "tau_o_s must be positive, got nan"),
@@ -932,11 +932,11 @@ class TestFlipSampler:
             assert q == expected
             assert peak < 2 * mcsim.DRAW_BYTES, n
 
-    @pytest.mark.parametrize("n, trials, match", [(3, 0, "trials must be >= 1, got 0"),
-                                                  (-1, 100, "n must be >= 0, got -1"),
-                                                  (1.5, 10, "n must be an integer, got 1.5"),
-                                                  (3, 2.5, "trials must be an integer, "
-                                                           "got 2.5")])
+    @pytest.mark.parametrize("n, trials, match", [
+        (3, 0, "trials must be a positive integer, got 0"),
+        (-1, 100, "n must be a nonnegative integer, got -1"),
+        (1.5, 10, "n must be a nonnegative integer, got 1.5"),
+        (3, 2.5, "trials must be a positive integer, got 2.5")])
     def test_rejects_bad_counts(self, n, trials, match):
         with pytest.raises(ValueError, match=match):
             sample_end_to_end_Q(n, NoiseParams(f0=0.999, eps_g=1e-3), trials)
