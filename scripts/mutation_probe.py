@@ -39,13 +39,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 # each module's tests, run from the repository root
 TESTS = {
-    "mcsim": ["tests/test_sim.py", "tests/test_scripts.py"],
+    "mcsim": ["tests/test_sim.py", "tests/test_model.py", "tests/test_scripts.py"],
     "rates": ["tests/test_rates.py", "tests/test_model.py", "tests/test_optimize.py",
               "tests/test_scripts.py"],
     "model": ["tests/test_model.py", "tests/test_rates.py", "tests/test_cli.py",
               "tests/test_optimize.py", "tests/test_scripts.py"],
     "optimize": ["tests/test_optimize.py", "tests/test_scripts.py"],
-    "cli": ["tests/test_cli.py", "tests/test_help.py", "tests/test_scripts.py"],
+    "cli": ["tests/test_cli.py", "tests/test_optimize.py", "tests/test_help.py",
+            "tests/test_scripts.py"],
     "figures": ["tests/test_cli.py", "tests/test_sim.py", "tests/test_scripts.py"],
 }
 FLIPS = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,

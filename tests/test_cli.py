@@ -349,8 +349,7 @@ class TestSweep:
         assert (code, out) == (2, "")
         assert err.startswith(f"ionrep {args[0]}: error: config field "
                               "sweep.l_step_km=")
-        assert err.endswith(f"the grid would have more than {MAX_L_POINTS} "
-                            "distances\n")
+        assert err.endswith("the grid would have more than 10000 distances\n")
         assert err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []  # figure failed before writing
         code, out, err = run(capsys, *args, "--format", "json")
@@ -367,6 +366,10 @@ class TestSweep:
         cfg["sweep"]["l_max_km"] += 1.0
         with pytest.raises(CliError, match="sweep.l_step_km"):
             make_l_grid(cfg)
+        # a distance exactly at l_max_km's 1e-12 tolerance is kept
+        edge = 1.0 * (1 + 1e-12)
+        cfg["sweep"].update(l_min_km=0.5, l_max_km=1.0, l_step_km=edge - 0.5)
+        assert make_l_grid(cfg) == [0.5, edge]
 
 
 class TestClassify:
